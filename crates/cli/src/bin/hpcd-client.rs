@@ -20,7 +20,6 @@
 
 use numa_profiler::NumaProfile;
 use numa_server::{caps, Client, ClientError, ReportFormat};
-use numa_store::stream::split_profile;
 use numa_tools::{die, Args};
 use std::time::Duration;
 
@@ -104,31 +103,13 @@ fn main() {
             let delay_ms: u64 = args
                 .get_parsed("chunk-delay-ms", 0)
                 .unwrap_or_else(|e| die(USAGE, &e));
-            let (id, added, chunks) = if delay_ms == 0 {
-                run(client.stream_profile(label, &profile, per))
-            } else {
-                // Paced streaming (demos, and tests that need a window
-                // to kill the client mid-session). Chunk encoding is
-                // negotiated exactly like the un-paced path: binary
-                // codec when the daemon advertises it, JSON otherwise.
-                let binary = run(client.binary_codec());
-                let info = run(client.open_session(label));
-                for (seq, chunk) in split_profile(&profile, per).iter().enumerate() {
-                    if seq > 0 {
-                        std::thread::sleep(Duration::from_millis(delay_ms));
+            let pause = Duration::from_millis(delay_ms);
+            let (id, added, chunks) =
+                run(client.stream_profile_paced(label, &profile, per, |seq| {
+                    if seq > 0 && !pause.is_zero() {
+                        std::thread::sleep(pause);
                     }
-                    if binary {
-                        run(client.append_chunk_binary(
-                            info.session,
-                            seq as u64,
-                            chunk.to_binary(),
-                        ));
-                    } else {
-                        run(client.append_chunk(info.session, seq as u64, &chunk.to_json()));
-                    }
-                }
-                run(client.seal_session(info.session))
-            };
+                }));
             format!(
                 "{id}  {label} ({}, {chunks} chunk(s) streamed)\n",
                 if added { "added" } else { "deduplicated" }

@@ -352,44 +352,40 @@ impl SessionManager {
 
     /// Append chunk `seq` (strictly sequential from 0) to a session.
     /// Renews the lease. On durable stores the chunk is staged in the
-    /// WAL before this returns. Returns the daemon-wide buffered bytes
-    /// after the append.
+    /// WAL — transcoded to the binary chunk form, the only one the
+    /// store logs — before this returns. Returns the daemon-wide
+    /// buffered bytes after the append.
     pub fn append(&self, session: u64, seq: u64, chunk_json: &str) -> Result<usize, SessionError> {
-        self.append_common(
-            session,
-            seq,
-            chunk_json.len(),
-            || ChunkPayload::from_json(chunk_json).map_err(|e| e.to_string()),
-            |store| store.stage_chunk(session, seq, chunk_json),
-        )
+        self.append_common(session, seq, chunk_json.len(), None, || {
+            ChunkPayload::from_json(chunk_json).map_err(|e| e.to_string())
+        })
     }
 
     /// [`SessionManager::append`] for a binary-codec chunk (see
     /// [`ChunkPayload::to_binary`]). Identical semantics — prechecks,
     /// lease renewal, durable staging, rollback — over the binary wire
-    /// format; a session may freely mix JSON and binary chunks.
+    /// format, whose bytes are staged as sent; a session may freely mix
+    /// JSON and binary chunks.
     pub fn append_binary(
         &self,
         session: u64,
         seq: u64,
         bytes: &[u8],
     ) -> Result<usize, SessionError> {
-        self.append_common(
-            session,
-            seq,
-            bytes.len(),
-            || ChunkPayload::from_binary(bytes).map_err(|e| e.to_string()),
-            |store| store.stage_chunk_binary(session, seq, bytes),
-        )
+        self.append_common(session, seq, bytes.len(), Some(bytes), || {
+            ChunkPayload::from_binary(bytes).map_err(|e| e.to_string())
+        })
     }
 
+    /// `wire` is the chunk's binary form when the client sent one;
+    /// `None` has a durable store encode it from the parsed payload.
     fn append_common(
         &self,
         session: u64,
         seq: u64,
         len: usize,
+        wire: Option<&[u8]>,
         parse: impl FnOnce() -> Result<ChunkPayload, String>,
-        stage: impl FnOnce(&ProfileStore) -> Result<(), numa_store::StoreError>,
     ) -> Result<usize, SessionError> {
         // Typed rejections first, under a brief lock, so oversized or
         // out-of-order chunks never pay for a parse.
@@ -435,6 +431,10 @@ impl SessionManager {
             seq,
             message,
         })?;
+        let transcoded = match wire {
+            None if self.store.is_durable() => payload.to_binary(),
+            _ => Vec::new(),
+        };
         let open_bytes = {
             let mut inner = self.inner.lock();
             // Re-validate: the session can be reaped (or a duplicate
@@ -462,7 +462,10 @@ impl SessionManager {
         // itself from the store's retained map; roll the in-memory push
         // back in step so the session still expects this sequence
         // number and the client can retry the same chunk.
-        if let Err(e) = stage(&self.store) {
+        let staged = self
+            .store
+            .stage_chunk(session, seq, wire.unwrap_or(&transcoded));
+        if let Err(e) = staged {
             let mut inner = self.inner.lock();
             if let Some(s) = inner.sessions.get_mut(&session) {
                 if s.next_seq == seq + 1 {

@@ -1,14 +1,17 @@
-//! Session lifecycle against an in-memory store: streamed ingestion
-//! must land byte-identically with one-shot ingestion, every rejection
-//! must be typed, and the janitor must reap expired leases.
+//! Session lifecycle: streamed ingestion must land byte-identically
+//! with one-shot ingestion, every rejection must be typed, the janitor
+//! must reap expired leases, and on a durable store JSON chunks are
+//! staged in the binary form and recover after a kill.
 
+use numa_faults::{FaultSpec, FaultyStorage, Storage};
 use numa_live::{LiveConfig, SessionError, SessionManager};
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::split_profile;
-use numa_store::ProfileStore;
+use numa_store::wal::{scan_file, wal_path, ChunkData, WalEntry, WAL_MAGIC};
+use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -259,4 +262,57 @@ fn appends_renew_the_lease() {
     assert!(sealed.added);
     assert_eq!(mgr.stats().reaped, 0);
     mgr.stop();
+}
+
+/// JSON chunks appended to a durable store are transcoded once, in the
+/// live layer: the WAL holds only binary (kind-4) chunk records, and a
+/// daemon killed right after the seal's ack recovers the session whole.
+#[test]
+fn json_appends_stage_binary_chunks_and_recover_after_a_kill() {
+    let dir = std::env::temp_dir().join(format!("numa-live-json-wal-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let storage = Arc::new(FaultyStorage::new(FaultSpec::default()));
+    let store = Arc::new(
+        ProfileStore::open_durable_config_with(
+            &dir,
+            StoreConfig::default(),
+            PersistOptions::default(),
+            Arc::clone(&storage) as Arc<dyn Storage>,
+        )
+        .unwrap(),
+    );
+    let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
+    let sealed = stream(&mgr, "json-streamed", &corpus()[0], 2);
+    assert!(sealed.added);
+    storage.kill();
+    mgr.stop();
+    drop(mgr);
+    drop(store);
+
+    let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
+    let chunks: Vec<&ChunkData> = scan
+        .entries
+        .iter()
+        .filter_map(|e| match e {
+            WalEntry::Chunk(c) => Some(&c.payload),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(chunks.len() as u64, sealed.chunks);
+    assert!(
+        chunks.iter().all(|c| matches!(c, ChunkData::Binary(_))),
+        "JSON appends must be logged as binary chunk records"
+    );
+    assert!(matches!(scan.entries.last(), Some(WalEntry::Seal(_))));
+
+    let store = ProfileStore::open_durable(&dir, 16, PersistOptions::default()).unwrap();
+    assert_eq!(store.ids(), vec![sealed.id]);
+    assert_eq!(
+        &*store.resolve("json-streamed").unwrap().label,
+        "json-streamed"
+    );
+    let p = store.persist_stats();
+    assert_eq!(p.sessions_recovered, 1);
+    assert_eq!(p.sessions_dropped, 0);
+    std::fs::remove_dir_all(&dir).ok();
 }

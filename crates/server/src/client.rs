@@ -439,13 +439,28 @@ impl Client {
         profile: &NumaProfile,
         threads_per_chunk: usize,
     ) -> Result<(String, bool, u64), ClientError> {
+        self.stream_profile_paced(label, profile, threads_per_chunk, |_| {})
+    }
+
+    /// [`Client::stream_profile`] calling `before_chunk(seq)` ahead of
+    /// each append — where a paced sender sleeps (demos, and tests that
+    /// need a window to kill the client mid-session).
+    pub fn stream_profile_paced(
+        &mut self,
+        label: &str,
+        profile: &NumaProfile,
+        threads_per_chunk: usize,
+        mut before_chunk: impl FnMut(u64),
+    ) -> Result<(String, bool, u64), ClientError> {
         let binary = self.binary_codec()?;
         let info = self.open_session(label)?;
         for (seq, chunk) in split_profile(profile, threads_per_chunk).iter().enumerate() {
+            let seq = seq as u64;
+            before_chunk(seq);
             if binary {
-                self.append_chunk_binary(info.session, seq as u64, chunk.to_binary())?;
+                self.append_chunk_binary(info.session, seq, chunk.to_binary())?;
             } else {
-                self.append_chunk(info.session, seq as u64, &chunk.to_json())?;
+                self.append_chunk(info.session, seq, &chunk.to_json())?;
             }
         }
         self.seal_session(info.session)

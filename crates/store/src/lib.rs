@@ -7,10 +7,16 @@
 //! same expensive artifacts (reports, views, diffs) over and over. This
 //! crate adds:
 //!
-//! * **Content-addressed ingestion** ([`ProfileStore::ingest_batch`],
-//!   [`ProfileStore::ingest_dir`]): serialized [`NumaProfile`] JSON is
-//!   parsed in parallel with rayon and stored under the FNV-1a hash of
-//!   its canonical serialization, so duplicate runs dedup to one copy.
+//! * **Content-addressed ingestion through one admission path**
+//!   ([`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`],
+//!   [`ProfileStore::ingest_binary`], [`ProfileStore::commit_sealed`],
+//!   ...): every entry point parses and hashes its input outside every
+//!   lock — a batch in parallel with rayon — and hands the prepared
+//!   rows to the single insert → commit → rollback tail in the `admit`
+//!   module. A profile is stored under the FNV-1a hash of its canonical
+//!   JSON serialization, so duplicate runs dedup to one copy whatever
+//!   format they arrived in; codec bytes are the only form the store
+//!   stages or logs.
 //! * **Hash-sharded shelves**: profiles live in N shard shelves keyed
 //!   by `content_hash & (N-1)`, each behind its own `RwLock`, so
 //!   concurrent ingests and queries touching different shards never
@@ -28,10 +34,11 @@
 //!   appends are queued to a dedicated persister thread that batches
 //!   pending records and flushes once per batch (see the `persist`
 //!   module docs); startup replay parses records in parallel and
-//!   inserts them shard-by-shard in parallel.
+//!   re-admits them through the same tail.
 //!
 //! The CLI front end is `hpcstore-sim` in the `numa-tools` crate.
 
+mod admit;
 mod aggregate;
 mod cache;
 mod hash;
@@ -46,14 +53,14 @@ pub use hash::{fnv1a, mix, ProfileId};
 
 use numa_analysis::{analyze, diff, full_text_report, render_cct, Analyzer};
 use numa_engine::{Engine, ThreadScalars};
-use numa_obs::{trace, Counter, Registry};
+use numa_obs::{Counter, Registry};
 use numa_profiler::{NumaProfile, RangeScope};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 /// Store-level failures. Parse failures during batch ingestion do not
@@ -141,30 +148,24 @@ pub struct StoredProfile {
 }
 
 impl StoredProfile {
-    fn new(id: ProfileId, label: &str, profile: NumaProfile, json_bytes: usize) -> Self {
+    /// `scalars` are the per-thread columns a binary decode already
+    /// extracted, so the engine build skips re-walking the per-thread
+    /// structs for them.
+    fn new(
+        id: ProfileId,
+        label: &str,
+        profile: NumaProfile,
+        json_bytes: usize,
+        scalars: Option<ThreadScalars>,
+    ) -> Self {
         StoredProfile {
             id,
             label: Arc::from(label),
             profile: Arc::new(profile),
             json_bytes,
             engine: OnceLock::new(),
-            scalars: Mutex::new(None),
+            scalars: Mutex::new(scalars),
         }
-    }
-
-    /// [`StoredProfile::new`] carrying the scalar columns a binary
-    /// decode already extracted, so the engine build skips re-walking
-    /// the per-thread structs for them.
-    fn with_scalars(
-        id: ProfileId,
-        label: &str,
-        profile: NumaProfile,
-        json_bytes: usize,
-        scalars: ThreadScalars,
-    ) -> Self {
-        let sp = Self::new(id, label, profile, json_bytes);
-        *sp.scalars.lock() = Some(scalars);
-        sp
     }
 
     /// The shared [`Engine`] over this profile. The index is built at
@@ -313,6 +314,38 @@ struct Shelf {
     by_id: HashMap<ProfileId, usize>,
     /// Order-insensitive combined hash of this shard's ids.
     set_hash: u64,
+}
+
+impl Shelf {
+    /// Shelve `sp` under insertion sequence `seq`; `false` (and no
+    /// change) when its id is already here.
+    fn insert(&mut self, seq: u64, sp: Arc<StoredProfile>) -> bool {
+        if self.by_id.contains_key(&sp.id) {
+            return false;
+        }
+        // XOR fold: the set hash must not depend on insertion order, so
+        // ingesting the same corpus from a directory or a stream yields
+        // the same scope key for pooled queries.
+        self.set_hash ^= mix(SET_HASH_SALT, sp.id.0);
+        self.by_id.insert(sp.id, self.profiles.len());
+        self.profiles.push((seq, sp));
+        true
+    }
+
+    /// Take `id` back off the shelf. O(shelf size) — only a rollback
+    /// pays it.
+    fn remove(&mut self, id: ProfileId) {
+        let Some(slot) = self.by_id.remove(&id) else {
+            return;
+        };
+        self.profiles.remove(slot);
+        for idx in self.by_id.values_mut() {
+            if *idx > slot {
+                *idx -= 1;
+            }
+        }
+        self.set_hash ^= mix(SET_HASH_SALT, id.0);
+    }
 }
 
 /// A shard: its shelf plus contention accounting.
@@ -518,16 +551,24 @@ impl Drop for ProfileStore {
     }
 }
 
-/// Files per [`ProfileStore::ingest_dir`] read-and-parse chunk: bounds
-/// buffered bytes while still letting rayon parse a chunk in parallel.
-const INGEST_DIR_CHUNK: usize = 32;
+/// One persistence series: name, help, whether it is a gauge (else a
+/// counter), and the [`PersistStats`] field it reads at scrape time.
+type PersistMetric = (&'static str, &'static str, bool, fn(&PersistStats) -> u64);
 
-/// One recovered profile record headed for replay — the JSON form
-/// persist v1/v2 wrote, or the binary columnar form v3 writes.
-enum ReplayRecord {
-    Json(wal::WalRecord),
-    Bin(wal::BinProfileRecord),
-}
+/// The persistence series [`ProfileStore::register_metrics`] exposes,
+/// in exposition order.
+#[rustfmt::skip]
+const PERSIST_METRICS: [PersistMetric; 9] = [
+    ("numa_store_wal_appends_total", "Records appended to the WAL since startup.", false, |p| p.wal_appends),
+    ("numa_store_wal_group_commits_total", "WAL group commits since startup.", false, |p| p.wal_group_commits),
+    ("numa_store_wal_bytes", "Current WAL size in bytes (header included).", true, |p| p.wal_bytes),
+    ("numa_store_snapshots_written_total", "Snapshot compactions performed since startup.", false, |p| p.snapshots_written),
+    ("numa_store_persist_io_errors_total", "WAL append / compaction I/O failures.", false, |p| p.io_errors),
+    ("numa_store_snapshot_records_loaded", "Records loaded from the snapshot at startup.", false, |p| p.snapshot_records_loaded),
+    ("numa_store_wal_records_replayed", "Records replayed from the WAL at startup.", false, |p| p.wal_records_replayed),
+    ("numa_store_sessions_recovered_total", "Streaming sessions recovered whole at startup.", false, |p| p.sessions_recovered),
+    ("numa_store_sessions_dropped_total", "Streaming sessions dropped at startup (unsealed or corrupt).", false, |p| p.sessions_dropped),
+];
 
 impl ProfileStore {
     /// Default number of memoized artifacts.
@@ -591,9 +632,8 @@ impl ProfileStore {
     }
 
     /// [`ProfileStore::open_durable`] with explicit store sizing.
-    /// Replay parses snapshot + WAL records in parallel, partitions them
-    /// by destination shard, and inserts each shard's group under one
-    /// write lock — shards replay concurrently.
+    /// Replay parses snapshot + WAL records in parallel and admits them
+    /// in file order through the same tail live ingests use.
     pub fn open_durable_config(
         dir: &Path,
         config: StoreConfig,
@@ -629,44 +669,9 @@ impl ProfileStore {
         base.wal_records_replayed = log.entries.len() as u64;
         base.wal_truncated_bytes = log.truncated_bytes;
 
-        // Replay snapshot first, then the log on top; content addressing
-        // dedups records present in both. The persister is not attached
-        // yet, so replayed inserts do not re-append to the WAL. Sealed
-        // streaming sessions reassemble into ordinary profile records;
-        // unsealed or incomplete ones are dropped wholesale — a client
-        // (or this daemon) that died mid-stream never half-ingests.
-        let mut records: Vec<ReplayRecord> = Vec::new();
-        let mut chunks: HashMap<u64, std::collections::BTreeMap<u64, wal::ChunkData>> =
-            HashMap::new();
-        let mut seals: Vec<wal::SealRecord> = Vec::new();
-        for entry in snap.entries.into_iter().chain(log.entries) {
-            match entry {
-                wal::WalEntry::Profile(r) => records.push(ReplayRecord::Json(r)),
-                wal::WalEntry::ProfileBin(r) => records.push(ReplayRecord::Bin(r)),
-                wal::WalEntry::Chunk(c) => {
-                    base.session_chunks_replayed += 1;
-                    // BTreeMap insert dedups chunks re-staged by a
-                    // compaction that raced the original append.
-                    chunks
-                        .entry(c.session)
-                        .or_default()
-                        .insert(c.seq, c.payload);
-                }
-                wal::WalEntry::Seal(s) => seals.push(s),
-            }
-        }
-        for seal in seals {
-            let parts = chunks.remove(&seal.session).unwrap_or_default();
-            match Self::assemble_sealed(&seal, parts) {
-                Some(record) => {
-                    base.sessions_recovered += 1;
-                    records.push(ReplayRecord::Json(record));
-                }
-                None => base.sessions_dropped += 1,
-            }
-        }
-        base.sessions_dropped += chunks.len() as u64; // chunks with no seal
-        base.replay_parse_failures = store.replay(records);
+        // The persister is not attached yet, so replayed inserts do not
+        // re-append to the WAL.
+        store.recover(snap.entries.into_iter().chain(log.entries), &mut base);
 
         let writer =
             wal::WalWriter::open_with(&*storage, &wal::wal_path(dir), log.valid_len, opts.fsync)?;
@@ -710,118 +715,6 @@ impl ProfileStore {
         )?;
         let _ = store.persist.set(persister);
         Ok(store)
-    }
-
-    /// Reassemble one sealed session recovered from disk. `None` (drop
-    /// the session) when chunks are missing, fail to parse, do not
-    /// assemble, or the assembled canonical JSON does not hash to the
-    /// seal's content hash. Chunks decode from whichever staging format
-    /// (JSON or binary) each was appended in — a session may mix them.
-    fn assemble_sealed(
-        seal: &wal::SealRecord,
-        parts: std::collections::BTreeMap<u64, wal::ChunkData>,
-    ) -> Option<wal::WalRecord> {
-        // Chunks past the sealed count are orphans of appends whose ack
-        // reported failure (the record hit disk but its group did not
-        // commit); the seal's prefix is what was acknowledged, so only
-        // it counts.
-        let parts: std::collections::BTreeMap<u64, wal::ChunkData> = parts
-            .into_iter()
-            .filter(|(seq, _)| *seq < seal.chunks)
-            .collect();
-        if parts.len() as u64 != seal.chunks {
-            return None; // missing chunks
-        }
-        let chunks: Vec<stream::ChunkPayload> = parts
-            .values()
-            .map(stream::ChunkPayload::from_chunk_data)
-            .collect::<Option<Vec<_>>>()?;
-        let profile = stream::assemble(chunks).ok()?;
-        let (id, canonical) = ProfileId::of(&profile);
-        if id.0 != seal.content_hash {
-            return None; // assembled bytes disagree with the sealed hash
-        }
-        Some(wal::WalRecord {
-            label: seal.label.clone(),
-            json: canonical,
-            content_hash: id.0,
-        })
-    }
-
-    /// Rebuild the in-memory set from recovered records: parse and
-    /// canonicalize in parallel (the expensive part), stamp insertion
-    /// sequence numbers in file order, then insert per shard in
-    /// parallel — one write lock per shard for its whole group. Returns
-    /// the number of records that no longer parse.
-    ///
-    /// Binary (persist-v3) records skip re-canonicalization: their
-    /// content hash was computed at ingest time and the record is
-    /// checksum-protected, so the recorded id and JSON footprint are
-    /// trusted as-is — the replay cost is one columnar decode.
-    fn replay(&self, records: Vec<ReplayRecord>) -> u64 {
-        use rayon::prelude::*;
-        if records.is_empty() {
-            return 0;
-        }
-        let parsed: Vec<Option<Arc<StoredProfile>>> = records
-            .par_iter()
-            .map(|r| match r {
-                ReplayRecord::Json(r) => NumaProfile::from_json(&r.json).ok().map(|profile| {
-                    let (id, canonical) = ProfileId::of(&profile);
-                    Arc::new(StoredProfile::new(id, &r.label, profile, canonical.len()))
-                }),
-                ReplayRecord::Bin(r) => {
-                    let view = numa_codec::ProfileView::parse(&r.bytes).ok()?;
-                    let scalars = ThreadScalars {
-                        instructions: view.instructions().collect(),
-                        numa_events: view.numa_events().collect(),
-                    };
-                    let profile = view.to_profile().ok()?;
-                    Some(Arc::new(StoredProfile::with_scalars(
-                        ProfileId(r.content_hash),
-                        &r.label,
-                        profile,
-                        r.json_len as usize,
-                        scalars,
-                    )))
-                }
-            })
-            .collect_vec();
-        let failures = parsed.iter().filter(|p| p.is_none()).count() as u64;
-
-        let mut by_shard: Vec<Vec<(u64, Arc<StoredProfile>)>> =
-            (0..self.shards.shards.len()).map(|_| Vec::new()).collect();
-        for sp in parsed.into_iter().flatten() {
-            let seq = self.shards.seq.fetch_add(1, Ordering::Relaxed);
-            by_shard[sp.id.0 as usize & self.shards.mask].push((seq, sp));
-        }
-        let deduped: u64 = by_shard
-            .par_iter()
-            .map(|group| {
-                let mut dups = 0u64;
-                let Some((_, first)) = group.first() else {
-                    return 0;
-                };
-                let shard = self.shards.of(first.id);
-                let mut shelf = shard.write();
-                for (seq, sp) in group {
-                    if shelf.by_id.contains_key(&sp.id) {
-                        dups += 1;
-                    } else {
-                        shelf.set_hash ^= mix(SET_HASH_SALT, sp.id.0);
-                        let slot = shelf.profiles.len();
-                        shelf.by_id.insert(sp.id, slot);
-                        shelf.profiles.push((*seq, Arc::clone(sp)));
-                        shard.ingests.inc();
-                    }
-                }
-                dups
-            })
-            .collect_vec()
-            .into_iter()
-            .sum();
-        self.dedup_hits.add(deduped);
-        failures
     }
 
     /// Whether this store is backed by a data directory.
@@ -889,69 +782,16 @@ impl ProfileStore {
             &[],
             move || store.cache.len() as i64,
         );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_wal_appends_total",
-            "Records appended to the WAL since startup.",
-            &[],
-            move || store.persist_stats().wal_appends,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_wal_group_commits_total",
-            "WAL group commits since startup.",
-            &[],
-            move || store.persist_stats().wal_group_commits,
-        );
-        let store = Arc::clone(self);
-        registry.gauge_fn(
-            "numa_store_wal_bytes",
-            "Current WAL size in bytes (header included).",
-            &[],
-            move || store.persist_stats().wal_bytes as i64,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_snapshots_written_total",
-            "Snapshot compactions performed since startup.",
-            &[],
-            move || store.persist_stats().snapshots_written,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_persist_io_errors_total",
-            "WAL append / compaction I/O failures.",
-            &[],
-            move || store.persist_stats().io_errors,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_snapshot_records_loaded",
-            "Records loaded from the snapshot at startup.",
-            &[],
-            move || store.persist_stats().snapshot_records_loaded,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_wal_records_replayed",
-            "Records replayed from the WAL at startup.",
-            &[],
-            move || store.persist_stats().wal_records_replayed,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_sessions_recovered_total",
-            "Streaming sessions recovered whole at startup.",
-            &[],
-            move || store.persist_stats().sessions_recovered,
-        );
-        let store = Arc::clone(self);
-        registry.counter_fn(
-            "numa_store_sessions_dropped_total",
-            "Streaming sessions dropped at startup (unsealed or corrupt).",
-            &[],
-            move || store.persist_stats().sessions_dropped,
-        );
+        for (name, help, gauge, field) in PERSIST_METRICS {
+            let store = Arc::clone(self);
+            if gauge {
+                registry.gauge_fn(name, help, &[], move || {
+                    field(&store.persist_stats()) as i64
+                });
+            } else {
+                registry.counter_fn(name, help, &[], move || field(&store.persist_stats()));
+            }
+        }
     }
 
     /// Force a snapshot compaction now: write the whole corpus to the
@@ -963,473 +803,6 @@ impl ProfileStore {
             None => Ok(()),
             Some(p) => p.flush(),
         }
-    }
-
-    /// Log profiles about to be inserted and block until the
-    /// group-commit persister has them flushed. `fresh` rows are
-    /// `(label, codec bytes, id, canonical json length)`; record
-    /// encoding happens here, on the ingest thread, outside every lock.
-    /// Returns one result per row, in input order: `Err` means the
-    /// row's commit group failed and was rolled back — the caller must
-    /// **not** insert that profile (ack ⇒ durable). In-memory stores
-    /// report every row `Ok`.
-    fn persist_batch(
-        &self,
-        fresh: &[(&str, &[u8], ProfileId, u32)],
-    ) -> Vec<Result<(), StoreError>> {
-        let Some(p) = self.persist.get() else {
-            return fresh.iter().map(|_| Ok(())).collect();
-        };
-        let records: Vec<Vec<u8>> = fresh
-            .iter()
-            .map(|(label, bytes, id, json_len)| {
-                wal::encode_bin_record(label, bytes, id.0, *json_len)
-            })
-            .collect();
-        let started = std::time::Instant::now();
-        let results = p.append_all(records);
-        trace::note_wal_ack_us(started.elapsed().as_micros() as u64);
-        results
-            .into_iter()
-            .map(|r| {
-                r.map_err(|e| StoreError::Persist {
-                    message: e.to_string(),
-                })
-            })
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Streaming sessions
-    // ------------------------------------------------------------------
-
-    /// Stage one chunk of an open streaming session in the WAL and block
-    /// until the group-commit persister has it flushed — an acknowledged
-    /// chunk survives a SIGKILL of the daemon (it replays if and only if
-    /// its session later seals). A no-op for in-memory stores.
-    ///
-    /// On a persistence failure the chunk is un-staged (the seal's
-    /// chunk count must only cover durable chunks) and
-    /// [`StoreError::Persist`] is returned; the caller should roll the
-    /// session's in-memory state back in step so a retry of the same
-    /// sequence number is possible.
-    pub fn stage_chunk(&self, session: u64, seq: u64, payload: &str) -> Result<(), StoreError> {
-        self.stage_chunk_data(session, seq, &wal::ChunkData::Json(payload.to_string()))
-    }
-
-    /// [`ProfileStore::stage_chunk`] for a binary-codec chunk payload
-    /// (see [`stream::ChunkPayload::to_binary`]).
-    pub fn stage_chunk_binary(
-        &self,
-        session: u64,
-        seq: u64,
-        payload: &[u8],
-    ) -> Result<(), StoreError> {
-        self.stage_chunk_data(session, seq, &wal::ChunkData::Binary(payload.to_vec()))
-    }
-
-    fn stage_chunk_data(
-        &self,
-        session: u64,
-        seq: u64,
-        payload: &wal::ChunkData,
-    ) -> Result<(), StoreError> {
-        let Some(p) = self.persist.get() else {
-            return Ok(());
-        };
-        let record = wal::encode_chunk_record(session, seq, payload);
-        // Staged before the append so a compaction racing it re-stages
-        // the chunk into the fresh log rather than losing it.
-        self.session_log
-            .lock()
-            .entry(session)
-            .or_default()
-            .push(record.clone());
-        let started = std::time::Instant::now();
-        let appended = p.append_all(vec![record]).pop();
-        trace::note_wal_ack_us(started.elapsed().as_micros() as u64);
-        match appended {
-            Some(Err(e)) => {
-                let mut log = self.session_log.lock();
-                if let Some(records) = log.get_mut(&session) {
-                    records.pop();
-                    if records.is_empty() {
-                        log.remove(&session);
-                    }
-                }
-                Err(StoreError::Persist {
-                    message: e.to_string(),
-                })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Commit a sealed streaming session: insert the assembled profile
-    /// and append the seal record that makes the staged chunks
-    /// replayable. The result is indistinguishable from
-    /// [`ProfileStore::ingest_profile`] of the same profile — same id,
-    /// same set hash, same aggregate text. Returns `(id, newly_added)`;
-    /// a dedup (`false`) appends no seal, and either way the session's
-    /// staged chunks are discarded.
-    ///
-    /// The insert precedes the seal append so a compaction racing the
-    /// commit always captures the profile in its snapshot corpus; if
-    /// the seal append then fails, the insert is rolled back, the
-    /// session is discarded, and [`StoreError::Persist`] is returned —
-    /// the commit was **not** acknowledged-then-dropped, and the client
-    /// can re-stream. If an earlier failed compaction lost the
-    /// session's staged chunks (the persister refuses the seal), the
-    /// commit falls back to persisting the assembled profile as an
-    /// ordinary record, restoring the durability the chunks lost.
-    pub fn commit_sealed(
-        &self,
-        session: u64,
-        label: &str,
-        profile: NumaProfile,
-    ) -> Result<(ProfileId, bool), StoreError> {
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = Arc::new(StoredProfile::new(id, label, profile, canonical.len()));
-        // Kept for the rare poisoned-session fallback below, which
-        // needs the profile after the insert consumed `sp`.
-        let profile = Arc::clone(&sp.profile);
-        let added = self.insert(sp);
-        if !added {
-            self.discard_session(session);
-            return Ok((id, false));
-        }
-        let Some(p) = self.persist.get() else {
-            self.discard_session(session);
-            return Ok((id, true));
-        };
-        let seal = {
-            let mut log = self.session_log.lock();
-            let records = log.entry(session).or_default();
-            let seal = wal::encode_seal_record(session, records.len() as u64, id.0, label);
-            // Keep the seal alongside the chunks until the commit is
-            // settled: a compaction racing it re-stages chunks *and*
-            // seal together, so the sealed session survives the WAL
-            // reset even before the seal append is processed.
-            records.push(seal.clone());
-            seal
-        };
-        match p.append_seal(seal, session) {
-            Ok(()) => {
-                self.discard_session(session);
-                Ok((id, true))
-            }
-            Err(persist::AppendError::SessionPoisoned) => {
-                // The chunks this seal counts on are gone from the WAL.
-                // The assembled profile is in hand, so persist it as an
-                // ordinary record instead of sealing.
-                self.discard_session(session);
-                let bytes = numa_codec::encode_profile(&profile);
-                let row = (label, bytes.as_slice(), id, canonical.len() as u32);
-                match self.persist_batch(&[row]).pop() {
-                    Some(Err(e)) => {
-                        self.remove(id);
-                        Err(e)
-                    }
-                    _ => Ok((id, true)),
-                }
-            }
-            Err(e) => {
-                self.remove(id);
-                self.discard_session(session);
-                Err(StoreError::Persist {
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
-
-    /// Drop a session's staged chunk records (on seal, abort, or lease
-    /// reap). Chunks already written to the WAL stay there but are
-    /// sealless, so replay discards them; the next compaction stops
-    /// re-staging them and physically reclaims the space.
-    pub fn discard_session(&self, session: u64) {
-        self.session_log.lock().remove(&session);
-    }
-
-    // ------------------------------------------------------------------
-    // Ingestion
-    // ------------------------------------------------------------------
-
-    /// Ingest an already-parsed profile. Returns its id and whether it
-    /// was new (`false` = content-identical profile already stored).
-    ///
-    /// On durable stores the profile becomes visible first, then is
-    /// WAL-committed (flushed to the OS, group-committed) before the
-    /// call returns — insert-then-persist. The order matters: a
-    /// snapshot compaction racing this ingest clones the store's
-    /// corpus and then *resets the WAL*, so a record persisted before
-    /// its insert could be wiped from the log while still missing from
-    /// the snapshot — acknowledged yet unrecoverable. Inserting first
-    /// guarantees any compaction that discards this profile's WAL
-    /// record has already captured the profile itself. A persistence
-    /// failure rolls the insert back and returns
-    /// [`StoreError::Persist`]; the WAL tail was truncated too, so the
-    /// ingest can simply be retried. (A concurrent identical ingest
-    /// can dedup against an insert whose persistence then fails — it
-    /// reports `(id, false)` for a profile that ends up absent; closing
-    /// that window would serialize all ingest on one lock.)
-    pub fn ingest_profile(
-        &self,
-        label: &str,
-        profile: NumaProfile,
-    ) -> Result<(ProfileId, bool), StoreError> {
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = Arc::new(StoredProfile::new(id, label, profile, canonical.len()));
-        // Encoded before the insert consumes `sp`; only durable stores
-        // pay for it.
-        let bytes = if self.persist.get().is_some() {
-            numa_codec::encode_profile(&sp.profile)
-        } else {
-            Vec::new()
-        };
-        if !self.insert(sp) {
-            return Ok((id, false));
-        }
-        let row = (label, bytes.as_slice(), id, canonical.len() as u32);
-        if let Some(Err(e)) = self.persist_batch(&[row]).pop() {
-            self.remove(id);
-            return Err(e);
-        }
-        Ok((id, true))
-    }
-
-    /// Ingest one serialized profile.
-    pub fn ingest_bytes(&self, label: &str, json: &str) -> Result<(ProfileId, bool), StoreError> {
-        match NumaProfile::from_json(json) {
-            Ok(profile) => self.ingest_profile(label, profile),
-            Err(e) => {
-                self.parse_failures.inc();
-                Err(StoreError::Parse {
-                    label: label.to_string(),
-                    message: e.to_string(),
-                })
-            }
-        }
-    }
-
-    /// Ingest one binary-codec profile container (the
-    /// `caps::BINARY_CODEC` wire path). Identity is still the FNV-1a
-    /// hash of the canonical JSON — a profile ingested as JSON and the
-    /// same profile ingested as codec bytes dedup to one copy with one
-    /// id — but the client's own bytes are what get persisted (no
-    /// re-encode), and the decoded scalar columns are handed to the
-    /// engine build.
-    pub fn ingest_binary(
-        &self,
-        label: &str,
-        bytes: &[u8],
-    ) -> Result<(ProfileId, bool), StoreError> {
-        let view = match numa_codec::ProfileView::parse(bytes) {
-            Ok(v) => v,
-            Err(e) => {
-                self.parse_failures.inc();
-                return Err(StoreError::Parse {
-                    label: label.to_string(),
-                    message: e.to_string(),
-                });
-            }
-        };
-        let scalars = ThreadScalars {
-            instructions: view.instructions().collect(),
-            numa_events: view.numa_events().collect(),
-        };
-        let profile = match view.to_profile() {
-            Ok(p) => p,
-            Err(e) => {
-                self.parse_failures.inc();
-                return Err(StoreError::Parse {
-                    label: label.to_string(),
-                    message: e.to_string(),
-                });
-            }
-        };
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = Arc::new(StoredProfile::with_scalars(
-            id,
-            label,
-            profile,
-            canonical.len(),
-            scalars,
-        ));
-        if !self.insert(sp) {
-            return Ok((id, false));
-        }
-        let row = (label, bytes, id, canonical.len() as u32);
-        if let Some(Err(e)) = self.persist_batch(&[row]).pop() {
-            self.remove(id);
-            return Err(e);
-        }
-        Ok((id, true))
-    }
-
-    /// Ingest a batch of `(label, json)` inputs. Parsing and content
-    /// hashing — the expensive part — run in parallel under rayon (the
-    /// active thread pool; see `ThreadPool::install`); insertion is a
-    /// short sequential tail of per-shard lock grabs. On durable stores
-    /// the whole batch is enqueued to the persister at once and waits
-    /// for a single group commit. Bad inputs are reported, not fatal.
-    pub fn ingest_batch(&self, inputs: &[(String, String)]) -> BatchReport {
-        use rayon::prelude::*;
-        let durable = self.persist.get().is_some();
-        // Parsed profile paired with its canonical-JSON length and its
-        // codec bytes (the WAL record body; empty for in-memory
-        // stores), or the (label, typed error) rejection.
-        type Parsed = Result<(Arc<StoredProfile>, u32, Vec<u8>), (String, StoreError)>;
-        let parsed: Vec<Parsed> = inputs
-            .par_iter()
-            .map(|(label, json)| match NumaProfile::from_json(json) {
-                Ok(profile) => {
-                    let (id, canonical) = ProfileId::of(&profile);
-                    let sp = StoredProfile::new(id, label, profile, canonical.len());
-                    let bytes = if durable {
-                        numa_codec::encode_profile(&sp.profile)
-                    } else {
-                        Vec::new()
-                    };
-                    Ok((Arc::new(sp), canonical.len() as u32, bytes))
-                }
-                Err(e) => Err((
-                    label.clone(),
-                    StoreError::Parse {
-                        label: label.clone(),
-                        message: e.to_string(),
-                    },
-                )),
-            })
-            .collect_vec();
-        let mut report = BatchReport::default();
-        // Insert-then-persist, same reasoning as `ingest_profile`: the
-        // fresh profiles become visible first (so a racing compaction's
-        // snapshot always has them), then the whole batch is
-        // WAL-committed as one group. A row the persister failed is
-        // rolled back out of the store and reported, never silently
-        // kept as ingested-but-volatile.
-        let mut fresh: Vec<(Arc<StoredProfile>, u32, Vec<u8>)> = Vec::new();
-        for item in parsed {
-            match item {
-                Ok((sp, json_len, bytes)) => {
-                    if self.insert(Arc::clone(&sp)) {
-                        fresh.push((sp, json_len, bytes));
-                    } else {
-                        // An identical input earlier in this batch (or a
-                        // racing ingest) won.
-                        report.deduplicated += 1;
-                    }
-                }
-                Err(rej) => {
-                    self.parse_failures.inc();
-                    report.rejected.push(rej);
-                }
-            }
-        }
-        let rows: Vec<(&str, &[u8], ProfileId, u32)> = fresh
-            .iter()
-            .map(|(sp, json_len, bytes)| (&*sp.label, bytes.as_slice(), sp.id, *json_len))
-            .collect();
-        let results = self.persist_batch(&rows);
-        for ((sp, _, _), result) in fresh.into_iter().zip(results) {
-            match result {
-                Ok(()) => report.added.push(sp.id),
-                Err(e) => {
-                    self.remove(sp.id);
-                    report.persist_failures.push((sp.label.to_string(), e));
-                }
-            }
-        }
-        report
-    }
-
-    /// Ingest every `*.json` file in a directory (sorted by file name,
-    /// so batch reports are deterministic). Files are read in bounded
-    /// chunks — the whole directory is never buffered at once — and an
-    /// unreadable file is recorded in [`BatchReport::io_errors`] instead
-    /// of aborting the batch. Only listing the directory itself fails
-    /// the call.
-    pub fn ingest_dir(&self, dir: &Path) -> std::io::Result<BatchReport> {
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        files.sort();
-        let mut report = BatchReport::default();
-        for chunk in files.chunks(INGEST_DIR_CHUNK) {
-            let mut inputs = Vec::with_capacity(chunk.len());
-            for f in chunk {
-                // Labels come from the file name. A non-UTF-8 name would
-                // lossy-convert to replacement characters, so two
-                // distinct files could collide onto one label; suffix
-                // such labels with the FNV-1a hash of the *raw* name
-                // bytes to keep them distinguishable.
-                let label = match f.file_name() {
-                    Some(n) => match n.to_str() {
-                        Some(utf8) => utf8.to_owned(),
-                        None => format!(
-                            "{}#{:016x}",
-                            n.to_string_lossy(),
-                            fnv1a(n.as_encoded_bytes())
-                        ),
-                    },
-                    None => f.display().to_string(),
-                };
-                match std::fs::read_to_string(f) {
-                    Ok(json) => inputs.push((label, json)),
-                    Err(e) => report.io_errors.push((label, e.to_string())),
-                }
-            }
-            report.merge(self.ingest_batch(&inputs));
-        }
-        Ok(report)
-    }
-
-    /// Insert into the owning shard. Everything expensive (hashing,
-    /// canonicalization, allocation) already happened; the write lock
-    /// covers a hash-map probe, an insert, and a vec push.
-    fn insert(&self, sp: Arc<StoredProfile>) -> bool {
-        let seq = self.shards.seq.fetch_add(1, Ordering::Relaxed);
-        trace::note_shard((sp.id.0 as usize & self.shards.mask) as u32);
-        let shard = self.shards.of(sp.id);
-        let mut shelf = shard.write();
-        if shelf.by_id.contains_key(&sp.id) {
-            drop(shelf);
-            self.dedup_hits.inc();
-            false
-        } else {
-            // XOR fold: the set hash must not depend on insertion
-            // order, so ingesting the same corpus from a directory
-            // or a stream yields the same scope key for pooled
-            // queries.
-            shelf.set_hash ^= mix(SET_HASH_SALT, sp.id.0);
-            let slot = shelf.profiles.len();
-            shelf.by_id.insert(sp.id, slot);
-            shelf.profiles.push((seq, sp));
-            drop(shelf);
-            shard.ingests.inc();
-            true
-        }
-    }
-
-    /// Roll back an insert whose persistence failed (see
-    /// [`ProfileStore::commit_sealed`]). O(shard size) — only the
-    /// error path pays it.
-    fn remove(&self, id: ProfileId) -> bool {
-        let shard = self.shards.of(id);
-        let mut shelf = shard.write();
-        let Some(slot) = shelf.by_id.remove(&id) else {
-            return false;
-        };
-        shelf.profiles.remove(slot);
-        for idx in shelf.by_id.values_mut() {
-            if *idx > slot {
-                *idx -= 1;
-            }
-        }
-        shelf.set_hash ^= mix(SET_HASH_SALT, id.0);
-        true
     }
 
     // ------------------------------------------------------------------
@@ -1673,7 +1046,7 @@ impl ProfileStore {
 
     pub fn stats(&self) -> StoreStats {
         let shards = self.shard_stats();
-        let (mut profiles, mut json_bytes, mut set_hash) = (0usize, 0usize, 0u64);
+        let (mut profiles, mut json_bytes, mut hash) = (0usize, 0usize, 0u64);
         for shard in &self.shards.shards {
             let shelf = shard.read();
             profiles += shelf.profiles.len();
@@ -1682,12 +1055,12 @@ impl ProfileStore {
                 .iter()
                 .map(|(_, p)| p.json_bytes)
                 .sum::<usize>();
-            set_hash ^= shelf.set_hash;
+            hash ^= shelf.set_hash;
         }
         StoreStats {
             profiles,
             json_bytes,
-            set_hash,
+            set_hash: hash,
             deduplicated: self.dedup_hits.get(),
             parse_failures: self.parse_failures.get(),
             cached_artifacts: self.cache.len(),

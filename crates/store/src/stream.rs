@@ -10,10 +10,11 @@
 //! profile — so a streamed profile is byte-identical (content hash, set
 //! hash, aggregate text) to the same profile ingested one-shot.
 //!
-//! The chunk JSON here is also the WAL staging format: the daemon
-//! writes each appended chunk as a [`crate::wal::ChunkRecord`] whose
-//! payload is the serialized `ChunkPayload`, and crash replay feeds the
-//! recorded payloads back through [`assemble`].
+//! The binary chunk form ([`ChunkPayload::to_binary`]) is also the WAL
+//! staging format: the daemon writes each appended chunk as a
+//! [`crate::wal::ChunkRecord`] holding those bytes (a JSON chunk is
+//! transcoded first), and crash replay feeds the recorded payloads back
+//! through [`assemble`].
 
 use numa_profiler::{FirstTouchRecord, NumaProfile, ThreadProfile, VarRecord};
 use numa_sampling::{Capabilities, MechanismKind};
@@ -46,13 +47,14 @@ const CHUNK_TAG_HEADER: u8 = 0;
 const CHUNK_TAG_THREADS: u8 = 1;
 
 impl ChunkPayload {
-    /// Serialize to the JSON wire/WAL chunk format (the fallback for
-    /// peers without `caps::BINARY_CODEC`).
+    /// Serialize to the JSON wire chunk format (the fallback for peers
+    /// without `caps::BINARY_CODEC`).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("chunk serializes")
     }
 
-    /// Deserialize from the JSON wire/WAL chunk format.
+    /// Deserialize from the JSON wire chunk format (also what kind-1
+    /// WAL records of older builds hold).
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
@@ -109,10 +111,9 @@ impl ChunkPayload {
         }
     }
 
-    /// Deserialize from either staged format (see
+    /// Deserialize from either recorded format (see
     /// [`crate::wal::ChunkData`]). `None` on any parse failure — crash
-    /// replay treats an undecodable chunk as a dropped session, exactly
-    /// like a JSON chunk that no longer parses.
+    /// replay treats an undecodable chunk as a dropped session.
     pub fn from_chunk_data(data: &crate::wal::ChunkData) -> Option<Self> {
         match data {
             crate::wal::ChunkData::Json(s) => Self::from_json(s).ok(),

@@ -19,7 +19,9 @@
 //! body:
 //!   u8   kind         0 = profile (JSON), 1 = session chunk (JSON),
 //!                     2 = session seal, 3 = profile (binary codec),
-//!                     4 = session chunk (binary codec)
+//!                     4 = session chunk (binary codec).
+//!                     Kinds 0 and 1 are read-only: older builds wrote
+//!                     them, this one replays them but writes only 2–4.
 //!
 //!   kind 0 (profile — a fully ingested run, JSON payload):
 //!     u32  label_len    byte count of `label`
@@ -155,12 +157,13 @@ pub struct BinProfileRecord {
     pub bytes: Vec<u8>,
 }
 
-/// A chunk payload in whichever format the client staged it.
+/// A chunk payload as a record holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChunkData {
-    /// Chunk JSON exactly as the client sent it.
+    /// Chunk JSON from a kind-1 record an older build wrote; only the
+    /// decoder produces this.
     Json(String),
-    /// Binary chunk payload exactly as the client sent it.
+    /// Binary chunk payload (kind 4), the form every build stages now.
     Binary(Vec<u8>),
 }
 
@@ -170,7 +173,6 @@ pub struct ChunkRecord {
     pub session: u64,
     /// Zero-based sequence number within the session.
     pub seq: u64,
-    /// Chunk payload exactly as the client sent it.
     pub payload: ChunkData,
 }
 
@@ -194,7 +196,9 @@ pub enum WalEntry {
     Seal(SealRecord),
 }
 
-/// Serialize one profile record (record header + body).
+/// Serialize one legacy JSON profile record (kind 0). No ingest path
+/// writes these any more; the encoder stays for the fixtures that prove
+/// old data directories still replay.
 pub fn encode_record(label: &str, json: &str, content_hash: u64) -> Vec<u8> {
     let body_len = 1 + 4 + label.len() + 8 + json.len();
     let mut out = begin_record(body_len, KIND_PROFILE);
@@ -219,18 +223,14 @@ pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64, json_len:
     finish_record(out)
 }
 
-/// Serialize one session-chunk record (record header + body). The
-/// record kind follows the payload's format.
-pub fn encode_chunk_record(session: u64, seq: u64, payload: &ChunkData) -> Vec<u8> {
-    let (kind, raw): (u8, &[u8]) = match payload {
-        ChunkData::Json(s) => (KIND_CHUNK, s.as_bytes()),
-        ChunkData::Binary(b) => (KIND_CHUNK_BIN, b),
-    };
-    let body_len = 1 + 8 + 8 + raw.len();
-    let mut out = begin_record(body_len, kind);
+/// Serialize one session-chunk record (record header + body) around a
+/// binary chunk payload — the only chunk form written (kind 4).
+pub fn encode_chunk_record(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let body_len = 1 + 8 + 8 + payload.len();
+    let mut out = begin_record(body_len, KIND_CHUNK_BIN);
     out.extend_from_slice(&session.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(raw);
+    out.extend_from_slice(payload);
     finish_record(out)
 }
 
@@ -551,16 +551,7 @@ impl WalWriter {
         })
     }
 
-    /// Append one profile record and flush it to the OS (plus `fsync`
-    /// when configured). Returns the record's encoded size.
-    pub fn append(&mut self, label: &str, json: &str, content_hash: u64) -> io::Result<u64> {
-        let record = encode_record(label, json, content_hash);
-        self.write_encoded(&record)?;
-        self.commit()?;
-        Ok(record.len() as u64)
-    }
-
-    /// Buffer one pre-encoded record (see [`encode_record`],
+    /// Buffer one pre-encoded record (see [`encode_bin_record`],
     /// [`encode_chunk_record`], [`encode_seal_record`]) without
     /// flushing. A group-commit writer stages a whole batch this way and
     /// then makes it durable with one [`WalWriter::commit`].
@@ -648,14 +639,33 @@ mod tests {
         dir
     }
 
+    /// Append one legacy JSON profile record as its own commit; returns
+    /// the record's encoded size.
+    fn append(w: &mut WalWriter, label: &str, json: &str) -> u64 {
+        let n = w
+            .write_encoded(&encode_record(label, json, fnv1a(json.as_bytes())))
+            .unwrap();
+        w.commit().unwrap();
+        n
+    }
+
+    /// A kind-1 (JSON chunk) record as pre-codec builds wrote it.
+    fn legacy_chunk_record(session: u64, seq: u64, json: &str) -> Vec<u8> {
+        let mut out = begin_record(1 + 8 + 8 + json.len(), KIND_CHUNK);
+        out.extend_from_slice(&session.to_be_bytes());
+        out.extend_from_slice(&seq.to_be_bytes());
+        out.extend_from_slice(json.as_bytes());
+        finish_record(out)
+    }
+
     #[test]
     fn records_round_trip() {
         let dir = tmp("roundtrip");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
         let json = "{\"k\":1}";
-        w.append("run-a", json, fnv1a(json.as_bytes())).unwrap();
-        w.append("run-b", json, fnv1a(json.as_bytes())).unwrap();
+        append(&mut w, "run-a", json);
+        append(&mut w, "run-b", json);
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
         let profiles: Vec<_> = scan.profiles().collect();
         assert_eq!(profiles.len(), 2);
@@ -672,20 +682,12 @@ mod tests {
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
         let json = "{\"k\":1}";
-        w.write_encoded(&encode_chunk_record(
-            7,
-            0,
-            &ChunkData::Json("{\"threads\":[]}".to_string()),
-        ))
-        .unwrap();
+        w.write_encoded(&legacy_chunk_record(7, 0, "{\"threads\":[]}"))
+            .unwrap();
         w.write_encoded(&encode_record("oneshot", json, fnv1a(json.as_bytes())))
             .unwrap();
-        w.write_encoded(&encode_chunk_record(
-            7,
-            1,
-            &ChunkData::Binary(vec![0xAB, 0x00, 0xCD]),
-        ))
-        .unwrap();
+        w.write_encoded(&encode_chunk_record(7, 1, &[0xAB, 0x00, 0xCD]))
+            .unwrap();
         w.write_encoded(&encode_seal_record(7, 2, 0xDEAD_BEEF, "streamed"))
             .unwrap();
         w.commit().unwrap();
@@ -701,7 +703,10 @@ mod tests {
             })
         );
         assert!(matches!(&scan.entries[1], WalEntry::Profile(r) if r.label == "oneshot"));
-        assert!(matches!(&scan.entries[2], WalEntry::Chunk(c) if c.seq == 1));
+        assert!(matches!(
+            &scan.entries[2],
+            WalEntry::Chunk(c) if c.seq == 1 && c.payload == ChunkData::Binary(vec![0xAB, 0x00, 0xCD])
+        ));
         assert_eq!(
             scan.entries[3],
             WalEntry::Seal(SealRecord {
@@ -770,7 +775,7 @@ mod tests {
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
         let json = "{\"k\":1}";
-        let first_end = FILE_HEADER_LEN + w.append("one", json, fnv1a(json.as_bytes())).unwrap();
+        let first_end = FILE_HEADER_LEN + append(&mut w, "one", json);
         drop(w);
         // A record with a valid checksum but a kind from the future.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -793,7 +798,7 @@ mod tests {
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
         let json = "{\"k\":1}";
-        w.append("whole", json, fnv1a(json.as_bytes())).unwrap();
+        append(&mut w, "whole", json);
         let whole = w.len();
         drop(w);
         // Simulate a torn append: half a record of garbage.
@@ -817,8 +822,8 @@ mod tests {
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
         let json = "{\"k\":1}";
-        let first_end = FILE_HEADER_LEN + w.append("one", json, fnv1a(json.as_bytes())).unwrap();
-        w.append("two", json, fnv1a(json.as_bytes())).unwrap();
+        let first_end = FILE_HEADER_LEN + append(&mut w, "one", json);
+        append(&mut w, "two", json);
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         let hit = first_end as usize + 20; // somewhere inside record two

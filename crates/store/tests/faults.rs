@@ -28,7 +28,7 @@ use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
 use numa_store::wal::{scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
-use numa_store::{PersistOptions, ProfileStore, StoreConfig};
+use numa_store::{PersistOptions, ProfileStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,9 +113,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One step of a seeded workload. `bin` selects the binary codec path
-/// (binary WAL records / binary chunk staging) so the matrix exercises
-/// both persisted formats — and their mixtures — under faults.
+/// One step of a seeded workload. `bin` selects the format the op
+/// arrives in (codec bytes vs. JSON that the store or the live layer
+/// transcodes) so the matrix exercises both arrival paths — and their
+/// mixtures — under faults.
 #[derive(Clone, Copy, Debug)]
 enum PlannedOp {
     /// One-shot ingest of `corpus()[idx]`.
@@ -199,15 +200,16 @@ fn run_schedule(seed: u64) {
                     let p = NumaProfile::from_json(&corpus()[idx]).unwrap();
                     let chunks: Vec<ChunkPayload> = split_profile(&p, parts);
                     let staged = chunks.iter().enumerate().all(|(seq, chunk)| {
-                        if bin {
-                            store
-                                .stage_chunk_binary(session, seq as u64, &chunk.to_binary())
-                                .is_ok()
+                        // A JSON chunk reaches the store the way the live
+                        // layer hands it over: parsed, then transcoded.
+                        let payload = if bin {
+                            chunk.to_binary()
                         } else {
-                            store
-                                .stage_chunk(session, seq as u64, &chunk.to_json())
-                                .is_ok()
-                        }
+                            ChunkPayload::from_json(&chunk.to_json())
+                                .unwrap()
+                                .to_binary()
+                        };
+                        store.stage_chunk(session, seq as u64, &payload).is_ok()
                     });
                     if !staged {
                         // A client whose chunk was refused gives up; the
@@ -424,50 +426,145 @@ fn snapshot_rename_is_dir_synced_before_wal_truncate() {
 // Regression: group-commit error path
 // ---------------------------------------------------------------------
 
-/// A WAL append that fails mid-group must fail that ingest with a typed
-/// error and roll the log back to the committed prefix — never
-/// ack-then-drop. Once the (one-shot) fault has passed, a retry of the
-/// same ingest succeeds and everything recovers.
+/// Every way into the store, for
+/// [`failed_append_is_typed_rolled_back_and_retryable`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Entry {
+    Bytes,
+    Profile,
+    Binary,
+    BatchOne,
+    /// One fresh row plus an in-batch duplicate of it.
+    BatchMixed,
+    Sealed,
+}
+
+impl Entry {
+    const ALL: [Entry; 6] = [
+        Entry::Bytes,
+        Entry::Profile,
+        Entry::Binary,
+        Entry::BatchOne,
+        Entry::BatchMixed,
+        Entry::Sealed,
+    ];
+
+    /// Chunks a sealed commit stages (one WAL write each) before the
+    /// commit itself; nothing for the one-shot entries.
+    fn chunks(self) -> Vec<ChunkPayload> {
+        match self {
+            Entry::Sealed => split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Admit `corpus()[0]` as "torn" through this entry point:
+    /// `Ok(added)` or the typed error it reported.
+    fn admit(self, store: &ProfileStore, session: u64) -> Result<bool, StoreError> {
+        let batch = |inputs: &[(String, String)]| {
+            let mut report = store.ingest_batch(inputs);
+            assert!(report.rejected.is_empty() && report.io_errors.is_empty());
+            assert_eq!(report.deduplicated, inputs.len() - 1);
+            match report.persist_failures.pop() {
+                Some((label, e)) => {
+                    assert_eq!(label, "torn");
+                    assert!(report.added.is_empty() && report.persist_failures.is_empty());
+                    Err(e)
+                }
+                None => Ok(report.added.len() == 1),
+            }
+        };
+        let row = |label: &str| (label.to_string(), corpus()[0].clone());
+        match self {
+            Entry::Bytes => store.ingest_bytes("torn", &corpus()[0]).map(|r| r.1),
+            Entry::Profile => store
+                .ingest_profile("torn", NumaProfile::from_json(&corpus()[0]).unwrap())
+                .map(|r| r.1),
+            Entry::Binary => store.ingest_binary("torn", &bin_corpus()[0]).map(|r| r.1),
+            Entry::BatchOne => batch(&[row("torn")]),
+            Entry::BatchMixed => batch(&[row("torn"), row("torn-dup")]),
+            Entry::Sealed => {
+                let chunks = self.chunks();
+                for (seq, chunk) in chunks.iter().enumerate() {
+                    store
+                        .stage_chunk(session, seq as u64, &chunk.to_binary())
+                        .unwrap();
+                }
+                store
+                    .commit_sealed(session, "torn", assemble(chunks).unwrap())
+                    .map(|r| r.1)
+            }
+        }
+    }
+}
+
+/// A WAL append that fails mid-group must fail that admission with a
+/// typed error and roll both the store and the log back to the
+/// committed prefix — never ack-then-drop — through every entry point.
+/// Once the (one-shot) fault has passed, a retry of the same admission
+/// succeeds and a reopen lists exactly the acked ids.
 #[test]
 fn failed_append_is_typed_rolled_back_and_retryable() {
-    let dir = scratch("groupfail");
-    // Write #1 is the WAL header at open; write #2 — the first record —
-    // tears after 5 bytes, exactly once.
-    let storage = Arc::new(FaultyStorage::new(FaultSpec {
-        short_write: Some((2, 5)),
-        ..FaultSpec::default()
-    }));
-    let store = ProfileStore::open_durable_config_with(
-        &dir,
-        config(),
-        PersistOptions::default(),
-        Arc::clone(&storage) as Arc<dyn Storage>,
-    )
-    .unwrap();
+    for entry in Entry::ALL {
+        let dir = scratch("groupfail");
+        // Write #1 is the WAL header at open and a sealed commit first
+        // stages its chunks, one write each; the write after those —
+        // the entry's own record — tears after 5 bytes, exactly once.
+        let staged = entry.chunks().len() as u64;
+        let storage = Arc::new(FaultyStorage::new(FaultSpec {
+            short_write: Some((2 + staged, 5)),
+            ..FaultSpec::default()
+        }));
+        let store = ProfileStore::open_durable_config_with(
+            &dir,
+            config(),
+            PersistOptions::default(),
+            Arc::clone(&storage) as Arc<dyn Storage>,
+        )
+        .unwrap();
+        let wal_len = || std::fs::metadata(wal_path(&dir)).unwrap().len();
 
-    let err = store.ingest_bytes("torn", &corpus()[0]).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("not durable"), "unexpected error: {msg}");
-    assert_eq!(store.len(), 0, "failed ingest must not stay visible");
-    assert!(store.persist_stats().io_errors >= 1);
-    // The torn prefix was truncated away: the log is a bare header.
-    assert_eq!(
-        std::fs::metadata(wal_path(&dir)).unwrap().len(),
-        FILE_HEADER_LEN
-    );
+        let err = entry.admit(&store, 1).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Persist { .. }),
+            "{entry:?}: {err:?}"
+        );
+        assert!(err.to_string().contains("not durable"), "{entry:?}: {err}");
+        assert_eq!(
+            store.len(),
+            0,
+            "{entry:?}: failed row must not stay visible"
+        );
+        assert_eq!(store.set_hash(), 0, "{entry:?}");
+        assert!(store.persist_stats().io_errors >= 1, "{entry:?}");
+        // The torn prefix was truncated away: the log is back to a bare
+        // header (plus, for a seal, the chunk records committed earlier).
+        let committed = wal_len();
+        let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
+        assert_eq!(scan.truncated_bytes, 0, "{entry:?}");
+        assert_eq!(scan.entries.len() as u64, staged, "{entry:?}");
+        if staged == 0 {
+            assert_eq!(committed, FILE_HEADER_LEN, "{entry:?}");
+        }
 
-    // The schedule only tears write #2: the retry goes through.
-    store.ingest_bytes("torn", &corpus()[0]).unwrap();
-    assert_eq!(store.len(), 1);
-    drop(store);
-    let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
-    assert_eq!(scan.entries.len(), 1);
-    assert_eq!(scan.truncated_bytes, 0);
-    let store =
-        ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
-    assert_eq!(store.len(), 1);
-    assert_eq!(&*store.resolve("torn").unwrap().label, "torn");
-    std::fs::remove_dir_all(&dir).ok();
+        // The schedule tears only that one write: the retry (a sealed
+        // session re-streams under a fresh id) goes through.
+        assert!(entry.admit(&store, 2).unwrap(), "{entry:?}: retry adds");
+        assert_eq!(store.len(), 1, "{entry:?}");
+        let acked = store.ids();
+        drop(store);
+        let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
+        assert_eq!(scan.truncated_bytes, 0, "{entry:?}");
+        let store =
+            ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
+        assert_eq!(
+            store.ids(),
+            acked,
+            "{entry:?}: reopen lists exactly the acked ids"
+        );
+        assert_eq!(&*store.resolve("torn").unwrap().label, "torn");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Disk-full: every ingest past the budget fails with the typed
@@ -546,7 +643,9 @@ fn failed_compaction_poisons_session_and_keeps_later_appends() {
     .unwrap();
 
     for (seq, chunk) in chunks.iter().enumerate() {
-        store.stage_chunk(7, seq as u64, &chunk.to_json()).unwrap();
+        store
+            .stage_chunk(7, seq as u64, &chunk.to_binary())
+            .unwrap();
     }
     assert!(store.flush().is_err(), "sync 6 must fail this compaction");
 

@@ -7,9 +7,9 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
-use numa_store::stream::{assemble, split_profile, ChunkPayload};
-use numa_store::wal::{scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
-use numa_store::{PersistOptions, ProfileStore};
+use numa_store::stream::{assemble, split_profile};
+use numa_store::wal::{encode_seal_record, scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
+use numa_store::{fnv1a, PersistOptions, ProfileStore};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,23 +182,23 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
     oracle.ingest_bytes("streamed", &corpus()[0]).unwrap();
     let a = NumaProfile::from_json(&corpus()[0]).unwrap();
     let b = NumaProfile::from_json(&corpus()[1]).unwrap();
-    let a_chunks: Vec<String> = split_profile(&a, 2).iter().map(|c| c.to_json()).collect();
-    let b_chunks: Vec<String> = split_profile(&b, 2).iter().map(|c| c.to_json()).collect();
+    let a_chunks = split_profile(&a, 2);
+    let b_chunks = split_profile(&b, 2);
     {
         let store = open(&dir, PersistOptions::default());
-        for (seq, payload) in a_chunks.iter().enumerate() {
-            store.stage_chunk(1, seq as u64, payload).unwrap();
+        for (seq, chunk) in a_chunks.iter().enumerate() {
+            store
+                .stage_chunk(1, seq as u64, &chunk.to_binary())
+                .unwrap();
         }
         // Session 2 stages two chunks but never seals: a dead client.
-        for (seq, payload) in b_chunks.iter().enumerate().take(2) {
-            store.stage_chunk(2, seq as u64, payload).unwrap();
+        for (seq, chunk) in b_chunks.iter().enumerate().take(2) {
+            store
+                .stage_chunk(2, seq as u64, &chunk.to_binary())
+                .unwrap();
         }
-        let parts: Vec<ChunkPayload> = a_chunks
-            .iter()
-            .map(|p| ChunkPayload::from_json(p).unwrap())
-            .collect();
         let (_, added) = store
-            .commit_sealed(1, "streamed", assemble(parts).unwrap())
+            .commit_sealed(1, "streamed", assemble(a_chunks.clone()).unwrap())
             .unwrap();
         assert!(added);
         // The sealed stream is byte-identical to one-shot ingest: same
@@ -223,27 +223,79 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A kind-1 (JSON chunk) record exactly as a pre-codec build wrote it.
+/// No API writes these any more, so the fixture frames one by hand.
+fn legacy_json_chunk_record(session: u64, seq: u64, json: &str) -> Vec<u8> {
+    let mut body = vec![1u8];
+    body.extend_from_slice(&session.to_be_bytes());
+    body.extend_from_slice(&seq.to_be_bytes());
+    body.extend_from_slice(json.as_bytes());
+    let mut out = (body.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(&fnv1a(&body).to_be_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// A data directory a persist-v2 daemon left behind — JSON chunk
+/// records, one sealed session and one the client never sealed — still
+/// recovers under this build, which only ever *writes* binary chunks.
+#[test]
+fn legacy_json_chunk_sessions_still_replay() {
+    let dir = scratch("legacy-chunks");
+    std::fs::create_dir_all(&dir).unwrap();
+    let oracle = ProfileStore::new();
+    let (id, _) = oracle.ingest_bytes("streamed", &corpus()[0]).unwrap();
+    let a = NumaProfile::from_json(&corpus()[0]).unwrap();
+    let b = NumaProfile::from_json(&corpus()[1]).unwrap();
+    let a_chunks = split_profile(&a, 2);
+
+    let mut bytes = WAL_MAGIC.to_vec();
+    bytes.extend_from_slice(&2u16.to_be_bytes());
+    bytes.extend_from_slice(&[0, 0]);
+    for (seq, chunk) in a_chunks.iter().enumerate() {
+        bytes.extend_from_slice(&legacy_json_chunk_record(1, seq as u64, &chunk.to_json()));
+    }
+    let unsealed = &split_profile(&b, 2)[0];
+    bytes.extend_from_slice(&legacy_json_chunk_record(2, 0, &unsealed.to_json()));
+    bytes.extend_from_slice(&encode_seal_record(
+        1,
+        a_chunks.len() as u64,
+        id.0,
+        "streamed",
+    ));
+    std::fs::write(wal_path(&dir), &bytes).unwrap();
+
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.len(), 1);
+    assert_eq!(store.set_hash(), oracle.set_hash());
+    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
+    let p = store.persist_stats();
+    assert_eq!(p.wal_truncated_bytes, 0);
+    assert_eq!(p.sessions_recovered, 1);
+    assert_eq!(p.sessions_dropped, 1);
+    assert_eq!(p.session_chunks_replayed, (a_chunks.len() + 1) as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn compaction_restages_open_session_chunks() {
     let dir = scratch("retain");
     let a = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let chunks: Vec<String> = split_profile(&a, 1).iter().map(|c| c.to_json()).collect();
+    let chunks = split_profile(&a, 1);
     {
         let store = open(&dir, PersistOptions::default());
-        for (seq, payload) in chunks.iter().enumerate() {
-            store.stage_chunk(9, seq as u64, payload).unwrap();
+        for (seq, chunk) in chunks.iter().enumerate() {
+            store
+                .stage_chunk(9, seq as u64, &chunk.to_binary())
+                .unwrap();
         }
         // A compaction resets the WAL underneath the open session...
         store.ingest_bytes("oneshot", &corpus()[1]).unwrap();
         store.flush().unwrap();
         // ...but the seal that follows must still find its chunks on
         // replay, because compaction re-staged them into the fresh log.
-        let parts: Vec<ChunkPayload> = chunks
-            .iter()
-            .map(|p| ChunkPayload::from_json(p).unwrap())
-            .collect();
         let (_, added) = store
-            .commit_sealed(9, "streamed", assemble(parts).unwrap())
+            .commit_sealed(9, "streamed", assemble(chunks).unwrap())
             .unwrap();
         assert!(added);
     }
