@@ -1,9 +1,13 @@
-//! `hpcd-client`: remote front end for the `hpcd-sim` daemon. Every
-//! `hpcstore-sim` verb, served over the wire instead of in-process,
-//! plus daemon administration (`ping`, `server-stats`, `clear-cache`,
-//! `shutdown`).
+//! `hpcd-client`: the front end to the multi-profile store's verbs.
+//! With `--addr` they run on an `hpcd-sim` daemon over the wire; with
+//! `--dir` (profiles to load) or `--data-dir` (a durable store, flushed
+//! on exit) they run on a store opened in this process — same verbs,
+//! same output, no daemon.
 //!
 //! ```text
+//! hpcd-client --dir runs/ --cmd aggregate
+//! hpcd-client --dir runs/ --cmd diff --before base.json --after tuned.json
+//! hpcd-client --data-dir db/ --cmd list
 //! hpcd-client --addr 127.0.0.1:7701 --cmd ping
 //! hpcd-client --addr 127.0.0.1:7701 --cmd ingest --file run.json
 //! hpcd-client --addr 127.0.0.1:7701 --cmd stream --file run.json --chunk-threads 2
@@ -19,12 +23,18 @@
 //! ```
 
 use numa_profiler::NumaProfile;
-use numa_server::{caps, Client, ClientError, ReportFormat};
-use numa_tools::{die, Args};
+use numa_server::{caps, Backend, Client, ClientError, ReportFormat, ServerConfig};
+use numa_store::{PersistOptions, StoreConfig};
+use numa_tools::{die, open_store, Args};
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
-usage: hpcd-client --addr HOST:PORT --cmd ping|ingest|stream|list|resolve|aggregate|top|report|view|cct|diff|stats|server-stats|metrics|clear-cache|shutdown
+usage: hpcd-client (--addr HOST:PORT | --dir PROFILES_DIR | --data-dir DIR)
+                   --cmd ping|ingest|stream|list|resolve|aggregate|top|report|view|cct|diff|stats|server-stats|metrics|clear-cache|shutdown
+                   (--addr: on an hpcd-sim daemon; --dir: in-process over every *.json in
+                    PROFILES_DIR; --data-dir: in-process over the durable store at DIR,
+                    flushed on exit, optionally loading --dir into it first)
                    [--file FILE]          (ingest/stream: profile JSON to send)
                    [--label NAME]         (ingest/stream: label; default = file name)
                    [--chunk-threads N]    (stream: threads per chunk; default 2)
@@ -35,14 +45,16 @@ usage: hpcd-client --addr HOST:PORT --cmd ping|ingest|stream|list|resolve|aggreg
                    [--min-permille N]     (cct: elide subtrees below N/1000; default 5)
                    [--before REF --after REF]  (diff)
                    [--format text|json]   (report; default text)
-                   [--timeout-ms N]       (socket timeout; default 10000)
-                   [--connect-retry-ms N] (retry connecting for up to N ms; default 0 = one attempt)
+                   [--timeout-ms N]       (--addr: socket timeout; default 10000)
+                   [--connect-retry-ms N] (--addr: retry connecting for up to N ms; default 0 = one attempt)
                    [--out FILE]";
 
 fn main() {
     let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
     args.check_known(&[
         "addr",
+        "dir",
+        "data-dir",
         "cmd",
         "file",
         "label",
@@ -61,21 +73,45 @@ fn main() {
     ])
     .unwrap_or_else(|e| die(USAGE, &e));
 
-    let addr = args
-        .get("addr")
-        .unwrap_or_else(|| die(USAGE, "--addr is required"));
-    let timeout_ms: u64 = args
-        .get_parsed("timeout-ms", 10_000)
-        .unwrap_or_else(|e| die(USAGE, &e));
-    let retry_ms: u64 = args
-        .get_parsed("connect-retry-ms", 0)
-        .unwrap_or_else(|e| die(USAGE, &e));
-    let mut client = if retry_ms > 0 {
-        Client::connect_retry(addr, Duration::from_millis(retry_ms))
-    } else {
-        Client::connect_with_timeout(addr, Duration::from_millis(timeout_ms))
-    }
-    .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
+    let local = args.get("dir").or(args.get("data-dir"));
+    // `store` is the in-process store, kept for the exit flush.
+    let (target, mut client, store) = match (args.get("addr"), local) {
+        (Some(addr), None) => {
+            let timeout = Duration::from_millis(
+                args.get_parsed("timeout-ms", 10_000)
+                    .unwrap_or_else(|e| die(USAGE, &e)),
+            );
+            let retry_ms: u64 = args
+                .get_parsed("connect-retry-ms", 0)
+                .unwrap_or_else(|e| die(USAGE, &e));
+            let client = if retry_ms > 0 {
+                Client::connect_retry(addr, Duration::from_millis(retry_ms), timeout)
+            } else {
+                Client::connect_with_timeout(addr, timeout)
+            }
+            .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
+            (addr, client, None)
+        }
+        (None, Some(target)) => {
+            let durable = args.get("data-dir").map(|dir| {
+                let storage: Arc<dyn numa_faults::Storage> = Arc::new(numa_faults::StdStorage);
+                (dir, PersistOptions::default(), storage)
+            });
+            let store = open_store(
+                "hpcd-client",
+                StoreConfig::default(),
+                durable,
+                args.get("dir"),
+            )
+            .unwrap_or_else(|e| die(USAGE, &e));
+            let backend = Backend::new(Arc::clone(&store), &ServerConfig::default());
+            (target, Client::in_process(backend), Some(store))
+        }
+        _ => die(
+            USAGE,
+            "give either --addr or --dir / --data-dir (one is required)",
+        ),
+    };
 
     let require = |key: &str| -> &str {
         args.get(key)
@@ -86,7 +122,7 @@ fn main() {
         "ping" => {
             let server_caps = run(client.ping());
             format!(
-                "hpcd-client: {addr} is alive, capabilities {}\n",
+                "hpcd-client: {target} is alive, capabilities {}\n",
                 caps::render(server_caps)
             )
         }
@@ -120,10 +156,7 @@ fn main() {
             let json = std::fs::read_to_string(file)
                 .unwrap_or_else(|e| die(USAGE, &format!("cannot read {file}: {e}")));
             let label = args.get("label").unwrap_or(file);
-            // Parse locally so the profile can travel as codec bytes
-            // when the daemon advertises the binary capability (JSON
-            // fallback otherwise) — the stored identity is the same
-            // either way.
+            // Parse locally: the profile travels as codec bytes.
             let profile = NumaProfile::from_json(&json)
                 .unwrap_or_else(|e| die(USAGE, &format!("cannot parse {file}: {e}")));
             let (id, added) = run(client.ingest_profile(label, &profile));
@@ -187,7 +220,7 @@ fn main() {
         }
         "shutdown" => {
             run(client.shutdown());
-            format!("hpcd-client: {addr} is shutting down\n")
+            format!("hpcd-client: {target} is shutting down\n")
         }
         other => die(USAGE, &format!("unknown command {other:?}")),
     };
@@ -198,6 +231,14 @@ fn main() {
             std::fs::write(path, output).unwrap_or_else(|e| die(USAGE, &e.to_string()));
             eprintln!("hpcd-client: wrote {path}");
         }
+    }
+
+    // A durable in-process run leaves a compacted snapshot behind so
+    // the next open is a pure snapshot load with an empty WAL.
+    if let Some(store) = store.filter(|s| s.is_durable()) {
+        store
+            .flush()
+            .unwrap_or_else(|e| die(USAGE, &format!("final flush failed: {e}")));
     }
 }
 

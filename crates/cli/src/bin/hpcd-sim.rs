@@ -19,8 +19,7 @@
 
 use numa_server::{LiveConfig, Server, ServerConfig};
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
-use numa_tools::{die, Args};
-use std::path::Path;
+use numa_tools::{die, open_store, Args};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,7 +125,7 @@ fn main() {
         ..ServerConfig::default()
     };
 
-    let store = match args.get("data-dir") {
+    let durable = match args.get("data-dir") {
         None => {
             if args.get("fault-spec").is_some() {
                 die(
@@ -134,7 +133,7 @@ fn main() {
                     "--fault-spec requires --data-dir (it faults the durable store)",
                 );
             }
-            Arc::new(ProfileStore::with_config(store_config))
+            None
         }
         Some(dir) => {
             let opts = PersistOptions {
@@ -160,47 +159,11 @@ fn main() {
                     Arc::new(numa_faults::FaultyStorage::new(spec))
                 }
             };
-            let store =
-                ProfileStore::open_durable_config_with(Path::new(dir), store_config, opts, storage)
-                    .unwrap_or_else(|e| die(USAGE, &format!("cannot open data dir {dir}: {e}")));
-            let p = store.persist_stats();
-            eprintln!(
-                "hpcd-sim: recovered {} profile(s) from {dir} \
-                 ({} snapshot + {} wal record(s), {} truncated byte(s), {} stale parse(s); \
-                 sessions: {} recovered, {} dropped)",
-                store.len(),
-                p.snapshot_records_loaded,
-                p.wal_records_replayed,
-                p.wal_truncated_bytes + p.snapshot_truncated_bytes,
-                p.replay_parse_failures,
-                p.sessions_recovered,
-                p.sessions_dropped,
-            );
-            Arc::new(store)
+            Some((dir, opts, storage))
         }
     };
-    if let Some(dir) = args.get("dir") {
-        let report = store
-            .ingest_dir(Path::new(dir))
-            .unwrap_or_else(|e| die(USAGE, &format!("cannot read {dir}: {e}")));
-        for (label, err) in &report.rejected {
-            eprintln!("hpcd-sim: skipping {label}: {err}");
-        }
-        for (label, err) in &report.io_errors {
-            eprintln!("hpcd-sim: cannot read {label}: {err}");
-        }
-        for (label, err) in &report.persist_failures {
-            eprintln!("hpcd-sim: not durable, rolled back {label}: {err}");
-        }
-        eprintln!(
-            "hpcd-sim: preloaded {} profile(s) from {dir} ({} deduplicated, {} rejected, {} unreadable, {} not durable)",
-            report.added.len(),
-            report.deduplicated,
-            report.rejected.len(),
-            report.io_errors.len(),
-            report.persist_failures.len()
-        );
-    }
+    let store = open_store("hpcd-sim", store_config, durable, args.get("dir"))
+        .unwrap_or_else(|e| die(USAGE, &e));
 
     let server = Server::bind(listen, config, Arc::clone(&store))
         .unwrap_or_else(|e| die(USAGE, &format!("cannot bind {listen}: {e}")));

@@ -129,8 +129,12 @@ fn main() {
             args.get_or("variant", "baseline")
         );
         let label = args.get_or("label", &default_label);
-        let mut client = Client::connect_retry(addr, Duration::from_millis(retry_ms.max(1)))
-            .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
+        let mut client = Client::connect_retry(
+            addr,
+            Duration::from_millis(retry_ms.max(1)),
+            Duration::from_secs(5),
+        )
+        .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
         let (id, added, chunks) = client
             .stream_profile(label, &profile, per)
             .unwrap_or_else(|e| die(USAGE, &format!("streaming to {addr} failed: {e}")));

@@ -9,16 +9,24 @@
 //! * `hpcviewer-sim` — render the address-centric view and metric pane
 //!   for a chosen variable (whole program or one parallel region).
 //!
+//! `hpcd-sim` serves a multi-profile store over TCP and `hpcd-client`
+//! runs the store's verbs against it — or, with `--dir` / `--data-dir`,
+//! against a store opened in its own process ([`open_store`]).
+//!
 //! Argument parsing is deliberately dependency-free: `--key value` pairs
 //! only.
 
+use numa_faults::Storage;
 use numa_machine::{Machine, MachinePreset};
 use numa_sampling::MechanismKind;
+use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use numa_workloads::{
     Amg2006, AmgVariant, Blackscholes, BlackscholesVariant, Lulesh, LuleshVariant, Umt2013,
     UmtVariant, Workload,
 };
 use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Minimal `--key value` argument map.
 pub struct Args {
@@ -178,6 +186,65 @@ pub fn parse_workload(name: &str, variant: &str, size: &str) -> Result<Box<dyn W
         }
     };
     Ok(w)
+}
+
+/// Open the store a front end works on: in memory, or — given
+/// `durable` = (data dir, options, storage backend) — recovered from
+/// that directory's snapshot + WAL and persisting from then on; then
+/// ingest every `*.json` under `preload`. Recovery and preload
+/// summaries, and one diagnostic per file that was skipped, go to
+/// stderr prefixed with `tool`. `Err` is a message for [`die`].
+pub fn open_store(
+    tool: &str,
+    config: StoreConfig,
+    durable: Option<(&str, PersistOptions, Arc<dyn Storage>)>,
+    preload: Option<&str>,
+) -> Result<Arc<ProfileStore>, String> {
+    let store = match durable {
+        None => ProfileStore::with_config(config),
+        Some((dir, opts, storage)) => {
+            let store =
+                ProfileStore::open_durable_config_with(Path::new(dir), config, opts, storage)
+                    .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
+            let p = store.persist_stats();
+            eprintln!(
+                "{tool}: recovered {} profile(s) from {dir} \
+                 ({} snapshot + {} wal record(s), {} truncated byte(s), {} stale parse(s); \
+                 sessions: {} recovered, {} dropped)",
+                store.len(),
+                p.snapshot_records_loaded,
+                p.wal_records_replayed,
+                p.wal_truncated_bytes + p.snapshot_truncated_bytes,
+                p.replay_parse_failures,
+                p.sessions_recovered,
+                p.sessions_dropped,
+            );
+            store
+        }
+    };
+    if let Some(dir) = preload {
+        let report = store
+            .ingest_dir(Path::new(dir))
+            .map_err(|e| format!("cannot read {dir}: {e}"))?;
+        for (label, err) in &report.rejected {
+            eprintln!("{tool}: skipping {label}: {err}");
+        }
+        for (label, err) in &report.io_errors {
+            eprintln!("{tool}: cannot read {label}: {err}");
+        }
+        for (label, err) in &report.persist_failures {
+            eprintln!("{tool}: not durable, rolled back {label}: {err}");
+        }
+        eprintln!(
+            "{tool}: preloaded {} profile(s) from {dir} ({} deduplicated, {} rejected, {} unreadable, {} not durable)",
+            report.added.len(),
+            report.deduplicated,
+            report.rejected.len(),
+            report.io_errors.len(),
+            report.persist_failures.len()
+        );
+    }
+    Ok(Arc::new(store))
 }
 
 /// Exit with a usage message.

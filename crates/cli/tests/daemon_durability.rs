@@ -16,8 +16,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
 /// A small profile; `rounds` varies the content hash. The profiler's
-/// sampling intervals are randomized, so each profile is serialized once
-/// and the same JSON goes to both the daemon and the oracle.
+/// sampling intervals are randomized, so each profile is built once and
+/// the same one goes to both the daemon and the oracle.
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
@@ -82,13 +82,14 @@ fn scratch(tag: &str) -> PathBuf {
 fn sigkilled_daemon_recovers_acknowledged_ingests() {
     let data_dir = scratch("sigkill");
 
-    // The corpus, serialized once. The oracle never crashes.
-    let corpus: Vec<(String, String)> = (1..=3)
-        .map(|r| (format!("run-{r}"), profile(r).to_json()))
-        .collect();
+    // The corpus, built once. The oracle never crashes.
+    let corpus: Vec<(String, NumaProfile)> =
+        (1..=3).map(|r| (format!("run-{r}"), profile(r))).collect();
     let oracle = ProfileStore::new();
-    for (label, json) in &corpus {
-        oracle.ingest_bytes(label, json).expect("oracle ingest");
+    for (label, p) in &corpus {
+        oracle
+            .ingest_bytes(label, &p.to_json())
+            .expect("oracle ingest");
     }
     let oracle_hash = format!("{:016x}", oracle.set_hash());
     let oracle_aggregate = oracle.aggregate().expect("oracle aggregate").text();
@@ -97,8 +98,8 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     let mut daemon = spawn_daemon(&data_dir);
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("connect");
-        for (label, json) in &corpus {
-            let (_, added) = c.ingest(label, json).expect("ingest");
+        for (label, p) in &corpus {
+            let (_, added) = c.ingest_profile(label, p).expect("ingest");
             assert!(added);
         }
         let stats = c.server_stats().expect("server stats");
@@ -175,8 +176,8 @@ fn sigkill_during_group_commit_keeps_every_acknowledged_ingest() {
     let data_dir = scratch("group-commit");
     const CLIENTS: usize = 4;
 
-    let corpus: Vec<(String, String)> = (1..=CLIENTS)
-        .map(|r| (format!("run-{r}"), profile(r).to_json()))
+    let corpus: Vec<(String, NumaProfile)> = (1..=CLIENTS)
+        .map(|r| (format!("run-{r}"), profile(r)))
         .collect();
 
     let daemon = spawn_daemon(&data_dir);
@@ -185,11 +186,11 @@ fn sigkill_during_group_commit_keeps_every_acknowledged_ingest() {
     let acked: Vec<(String, String)> = std::thread::scope(|s| {
         let handles: Vec<_> = corpus
             .iter()
-            .map(|(label, json)| {
+            .map(|(label, p)| {
                 let addr = &daemon.addr;
                 s.spawn(move || {
                     let mut c = Client::connect(addr as &str).expect("connect");
-                    let (id, added) = c.ingest(label, json).expect("ingest");
+                    let (id, added) = c.ingest_profile(label, p).expect("ingest");
                     assert!(added);
                     (id, label.clone())
                 })

@@ -86,7 +86,6 @@ fn enospc_daemon_fails_ingest_typed_and_serves_reads_until_restart() {
     // Size the fake disk so exactly the first profile fits: WAL file
     // header, one encoded record, and a little group-commit slack.
     let first = profile(1);
-    let first_json = first.to_json();
     let (ProfileId(hash), canonical) = ProfileId::of(&first);
     let record = numa_store::wal::encode_record("one", &canonical, hash);
     let budget = FILE_HEADER_LEN + record.len() as u64 + 16;
@@ -96,11 +95,11 @@ fn enospc_daemon_fails_ingest_typed_and_serves_reads_until_restart() {
         let mut c = Client::connect(&daemon.addr as &str).expect("connect");
 
         // First ingest fits and is acked durably.
-        let (_, added) = c.ingest("one", &first_json).expect("ingest one");
+        let (_, added) = c.ingest_profile("one", &first).expect("ingest one");
         assert!(added);
 
         // Second ingest overflows the budget: typed error, no silent ack.
-        match c.ingest("two", &profile(2).to_json()) {
+        match c.ingest_profile("two", &profile(2)) {
             Err(ClientError::Server(WireError::NotDurable { detail })) => {
                 assert!(
                     detail.contains("no space left"),
@@ -139,7 +138,7 @@ fn enospc_daemon_fails_ingest_typed_and_serves_reads_until_restart() {
             Err(ClientError::Server(WireError::UnknownProfile { .. }))
         ));
         // And the healthy daemon accepts ingests again.
-        let (_, added) = c.ingest("two", &profile(2).to_json()).expect("ingest two");
+        let (_, added) = c.ingest_profile("two", &profile(2)).expect("ingest two");
         assert!(added);
         c.shutdown().expect("shutdown");
     }

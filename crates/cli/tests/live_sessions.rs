@@ -6,7 +6,7 @@
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::Client;
+use numa_server::{Client, ServerStatsReport};
 use numa_sim::{ExecMode, Program};
 use numa_store::ProfileStore;
 use std::io::{BufRead, BufReader};
@@ -67,6 +67,27 @@ fn spawn_daemon(extra: &[&str]) -> Daemon {
     Daemon { child, addr }
 }
 
+/// Poll `server-stats` until `done` holds. Every probe is a blocking
+/// round trip to the daemon, so the loop needs no pause of its own.
+fn wait_for_stats(
+    c: &mut Client,
+    what: &str,
+    done: impl Fn(&ServerStatsReport) -> bool,
+) -> ServerStatsReport {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = c.server_stats().expect("server stats");
+        if done(&stats) {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what} never happened: {stats:?}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("numa-live-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -83,6 +104,7 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
 
     // Short lease so the janitor notices the dead client quickly.
     let daemon = spawn_daemon(&["--session-lease-ms", "300"]);
+    let mut c = Client::connect(&daemon.addr as &str).expect("connect observer");
 
     // The real hpcd-client streams with a pause between chunks —
     // 1 thread per chunk = 5 chunks, 200 ms apart — giving a wide
@@ -109,26 +131,19 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
         .spawn()
         .expect("spawn streaming client");
 
-    // Let it open the session and deliver a chunk or two, then SIGKILL:
-    // no abort, no seal, the TCP connection just dies.
-    std::thread::sleep(Duration::from_millis(300));
+    // Once the daemon has acked its first chunk the session is open and
+    // holds data; SIGKILL then: no abort, no seal, the TCP connection
+    // just dies.
+    wait_for_stats(&mut c, "the streamer's first chunk", |s| {
+        s.live_chunks_appended >= 1
+    });
     streamer.kill().expect("SIGKILL streaming client");
     streamer.wait().expect("reap client");
 
-    let mut c = Client::connect_retry(&daemon.addr as &str, Duration::from_secs(5))
-        .expect("connect observer");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = c.server_stats().expect("server stats");
-        if stats.live_leases_reaped >= 1 {
-            assert_eq!(stats.live_sessions, 0, "{stats:?}");
-            assert_eq!(stats.live_open_bytes, 0, "{stats:?}");
-            assert!(stats.render().contains("1 lease(s) reaped"));
-            break;
-        }
-        assert!(Instant::now() < deadline, "lease never reaped: {stats:?}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let stats = wait_for_stats(&mut c, "the lease reap", |s| s.live_leases_reaped >= 1);
+    assert_eq!(stats.live_sessions, 0, "{stats:?}");
+    assert_eq!(stats.live_open_bytes, 0, "{stats:?}");
+    assert!(stats.render().contains("1 lease(s) reaped"));
 
     // Nothing was half-ingested, and the same profile still streams
     // cleanly end to end afterwards.
@@ -172,7 +187,7 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
         let chunks = numa_store::stream::split_profile(&unsealed, 2);
         let info = c.open_session("unsealed").expect("open");
         for (seq, chunk) in chunks.iter().enumerate() {
-            c.append_chunk(info.session, seq as u64, &chunk.to_json())
+            c.append_chunk_binary(info.session, seq as u64, chunk.to_binary())
                 .expect("append");
         }
     }
@@ -199,11 +214,15 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
 
         // The streamed profile is byte-identical to one-shot ingest:
-        // re-ingesting the same JSON deduplicates...
-        let (_, added) = c.ingest("sealed-again", &sealed_json).expect("re-ingest");
+        // re-ingesting the same profile deduplicates...
+        let sealed = NumaProfile::from_json(&sealed_json).unwrap();
+        let (_, added) = c
+            .ingest_profile("sealed-again", &sealed)
+            .expect("re-ingest");
         assert!(!added, "recovered streamed profile must dedup");
         // ...while the unsealed one really is gone: ingesting it adds.
-        let (_, added) = c.ingest("unsealed", &unsealed_json).expect("ingest");
+        let unsealed = NumaProfile::from_json(&unsealed_json).unwrap();
+        let (_, added) = c.ingest_profile("unsealed", &unsealed).expect("ingest");
         assert!(added, "unsealed session must have been dropped");
 
         c.shutdown().expect("shutdown");

@@ -21,14 +21,13 @@
 //!   the one rayon-parallel merge shape that the per-run analyzer and
 //!   the store's cross-run aggregation are both built on.
 //!
-//! [`oracle`] retains the pre-engine scan paths purely as the
-//! equivalence baseline for tests and benches; no production code calls
-//! it.
+//! The pre-engine scan paths survive only as the reference
+//! implementation the equivalence tests compare against
+//! (`tests/oracle`).
 
 pub mod engine;
 pub mod index;
 pub mod intern;
-pub mod oracle;
 
 pub use engine::{par_fold, Engine, ThreadRange};
 pub use index::{ProfileIndex, ThreadScalars};

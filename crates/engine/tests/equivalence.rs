@@ -1,12 +1,14 @@
 //! Equivalence proof: every engine query answers byte-for-byte what the
-//! pre-engine scan path (`numa_engine::oracle`) answers, on randomized
-//! profiles — including malformed ones the index must degrade on
-//! exactly like the scans did: dangling `VarId`s in metric and range
-//! tables, duplicate thread ids, duplicate range cells within one
-//! thread, out-of-range region ids, and variable records whose `id`
-//! disagrees with their table position.
+//! pre-engine scan path (the `oracle` module beside this file)
+//! answers, on randomized profiles — including malformed ones the index
+//! must degrade on exactly like the scans did: dangling `VarId`s in
+//! metric and range tables, duplicate thread ids, duplicate range cells
+//! within one thread, out-of-range region ids, and variable records
+//! whose `id` disagrees with their table position.
 
-use numa_engine::{oracle, Engine};
+mod oracle;
+
+use numa_engine::Engine;
 use numa_machine::{CpuId, DomainId};
 use numa_profiler::{
     Cct, FirstTouchRecord, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, ThreadProfile,

@@ -2,18 +2,12 @@
 //!
 //! Every function here answers a query by walking the raw profile the
 //! way the analysis layer did before the indexed engine existed. They
-//! exist for two callers only:
-//!
-//! * the proptest equivalence suite (`tests/equivalence.rs`), which
-//!   proves every engine query byte-matches the scan answer on random
-//!   profiles, and
-//! * the `engine_queries` bench, whose `scan_*` rows measure what a
-//!   query cost before the index.
-//!
-//! No production path calls this module; treat it as frozen reference
-//! code.
+//! exist for one caller: the proptest equivalence suite
+//! (`tests/equivalence.rs`), which proves every engine query
+//! byte-matches the scan answer on random profiles. Treat it as frozen
+//! reference code.
 
-use crate::engine::ThreadRange;
+use numa_engine::ThreadRange;
 use numa_machine::DomainId;
 use numa_profiler::{Cct, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, VarId, ROOT};
 use numa_sim::FuncId;

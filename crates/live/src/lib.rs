@@ -9,13 +9,12 @@
 //! * A client **opens** a session ([`SessionManager::open`]) and gets a
 //!   session id plus a lease.
 //! * It **appends** sequence-numbered chunks
-//!   ([`SessionManager::append`]) — a
-//!   [`ChunkPayload`] header or
-//!   thread batch per chunk. Buffers are bounded per chunk, per
-//!   session, and across all sessions; exceeding a bound is a typed
-//!   [`SessionError`], never a stall or a disconnect. On durable stores
-//!   every accepted chunk is staged in the WAL (group-committed) before
-//!   the append is acknowledged.
+//!   ([`SessionManager::append_binary`]) — a binary-codec
+//!   [`ChunkPayload`] header or thread batch per chunk. Buffers are
+//!   bounded per chunk, per session, and across all sessions;
+//!   exceeding a bound is a typed [`SessionError`], never a stall or a
+//!   disconnect. On durable stores every accepted chunk is staged in
+//!   the WAL (group-committed) before the append is acknowledged.
 //! * It **seals** ([`SessionManager::seal`]): the chunks are assembled
 //!   into a canonical profile and committed through the ordinary store
 //!   ingest path, so a streamed profile is byte-identical — content
@@ -350,43 +349,18 @@ impl SessionManager {
         })
     }
 
-    /// Append chunk `seq` (strictly sequential from 0) to a session.
-    /// Renews the lease. On durable stores the chunk is staged in the
-    /// WAL — transcoded to the binary chunk form, the only one the
-    /// store logs — before this returns. Returns the daemon-wide
+    /// Append chunk `seq` (strictly sequential from 0) to a session;
+    /// `bytes` is a binary-codec chunk (see [`ChunkPayload::to_binary`]).
+    /// Renews the lease. On durable stores the bytes are staged in the
+    /// WAL as sent before this returns. Returns the daemon-wide
     /// buffered bytes after the append.
-    pub fn append(&self, session: u64, seq: u64, chunk_json: &str) -> Result<usize, SessionError> {
-        self.append_common(session, seq, chunk_json.len(), None, || {
-            ChunkPayload::from_json(chunk_json).map_err(|e| e.to_string())
-        })
-    }
-
-    /// [`SessionManager::append`] for a binary-codec chunk (see
-    /// [`ChunkPayload::to_binary`]). Identical semantics — prechecks,
-    /// lease renewal, durable staging, rollback — over the binary wire
-    /// format, whose bytes are staged as sent; a session may freely mix
-    /// JSON and binary chunks.
     pub fn append_binary(
         &self,
         session: u64,
         seq: u64,
         bytes: &[u8],
     ) -> Result<usize, SessionError> {
-        self.append_common(session, seq, bytes.len(), Some(bytes), || {
-            ChunkPayload::from_binary(bytes).map_err(|e| e.to_string())
-        })
-    }
-
-    /// `wire` is the chunk's binary form when the client sent one;
-    /// `None` has a durable store encode it from the parsed payload.
-    fn append_common(
-        &self,
-        session: u64,
-        seq: u64,
-        len: usize,
-        wire: Option<&[u8]>,
-        parse: impl FnOnce() -> Result<ChunkPayload, String>,
-    ) -> Result<usize, SessionError> {
+        let len = bytes.len();
         // Typed rejections first, under a brief lock, so oversized or
         // out-of-order chunks never pay for a parse.
         let precheck = {
@@ -426,15 +400,11 @@ impl SessionManager {
             return Err(e);
         }
         // Parse outside the lock: a chunk can be megabytes.
-        let payload = parse().map_err(|message| SessionError::ChunkParse {
+        let payload = ChunkPayload::from_binary(bytes).map_err(|e| SessionError::ChunkParse {
             session,
             seq,
-            message,
+            message: e.to_string(),
         })?;
-        let transcoded = match wire {
-            None if self.store.is_durable() => payload.to_binary(),
-            _ => Vec::new(),
-        };
         let open_bytes = {
             let mut inner = self.inner.lock();
             // Re-validate: the session can be reaped (or a duplicate
@@ -462,10 +432,7 @@ impl SessionManager {
         // itself from the store's retained map; roll the in-memory push
         // back in step so the session still expects this sequence
         // number and the client can retry the same chunk.
-        let staged = self
-            .store
-            .stage_chunk(session, seq, wire.unwrap_or(&transcoded));
-        if let Err(e) = staged {
+        if let Err(e) = self.store.stage_chunk(session, seq, bytes) {
             let mut inner = self.inner.lock();
             if let Some(s) = inner.sessions.get_mut(&session) {
                 if s.next_seq == seq + 1 {
@@ -700,7 +667,7 @@ mod tests {
     fn unknown_session_is_typed() {
         let mgr = manager(LiveConfig::default());
         assert_eq!(
-            mgr.append(42, 0, "{}").unwrap_err(),
+            mgr.append_binary(42, 0, b"").unwrap_err(),
             SessionError::UnknownSession { session: 42 }
         );
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Session lifecycle: streamed ingestion must land byte-identically
 //! with one-shot ingestion, every rejection must be typed, the janitor
-//! must reap expired leases, and on a durable store JSON chunks are
-//! staged in the binary form and recover after a kill.
+//! must reap expired leases, and on a durable store chunks are staged
+//! exactly as sent and recover after a kill.
 
 use numa_faults::{FaultSpec, FaultyStorage, Storage};
 use numa_live::{LiveConfig, SessionError, SessionManager};
@@ -9,11 +9,11 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
-use numa_store::stream::split_profile;
+use numa_store::stream::{split_profile, ChunkPayload};
 use numa_store::wal::{scan_file, wal_path, ChunkData, WalEntry, WAL_MAGIC};
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small profile; `rounds` varies the content hash. Sampling is
 /// interval-randomized, so tests that need the same profile twice must
@@ -49,10 +49,25 @@ fn stream(mgr: &SessionManager, label: &str, json: &str, per: usize) -> numa_liv
     let parsed = NumaProfile::from_json(json).expect("corpus profile parses");
     let ticket = mgr.open(label).expect("open session");
     for (seq, chunk) in split_profile(&parsed, per).iter().enumerate() {
-        mgr.append(ticket.session, seq as u64, &chunk.to_json())
+        mgr.append_binary(ticket.session, seq as u64, &chunk.to_binary())
             .expect("append chunk");
     }
     mgr.seal(ticket.session).expect("seal session")
+}
+
+/// The smallest valid chunk: a thread batch with no threads.
+fn empty_chunk() -> Vec<u8> {
+    ChunkPayload::Threads(Vec::new()).to_binary()
+}
+
+/// Spin (yielding) until `done` holds; the janitor thread is what makes
+/// it so. Panics after ten seconds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -97,28 +112,33 @@ fn resealing_the_same_content_deduplicates() {
 
 #[test]
 fn violations_are_typed() {
+    // Limits in units of the empty chunk: four to a chunk, seven to a
+    // session, eight across sessions.
+    let chunk = empty_chunk();
+    let n = chunk.len();
+    assert!(n > 1);
     let store = Arc::new(ProfileStore::new());
     let mgr = SessionManager::new(
         Arc::clone(&store),
         LiveConfig {
-            max_chunk_bytes: 64,
-            max_session_bytes: 100,
-            max_open_bytes: 120,
+            max_chunk_bytes: 4 * n,
+            max_session_bytes: 7 * n + 1,
+            max_open_bytes: 8 * n + 1,
             ..LiveConfig::default()
         },
     );
 
     // Unknown session id.
-    let err = mgr.append(0xdead, 0, "{}").unwrap_err();
+    let err = mgr.append_binary(0xdead, 0, &chunk).unwrap_err();
     assert_eq!(err, SessionError::UnknownSession { session: 0xdead });
     assert!(!err.is_backpressure());
 
     let t = mgr.open("run").unwrap();
-    assert_eq!(t.max_chunk_bytes, 64);
-    assert_eq!(t.max_session_bytes, 100);
+    assert_eq!(t.max_chunk_bytes, 4 * n);
+    assert_eq!(t.max_session_bytes, 7 * n + 1);
 
     // Out-of-order sequence number.
-    let err = mgr.append(t.session, 1, r#"{"Threads":[]}"#).unwrap_err();
+    let err = mgr.append_binary(t.session, 1, &chunk).unwrap_err();
     assert_eq!(
         err,
         SessionError::BadSequence {
@@ -128,48 +148,47 @@ fn violations_are_typed() {
         }
     );
 
-    // Oversized chunk.
-    let big = format!(r#"{{"Threads":[{}]}}"#, " ".repeat(80));
-    let err = mgr.append(t.session, 0, &big).unwrap_err();
+    // Oversized chunk: rejected on its length, before any parse.
+    let big = vec![0u8; 4 * n + 1];
+    let err = mgr.append_binary(t.session, 0, &big).unwrap_err();
     assert_eq!(
         err,
         SessionError::ChunkTooLarge {
             session: t.session,
             len: big.len(),
-            max: 64
+            max: 4 * n
         }
     );
 
-    // Malformed chunk payload.
-    let err = mgr.append(t.session, 0, "not json").unwrap_err();
+    // Malformed chunk payload (no such chunk tag).
+    let err = mgr.append_binary(t.session, 0, &[0xEE]).unwrap_err();
     assert!(matches!(err, SessionError::ChunkParse { seq: 0, .. }));
 
-    // Per-session buffer limit: each empty-thread chunk is 14 bytes.
-    let chunk = r#"{"Threads":[]}"#;
+    // Per-session buffer limit.
     for seq in 0..7 {
-        mgr.append(t.session, seq, chunk).unwrap();
+        mgr.append_binary(t.session, seq, &chunk).unwrap();
     }
-    let err = mgr.append(t.session, 7, chunk).unwrap_err();
+    let err = mgr.append_binary(t.session, 7, &chunk).unwrap_err();
     assert_eq!(
         err,
         SessionError::SessionFull {
             session: t.session,
-            bytes: 8 * chunk.len(),
-            max: 100
+            bytes: 8 * n,
+            max: 7 * n + 1
         }
     );
     assert!(err.is_backpressure());
 
-    // Daemon-wide open-bytes budget: 98 bytes are already buffered, so
-    // a second session's second chunk crosses the 120-byte budget.
+    // Daemon-wide open-bytes budget: seven chunks are already buffered,
+    // so a second session's second chunk crosses the eight-chunk budget.
     let t2 = mgr.open("other").unwrap();
-    mgr.append(t2.session, 0, chunk).unwrap();
-    let err = mgr.append(t2.session, 1, chunk).unwrap_err();
+    mgr.append_binary(t2.session, 0, &chunk).unwrap();
+    let err = mgr.append_binary(t2.session, 1, &chunk).unwrap_err();
     assert_eq!(
         err,
         SessionError::Backpressure {
-            open_bytes: 9 * chunk.len(),
-            max: 120
+            open_bytes: 9 * n,
+            max: 8 * n + 1
         }
     );
     assert!(err.is_backpressure());
@@ -179,7 +198,7 @@ fn violations_are_typed() {
     // session.
     let err = mgr.seal(t.session).unwrap_err();
     assert!(matches!(err, SessionError::Incomplete { .. }));
-    let err = mgr.append(t.session, 7, chunk).unwrap_err();
+    let err = mgr.append_binary(t.session, 7, &chunk).unwrap_err();
     assert_eq!(err, SessionError::UnknownSession { session: t.session });
     assert_eq!(store.len(), 0, "failed seal must not half-ingest");
     mgr.stop();
@@ -190,7 +209,7 @@ fn abort_discards_the_session() {
     let store = Arc::new(ProfileStore::new());
     let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
     let t = mgr.open("run").unwrap();
-    mgr.append(t.session, 0, r#"{"Threads":[]}"#).unwrap();
+    mgr.append_binary(t.session, 0, &empty_chunk()).unwrap();
     mgr.abort(t.session).unwrap();
     assert_eq!(
         mgr.abort(t.session).unwrap_err(),
@@ -216,20 +235,17 @@ fn expired_leases_are_reaped_by_the_janitor() {
         },
     );
     let t = mgr.open("run").unwrap();
-    mgr.append(t.session, 0, r#"{"Threads":[]}"#).unwrap();
+    mgr.append_binary(t.session, 0, &empty_chunk()).unwrap();
 
-    // Wait (generously) for the lease to lapse and the janitor to run.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while mgr.stats().reaped == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until("the janitor to reap the idle session", || {
+        mgr.stats().reaped == 1
+    });
 
     let stats = mgr.stats();
-    assert_eq!(stats.reaped, 1, "janitor never reaped the idle session");
     assert_eq!(stats.open_sessions, 0);
     assert_eq!(stats.open_bytes, 0);
     assert_eq!(
-        mgr.append(t.session, 1, r#"{"Threads":[]}"#).unwrap_err(),
+        mgr.append_binary(t.session, 1, &empty_chunk()).unwrap_err(),
         SessionError::UnknownSession { session: t.session }
     );
     assert_eq!(store.len(), 0, "reaped session must not half-ingest");
@@ -238,38 +254,59 @@ fn expired_leases_are_reaped_by_the_janitor() {
 
 #[test]
 fn appends_renew_the_lease() {
+    let lease = Duration::from_millis(200);
     let store = Arc::new(ProfileStore::new());
     let mgr = SessionManager::new(
         Arc::clone(&store),
         LiveConfig {
-            lease: Duration::from_millis(400),
+            lease,
             janitor_period: Duration::from_millis(20),
             ..LiveConfig::default()
         },
     );
+    // Two sessions opened together: `idle` is never touched again, so
+    // its reaping is the event that proves one full lease has lapsed;
+    // `slow` keeps appending at a quarter-lease cadence meanwhile and
+    // must survive because each append renews its deadline.
+    let idle = mgr.open("idle").unwrap();
+    let slow = mgr.open("slow").unwrap();
+    let mut seq = 0;
+    let mut renewed = Instant::now() - lease;
+    wait_until("the untouched session to be reaped", || {
+        if renewed.elapsed() >= lease / 4 {
+            mgr.append_binary(slow.session, seq, &empty_chunk())
+                .expect("renewed lease must keep the session alive");
+            seq += 1;
+            renewed = Instant::now();
+        }
+        mgr.stats().reaped == 1
+    });
+    assert_eq!(
+        mgr.abort(idle.session).unwrap_err(),
+        SessionError::UnknownSession {
+            session: idle.session
+        }
+    );
+
+    // The survivor still takes a whole profile and seals it.
     let parsed = NumaProfile::from_json(&corpus()[1]).unwrap();
-    let chunks = split_profile(&parsed, 1);
-    let t = mgr.open("slow").unwrap();
-    // Each gap is well under the lease, but the whole stream takes
-    // longer than one lease: the session must survive because appends
-    // renew the deadline.
-    for (seq, chunk) in chunks.iter().enumerate() {
-        std::thread::sleep(Duration::from_millis(120));
-        mgr.append(t.session, seq as u64, &chunk.to_json())
-            .expect("renewed lease must keep the session alive");
+    for chunk in split_profile(&parsed, 1) {
+        mgr.append_binary(slow.session, seq, &chunk.to_binary())
+            .expect("append after outliving one lease");
+        seq += 1;
     }
-    let sealed = mgr.seal(t.session).unwrap();
+    let sealed = mgr.seal(slow.session).unwrap();
     assert!(sealed.added);
-    assert_eq!(mgr.stats().reaped, 0);
+    assert_eq!(mgr.stats().reaped, 1, "only the idle session was reaped");
     mgr.stop();
 }
 
-/// JSON chunks appended to a durable store are transcoded once, in the
-/// live layer: the WAL holds only binary (kind-4) chunk records, and a
+/// Chunks appended to a durable store are staged as sent: the WAL holds
+/// the client's own bytes as binary (kind-4) chunk records, and a
 /// daemon killed right after the seal's ack recovers the session whole.
 #[test]
-fn json_appends_stage_binary_chunks_and_recover_after_a_kill() {
-    let dir = std::env::temp_dir().join(format!("numa-live-json-wal-{}", std::process::id()));
+fn appends_stage_the_bytes_as_sent_and_recover_after_a_kill() {
+    let dir = std::env::temp_dir().join(format!("numa-live-wal-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let storage = Arc::new(FaultyStorage::new(FaultSpec::default()));
     let store = Arc::new(
@@ -282,7 +319,7 @@ fn json_appends_stage_binary_chunks_and_recover_after_a_kill() {
         .unwrap(),
     );
     let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
-    let sealed = stream(&mgr, "json-streamed", &corpus()[0], 2);
+    let sealed = stream(&mgr, "streamed", &corpus()[0], 2);
     assert!(sealed.added);
     storage.kill();
     mgr.stop();
@@ -298,19 +335,22 @@ fn json_appends_stage_binary_chunks_and_recover_after_a_kill() {
             _ => None,
         })
         .collect();
+    let sent: Vec<Vec<u8>> = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2)
+        .iter()
+        .map(ChunkPayload::to_binary)
+        .collect();
     assert_eq!(chunks.len() as u64, sealed.chunks);
-    assert!(
-        chunks.iter().all(|c| matches!(c, ChunkData::Binary(_))),
-        "JSON appends must be logged as binary chunk records"
-    );
+    for (logged, sent) in chunks.iter().zip(&sent) {
+        assert!(
+            matches!(logged, ChunkData::Binary(b) if b == sent),
+            "the WAL must hold each chunk byte-for-byte as it was appended"
+        );
+    }
     assert!(matches!(scan.entries.last(), Some(WalEntry::Seal(_))));
 
     let store = ProfileStore::open_durable(&dir, 16, PersistOptions::default()).unwrap();
     assert_eq!(store.ids(), vec![sealed.id]);
-    assert_eq!(
-        &*store.resolve("json-streamed").unwrap().label,
-        "json-streamed"
-    );
+    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
     let p = store.persist_stats();
     assert_eq!(p.sessions_recovered, 1);
     assert_eq!(p.sessions_dropped, 0);

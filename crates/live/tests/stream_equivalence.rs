@@ -86,7 +86,7 @@ proptest! {
         let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
         let ticket = mgr.open("run").unwrap();
         for (seq, chunk) in chunks.iter().enumerate() {
-            mgr.append(ticket.session, seq as u64, &chunk.to_json()).unwrap();
+            mgr.append_binary(ticket.session, seq as u64, &chunk.to_binary()).unwrap();
         }
         let sealed = mgr.seal(ticket.session).unwrap();
         mgr.stop();

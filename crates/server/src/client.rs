@@ -1,16 +1,19 @@
-//! Blocking client for the `hpcd` daemon: one TCP connection, one
-//! request/response exchange per call, typed errors throughout.
+//! Blocking client for the `hpcd` stack: one request/response exchange
+//! per call, typed errors throughout, over one TCP connection to a
+//! daemon or straight into an in-process [`Backend`].
 
 use crate::protocol::{
     caps, decode_response, encode_request, read_frame, write_frame_flags, ProfileEntry, RecvError,
     ReportFormat, Request, Response, ServerStatsReport, WireError, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
+use crate::server::Backend;
 use numa_profiler::NumaProfile;
 use numa_store::stream::split_profile;
 use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Client-side failures.
@@ -71,16 +74,37 @@ pub struct SessionInfo {
     pub max_session_bytes: u64,
 }
 
-/// A blocking connection to an `hpcd-sim` daemon. Requests on one
+/// Where a [`Client`]'s requests execute. Only [`Client::call_raw`]
+/// looks inside.
+enum Transport {
+    /// Frames over a connection to an `hpcd-sim` daemon.
+    Tcp(TcpStream),
+    /// Direct calls into a [`Backend`] in this process.
+    InProcess(Arc<Backend>),
+}
+
+/// A blocking handle on the `hpcd` verb table: a connection to an
+/// `hpcd-sim` daemon, or an in-process [`Backend`]. Requests on one
 /// client are serialized (the protocol has no pipelining); use one
 /// client per thread for concurrency.
 pub struct Client {
-    stream: TcpStream,
+    transport: Transport,
     max_frame: usize,
     server_caps: Option<u16>,
 }
 
 impl Client {
+    /// A client whose requests execute directly against `backend`: the
+    /// same verbs and typed errors as a daemon connection, without a
+    /// socket or a frame in between.
+    pub fn in_process(backend: Arc<Backend>) -> Client {
+        Client {
+            transport: Transport::InProcess(backend),
+            max_frame: DEFAULT_MAX_FRAME,
+            server_caps: None,
+        }
+    }
+
     /// Connect with default timeouts (5 s on every socket operation).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         Self::connect_with_timeout(addr, Duration::from_secs(5))
@@ -90,16 +114,20 @@ impl Client {
         addr: impl ToSocketAddrs,
         timeout: Duration,
     ) -> Result<Client, ClientError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Self::over(
+            TcpStream::connect_timeout(&resolve(&addr)?, timeout)?,
+            timeout,
+        )
+    }
+
+    /// Wrap a connected stream, bounding each of its reads and writes
+    /// by `timeout`.
+    fn over(stream: TcpStream, timeout: Duration) -> Result<Client, ClientError> {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            transport: Transport::Tcp(stream),
             max_frame: DEFAULT_MAX_FRAME,
             server_caps: None,
         })
@@ -108,29 +136,23 @@ impl Client {
     /// Connect to a daemon that may still be starting: retry with
     /// capped exponential backoff (10 ms doubling to 500 ms) until a
     /// connection succeeds or `deadline` elapses, then return the last
-    /// connect error. Replaces the ping-poll loops tests and scripts
-    /// used to spin while a daemon bound its port.
+    /// connect error. `timeout` bounds every socket operation of the
+    /// connection's working life, as in [`Client::connect_with_timeout`].
     pub fn connect_retry(
         addr: impl ToSocketAddrs,
         deadline: Duration,
+        timeout: Duration,
     ) -> Result<Client, ClientError> {
         let give_up = Instant::now() + deadline;
         let mut backoff = Duration::from_millis(10);
         loop {
             let remaining = give_up.saturating_duration_since(Instant::now());
             let attempt = remaining.clamp(Duration::from_millis(10), Duration::from_secs(5));
-            match Self::connect_with_timeout(&addr, attempt) {
-                Ok(c) => {
-                    // The attempt timeout can be tiny near the deadline;
-                    // restore sane per-op socket timeouts for the
-                    // connection's working life.
-                    c.stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-                    c.stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-                    return Ok(c);
-                }
+            match resolve(&addr).and_then(|a| TcpStream::connect_timeout(&a, attempt)) {
+                Ok(stream) => return Self::over(stream, timeout),
                 Err(e) => {
                     if Instant::now() + backoff >= give_up {
-                        return Err(e);
+                        return Err(e.into());
                     }
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(Duration::from_millis(500));
@@ -145,22 +167,6 @@ impl Client {
         self.server_caps
     }
 
-    /// Capability bits the daemon supports, probing with a
-    /// [`Client::ping`] on the first call (cached for the connection's
-    /// life afterwards — every response frame refreshes it).
-    pub fn negotiated_caps(&mut self) -> Result<u16, ClientError> {
-        match self.server_caps {
-            Some(c) => Ok(c),
-            None => self.ping(),
-        }
-    }
-
-    /// Whether the daemon speaks the binary profile codec
-    /// ([`caps::BINARY_CODEC`]). Probes with a ping on first use.
-    pub fn binary_codec(&mut self) -> Result<bool, ClientError> {
-        Ok(self.negotiated_caps()? & caps::BINARY_CODEC != 0)
-    }
-
     /// Override the local frame cap (must match the daemon's to ingest
     /// very large profiles).
     pub fn set_max_frame(&mut self, max: usize) {
@@ -171,18 +177,24 @@ impl Client {
     /// back as `Ok(Response::Error(..))`; use [`Client::call`] to have
     /// them folded into `Err`.
     pub fn call_raw(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let stream = match &mut self.transport {
+            Transport::Tcp(stream) => stream,
+            Transport::InProcess(backend) => {
+                self.server_caps = Some(caps::SUPPORTED);
+                return Ok(backend.execute(req));
+            }
+        };
         // The request frame declares the capabilities the op relies on
         // (e.g. STREAMING on session ops) so an older daemon answers
         // with a typed `Unsupported` instead of killing the connection.
         write_frame_flags(
-            &mut self.stream,
+            stream,
             PROTOCOL_VERSION,
             req.required_caps(),
             &encode_request(req),
             self.max_frame,
         )?;
-        let frame =
-            read_frame(&mut self.stream, self.max_frame)?.ok_or(ClientError::Disconnected)?;
+        let frame = read_frame(stream, self.max_frame)?.ok_or(ClientError::Disconnected)?;
         if frame.version != PROTOCOL_VERSION {
             return Err(ClientError::Server(WireError::UnsupportedVersion {
                 got: frame.version,
@@ -212,18 +224,6 @@ impl Client {
         }
     }
 
-    /// Returns `(id, newly_added)`.
-    pub fn ingest(&mut self, label: &str, json: &str) -> Result<(String, bool), ClientError> {
-        let req = Request::Ingest {
-            label: label.to_string(),
-            json: json.to_string(),
-        };
-        match self.call(&req)? {
-            Response::Ingested { id, added } => Ok((id, added)),
-            other => Err(unexpected("Ingested", &other)),
-        }
-    }
-
     /// Ingest already-encoded `numa-codec` profile bytes. Requires a
     /// daemon advertising [`caps::BINARY_CODEC`]; older daemons answer
     /// with a typed `Unsupported` error. Returns `(id, newly_added)`.
@@ -242,21 +242,14 @@ impl Client {
         }
     }
 
-    /// Ingest an in-memory profile, negotiating the encoding: the
-    /// binary codec when the daemon advertises [`caps::BINARY_CODEC`]
-    /// (probing with a ping if this is the connection's first
-    /// exchange), canonical JSON otherwise. Either way the stored
-    /// profile — content id, dedup, queries — is identical.
+    /// Ingest an in-memory profile as codec bytes. Returns
+    /// `(id, newly_added)`.
     pub fn ingest_profile(
         &mut self,
         label: &str,
         profile: &NumaProfile,
     ) -> Result<(String, bool), ClientError> {
-        if self.binary_codec()? {
-            self.ingest_binary(label, numa_codec::encode_profile(profile))
-        } else {
-            self.ingest(label, &profile.to_json())
-        }
+        self.ingest_binary(label, numa_codec::encode_profile(profile))
     }
 
     pub fn list(&mut self) -> Result<Vec<ProfileEntry>, ClientError> {
@@ -373,27 +366,10 @@ impl Client {
         }
     }
 
-    /// Append chunk `seq` (strictly sequential from 0). Returns the
-    /// daemon-wide buffered bytes after the append.
-    pub fn append_chunk(
-        &mut self,
-        session: u64,
-        seq: u64,
-        chunk: &str,
-    ) -> Result<u64, ClientError> {
-        let req = Request::AppendChunk {
-            session,
-            seq,
-            chunk: chunk.to_string(),
-        };
-        match self.call(&req)? {
-            Response::ChunkAppended { open_bytes, .. } => Ok(open_bytes),
-            other => Err(unexpected("ChunkAppended", &other)),
-        }
-    }
-
-    /// [`Client::append_chunk`] with a binary-codec chunk payload
-    /// (requires [`caps::BINARY_CODEC`] on top of streaming).
+    /// Append chunk `seq` (strictly sequential from 0), a binary-codec
+    /// chunk payload (requires [`caps::BINARY_CODEC`] on top of
+    /// streaming). Returns the daemon-wide buffered bytes after the
+    /// append.
     pub fn append_chunk_binary(
         &mut self,
         session: u64,
@@ -430,9 +406,7 @@ impl Client {
     /// Stream a whole profile through a session: open, split into
     /// chunks of `threads_per_chunk` threads, append in sequence, seal.
     /// Returns `(id, newly_added, chunks)` — identical to what one-shot
-    /// [`Client::ingest`] of the same profile would have stored.
-    /// Chunk encoding is negotiated per connection: binary codec when
-    /// the daemon advertises [`caps::BINARY_CODEC`], JSON otherwise.
+    /// [`Client::ingest_profile`] of the same profile would have stored.
     pub fn stream_profile(
         &mut self,
         label: &str,
@@ -452,16 +426,11 @@ impl Client {
         threads_per_chunk: usize,
         mut before_chunk: impl FnMut(u64),
     ) -> Result<(String, bool, u64), ClientError> {
-        let binary = self.binary_codec()?;
         let info = self.open_session(label)?;
         for (seq, chunk) in split_profile(profile, threads_per_chunk).iter().enumerate() {
             let seq = seq as u64;
             before_chunk(seq);
-            if binary {
-                self.append_chunk_binary(info.session, seq, chunk.to_binary())?;
-            } else {
-                self.append_chunk(info.session, seq, &chunk.to_json())?;
-            }
+            self.append_chunk_binary(info.session, seq, chunk.to_binary())?;
         }
         self.seal_session(info.session)
     }
@@ -472,6 +441,12 @@ impl Client {
             other => Err(unexpected("Text", &other)),
         }
     }
+}
+
+fn resolve(addr: &impl ToSocketAddrs) -> io::Result<std::net::SocketAddr> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))
 }
 
 fn unexpected(expected: &'static str, got: &Response) -> ClientError {

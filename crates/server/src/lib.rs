@@ -12,13 +12,16 @@
 //!   ([`protocol::WireError`]). The codec is push-based
 //!   ([`protocol::FrameDecoder`]) so it survives arbitrary TCP
 //!   fragmentation.
-//! * [`server`] — `hpcd-sim`'s engine: accept loop + bounded
-//!   connection queue + worker-thread pool (the offline build has no
-//!   async runtime; threads and channels are the concurrency model),
-//!   per-connection timeouts, and drain-on-shutdown.
+//! * [`server`] — [`server::Backend`], the one function that executes
+//!   a [`protocol::Request`], and `hpcd-sim`'s engine in front of it:
+//!   accept loop + bounded connection queue + worker-thread pool (the
+//!   offline build has no async runtime; threads and channels are the
+//!   concurrency model), per-connection timeouts, and
+//!   drain-on-shutdown.
 //! * [`client`] — a blocking [`client::Client`] used by `hpcd-client`
-//!   and the tests/benches; one typed method per daemon op, plus
-//!   streaming-session verbs and [`client::Client::stream_profile`].
+//!   and the tests; one typed method per op, plus streaming-session
+//!   verbs and [`client::Client::stream_profile`], over a TCP
+//!   connection or in-process against a `Backend`.
 //!
 //! Streaming ingestion (the `numa-live` crate's sessions) rides the
 //! same frame format: the header's flags word carries capability bits
@@ -43,4 +46,4 @@ pub use protocol::{
     caps, FrameDecoder, FrameError, ProfileEntry, RecvError, ReportFormat, Request, Response,
     ServerStatsReport, SlowOpRow, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerConfig, ShutdownHandle};
+pub use server::{Backend, Server, ServerConfig, ShutdownHandle};

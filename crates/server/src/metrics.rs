@@ -17,9 +17,8 @@ use numa_obs::{Counter, Histogram, Registry};
 pub struct OpSlot(usize);
 
 impl OpSlot {
-    pub const NAMES: [&'static str; 22] = [
+    pub const NAMES: [&'static str; 20] = [
         "ping",
-        "ingest",
         "ingest-binary",
         "list",
         "resolve",
@@ -35,7 +34,6 @@ impl OpSlot {
         "clear-cache",
         "shutdown",
         "open-session",
-        "append-chunk",
         "append-chunk-binary",
         "seal-session",
         "abort-session",

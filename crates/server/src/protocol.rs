@@ -8,7 +8,9 @@
 //! offset 4..6    version    u16 — protocol revision, see [`PROTOCOL_VERSION`]
 //! offset 6..8    flags      u16 — capability bits, see [`caps`]
 //! offset 8..12   length     u32 — payload byte count
-//! offset 12..    payload    `length` bytes of UTF-8 JSON
+//! offset 12..    payload    `length` bytes: UTF-8 JSON, or — for the two
+//!                           profile-bearing requests — the binary
+//!                           envelope (BINARY_REQUEST_MAGIC)
 //! ```
 //!
 //! A peer validates the header as soon as its 12 bytes arrive, so an
@@ -57,15 +59,15 @@ pub const DEFAULT_MAX_FRAME: usize = 4 << 20;
 /// connection, so a newer client downgrades gracefully against an older
 /// daemon.
 pub mod caps {
-    /// Streaming ingestion sessions: `OpenSession` / `AppendChunk` /
-    /// `SealSession` / `AbortSession`.
+    /// Streaming ingestion sessions: `OpenSession` /
+    /// `AppendChunkBinary` / `SealSession` / `AbortSession`.
     pub const STREAMING: u16 = 1 << 0;
 
     /// Binary columnar profile payloads (`IngestBinary` /
     /// `AppendChunkBinary`): request payloads framed as numa-codec
-    /// containers instead of JSON. A client that negotiated this via
-    /// `ping` sends codec bytes; one that didn't falls back to JSON and
-    /// the daemon serves it unchanged.
+    /// containers instead of JSON — the only encoding the two
+    /// profile-bearing ops have. A daemon predating the codec answers
+    /// them with a typed `Unsupported`.
     pub const BINARY_CODEC: u16 = 1 << 1;
 
     /// The `Metrics` op: Prometheus text exposition of every daemon
@@ -371,15 +373,13 @@ pub enum ReportFormat {
     Json,
 }
 
-/// Every operation the daemon serves. Profile references are resolved
-/// server-side exactly like `hpcstore-sim --profile`: an id prefix or a
-/// label.
+/// Every operation the daemon serves — the stack's one verb table,
+/// reached over TCP or in-process. Profile references are resolved by
+/// the store: an id prefix or a label.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Ingest one serialized profile under a label.
-    Ingest { label: String, json: String },
     /// List stored profiles.
     List,
     /// Resolve an id prefix or label to a stored profile.
@@ -418,13 +418,6 @@ pub enum Request {
     /// [`caps::STREAMING`]). The reply carries the session id, the lease
     /// the client must renew by appending, and the buffer limits.
     OpenSession { label: String },
-    /// Append chunk `seq` (strictly sequential from 0) to an open
-    /// session. `chunk` is a serialized `ChunkPayload`.
-    AppendChunk {
-        session: u64,
-        seq: u64,
-        chunk: String,
-    },
     /// Seal a session: assemble its chunks and commit the profile
     /// through the ordinary ingest path.
     SealSession { session: u64 },
@@ -434,7 +427,8 @@ pub enum Request {
     /// [`caps::BINARY_CODEC`]). Travels as a [`BINARY_REQUEST_MAGIC`]
     /// envelope, not JSON.
     IngestBinary { label: String, bytes: Vec<u8> },
-    /// Append a binary-codec chunk to an open session (requires
+    /// Append chunk `seq` (strictly sequential from 0) to an open
+    /// session; `bytes` is a binary-codec `ChunkPayload` (requires
     /// [`caps::STREAMING`] | [`caps::BINARY_CODEC`]). Travels as a
     /// [`BINARY_REQUEST_MAGIC`] envelope, not JSON.
     AppendChunkBinary {
@@ -449,7 +443,6 @@ impl Request {
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Ingest { .. } => "ingest",
             Request::List => "list",
             Request::Resolve { .. } => "resolve",
             Request::Aggregate => "aggregate",
@@ -464,7 +457,6 @@ impl Request {
             Request::ClearCache => "clear-cache",
             Request::Shutdown => "shutdown",
             Request::OpenSession { .. } => "open-session",
-            Request::AppendChunk { .. } => "append-chunk",
             Request::SealSession { .. } => "seal-session",
             Request::AbortSession { .. } => "abort-session",
             Request::IngestBinary { .. } => "ingest-binary",
@@ -478,7 +470,6 @@ impl Request {
     pub fn required_caps(&self) -> u16 {
         match self {
             Request::OpenSession { .. }
-            | Request::AppendChunk { .. }
             | Request::SealSession { .. }
             | Request::AbortSession { .. } => caps::STREAMING,
             Request::IngestBinary { .. } => caps::BINARY_CODEC,

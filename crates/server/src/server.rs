@@ -1,5 +1,8 @@
-//! The daemon: a multi-threaded TCP server over a shared
-//! [`ProfileStore`].
+//! The daemon: a [`Backend`] — the store, its streaming sessions and
+//! the observability around them, behind the one function that
+//! executes a [`Request`] — and a multi-threaded TCP server in front
+//! of it. [`crate::Client`] reaches the same `Backend` either through
+//! that server or in-process.
 //!
 //! ## Threading model
 //!
@@ -112,35 +115,27 @@ const SLOW_OP_CAPACITY: usize = 64;
 /// Slow-op rows reported per `server-stats` response.
 const SLOW_OPS_REPORTED: usize = 16;
 
-/// The bound daemon. [`Server::run`] blocks until shutdown.
-pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
+/// What every request executes against: the store, the streaming
+/// sessions over it, and the metrics, trace rings and shutdown flag
+/// that observe them. One per daemon (or per in-process
+/// [`crate::Client`]); [`Backend::execute`] is the stack's only
+/// `Request` → `Response` mapping.
+pub struct Backend {
     store: Arc<ProfileStore>,
     sessions: Arc<SessionManager>,
     metrics: Arc<Metrics>,
     registry: Arc<Registry>,
-    trace: Arc<SpanRing>,
-    slow_ops: Arc<SpanRing>,
-    metrics_listener: Option<(TcpListener, SocketAddr)>,
+    trace: SpanRing,
+    slow_ops: SpanRing,
     shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
     started: Instant,
 }
 
-impl Server {
-    /// Bind the listener (use port 0 for an ephemeral port) without
-    /// starting to serve. Also binds the `--metrics-addr` HTTP
-    /// listener, if configured, and assembles the metric registry:
-    /// every server, store, and live counter is adopted here, so the
-    /// scrape and `server-stats` read the same storage.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        store: Arc<ProfileStore>,
-    ) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
+impl Backend {
+    /// Build the session manager over `store` and assemble the metric
+    /// registry: every server, store, and live counter is adopted here,
+    /// so the scrape and `server-stats` read the same storage.
+    pub fn new(store: Arc<ProfileStore>, config: &ServerConfig) -> Arc<Backend> {
         let sessions = SessionManager::new(Arc::clone(&store), config.live.clone());
         let metrics = Arc::new(Metrics::new());
         let started = Instant::now();
@@ -156,28 +151,53 @@ impl Server {
             move || started.elapsed().as_secs().min(i64::MAX as u64) as i64,
         );
 
-        let metrics_listener = match &config.metrics_addr {
-            Some(addr) => Some(http::bind(addr)?),
-            None => None,
-        };
-
-        Ok(Server {
-            listener,
-            local_addr,
+        Arc::new(Backend {
             store,
             sessions,
             metrics,
             registry,
-            trace: Arc::new(SpanRing::new(config.trace_capacity)),
-            slow_ops: Arc::new(SpanRing::new(if config.trace_capacity == 0 {
+            trace: SpanRing::new(config.trace_capacity),
+            slow_ops: SpanRing::new(if config.trace_capacity == 0 {
                 0
             } else {
                 SLOW_OP_CAPACITY
-            })),
-            metrics_listener,
+            }),
             shutdown: Arc::new(AtomicBool::new(false)),
-            config,
             started,
+        })
+    }
+}
+
+/// The bound daemon. [`Server::run`] blocks until shutdown.
+pub struct Server {
+    listener: TcpListener,
+    local_addr: SocketAddr,
+    backend: Arc<Backend>,
+    metrics_listener: Option<(TcpListener, SocketAddr)>,
+    config: ServerConfig,
+}
+
+impl Server {
+    /// Bind the listener (use port 0 for an ephemeral port) without
+    /// starting to serve. Also binds the `--metrics-addr` HTTP
+    /// listener, if configured.
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+        store: Arc<ProfileStore>,
+    ) -> io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let metrics_listener = match &config.metrics_addr {
+            Some(addr) => Some(http::bind(addr)?),
+            None => None,
+        };
+        Ok(Server {
+            listener,
+            local_addr,
+            backend: Backend::new(store, &config),
+            metrics_listener,
+            config,
         })
     }
 
@@ -192,16 +212,16 @@ impl Server {
     }
 
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shutdown))
+        ShutdownHandle(Arc::clone(&self.backend.shutdown))
     }
 
     pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.backend.metrics)
     }
 
     /// The daemon's metric registry (everything `GET /metrics` serves).
     pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
+        Arc::clone(&self.backend.registry)
     }
 
     /// Serve until shutdown, then drain and join every worker. Returns
@@ -217,8 +237,8 @@ impl Server {
 
         let scraper = match self.metrics_listener {
             Some((listener, _)) => {
-                let registry = Arc::clone(&self.registry);
-                let shutdown = Arc::clone(&self.shutdown);
+                let registry = Arc::clone(&self.backend.registry);
+                let shutdown = Arc::clone(&self.backend.shutdown);
                 Some(
                     std::thread::Builder::new()
                         .name("hpcd-metrics-http".to_string())
@@ -232,15 +252,8 @@ impl Server {
         for i in 0..self.config.workers.max(1) {
             let ctx = WorkerCtx {
                 rx: Arc::clone(&rx),
-                store: Arc::clone(&self.store),
-                sessions: Arc::clone(&self.sessions),
-                metrics: Arc::clone(&self.metrics),
-                registry: Arc::clone(&self.registry),
-                trace: Arc::clone(&self.trace),
-                slow_ops: Arc::clone(&self.slow_ops),
-                shutdown: Arc::clone(&self.shutdown),
+                backend: Arc::clone(&self.backend),
                 config: self.config.clone(),
-                started: self.started,
             };
             workers.push(
                 std::thread::Builder::new()
@@ -249,10 +262,11 @@ impl Server {
             );
         }
 
-        while !self.shutdown.load(Ordering::SeqCst) {
+        let shutdown = &self.backend.shutdown;
+        while !shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.metrics.connection_accepted();
+                    self.backend.metrics.connection_accepted();
                     let _ = stream.set_read_timeout(Some(self.config.read_timeout));
                     let _ = stream.set_write_timeout(Some(self.config.write_timeout));
                     let _ = stream.set_nodelay(true);
@@ -260,7 +274,7 @@ impl Server {
                     // Backpressure: when the queue is full, keep the
                     // connection and retry instead of accepting more.
                     loop {
-                        if self.shutdown.load(Ordering::SeqCst) {
+                        if shutdown.load(Ordering::SeqCst) {
                             break; // drop the connection; we are exiting
                         }
                         match tx.try_send(pending) {
@@ -293,28 +307,15 @@ impl Server {
         // Workers are gone, so no session op can race the janitor's
         // teardown; open sessions die with the daemon (their staged WAL
         // chunks are dropped as unsealed on the next replay).
-        self.sessions.stop();
-        Ok(snapshot_stats(
-            &self.metrics,
-            &self.store,
-            &self.sessions,
-            &self.slow_ops,
-            self.started.elapsed(),
-        ))
+        self.backend.sessions.stop();
+        Ok(self.backend.stats())
     }
 }
 
 struct WorkerCtx {
     rx: Arc<parking_lot::Mutex<Receiver<TcpStream>>>,
-    store: Arc<ProfileStore>,
-    sessions: Arc<SessionManager>,
-    metrics: Arc<Metrics>,
-    registry: Arc<Registry>,
-    trace: Arc<SpanRing>,
-    slow_ops: Arc<SpanRing>,
-    shutdown: Arc<AtomicBool>,
+    backend: Arc<Backend>,
     config: ServerConfig,
-    started: Instant,
 }
 
 fn worker_loop(ctx: WorkerCtx) {
@@ -328,7 +329,7 @@ fn worker_loop(ctx: WorkerCtx) {
         match stream {
             Ok(s) => {
                 serve_connection(&ctx, s);
-                ctx.metrics.connection_closed();
+                ctx.backend.metrics.connection_closed();
             }
             Err(_) => return, // queue closed: shutdown drained
         }
@@ -337,8 +338,9 @@ fn worker_loop(ctx: WorkerCtx) {
 
 /// Serve one connection until EOF, error, timeout, or drain.
 fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
+    let metrics = &ctx.backend.metrics;
     loop {
-        let draining = ctx.shutdown.load(Ordering::SeqCst);
+        let draining = ctx.backend.shutdown.load(Ordering::SeqCst);
         if draining {
             // One short grace read: answer a request already on the
             // wire, but do not wait for new work.
@@ -396,12 +398,12 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                                     }),
                                 )
                             } else {
-                                (op, execute(ctx, req))
+                                (op, ctx.backend.execute(&req))
                             }
                         }
                         Err(e) => {
                             malformed = true;
-                            ctx.metrics.malformed_frame();
+                            metrics.malformed_frame();
                             (OpSlot::UNKNOWN, Response::Error(e))
                         }
                     }
@@ -409,7 +411,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                 let is_error = matches!(resp, Response::Error(_));
                 let sent = send(&mut stream, &resp);
                 let elapsed = start.elapsed();
-                ctx.metrics.record_request(op, elapsed, is_error);
+                metrics.record_request(op, elapsed, is_error);
                 if tracing {
                     record_span(ctx, op, payload_bytes, is_error, elapsed);
                 }
@@ -424,13 +426,13 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                 }
             }
             Err(RecvError::Frame(FrameError::Oversized { len, max })) => {
-                ctx.metrics.rejected_oversized();
+                metrics.rejected_oversized();
                 let resp = Response::Error(WireError::Oversized { len, max });
                 let _ = send(&mut stream, &resp);
                 return;
             }
             Err(RecvError::Frame(e)) => {
-                ctx.metrics.malformed_frame();
+                metrics.malformed_frame();
                 let resp = Response::Error(WireError::Malformed {
                     detail: e.to_string(),
                 });
@@ -439,7 +441,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
             }
             Err(e) if e.is_timeout() => {
                 if !draining {
-                    ctx.metrics.timeout();
+                    metrics.timeout();
                 }
                 return;
             }
@@ -454,7 +456,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
 fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Duration) {
     let notes = trace::take();
     let total_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-    let seq = ctx.trace.push(SpanBody {
+    let seq = ctx.backend.trace.push(SpanBody {
         op: op.name(),
         bytes,
         shard: notes.shard,
@@ -482,7 +484,7 @@ fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Du
             },
             if error { ", error" } else { "" },
         );
-        ctx.slow_ops.retain(Span {
+        ctx.backend.slow_ops.retain(Span {
             seq,
             op: op.name(),
             bytes,
@@ -512,168 +514,149 @@ fn send(stream: &mut TcpStream, resp: &Response) -> Result<(), RecvError> {
     )
 }
 
-/// Execute one request against the store. Panics in analysis code are
-/// converted to a typed `Internal` error so a bad profile can never
-/// take a worker down.
-fn execute(ctx: &WorkerCtx, req: Request) -> Response {
-    let result = catch_unwind(AssertUnwindSafe(|| execute_inner(ctx, &req)));
-    match result {
-        Ok(resp) => resp,
-        Err(panic) => {
-            let detail = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("panic in request handler")
-                .to_string();
-            Response::Error(WireError::Internal { detail })
-        }
-    }
-}
-
-fn execute_inner(ctx: &WorkerCtx, req: &Request) -> Response {
-    let store = &ctx.store;
-    match req {
-        Request::Ping => Response::Pong,
-        Request::Ingest { label, json } => match store.ingest_bytes(label, json) {
-            Ok((id, added)) => Response::Ingested {
-                id: id.to_string(),
-                added,
-            },
-            Err(e) => Response::Error(wire_error(e)),
-        },
-        Request::List => Response::Profiles(
-            store
-                .entries()
-                .into_iter()
-                .map(|e| ProfileEntry {
-                    id: e.id.to_string(),
-                    label: e.label.to_string(),
-                    threads: e.threads,
-                    json_bytes: e.json_bytes,
-                })
-                .collect(),
-        ),
-        Request::Resolve { reference } => match store.resolve(reference) {
-            Ok(sp) => Response::Resolved {
-                id: sp.id.to_string(),
-                label: sp.label.to_string(),
-            },
-            Err(e) => Response::Error(wire_error(e)),
-        },
-        Request::Aggregate => text_query(ctx, Query::Aggregate),
-        Request::Top { n } => text_query(ctx, Query::TopVariables(*n)),
-        Request::Report { profile, format } => match resolve_id(ctx, profile) {
-            Err(e) => Response::Error(e),
-            Ok(id) => match format {
-                ReportFormat::Text => text_query(ctx, Query::TextReport(id)),
-                ReportFormat::Json => text_query(ctx, Query::ReportJson(id)),
-            },
-        },
-        Request::CodeView {
-            profile,
-            min_share_permille,
-        } => match resolve_id(ctx, profile) {
-            Err(e) => Response::Error(e),
-            Ok(id) => text_query(
-                ctx,
-                Query::CodeView {
-                    profile: id,
-                    min_share_permille: *min_share_permille,
-                },
-            ),
-        },
-        Request::AddressView { profile, var } => match resolve_id(ctx, profile) {
-            Err(e) => Response::Error(e),
-            Ok(id) => text_query(
-                ctx,
-                Query::AddressView {
-                    profile: id,
-                    var: var.clone(),
-                },
-            ),
-        },
-        Request::Diff { before, after } => {
-            match (resolve_id(ctx, before), resolve_id(ctx, after)) {
-                (Ok(b), Ok(a)) => text_query(
-                    ctx,
-                    Query::Diff {
-                        before: b,
-                        after: a,
-                    },
-                ),
-                (Err(e), _) | (_, Err(e)) => Response::Error(e),
+impl Backend {
+    /// Execute one request. Panics in analysis code are converted to a
+    /// typed `Internal` error so a bad profile can never take a worker
+    /// (or an in-process caller) down.
+    pub fn execute(&self, req: &Request) -> Response {
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(req))) {
+            Ok(resp) => resp,
+            Err(panic) => {
+                let detail = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("panic in request handler")
+                    .to_string();
+                Response::Error(WireError::Internal { detail })
             }
         }
-        Request::StoreStats => Response::Text(store.stats().render()),
-        Request::ServerStats => Response::ServerStats(Box::new(snapshot_stats(
-            &ctx.metrics,
-            store,
-            &ctx.sessions,
-            &ctx.slow_ops,
-            ctx.started.elapsed(),
-        ))),
-        Request::Metrics => Response::Text(ctx.registry.render()),
-        Request::ClearCache => {
-            store.clear_cache();
-            Response::CacheCleared
+    }
+
+    fn dispatch(&self, req: &Request) -> Response {
+        let store = &self.store;
+        match req {
+            Request::Ping => Response::Pong,
+            Request::List => Response::Profiles(
+                store
+                    .entries()
+                    .into_iter()
+                    .map(|e| ProfileEntry {
+                        id: e.id.to_string(),
+                        label: e.label.to_string(),
+                        threads: e.threads,
+                        json_bytes: e.json_bytes,
+                    })
+                    .collect(),
+            ),
+            Request::Resolve { reference } => match store.resolve(reference) {
+                Ok(sp) => Response::Resolved {
+                    id: sp.id.to_string(),
+                    label: sp.label.to_string(),
+                },
+                Err(e) => Response::Error(wire_error(e)),
+            },
+            Request::Aggregate => self.text_query(Query::Aggregate),
+            Request::Top { n } => self.text_query(Query::TopVariables(*n)),
+            Request::Report { profile, format } => match self.resolve_id(profile) {
+                Err(e) => Response::Error(e),
+                Ok(id) => match format {
+                    ReportFormat::Text => self.text_query(Query::TextReport(id)),
+                    ReportFormat::Json => self.text_query(Query::ReportJson(id)),
+                },
+            },
+            Request::CodeView {
+                profile,
+                min_share_permille,
+            } => match self.resolve_id(profile) {
+                Err(e) => Response::Error(e),
+                Ok(id) => self.text_query(Query::CodeView {
+                    profile: id,
+                    min_share_permille: *min_share_permille,
+                }),
+            },
+            Request::AddressView { profile, var } => match self.resolve_id(profile) {
+                Err(e) => Response::Error(e),
+                Ok(id) => self.text_query(Query::AddressView {
+                    profile: id,
+                    var: var.clone(),
+                }),
+            },
+            Request::Diff { before, after } => {
+                match (self.resolve_id(before), self.resolve_id(after)) {
+                    (Ok(b), Ok(a)) => self.text_query(Query::Diff {
+                        before: b,
+                        after: a,
+                    }),
+                    (Err(e), _) | (_, Err(e)) => Response::Error(e),
+                }
+            }
+            Request::StoreStats => Response::Text(store.stats().render()),
+            Request::ServerStats => Response::ServerStats(Box::new(self.stats())),
+            Request::Metrics => Response::Text(self.registry.render()),
+            Request::ClearCache => {
+                store.clear_cache();
+                Response::CacheCleared
+            }
+            Request::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                Response::ShuttingDown
+            }
+            Request::OpenSession { label } => match self.sessions.open(label) {
+                Ok(t) => Response::SessionOpened {
+                    session: t.session,
+                    lease_ms: t.lease.as_millis().min(u64::MAX as u128) as u64,
+                    max_chunk_bytes: t.max_chunk_bytes as u64,
+                    max_session_bytes: t.max_session_bytes as u64,
+                },
+                Err(e) => Response::Error(session_error(e)),
+            },
+            Request::SealSession { session } => match self.sessions.seal(*session) {
+                Ok(sealed) => Response::SessionSealed {
+                    id: sealed.id.to_string(),
+                    added: sealed.added,
+                    chunks: sealed.chunks,
+                },
+                Err(e) => Response::Error(session_error(e)),
+            },
+            Request::AbortSession { session } => match self.sessions.abort(*session) {
+                Ok(()) => Response::SessionAborted { session: *session },
+                Err(e) => Response::Error(session_error(e)),
+            },
+            Request::IngestBinary { label, bytes } => match store.ingest_binary(label, bytes) {
+                Ok((id, added)) => Response::Ingested {
+                    id: id.to_string(),
+                    added,
+                },
+                Err(e) => Response::Error(wire_error(e)),
+            },
+            Request::AppendChunkBinary {
+                session,
+                seq,
+                bytes,
+            } => match self.sessions.append_binary(*session, *seq, bytes) {
+                Ok(open_bytes) => Response::ChunkAppended {
+                    session: *session,
+                    seq: *seq,
+                    open_bytes: open_bytes as u64,
+                },
+                Err(e) => Response::Error(session_error(e)),
+            },
         }
-        Request::Shutdown => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            Response::ShuttingDown
-        }
-        Request::OpenSession { label } => match ctx.sessions.open(label) {
-            Ok(t) => Response::SessionOpened {
-                session: t.session,
-                lease_ms: t.lease.as_millis().min(u64::MAX as u128) as u64,
-                max_chunk_bytes: t.max_chunk_bytes as u64,
-                max_session_bytes: t.max_session_bytes as u64,
-            },
-            Err(e) => Response::Error(session_error(e)),
-        },
-        Request::AppendChunk {
-            session,
-            seq,
-            chunk,
-        } => match ctx.sessions.append(*session, *seq, chunk) {
-            Ok(open_bytes) => Response::ChunkAppended {
-                session: *session,
-                seq: *seq,
-                open_bytes: open_bytes as u64,
-            },
-            Err(e) => Response::Error(session_error(e)),
-        },
-        Request::SealSession { session } => match ctx.sessions.seal(*session) {
-            Ok(sealed) => Response::SessionSealed {
-                id: sealed.id.to_string(),
-                added: sealed.added,
-                chunks: sealed.chunks,
-            },
-            Err(e) => Response::Error(session_error(e)),
-        },
-        Request::AbortSession { session } => match ctx.sessions.abort(*session) {
-            Ok(()) => Response::SessionAborted { session: *session },
-            Err(e) => Response::Error(session_error(e)),
-        },
-        Request::IngestBinary { label, bytes } => match store.ingest_binary(label, bytes) {
-            Ok((id, added)) => Response::Ingested {
-                id: id.to_string(),
-                added,
-            },
+    }
+
+    fn resolve_id(&self, reference: &str) -> Result<numa_store::ProfileId, WireError> {
+        self.store
+            .resolve(reference)
+            .map(|sp| sp.id)
+            .map_err(wire_error)
+    }
+
+    fn text_query(&self, q: Query) -> Response {
+        match self.store.query(q) {
+            Ok(artifact) => Response::Text(artifact.text()),
             Err(e) => Response::Error(wire_error(e)),
-        },
-        Request::AppendChunkBinary {
-            session,
-            seq,
-            bytes,
-        } => match ctx.sessions.append_binary(*session, *seq, bytes) {
-            Ok(open_bytes) => Response::ChunkAppended {
-                session: *session,
-                seq: *seq,
-                open_bytes: open_bytes as u64,
-            },
-            Err(e) => Response::Error(session_error(e)),
-        },
+        }
     }
 }
 
@@ -730,20 +713,6 @@ fn session_error(e: SessionError) -> WireError {
     }
 }
 
-fn resolve_id(ctx: &WorkerCtx, reference: &str) -> Result<numa_store::ProfileId, WireError> {
-    ctx.store
-        .resolve(reference)
-        .map(|sp| sp.id)
-        .map_err(wire_error)
-}
-
-fn text_query(ctx: &WorkerCtx, q: Query) -> Response {
-    match ctx.store.query(q) {
-        Ok(artifact) => Response::Text(artifact.text()),
-        Err(e) => Response::Error(wire_error(e)),
-    }
-}
-
 fn wire_error(e: StoreError) -> WireError {
     match e {
         StoreError::Parse { label, message } => WireError::ProfileParse { label, message },
@@ -764,81 +733,79 @@ fn wire_error(e: StoreError) -> WireError {
     }
 }
 
-fn snapshot_stats(
-    metrics: &Metrics,
-    store: &ProfileStore,
-    sessions: &SessionManager,
-    slow_ops: &SpanRing,
-    uptime: Duration,
-) -> ServerStatsReport {
-    let store_stats = store.stats();
-    let persist = store_stats.persist;
-    let live = sessions.stats();
-    // Slow spans arrive from racing workers; order the report by the
-    // trace sequence so "oldest first" holds for readers.
-    let mut recent_slow_ops: Vec<SlowOpRow> = slow_ops
-        .recent(SLOW_OPS_REPORTED)
-        .into_iter()
-        .map(|s| SlowOpRow {
-            seq: s.seq,
-            op: s.op.to_string(),
-            bytes: s.bytes,
-            shard: s.shard,
-            cache_hit: s.cache_hit,
-            wal_ack_us: s.wal_ack_us,
-            total_us: s.total_us,
-            error: s.error,
-        })
-        .collect();
-    recent_slow_ops.sort_by_key(|s| s.seq);
-    ServerStatsReport {
-        uptime_ms: uptime.as_millis().min(u64::MAX as u128) as u64,
-        connections_accepted: metrics.connections_accepted_total(),
-        connections_closed: metrics.connections_closed_total(),
-        requests_total: metrics.requests_total(),
-        errors_total: metrics.errors_total(),
-        rejected_oversized: metrics.rejected_oversized_total(),
-        malformed_frames: metrics.malformed_total(),
-        timeouts: metrics.timeouts_total(),
-        per_op: metrics.per_op(),
-        latency: metrics.latency_summary(),
-        store_profiles: store_stats.profiles,
-        store_set_hash: format!("{:016x}", store_stats.set_hash),
-        cache_hits: store_stats.cache.hits,
-        cache_misses: store_stats.cache.misses,
-        cache_insertions: store_stats.cache.insertions,
-        cache_evictions: store_stats.cache.evictions,
-        durable: persist.durable,
-        snapshot_records_loaded: persist.snapshot_records_loaded,
-        wal_records_replayed: persist.wal_records_replayed,
-        wal_truncated_bytes: persist.wal_truncated_bytes + persist.snapshot_truncated_bytes,
-        wal_appends: persist.wal_appends,
-        wal_group_commits: persist.wal_group_commits,
-        snapshots_written: persist.snapshots_written,
-        persist_io_errors: persist.io_errors,
-        store_shards: store_stats
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| ShardStatRow {
-                shard,
-                profiles: s.profiles,
-                ingests: s.ingests,
-                read_contended: s.read_contended,
-                write_contended: s.write_contended,
+impl Backend {
+    fn stats(&self) -> ServerStatsReport {
+        let metrics = &self.metrics;
+        let store_stats = self.store.stats();
+        let persist = store_stats.persist;
+        let live = self.sessions.stats();
+        // Slow spans arrive from racing workers; order the report by the
+        // trace sequence so "oldest first" holds for readers.
+        let mut recent_slow_ops: Vec<SlowOpRow> = self
+            .slow_ops
+            .recent(SLOW_OPS_REPORTED)
+            .into_iter()
+            .map(|s| SlowOpRow {
+                seq: s.seq,
+                op: s.op.to_string(),
+                bytes: s.bytes,
+                shard: s.shard,
+                cache_hit: s.cache_hit,
+                wal_ack_us: s.wal_ack_us,
+                total_us: s.total_us,
+                error: s.error,
             })
-            .collect(),
-        live_sessions: live.open_sessions as u64,
-        live_open_bytes: live.open_bytes as u64,
-        live_sessions_opened: live.opened,
-        live_sessions_sealed: live.sealed,
-        live_sessions_aborted: live.aborted,
-        live_leases_reaped: live.reaped,
-        live_chunks_appended: live.chunks_appended,
-        live_backpressure: live.backpressure_rejections,
-        sessions_recovered: persist.sessions_recovered,
-        sessions_dropped: persist.sessions_dropped,
-        session_chunks_replayed: persist.session_chunks_replayed,
-        recent_slow_ops,
+            .collect();
+        recent_slow_ops.sort_by_key(|s| s.seq);
+        ServerStatsReport {
+            uptime_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
+            connections_accepted: metrics.connections_accepted_total(),
+            connections_closed: metrics.connections_closed_total(),
+            requests_total: metrics.requests_total(),
+            errors_total: metrics.errors_total(),
+            rejected_oversized: metrics.rejected_oversized_total(),
+            malformed_frames: metrics.malformed_total(),
+            timeouts: metrics.timeouts_total(),
+            per_op: metrics.per_op(),
+            latency: metrics.latency_summary(),
+            store_profiles: store_stats.profiles,
+            store_set_hash: format!("{:016x}", store_stats.set_hash),
+            cache_hits: store_stats.cache.hits,
+            cache_misses: store_stats.cache.misses,
+            cache_insertions: store_stats.cache.insertions,
+            cache_evictions: store_stats.cache.evictions,
+            durable: persist.durable,
+            snapshot_records_loaded: persist.snapshot_records_loaded,
+            wal_records_replayed: persist.wal_records_replayed,
+            wal_truncated_bytes: persist.wal_truncated_bytes + persist.snapshot_truncated_bytes,
+            wal_appends: persist.wal_appends,
+            wal_group_commits: persist.wal_group_commits,
+            snapshots_written: persist.snapshots_written,
+            persist_io_errors: persist.io_errors,
+            store_shards: store_stats
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(shard, s)| ShardStatRow {
+                    shard,
+                    profiles: s.profiles,
+                    ingests: s.ingests,
+                    read_contended: s.read_contended,
+                    write_contended: s.write_contended,
+                })
+                .collect(),
+            live_sessions: live.open_sessions as u64,
+            live_open_bytes: live.open_bytes as u64,
+            live_sessions_opened: live.opened,
+            live_sessions_sealed: live.sealed,
+            live_sessions_aborted: live.aborted,
+            live_leases_reaped: live.reaped,
+            live_chunks_appended: live.chunks_appended,
+            live_backpressure: live.backpressure_rejections,
+            sessions_recovered: persist.sessions_recovered,
+            sessions_dropped: persist.sessions_dropped,
+            session_chunks_replayed: persist.session_chunks_replayed,
+            recent_slow_ops,
+        }
     }
 }

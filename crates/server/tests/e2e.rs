@@ -55,12 +55,14 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
 
     // The oracle: the same corpus in an in-process store, queried on
     // one thread.
-    let corpus: Vec<(String, String)> = (1..=CLIENTS)
-        .map(|i| (format!("run-{i}"), profile(i).to_json()))
+    let corpus: Vec<(String, NumaProfile)> = (1..=CLIENTS)
+        .map(|i| (format!("run-{i}"), profile(i)))
         .collect();
     let oracle = ProfileStore::new();
-    for (label, json) in &corpus {
-        oracle.ingest_bytes(label, json).expect("oracle ingest");
+    for (label, p) in &corpus {
+        oracle
+            .ingest_bytes(label, &p.to_json())
+            .expect("oracle ingest");
     }
     let oracle_aggregate = oracle.aggregate().expect("oracle aggregate").text();
     let oracle_top = oracle
@@ -94,10 +96,10 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
                 // Phase 1 — mixed concurrent ingest: every client sends
                 // its own run plus a duplicate of a neighbour's, so the
                 // daemon sees adds and dedups interleaved.
-                let (label, json) = &corpus[t];
-                c.ingest(label, json).expect("ingest own");
-                let (nl, nj) = &corpus[(t + 1) % CLIENTS];
-                c.ingest(nl, nj).expect("ingest duplicate");
+                let (label, own) = &corpus[t];
+                c.ingest_profile(label, own).expect("ingest own");
+                let (nl, neighbour) = &corpus[(t + 1) % CLIENTS];
+                c.ingest_profile(nl, neighbour).expect("ingest duplicate");
                 // Ingestion is idempotent by content hash, so after the
                 // barrier the stored set equals the oracle's no matter
                 // how the 16 ingests interleaved.
@@ -128,7 +130,7 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
     let ingests = stats
         .per_op
         .iter()
-        .find(|o| o.op == "ingest")
+        .find(|o| o.op == "ingest-binary")
         .expect("ingest op counted");
     assert_eq!(ingests.requests, (CLIENTS * 2) as u64);
     let aggregates = stats
@@ -158,7 +160,7 @@ fn shutdown_answers_the_in_flight_request_then_drains() {
 
     let mut a = Client::connect(addr).expect("client a");
     let mut b = Client::connect(addr).expect("client b");
-    a.ingest("r", &profile(1).to_json()).expect("ingest");
+    a.ingest_profile("r", &profile(1)).expect("ingest");
 
     // The shutdown request itself is "in flight" when the flag flips:
     // it must still be answered (that is the drain contract).
@@ -211,18 +213,28 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
         );
     }
 
-    // Valid frame, bogus JSON: typed malformed error.
-    {
+    // Valid frame, JSON that names no request — the retired JSON ingest
+    // and append ops included: typed malformed error, then the
+    // connection is closed (never a hang on a peer that still sends
+    // them).
+    for bogus in [
+        r#"{"no": "such request"}"#,
+        r#"{"Ingest":{"label":"old","json":"{}"}}"#,
+        r#"{"AppendChunk":{"session":1,"seq":0,"chunk":"{\"Threads\":[]}"}}"#,
+    ] {
         let mut s = TcpStream::connect(addr).expect("connect raw");
-        s.write_all(
-            &encode_frame(PROTOCOL_VERSION, b"{\"no\": \"such request\"}").expect("encode"),
-        )
-        .expect("send bogus");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&encode_frame(PROTOCOL_VERSION, bogus.as_bytes()).expect("encode"))
+            .expect("send bogus");
         let frame = read_frame(&mut s, 1 << 20).expect("reply").expect("frame");
         let resp = numa_server::protocol::decode_response(&frame.payload).expect("decode");
         assert!(
             matches!(resp, Response::Error(WireError::Malformed { .. })),
-            "{resp:?}"
+            "{bogus}: {resp:?}"
+        );
+        assert!(
+            matches!(read_frame(&mut s, 1 << 20), Ok(None)),
+            "{bogus}: the daemon closes a connection it cannot decode"
         );
     }
 
@@ -254,7 +266,7 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
     c.ping().expect("still alive");
     let stats = c.server_stats().expect("stats");
     assert!(stats.rejected_oversized >= 1, "{stats:?}");
-    assert!(stats.malformed_frames >= 2, "{stats:?}");
+    assert!(stats.malformed_frames >= 4, "{stats:?}");
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");
@@ -276,12 +288,12 @@ fn request_level_errors_keep_the_connection_usable() {
         other => panic!("expected UnknownProfile, got {other:?}"),
     }
     // Unparsable profile payload: typed error, connection lives.
-    match c.ingest("bad", "{\"broken\": true") {
+    match c.ingest_binary("bad", b"{\"broken\": true".to_vec()) {
         Err(ClientError::Server(WireError::ProfileParse { .. })) => {}
         other => panic!("expected ProfileParse, got {other:?}"),
     }
     // Same connection still serves good requests.
-    c.ingest("ok", &profile(1).to_json()).expect("ingest");
+    c.ingest_profile("ok", &profile(1)).expect("ingest");
     assert!(c
         .aggregate()
         .expect("aggregate")
@@ -289,8 +301,8 @@ fn request_level_errors_keep_the_connection_usable() {
 
     // A label shared by two distinct profiles: resolving it is a typed
     // ambiguity listing both candidates, and a full id still works.
-    let (id_a, _) = c.ingest("dup", &profile(2).to_json()).expect("ingest dup");
-    let (id_b, _) = c.ingest("dup", &profile(3).to_json()).expect("ingest dup");
+    let (id_a, _) = c.ingest_profile("dup", &profile(2)).expect("ingest dup");
+    let (id_b, _) = c.ingest_profile("dup", &profile(3)).expect("ingest dup");
     match c.resolve("dup") {
         Err(ClientError::Server(WireError::AmbiguousReference {
             reference,

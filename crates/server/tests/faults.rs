@@ -88,7 +88,7 @@ fn mid_frame_disconnects_leave_the_daemon_serving() {
     // The daemon shrugged all of that off and still answers.
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after mid-frame disconnects");
-    c.ingest("after", &profile(1).to_json()).expect("ingest");
+    c.ingest_profile("after", &profile(1)).expect("ingest");
     assert_eq!(c.list().expect("list").len(), 1);
 
     c.shutdown().expect("shutdown");
@@ -159,7 +159,6 @@ fn full_disk_daemon_answers_ingest_with_not_durable_and_keeps_serving_reads() {
     // Budget the fake disk so exactly one profile fits: file header,
     // first record, and a little slack for the group commit.
     let first = profile(1);
-    let first_json = first.to_json();
     let (ProfileId(hash), canonical) = ProfileId::of(&first);
     let record = numa_store::wal::encode_record("one", &canonical, hash);
     let budget = numa_store::wal::FILE_HEADER_LEN + record.len() as u64 + 16;
@@ -186,12 +185,12 @@ fn full_disk_daemon_answers_ingest_with_not_durable_and_keeps_serving_reads() {
     let mut c = Client::connect(addr).expect("connect");
 
     // The first ingest fits on disk and is acked.
-    let (id_one, added) = c.ingest("one", &first_json).expect("ingest one");
+    let (id_one, added) = c.ingest_profile("one", &first).expect("ingest one");
     assert!(added);
 
     // The second hits ENOSPC. The client sees a typed durability error,
     // not a dropped connection and not a silent ack.
-    match c.ingest("two", &profile(2).to_json()) {
+    match c.ingest_profile("two", &profile(2)) {
         Err(ClientError::Server(WireError::NotDurable { detail })) => {
             assert!(
                 detail.contains("no space left"),
@@ -273,7 +272,7 @@ fn full_disk_streaming_session_fails_typed_and_daemon_survives() {
     // typed rather than ack bytes the log never saw.
     let mut failed = false;
     for (seq, chunk) in chunks.iter().enumerate() {
-        match c.append_chunk(session.session, seq as u64, &chunk.to_json()) {
+        match c.append_chunk_binary(session.session, seq as u64, chunk.to_binary()) {
             Ok(_) => {}
             Err(ClientError::Server(WireError::NotDurable { .. })) => {
                 failed = true;

@@ -8,15 +8,18 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::protocol::{
-    caps, encode_frame_flags, encode_request, read_frame, Request, Response, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    caps, encode_frame_flags, encode_request, encode_response, read_frame, Request, Response,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use numa_server::{Client, ClientError, LiveConfig, Server, ServerConfig, WireError};
+use numa_server::{
+    Backend, Client, ClientError, LiveConfig, Server, ServerConfig, ServerStatsReport, WireError,
+};
 use numa_sim::{ExecMode, Program};
+use numa_store::stream::ChunkPayload;
 use numa_store::ProfileStore;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A small deterministic profile; `rounds` varies the content hash.
@@ -53,19 +56,56 @@ fn spawn_server(
     (addr, handle)
 }
 
+/// Poll `server-stats` until `done` holds. Every probe is a blocking
+/// round trip to the daemon, so the loop needs no pause of its own.
+fn wait_for_stats(
+    c: &mut Client,
+    what: &str,
+    done: impl Fn(&ServerStatsReport) -> bool,
+) -> ServerStatsReport {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = c.server_stats().expect("server stats");
+        if done(&stats) {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what} never happened: {stats:?}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn streamed_profiles_match_oneshot_over_tcp() {
-    let streamed = profile(1);
-    let streamed_json = streamed.to_json();
-    let oneshot_json = profile(2).to_json();
-
-    // In-process oracle: both profiles via plain ingestion.
-    let oracle = ProfileStore::new();
-    let (oracle_id, _) = oracle.ingest_bytes("streamed", &streamed_json).unwrap();
-    oracle.ingest_bytes("oneshot", &oneshot_json).unwrap();
-
     let (addr, server) = spawn_server(ServerConfig::default());
     let mut c = Client::connect(addr).expect("connect");
+    check_streamed_profiles_match_oneshot(&mut c);
+    c.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server run");
+}
+
+/// The same verbs against the same `Backend` without a socket: the
+/// in-process transport answers exactly what the daemon does.
+#[test]
+fn streamed_profiles_match_oneshot_in_process() {
+    let backend = Backend::new(Arc::new(ProfileStore::new()), &ServerConfig::default());
+    let mut c = Client::in_process(backend);
+    assert_eq!(c.ping().expect("ping"), caps::SUPPORTED);
+    check_streamed_profiles_match_oneshot(&mut c);
+}
+
+fn check_streamed_profiles_match_oneshot(c: &mut Client) {
+    let streamed = profile(1);
+    let oneshot = profile(2);
+
+    // Oracle: both profiles via plain JSON ingestion into a bare store.
+    let oracle = ProfileStore::new();
+    let (oracle_id, _) = oracle
+        .ingest_bytes("streamed", &streamed.to_json())
+        .unwrap();
+    oracle.ingest_bytes("oneshot", &oneshot.to_json()).unwrap();
 
     // One profile streamed in 3-thread chunks, one ingested one-shot.
     let (id, added, chunks) = c
@@ -74,7 +114,8 @@ fn streamed_profiles_match_oneshot_over_tcp() {
     assert!(added);
     assert!(chunks >= 2, "8 threads at 3/chunk is at least header + 3");
     assert_eq!(id, oracle_id.to_string());
-    c.ingest("oneshot", &oneshot_json).expect("one-shot ingest");
+    c.ingest_profile("oneshot", &oneshot)
+        .expect("one-shot ingest");
 
     // The daemon's aggregate equals the oracle's: a streamed profile is
     // indistinguishable from a one-shot one.
@@ -99,9 +140,6 @@ fn streamed_profiles_match_oneshot_over_tcp() {
     assert_eq!(stats.store_profiles, 2);
     let rendered = stats.render();
     assert!(rendered.contains("2 sealed"), "{rendered}");
-
-    c.shutdown().expect("shutdown");
-    server.join().unwrap().expect("server run");
 }
 
 #[test]
@@ -115,8 +153,10 @@ fn streaming_errors_are_typed_and_keep_the_connection() {
     });
     let mut c = Client::connect(addr).expect("connect");
 
+    let empty = ChunkPayload::Threads(Vec::new()).to_binary();
+
     // Append to a session that never existed.
-    match c.append_chunk(0xbeef, 0, "{}") {
+    match c.append_chunk_binary(0xbeef, 0, empty.clone()) {
         Err(ClientError::Server(WireError::UnknownSession { session: 0xbeef })) => {}
         other => panic!("expected UnknownSession, got {other:?}"),
     }
@@ -125,7 +165,7 @@ fn streaming_errors_are_typed_and_keep_the_connection() {
     assert_eq!(info.max_chunk_bytes, 256);
 
     // Out-of-order chunk.
-    match c.append_chunk(info.session, 5, r#"{"Threads":[]}"#) {
+    match c.append_chunk_binary(info.session, 5, empty.clone()) {
         Err(ClientError::Server(WireError::BadChunkSequence {
             got: 5,
             expected: 0,
@@ -135,21 +175,20 @@ fn streaming_errors_are_typed_and_keep_the_connection() {
     }
 
     // Oversized chunk.
-    let big = format!(r#"{{"Threads":[{}]}}"#, " ".repeat(300));
-    match c.append_chunk(info.session, 0, &big) {
+    match c.append_chunk_binary(info.session, 0, vec![0; 300]) {
         Err(ClientError::Server(WireError::ChunkTooLarge { max: 256, .. })) => {}
         other => panic!("expected ChunkTooLarge, got {other:?}"),
     }
 
     // Unparsable chunk payload.
-    match c.append_chunk(info.session, 0, "not a chunk") {
+    match c.append_chunk_binary(info.session, 0, b"not a chunk".to_vec()) {
         Err(ClientError::Server(WireError::ChunkParse { seq: 0, .. })) => {}
         other => panic!("expected ChunkParse, got {other:?}"),
     }
 
     // Sealing a header-less chunk set fails atomically and discards the
     // session.
-    c.append_chunk(info.session, 0, r#"{"Threads":[]}"#)
+    c.append_chunk_binary(info.session, 0, empty)
         .expect("valid empty chunk");
     match c.seal_session(info.session) {
         Err(ClientError::Server(WireError::SessionIncomplete { .. })) => {}
@@ -235,7 +274,6 @@ fn capability_bits_gate_streaming_and_keep_connections_alive() {
 fn binary_codec_ingest_and_stream_match_json_over_tcp() {
     let (addr, server) = spawn_server(ServerConfig::default());
     let mut c = Client::connect(addr).expect("connect");
-    assert!(c.binary_codec().expect("negotiate"), "daemon speaks binary");
 
     let p1 = profile(1);
     let p2 = profile(2);
@@ -243,18 +281,14 @@ fn binary_codec_ingest_and_stream_match_json_over_tcp() {
     let (id1, _) = oracle.ingest_bytes("bin", &p1.to_json()).unwrap();
     let (id2, _) = oracle.ingest_bytes("streamed", &p2.to_json()).unwrap();
 
-    // Negotiated ingest travels as codec bytes, yet the stored identity
-    // is the JSON oracle's: content ids are format-independent.
+    // Ingest travels as codec bytes, yet the stored identity is the
+    // JSON oracle's: content ids are format-independent.
     let (id, added) = c.ingest_profile("bin", &p1).expect("binary ingest");
     assert!(added);
     assert_eq!(id, id1.to_string());
-    // The same content arriving as JSON dedups against it.
-    let (again, added) = c.ingest("bin-as-json", &p1.to_json()).expect("json ingest");
-    assert!(!added);
-    assert_eq!(again, id);
 
-    // A streamed profile rides binary chunks when negotiated, and still
-    // matches what one-shot ingestion would have stored.
+    // A streamed profile rides binary chunks, and still matches what
+    // one-shot ingestion would have stored.
     let (sid, added, chunks) = c.stream_profile("streamed", &p2, 3).expect("binary stream");
     assert!(added);
     assert!(chunks >= 2, "header plus thread batches");
@@ -318,31 +352,21 @@ fn dead_clients_are_reaped_and_nothing_is_half_ingested() {
         let info = dying.open_session("doomed").expect("open");
         let chunks = numa_store::stream::split_profile(&streamed, 2);
         dying
-            .append_chunk(info.session, 0, &chunks[0].to_json())
+            .append_chunk_binary(info.session, 0, chunks[0].to_binary())
             .expect("first chunk");
         dying
-            .append_chunk(info.session, 1, &chunks[1].to_json())
+            .append_chunk_binary(info.session, 1, chunks[1].to_binary())
             .expect("second chunk");
     } // connection dropped mid-session
 
-    // The janitor reaps the expired lease; poll observability until it
-    // shows up.
+    // The janitor reaps the expired lease.
     let mut c = Client::connect(addr).expect("connect observer");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = c.server_stats().expect("stats");
-        if stats.live_leases_reaped >= 1 {
-            assert_eq!(stats.live_sessions, 0);
-            assert_eq!(stats.live_open_bytes, 0);
-            assert!(stats.render().contains("1 lease(s) reaped"));
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "janitor never reaped the dead client's session"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let stats = wait_for_stats(&mut c, "the dead client's lease reap", |s| {
+        s.live_leases_reaped >= 1
+    });
+    assert_eq!(stats.live_sessions, 0);
+    assert_eq!(stats.live_open_bytes, 0);
+    assert!(stats.render().contains("1 lease(s) reaped"));
 
     // The partial stream left nothing behind; a complete stream of the
     // same profile afterwards ingests cleanly (no stale session state).
@@ -362,7 +386,11 @@ fn connect_retry_waits_for_a_slow_daemon() {
     // Nothing listening: a short deadline returns the connect error
     // instead of spinning forever.
     let start = Instant::now();
-    let err = Client::connect_retry("127.0.0.1:1", Duration::from_millis(300));
+    let err = Client::connect_retry(
+        "127.0.0.1:1",
+        Duration::from_millis(300),
+        Duration::from_secs(5),
+    );
     assert!(err.is_err(), "no listener must yield an error");
     assert!(
         start.elapsed() < Duration::from_secs(5),
@@ -372,8 +400,74 @@ fn connect_retry_waits_for_a_slow_daemon() {
     // A daemon that binds late: connect_retry bridges the gap that
     // tests used to cover with ad-hoc ping-poll loops.
     let (addr, server) = spawn_server(ServerConfig::default());
-    let mut c = Client::connect_retry(addr, Duration::from_secs(5)).expect("retry connect");
+    let mut c = Client::connect_retry(addr, Duration::from_secs(5), Duration::from_secs(5))
+        .expect("retry connect");
     assert_eq!(c.ping().expect("ping"), caps::SUPPORTED);
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
+}
+
+/// The per-op timeout handed to `connect_retry` governs the
+/// connection's reads: it used to be overwritten with a fixed 5 s.
+#[test]
+fn connect_retry_honours_the_per_op_timeout() {
+    // A peer that accepts, reads each request, and answers only once
+    // released.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (release, released) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let mut conns: Vec<TcpStream> = (0..2)
+            .map(|_| listener.accept().expect("accept").0)
+            .collect();
+        for s in &mut conns {
+            read_frame(s, DEFAULT_MAX_FRAME)
+                .expect("readable")
+                .expect("a request");
+        }
+        released.recv().expect("released");
+        let pong = encode_frame_flags(
+            PROTOCOL_VERSION,
+            caps::SUPPORTED,
+            &encode_response(&Response::Pong),
+        )
+        .unwrap();
+        for s in &mut conns {
+            let _ = s.write_all(&pong); // the impatient client is gone
+        }
+    });
+
+    // A patient client's ping stays in flight...
+    let patient = std::thread::spawn(move || {
+        Client::connect_retry(addr, Duration::from_secs(5), Duration::from_secs(30))
+            .expect("patient connect")
+            .ping()
+    });
+    // ...while one with a 200 ms op timeout gives up on the silent peer
+    // after 200 ms, not 5 s.
+    let mut hasty = Client::connect_retry(addr, Duration::from_secs(5), Duration::from_millis(200))
+        .expect("hasty connect");
+    let start = Instant::now();
+    match hasty.ping() {
+        Err(ClientError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected a read timeout, got {other:?}"),
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "a 200 ms op timeout took {:?}",
+        start.elapsed()
+    );
+
+    // That timeout is the event that releases the answer the patient
+    // client was still waiting for.
+    release.send(()).expect("release");
+    assert_eq!(
+        patient.join().expect("patient thread").expect("ping"),
+        caps::SUPPORTED
+    );
+    peer.join().expect("peer thread");
 }

@@ -88,12 +88,15 @@ fn scrape_matches_server_stats_after_a_mixed_workload() {
     // sequentially by one worker, so request N is counted before
     // request N+1 is read — the fixture below is exact, not racy.
     c.ping().expect("ping");
-    let p1 = profile(1).to_json();
-    c.ingest("one", &p1).expect("ingest one");
-    let (_, added) = c.ingest("one-again", &p1).expect("re-ingest");
+    let p1 = profile(1);
+    c.ingest_profile("one", &p1).expect("ingest one");
+    let (_, added) = c.ingest_profile("one-again", &p1).expect("re-ingest");
     assert!(!added, "identical content must dedup");
-    c.ingest("two", &profile(2).to_json()).expect("ingest two");
-    assert!(c.ingest("junk", "not json").is_err(), "parse must fail");
+    c.ingest_profile("two", &profile(2)).expect("ingest two");
+    assert!(
+        c.ingest_binary("junk", b"not a profile".to_vec()).is_err(),
+        "parse must fail"
+    );
     c.aggregate().expect("aggregate (cache miss)");
     c.aggregate().expect("aggregate (cache hit)");
     c.top(3).expect("top");
@@ -106,14 +109,14 @@ fn scrape_matches_server_stats_after_a_mixed_workload() {
     // one atomic, the scrape reads another) breaks these.
     let expected: &[(&str, i128)] = &[
         ("numa_server_requests_total{op=\"ping\"}", 1),
-        ("numa_server_requests_total{op=\"ingest\"}", 4),
+        ("numa_server_requests_total{op=\"ingest-binary\"}", 4),
         ("numa_server_requests_total{op=\"aggregate\"}", 2),
         ("numa_server_requests_total{op=\"top\"}", 1),
         ("numa_server_requests_total{op=\"list\"}", 1),
         ("numa_server_requests_total{op=\"server-stats\"}", 1),
         // The scrape is rendered before its own request is recorded.
         ("numa_server_requests_total{op=\"metrics\"}", 0),
-        ("numa_server_errors_total{op=\"ingest\"}", 1),
+        ("numa_server_errors_total{op=\"ingest-binary\"}", 1),
         ("numa_server_errors_total{op=\"aggregate\"}", 0),
         ("numa_server_connections_accepted_total", 1),
         ("numa_store_cache_hits_total", 1),
@@ -250,8 +253,8 @@ fn durable_counters_appear_in_the_scrape() {
     let server = run_server(server);
     let mut c = Client::connect(addr).expect("connect");
 
-    c.ingest("a", &profile(1).to_json()).expect("ingest a");
-    c.ingest("b", &profile(2).to_json()).expect("ingest b");
+    c.ingest_profile("a", &profile(1)).expect("ingest a");
+    c.ingest_profile("b", &profile(2)).expect("ingest b");
     let report = c.server_stats().expect("stats");
     let scrape = parse_metrics(&c.metrics().expect("metrics"));
 
@@ -285,7 +288,7 @@ fn http_responder_serves_the_registry() {
     let metrics_addr = server.metrics_addr().expect("metrics listener bound");
     let server = run_server(server);
     let mut c = Client::connect(addr).expect("connect");
-    c.ingest("one", &profile(1).to_json()).expect("ingest");
+    c.ingest_profile("one", &profile(1)).expect("ingest");
 
     let get = |path: &str, method: &str| -> String {
         let mut s = TcpStream::connect(metrics_addr).expect("connect scraper");
@@ -330,10 +333,11 @@ fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).expect("writer connect");
-                let json = profile(w + 1).to_json();
+                let own = profile(w + 1);
                 let mut i = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    c.ingest(&format!("w{w}-{i}"), &json).expect("ingest");
+                    c.ingest_profile(&format!("w{w}-{i}"), &own)
+                        .expect("ingest");
                     c.aggregate().expect("aggregate");
                     c.ping().expect("ping");
                     i += 1;
@@ -387,7 +391,7 @@ fn slow_op_trace_survives_eight_concurrent_writers() {
                 let mut c = Client::connect(addr).expect("writer connect");
                 for i in 0..25 {
                     if i % 5 == 0 {
-                        c.ingest(&format!("w{w}-{i}"), &profile(w + 1).to_json())
+                        c.ingest_profile(&format!("w{w}-{i}"), &profile(w + 1))
                             .expect("ingest");
                     } else {
                         c.ping().expect("ping");
@@ -442,7 +446,7 @@ fn trace_capacity_zero_disables_span_capture() {
     let server = run_server(server);
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("ping");
-    c.ingest("one", &profile(1).to_json()).expect("ingest");
+    c.ingest_profile("one", &profile(1)).expect("ingest");
     let stats = c.server_stats().expect("stats");
     assert!(
         stats.recent_slow_ops.is_empty(),
@@ -462,13 +466,13 @@ fn abort_decrements_the_session_gauges_exactly() {
     let chunks = numa_store::stream::split_profile(&profile(1), 2);
     let keep = c.open_session("keep").expect("open keep");
     let doomed = c.open_session("doomed").expect("open doomed");
-    let keep_chunk = chunks[0].to_json();
-    let doomed_chunks = [chunks[0].to_json(), chunks[1].to_json()];
-    c.append_chunk(keep.session, 0, &keep_chunk)
+    let keep_chunk = chunks[0].to_binary();
+    let doomed_chunks = [chunks[0].to_binary(), chunks[1].to_binary()];
+    c.append_chunk_binary(keep.session, 0, keep_chunk.clone())
         .expect("keep 0");
-    c.append_chunk(doomed.session, 0, &doomed_chunks[0])
+    c.append_chunk_binary(doomed.session, 0, doomed_chunks[0].clone())
         .expect("doomed 0");
-    c.append_chunk(doomed.session, 1, &doomed_chunks[1])
+    c.append_chunk_binary(doomed.session, 1, doomed_chunks[1].clone())
         .expect("doomed 1");
     let doomed_bytes = (doomed_chunks[0].len() + doomed_chunks[1].len()) as i128;
 
@@ -515,25 +519,29 @@ fn lease_reap_decrements_the_session_gauges_exactly() {
     let server = run_server(server);
 
     // A client opens and buffers, then dies without sealing.
-    let chunk = numa_store::stream::split_profile(&profile(1), 2)[0].to_json();
+    let chunk = numa_store::stream::split_profile(&profile(1), 2)[0].to_binary();
     {
         let mut dying = Client::connect(addr).expect("dying client");
         let info = dying.open_session("doomed").expect("open");
-        dying.append_chunk(info.session, 0, &chunk).expect("append");
+        dying
+            .append_chunk_binary(info.session, 0, chunk)
+            .expect("append");
     }
 
+    // Each scrape is a blocking round trip, so polling for the reap
+    // needs no pause of its own.
     let mut c = Client::connect(addr).expect("observer");
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
+    let scrape = loop {
         let scrape = parse_metrics(&c.metrics().expect("metrics"));
         if series(&scrape, "numa_live_sessions_reaped_total") >= 1 {
-            assert_eq!(series(&scrape, "numa_live_open_sessions"), 0);
-            assert_eq!(series(&scrape, "numa_live_open_bytes"), 0);
-            break;
+            break scrape;
         }
         assert!(Instant::now() < deadline, "janitor never reaped");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        std::thread::yield_now();
+    };
+    assert_eq!(series(&scrape, "numa_live_open_sessions"), 0);
+    assert_eq!(series(&scrape, "numa_live_open_bytes"), 0);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -551,9 +559,9 @@ fn abort_racing_durable_appends_leaves_no_gauge_residue() {
     // from a second connection while one is in flight exercises the
     // reap/rollback races in the gauge accounting. Whatever interleaves,
     // once everything quiesces the gauges must be back to zero.
-    let chunks: Vec<String> = numa_store::stream::split_profile(&profile(1), 2)
+    let chunks: Vec<Vec<u8>> = numa_store::stream::split_profile(&profile(1), 2)
         .iter()
-        .map(|c| c.to_json())
+        .map(|c| c.to_binary())
         .collect();
     for round in 0..8 {
         let mut opener = Client::connect(addr).expect("opener");
@@ -561,10 +569,13 @@ fn abort_racing_durable_appends_leaves_no_gauge_residue() {
         let session = info.session;
         let chunks = chunks.clone();
         let appender = std::thread::spawn(move || {
-            for (seq, chunk) in chunks.iter().enumerate() {
+            for (seq, chunk) in chunks.into_iter().enumerate() {
                 // The abort can land between (or during) appends; both
                 // outcomes are legal, the gauges just must not drift.
-                if opener.append_chunk(session, seq as u64, chunk).is_err() {
+                if opener
+                    .append_chunk_binary(session, seq as u64, chunk)
+                    .is_err()
+                {
                     return;
                 }
             }

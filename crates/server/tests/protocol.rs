@@ -133,7 +133,6 @@ proptest! {
     fn requests_round_trip_as_json(label in text_strategy(), body in text_strategy(), n in 0usize..10_000) {
         let requests = [
             Request::Ping,
-            Request::Ingest { label: label.clone(), json: body.clone() },
             Request::List,
             Request::Resolve { reference: label.clone() },
             Request::Aggregate,
@@ -147,11 +146,10 @@ proptest! {
             Request::ClearCache,
             Request::Shutdown,
             Request::OpenSession { label: label.clone() },
-            Request::AppendChunk { session: n as u64, seq: n as u64, chunk: body.clone() },
             Request::SealSession { session: n as u64 },
             Request::AbortSession { session: n as u64 },
-            // Binary-envelope requests ride the same encode/decode
-            // entry points as the JSON ones.
+            // The two profile-bearing requests take the binary
+            // envelope, through the same encode/decode entry points.
             Request::IngestBinary { label: label.clone(), bytes: body.clone().into_bytes() },
             Request::AppendChunkBinary { session: n as u64, seq: n as u64, bytes: body.clone().into_bytes() },
         ];
@@ -162,8 +160,8 @@ proptest! {
         // Only session and binary-codec ops rely on capability bits.
         for req in &requests {
             let expected = match req {
-                Request::OpenSession { .. } | Request::AppendChunk { .. }
-                | Request::SealSession { .. } | Request::AbortSession { .. } => caps::STREAMING,
+                Request::OpenSession { .. } | Request::SealSession { .. }
+                | Request::AbortSession { .. } => caps::STREAMING,
                 Request::IngestBinary { .. } => caps::BINARY_CODEC,
                 Request::AppendChunkBinary { .. } => caps::STREAMING | caps::BINARY_CODEC,
                 _ => 0,
@@ -273,6 +271,14 @@ fn non_utf8_payload_is_a_typed_malformed_error() {
     assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
     let err = decode_request(b"{\"not\": \"a request\"}").unwrap_err();
     assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
+    // The retired JSON twins of the payload ops are unknown variants now.
+    for retired in [
+        r#"{"Ingest":{"label":"run","json":"{}"}}"#,
+        r#"{"AppendChunk":{"session":1,"seq":0,"chunk":"{}"}}"#,
+    ] {
+        let err = decode_request(retired.as_bytes()).unwrap_err();
+        assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
+    }
 }
 
 #[test]

@@ -36,7 +36,9 @@
 //!   module docs); startup replay parses records in parallel and
 //!   re-admits them through the same tail.
 //!
-//! The CLI front end is `hpcstore-sim` in the `numa-tools` crate.
+//! The CLI front end is `hpcd-client` in the `numa-tools` crate, over
+//! a daemon (`--addr`) or a store opened in-process (`--dir` /
+//! `--data-dir`).
 
 mod admit;
 mod aggregate;

@@ -47,14 +47,14 @@ const CHUNK_TAG_HEADER: u8 = 0;
 const CHUNK_TAG_THREADS: u8 = 1;
 
 impl ChunkPayload {
-    /// Serialize to the JSON wire chunk format (the fallback for peers
-    /// without `caps::BINARY_CODEC`).
+    /// Serialize to the JSON chunk format kind-1 WAL records of older
+    /// builds hold (no longer a wire format).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("chunk serializes")
     }
 
-    /// Deserialize from the JSON wire chunk format (also what kind-1
-    /// WAL records of older builds hold).
+    /// Deserialize from the JSON chunk format (what kind-1 WAL records
+    /// of older builds hold).
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
