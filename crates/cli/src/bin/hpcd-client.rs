@@ -173,7 +173,7 @@ fn main() {
                     e.id,
                     e.label,
                     e.threads,
-                    e.json_bytes / 1024
+                    e.codec_bytes / 1024
                 ));
             }
             out

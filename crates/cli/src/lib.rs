@@ -19,6 +19,7 @@
 use numa_faults::Storage;
 use numa_machine::{Machine, MachinePreset};
 use numa_sampling::MechanismKind;
+use numa_store::wal::UnsupportedHeader;
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use numa_workloads::{
     Amg2006, AmgVariant, Blackscholes, BlackscholesVariant, Lulesh, LuleshVariant, Umt2013,
@@ -205,7 +206,20 @@ pub fn open_store(
         Some((dir, opts, storage)) => {
             let store =
                 ProfileStore::open_durable_config_with(Path::new(dir), config, opts, storage)
-                    .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
+                    .map_err(|e| {
+                        // A directory another build wrote is refused
+                        // untouched; say what to do about it.
+                        let refused = e
+                            .get_ref()
+                            .is_some_and(|inner| inner.is::<UnsupportedHeader>());
+                        let advice = if refused {
+                            "\nre-ingest the profile JSON files into a fresh directory, \
+                             or open this one with the build that wrote it"
+                        } else {
+                            ""
+                        };
+                        format!("cannot open data dir {dir}: {e}{advice}")
+                    })?;
             let p = store.persist_stats();
             eprintln!(
                 "{tool}: recovered {} profile(s) from {dir} \

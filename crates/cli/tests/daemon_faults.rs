@@ -87,7 +87,7 @@ fn enospc_daemon_fails_ingest_typed_and_serves_reads_until_restart() {
     // header, one encoded record, and a little group-commit slack.
     let first = profile(1);
     let (ProfileId(hash), canonical) = ProfileId::of(&first);
-    let record = numa_store::wal::encode_record("one", &canonical, hash);
+    let record = numa_store::wal::encode_bin_record("one", &canonical, hash);
     let budget = FILE_HEADER_LEN + record.len() as u64 + 16;
 
     let mut daemon = spawn_daemon(&data_dir, &["--fault-spec", &format!("enospc={budget}")]);

@@ -1,14 +1,27 @@
 //! Binary columnar encoding of [`NumaProfile`] — the one profile codec
 //! every layer speaks.
 //!
-//! The JSON profile format is the *canonical* form: content ids are (and
-//! remain) the FNV-1a hash of the canonical JSON, so mixed-format
-//! corpora dedup and aggregate identically. This crate provides the
-//! *transport and storage* form: a versioned, length-delimited,
-//! sectioned binary layout that is ~3-4x smaller than the JSON and
-//! decodes without any text parsing. The WAL, snapshots, the wire
-//! protocol (`caps::BINARY_CODEC`), and streaming chunks all carry these
-//! bytes; JSON survives as the interchange fallback for old peers.
+//! A versioned, length-delimited, sectioned binary layout, ~3-4x
+//! smaller than the profile's JSON and decoded without any text
+//! parsing. The WAL, snapshots, the wire protocol
+//! (`caps::BINARY_CODEC`) and streaming chunks all carry these bytes;
+//! JSON survives as the file format `hpcrun-sim --out` writes and the
+//! store's file-ingest adapters read.
+//!
+//! ## The encoding is canonical
+//!
+//! [`encode_profile`] is a function of the struct alone: the five
+//! sections always appear in id order, every integer is fixed-width
+//! big-endian, every list (name table, variables, threads, CCT nodes,
+//! ranges, trace points) is written in stored order, and the profile
+//! holds no floats and no maps whose iteration order could vary. So a
+//! profile has exactly one encoding, `encode(decode(b))` is that
+//! encoding for *any* buffer `b` that decodes to it — including one
+//! with reordered or unknown sections — and a detour through the JSON
+//! form changes nothing (`tests/canonical.rs` holds all three as
+//! properties). This is what lets `numa-store` define a profile's
+//! content id as the FNV-1a hash of these bytes and still dedup the
+//! same run arriving as a JSON file, a container or a chunked stream.
 //!
 //! ## Layout (all integers big-endian)
 //!

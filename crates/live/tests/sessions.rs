@@ -10,7 +10,7 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{split_profile, ChunkPayload};
-use numa_store::wal::{scan_file, wal_path, ChunkData, WalEntry, WAL_MAGIC};
+use numa_store::wal::{scan_file, wal_path, WalEntry, WAL_MAGIC};
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -327,7 +327,7 @@ fn appends_stage_the_bytes_as_sent_and_recover_after_a_kill() {
     drop(store);
 
     let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
-    let chunks: Vec<&ChunkData> = scan
+    let chunks: Vec<&Vec<u8>> = scan
         .entries
         .iter()
         .filter_map(|e| match e {
@@ -342,7 +342,7 @@ fn appends_stage_the_bytes_as_sent_and_recover_after_a_kill() {
     assert_eq!(chunks.len() as u64, sealed.chunks);
     for (logged, sent) in chunks.iter().zip(&sent) {
         assert!(
-            matches!(logged, ChunkData::Binary(b) if b == sent),
+            *logged == sent,
             "the WAL must hold each chunk byte-for-byte as it was appended"
         );
     }

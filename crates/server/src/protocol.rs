@@ -491,7 +491,8 @@ pub struct ProfileEntry {
     pub id: String,
     pub label: String,
     pub threads: usize,
-    pub json_bytes: usize,
+    /// Length of the profile's canonical codec bytes.
+    pub codec_bytes: usize,
 }
 
 /// Per-op counter row in a `ServerStats` response.

@@ -545,7 +545,7 @@ impl Backend {
                         id: e.id.to_string(),
                         label: e.label.to_string(),
                         threads: e.threads,
-                        json_bytes: e.json_bytes,
+                        codec_bytes: e.codec_bytes,
                     })
                     .collect(),
             ),

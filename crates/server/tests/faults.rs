@@ -160,7 +160,7 @@ fn full_disk_daemon_answers_ingest_with_not_durable_and_keeps_serving_reads() {
     // first record, and a little slack for the group commit.
     let first = profile(1);
     let (ProfileId(hash), canonical) = ProfileId::of(&first);
-    let record = numa_store::wal::encode_record("one", &canonical, hash);
+    let record = numa_store::wal::encode_bin_record("one", &canonical, hash);
     let budget = numa_store::wal::FILE_HEADER_LEN + record.len() as u64 + 16;
 
     let storage = Arc::new(FaultyStorage::new(FaultSpec {

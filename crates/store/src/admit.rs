@@ -4,11 +4,12 @@
 //! [`ProfileStore::ingest_bytes`], [`ProfileStore::ingest_binary`],
 //! [`ProfileStore::ingest_batch`], [`ProfileStore::commit_sealed`] — and
 //! startup replay is an adapter that prepares [`Admission`] rows outside
-//! every lock (parse, canonicalize, hash) and hands them to
+//! every lock (parse, encode canonically, hash) and hands them to
 //! `ProfileStore::admit_all`, which owns the insert → commit → rollback
-//! tail once. The store stages and logs codec bytes only: JSON arrives
-//! at the adapters and legacy JSON records are still *read* at replay,
-//! but nothing below them writes it.
+//! tail once. JSON stops at the adapters ([`ProfileStore::ingest_bytes`],
+//! [`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`]): it is
+//! parsed to the struct before anything is hashed, so below them the
+//! store hashes, stages and logs codec bytes only.
 
 use crate::persist::{AppendError, AppendResult, Persister};
 use crate::{
@@ -29,37 +30,38 @@ use std::time::Instant;
 /// buffered bytes while still letting rayon parse a chunk in parallel.
 const INGEST_DIR_CHUNK: usize = 32;
 
-/// Where a fresh row's WAL record body comes from.
-#[derive(Clone, Copy)]
-enum Payload<'a> {
-    /// The client's own codec bytes, logged as sent (no re-encode).
-    Bytes(&'a [u8]),
-    /// Encoded from the stored profile if and when the row is logged —
-    /// a duplicate or an in-memory store never pays for it.
-    Encode,
-}
-
 /// One profile prepared for admission: the stored form (which carries
-/// the id and the canonical-JSON length) plus its WAL payload.
-pub(crate) struct Admission<'a> {
+/// the id) plus the canonical codec bytes the id is the hash of — the
+/// payload a fresh row is logged with.
+pub(crate) struct Admission {
     sp: Arc<StoredProfile>,
-    payload: Payload<'a>,
+    bytes: Vec<u8>,
 }
 
-impl<'a> Admission<'a> {
-    /// Canonicalize and hash `profile` — the crate's one
-    /// [`ProfileId::of`] call, so the content id has a single definition.
-    fn prepare(
-        label: &str,
-        profile: NumaProfile,
-        scalars: Option<ThreadScalars>,
-        payload: Payload<'a>,
-    ) -> Self {
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = StoredProfile::new(id, label, profile, canonical.len(), scalars);
+impl Admission {
+    /// Encode `profile` canonically and hash those bytes — the crate's
+    /// one [`ProfileId::of`] call, so the content id has a single
+    /// definition.
+    fn prepare(label: &str, profile: NumaProfile, scalars: Option<ThreadScalars>) -> Self {
+        let (id, bytes) = ProfileId::of(&profile);
+        let sp = StoredProfile::new(id, label, profile, bytes.len(), scalars);
         Admission {
             sp: Arc::new(sp),
-            payload,
+            bytes,
+        }
+    }
+
+    /// A recovered profile record as a row. No re-hash: the id was
+    /// computed at ingest time and the record is checksum-protected, so
+    /// it is trusted as recorded — the cost of replay is the columnar
+    /// decode the caller already did.
+    fn recorded(r: wal::BinProfileRecord, decoded: (NumaProfile, ThreadScalars)) -> Self {
+        let (profile, scalars) = decoded;
+        let id = ProfileId(r.content_hash);
+        let sp = StoredProfile::new(id, &r.label, profile, r.bytes.len(), Some(scalars));
+        Admission {
+            sp: Arc::new(sp),
+            bytes: r.bytes,
         }
     }
 }
@@ -84,47 +86,11 @@ enum Commit {
     Seal { session: u64 },
 }
 
-/// One recovered profile record headed for replay — the JSON form
-/// persist v1/v2 wrote, or the binary columnar form v3 writes.
-enum ReplayRecord {
-    Json(wal::WalRecord),
-    Bin(wal::BinProfileRecord),
-}
-
-impl ReplayRecord {
-    /// `None` when the payload no longer parses. A binary record skips
-    /// re-canonicalization: its content hash was computed at ingest time
-    /// and the record is checksum-protected, so the recorded id and JSON
-    /// footprint are trusted as-is — the cost is one columnar decode.
-    fn parse(&self) -> Option<Admission<'static>> {
-        match self {
-            ReplayRecord::Json(r) => {
-                let profile = NumaProfile::from_json(&r.json).ok()?;
-                Some(Admission::prepare(&r.label, profile, None, Payload::Encode))
-            }
-            ReplayRecord::Bin(r) => {
-                let (profile, scalars) = decode(&r.bytes).ok()?;
-                let id = ProfileId(r.content_hash);
-                let json_len = r.json_len as usize;
-                let sp = StoredProfile::new(id, &r.label, profile, json_len, Some(scalars));
-                Some(Admission {
-                    sp: Arc::new(sp),
-                    payload: Payload::Encode,
-                })
-            }
-        }
-    }
-}
-
 /// Reassemble one sealed session recovered from disk. `None` (drop the
 /// session) when chunks are missing, fail to parse, do not assemble, or
-/// the assembled canonical JSON does not hash to the seal's content
-/// hash. Chunks decode from whichever format (legacy JSON or binary)
-/// each was staged in.
-fn assemble_sealed(
-    seal: &wal::SealRecord,
-    mut parts: BTreeMap<u64, wal::ChunkData>,
-) -> Option<Admission<'static>> {
+/// the assembled profile's canonical bytes do not hash to the seal's
+/// content hash.
+fn assemble_sealed(seal: &wal::SealRecord, mut parts: BTreeMap<u64, Vec<u8>>) -> Option<Admission> {
     // Chunks past the sealed count are orphans of appends whose ack
     // reported failure (the record hit disk but its group did not
     // commit); the seal's prefix is what was acknowledged, so only it
@@ -135,10 +101,10 @@ fn assemble_sealed(
     }
     let chunks: Vec<stream::ChunkPayload> = parts
         .values()
-        .map(stream::ChunkPayload::from_chunk_data)
+        .map(|bytes| stream::ChunkPayload::from_binary(bytes).ok())
         .collect::<Option<Vec<_>>>()?;
     let profile = stream::assemble(chunks).ok()?;
-    let row = Admission::prepare(&seal.label, profile, None, Payload::Encode);
+    let row = Admission::prepare(&seal.label, profile, None);
     // Assembled bytes that disagree with the sealed hash drop the session.
     (row.sp.id.0 == seal.content_hash).then_some(row)
 }
@@ -175,7 +141,7 @@ impl ProfileStore {
     /// insert whose commit then fails — it reports `Ok(false)` for a
     /// profile that ends up absent. Closing that window would mean
     /// holding a shard lock across I/O.
-    fn admit_all(&self, rows: &[Admission<'_>], commit: Commit) -> Vec<Result<bool, StoreError>> {
+    fn admit_all(&self, rows: &[Admission], commit: Commit) -> Vec<Result<bool, StoreError>> {
         let mut out: Vec<Result<bool, StoreError>> =
             rows.iter().map(|row| Ok(self.insert(&row.sp))).collect();
         let fresh: Vec<usize> = (0..rows.len())
@@ -200,7 +166,7 @@ impl ProfileStore {
             },
         };
         let acks = sealed.unwrap_or_else(|| {
-            let fresh_rows: Vec<&Admission<'_>> = fresh.iter().map(|&i| &rows[i]).collect();
+            let fresh_rows: Vec<&Admission> = fresh.iter().map(|&i| &rows[i]).collect();
             Self::persist_batch(p, &fresh_rows)
         });
         for (&i, ack) in fresh.iter().zip(acks) {
@@ -214,7 +180,7 @@ impl ProfileStore {
 
     /// [`ProfileStore::admit_all`] for one row, in the public
     /// `(id, newly_added)` shape.
-    fn admit(&self, row: Admission<'_>, commit: Commit) -> Result<(ProfileId, bool), StoreError> {
+    fn admit(&self, row: Admission, commit: Commit) -> Result<(ProfileId, bool), StoreError> {
         let id = row.sp.id;
         let outcome = self.admit_all(&[row], commit).pop();
         outcome
@@ -238,24 +204,13 @@ impl ProfileStore {
         added
     }
 
-    /// Encode one binary profile record per row — here, on the ingest
-    /// thread, outside every lock — enqueue them all, and block until
-    /// the group-commit persister has flushed or failed each.
-    fn persist_batch(p: &Persister, rows: &[&Admission<'_>]) -> Vec<AppendResult> {
+    /// Frame one profile record per row — here, on the ingest thread,
+    /// outside every lock — enqueue them all, and block until the
+    /// group-commit persister has flushed or failed each.
+    fn persist_batch(p: &Persister, rows: &[&Admission]) -> Vec<AppendResult> {
         let records = rows
             .par_iter()
-            .map(|row| {
-                let encoded;
-                let bytes = match row.payload {
-                    Payload::Bytes(bytes) => bytes,
-                    Payload::Encode => {
-                        encoded = numa_codec::encode_profile(&row.sp.profile);
-                        &encoded
-                    }
-                };
-                let sp = &row.sp;
-                wal::encode_bin_record(&sp.label, bytes, sp.id.0, sp.json_bytes as u32)
-            })
+            .map(|row| wal::encode_bin_record(&row.sp.label, &row.bytes, row.sp.id.0))
             .collect_vec();
         let started = Instant::now();
         let acks = p.append_all(records);
@@ -286,7 +241,7 @@ impl ProfileStore {
 
     /// Rebuild the in-memory set from what recovery scanned, snapshot
     /// entries first and the log on top; content addressing dedups
-    /// records present in both. Profile records parse in parallel (the
+    /// records present in both. Profile records decode in parallel (the
     /// expensive part) and are admitted in file order. Sealed streaming
     /// sessions reassemble into ready rows admitted after them;
     /// unsealed or incomplete sessions are dropped wholesale — a client
@@ -296,13 +251,12 @@ impl ProfileStore {
         entries: impl Iterator<Item = wal::WalEntry>,
         stats: &mut PersistStats,
     ) {
-        let mut records: Vec<ReplayRecord> = Vec::new();
-        let mut chunks: HashMap<u64, BTreeMap<u64, wal::ChunkData>> = HashMap::new();
+        let mut records: Vec<wal::BinProfileRecord> = Vec::new();
+        let mut chunks: HashMap<u64, BTreeMap<u64, Vec<u8>>> = HashMap::new();
         let mut seals: Vec<wal::SealRecord> = Vec::new();
         for entry in entries {
             match entry {
-                wal::WalEntry::Profile(r) => records.push(ReplayRecord::Json(r)),
-                wal::WalEntry::ProfileBin(r) => records.push(ReplayRecord::Bin(r)),
+                wal::WalEntry::Profile(r) => records.push(r),
                 wal::WalEntry::Chunk(c) => {
                     stats.session_chunks_replayed += 1;
                     // BTreeMap insert dedups chunks re-staged by a
@@ -315,9 +269,16 @@ impl ProfileStore {
                 wal::WalEntry::Seal(s) => seals.push(s),
             }
         }
-        let parsed = records.par_iter().map(ReplayRecord::parse).collect_vec();
-        stats.replay_parse_failures = parsed.iter().filter(|p| p.is_none()).count() as u64;
-        let mut rows: Vec<Admission<'static>> = parsed.into_iter().flatten().collect();
+        let decoded = records
+            .par_iter()
+            .map(|r| decode(&r.bytes).ok())
+            .collect_vec();
+        stats.replay_parse_failures = decoded.iter().filter(|d| d.is_none()).count() as u64;
+        let mut rows: Vec<Admission> = records
+            .into_iter()
+            .zip(decoded)
+            .filter_map(|(r, d)| Some(Admission::recorded(r, d?)))
+            .collect();
         for seal in seals {
             let parts = chunks.remove(&seal.session).unwrap_or_default();
             match assemble_sealed(&seal, parts) {
@@ -391,7 +352,7 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let row = Admission::prepare(label, profile, None, Payload::Encode);
+        let row = Admission::prepare(label, profile, None);
         let result = self.admit(row, Commit::Seal { session });
         self.discard_session(session);
         result
@@ -420,29 +381,29 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let row = Admission::prepare(label, profile, None, Payload::Encode);
+        let row = Admission::prepare(label, profile, None);
         self.admit(row, Commit::Record)
     }
 
-    /// Ingest one serialized profile.
+    /// Ingest one profile serialized as JSON.
     pub fn ingest_bytes(&self, label: &str, json: &str) -> Result<(ProfileId, bool), StoreError> {
         self.admit(self.prepare_json(label, json)?, Commit::Record)
     }
 
     /// Ingest one binary-codec profile container (the
-    /// `caps::BINARY_CODEC` wire path). Identity is still the FNV-1a
-    /// hash of the canonical JSON — a profile ingested as JSON and the
-    /// same profile ingested as codec bytes dedup to one copy with one
-    /// id — but the client's own bytes are what get persisted (no
-    /// re-encode), and the decoded scalar columns are handed to the
-    /// engine build.
+    /// `caps::BINARY_CODEC` wire path). The buffer is decoded and the
+    /// profile's *re-encoding* is what gets hashed and logged, never the
+    /// buffer as sent: a container with reordered or unknown sections
+    /// (the codec skips them on decode) gets the id of its canonical
+    /// form and dedups against it, as does the same profile arriving as
+    /// JSON. The decoded scalar columns are handed to the engine build.
     pub fn ingest_binary(
         &self,
         label: &str,
         bytes: &[u8],
     ) -> Result<(ProfileId, bool), StoreError> {
         let (profile, scalars) = decode(bytes).map_err(|e| self.parse_error(label, e))?;
-        let row = Admission::prepare(label, profile, Some(scalars), Payload::Bytes(bytes));
+        let row = Admission::prepare(label, profile, Some(scalars));
         self.admit(row, Commit::Record)
     }
 
@@ -476,9 +437,11 @@ impl ProfileStore {
     }
 
     /// Parse one JSON input into a row, or count and type the failure.
-    fn prepare_json(&self, label: &str, json: &str) -> Result<Admission<'static>, StoreError> {
+    /// The crate's one `NumaProfile::from_json`: JSON is transcoded here,
+    /// before hashing, and goes no further.
+    fn prepare_json(&self, label: &str, json: &str) -> Result<Admission, StoreError> {
         let profile = NumaProfile::from_json(json).map_err(|e| self.parse_error(label, e))?;
-        Ok(Admission::prepare(label, profile, None, Payload::Encode))
+        Ok(Admission::prepare(label, profile, None))
     }
 
     fn parse_error(&self, label: &str, e: impl fmt::Display) -> StoreError {

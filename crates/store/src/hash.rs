@@ -1,11 +1,13 @@
 //! Content addressing for profiles.
 //!
-//! A profile's identity is the FNV-1a hash of its canonical JSON
-//! serialization. `NumaProfile::to_json` is byte-deterministic (object
-//! keys follow struct declaration order and floats render canonically),
-//! so two runs that produced identical measurements hash identically no
-//! matter how the bytes arrived — ingesting the same run twice, or the
-//! same profile pretty-printed, dedups to one stored copy.
+//! A profile's identity is the FNV-1a hash of its canonical codec
+//! bytes, `numa_codec::encode_profile(profile)`. That encoding is a
+//! function of the struct alone — fixed section order, fixed-width
+//! big-endian integers, every list in stored order, no floats and no
+//! maps — so two runs that produced identical measurements hash
+//! identically no matter how the bytes arrived: a JSON file, a codec
+//! container (canonical or not) and a chunked stream of the same run
+//! all decode to the same struct first, and dedup to one stored copy.
 
 use numa_profiler::NumaProfile;
 use serde::{Deserialize, Serialize};
@@ -37,10 +39,11 @@ pub fn mix(h: u64, x: u64) -> u64 {
 pub struct ProfileId(pub u64);
 
 impl ProfileId {
-    /// Hash the canonical serialization of a profile.
-    pub fn of(profile: &NumaProfile) -> (ProfileId, String) {
-        let canonical = profile.to_json();
-        (ProfileId(fnv1a(canonical.as_bytes())), canonical)
+    /// The id of `profile` and the canonical codec bytes it is the
+    /// hash of — which are also the payload the WAL and snapshot store.
+    pub fn of(profile: &NumaProfile) -> (ProfileId, Vec<u8>) {
+        let canonical = numa_codec::encode_profile(profile);
+        (ProfileId(fnv1a(&canonical)), canonical)
     }
 }
 

@@ -14,14 +14,15 @@
 //!   lock — a batch in parallel with rayon — and hands the prepared
 //!   rows to the single insert → commit → rollback tail in the `admit`
 //!   module. A profile is stored under the FNV-1a hash of its canonical
-//!   JSON serialization, so duplicate runs dedup to one copy whatever
-//!   format they arrived in; codec bytes are the only form the store
-//!   stages or logs.
+//!   codec bytes ([`ProfileId::of`]), so duplicate runs dedup to one
+//!   copy whatever format they arrived in; those same bytes are the only
+//!   form the store hashes, stages or logs — JSON is an input format,
+//!   parsed at the edge.
 //! * **Hash-sharded shelves**: profiles live in N shard shelves keyed
 //!   by `content_hash & (N-1)`, each behind its own `RwLock`, so
 //!   concurrent ingests and queries touching different shards never
-//!   contend. All CPU work — canonicalization, FNV-1a hashing, serde —
-//!   happens *before* any lock is taken; a shard write lock covers one
+//!   contend. All CPU work — parsing, canonical encoding, FNV-1a
+//!   hashing — happens *before* any lock is taken; a shard write lock covers one
 //!   hash-map insert and a vec push.
 //! * **Cross-run merging** ([`ProfileStore::aggregate`]): pooled
 //!   [`MetricSet`](numa_profiler::MetricSet)s, per-variable totals keyed by name (VarIds are not
@@ -138,8 +139,9 @@ pub struct StoredProfile {
     /// The parsed measurement, behind an `Arc` so analyzers and the
     /// attribution engine share the one stored copy.
     pub profile: Arc<NumaProfile>,
-    /// Size of the canonical serialization, for footprint accounting.
-    pub json_bytes: usize,
+    /// Length of the canonical codec bytes `id` is the hash of — what
+    /// the profile occupies in the WAL and the snapshot.
+    pub codec_bytes: usize,
     /// Attribution engine (interned symbols + columnar index), built on
     /// first query and shared by every analyzer handed out afterwards.
     engine: OnceLock<Arc<Engine>>,
@@ -157,14 +159,14 @@ impl StoredProfile {
         id: ProfileId,
         label: &str,
         profile: NumaProfile,
-        json_bytes: usize,
+        codec_bytes: usize,
         scalars: Option<ThreadScalars>,
     ) -> Self {
         StoredProfile {
             id,
             label: Arc::from(label),
             profile: Arc::new(profile),
-            json_bytes,
+            codec_bytes,
             engine: OnceLock::new(),
             scalars: Mutex::new(scalars),
         }
@@ -193,7 +195,7 @@ pub struct ProfileListEntry {
     pub id: ProfileId,
     pub label: Arc<str>,
     pub threads: usize,
-    pub json_bytes: usize,
+    pub codec_bytes: usize,
 }
 
 /// Outcome of one batch ingestion.
@@ -478,8 +480,8 @@ pub struct PersistStats {
     pub wal_truncated_bytes: u64,
     /// Torn/corrupt snapshot tail bytes dropped at startup.
     pub snapshot_truncated_bytes: u64,
-    /// Replayed records whose JSON no longer parsed (checksum held, so
-    /// this indicates a profile-format change, not bit rot).
+    /// Replayed records whose payload no longer decoded (checksum held,
+    /// so this indicates a codec-format change, not bit rot).
     pub replay_parse_failures: u64,
     /// Records appended to the WAL since startup.
     pub wal_appends: u64,
@@ -618,6 +620,12 @@ impl ProfileStore {
     /// torn/corrupt record), and attach the group-commit persister so
     /// every later ingest is logged before it is acknowledged. Recovery
     /// counts are available via [`ProfileStore::persist_stats`].
+    ///
+    /// A snapshot or WAL whose complete header is not this build's fails
+    /// the open with an [`io::ErrorKind::InvalidData`] error wrapping
+    /// [`wal::UnsupportedHeader`], before anything is written: ids from
+    /// other format revisions hash a different serialization, so such a
+    /// directory is refused, never truncated, replayed or compacted over.
     pub fn open_durable(
         dir: &Path,
         cache_capacity: usize,
@@ -687,14 +695,10 @@ impl ProfileStore {
             profiles
                 .par_iter()
                 .map(|sp| {
-                    // Snapshots are always written in the binary codec —
-                    // compaction is where a JSON-era corpus migrates
-                    // forward to persist v3.
                     (
                         sp.label.to_string(),
                         numa_codec::encode_profile(&sp.profile),
                         sp.id.0,
-                        sp.json_bytes as u32,
                     )
                 })
                 .collect_vec()
@@ -849,7 +853,7 @@ impl ProfileStore {
                         id: sp.id,
                         label: Arc::clone(&sp.label),
                         threads: sp.profile.threads.len(),
-                        json_bytes: sp.json_bytes,
+                        codec_bytes: sp.codec_bytes,
                     },
                 )
             }));
@@ -1048,20 +1052,20 @@ impl ProfileStore {
 
     pub fn stats(&self) -> StoreStats {
         let shards = self.shard_stats();
-        let (mut profiles, mut json_bytes, mut hash) = (0usize, 0usize, 0u64);
+        let (mut profiles, mut codec_bytes, mut hash) = (0usize, 0usize, 0u64);
         for shard in &self.shards.shards {
             let shelf = shard.read();
             profiles += shelf.profiles.len();
-            json_bytes += shelf
+            codec_bytes += shelf
                 .profiles
                 .iter()
-                .map(|(_, p)| p.json_bytes)
+                .map(|(_, p)| p.codec_bytes)
                 .sum::<usize>();
             hash ^= shelf.set_hash;
         }
         StoreStats {
             profiles,
-            json_bytes,
+            codec_bytes,
             set_hash: hash,
             deduplicated: self.dedup_hits.get(),
             parse_failures: self.parse_failures.get(),
@@ -1077,8 +1081,9 @@ impl ProfileStore {
 #[derive(Clone, Debug)]
 pub struct StoreStats {
     pub profiles: usize,
-    /// Total canonical-JSON footprint of the stored set.
-    pub json_bytes: usize,
+    /// Total canonical codec bytes of the stored set — its footprint in
+    /// the WAL and the snapshot, record framing aside.
+    pub codec_bytes: usize,
     /// Order-insensitive content hash of the stored set (see
     /// [`ProfileStore::set_hash`]); two stores holding the same corpus
     /// report the same value, which is how recovery is verified.
@@ -1096,12 +1101,12 @@ pub struct StoreStats {
 impl StoreStats {
     pub fn render(&self) -> String {
         let mut out = format!(
-            "profiles: {} ({} KiB canonical JSON), set hash {:016x}\n\
+            "profiles: {} ({} KiB codec), set hash {:016x}\n\
              ingest: {} deduplicated, {} parse failure(s)\n\
              cache: {} artifact(s) resident; {} hit(s), {} miss(es), \
              {} insertion(s), {} eviction(s) ({:.0}% hit rate)\n",
             self.profiles,
-            self.json_bytes / 1024,
+            self.codec_bytes / 1024,
             self.set_hash,
             self.deduplicated,
             self.parse_failures,

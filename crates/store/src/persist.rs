@@ -57,9 +57,9 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Produces the [`crate::snapshot::SnapshotRow`]s (label, binary-codec
-/// payload, content hash, canonical-JSON length) a snapshot persists.
-/// Runs on the persister thread.
+/// Produces the [`crate::snapshot::SnapshotRow`]s (label, canonical
+/// codec bytes, content hash) a snapshot persists. Runs on the persister
+/// thread.
 pub(crate) type CorpusFn = Box<dyn Fn() -> Vec<crate::snapshot::SnapshotRow> + Send + 'static>;
 
 /// Produces the `(session id, encoded record)` rows of still-open

@@ -26,20 +26,17 @@ use std::path::{Path, PathBuf};
 /// Snapshot file name inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
-/// One profile row a snapshot persists: label, binary-codec payload,
-/// content hash (FNV-1a of the canonical JSON — format-independent),
-/// and the canonical JSON's byte length (memory accounting on replay).
-pub type SnapshotRow = (String, Vec<u8>, u64, u32);
+/// One profile row a snapshot persists: label, canonical codec bytes,
+/// and their FNV-1a (the content id).
+pub type SnapshotRow = (String, Vec<u8>, u64);
 
 /// Path of the snapshot inside `dir`.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
-/// Write a snapshot of `entries` atomically. Rows are written as
-/// binary-codec records (persist v3) — this is where compaction
-/// rewrites any JSON-era records forward. Returns the snapshot's byte
-/// size.
+/// Write a snapshot of `entries` atomically, one profile record per
+/// row. Returns the snapshot's byte size.
 pub fn write_snapshot(dir: &Path, entries: &[SnapshotRow]) -> io::Result<u64> {
     write_snapshot_with(&StdStorage, dir, entries)
 }
@@ -62,8 +59,8 @@ pub fn write_snapshot_with(
         let header = encode_file_header(SNAPSHOT_MAGIC);
         f.write_all(&header)?;
         bytes += header.len() as u64;
-        for (label, payload, hash, json_len) in entries {
-            let record = encode_bin_record(label, payload, *hash, *json_len);
+        for (label, payload, hash) in entries {
+            let record = encode_bin_record(label, payload, *hash);
             f.write_all(&record)?;
             bytes += record.len() as u64;
         }
@@ -76,7 +73,9 @@ pub fn write_snapshot_with(
 }
 
 /// Load the snapshot, if any. Damage is handled like WAL damage: the
-/// intact record prefix is returned and the rest reported as truncated.
+/// intact record prefix is returned and the rest reported as truncated;
+/// a header another build wrote fails the load with
+/// [`crate::wal::UnsupportedHeader`] and the file is left as found.
 pub fn load_snapshot(dir: &Path) -> io::Result<RecordScan> {
     load_snapshot_with(&StdStorage, dir)
 }
@@ -102,14 +101,14 @@ mod tests {
     fn snapshot_round_trips_and_replaces_atomically() {
         let dir = tmp("roundtrip");
         let payload = b"binary-profile-bytes".to_vec();
-        let entry = |label: &str| (label.to_string(), payload.clone(), fnv1a(&payload), 99u32);
+        let entry = |label: &str| (label.to_string(), payload.clone(), fnv1a(&payload));
         write_snapshot(&dir, &[entry("a")]).unwrap();
         write_snapshot(&dir, &[entry("a"), entry("b")]).unwrap();
         let scan = load_snapshot(&dir).unwrap();
         assert_eq!(scan.entries.len(), 2);
         assert!(matches!(
             &scan.entries[1],
-            crate::wal::WalEntry::ProfileBin(r) if r.label == "b" && r.json_len == 99
+            crate::wal::WalEntry::Profile(r) if r.label == "b" && r.bytes == payload
         ));
         assert_eq!(scan.truncated_bytes, 0);
         assert!(!dir.join(format!("{SNAPSHOT_FILE}.tmp")).exists());

@@ -6,23 +6,21 @@
 //! chunks — and appends them to an open session in any grouping or
 //! order. [`assemble`] reverses the split deterministically: threads
 //! are sorted by `tid` (duplicates rejected), CCT indices are rebuilt,
-//! and the result canonicalizes to the exact same JSON as the original
-//! profile — so a streamed profile is byte-identical (content hash, set
-//! hash, aggregate text) to the same profile ingested one-shot.
+//! and the result encodes to the exact same canonical codec bytes as the
+//! original profile — so a streamed profile is byte-identical (content
+//! hash, set hash, aggregate text) to the same profile ingested one-shot.
 //!
-//! The binary chunk form ([`ChunkPayload::to_binary`]) is also the WAL
-//! staging format: the daemon writes each appended chunk as a
-//! [`crate::wal::ChunkRecord`] holding those bytes (a JSON chunk is
-//! transcoded first), and crash replay feeds the recorded payloads back
-//! through [`assemble`].
+//! The binary chunk form ([`ChunkPayload::to_binary`]) is the wire and
+//! the WAL staging format: the daemon writes each appended chunk as a
+//! [`crate::wal::ChunkRecord`] holding those bytes, and crash replay
+//! feeds the recorded payloads back through [`assemble`].
 
 use numa_profiler::{FirstTouchRecord, NumaProfile, ThreadProfile, VarRecord};
 use numa_sampling::{Capabilities, MechanismKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Every per-run field of a [`NumaProfile`] except the thread list.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProfileHeader {
     pub mechanism: MechanismKind,
     pub capabilities: Capabilities,
@@ -34,7 +32,7 @@ pub struct ProfileHeader {
 }
 
 /// One streamed piece of a profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum ChunkPayload {
     /// The run-wide fields. A session must receive exactly one.
     Header(Box<ProfileHeader>),
@@ -47,18 +45,6 @@ const CHUNK_TAG_HEADER: u8 = 0;
 const CHUNK_TAG_THREADS: u8 = 1;
 
 impl ChunkPayload {
-    /// Serialize to the JSON chunk format kind-1 WAL records of older
-    /// builds hold (no longer a wire format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("chunk serializes")
-    }
-
-    /// Deserialize from the JSON chunk format (what kind-1 WAL records
-    /// of older builds hold).
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// Serialize to the binary wire/WAL chunk format: a tag byte
     /// followed by a numa-codec container. A `Header` chunk is encoded
     /// as a full-profile container with an empty thread list; a
@@ -108,16 +94,6 @@ impl ChunkPayload {
             }
             CHUNK_TAG_THREADS => Ok(ChunkPayload::Threads(numa_codec::decode_threads(rest)?)),
             _ => Err(numa_codec::CodecError::Malformed("unknown chunk tag")),
-        }
-    }
-
-    /// Deserialize from either recorded format (see
-    /// [`crate::wal::ChunkData`]). `None` on any parse failure — crash
-    /// replay treats an undecodable chunk as a dropped session.
-    pub fn from_chunk_data(data: &crate::wal::ChunkData) -> Option<Self> {
-        match data {
-            crate::wal::ChunkData::Json(s) => Self::from_json(s).ok(),
-            crate::wal::ChunkData::Binary(b) => Self::from_binary(b).ok(),
         }
     }
 }
@@ -243,24 +219,27 @@ mod tests {
     fn split_then_assemble_is_identity_on_canonical_json() {
         let original = profile();
         let canonical = original.to_json();
+        let bytes = numa_codec::encode_profile(&original);
         for per in [1, 2, 3, 64] {
             let chunks = split_profile(&original, per);
             let rebuilt = assemble(chunks).unwrap();
             assert_eq!(rebuilt.to_json(), canonical, "threads_per_chunk={per}");
+            assert_eq!(numa_codec::encode_profile(&rebuilt), bytes, "per={per}");
         }
     }
 
     #[test]
-    fn assemble_is_order_independent_and_survives_json_round_trip() {
+    fn assemble_is_order_independent() {
         let original = profile();
-        let canonical = original.to_json();
-        let mut chunks = split_profile(&original, 1);
-        chunks.reverse(); // header last, threads in reverse tid order
-        let rebuilt: Vec<ChunkPayload> = chunks
+        let mut chunks: Vec<ChunkPayload> = split_profile(&original, 1)
             .iter()
-            .map(|c| ChunkPayload::from_json(&c.to_json()).unwrap())
+            .map(|c| ChunkPayload::from_binary(&c.to_binary()).unwrap())
             .collect();
-        assert_eq!(assemble(rebuilt).unwrap().to_json(), canonical);
+        chunks.reverse(); // header last, threads in reverse tid order
+        assert_eq!(
+            numa_codec::encode_profile(&assemble(chunks).unwrap()),
+            numa_codec::encode_profile(&original)
+        );
     }
 
     #[test]
@@ -272,7 +251,12 @@ mod tests {
             .iter()
             .map(|c| ChunkPayload::from_binary(&c.to_binary()).unwrap())
             .collect();
-        assert_eq!(assemble(rebuilt).unwrap().to_json(), canonical);
+        let assembled = assemble(rebuilt).unwrap();
+        assert_eq!(assembled.to_json(), canonical);
+        assert_eq!(
+            numa_codec::encode_profile(&assembled),
+            numa_codec::encode_profile(&original)
+        );
         // A flipped tag byte is a typed error, not a panic.
         let mut bad = chunks[0].to_binary();
         bad[0] = 7;

@@ -11,66 +11,52 @@
 //! ```
 //!
 //! Each record is length-prefixed and checksummed, and its body opens
-//! with a kind byte:
+//! with a kind byte. Every payload is numa-codec bytes:
 //!
 //! ```text
 //! u32  body_len       byte count of `body`
 //! u64  body_fnv       FNV-1a over the body bytes
 //! body:
-//!   u8   kind         0 = profile (JSON), 1 = session chunk (JSON),
-//!                     2 = session seal, 3 = profile (binary codec),
-//!                     4 = session chunk (binary codec).
-//!                     Kinds 0 and 1 are read-only: older builds wrote
-//!                     them, this one replays them but writes only 2–4.
-//!
-//!   kind 0 (profile — a fully ingested run, JSON payload):
-//!     u32  label_len    byte count of `label`
-//!     ...  label        UTF-8 label
-//!     u64  content_hash FNV-1a of the canonical JSON (the ProfileId)
-//!     ...  json         canonical profile JSON (rest of the body)
-//!
-//!   kind 1 (chunk — one staged piece of an open streaming session):
-//!     u64  session      session id
-//!     u64  seq          zero-based chunk sequence number
-//!     ...  payload      chunk JSON (rest of the body)
+//!   u8   kind         2 = session seal, 3 = profile, 4 = session chunk
 //!
 //!   kind 2 (seal — commits a streamed session):
 //!     u64  session      session id
 //!     u64  chunks       number of chunks the session must replay with
-//!     u64  content_hash FNV-1a of the assembled canonical JSON
+//!     u64  content_hash the ProfileId of the assembled profile
 //!     u32  label_len    byte count of `label`
 //!     ...  label        UTF-8 label (rest of the body, exactly)
 //!
-//!   kind 3 (profile — binary numa-codec payload, persist v3):
+//!   kind 3 (profile — a fully ingested run):
 //!     u32  label_len    byte count of `label`
 //!     ...  label        UTF-8 label
-//!     u64  content_hash FNV-1a of the canonical JSON (the ProfileId —
-//!                       the content id stays defined over the canonical
-//!                       JSON even when the payload is binary)
-//!     u32  json_len     byte length the canonical JSON would have
-//!                       (memory-accounting metadata; replay skips the
-//!                       re-serialization that would otherwise be needed
-//!                       to recover it)
-//!     ...  bytes        numa-codec profile buffer (rest of the body)
+//!     u64  content_hash FNV-1a of `bytes` (the ProfileId)
+//!     ...  bytes        canonical numa-codec profile buffer (rest of
+//!                       the body)
 //!
-//!   kind 4 (chunk — binary numa-codec payload):
+//!   kind 4 (chunk — one staged piece of an open streaming session):
 //!     u64  session      session id
 //!     u64  seq          zero-based chunk sequence number
 //!     ...  bytes        binary chunk payload (rest of the body)
 //! ```
 //!
 //! A sealed session replays as a profile only when every chunk
-//! `0..chunks` is present and the assembled canonical JSON hashes to the
-//! seal's `content_hash`; chunks with no seal (the client or daemon died
-//! mid-stream) are dropped wholesale. Snapshot compaction folds profile
-//! records into the snapshot and re-stages the chunk records of still
-//! open sessions into the fresh WAL, so an open stream survives a
-//! compaction that happens underneath it.
+//! `0..chunks` is present and the assembled profile's canonical bytes
+//! hash to the seal's `content_hash`; chunks with no seal (the client or
+//! daemon died mid-stream) are dropped wholesale. Snapshot compaction
+//! folds profile records into the snapshot and re-stages the chunk
+//! records of still open sessions into the fresh WAL, so an open stream
+//! survives a compaction that happens underneath it.
 //!
 //! ## Recovery contract
 //!
-//! [`scan_bytes`] validates records in order and stops at the first
-//! torn or corrupt one (bad header, short read, checksum mismatch,
+//! [`scan_file_with`] first checks the file header. Fewer than eight
+//! bytes is a torn creation: the file scans as empty and the writer
+//! reinitializes it. Eight bytes that are not exactly this build's
+//! header (`magic | PERSIST_VERSION | 0`) are a file some other build
+//! wrote: the scan fails with [`UnsupportedHeader`] and nothing is
+//! written — an unreadable file is never truncated or compacted over.
+//! Past the header, records are validated in order and the scan stops
+//! at the first torn or corrupt one (short read, checksum mismatch,
 //! unknown kind, invalid UTF-8, inconsistent lengths). Everything before
 //! that point is returned; everything after is reported as truncated
 //! tail bytes, never an error. A writer reopened with
@@ -79,16 +65,16 @@
 
 use crate::hash::fnv1a;
 use numa_faults::{StdStorage, Storage, StorageFile};
+use std::fmt;
 use std::io::{self, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// On-disk format revision for WAL and snapshot files. Version 2 added
-/// the record kind byte (streaming-session chunk and seal records);
-/// version 3 added the binary-codec profile and chunk kinds. Readers
-/// accept any version `1..=PERSIST_VERSION` — every record kind is
-/// self-describing, so an old file replays under a new build unchanged
-/// (and compaction rewrites it forward to the current version).
-pub const PERSIST_VERSION: u16 = 3;
+/// On-disk format revision for WAL and snapshot files. Version 4 made
+/// the content id the hash of the canonical codec bytes and dropped the
+/// JSON-era record kinds. Readers accept exactly this version: ids from
+/// older revisions are hashes of a different serialization, so an older
+/// file is refused ([`UnsupportedHeader`]), not replayed.
+pub const PERSIST_VERSION: u16 = 4;
 
 /// Magic of the write-ahead log file.
 pub const WAL_MAGIC: [u8; 4] = *b"HPWL";
@@ -105,11 +91,9 @@ pub const RECORD_HEADER_LEN: usize = 12;
 /// WAL file name inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
 
-const KIND_PROFILE: u8 = 0;
-const KIND_CHUNK: u8 = 1;
 const KIND_SEAL: u8 = 2;
-const KIND_PROFILE_BIN: u8 = 3;
-const KIND_CHUNK_BIN: u8 = 4;
+const KIND_PROFILE: u8 = 3;
+const KIND_CHUNK: u8 = 4;
 
 /// Path of the WAL inside `dir`.
 pub fn wal_path(dir: &Path) -> PathBuf {
@@ -124,47 +108,50 @@ pub fn encode_file_header(magic: [u8; 4]) -> [u8; 8] {
     h
 }
 
-/// Whether an 8-byte file header is readable by this build: right
-/// magic, version `1..=PERSIST_VERSION`, reserved bytes zero. Version
-/// range rather than equality so data directories written by older
-/// builds keep replaying.
-fn header_readable(head: &[u8; 8], magic: [u8; 4]) -> bool {
-    let version = u16::from_be_bytes([head[4], head[5]]);
-    head[..4] == magic && (1..=PERSIST_VERSION).contains(&version) && head[6..8] == [0, 0]
-}
-
-/// One intact profile record pulled off a log or snapshot.
+/// A WAL or snapshot file whose complete 8-byte header is not the one
+/// this build writes. Carried inside an [`io::Error`] of kind
+/// [`io::ErrorKind::InvalidData`] by every scan and open; the file is
+/// left byte-for-byte untouched.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalRecord {
-    pub label: String,
-    /// Canonical profile JSON.
-    pub json: String,
-    /// FNV-1a of `json` — the profile's content id.
-    pub content_hash: u64,
+pub struct UnsupportedHeader {
+    pub path: PathBuf,
+    /// The eight bytes found at the head of the file.
+    pub found: [u8; 8],
+    /// The only header this build reads: `magic | PERSIST_VERSION | 0`.
+    pub supported: [u8; 8],
 }
 
-/// One intact binary-codec profile record (persist v3).
+impl fmt::Display for UnsupportedHeader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let describe = |h: &[u8; 8]| {
+            format!(
+                "magic \"{}\", version {}, reserved 0x{:02x}{:02x}",
+                h[..4].escape_ascii(),
+                u16::from_be_bytes([h[4], h[5]]),
+                h[6],
+                h[7]
+            )
+        };
+        write!(
+            f,
+            "{}: header says {}; this build reads only {}",
+            self.path.display(),
+            describe(&self.found),
+            describe(&self.supported)
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedHeader {}
+
+/// One intact profile record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BinProfileRecord {
     pub label: String,
-    /// FNV-1a of the canonical JSON — the profile's content id. The
-    /// invariant holds across formats: a binary record and the JSON
-    /// record of the same profile carry the same hash.
+    /// FNV-1a of `bytes` — the profile's content id.
     pub content_hash: u64,
-    /// Byte length the canonical JSON would have (memory accounting).
-    pub json_len: u32,
-    /// numa-codec profile buffer.
+    /// Canonical numa-codec profile buffer.
     pub bytes: Vec<u8>,
-}
-
-/// A chunk payload as a record holds it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChunkData {
-    /// Chunk JSON from a kind-1 record an older build wrote; only the
-    /// decoder produces this.
-    Json(String),
-    /// Binary chunk payload (kind 4), the form every build stages now.
-    Binary(Vec<u8>),
 }
 
 /// One staged chunk of an open streaming session.
@@ -173,7 +160,8 @@ pub struct ChunkRecord {
     pub session: u64,
     /// Zero-based sequence number within the session.
     pub seq: u64,
-    pub payload: ChunkData,
+    /// Binary chunk payload (see `ChunkPayload::to_binary`).
+    pub payload: Vec<u8>,
 }
 
 /// The commit record of a streamed session.
@@ -182,7 +170,7 @@ pub struct SealRecord {
     pub session: u64,
     /// Number of chunks (`seq` 0..chunks) the session must replay with.
     pub chunks: u64,
-    /// FNV-1a of the assembled canonical JSON — the resulting ProfileId.
+    /// The ProfileId of the assembled profile.
     pub content_hash: u64,
     pub label: String,
 }
@@ -190,44 +178,29 @@ pub struct SealRecord {
 /// Any intact record pulled off a log or snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalEntry {
-    Profile(WalRecord),
-    ProfileBin(BinProfileRecord),
+    Profile(BinProfileRecord),
     Chunk(ChunkRecord),
     Seal(SealRecord),
 }
 
-/// Serialize one legacy JSON profile record (kind 0). No ingest path
-/// writes these any more; the encoder stays for the fixtures that prove
-/// old data directories still replay.
-pub fn encode_record(label: &str, json: &str, content_hash: u64) -> Vec<u8> {
-    let body_len = 1 + 4 + label.len() + 8 + json.len();
+/// Serialize one profile record (record header + body). `bytes` are the
+/// canonical codec bytes and `content_hash` their FNV-1a, both as
+/// `ProfileId::of` returns them.
+pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64) -> Vec<u8> {
+    let body_len = 1 + 4 + label.len() + 8 + bytes.len();
     let mut out = begin_record(body_len, KIND_PROFILE);
     out.extend_from_slice(&(label.len() as u32).to_be_bytes());
     out.extend_from_slice(label.as_bytes());
     out.extend_from_slice(&content_hash.to_be_bytes());
-    out.extend_from_slice(json.as_bytes());
-    finish_record(out)
-}
-
-/// Serialize one binary-codec profile record (record header + body).
-/// `content_hash` is still the FNV-1a of the canonical JSON and
-/// `json_len` its byte length — the content id is format-independent.
-pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64, json_len: u32) -> Vec<u8> {
-    let body_len = 1 + 4 + label.len() + 8 + 4 + bytes.len();
-    let mut out = begin_record(body_len, KIND_PROFILE_BIN);
-    out.extend_from_slice(&(label.len() as u32).to_be_bytes());
-    out.extend_from_slice(label.as_bytes());
-    out.extend_from_slice(&content_hash.to_be_bytes());
-    out.extend_from_slice(&json_len.to_be_bytes());
     out.extend_from_slice(bytes);
     finish_record(out)
 }
 
 /// Serialize one session-chunk record (record header + body) around a
-/// binary chunk payload — the only chunk form written (kind 4).
+/// binary chunk payload.
 pub fn encode_chunk_record(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
     let body_len = 1 + 8 + 8 + payload.len();
-    let mut out = begin_record(body_len, KIND_CHUNK_BIN);
+    let mut out = begin_record(body_len, KIND_CHUNK);
     out.extend_from_slice(&session.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
     out.extend_from_slice(payload);
@@ -266,63 +239,11 @@ pub struct RecordScan {
     /// Intact records, in file order.
     pub entries: Vec<WalEntry>,
     /// File offset just past the last intact record (or past the header
-    /// when no record is intact; 0 when even the header is invalid).
+    /// when no record is intact; 0 when the file is missing or shorter
+    /// than a header).
     pub valid_len: u64,
     /// Bytes after `valid_len`: the torn/corrupt tail that replay drops.
     pub truncated_bytes: u64,
-}
-
-impl RecordScan {
-    /// The profile records among [`RecordScan::entries`], in file order.
-    pub fn profiles(&self) -> impl Iterator<Item = &WalRecord> {
-        self.entries.iter().filter_map(|e| match e {
-            WalEntry::Profile(r) => Some(r),
-            _ => None,
-        })
-    }
-}
-
-/// Scan a record file's raw bytes, stopping at the first torn or
-/// corrupt record. Never fails: damage is reported as truncation.
-pub fn scan_bytes(bytes: &[u8], magic: [u8; 4]) -> RecordScan {
-    let total = bytes.len() as u64;
-    if bytes.len() < FILE_HEADER_LEN as usize
-        || !header_readable(bytes[..8].try_into().unwrap(), magic)
-    {
-        return RecordScan {
-            entries: Vec::new(),
-            valid_len: 0,
-            truncated_bytes: total,
-        };
-    }
-    let mut entries = Vec::new();
-    let mut off = FILE_HEADER_LEN as usize;
-    while let Some((entry, next)) = decode_record_at(bytes, off) {
-        entries.push(entry);
-        off = next;
-    }
-    RecordScan {
-        entries,
-        valid_len: off as u64,
-        truncated_bytes: total - off as u64,
-    }
-}
-
-/// Decode the record starting at `off`, returning it plus the offset of
-/// the next record. `None` means torn/corrupt (or clean end of file).
-fn decode_record_at(bytes: &[u8], off: usize) -> Option<(WalEntry, usize)> {
-    let rest = &bytes[off..];
-    if rest.len() < RECORD_HEADER_LEN {
-        return None; // clean end or torn record header
-    }
-    let body_len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
-    if rest.len() - RECORD_HEADER_LEN < body_len {
-        return None; // body truncated (or corrupt length field)
-    }
-    let stored_fnv = u64::from_be_bytes(rest[4..12].try_into().unwrap());
-    let body = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + body_len];
-    let entry = decode_body(stored_fnv, body)?;
-    Some((entry, off + RECORD_HEADER_LEN + body_len))
 }
 
 /// Checksum and decode one record body. `None` means corrupt.
@@ -334,16 +255,14 @@ fn decode_body(stored_fnv: u64, body: &[u8]) -> Option<WalEntry> {
     // re-validated anyway: a writer bug must not become a panic here.
     let (&kind, body) = body.split_first()?;
     match kind {
-        KIND_PROFILE => decode_profile_body(body),
-        KIND_CHUNK => decode_chunk_body(body, false),
         KIND_SEAL => decode_seal_body(body),
-        KIND_PROFILE_BIN => decode_bin_profile_body(body),
-        KIND_CHUNK_BIN => decode_chunk_body(body, true),
-        _ => None, // record from a future format revision
+        KIND_PROFILE => decode_bin_profile_body(body),
+        KIND_CHUNK => decode_chunk_body(body),
+        _ => None, // not a record this format revision defines
     }
 }
 
-fn decode_profile_body(body: &[u8]) -> Option<WalEntry> {
+fn decode_bin_profile_body(body: &[u8]) -> Option<WalEntry> {
     if body.len() < 12 {
         return None;
     }
@@ -352,56 +271,25 @@ fn decode_profile_body(body: &[u8]) -> Option<WalEntry> {
         return None;
     }
     let label = std::str::from_utf8(&body[4..4 + label_len]).ok()?;
-    let content_hash =
-        u64::from_be_bytes(body[4 + label_len..4 + label_len + 8].try_into().unwrap());
-    let json = std::str::from_utf8(&body[4 + label_len + 8..]).ok()?;
-    if fnv1a(json.as_bytes()) != content_hash {
-        return None; // label and JSON were swapped / mis-framed
-    }
-    Some(WalEntry::Profile(WalRecord {
-        label: label.to_string(),
-        json: json.to_string(),
-        content_hash,
-    }))
-}
-
-fn decode_bin_profile_body(body: &[u8]) -> Option<WalEntry> {
-    if body.len() < 16 {
-        return None;
-    }
-    let label_len = u32::from_be_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() < 4 + label_len + 12 {
-        return None;
-    }
-    let label = std::str::from_utf8(&body[4..4 + label_len]).ok()?;
     let at = 4 + label_len;
     let content_hash = u64::from_be_bytes(body[at..at + 8].try_into().unwrap());
-    let json_len = u32::from_be_bytes(body[at + 8..at + 12].try_into().unwrap());
     // The payload is opaque here: the WAL frames bytes, the codec crate
     // owns their meaning. The record checksum already vouched for them.
-    Some(WalEntry::ProfileBin(BinProfileRecord {
+    Some(WalEntry::Profile(BinProfileRecord {
         label: label.to_string(),
         content_hash,
-        json_len,
-        bytes: body[at + 12..].to_vec(),
+        bytes: body[at + 8..].to_vec(),
     }))
 }
 
-fn decode_chunk_body(body: &[u8], binary: bool) -> Option<WalEntry> {
+fn decode_chunk_body(body: &[u8]) -> Option<WalEntry> {
     if body.len() < 16 {
         return None;
     }
-    let session = u64::from_be_bytes(body[..8].try_into().unwrap());
-    let seq = u64::from_be_bytes(body[8..16].try_into().unwrap());
-    let payload = if binary {
-        ChunkData::Binary(body[16..].to_vec())
-    } else {
-        ChunkData::Json(std::str::from_utf8(&body[16..]).ok()?.to_string())
-    };
     Some(WalEntry::Chunk(ChunkRecord {
-        session,
-        seq,
-        payload,
+        session: u64::from_be_bytes(body[..8].try_into().unwrap()),
+        seq: u64::from_be_bytes(body[8..16].try_into().unwrap()),
+        payload: body[16..].to_vec(),
     }))
 }
 
@@ -435,7 +323,8 @@ pub fn scan_file(path: &Path, magic: [u8; 4]) -> io::Result<RecordScan> {
 /// reads one record header at a time and clamps the header's `body_len`
 /// against the bytes actually remaining in the file *before* allocating
 /// the body buffer — a corrupt length field is a torn tail, never a
-/// multi-GiB allocation.
+/// multi-GiB allocation. A complete file header that is not this
+/// build's fails the scan with [`UnsupportedHeader`].
 pub fn scan_file_with(
     storage: &dyn Storage,
     path: &Path,
@@ -446,12 +335,25 @@ pub fn scan_file_with(
     };
     let total = file.len()?;
     let mut head = [0u8; FILE_HEADER_LEN as usize];
-    if file.read_exact_or_eof(&mut head)? < head.len() || !header_readable(&head, magic) {
+    if file.read_exact_or_eof(&mut head)? < head.len() {
+        // A torn creation: the header write itself never completed, so
+        // no record can follow it.
         return Ok(RecordScan {
             entries: Vec::new(),
             valid_len: 0,
             truncated_bytes: total,
         });
+    }
+    let supported = encode_file_header(magic);
+    if head != supported {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            UnsupportedHeader {
+                path: path.to_path_buf(),
+                found: head,
+                supported,
+            },
+        ));
     }
     let mut entries = Vec::new();
     let mut off = FILE_HEADER_LEN;
@@ -505,9 +407,10 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Open the WAL at `path`, truncating it to `valid_len` (the intact
-    /// prefix reported by [`scan_file`]) and positioning for appends. A
-    /// missing or headerless file is (re)initialized with a fresh
-    /// header.
+    /// prefix reported by a [`scan_file`] that succeeded) and
+    /// positioning for appends. A missing file, or one the scan found
+    /// shorter than a header (a torn creation), is (re)initialized with
+    /// a fresh header.
     pub fn open_after(path: &Path, valid_len: u64, fsync: bool) -> io::Result<WalWriter> {
         Self::open_with(&StdStorage, path, valid_len, fsync)
     }
@@ -639,38 +542,40 @@ mod tests {
         dir
     }
 
-    /// Append one legacy JSON profile record as its own commit; returns
-    /// the record's encoded size.
-    fn append(w: &mut WalWriter, label: &str, json: &str) -> u64 {
+    /// Append one profile record as its own commit; returns the record's
+    /// encoded size. The payload is opaque to the WAL.
+    fn append(w: &mut WalWriter, label: &str, bytes: &[u8]) -> u64 {
         let n = w
-            .write_encoded(&encode_record(label, json, fnv1a(json.as_bytes())))
+            .write_encoded(&encode_bin_record(label, bytes, fnv1a(bytes)))
             .unwrap();
         w.commit().unwrap();
         n
     }
 
-    /// A kind-1 (JSON chunk) record as pre-codec builds wrote it.
-    fn legacy_chunk_record(session: u64, seq: u64, json: &str) -> Vec<u8> {
-        let mut out = begin_record(1 + 8 + 8 + json.len(), KIND_CHUNK);
-        out.extend_from_slice(&session.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(json.as_bytes());
-        finish_record(out)
+    fn profiles(scan: &RecordScan) -> Vec<&BinProfileRecord> {
+        scan.entries
+            .iter()
+            .map(|e| match e {
+                WalEntry::Profile(r) => r,
+                other => panic!("not a profile record: {other:?}"),
+            })
+            .collect()
     }
+
+    const PAYLOAD: &[u8] = b"NPCB\xFF\x00opaque";
 
     #[test]
     fn records_round_trip() {
         let dir = tmp("roundtrip");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
-        append(&mut w, "run-a", json);
-        append(&mut w, "run-b", json);
+        append(&mut w, "run-a", PAYLOAD);
+        append(&mut w, "run-b", PAYLOAD);
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        let profiles: Vec<_> = scan.profiles().collect();
+        let profiles = profiles(&scan);
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].label, "run-a");
-        assert_eq!(profiles[1].json, json);
+        assert_eq!(profiles[1].bytes, PAYLOAD);
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(scan.valid_len, w.len());
         std::fs::remove_dir_all(&dir).ok();
@@ -681,40 +586,28 @@ mod tests {
         let dir = tmp("session");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
-        w.write_encoded(&legacy_chunk_record(7, 0, "{\"threads\":[]}"))
-            .unwrap();
-        w.write_encoded(&encode_record("oneshot", json, fnv1a(json.as_bytes())))
-            .unwrap();
         w.write_encoded(&encode_chunk_record(7, 1, &[0xAB, 0x00, 0xCD]))
             .unwrap();
         w.write_encoded(&encode_seal_record(7, 2, 0xDEAD_BEEF, "streamed"))
             .unwrap();
         w.commit().unwrap();
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        assert_eq!(scan.entries.len(), 4);
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(
-            scan.entries[0],
-            WalEntry::Chunk(ChunkRecord {
-                session: 7,
-                seq: 0,
-                payload: ChunkData::Json("{\"threads\":[]}".to_string()),
-            })
-        );
-        assert!(matches!(&scan.entries[1], WalEntry::Profile(r) if r.label == "oneshot"));
-        assert!(matches!(
-            &scan.entries[2],
-            WalEntry::Chunk(c) if c.seq == 1 && c.payload == ChunkData::Binary(vec![0xAB, 0x00, 0xCD])
-        ));
-        assert_eq!(
-            scan.entries[3],
-            WalEntry::Seal(SealRecord {
-                session: 7,
-                chunks: 2,
-                content_hash: 0xDEAD_BEEF,
-                label: "streamed".to_string(),
-            })
+            scan.entries,
+            vec![
+                WalEntry::Chunk(ChunkRecord {
+                    session: 7,
+                    seq: 1,
+                    payload: vec![0xAB, 0x00, 0xCD],
+                }),
+                WalEntry::Seal(SealRecord {
+                    session: 7,
+                    chunks: 2,
+                    content_hash: 0xDEAD_BEEF,
+                    label: "streamed".to_string(),
+                }),
+            ]
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -724,48 +617,79 @@ mod tests {
         let dir = tmp("binprofile");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let bytes = vec![0x4E, 0x50, 0x43, 0x42, 0xFF, 0x00]; // opaque to the WAL
-        w.write_encoded(&encode_bin_record("bin-run", &bytes, 0xFEED_FACE, 4242))
+        w.write_encoded(&encode_bin_record("bin-run", PAYLOAD, 0xFEED_FACE))
             .unwrap();
         w.commit().unwrap();
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(
             scan.entries,
-            vec![WalEntry::ProfileBin(BinProfileRecord {
+            vec![WalEntry::Profile(BinProfileRecord {
                 label: "bin-run".to_string(),
                 content_hash: 0xFEED_FACE,
-                json_len: 4242,
-                bytes,
+                bytes: PAYLOAD.to_vec(),
             })]
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A complete header that is not exactly this build's — an older or
+    /// newer version, another magic, a non-zero reserved word — fails
+    /// the scan with the typed refusal, whatever follows it.
     #[test]
-    fn older_version_headers_still_scan() {
-        let dir = tmp("oldversion");
+    fn foreign_headers_are_refused_with_a_typed_error() {
+        let dir = tmp("foreign");
         let path = wal_path(&dir);
-        // A v2-era file: old header version, records of the old kinds.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&2u16.to_be_bytes());
-        bytes.extend_from_slice(&[0, 0]);
-        let json = "{\"k\":1}";
-        bytes.extend_from_slice(&encode_record("legacy", json, fnv1a(json.as_bytes())));
-        std::fs::write(&path, &bytes).unwrap();
-        let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        assert_eq!(scan.entries.len(), 1);
-        assert_eq!(scan.truncated_bytes, 0);
-        assert!(matches!(&scan.entries[0], WalEntry::Profile(r) if r.label == "legacy"));
-        // Version 0 and versions from the future are not readable.
-        for bad in [0u16, PERSIST_VERSION + 1] {
-            bytes[4..6].copy_from_slice(&bad.to_be_bytes());
+        let ours = encode_file_header(WAL_MAGIC);
+        for (at, value, says) in [
+            (5, 3, "magic \"HPWL\", version 3, reserved 0x0000"),
+            (5, 5, "magic \"HPWL\", version 5, reserved 0x0000"),
+            (0, b'N', "magic \"NPWL\", version 4, reserved 0x0000"),
+            (7, 1, "magic \"HPWL\", version 4, reserved 0x0001"),
+        ] {
+            let mut bytes = ours.to_vec();
+            bytes[at] = value;
+            bytes.extend_from_slice(&encode_bin_record("r", PAYLOAD, fnv1a(PAYLOAD)));
             std::fs::write(&path, &bytes).unwrap();
-            let scan = scan_file(&path, WAL_MAGIC).unwrap();
-            assert!(scan.entries.is_empty(), "version {bad} must not scan");
-            assert_eq!(scan.valid_len, 0);
+            let err = scan_file(&path, WAL_MAGIC).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let refusal = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<UnsupportedHeader>())
+                .expect("typed refusal");
+            assert_eq!(refusal.path, path);
+            assert_eq!(refusal.found[..], bytes[..8]);
+            assert_eq!(refusal.supported, ours);
+            // The message names the file, what it holds and what is read.
+            let text = err.to_string();
+            assert!(text.contains("wal.log"), "{text}");
+            assert!(text.contains(&format!("header says {says};")), "{text}");
+            assert!(
+                text.ends_with("reads only magic \"HPWL\", version 4, reserved 0x0000"),
+                "{text}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "file untouched");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A file shorter than a header is a torn creation, not a foreign
+    /// file: it scans as empty and the writer reinitializes it.
+    #[test]
+    fn short_header_scans_empty_and_reinitializes() {
+        let dir = tmp("shortheader");
+        let path = wal_path(&dir);
+        std::fs::write(&path, b"HPWL\x00").unwrap();
+        let scan = scan_file(&path, WAL_MAGIC).unwrap();
+        assert!(scan.entries.is_empty());
+        assert_eq!(scan.valid_len, 0);
+        assert_eq!(scan.truncated_bytes, 5);
+        let w = WalWriter::open_after(&path, scan.valid_len, false).unwrap();
+        assert_eq!(w.len(), FILE_HEADER_LEN);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            encode_file_header(WAL_MAGIC).to_vec()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -774,21 +698,24 @@ mod tests {
         let dir = tmp("unknownkind");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
-        let first_end = FILE_HEADER_LEN + append(&mut w, "one", json);
+        let first_end = FILE_HEADER_LEN + append(&mut w, "one", PAYLOAD);
         drop(w);
-        // A record with a valid checksum but a kind from the future.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mut body = vec![9u8]; // unknown kind
-        body.extend_from_slice(b"payload");
-        bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&fnv1a(&body).to_be_bytes());
-        bytes.extend_from_slice(&body);
-        std::fs::write(&path, &bytes).unwrap();
-        let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        assert_eq!(scan.entries.len(), 1);
-        assert_eq!(scan.valid_len, first_end);
-        assert!(scan.truncated_bytes > 0);
+        // Records with a valid checksum but a kind this revision does
+        // not define: one from the future, one from the JSON era.
+        for kind in [9u8, 0] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mut body = vec![kind];
+            body.extend_from_slice(b"payload");
+            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(&fnv1a(&body).to_be_bytes());
+            bytes.extend_from_slice(&body);
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_file(&path, WAL_MAGIC).unwrap();
+            assert_eq!(scan.entries.len(), 1);
+            assert_eq!(scan.valid_len, first_end);
+            assert!(scan.truncated_bytes > 0);
+            std::fs::write(&path, &bytes[..first_end as usize]).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -797,8 +724,7 @@ mod tests {
         let dir = tmp("torn");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
-        append(&mut w, "whole", json);
+        append(&mut w, "whole", PAYLOAD);
         let whole = w.len();
         drop(w);
         // Simulate a torn append: half a record of garbage.
@@ -821,16 +747,15 @@ mod tests {
         let dir = tmp("corrupt");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
-        let first_end = FILE_HEADER_LEN + append(&mut w, "one", json);
-        append(&mut w, "two", json);
+        let first_end = FILE_HEADER_LEN + append(&mut w, "one", PAYLOAD);
+        append(&mut w, "two", PAYLOAD);
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         let hit = first_end as usize + 20; // somewhere inside record two
         bytes[hit] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        let profiles: Vec<_> = scan.profiles().collect();
+        let profiles = profiles(&scan);
         assert_eq!(profiles.len(), 1);
         assert_eq!(profiles[0].label, "one");
         assert_eq!(scan.valid_len, first_end);
@@ -842,9 +767,8 @@ mod tests {
         let dir = tmp("batch");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, 0, false).unwrap();
-        let json = "{\"k\":1}";
         for label in ["a", "b", "c"] {
-            w.write_encoded(&encode_record(label, json, fnv1a(json.as_bytes())))
+            w.write_encoded(&encode_bin_record(label, PAYLOAD, fnv1a(PAYLOAD)))
                 .unwrap();
         }
         w.commit().unwrap();
@@ -861,18 +785,6 @@ mod tests {
         let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
         assert!(scan.entries.is_empty());
         assert_eq!(scan.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_header_invalidates_whole_file() {
-        let dir = tmp("badheader");
-        let path = wal_path(&dir);
-        std::fs::write(&path, b"NOPE0000somebytes").unwrap();
-        let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        assert!(scan.entries.is_empty());
-        assert_eq!(scan.valid_len, 0);
-        assert_eq!(scan.truncated_bytes, 17);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,14 +1,15 @@
-//! Cross-format store behavior: binary-codec ingestion dedups against
-//! JSON ingestion of the same content, JSON-era (persist v1/v2) data
-//! directories replay under the binary build, and `ingest_dir` keeps
-//! non-UTF-8 file names distinguishable.
+//! Cross-format store behavior: one profile gets one id however it
+//! arrives — a JSON file, codec bytes, a non-canonical container, a
+//! chunked stream — and `ingest_dir` keeps non-UTF-8 file names
+//! distinguishable.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
-use numa_store::wal::{scan_file, wal_path, WalEntry, SNAPSHOT_MAGIC, WAL_MAGIC};
-use numa_store::{fnv1a, PersistOptions, ProfileStore, StoreError};
+use numa_store::stream::{assemble, split_profile};
+use numa_store::wal::{scan_file, wal_path, WalEntry, WAL_MAGIC};
+use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -71,7 +72,7 @@ fn binary_ingest_dedups_with_json_and_shares_one_id() {
     let (json_id, added) = store.ingest_bytes("as-json", &corpus()[0]).unwrap();
     assert!(added);
     // The same content arriving as codec bytes is the same profile:
-    // identity stays defined over the canonical JSON.
+    // JSON is parsed to the struct before anything is hashed.
     let (bin_id, added) = store.ingest_binary("as-binary", &bytes).unwrap();
     assert!(!added);
     assert_eq!(json_id, bin_id);
@@ -130,64 +131,80 @@ fn binary_ingests_replay_across_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A codec container that decodes to the same profile without being
+/// its canonical encoding: it carries a trailing section id this build
+/// does not know, which the codec skips. (Reordered sections are the
+/// codec's own property test, `numa-codec/tests/canonical.rs`.)
+fn non_canonical(canonical: &[u8]) -> Vec<u8> {
+    let mut out = canonical.to_vec();
+    out.extend_from_slice(&[0x7F, 0, 0, 0, 3, b'n', b'e', b'w']);
+    out
+}
+
+/// The identity this store promises: one profile ingested as a JSON
+/// file, as its canonical codec bytes, as a non-canonical container and
+/// as a stream of reversed chunks gets one id and three dedups; that id
+/// is `ProfileId::of`'s (the benchmark harness's oracle); and the WAL
+/// holds the canonical bytes, once.
 #[test]
-fn json_era_data_dir_replays_and_compacts_forward() {
-    let dir = scratch("v2-era");
-    std::fs::create_dir_all(&dir).unwrap();
-    // Hand-write a persist-v2 WAL: old header version, JSON records —
-    // exactly what a pre-binary build left behind.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&WAL_MAGIC);
-    bytes.extend_from_slice(&2u16.to_be_bytes());
-    bytes.extend_from_slice(&[0, 0]);
-    for (i, json) in corpus().iter().enumerate().take(2) {
-        bytes.extend_from_slice(&numa_store::wal::encode_record(
-            &format!("legacy-{i}"),
-            json,
-            fnv1a(json.as_bytes()),
-        ));
-    }
-    std::fs::write(wal_path(&dir), &bytes).unwrap();
+fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
+    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
+    let (id, canonical) = ProfileId::of(&p);
+    assert_eq!(id.0, fnv1a(&canonical));
+    assert_eq!(canonical, numa_codec::encode_profile(&p));
+    let odd = non_canonical(&canonical);
+    assert_ne!(
+        fnv1a(&odd),
+        id.0,
+        "the container as sent hashes differently"
+    );
 
-    let oracle = ProfileStore::new();
-    for (i, json) in corpus().iter().enumerate().take(2) {
-        oracle.ingest_bytes(&format!("legacy-{i}"), json).unwrap();
-    }
+    let dir = scratch("four-formats");
+    let files = dir.join("files");
+    std::fs::create_dir_all(&files).unwrap();
+    std::fs::write(files.join("run.json"), &corpus()[0]).unwrap();
+    let store = open(&dir.join("db"));
 
-    {
-        let store = open(&dir);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.set_hash(), oracle.set_hash());
-        let p = store.persist_stats();
-        assert_eq!(p.wal_records_replayed, 2);
-        assert_eq!(p.wal_truncated_bytes, 0);
-        // New ingests append v3 records to the v2-header file; the
-        // record kinds are self-describing, so the mix replays.
-        store.ingest_bytes("fresh", &corpus()[2]).unwrap();
-        oracle.ingest_bytes("fresh", &corpus()[2]).unwrap();
+    assert_eq!(store.ingest_dir(&files).unwrap().added, vec![id]);
+    assert_eq!(store.ingest_binary("bin", &canonical).unwrap(), (id, false));
+    assert_eq!(store.ingest_binary("odd", &odd).unwrap(), (id, false));
+    let mut chunks = split_profile(&p, 1);
+    chunks.reverse(); // header last, threads in reverse tid order
+    for (seq, chunk) in chunks.iter().enumerate() {
+        store
+            .stage_chunk(9, seq as u64, &chunk.to_binary())
+            .unwrap();
     }
-    {
-        let store = open(&dir);
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.set_hash(), oracle.set_hash());
-        // Compaction rewrites the whole corpus forward as binary
-        // snapshot rows.
-        store.flush().unwrap();
-    }
-    let snap = scan_file(&numa_store::snapshot::snapshot_path(&dir), SNAPSHOT_MAGIC).unwrap();
-    assert_eq!(snap.entries.len(), 3);
-    assert!(snap
+    let sealed = store.commit_sealed(9, "streamed", assemble(chunks).unwrap());
+    assert_eq!(sealed.unwrap(), (id, false));
+
+    let stats = store.stats();
+    assert_eq!((stats.profiles, stats.deduplicated), (1, 3));
+    assert_eq!(stats.codec_bytes, canonical.len());
+    drop(store);
+    let log = scan_file(&wal_path(&dir.join("db")), WAL_MAGIC).unwrap();
+    let logged: Vec<_> = log
         .entries
         .iter()
-        .all(|e| matches!(e, WalEntry::ProfileBin(_))));
-    let store = open(&dir);
-    assert_eq!(store.len(), 3);
-    assert_eq!(store.set_hash(), oracle.set_hash());
-    assert_eq!(store.persist_stats().snapshot_records_loaded, 3);
+        .filter_map(|e| match e {
+            WalEntry::Profile(r) => Some(r),
+            _ => None, // the deduplicated stream's sealless chunks
+        })
+        .collect();
+    assert_eq!(logged.len(), 1);
     assert_eq!(
-        store.aggregate().unwrap().text(),
-        oracle.aggregate().unwrap().text()
+        (logged[0].content_hash, &logged[0].bytes),
+        (id.0, &canonical)
     );
+
+    // A non-canonical container that arrives *first* is still logged as
+    // its canonical re-encoding, never as sent.
+    let store = open(&dir.join("odd-first"));
+    assert_eq!(store.ingest_binary("odd", &odd).unwrap(), (id, true));
+    drop(store);
+    let log = scan_file(&wal_path(&dir.join("odd-first")), WAL_MAGIC).unwrap();
+    assert!(matches!(log.entries.as_slice(), [WalEntry::Profile(r)]
+        if r.label == "odd" && r.content_hash == id.0 && r.bytes == canonical));
     std::fs::remove_dir_all(&dir).ok();
 }
 

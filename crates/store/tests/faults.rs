@@ -27,8 +27,10 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
-use numa_store::wal::{scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
-use numa_store::{PersistOptions, ProfileStore, StoreConfig, StoreError};
+use numa_store::wal::{
+    encode_bin_record, encode_file_header, scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC,
+};
+use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,10 +115,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One step of a seeded workload. `bin` selects the format the op
-/// arrives in (codec bytes vs. JSON that the store or the live layer
-/// transcodes) so the matrix exercises both arrival paths — and their
-/// mixtures — under faults.
+/// One step of a seeded workload. `bin` selects how the op arrives —
+/// an ingest as codec bytes or as JSON the store transcodes, a stream's
+/// chunks as split or after a wire round trip — so the matrix exercises
+/// both arrival paths, and their mixtures, under faults.
 #[derive(Clone, Copy, Debug)]
 enum PlannedOp {
     /// One-shot ingest of `corpus()[idx]`.
@@ -200,12 +202,13 @@ fn run_schedule(seed: u64) {
                     let p = NumaProfile::from_json(&corpus()[idx]).unwrap();
                     let chunks: Vec<ChunkPayload> = split_profile(&p, parts);
                     let staged = chunks.iter().enumerate().all(|(seq, chunk)| {
-                        // A JSON chunk reaches the store the way the live
-                        // layer hands it over: parsed, then transcoded.
+                        // The other arm reaches the store the way the
+                        // live layer hands a chunk over: decoded off the
+                        // wire, then staged re-encoded.
                         let payload = if bin {
                             chunk.to_binary()
                         } else {
-                            ChunkPayload::from_json(&chunk.to_json())
+                            ChunkPayload::from_binary(&chunk.to_binary())
                                 .unwrap()
                                 .to_binary()
                         };
@@ -353,7 +356,7 @@ fn oversized_body_len_on_first_record_recovers_empty() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = wal_path(&dir);
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"HPWL\x00\x02\x00\x00");
+    bytes.extend_from_slice(&encode_file_header(WAL_MAGIC));
     bytes.extend_from_slice(&u32::MAX.to_be_bytes());
     bytes.extend_from_slice(&[0u8; 8]);
     std::fs::write(&path, &bytes).unwrap();
@@ -573,15 +576,10 @@ fn failed_append_is_typed_rolled_back_and_retryable() {
 #[test]
 fn enospc_fails_ingest_keeps_serving_and_acked_data() {
     let dir = scratch("enospc");
-    // Budget: header + first record + a sliver, so ingest #1 commits
-    // and ingest #2 hits ENOSPC.
-    let first = numa_store::wal::encode_record(
-        "full-0",
-        &corpus()[0],
-        numa_store::ProfileId::of(&NumaProfile::from_json(&corpus()[0]).unwrap())
-            .0
-             .0,
-    );
+    // Budget: header + the record ingest #1 writes + a sliver, so it
+    // commits and ingest #2 hits ENOSPC.
+    let (id, bytes) = ProfileId::of(&NumaProfile::from_json(&corpus()[0]).unwrap());
+    let first = encode_bin_record("full-0", &bytes, id.0);
     let storage = Arc::new(FaultyStorage::new(FaultSpec {
         enospc_after: Some(FILE_HEADER_LEN + first.len() as u64 + 16),
         ..FaultSpec::default()

@@ -7,9 +7,13 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
+use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile};
-use numa_store::wal::{encode_seal_record, scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
-use numa_store::{fnv1a, PersistOptions, ProfileStore};
+use numa_store::wal::{
+    encode_file_header, encode_seal_record, scan_file, wal_path, UnsupportedHeader,
+    FILE_HEADER_LEN, PERSIST_VERSION, SNAPSHOT_MAGIC, WAL_MAGIC,
+};
+use numa_store::{PersistOptions, ProfileId, ProfileStore};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,17 +151,25 @@ fn replay_does_not_reappend_records() {
     let dir = scratch("no-reappend");
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("a", &corpus()[0]).unwrap();
+        store.ingest_bytes("in-snapshot", &corpus()[0]).unwrap();
+        store.flush().unwrap();
+        store.ingest_bytes("in-wal", &corpus()[1]).unwrap();
     }
-    let len_once = std::fs::metadata(wal_path(&dir)).unwrap().len();
+    let files = || {
+        (
+            std::fs::read(wal_path(&dir)).unwrap(),
+            std::fs::read(snapshot_path(&dir)).unwrap(),
+        )
+    };
+    let once = files();
     {
-        // Reopen + replay must not grow the WAL (replayed inserts are
-        // already durable).
+        // Reopen + replay must leave the directory byte-identical:
+        // replayed inserts are already durable, so nothing is
+        // re-appended, rewritten or compacted.
         let store = open(&dir, PersistOptions::default());
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.len(), 2);
     }
-    let len_twice = std::fs::metadata(wal_path(&dir)).unwrap().len();
-    assert_eq!(len_once, len_twice);
+    assert!(once == files(), "a reopen changed the data directory");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -223,57 +235,152 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A kind-1 (JSON chunk) record exactly as a pre-codec build wrote it.
-/// No API writes these any more, so the fixture frames one by hand.
-fn legacy_json_chunk_record(session: u64, seq: u64, json: &str) -> Vec<u8> {
-    let mut body = vec![1u8];
-    body.extend_from_slice(&session.to_be_bytes());
-    body.extend_from_slice(&seq.to_be_bytes());
-    body.extend_from_slice(json.as_bytes());
-    let mut out = (body.len() as u32).to_be_bytes().to_vec();
-    out.extend_from_slice(&fnv1a(&body).to_be_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// A data directory a persist-v2 daemon left behind — JSON chunk
-/// records, one sealed session and one the client never sealed — still
-/// recovers under this build, which only ever *writes* binary chunks.
+/// A seal whose chunks no longer hash to it — here the seal names
+/// another profile's id — drops the session instead of admitting a
+/// profile under an id its bytes do not have.
 #[test]
-fn legacy_json_chunk_sessions_still_replay() {
-    let dir = scratch("legacy-chunks");
-    std::fs::create_dir_all(&dir).unwrap();
-    let oracle = ProfileStore::new();
-    let (id, _) = oracle.ingest_bytes("streamed", &corpus()[0]).unwrap();
+fn a_seal_its_chunks_do_not_hash_to_drops_the_session() {
+    let dir = scratch("seal-mismatch");
     let a = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let b = NumaProfile::from_json(&corpus()[1]).unwrap();
-    let a_chunks = split_profile(&a, 2);
-
-    let mut bytes = WAL_MAGIC.to_vec();
-    bytes.extend_from_slice(&2u16.to_be_bytes());
-    bytes.extend_from_slice(&[0, 0]);
-    for (seq, chunk) in a_chunks.iter().enumerate() {
-        bytes.extend_from_slice(&legacy_json_chunk_record(1, seq as u64, &chunk.to_json()));
+    let other = ProfileId::of(&NumaProfile::from_json(&corpus()[1]).unwrap()).0;
+    let chunks = split_profile(&a, 2);
+    {
+        let store = open(&dir, PersistOptions::default());
+        for (seq, chunk) in chunks.iter().enumerate() {
+            store
+                .stage_chunk(1, seq as u64, &chunk.to_binary())
+                .unwrap();
+        }
     }
-    let unsealed = &split_profile(&b, 2)[0];
-    bytes.extend_from_slice(&legacy_json_chunk_record(2, 0, &unsealed.to_json()));
-    bytes.extend_from_slice(&encode_seal_record(
-        1,
-        a_chunks.len() as u64,
-        id.0,
-        "streamed",
-    ));
-    std::fs::write(wal_path(&dir), &bytes).unwrap();
-
+    // The daemon died before the seal; forge one that disagrees.
+    let staged = std::fs::read(wal_path(&dir)).unwrap();
+    let with_seal = |content_hash: u64| {
+        let mut bytes = staged.clone();
+        bytes.extend_from_slice(&encode_seal_record(
+            1,
+            chunks.len() as u64,
+            content_hash,
+            "sealed",
+        ));
+        std::fs::write(wal_path(&dir), &bytes).unwrap();
+    };
+    with_seal(other.0);
     let store = open(&dir, PersistOptions::default());
-    assert_eq!(store.len(), 1);
-    assert_eq!(store.set_hash(), oracle.set_hash());
-    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
+    assert_eq!(store.len(), 0);
     let p = store.persist_stats();
     assert_eq!(p.wal_truncated_bytes, 0);
-    assert_eq!(p.sessions_recovered, 1);
-    assert_eq!(p.sessions_dropped, 1);
-    assert_eq!(p.session_chunks_replayed, (a_chunks.len() + 1) as u64);
+    assert_eq!((p.sessions_recovered, p.sessions_dropped), (0, 1));
+    drop(store);
+
+    // The same chunks under the seal they do hash to recover.
+    let right = ProfileId::of(&a).0;
+    with_seal(right.0);
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.ids(), vec![right]);
+    assert_eq!(store.persist_stats().sessions_recovered, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An id acknowledged before a SIGKILL-style stop (no flush, no clean
+/// shutdown) is the id listed after the reopen — recovered from the WAL
+/// alone, and again from the snapshot alone — with the set hash equal.
+#[test]
+fn acked_ids_are_the_ids_listed_after_a_reopen() {
+    let dir = scratch("acked-ids");
+    let streamed = NumaProfile::from_json(&corpus()[2]).unwrap();
+    let (acked, set_hash) = {
+        let store = open(&dir, PersistOptions::default());
+        let mut acked = vec![
+            store.ingest_bytes("as-json", &corpus()[0]).unwrap().0,
+            store
+                .ingest_binary(
+                    "as-binary",
+                    &numa_codec::encode_profile(&NumaProfile::from_json(&corpus()[1]).unwrap()),
+                )
+                .unwrap()
+                .0,
+        ];
+        for (seq, chunk) in split_profile(&streamed, 1).iter().enumerate() {
+            store
+                .stage_chunk(5, seq as u64, &chunk.to_binary())
+                .unwrap();
+        }
+        acked.push(store.commit_sealed(5, "streamed", streamed).unwrap().0);
+        (acked, store.set_hash())
+    };
+    // WAL only: two profile records plus a sealed session.
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.persist_stats().snapshot_records_loaded, 0);
+    assert_eq!(store.ids(), acked);
+    assert_eq!(store.set_hash(), set_hash);
+    store.flush().unwrap();
+    drop(store);
+    // Snapshot only: the flush emptied the WAL.
+    let store = open(&dir, PersistOptions::default());
+    let p = store.persist_stats();
+    assert_eq!((p.snapshot_records_loaded, p.wal_records_replayed), (3, 0));
+    let mut listed = store.ids();
+    listed.sort();
+    let mut sorted = acked.clone();
+    sorted.sort();
+    assert_eq!(listed, sorted);
+    assert_eq!(store.set_hash(), set_hash);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The four ways a complete header can fail to be this build's, over a
+/// non-empty WAL and over a non-empty snapshot: `open_durable` returns
+/// the typed refusal and both files are byte-for-byte what they were.
+#[test]
+fn foreign_headers_refuse_the_open_and_leave_both_files_untouched() {
+    let dir = scratch("foreign");
+    {
+        let store = open(&dir, PersistOptions::default());
+        store.ingest_bytes("in-snapshot", &corpus()[0]).unwrap();
+        store.flush().unwrap();
+        store.ingest_bytes("in-wal", &corpus()[1]).unwrap();
+    }
+    let files = || {
+        (
+            std::fs::read(wal_path(&dir)).unwrap(),
+            std::fs::read(snapshot_path(&dir)).unwrap(),
+        )
+    };
+    let intact = files();
+    assert!(intact.0.len() > 8 && intact.1.len() > 8);
+
+    for (path, magic) in [
+        (wal_path(&dir), WAL_MAGIC),
+        (snapshot_path(&dir), SNAPSHOT_MAGIC),
+    ] {
+        let ours = encode_file_header(magic);
+        let good = std::fs::read(&path).unwrap();
+        // An older version, a newer one, another magic, a reserved word.
+        for (at, value) in [(5, 3), (5, PERSIST_VERSION as u8 + 1), (0, b'h'), (7, 1)] {
+            let mut damaged = good.clone();
+            damaged[at] = value;
+            std::fs::write(&path, &damaged).unwrap();
+            let before = files();
+            let err = ProfileStore::open_durable(&dir, 16, PersistOptions::default())
+                .err()
+                .unwrap_or_else(|| panic!("{path:?} byte {at}={value} must refuse the open"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let refusal = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<UnsupportedHeader>())
+                .unwrap_or_else(|| panic!("untyped refusal: {err}"));
+            assert_eq!(refusal.path, path);
+            assert_eq!(refusal.found[..], damaged[..8]);
+            assert_eq!(refusal.supported, ours);
+            // Nothing unreadable is written over, and the readable
+            // sibling is not compacted or truncated either.
+            assert!(before == files(), "{path:?} byte {at}={value}");
+        }
+        std::fs::write(&path, good).unwrap();
+    }
+    // With both headers restored the directory opens as if never touched.
+    assert!(intact == files());
+    assert_eq!(open(&dir, PersistOptions::default()).len(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -379,12 +486,16 @@ proptest! {
         // Records strictly before the flipped byte are untouched; the
         // record containing it fails its checksum (FNV-1a maps a fixed
         // single-byte substitution to a different hash) or, if the flip
-        // hits the file header, nothing replays at all.
-        let store = open(&dir, PersistOptions::default());
+        // hits the file header, the file is no longer this build's: the
+        // open is refused and the log left exactly as found.
         if (pos as u64) < FILE_HEADER_LEN {
-            prop_assert_eq!(store.len(), 0);
-            prop_assert_eq!(store.persist_stats().wal_truncated_bytes, full);
+            let err = ProfileStore::open_durable(&dir, 16, PersistOptions::default())
+                .err()
+                .expect("a damaged header refuses the open");
+            prop_assert!(err.get_ref().is_some_and(|e| e.is::<UnsupportedHeader>()), "{err}");
+            prop_assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), bytes);
         } else {
+            let store = open(&dir, PersistOptions::default());
             let intact = ends.iter().filter(|&&e| e <= pos as u64).count();
             prop_assert_eq!(store.len(), intact);
             prop_assert_eq!(store.set_hash(), hashes[intact]);
