@@ -6,7 +6,7 @@
 use numa_obs::trace::SpanBody;
 use numa_obs::{Histogram, SpanRing};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const WRITERS: usize = 8;
 const PER_WRITER: u64 = 2_000;
@@ -29,16 +29,23 @@ fn checked_body(x: u64) -> SpanBody {
 
 #[test]
 fn ring_survives_eight_writers_and_racing_readers() {
+    const READERS: usize = 2;
     let ring = Arc::new(SpanRing::new(CAPACITY));
     let stop = Arc::new(AtomicBool::new(false));
+    // All ten threads leave one barrier together, and a reader finishes
+    // a scrape before it first looks at `stop`: the writers cannot be
+    // done (and `stop` set) before a reader was ever scheduled.
+    let start = Arc::new(Barrier::new(WRITERS + READERS));
 
-    let readers: Vec<_> = (0..2)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let mut scrapes = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let spans = ring.recent(CAPACITY * 2);
                     // Bounded memory: never more than the capacity.
                     assert!(spans.len() <= CAPACITY, "ring grew to {}", spans.len());
@@ -56,8 +63,10 @@ fn ring_survives_eight_writers_and_racing_readers() {
                         assert_eq!(s.shard, Some((x % 16) as u32), "torn span {s:?}");
                     }
                     scrapes += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        return scrapes;
+                    }
                 }
-                scrapes
             })
         })
         .collect();
@@ -65,7 +74,9 @@ fn ring_survives_eight_writers_and_racing_readers() {
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let ring = Arc::clone(&ring);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_WRITER {
                     ring.push(checked_body(w as u64 * PER_WRITER + i));
                 }
@@ -94,11 +105,14 @@ fn ring_survives_eight_writers_and_racing_readers() {
 fn histogram_snapshots_stay_consistent_under_concurrent_records() {
     let h = Histogram::new();
     let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(WRITERS + 1));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let h = h.clone();
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_WRITER {
                     h.record((i << (w % 20)) | 1);
                 }
@@ -114,9 +128,11 @@ fn histogram_snapshots_stay_consistent_under_concurrent_records() {
     let scraper = {
         let h = h.clone();
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
-            let mut last_count = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            start.wait();
+            let (mut last_count, mut snapshots) = (0u64, 0u64);
+            loop {
                 let s = h.snapshot();
                 assert_eq!(s.count, s.buckets.iter().sum::<u64>());
                 assert!(s.count >= last_count, "count went backwards");
@@ -124,8 +140,11 @@ fn histogram_snapshots_stay_consistent_under_concurrent_records() {
                 let (p50, p95, p99) = (s.percentile(0.50), s.percentile(0.95), s.percentile(0.99));
                 assert!(p50 <= p95 && p95 <= p99, "non-monotone: {p50} {p95} {p99}");
                 assert!(p99 <= s.max.max(p99));
+                snapshots += 1;
+                if stop.load(Ordering::Relaxed) {
+                    return snapshots;
+                }
             }
-            last_count
         })
     };
 
@@ -133,6 +152,7 @@ fn histogram_snapshots_stay_consistent_under_concurrent_records() {
         t.join().expect("writer");
     }
     stop.store(true, Ordering::Relaxed);
-    scraper.join().expect("scraper");
+    let snapshots = scraper.join().expect("scraper");
+    assert!(snapshots > 0, "scraper checked nothing");
     assert_eq!(h.snapshot().count, (WRITERS as u64) * PER_WRITER);
 }

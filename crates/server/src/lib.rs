@@ -9,9 +9,10 @@
 //!
 //! * [`protocol`] — length-prefixed JSON frames with a versioned
 //!   header, a strict frame-size cap, and a typed error taxonomy
-//!   ([`protocol::WireError`]). The codec is push-based
-//!   ([`protocol::FrameDecoder`]) so it survives arbitrary TCP
-//!   fragmentation.
+//!   ([`protocol::WireError`]). The blocking reader
+//!   ([`protocol::read_frame`]) takes exactly one frame off the
+//!   transport per call; the push-based [`protocol::FrameDecoder`]
+//!   parses the same format from arbitrary TCP fragments.
 //! * [`server`] — [`server::Backend`], the one function that executes
 //!   a [`protocol::Request`], and `hpcd-sim`'s engine in front of it:
 //!   accept loop + bounded connection queue + worker-thread pool (the

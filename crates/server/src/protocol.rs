@@ -14,9 +14,11 @@
 //! ```
 //!
 //! A peer validates the header as soon as its 12 bytes arrive, so an
-//! oversized or garbage frame is rejected *before* any payload is
-//! buffered. Truncation (EOF inside a frame) is reported distinctly
-//! from a clean EOF at a frame boundary.
+//! oversized or garbage frame is rejected *before* any payload is read
+//! or reserved for. Truncation (EOF inside a frame) is reported
+//! distinctly from a clean EOF at a frame boundary. [`read_frame`]
+//! consumes exactly one frame per call, so pipelined frames are each
+//! answered; [`FrameDecoder`] parses the same format from pushed bytes.
 //!
 //! ## Version and capability rules
 //!
@@ -297,26 +299,11 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        if self.buf.len() < HEADER_LEN {
+        let Some(header) = self.buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let magic = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-        if magic != MAGIC {
-            return Err(self.poison(FrameError::BadMagic(magic)));
-        }
-        let version = u16::from_be_bytes([self.buf[4], self.buf[5]]);
-        // Capability bits are policy, not framing: unknown bits are the
-        // *receiver's* call (the daemon answers with a typed error), so
-        // the decoder accepts any flags word.
-        let flags = u16::from_be_bytes([self.buf[6], self.buf[7]]);
-        let len =
-            u32::from_be_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]]) as usize;
-        if len > self.max_frame {
-            return Err(self.poison(FrameError::Oversized {
-                len,
-                max: self.max_frame,
-            }));
-        }
+        };
+        let (version, flags, len) =
+            parse_header(header, self.max_frame).map_err(|e| self.poison(e))?;
         if self.buf.len() < HEADER_LEN + len {
             return Ok(None);
         }
@@ -335,31 +322,70 @@ impl FrameDecoder {
     }
 }
 
-/// Read exactly one frame from a blocking reader. Returns `Ok(None)` on
-/// a clean EOF at a frame boundary; EOF mid-frame is
-/// [`RecvError::TruncatedEof`].
+/// Validate a frame header: `(version, flags, payload length)`, or the
+/// structural error that makes the stream unusable. The one header
+/// check, shared by [`FrameDecoder`] and [`read_frame`], so a bad magic
+/// or an over-cap length is refused before a payload byte is read or
+/// reserved for.
+fn parse_header(
+    header: &[u8; HEADER_LEN],
+    max_frame: usize,
+) -> Result<(u16, u16, usize), FrameError> {
+    let magic = [header[0], header[1], header[2], header[3]];
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    let version = u16::from_be_bytes([header[4], header[5]]);
+    // Capability bits are policy, not framing: unknown bits are the
+    // *receiver's* call (the daemon answers with a typed error), so
+    // any flags word is accepted here.
+    let flags = u16::from_be_bytes([header[6], header[7]]);
+    let len = u32::from_be_bytes([header[8], header[9], header[10], header[11]]) as usize;
+    if len > max_frame {
+        return Err(FrameError::Oversized {
+            len,
+            max: max_frame,
+        });
+    }
+    Ok((version, flags, len))
+}
+
+/// The most [`read_frame`] reserves for a payload before any of it has
+/// arrived. A frame up to this size lands in one exactly-sized buffer;
+/// a longer one grows the buffer as its bytes come in, so a peer cannot
+/// make the receiver allocate by *declaring* a length.
+const PAYLOAD_RESERVE: usize = 64 << 10;
+
+/// Read exactly one frame from a blocking reader — the header, then the
+/// `length` payload bytes it declares, and never a byte past them, so
+/// frames a peer pipelined behind this one stay in the transport for
+/// the next call. Returns `Ok(None)` on a clean EOF at a frame
+/// boundary; EOF mid-frame is [`RecvError::TruncatedEof`].
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>, RecvError> {
-    let mut decoder = FrameDecoder::new(max_frame);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = decoder.next_frame()? {
-            return Ok(Some(frame));
-        }
-        match r.read(&mut chunk) {
-            Ok(0) => {
-                return if decoder.pending() == 0 {
-                    Ok(None)
-                } else {
-                    Err(RecvError::TruncatedEof {
-                        got: decoder.pending(),
-                    })
-                };
-            }
-            Ok(n) => decoder.push(&chunk[..n]),
+    let mut header = [0u8; HEADER_LEN];
+    let mut got = 0;
+    while got < HEADER_LEN {
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(RecvError::TruncatedEof { got }),
+            Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
+    let (version, flags, len) = parse_header(&header, max_frame)?;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(RecvError::TruncatedEof {
+            got: HEADER_LEN + payload.len(),
+        });
+    }
+    Ok(Some(Frame {
+        version,
+        flags,
+        payload,
+    }))
 }
 
 // ---------------------------------------------------------------------------

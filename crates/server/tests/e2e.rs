@@ -273,6 +273,33 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
 }
 
 #[test]
+fn two_frames_in_one_write_get_two_answers() {
+    let (addr, server) = spawn_server(ServerConfig::default());
+
+    // A pipelining peer: both requests reach the daemon's socket buffer
+    // in one segment. Reading the first frame must leave the second in
+    // the transport — a reader that pulls whatever is there and keeps
+    // one frame answers once and lets the second read time out.
+    let mut s = TcpStream::connect(addr).expect("connect raw");
+    s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let ping = encode_frame(PROTOCOL_VERSION, b"\"Ping\"").expect("encode");
+    s.write_all(&[ping.clone(), ping].concat())
+        .expect("send both");
+    for nth in ["first", "second"] {
+        let frame = read_frame(&mut s, 1 << 20)
+            .unwrap_or_else(|e| panic!("{nth} reply: {e}"))
+            .expect("frame");
+        let resp = numa_server::protocol::decode_response(&frame.payload).expect("decode");
+        assert_eq!(resp, Response::Pong, "{nth} reply");
+    }
+    drop(s);
+
+    let mut c = Client::connect(addr).expect("connect");
+    c.shutdown().expect("shutdown");
+    server.join().expect("join").expect("run ok");
+}
+
+#[test]
 fn request_level_errors_keep_the_connection_usable() {
     let (addr, server) = spawn_server(ServerConfig::default());
     let mut c = Client::connect(addr).expect("connect");

@@ -296,3 +296,212 @@ fn frame_len_rejects_payloads_past_u32() {
         }
     );
 }
+
+/// An in-memory peer that hands out at most `step` bytes per `read`
+/// (and, when asked, an `Interrupted` before each), counting what it
+/// has given away.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    given: usize,
+    step: usize,
+    interrupt: bool,
+    interrupted: bool,
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.interrupt && !self.interrupted {
+            self.interrupted = true;
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        self.interrupted = false;
+        let n = buf.len().min(self.step).min(self.bytes.len() - self.given);
+        buf[..n].copy_from_slice(&self.bytes[self.given..self.given + n]);
+        self.given += n;
+        Ok(n)
+    }
+}
+
+/// What one `read_frame` call returned, in comparable form.
+#[derive(Clone, Debug, PartialEq)]
+enum Outcome {
+    CleanEof,
+    Truncated(usize),
+    Frame { flags: u16, payload: Vec<u8> },
+    Oversized { len: usize, max: usize },
+    BadMagic([u8; 4]),
+}
+
+fn outcome(r: &mut impl std::io::Read, max_frame: usize) -> Outcome {
+    match read_frame(r, max_frame) {
+        Ok(None) => Outcome::CleanEof,
+        Ok(Some(f)) => {
+            assert_eq!(f.version, PROTOCOL_VERSION);
+            Outcome::Frame {
+                flags: f.flags,
+                payload: f.payload,
+            }
+        }
+        Err(RecvError::TruncatedEof { got }) => Outcome::Truncated(got),
+        Err(RecvError::Frame(FrameError::Oversized { len, max })) => {
+            Outcome::Oversized { len, max }
+        }
+        Err(RecvError::Frame(FrameError::BadMagic(m))) => Outcome::BadMagic(m),
+        Err(RecvError::Io(e)) => panic!("unexpected transport error {e}"),
+    }
+}
+
+#[test]
+fn read_frame_results_table() {
+    const MAX: usize = 64;
+    let frame = encode_frame_flags(PROTOCOL_VERSION, caps::STREAMING, b"0123456789").unwrap();
+    let empty = encode_frame(PROTOCOL_VERSION, b"").unwrap();
+    let oversized = encode_frame(PROTOCOL_VERSION, &[b'x'; MAX + 1]).unwrap();
+    let mut bad_magic = frame.clone();
+    bad_magic[..4].copy_from_slice(b"GET ");
+    let two = [frame.clone(), empty.clone()].concat();
+    let whole = Outcome::Frame {
+        flags: caps::STREAMING,
+        payload: b"0123456789".to_vec(),
+    };
+    let no_payload = Outcome::Frame {
+        flags: 0,
+        payload: Vec::new(),
+    };
+    let over = Outcome::Oversized {
+        len: MAX + 1,
+        max: MAX,
+    };
+
+    // (the whole stream, what one call returns, how many bytes it took)
+    let mut rows: Vec<(&[u8], Outcome, usize)> = vec![(&[], Outcome::CleanEof, 0)];
+    for cut in 1..frame.len() {
+        rows.push((&frame[..cut], Outcome::Truncated(cut), cut));
+    }
+    rows.push((&frame, whole.clone(), frame.len()));
+    rows.push((&empty, no_payload.clone(), HEADER_LEN));
+    // Never a byte past the frame: what follows it stays unread.
+    rows.push((&two, whole.clone(), frame.len()));
+    // A structural error is decided by the header alone, before a
+    // payload byte is read — whether or not the payload ever arrives.
+    rows.push((&oversized, over.clone(), HEADER_LEN));
+    rows.push((&oversized[..HEADER_LEN], over, HEADER_LEN));
+    rows.push((&bad_magic, Outcome::BadMagic(*b"GET "), HEADER_LEN));
+
+    for (bytes, want, consumed) in &rows {
+        // One byte at a time, with and without an `Interrupted` before
+        // every read, in threes, and all at once.
+        for (step, interrupt) in [(1, false), (1, true), (3, true), (usize::MAX, false)] {
+            let mut peer = Dribble {
+                bytes,
+                given: 0,
+                step,
+                interrupt,
+                interrupted: false,
+            };
+            assert_eq!(&outcome(&mut peer, MAX), want, "step {step}");
+            assert_eq!(peer.given, *consumed, "{want:?} at step {step}");
+        }
+    }
+
+    // The pipelined pair, read to the end: two frames, then a clean EOF.
+    let mut peer = std::io::Cursor::new(two);
+    assert_eq!(outcome(&mut peer, MAX), whole);
+    assert_eq!(outcome(&mut peer, MAX), no_payload);
+    assert_eq!(outcome(&mut peer, MAX), Outcome::CleanEof);
+}
+
+#[test]
+fn read_frame_surfaces_a_timeout_mid_frame() {
+    // Header delivered, then the transport's read timeout fires: the
+    // error is the timeout, not a truncation and not a hang.
+    struct ThenTimesOut(std::io::Cursor<Vec<u8>>);
+    impl std::io::Read for ThenTimesOut {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(std::io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+    }
+    let bytes = encode_frame(PROTOCOL_VERSION, b"payload").unwrap();
+    for keep in [0, 5, HEADER_LEN, HEADER_LEN + 3] {
+        let mut peer = ThenTimesOut(std::io::Cursor::new(bytes[..keep].to_vec()));
+        let err = read_frame(&mut peer, 64).expect_err("timed out");
+        assert!(err.is_timeout(), "keep {keep}: {err:?}");
+    }
+}
+
+/// Strings that exercise every branch of the JSON string kernels under
+/// the response path: each control byte, the two escaped punctuation
+/// marks, `/`, DEL, 2–4-byte UTF-8 and long clean runs, in seeded mixes.
+fn kernel_strings() -> Vec<String> {
+    let mut out = vec![
+        String::new(),
+        (0u8..0x20).map(char::from).collect(),
+        "\"\\/\u{7f}".to_string(),
+        "é ß → 温 😀 \u{10ffff}".to_string(),
+        "a clean run with no escapes at all ".repeat(64),
+        "line one\nline two\n\ttabbed \"quoted\" back\\slash\r\n".repeat(16),
+    ];
+    let atoms = [
+        "\u{0}",
+        "\u{1}",
+        "\u{8}",
+        "\t",
+        "\n",
+        "\u{c}",
+        "\r",
+        "\u{1f}",
+        "\"",
+        "\\",
+        "/",
+        "\u{7f}",
+        "é",
+        "→",
+        "😀",
+        "plain ascii run, long enough to be copied as one piece; ",
+        "x",
+    ];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..200 {
+        let mut s = String::new();
+        for _ in 0..1 + state % 24 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            s.push_str(atoms[(state % atoms.len() as u64) as usize]);
+        }
+        out.push(s);
+    }
+    out
+}
+
+#[test]
+fn text_responses_round_trip_through_the_string_kernels() {
+    for s in kernel_strings() {
+        let resp = Response::Text(s);
+        let payload = encode_response(&resp);
+        assert!(
+            payload.iter().all(|&b| b >= 0x20),
+            "a control byte went out unescaped: {resp:?}"
+        );
+        assert_eq!(decode_response(&payload).expect("decode"), resp);
+    }
+}
+
+#[test]
+fn text_response_payload_is_pinned_byte_for_byte() {
+    let resp =
+        Response::Text("cross-run aggregate: 2 run(s)\n\t\"z\" 50% → C:\\x/y\u{1}é\r".into());
+    let want =
+        "{\"Text\":\"cross-run aggregate: 2 run(s)\\n\\t\\\"z\\\" 50% → C:\\\\x/y\\u0001é\\r\"}";
+    assert_eq!(String::from_utf8(encode_response(&resp)).unwrap(), want);
+    assert_eq!(decode_response(want.as_bytes()).unwrap(), resp);
+    // Escapes this build never prints are still read.
+    let spelled = "{\"Text\":\"\\u0041\\/\\b\\f\"}";
+    assert_eq!(
+        decode_response(spelled.as_bytes()).unwrap(),
+        Response::Text("A/\u{8}\u{c}".into())
+    );
+}

@@ -116,6 +116,21 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
+    /// Fetch `key` if it is resident: a hit is counted and freshens the
+    /// entry; a miss counts nothing, so a caller that goes on to
+    /// [`MemoCache::get_or_try_insert`] still records one outcome per
+    /// lookup.
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        let mut s = self.shard_of(key).lock();
+        s.clock += 1;
+        let clock = s.clock;
+        let e = s.map.get_mut(key)?;
+        e.stamp = clock;
+        self.hits.inc();
+        trace::note_cache(true);
+        Some(Arc::clone(&e.value))
+    }
+
     /// Fetch `key`, computing the artifact with `build` on a miss. The
     /// shard lock is *not* held while `build` runs — expensive analyses
     /// on different keys of the same shard proceed concurrently; the
@@ -125,22 +140,13 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
         key: K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        let shard = self.shard_of(&key);
-        {
-            let mut s = shard.lock();
-            s.clock += 1;
-            let clock = s.clock;
-            if let Some(e) = s.map.get_mut(&key) {
-                e.stamp = clock;
-                self.hits.inc();
-                trace::note_cache(true);
-                return Ok(Arc::clone(&e.value));
-            }
+        if let Some(hit) = self.get(&key) {
+            return Ok(hit);
         }
         self.misses.inc();
         trace::note_cache(false);
         let value = Arc::new(build()?);
-        let mut s = shard.lock();
+        let mut s = self.shard_of(&key).lock();
         s.clock += 1;
         let stamp = s.clock;
         if s.map.len() >= self.per_shard_capacity && !s.map.contains_key(&key) {

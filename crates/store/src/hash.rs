@@ -59,13 +59,27 @@ impl fmt::Debug for ProfileId {
     }
 }
 
+/// The value of `s` read as lowercase hex, when `s` is 1–16 chars of
+/// `[0-9a-f]` — the alphabet `Display` prints. The bytes are checked
+/// before parsing because `u64::from_str_radix` also takes a leading
+/// `+` and uppercase digits, which no id ever renders as.
+pub(crate) fn lower_hex(s: &str) -> Option<u64> {
+    let digits = s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if !digits || s.is_empty() || s.len() > 16 {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok()
+}
+
+/// The exact inverse of `Display`: 16 chars of `[0-9a-f]`, nothing else.
 impl FromStr for ProfileId {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        u64::from_str_radix(s, 16)
-            .map(ProfileId)
-            .map_err(|_| format!("not a 16-hex-digit profile id: {s:?}"))
+        match lower_hex(s) {
+            Some(v) if s.len() == 16 => Ok(ProfileId(v)),
+            _ => Err(format!("not a 16-hex-digit profile id: {s:?}")),
+        }
     }
 }
 
@@ -90,6 +104,27 @@ mod tests {
         let id = ProfileId(0x0123_4567_89ab_cdef);
         let parsed: ProfileId = id.to_string().parse().unwrap();
         assert_eq!(parsed, id);
-        assert!("xyz".parse::<ProfileId>().is_err());
+        for id in [ProfileId(0), ProfileId(1), ProfileId(u64::MAX)] {
+            assert_eq!(id.to_string().parse::<ProfileId>(), Ok(id));
+        }
+        // Everything `Display` never prints is rejected, including what
+        // `u64::from_str_radix` would take.
+        for bad in [
+            "",
+            "xyz",
+            "1",
+            "0123456789abcde",
+            "0123456789abcdef0",
+            "+123456789abcdef",
+            "-123456789abcdef",
+            "0123456789ABCDEF",
+            " 123456789abcdef",
+            "0123456789abcde ",
+            "0x23456789abcdef",
+            "0123456789abcdeg",
+            "0123456789abcdé",
+        ] {
+            assert!(bad.parse::<ProfileId>().is_err(), "{bad:?} parsed");
+        }
     }
 }

@@ -46,6 +46,8 @@ mod aggregate;
 mod cache;
 mod hash;
 mod persist;
+#[cfg(test)]
+mod resolve_tests;
 pub mod snapshot;
 pub mod stream;
 pub mod wal;
@@ -877,7 +879,26 @@ impl ProfileStore {
     /// [`StoreError::Ambiguous`] listing every candidate — never a
     /// silent first-match pick. A full 16-digit id always resolves
     /// unambiguously, even if it collides with another profile's label.
+    ///
+    /// A full id — what `list` prints and every script passes on — is
+    /// one [`ProfileStore::get`]. Anything else is one pass over the
+    /// shelves in which only a match is cloned: a prefix is compared
+    /// with the id's top bits, never with its formatted text.
     pub fn resolve(&self, needle: &str) -> Result<Arc<StoredProfile>, StoreError> {
+        if let Some(sp) = needle.parse().ok().and_then(|id| self.get(id)) {
+            return Ok(sp);
+        }
+        // A hex prefix of 1–15 digits as (value, bits below it); the
+        // empty needle prefixes every id; a 16-digit needle that was not
+        // found above — like anything `Display` never prints (uppercase,
+        // a sign, whitespace) — can only be a label.
+        let prefix = hash::lower_hex(needle)
+            .filter(|_| needle.len() < 16)
+            .map(|value| (value, 64 - 4 * needle.len() as u32));
+        let id_matches = |id: ProfileId| match prefix {
+            Some((value, shift)) => id.0 >> shift == value,
+            None => needle.is_empty(),
+        };
         let mut matches: Vec<(u64, Arc<StoredProfile>)> = Vec::new();
         for shard in &self.shards.shards {
             let shelf = shard.read();
@@ -885,7 +906,7 @@ impl ProfileStore {
                 shelf
                     .profiles
                     .iter()
-                    .filter(|(_, p)| &*p.label == needle || p.id.to_string().starts_with(needle))
+                    .filter(|(_, p)| &*p.label == needle || id_matches(p.id))
                     .map(|(seq, p)| (*seq, Arc::clone(p))),
             );
         }
@@ -893,18 +914,13 @@ impl ProfileStore {
         match matches.as_slice() {
             [] => Err(StoreError::NoMatch(needle.to_string())),
             [(_, one)] => Ok(Arc::clone(one)),
-            many => {
-                if let Some((_, exact)) = many.iter().find(|(_, p)| p.id.to_string() == needle) {
-                    return Ok(Arc::clone(exact));
-                }
-                Err(StoreError::Ambiguous {
-                    needle: needle.to_string(),
-                    candidates: many
-                        .iter()
-                        .map(|(_, p)| (p.id, p.label.to_string()))
-                        .collect(),
-                })
-            }
+            many => Err(StoreError::Ambiguous {
+                needle: needle.to_string(),
+                candidates: many
+                    .iter()
+                    .map(|(_, p)| (p.id, p.label.to_string()))
+                    .collect(),
+            }),
         }
     }
 
@@ -927,15 +943,23 @@ impl ProfileStore {
     /// Answer a query, memoized. The artifact is built at most once per
     /// `(scope, query)` key and shared via `Arc` thereafter.
     ///
-    /// Pooled queries snapshot the set once and key the cache by the
-    /// hash of *that snapshot*, so the cached artifact always matches
-    /// its scope key even when ingests race the query.
+    /// Pooled queries probe under the live [`ProfileStore::set_hash`]
+    /// first — a hit costs the shard read locks and an XOR, not a copy
+    /// of the corpus. A hit is never stale: an ingest is shelved (its
+    /// shard's hash changed) before it is acknowledged, so a query
+    /// issued after the ack reads a hash no earlier entry was stored
+    /// under. Only a miss snapshots the set, and it keys the insert by
+    /// the hash of *that snapshot*, so the cached artifact always
+    /// matches its scope key even when ingests race the query.
     pub fn query(&self, q: Query) -> Result<Arc<Artifact>, StoreError> {
         match q.fixed_scope() {
             Some(scope) => self
                 .cache
                 .get_or_try_insert((scope, q.clone()), || self.build(&q)),
             None => {
+                if let Some(hit) = self.cache.get(&(self.set_hash(), q.clone())) {
+                    return Ok(hit);
+                }
                 let profiles = self.snapshot()?;
                 let scope = pooled_scope(&profiles);
                 self.cache.get_or_try_insert((scope, q.clone()), || {

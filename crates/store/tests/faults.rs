@@ -592,12 +592,19 @@ fn enospc_fails_ingest_keeps_serving_and_acked_data() {
     )
     .unwrap();
     store.ingest_bytes("full-0", &corpus()[0]).unwrap();
+    let before = store.aggregate().unwrap();
     let err = store.ingest_bytes("full-1", &corpus()[1]).unwrap_err();
     assert!(err.to_string().contains("not durable"), "{err}");
-    // Still serving: the acked profile resolves and aggregates.
+    // Still serving: the acked profile resolves and aggregates — and
+    // the rollback put the set hash back, so the aggregate memoized
+    // before the failed ingest is the one served, as a hit.
     assert_eq!(store.len(), 1);
     assert!(store.resolve("full-0").is_ok());
-    assert!(!store.aggregate().unwrap().text().is_empty());
+    let after = store.aggregate().unwrap();
+    assert!(Arc::ptr_eq(&before, &after));
+    assert_eq!(after.as_aggregate().unwrap().runs, 1);
+    let cache = store.cache_stats();
+    assert_eq!((cache.hits, cache.misses), (1, 1));
     drop(store);
     let store =
         ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();

@@ -10,7 +10,8 @@ use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::{ProfileStore, StoreConfig};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, OnceLock};
 
 /// A small profile; `rounds` varies the content hash.
 fn profile(rounds: usize) -> NumaProfile {
@@ -108,6 +109,77 @@ proptest! {
             );
         }
     }
+}
+
+/// A pooled hit never outlives its set. Round by round, three threads
+/// each ingest one new profile while a fourth — released from the same
+/// barrier — loops `aggregate()`, which answers from the memo cache
+/// whenever the live set hash still has an entry. Every answer must
+/// cover at least the ingests acknowledged before the call began; with
+/// the round's writers done, the next lookup is a hit on exactly that
+/// set; and the last answer is the one a fresh store gives over the
+/// same corpus.
+#[test]
+fn pooled_hits_never_outlive_their_set_under_racing_ingests() {
+    const WRITERS: usize = 3;
+    const ROUNDS: usize = 4;
+    let runs: Vec<NumaProfile> = (1..=WRITERS * ROUNDS).map(profile).collect();
+    let store = sharded(8);
+    let acked = AtomicUsize::new(0);
+    let round_start = Barrier::new(WRITERS + 1);
+    // Collected, not asserted, inside the scope: a thread that panicked
+    // mid-round would leave the others parked at the barrier for good.
+    let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let violation = |what: String| violations.lock().unwrap().push(what);
+    std::thread::scope(|s| {
+        for (w, mine) in runs.chunks(ROUNDS).enumerate() {
+            let (store, acked, round_start, violation) = (&store, &acked, &round_start, &violation);
+            s.spawn(move || {
+                for (round, p) in mine.iter().enumerate() {
+                    round_start.wait();
+                    let outcome = store.ingest_profile(&format!("w{w}-{round}"), p.clone());
+                    if !matches!(outcome, Ok((_, true))) {
+                        violation(format!("w{w}-{round} was not added: {outcome:?}"));
+                    }
+                    acked.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        for round in 1..=ROUNDS {
+            round_start.wait();
+            loop {
+                let floor = acked.load(Ordering::SeqCst);
+                let runs = match store.aggregate() {
+                    Ok(a) => a.as_aggregate().unwrap().runs,
+                    Err(_) => 0,
+                };
+                if runs < floor {
+                    violation(format!("{runs} run(s) answered after {floor} ack(s)"));
+                }
+                // Checked after the query, so the last lap ran against
+                // the round's whole set and left its entry behind.
+                if floor == round * WRITERS {
+                    break;
+                }
+            }
+            // The writers are parked at the next barrier: the set is
+            // still, and the lookup must be served from that entry.
+            let hits = store.cache_stats().hits;
+            let settled = store.aggregate().unwrap().as_aggregate().unwrap().runs;
+            if settled != round * WRITERS || store.cache_stats().hits != hits + 1 {
+                violation(format!("round {round} settled on {settled} run(s)"));
+            }
+        }
+    });
+    assert_eq!(violations.into_inner().unwrap(), Vec::<String>::new());
+
+    let fresh = sharded(1);
+    for (i, p) in runs.iter().enumerate() {
+        let label = format!("w{}-{}", i / ROUNDS, i % ROUNDS);
+        fresh.ingest_profile(&label, p.clone()).unwrap();
+    }
+    let last = store.aggregate().unwrap();
+    assert_eq!(last.text(), fresh.aggregate().unwrap().text());
 }
 
 #[test]

@@ -141,6 +141,27 @@ fn ingestion_invalidates_pooled_queries() {
 }
 
 #[test]
+fn pooled_lookups_count_one_outcome_each() {
+    // A pooled query probes under the live set hash and only a miss
+    // goes on to snapshot and insert; whichever way it ends, it is one
+    // hit or one miss — never a miss for the probe plus one for the
+    // insert, never a silent hit.
+    let store = ProfileStore::new();
+    store.ingest_profile("r1", profile(1)).unwrap();
+    let first = store.aggregate().unwrap(); // miss
+    let again = store.aggregate().unwrap(); // hit
+    assert!(Arc::ptr_eq(&first, &again));
+    store.ingest_profile("r2", profile(2)).unwrap();
+    let grown = store.aggregate().unwrap(); // miss: the set changed
+    assert_eq!(grown.as_aggregate().unwrap().runs, 2);
+    let top = store.query(Query::TopVariables(3)).unwrap(); // miss
+    let top_again = store.query(Query::TopVariables(3)).unwrap(); // hit
+    assert!(Arc::ptr_eq(&top, &top_again));
+    let s = store.cache_stats();
+    assert_eq!((s.hits, s.misses, s.insertions), (2, 3, 3));
+}
+
+#[test]
 fn unknown_references_error_cleanly() {
     let store = ProfileStore::new();
     assert_eq!(store.aggregate().unwrap_err(), StoreError::EmptyStore);
