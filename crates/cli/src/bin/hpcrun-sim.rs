@@ -79,6 +79,20 @@ fn main() {
     let bins: u16 = args
         .get_parsed("bins", 5)
         .unwrap_or_else(|e| die(USAGE, &e));
+    // The library asserts these ranges; a flag value outside them is a
+    // usage error, not a panic.
+    if threads == 0 || threads > default_threads {
+        die(
+            USAGE,
+            &format!("--threads must be between 1 and {default_threads} on this machine"),
+        );
+    }
+    if scale == 0 {
+        die(USAGE, "--scale must be at least 1");
+    }
+    if bins == 0 {
+        die(USAGE, "--bins must be at least 1");
+    }
     let mode = match args.get_or("mode", "seq") {
         "seq" => ExecMode::Sequential,
         "par" => ExecMode::Parallel,
@@ -95,6 +109,9 @@ fn main() {
             .parse()
             .map_err(|_| format!("--trace: cannot parse {trace:?}"))
             .unwrap_or_else(|e: String| die(USAGE, &e));
+        if cycles == 0 {
+            die(USAGE, "--trace must be at least 1");
+        }
         config = config.with_trace(cycles);
     }
     eprintln!(

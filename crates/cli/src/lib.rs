@@ -18,7 +18,7 @@
 
 use numa_faults::Storage;
 use numa_machine::{Machine, MachinePreset};
-use numa_sampling::MechanismKind;
+use numa_sampling::{MechanismKind, MechanismSpec, MECHANISMS};
 use numa_store::wal::UnsupportedHeader;
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
 use numa_workloads::{
@@ -117,19 +117,16 @@ pub fn parse_machine(name: &str) -> Result<Machine, String> {
 
 /// Parse a mechanism name.
 pub fn parse_mechanism(name: &str) -> Result<MechanismKind, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "ibs" => MechanismKind::Ibs,
-        "mrk" => MechanismKind::Mrk,
-        "pebs" => MechanismKind::Pebs,
-        "dear" => MechanismKind::Dear,
-        "pebs-ll" | "pebsll" => MechanismKind::PebsLl,
-        "soft-ibs" | "softibs" => MechanismKind::SoftIbs,
-        other => {
-            return Err(format!(
-                "unknown mechanism {other:?} (ibs, mrk, pebs, dear, pebs-ll, soft-ibs)"
-            ))
-        }
-    })
+    let lower = name.to_ascii_lowercase();
+    let cli_name = |spec: &MechanismSpec| spec.name.to_ascii_lowercase();
+    MECHANISMS
+        .iter()
+        .find(|spec| lower == cli_name(spec) || lower == cli_name(spec).replace('-', ""))
+        .map(|spec| spec.kind)
+        .ok_or_else(|| {
+            let known: Vec<String> = MECHANISMS.iter().map(cli_name).collect();
+            format!("unknown mechanism {lower:?} ({})", known.join(", "))
+        })
 }
 
 /// Build one of the bundled workloads from `--workload`, `--variant`, and
@@ -313,7 +310,17 @@ mod tests {
     fn mechanism_names_parse() {
         assert_eq!(parse_mechanism("ibs").unwrap(), MechanismKind::Ibs);
         assert_eq!(parse_mechanism("PEBS-LL").unwrap(), MechanismKind::PebsLl);
-        assert!(parse_mechanism("magic").is_err());
+        for spec in &MECHANISMS {
+            let lower = spec.name.to_lowercase();
+            for alias in [spec.name.to_string(), lower.replace('-', ""), lower] {
+                assert_eq!(parse_mechanism(&alias).unwrap(), spec.kind, "{alias}");
+            }
+        }
+        let err = parse_mechanism("magic").unwrap_err();
+        assert!(
+            err.contains("ibs, mrk, pebs, dear, pebs-ll, soft-ibs"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::metrics::MetricSet;
 use crate::profile::{NumaProfile, ThreadProfile};
 use crate::trace::Trace;
 use numa_machine::{CpuId, DomainId, Machine};
-use numa_sampling::{Capabilities, SamplingMechanism};
+use numa_sampling::{Capabilities, Sampler};
 use numa_sim::{
     AllocInfo, Frame, FrameKind, FuncRegistry, MemoryEvent, Monitor, PageFaultEvent, VarKind,
 };
@@ -28,7 +28,7 @@ const UNWIND_COST_PER_FRAME: u64 = 40;
 struct ThreadLocal {
     cpu: CpuId,
     domain: DomainId,
-    mechanism: Box<dyn SamplingMechanism>,
+    mechanism: Sampler,
     cct: Cct,
     ranges: AddressRanges,
     totals: MetricSet,

@@ -60,14 +60,6 @@ impl Engine {
         Engine { profile, index }
     }
 
-    /// [`Engine::new`] with pre-extracted per-thread scalar columns —
-    /// the binary codec's decode path hands its columns to the index
-    /// builder directly (see [`ProfileIndex::build_with`]).
-    pub fn with_scalars(profile: Arc<NumaProfile>, scalars: crate::index::ThreadScalars) -> Engine {
-        let index = ProfileIndex::build_with(&profile, Some(&scalars));
-        Engine { profile, index }
-    }
-
     pub fn profile(&self) -> &NumaProfile {
         &self.profile
     }

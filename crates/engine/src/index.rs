@@ -37,27 +37,6 @@ fn range_key_ord(k: &RangeKey) -> (u32, u64, u16) {
     (k.var.0, scope_ord(k.scope), k.bin)
 }
 
-/// Per-thread scalar columns handed to the index builder by a decoder
-/// that already has them in columnar form (the binary profile codec
-/// stores them as contiguous per-metric columns). One entry per thread,
-/// in `profile.threads` order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ThreadScalars {
-    /// Instructions retired per thread (Eq. 3's per-thread `I`).
-    pub instructions: Vec<u64>,
-    /// Eligible NUMA events per thread (Eq. 3's per-thread `E_NUMA`).
-    pub numa_events: Vec<u64>,
-}
-
-impl ThreadScalars {
-    /// Whether these columns can stand in for `profile`'s per-thread
-    /// scalars: every column must have exactly one entry per thread.
-    fn matches(&self, profile: &NumaProfile) -> bool {
-        let n = profile.threads.len();
-        self.instructions.len() == n && self.numa_events.len() == n
-    }
-}
-
 /// The prebuilt index over one [`NumaProfile`].
 pub struct ProfileIndex {
     /// Program-wide merged metrics.
@@ -101,24 +80,7 @@ impl ProfileIndex {
     /// Build the full index. The thread merge runs under the active
     /// rayon pool; everything else is one pass over the merged data.
     pub fn build(profile: &NumaProfile) -> ProfileIndex {
-        Self::build_with(profile, None)
-    }
-
-    /// [`ProfileIndex::build`] with optional pre-extracted per-thread
-    /// scalar columns. When `scalars` is present and aligned with the
-    /// profile (one entry per thread), the program-wide instruction and
-    /// NUMA-event totals are summed straight from the columns — the
-    /// binary codec's decode path hands its columnar slices here
-    /// without routing them through per-thread structs. Misaligned
-    /// columns are ignored (the profile itself is always authoritative).
-    pub fn build_with(profile: &NumaProfile, scalars: Option<&ThreadScalars>) -> ProfileIndex {
         let domains = profile.domains;
-        let column_sums = scalars.filter(|s| s.matches(profile)).map(|s| {
-            (
-                s.instructions.iter().sum::<u64>(),
-                s.numa_events.iter().sum::<u64>(),
-            )
-        });
 
         // The §7.2 merge: fold per-thread partials, reduce pairwise.
         // Metric/range merges are commutative sums, so the reduction
@@ -130,7 +92,7 @@ impl ProfileIndex {
             HashMap<VarId, MetricSet>,
             HashMap<RangeKey, RangeStat>,
         );
-        let (totals, folded_instructions, folded_numa_events, var_map, merged): Partial = par_fold(
+        let (totals, instructions, numa_events, var_map, merged): Partial = par_fold(
             &profile.threads,
             || {
                 (
@@ -167,8 +129,6 @@ impl ProfileIndex {
                 (t1, i1 + i2, e1 + e2, v1, r1)
             },
         );
-        let (instructions, numa_events) =
-            column_sums.unwrap_or((folded_instructions, folded_numa_events));
 
         // Data-centric column: sorted (VarId, MetricSet) pairs.
         let mut vars: Vec<(VarId, MetricSet)> = var_map.into_iter().collect();

@@ -30,7 +30,7 @@ pub mod index;
 pub mod intern;
 
 pub use engine::{par_fold, Engine, ThreadRange};
-pub use index::{ProfileIndex, ThreadScalars};
+pub use index::ProfileIndex;
 pub use intern::{Symbol, SymbolTable};
 
 // Re-exported so downstream crates can name profile types through the

@@ -1,8 +1,7 @@
 //! Mechanism configurations: Table 1 of the paper, plus overhead constants
 //! and scaling for simulator-sized inputs.
 
-use crate::mechanism::{MechanismKind, SamplingMechanism};
-use crate::mechanisms::{Dear, Ibs, Mrk, Pebs, PebsLl, SoftIbs};
+use crate::mechanism::{MechanismKind, Qualifier, MECHANISMS};
 use numa_machine::MachinePreset;
 use serde::{Deserialize, Serialize};
 
@@ -49,73 +48,20 @@ impl MechanismConfig {
     ///
     /// Overhead constants are our calibration; periods are the paper's.
     pub fn paper(kind: MechanismKind) -> Self {
-        match kind {
-            MechanismKind::Ibs => MechanismConfig {
-                kind,
-                period: 64 * 1024,
-                dilution: 1,
-                latency_threshold: 0,
-                per_sample_cost: 90_000,
-                per_event_cost: 0,
-                correction_cost: 0,
-                refill_factor: 96.0,
-                jitter: true,
+        let spec = kind.spec();
+        MechanismConfig {
+            kind,
+            period: spec.period,
+            dilution: spec.dilution.unwrap_or(1),
+            latency_threshold: match spec.qualifier {
+                Qualifier::LoadAtOrAboveThreshold(paper) => paper,
+                _ => 0,
             },
-            MechanismKind::Mrk => MechanismConfig {
-                kind,
-                period: 1,
-                dilution: 512,
-                latency_threshold: 0,
-                per_sample_cost: 14_000,
-                per_event_cost: 0,
-                correction_cost: 0,
-                refill_factor: 96.0,
-                jitter: true,
-            },
-            MechanismKind::Pebs => MechanismConfig {
-                kind,
-                period: 1_000_000,
-                dilution: 1,
-                latency_threshold: 0,
-                per_sample_cost: 15_000,
-                per_event_cost: 0,
-                correction_cost: 420_000,
-                refill_factor: 12_600.0,
-                jitter: true,
-            },
-            MechanismKind::Dear => MechanismConfig {
-                kind,
-                period: 20_000,
-                dilution: 1,
-                latency_threshold: 8, // DATA_EAR_CACHE_LAT4-style: beyond L1
-                per_sample_cost: 400_000,
-                per_event_cost: 0,
-                correction_cost: 0,
-                refill_factor: 64.0,
-                jitter: true,
-            },
-            MechanismKind::PebsLl => MechanismConfig {
-                kind,
-                period: 500_000,
-                dilution: 1,
-                latency_threshold: 32, // LATENCY_ABOVE_THRESHOLD
-                per_sample_cost: 9_000_000,
-                per_event_cost: 0,
-                correction_cost: 0,
-                refill_factor: 64.0,
-                jitter: true,
-            },
-            MechanismKind::SoftIbs => MechanismConfig {
-                kind,
-                period: 10_000_000,
-                dilution: 1,
-                latency_threshold: 0,
-                per_sample_cost: 10_000,
-                per_event_cost: 12,
-                correction_cost: 0,
-                refill_factor: 32.0,
-                jitter: true,
-            },
+            per_sample_cost: spec.per_sample_cost,
+            per_event_cost: spec.per_event_cost.unwrap_or(0),
+            correction_cost: spec.correction_cost.unwrap_or(0),
+            refill_factor: spec.refill_factor,
+            jitter: true,
         }
     }
 
@@ -157,38 +103,6 @@ impl MechanismConfig {
         cfg.jitter = false;
         cfg
     }
-
-    /// Instantiate a per-thread sampling engine.
-    pub fn build(&self) -> Box<dyn SamplingMechanism> {
-        match self.kind {
-            MechanismKind::Ibs => Box::new(Ibs::new(self)),
-            MechanismKind::Mrk => Box::new(Mrk::new(self)),
-            MechanismKind::Pebs => Box::new(Pebs::new(self)),
-            MechanismKind::Dear => Box::new(Dear::new(self)),
-            MechanismKind::PebsLl => Box::new(PebsLl::new(self)),
-            MechanismKind::SoftIbs => Box::new(SoftIbs::new(self)),
-        }
-    }
-
-    /// Event name as printed in Table 1.
-    pub fn event_name(&self) -> &'static str {
-        match self.kind {
-            MechanismKind::Ibs => "IBS op",
-            MechanismKind::Mrk => "PM_MRK_FROM_L3MISS",
-            MechanismKind::Pebs => "INST_RETIRED:ANY_P",
-            MechanismKind::Dear => "DATA_EAR_CACHE_LAT4",
-            MechanismKind::PebsLl => "LATENCY_ABOVE_THRESHOLD",
-            MechanismKind::SoftIbs => "memory accesses",
-        }
-    }
-
-    /// Period as printed in Table 1.
-    pub fn period_label(&self) -> String {
-        match self.kind {
-            MechanismKind::Ibs => "64K instructions".to_string(),
-            _ => format!("{}", self.period),
-        }
-    }
 }
 
 /// One row of Table 1: a mechanism paired with the machine the paper
@@ -203,27 +117,19 @@ pub struct Table1Row {
 }
 
 impl Table1Row {
-    /// The six rows of Table 1. Soft-IBS works on every platform; the
-    /// paper tests it on the AMD machine.
+    /// The six rows of Table 1.
     pub fn table1() -> Vec<Table1Row> {
-        let rows = [
-            (MechanismKind::Ibs, MachinePreset::AmdMagnyCours),
-            (MechanismKind::Mrk, MachinePreset::IbmPower7),
-            (MechanismKind::Pebs, MachinePreset::IntelHarpertown),
-            (MechanismKind::Dear, MachinePreset::IntelItanium2),
-            (MechanismKind::PebsLl, MachinePreset::IntelIvyBridge),
-            (MechanismKind::SoftIbs, MachinePreset::AmdMagnyCours),
-        ];
-        rows.into_iter()
-            .map(|(mechanism, preset)| {
-                let cfg = MechanismConfig::paper(mechanism);
-                Table1Row {
-                    mechanism,
-                    preset,
-                    threads: preset.table1_threads(),
-                    event: cfg.event_name().to_string(),
-                    period: cfg.period_label(),
-                }
+        MECHANISMS
+            .iter()
+            .map(|spec| Table1Row {
+                mechanism: spec.kind,
+                preset: spec.preset,
+                threads: spec.preset.table1_threads(),
+                event: spec.event_name.to_string(),
+                period: match spec.period_label {
+                    Some(label) => label.to_string(),
+                    None => spec.period.to_string(),
+                },
             })
             .collect()
     }

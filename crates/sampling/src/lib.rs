@@ -4,21 +4,10 @@
 //! references can be associated with the data they touch. The paper builds
 //! its profiler on six mechanisms — five hardware schemes plus a software
 //! fallback — and §10 catalogues how their semantics differ. This crate
-//! models each one as a [`SamplingMechanism`] driven by the execution
-//! engine's event stream:
-//!
-//! | Mechanism | Samples | Latency | Data source | Precise IP |
-//! |-----------|---------|---------|-------------|------------|
-//! | IBS       | all instructions | yes | yes | yes |
-//! | MRK       | marked L3-miss events | no | yes | yes |
-//! | PEBS      | all retired instructions | no | no | off-by-1, corrected in software |
-//! | DEAR      | loads with latency ≥ threshold | no | no (no NUMA events) | yes |
-//! | PEBS-LL   | loads with latency ≥ threshold | yes | yes | yes |
-//! | Soft-IBS  | every n-th memory access (instrumentation) | no | no | yes |
-//!
-//! Each mechanism carries an overhead model — cycles charged per delivered
-//! sample (signal delivery, unwinding, `move_pages`) and, for Soft-IBS,
-//! per instrumented access — which is what reproduces Table 2.
+//! defines each one as a row of [`MECHANISMS`] — what qualifies for
+//! sampling, what a sample captures, what it costs (the overhead model
+//! that reproduces Table 2) and its Table 1 configuration — interpreted by
+//! the one [`Sampler`] the execution engine's event stream drives.
 
 pub mod config;
 pub mod mechanism;
@@ -27,6 +16,8 @@ pub mod sample;
 
 pub use config::{MechanismConfig, Table1Row};
 pub use mechanism::{
-    AccessOutcome, Capabilities, ComputeOutcome, MechanismKind, SamplingMechanism,
+    AccessOutcome, Capabilities, ComputeOutcome, MechanismKind, MechanismSpec, Qualifier,
+    MECHANISMS,
 };
+pub use mechanisms::Sampler;
 pub use sample::Sample;

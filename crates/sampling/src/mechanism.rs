@@ -1,7 +1,14 @@
-//! The sampling-mechanism interface.
+//! What a sampling mechanism *is*: [`MECHANISMS`], one row per mechanism.
+//!
+//! The six mechanisms of §3 differ only in what qualifies for sampling,
+//! what a sample captures and what it costs. Each row states those three
+//! things plus the names and the Table 1 configuration; the single
+//! [`Sampler`](crate::mechanisms::Sampler) interprets a row, and every
+//! per-kind lookup in the workspace is a field read through
+//! [`MechanismKind::spec`].
 
 use crate::sample::Sample;
-use numa_sim::MemoryEvent;
+use numa_machine::MachinePreset;
 use serde::{Deserialize, Serialize};
 
 /// The six mechanisms of §3.
@@ -31,27 +38,19 @@ impl MechanismKind {
         MechanismKind::SoftIbs,
     ];
 
+    /// This mechanism's row of [`MECHANISMS`] (rows are in declaration
+    /// order, which a test pins).
+    pub fn spec(self) -> &'static MechanismSpec {
+        &MECHANISMS[self as usize]
+    }
+
     pub fn name(self) -> &'static str {
-        match self {
-            MechanismKind::Ibs => "IBS",
-            MechanismKind::Mrk => "MRK",
-            MechanismKind::Pebs => "PEBS",
-            MechanismKind::Dear => "DEAR",
-            MechanismKind::PebsLl => "PEBS-LL",
-            MechanismKind::SoftIbs => "Soft-IBS",
-        }
+        self.spec().name
     }
 
     /// Full name as printed in Table 1's first column.
     pub fn long_name(self) -> &'static str {
-        match self {
-            MechanismKind::Ibs => "Instruction-based sampling (IBS)",
-            MechanismKind::Mrk => "Marked event sampling (MRK)",
-            MechanismKind::Pebs => "Precise event-based sampling (PEBS)",
-            MechanismKind::Dear => "Data event address registers (DEAR)",
-            MechanismKind::PebsLl => "PEBS with load latency (PEBS-LL)",
-            MechanismKind::SoftIbs => "Software-supported IBS (Soft-IBS)",
-        }
+        self.spec().long_name
     }
 }
 
@@ -74,46 +73,197 @@ pub struct Capabilities {
 
 impl Capabilities {
     pub fn for_kind(kind: MechanismKind) -> Self {
-        match kind {
-            MechanismKind::Ibs => Capabilities {
-                samples_all_instructions: true,
-                latency: true,
-                data_source: true,
-                precise_ip: true,
-            },
-            MechanismKind::Mrk => Capabilities {
-                samples_all_instructions: false,
-                latency: false,
-                data_source: true,
-                precise_ip: true,
-            },
-            MechanismKind::Pebs => Capabilities {
-                samples_all_instructions: true,
-                latency: false,
-                data_source: false,
-                precise_ip: false,
-            },
-            MechanismKind::Dear => Capabilities {
-                samples_all_instructions: false,
-                latency: false,
-                data_source: false,
-                precise_ip: true,
-            },
-            MechanismKind::PebsLl => Capabilities {
-                samples_all_instructions: false,
-                latency: true,
-                data_source: true,
-                precise_ip: true,
-            },
-            MechanismKind::SoftIbs => Capabilities {
-                samples_all_instructions: false,
-                latency: false,
-                data_source: false,
-                precise_ip: true,
-            },
+        let spec = kind.spec();
+        Capabilities {
+            samples_all_instructions: spec.compute_fire_divisor.is_some(),
+            latency: spec.latency,
+            data_source: spec.data_source,
+            precise_ip: spec.correction_cost.is_none(),
         }
     }
 }
+
+/// Which memory accesses tick a mechanism's period counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Qualifier {
+    /// Loads and stores alike (IBS, PEBS, Soft-IBS).
+    EveryAccess,
+    /// Loads whose data came from beyond the local L3 — a remote L3 or any
+    /// DRAM (`PM_MRK_FROM_L3MISS` marks demand loads).
+    LoadBeyondLocalL3,
+    /// Loads whose latency is at least `MechanismConfig::latency_threshold`
+    /// (DEAR, PEBS-LL); the payload is the paper's threshold.
+    LoadAtOrAboveThreshold(u32),
+}
+
+/// One row of [`MECHANISMS`]. Where a field is an `Option`, `None` means
+/// the mechanism has no such stage and ignores the matching
+/// [`MechanismConfig`](crate::MechanismConfig) field.
+#[derive(Debug)]
+pub struct MechanismSpec {
+    pub kind: MechanismKind,
+    /// Short name; the CLI accepts it in any case, with or without hyphen.
+    pub name: &'static str,
+    /// Full name as printed in Table 1's first column.
+    pub long_name: &'static str,
+    /// Event name as printed in Table 1.
+    pub event_name: &'static str,
+    /// Table 1's period column where it is not simply the number.
+    pub period_label: Option<&'static str>,
+    /// The machine the paper evaluated the mechanism on (Table 1).
+    pub preset: MachinePreset,
+    /// Samples carry the measured access latency.
+    pub latency: bool,
+    /// Samples carry the data source (NUMA events).
+    pub data_source: bool,
+    pub qualifier: Qualifier,
+    /// `Some(d)`: the whole instruction stream is sampled — non-memory
+    /// instructions tick the period counter too, and a fire on one costs
+    /// `1/d` of a memory sample's base cost (IBS filters it early in
+    /// software; PEBS has already run its whole handler).
+    pub compute_fire_divisor: Option<u64>,
+    /// A hardware counter reports the absolute number of qualifying
+    /// events, sampled or not (`E_NUMA` in Eq. 3).
+    pub counts_events: bool,
+    /// From here down, what `MechanismConfig::paper` copies out: Table 1's
+    /// periods and thresholds, and our calibration of Table 2's costs.
+    pub period: u64,
+    /// `Some(n)`: the hardware marks one in `n` qualifying instructions
+    /// before the period counter sees them, which keeps MRK's rate low
+    /// (<100 samples/s/thread on POWER7) even at period 1.
+    pub dilution: Option<u64>,
+    pub per_sample_cost: u64,
+    /// `Some(c)`: software instrumentation — every access, sampled or
+    /// not, runs a stub of `c` cycles.
+    pub per_event_cost: Option<u64>,
+    /// `Some(c)`: the captured IP is off by one and every fire pays `c`
+    /// cycles of online binary analysis to correct it.
+    pub correction_cost: Option<u64>,
+    pub refill_factor: f64,
+}
+
+/// Table 1, Table 2's calibration and the §10 comparison as one table.
+pub static MECHANISMS: [MechanismSpec; 6] = [
+    MechanismSpec {
+        kind: MechanismKind::Ibs,
+        name: "IBS",
+        long_name: "Instruction-based sampling (IBS)",
+        event_name: "IBS op",
+        period_label: Some("64K instructions"),
+        preset: MachinePreset::AmdMagnyCours,
+        latency: true,
+        data_source: true,
+        qualifier: Qualifier::EveryAccess,
+        compute_fire_divisor: Some(100),
+        counts_events: false,
+        period: 64 * 1024,
+        dilution: None,
+        per_sample_cost: 90_000,
+        per_event_cost: None,
+        correction_cost: None,
+        refill_factor: 96.0,
+    },
+    MechanismSpec {
+        kind: MechanismKind::Mrk,
+        name: "MRK",
+        long_name: "Marked event sampling (MRK)",
+        event_name: "PM_MRK_FROM_L3MISS",
+        period_label: None,
+        preset: MachinePreset::IbmPower7,
+        latency: false,
+        data_source: true,
+        qualifier: Qualifier::LoadBeyondLocalL3,
+        compute_fire_divisor: None,
+        counts_events: true,
+        period: 1,
+        dilution: Some(512),
+        per_sample_cost: 14_000,
+        per_event_cost: None,
+        correction_cost: None,
+        refill_factor: 96.0,
+    },
+    // IP correction dominates the per-sample cost: the paper measured PEBS
+    // as the most expensive hardware mechanism for this reason (§8, fn. 3).
+    MechanismSpec {
+        kind: MechanismKind::Pebs,
+        name: "PEBS",
+        long_name: "Precise event-based sampling (PEBS)",
+        event_name: "INST_RETIRED:ANY_P",
+        period_label: None,
+        preset: MachinePreset::IntelHarpertown,
+        latency: false,
+        data_source: false,
+        qualifier: Qualifier::EveryAccess,
+        compute_fire_divisor: Some(1),
+        counts_events: false,
+        period: 1_000_000,
+        dilution: None,
+        per_sample_cost: 15_000,
+        per_event_cost: None,
+        correction_cost: Some(420_000),
+        refill_factor: 12_600.0,
+    },
+    MechanismSpec {
+        kind: MechanismKind::Dear,
+        name: "DEAR",
+        long_name: "Data event address registers (DEAR)",
+        event_name: "DATA_EAR_CACHE_LAT4",
+        period_label: None,
+        preset: MachinePreset::IntelItanium2,
+        latency: false,
+        data_source: false,
+        qualifier: Qualifier::LoadAtOrAboveThreshold(8), // DATA_EAR_CACHE_LAT4-style: beyond L1
+        compute_fire_divisor: None,
+        counts_events: false,
+        period: 20_000,
+        dilution: None,
+        per_sample_cost: 400_000,
+        per_event_cost: None,
+        correction_cost: None,
+        refill_factor: 64.0,
+    },
+    MechanismSpec {
+        kind: MechanismKind::PebsLl,
+        name: "PEBS-LL",
+        long_name: "PEBS with load latency (PEBS-LL)",
+        event_name: "LATENCY_ABOVE_THRESHOLD",
+        period_label: None,
+        preset: MachinePreset::IntelIvyBridge,
+        latency: true,
+        data_source: true,
+        qualifier: Qualifier::LoadAtOrAboveThreshold(32),
+        compute_fire_divisor: None,
+        counts_events: true,
+        period: 500_000,
+        dilution: None,
+        per_sample_cost: 9_000_000,
+        per_event_cost: None,
+        correction_cost: None,
+        refill_factor: 64.0,
+    },
+    // LLVM-style instrumentation of every load and store: works on every
+    // platform (the paper tests it on the AMD machine) and is by far the
+    // most expensive (Table 2: up to +200%).
+    MechanismSpec {
+        kind: MechanismKind::SoftIbs,
+        name: "Soft-IBS",
+        long_name: "Software-supported IBS (Soft-IBS)",
+        event_name: "memory accesses",
+        period_label: None,
+        preset: MachinePreset::AmdMagnyCours,
+        latency: false,
+        data_source: false,
+        qualifier: Qualifier::EveryAccess,
+        compute_fire_divisor: None,
+        counts_events: false,
+        period: 10_000_000,
+        dilution: None,
+        per_sample_cost: 10_000,
+        per_event_cost: Some(12),
+        correction_cost: None,
+        refill_factor: 32.0,
+    },
+];
 
 /// Result of feeding a block of non-memory instructions to a mechanism.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -133,31 +283,6 @@ pub struct AccessOutcome {
     /// Monitoring cycles to charge (per-sample costs, and for Soft-IBS the
     /// per-access instrumentation cost).
     pub overhead: u64,
-}
-
-/// A per-thread sampling engine. Mechanisms are stateful (period counters)
-/// and owned one-per-thread, mirroring per-CPU PMU state; they therefore
-/// need `Send` but not `Sync`.
-pub trait SamplingMechanism: Send {
-    fn kind(&self) -> MechanismKind;
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::for_kind(self.kind())
-    }
-
-    /// Observe `n` non-memory instructions retiring.
-    fn on_compute(&mut self, n: u64) -> ComputeOutcome;
-
-    /// Observe one memory access (which also retires one instruction).
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome;
-
-    /// Value of the mechanism's hardware event counter: the *absolute*
-    /// number of eligible events observed (sampled or not), as a PMU
-    /// counter would report. PEBS-LL's `E_NUMA` in Eq. 3 comes from here.
-    /// Mechanisms without a meaningful event counter return 0.
-    fn event_count(&self) -> u64 {
-        0
-    }
 }
 
 /// Period counter shared by all mechanisms: fires roughly once per
@@ -192,12 +317,6 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 impl PeriodCounter {
-    /// Jittered counter (production behaviour).
-    #[cfg(test)]
-    pub fn new(period: u64) -> Self {
-        Self::with_jitter(period, true)
-    }
-
     pub fn with_jitter(period: u64, jitter: bool) -> Self {
         assert!(period >= 1, "sampling period must be positive");
         let seed = COUNTER_SEED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -259,7 +378,7 @@ mod tests {
 
     #[test]
     fn jittered_counter_fires_at_the_right_average_rate() {
-        let mut c = PeriodCounter::new(100);
+        let mut c = PeriodCounter::with_jitter(100, true);
         let fires = c.add(1_000_000);
         let expectation = 1_000_000 / 100;
         assert!(
@@ -273,8 +392,8 @@ mod tests {
         // Two counters with the same period must not fire in lockstep —
         // that lockstep is exactly what biases sampling of periodic access
         // streams (§3's uniformity requirement).
-        let mut a = PeriodCounter::new(64);
-        let mut b = PeriodCounter::new(64);
+        let mut a = PeriodCounter::with_jitter(64, true);
+        let mut b = PeriodCounter::with_jitter(64, true);
         let mut same = 0;
         let mut total = 0;
         for _ in 0..100_000 {
@@ -306,6 +425,29 @@ mod tests {
         }
         let fb = b.add(1000);
         assert_eq!(fa, fb);
+    }
+
+    #[test]
+    fn table_rows_are_indexed_by_kind_with_unique_names() {
+        let mut seen = std::collections::HashSet::new();
+        let mut folded_names = std::collections::HashSet::new();
+        for (spec, kind) in MECHANISMS.iter().zip(MechanismKind::ALL) {
+            assert_eq!(spec.kind, kind, "rows must be in MechanismKind::ALL order");
+            assert_eq!(kind.spec().kind, kind);
+            assert!(seen.insert(spec.name), "{}", spec.name);
+            assert!(seen.insert(spec.long_name), "{}", spec.long_name);
+            // The CLI matches names ignoring case and hyphens.
+            let folded = spec.name.to_ascii_lowercase().replace('-', "");
+            assert!(folded_names.insert(folded), "{}", spec.name);
+            assert_eq!(
+                spec.counts_events,
+                matches!(kind, MechanismKind::Mrk | MechanismKind::PebsLl),
+                "{kind:?}"
+            );
+            if let Qualifier::LoadAtOrAboveThreshold(paper_threshold) = spec.qualifier {
+                assert!(paper_threshold > 0, "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,350 +1,125 @@
-//! The six mechanism implementations.
-//!
-//! All mechanisms are built from a [`MechanismConfig`],
-//! which carries the sampling period / thresholds (Table 1) and the overhead
-//! constants (calibrated so Table 2's overhead column reproduces).
+//! The one sampling engine: a [`Sampler`] interprets its mechanism's row of
+//! [`MECHANISMS`](crate::mechanism::MECHANISMS) with the periods,
+//! thresholds and overhead constants of a [`MechanismConfig`].
 
 use crate::config::MechanismConfig;
 use crate::mechanism::{
-    AccessOutcome, Capabilities, ComputeOutcome, MechanismKind, PeriodCounter, SamplingMechanism,
+    AccessOutcome, Capabilities, ComputeOutcome, MechanismKind, MechanismSpec, PeriodCounter,
+    Qualifier,
 };
 use crate::sample::Sample;
+use numa_machine::AccessLevel;
 use numa_sim::MemoryEvent;
 
-/// Per-sample handler cost including the cache-refill pollution term (see
-/// `MechanismConfig::refill_factor`).
-fn sample_cost_with_refill(base: u64, refill: f64, ev: &MemoryEvent) -> u64 {
-    base + (refill * ev.latency as f64) as u64
-}
-
-/// Instruction-based sampling (AMD). Samples every `period`-th instruction
-/// of *any* kind: memory samples carry address + latency + data source;
-/// non-memory samples still cost handler time (the software filtering the
-/// paper notes as IBS overhead) and count toward `I^s`.
-pub struct Ibs {
-    counter: PeriodCounter,
+/// A per-thread sampling engine. Samplers are stateful (period counters)
+/// and owned one-per-thread, mirroring per-CPU PMU state.
+pub struct Sampler {
+    spec: &'static MechanismSpec,
     caps: Capabilities,
-    sample_cost: u64,
-    refill: f64,
-    /// Cost of fielding a sample that software then filters out (non-memory
-    /// instruction) — cheaper than a full memory sample but not free.
-    filtered_cost: u64,
-}
-
-impl Ibs {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        Ibs {
-            counter: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::Ibs),
-            sample_cost: cfg.per_sample_cost,
-            refill: cfg.refill_factor,
-            // Non-memory samples are filtered early in software: cheap.
-            filtered_cost: cfg.per_sample_cost / 100,
-        }
-    }
-}
-
-impl SamplingMechanism for Ibs {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Ibs
-    }
-
-    fn on_compute(&mut self, n: u64) -> ComputeOutcome {
-        let fires = self.counter.add(n);
-        ComputeOutcome {
-            instruction_samples: fires,
-            overhead: fires * self.filtered_cost,
-        }
-    }
-
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        if self.counter.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: sample_cost_with_refill(self.sample_cost, self.refill, ev),
-            }
-        } else {
-            AccessOutcome::default()
-        }
-    }
-}
-
-/// Marked event sampling (IBM POWER). The hardware marks a small fraction
-/// of instructions; a marked instruction matching the configured event
-/// (`PM_MRK_FROM_L3MISS`: data sourced from beyond the local L3) produces a
-/// sample. Sampling period 1 means every matching marked event samples, yet
-/// marking dilution keeps rates low (<100 samples/s/thread on POWER7, per
-/// the paper's footnote).
-pub struct Mrk {
-    dilution: PeriodCounter,
+    /// Marking stage in front of the period counter (MRK).
+    dilution: Option<PeriodCounter>,
     period: PeriodCounter,
-    caps: Capabilities,
+    threshold: u32,
+    /// Cycles per delivered memory sample, before the refill term.
     sample_cost: u64,
+    /// Cycles per counter fire on a non-memory instruction; `None` when
+    /// such instructions do not tick the counter.
+    compute_fire_cost: Option<u64>,
+    /// Cycles every access pays, sampled or not.
+    stub_cost: u64,
     refill: f64,
     events: u64,
 }
 
-impl Mrk {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        Mrk {
-            dilution: PeriodCounter::with_jitter(cfg.dilution.max(1), cfg.jitter),
-            period: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::Mrk),
-            sample_cost: cfg.per_sample_cost,
-            refill: cfg.refill_factor,
+impl MechanismConfig {
+    /// Instantiate a per-thread sampling engine.
+    pub fn build(&self) -> Sampler {
+        let spec = self.kind.spec();
+        // Counter creation order is observable: each counter draws its
+        // jitter stream from a process-global seed.
+        let dilution = spec
+            .dilution
+            .map(|_| PeriodCounter::with_jitter(self.dilution.max(1), self.jitter));
+        let period = PeriodCounter::with_jitter(self.period, self.jitter);
+        let sample_cost =
+            self.per_sample_cost + spec.correction_cost.map_or(0, |_| self.correction_cost);
+        Sampler {
+            spec,
+            caps: Capabilities::for_kind(self.kind),
+            dilution,
+            period,
+            threshold: self.latency_threshold,
+            sample_cost,
+            compute_fire_cost: spec.compute_fire_divisor.map(|d| sample_cost / d),
+            stub_cost: spec.per_event_cost.map_or(0, |_| self.per_event_cost),
+            refill: self.refill_factor,
             events: 0,
         }
     }
 }
 
-impl SamplingMechanism for Mrk {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Mrk
+impl Sampler {
+    pub fn kind(&self) -> MechanismKind {
+        self.spec.kind
     }
 
-    fn on_compute(&mut self, _n: u64) -> ComputeOutcome {
-        ComputeOutcome::default()
-    }
-
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        // Event filter: loads whose data came from beyond the local L3
-        // (PM_MRK_FROM_L3MISS marks demand loads).
-        let matches = !ev.is_store
-            && matches!(
-                ev.level,
-                numa_machine::AccessLevel::L3Remote
-                    | numa_machine::AccessLevel::MemLocal
-                    | numa_machine::AccessLevel::MemRemote
-            );
-        if !matches {
-            return AccessOutcome::default();
-        }
-        self.events += 1;
-        if self.dilution.tick() && self.period.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: sample_cost_with_refill(self.sample_cost, self.refill, ev),
-            }
-        } else {
-            AccessOutcome::default()
-        }
-    }
-
-    fn event_count(&self) -> u64 {
-        self.events
-    }
-}
-
-/// Precise event-based sampling (Intel), on `INST_RETIRED:ANY_P`. Samples
-/// every `period`-th retired instruction like IBS, but the recorded IP is
-/// off by one: the handler runs online binary analysis to recover the
-/// previous instruction, which dominates its (high) per-sample cost — the
-/// paper measured PEBS as the most expensive hardware mechanism for exactly
-/// this reason (§8, footnote 3).
-pub struct Pebs {
-    counter: PeriodCounter,
-    caps: Capabilities,
-    sample_cost: u64,
-    correction_cost: u64,
-    refill: f64,
-}
-
-impl Pebs {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        Pebs {
-            counter: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::Pebs),
-            sample_cost: cfg.per_sample_cost,
-            correction_cost: cfg.correction_cost,
-            refill: cfg.refill_factor,
-        }
-    }
-}
-
-impl SamplingMechanism for Pebs {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Pebs
-    }
-
-    fn on_compute(&mut self, n: u64) -> ComputeOutcome {
-        let fires = self.counter.add(n);
+    /// Observe `n` non-memory instructions retiring. Fires carry no address
+    /// but still cost handler time and count toward `I^s`.
+    pub fn on_compute(&mut self, n: u64) -> ComputeOutcome {
+        let Some(cost) = self.compute_fire_cost else {
+            return ComputeOutcome::default();
+        };
+        let fires = self.period.add(n);
         ComputeOutcome {
             instruction_samples: fires,
-            overhead: fires * (self.sample_cost + self.correction_cost),
+            overhead: fires * cost,
         }
     }
 
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        if self.counter.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: sample_cost_with_refill(
-                    self.sample_cost + self.correction_cost,
-                    self.refill,
-                    ev,
-                ),
+    /// Observe one memory access (which also retires one instruction).
+    pub fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
+        let mut out = AccessOutcome {
+            sample: None,
+            overhead: self.stub_cost,
+        };
+        let qualifies = match self.spec.qualifier {
+            Qualifier::EveryAccess => true,
+            Qualifier::LoadBeyondLocalL3 => {
+                !ev.is_store
+                    && matches!(
+                        ev.level,
+                        AccessLevel::L3Remote | AccessLevel::MemLocal | AccessLevel::MemRemote
+                    )
             }
-        } else {
-            AccessOutcome::default()
+            Qualifier::LoadAtOrAboveThreshold(_) => !ev.is_store && ev.latency >= self.threshold,
+        };
+        if !qualifies {
+            return out;
         }
-    }
-}
-
-/// Data event address registers (Itanium), on `DATA_EAR_CACHE_LAT4`:
-/// samples every `period`-th load whose latency is at least the threshold.
-/// No NUMA-event (data source) support.
-pub struct Dear {
-    counter: PeriodCounter,
-    caps: Capabilities,
-    threshold: u32,
-    sample_cost: u64,
-    refill: f64,
-}
-
-impl Dear {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        Dear {
-            counter: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::Dear),
-            threshold: cfg.latency_threshold,
-            sample_cost: cfg.per_sample_cost,
-            refill: cfg.refill_factor,
+        if self.spec.counts_events {
+            self.events += 1;
         }
-    }
-}
-
-impl SamplingMechanism for Dear {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Dear
-    }
-
-    fn on_compute(&mut self, _n: u64) -> ComputeOutcome {
-        ComputeOutcome::default()
-    }
-
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        if ev.is_store || ev.latency < self.threshold {
-            return AccessOutcome::default();
+        if self.dilution.as_mut().is_none_or(PeriodCounter::tick) && self.period.tick() {
+            out.sample = Some(Sample::from_event(ev, self.caps));
+            // Cache-refill pollution term, see `MechanismConfig::refill_factor`.
+            out.overhead += self.sample_cost + (self.refill * ev.latency as f64) as u64;
         }
-        if self.counter.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: sample_cost_with_refill(self.sample_cost, self.refill, ev),
-            }
-        } else {
-            AccessOutcome::default()
-        }
-    }
-}
-
-/// PEBS with load-latency extension (Intel Nehalem+), on
-/// `LATENCY_ABOVE_THRESHOLD`: samples every `period`-th load above the
-/// latency threshold, with measured latency and data source.
-pub struct PebsLl {
-    counter: PeriodCounter,
-    caps: Capabilities,
-    threshold: u32,
-    sample_cost: u64,
-    refill: f64,
-    events: u64,
-}
-
-impl PebsLl {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        PebsLl {
-            counter: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::PebsLl),
-            threshold: cfg.latency_threshold,
-            sample_cost: cfg.per_sample_cost,
-            refill: cfg.refill_factor,
-            events: 0,
-        }
-    }
-}
-
-impl SamplingMechanism for PebsLl {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::PebsLl
+        out
     }
 
-    fn on_compute(&mut self, _n: u64) -> ComputeOutcome {
-        ComputeOutcome::default()
-    }
-
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        if ev.is_store || ev.latency < self.threshold {
-            return AccessOutcome::default();
-        }
-        self.events += 1;
-        if self.counter.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: sample_cost_with_refill(self.sample_cost, self.refill, ev),
-            }
-        } else {
-            AccessOutcome::default()
-        }
-    }
-
-    fn event_count(&self) -> u64 {
+    /// Value of the mechanism's hardware event counter: the *absolute*
+    /// number of qualifying events observed (sampled or not), as a PMU
+    /// counter would report. PEBS-LL's `E_NUMA` in Eq. 3 comes from here.
+    /// Mechanisms without such a counter report 0.
+    pub fn event_count(&self) -> u64 {
         self.events
-    }
-}
-
-/// Software-supported IBS: LLVM-style instrumentation of every load and
-/// store. Every access pays the instrumentation-stub cost; every
-/// `period`-th access is recorded as a sample. The only mechanism usable on
-/// hardware without PMU address sampling, and by far the most expensive
-/// (Table 2: up to +200%).
-pub struct SoftIbs {
-    counter: PeriodCounter,
-    caps: Capabilities,
-    stub_cost: u64,
-    sample_cost: u64,
-    refill: f64,
-}
-
-impl SoftIbs {
-    pub fn new(cfg: &MechanismConfig) -> Self {
-        SoftIbs {
-            counter: PeriodCounter::with_jitter(cfg.period, cfg.jitter),
-            caps: Capabilities::for_kind(MechanismKind::SoftIbs),
-            stub_cost: cfg.per_event_cost,
-            sample_cost: cfg.per_sample_cost,
-            refill: cfg.refill_factor,
-        }
-    }
-}
-
-impl SamplingMechanism for SoftIbs {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::SoftIbs
-    }
-
-    fn on_compute(&mut self, _n: u64) -> ComputeOutcome {
-        ComputeOutcome::default()
-    }
-
-    fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
-        if self.counter.tick() {
-            AccessOutcome {
-                sample: Some(Sample::from_event(ev, self.caps)),
-                overhead: self.stub_cost
-                    + sample_cost_with_refill(self.sample_cost, self.refill, ev),
-            }
-        } else {
-            AccessOutcome {
-                sample: None,
-                overhead: self.stub_cost,
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_machine::{AccessLevel, CpuId, DomainId};
+    use numa_machine::{CpuId, DomainId};
 
     fn ev(level: AccessLevel, latency: u32, is_store: bool) -> MemoryEvent {
         MemoryEvent {
@@ -363,7 +138,7 @@ mod tests {
         }
     }
 
-    fn drive(m: &mut dyn SamplingMechanism, events: &[MemoryEvent]) -> (u64, u64) {
+    fn drive(m: &mut Sampler, events: &[MemoryEvent]) -> (u64, u64) {
         let mut samples = 0;
         let mut overhead = 0;
         for e in events {
@@ -377,7 +152,7 @@ mod tests {
     #[test]
     fn ibs_samples_at_period_across_both_streams() {
         let cfg = MechanismConfig::for_tests_exact(MechanismKind::Ibs, 10);
-        let mut ibs = Ibs::new(&cfg);
+        let mut ibs = cfg.build();
         // 95 compute instructions + 5 accesses = 100 instructions → 10 samples.
         let c = ibs.on_compute(95);
         let events: Vec<_> = (0..5).map(|_| ev(AccessLevel::L1, 4, false)).collect();
@@ -388,7 +163,7 @@ mod tests {
     #[test]
     fn ibs_memory_samples_carry_latency_and_source() {
         let cfg = MechanismConfig::for_tests(MechanismKind::Ibs, 1);
-        let mut ibs = Ibs::new(&cfg);
+        let mut ibs = cfg.build();
         let o = ibs.on_access(&ev(AccessLevel::MemRemote, 300, false));
         let s = o.sample.unwrap();
         assert_eq!(s.latency, Some(300));
@@ -399,7 +174,7 @@ mod tests {
     #[test]
     fn mrk_only_samples_l3_miss_traffic() {
         let cfg = MechanismConfig::for_tests(MechanismKind::Mrk, 1);
-        let mut mrk = Mrk::new(&cfg);
+        let mut mrk = cfg.build();
         assert!(mrk
             .on_access(&ev(AccessLevel::L1, 4, false))
             .sample
@@ -419,7 +194,7 @@ mod tests {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::Pebs, 1);
         cfg.correction_cost = 500;
         cfg.per_sample_cost = 100;
-        let mut pebs = Pebs::new(&cfg);
+        let mut pebs = cfg.build();
         let o = pebs.on_access(&ev(AccessLevel::L2, 12, true));
         assert_eq!(o.overhead, 600);
         let s = o.sample.unwrap();
@@ -432,7 +207,7 @@ mod tests {
     fn dear_filters_stores_and_fast_loads() {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::Dear, 1);
         cfg.latency_threshold = 8;
-        let mut dear = Dear::new(&cfg);
+        let mut dear = cfg.build();
         assert!(dear
             .on_access(&ev(AccessLevel::L1, 4, false))
             .sample
@@ -451,7 +226,7 @@ mod tests {
     fn pebs_ll_thresholded_with_latency() {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::PebsLl, 1);
         cfg.latency_threshold = 32;
-        let mut ll = PebsLl::new(&cfg);
+        let mut ll = cfg.build();
         assert!(ll
             .on_access(&ev(AccessLevel::L2, 12, false))
             .sample
@@ -469,7 +244,7 @@ mod tests {
         let mut cfg = MechanismConfig::for_tests_exact(MechanismKind::SoftIbs, 4);
         cfg.per_event_cost = 10;
         cfg.per_sample_cost = 100;
-        let mut soft = SoftIbs::new(&cfg);
+        let mut soft = cfg.build();
         let events: Vec<_> = (0..8).map(|_| ev(AccessLevel::L1, 4, false)).collect();
         let (samples, overhead) = drive(&mut soft, &events);
         assert_eq!(samples, 2);
@@ -481,7 +256,7 @@ mod tests {
         // §3 requires uniform sampling of memory accesses; a period counter
         // fires exactly count/period times regardless of phase.
         let cfg = MechanismConfig::for_tests_exact(MechanismKind::SoftIbs, 1000);
-        let mut soft = SoftIbs::new(&cfg);
+        let mut soft = cfg.build();
         let events: Vec<_> = (0..100_000)
             .map(|_| ev(AccessLevel::L1, 4, false))
             .collect();

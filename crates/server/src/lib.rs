@@ -47,4 +47,4 @@ pub use protocol::{
     caps, FrameDecoder, FrameError, ProfileEntry, RecvError, ReportFormat, Request, Response,
     ServerStatsReport, SlowOpRow, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-pub use server::{Backend, Server, ServerConfig, ShutdownHandle};
+pub use server::{Backend, Server, ServerConfig};

@@ -18,8 +18,8 @@
 //!
 //! ## Shutdown
 //!
-//! A shared [`AtomicBool`] flag (set by [`ShutdownHandle::shutdown`] or
-//! a client's `Shutdown` request) makes the accept loop stop, closes
+//! A shared [`AtomicBool`] flag (set by a client's `Shutdown` request)
+//! makes the accept loop stop, closes
 //! the queue, and puts workers into *drain* mode: each worker finishes
 //! the request it is executing, answers any request already in flight
 //! on its connection (bounded by a short drain timeout), then closes.
@@ -92,20 +92,6 @@ impl Default for ServerConfig {
             slow_op_threshold: Duration::from_millis(500),
             trace_capacity: 256,
         }
-    }
-}
-
-/// Remote trigger for a graceful stop, cloneable across threads.
-#[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
-
-impl ShutdownHandle {
-    pub fn shutdown(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
     }
 }
 
@@ -209,19 +195,6 @@ impl Server {
     /// configured (reports the real port when bound ephemerally).
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_listener.as_ref().map(|(_, addr)| *addr)
-    }
-
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.backend.shutdown))
-    }
-
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.backend.metrics)
-    }
-
-    /// The daemon's metric registry (everything `GET /metrics` serves).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.backend.registry)
     }
 
     /// Serve until shutdown, then drain and join every worker. Returns

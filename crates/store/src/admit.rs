@@ -15,7 +15,6 @@ use crate::persist::{AppendError, AppendResult, Persister};
 use crate::{
     stream, wal, BatchReport, PersistStats, ProfileId, ProfileStore, StoreError, StoredProfile,
 };
-use numa_engine::ThreadScalars;
 use numa_obs::trace;
 use numa_profiler::NumaProfile;
 use rayon::prelude::*;
@@ -42,9 +41,9 @@ impl Admission {
     /// Encode `profile` canonically and hash those bytes — the crate's
     /// one [`ProfileId::of`] call, so the content id has a single
     /// definition.
-    fn prepare(label: &str, profile: NumaProfile, scalars: Option<ThreadScalars>) -> Self {
+    fn prepare(label: &str, profile: NumaProfile) -> Self {
         let (id, bytes) = ProfileId::of(&profile);
-        let sp = StoredProfile::new(id, label, profile, bytes.len(), scalars);
+        let sp = StoredProfile::new(id, label, profile, bytes.len());
         Admission {
             sp: Arc::new(sp),
             bytes,
@@ -55,26 +54,14 @@ impl Admission {
     /// computed at ingest time and the record is checksum-protected, so
     /// it is trusted as recorded — the cost of replay is the columnar
     /// decode the caller already did.
-    fn recorded(r: wal::BinProfileRecord, decoded: (NumaProfile, ThreadScalars)) -> Self {
-        let (profile, scalars) = decoded;
+    fn recorded(r: wal::BinProfileRecord, profile: NumaProfile) -> Self {
         let id = ProfileId(r.content_hash);
-        let sp = StoredProfile::new(id, &r.label, profile, r.bytes.len(), Some(scalars));
+        let sp = StoredProfile::new(id, &r.label, profile, r.bytes.len());
         Admission {
             sp: Arc::new(sp),
             bytes: r.bytes,
         }
     }
-}
-
-/// Decode a codec container into the profile plus the scalar columns
-/// the engine build consumes.
-fn decode(bytes: &[u8]) -> Result<(NumaProfile, ThreadScalars), numa_codec::CodecError> {
-    let view = numa_codec::ProfileView::parse(bytes)?;
-    let scalars = ThreadScalars {
-        instructions: view.instructions().collect(),
-        numa_events: view.numa_events().collect(),
-    };
-    Ok((view.to_profile()?, scalars))
 }
 
 /// How [`ProfileStore::admit_all`] makes its fresh rows durable.
@@ -104,7 +91,7 @@ fn assemble_sealed(seal: &wal::SealRecord, mut parts: BTreeMap<u64, Vec<u8>>) ->
         .map(|bytes| stream::ChunkPayload::from_binary(bytes).ok())
         .collect::<Option<Vec<_>>>()?;
     let profile = stream::assemble(chunks).ok()?;
-    let row = Admission::prepare(&seal.label, profile, None);
+    let row = Admission::prepare(&seal.label, profile);
     // Assembled bytes that disagree with the sealed hash drop the session.
     (row.sp.id.0 == seal.content_hash).then_some(row)
 }
@@ -271,7 +258,7 @@ impl ProfileStore {
         }
         let decoded = records
             .par_iter()
-            .map(|r| decode(&r.bytes).ok())
+            .map(|r| numa_codec::decode_profile(&r.bytes).ok())
             .collect_vec();
         stats.replay_parse_failures = decoded.iter().filter(|d| d.is_none()).count() as u64;
         let mut rows: Vec<Admission> = records
@@ -352,7 +339,7 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let row = Admission::prepare(label, profile, None);
+        let row = Admission::prepare(label, profile);
         let result = self.admit(row, Commit::Seal { session });
         self.discard_session(session);
         result
@@ -381,7 +368,7 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let row = Admission::prepare(label, profile, None);
+        let row = Admission::prepare(label, profile);
         self.admit(row, Commit::Record)
     }
 
@@ -396,14 +383,14 @@ impl ProfileStore {
     /// buffer as sent: a container with reordered or unknown sections
     /// (the codec skips them on decode) gets the id of its canonical
     /// form and dedups against it, as does the same profile arriving as
-    /// JSON. The decoded scalar columns are handed to the engine build.
+    /// JSON.
     pub fn ingest_binary(
         &self,
         label: &str,
         bytes: &[u8],
     ) -> Result<(ProfileId, bool), StoreError> {
-        let (profile, scalars) = decode(bytes).map_err(|e| self.parse_error(label, e))?;
-        let row = Admission::prepare(label, profile, Some(scalars));
+        let profile = numa_codec::decode_profile(bytes).map_err(|e| self.parse_error(label, e))?;
+        let row = Admission::prepare(label, profile);
         self.admit(row, Commit::Record)
     }
 
@@ -441,7 +428,7 @@ impl ProfileStore {
     /// before hashing, and goes no further.
     fn prepare_json(&self, label: &str, json: &str) -> Result<Admission, StoreError> {
         let profile = NumaProfile::from_json(json).map_err(|e| self.parse_error(label, e))?;
-        Ok(Admission::prepare(label, profile, None))
+        Ok(Admission::prepare(label, profile))
     }
 
     fn parse_error(&self, label: &str, e: impl fmt::Display) -> StoreError {

@@ -57,10 +57,10 @@ pub use cache::{CacheStats, MemoCache};
 pub use hash::{fnv1a, mix, ProfileId};
 
 use numa_analysis::{analyze, diff, full_text_report, render_cct, Analyzer};
-use numa_engine::{Engine, ThreadScalars};
+use numa_engine::Engine;
 use numa_obs::{Counter, Registry};
 use numa_profiler::{NumaProfile, RangeScope};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -147,45 +147,26 @@ pub struct StoredProfile {
     /// Attribution engine (interned symbols + columnar index), built on
     /// first query and shared by every analyzer handed out afterwards.
     engine: OnceLock<Arc<Engine>>,
-    /// Per-thread scalar columns a binary decode extracted, waiting for
-    /// the engine build to consume them (see [`StoredProfile::engine`]).
-    /// `None` for JSON-ingested profiles.
-    scalars: Mutex<Option<ThreadScalars>>,
 }
 
 impl StoredProfile {
-    /// `scalars` are the per-thread columns a binary decode already
-    /// extracted, so the engine build skips re-walking the per-thread
-    /// structs for them.
-    fn new(
-        id: ProfileId,
-        label: &str,
-        profile: NumaProfile,
-        codec_bytes: usize,
-        scalars: Option<ThreadScalars>,
-    ) -> Self {
+    fn new(id: ProfileId, label: &str, profile: NumaProfile, codec_bytes: usize) -> Self {
         StoredProfile {
             id,
             label: Arc::from(label),
             profile: Arc::new(profile),
             codec_bytes,
             engine: OnceLock::new(),
-            scalars: Mutex::new(scalars),
         }
     }
 
     /// The shared [`Engine`] over this profile. The index is built at
     /// most once; callers get a cheap `Arc` clone, never a profile copy.
-    /// A binary ingest's pre-extracted scalar columns are consumed by
-    /// the one build that happens.
     pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(self.engine.get_or_init(|| {
-            let profile = Arc::clone(&self.profile);
-            match self.scalars.lock().take() {
-                Some(scalars) => Arc::new(Engine::with_scalars(profile, scalars)),
-                None => Arc::new(Engine::new(profile)),
-            }
-        }))
+        Arc::clone(
+            self.engine
+                .get_or_init(|| Arc::new(Engine::new(Arc::clone(&self.profile)))),
+        )
     }
 }
 

@@ -58,7 +58,7 @@ fn plant(store: &ProfileStore, id: ProfileId, label: &str) {
         threads: Vec::new(),
         first_touches: Vec::new(),
     };
-    let sp = Arc::new(StoredProfile::new(id, label, empty, 0, None));
+    let sp = Arc::new(StoredProfile::new(id, label, empty, 0));
     let seq = store.shards.seq.fetch_add(1, Ordering::Relaxed);
     assert!(store.shards.of(id).write().insert(seq, sp), "{id} twice");
 }
