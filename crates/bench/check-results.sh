@@ -2,7 +2,7 @@
 # Reproduction guard: every regenerator's stdout must be byte-identical to
 # the checked-in results/<name>.txt. The simulated quantities are
 # deterministic (sequential execution, process-global jitter seed), so any
-# difference is a behaviour change, not noise. ~1 min in release.
+# difference is a behaviour change, not noise. ~30 s in release.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 

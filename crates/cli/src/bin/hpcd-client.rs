@@ -25,7 +25,7 @@
 use numa_profiler::NumaProfile;
 use numa_server::{caps, Backend, Client, ClientError, ReportFormat, ServerConfig};
 use numa_store::{PersistOptions, StoreConfig};
-use numa_tools::{die, open_store, Args};
+use numa_tools::{die, fail, open_store, Args};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,7 +89,7 @@ fn main() {
             } else {
                 Client::connect_with_timeout(addr, timeout)
             }
-            .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
+            .unwrap_or_else(|e| fail("hpcd-client", &format!("cannot connect to {addr}: {e}")));
             (addr, client, None)
         }
         (None, Some(target)) => {

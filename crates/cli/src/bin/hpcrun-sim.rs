@@ -17,9 +17,9 @@ use numa_profiler::ProfilerConfig;
 use numa_sampling::MechanismConfig;
 use numa_server::Client;
 use numa_sim::ExecMode;
-use numa_tools::{die, parse_machine, parse_mechanism, parse_workload, Args};
+use numa_tools::{die, fail, parse_machine, parse_mechanism, parse_workload, Args};
 use numa_workloads::run_profiled;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage: hpcrun-sim [--workload lulesh|amg2006|blackscholes|umt2013]
@@ -122,7 +122,9 @@ fn main() {
         mechanism.name(),
         threads
     );
+    let started = Instant::now();
     let (stats, _, profile) = run_profiled(workload.as_ref(), machine, threads, mode, config);
+    let wall = started.elapsed();
     eprintln!(
         "hpcrun-sim: {} cycles ({:.1}% monitoring overhead), {} samples",
         stats.elapsed_cycles,
@@ -132,6 +134,13 @@ fn main() {
             .iter()
             .map(|t| t.totals.samples_mem)
             .sum::<u64>()
+    );
+    eprintln!(
+        "hpcrun-sim: simulated {} accesses in {} ms ({:.1} ns/access), {} monitor callbacks",
+        stats.mem_accesses,
+        wall.as_millis(),
+        wall.as_nanos() as f64 / stats.mem_accesses.max(1) as f64,
+        stats.monitor_callbacks
     );
     if let Some(addr) = &stream_addr {
         let per: usize = args
@@ -151,10 +160,10 @@ fn main() {
             Duration::from_millis(retry_ms.max(1)),
             Duration::from_secs(5),
         )
-        .unwrap_or_else(|e| die(USAGE, &format!("cannot connect to {addr}: {e}")));
+        .unwrap_or_else(|e| fail("hpcrun-sim", &format!("cannot connect to {addr}: {e}")));
         let (id, added, chunks) = client
             .stream_profile(label, &profile, per)
-            .unwrap_or_else(|e| die(USAGE, &format!("streaming to {addr} failed: {e}")));
+            .unwrap_or_else(|e| fail("hpcrun-sim", &format!("streaming to {addr} failed: {e}")));
         eprintln!(
             "hpcrun-sim: streamed {label} to {addr} in {chunks} chunk(s): {id} ({})",
             if added { "added" } else { "deduplicated" }
@@ -164,7 +173,8 @@ fn main() {
     // explicitly; batch runs keep the profile.json default.
     if stream_addr.is_none() || explicit_out.is_some() {
         let out = explicit_out.unwrap_or_else(|| "profile.json".to_string());
-        std::fs::write(&out, profile.to_json()).unwrap_or_else(|e| die(USAGE, &e.to_string()));
+        std::fs::write(&out, profile.to_json())
+            .unwrap_or_else(|e| fail("hpcrun-sim", &format!("cannot write {out}: {e}")));
         eprintln!("hpcrun-sim: wrote {out}");
     }
 }

@@ -258,10 +258,18 @@ pub fn open_store(
     Ok(Arc::new(store))
 }
 
-/// Exit with a usage message.
+/// Exit with a usage message: the command line was wrong.
 pub fn die(usage: &str, err: &str) -> ! {
     eprintln!("error: {err}\n\n{usage}");
     std::process::exit(2)
+}
+
+/// Exit after a failure at run time (a peer that is not there, a file that
+/// cannot be written): the command line was fine, so no usage block, and
+/// exit code 1 rather than [`die`]'s 2.
+pub fn fail(tool: &str, err: &str) -> ! {
+    eprintln!("{tool}: {err}");
+    std::process::exit(1)
 }
 
 #[cfg(test)]

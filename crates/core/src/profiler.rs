@@ -13,7 +13,8 @@ use crate::trace::Trace;
 use numa_machine::{CpuId, DomainId, Machine};
 use numa_sampling::{Capabilities, Sampler};
 use numa_sim::{
-    AllocInfo, Frame, FrameKind, FuncRegistry, MemoryEvent, Monitor, PageFaultEvent, VarKind,
+    AllocInfo, Frame, FrameKind, FuncRegistry, MemoryEvent, Monitor, PageFaultEvent, SampleGate,
+    VarKind,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -169,6 +170,16 @@ impl Monitor for NumaProfiler {
         let mut t = self.threads[tid].lock();
         t.cpu = cpu;
         t.domain = domain;
+    }
+
+    fn gate(&self, tid: usize) -> SampleGate {
+        self.threads[tid].lock().mechanism.gate()
+    }
+
+    fn on_unseen(&self, tid: usize, instructions: u64, ticks: u64) {
+        let mut t = self.threads[tid].lock();
+        t.instructions += instructions;
+        t.mechanism.skipped(ticks);
     }
 
     fn on_alloc(&self, info: &AllocInfo<'_>, stack: &[Frame]) -> u64 {

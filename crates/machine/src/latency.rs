@@ -10,8 +10,10 @@ use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Where a memory access was satisfied. This doubles as the "data source"
-/// field that IBS and PEBS-LL samples report.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+/// field that IBS and PEBS-LL samples report. Variants are ordered by
+/// distance from the core, so `level >= AccessLevel::L3Remote` reads
+/// "beyond the local L3".
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum AccessLevel {
     /// Private level-1 cache hit.
     L1,
@@ -28,6 +30,15 @@ pub enum AccessLevel {
 }
 
 impl AccessLevel {
+    pub const ALL: [AccessLevel; 6] = [
+        AccessLevel::L1,
+        AccessLevel::L2,
+        AccessLevel::L3Local,
+        AccessLevel::L3Remote,
+        AccessLevel::MemLocal,
+        AccessLevel::MemRemote,
+    ];
+
     /// True if the data was served from outside the accessing core's NUMA
     /// domain (remote cache or remote memory). These accesses accumulate
     /// into the paper's `l_NUMA` remote-latency total.

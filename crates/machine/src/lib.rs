@@ -38,7 +38,7 @@ pub use controller::MemoryControllers;
 pub use ids::{CpuId, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 pub use interconnect::Interconnect;
 pub use latency::{AccessLevel, LatencyModel};
-pub use page::{FaultKind, PageMap, PageQuery};
+pub use page::{FaultKind, PageMap, PageQuery, PageTlb};
 pub use policy::PlacementPolicy;
 pub use presets::MachinePreset;
 pub use topology::Topology;

@@ -12,13 +12,25 @@
 //!   delivers to the profiler, which attributes it and restores access.
 //!
 //! The map is organized as a sorted list of *regions* (one per allocation),
-//! each holding per-page atomic state, so the per-access fast path is a read
-//! lock + binary search + two relaxed atomic loads.
+//! each holding per-page atomic state. [`PageMap::touch`] costs a read lock
+//! (two atomic read-modify-writes), a binary search and two atomic loads,
+//! plus a compare-exchange only on a page that is protected or unbound —
+//! too much to pay on every simulated access, so each virtual thread goes
+//! through its own [`PageTlb`], which answers repeat touches of a page with
+//! one atomic load of the map's *epoch*.
+//!
+//! The epoch counts the operations that can make a cached answer wrong:
+//! [`PageMap::register_region`], [`PageMap::remove_region`] and
+//! [`PageMap::protect_extent`] each bump it *after* their change is in
+//! place. Everything else only moves a page toward the state a TLB entry
+//! already assumes (bound, unprotected): a binding never changes while its
+//! region lives, and `touch` / [`PageMap::unprotect_extent`] only clear
+//! protection.
 
 use crate::ids::{pages_spanned, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 use crate::policy::PlacementPolicy;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Sentinel for "page not yet bound to any domain".
 const UNBOUND: u8 = u8::MAX;
@@ -76,6 +88,10 @@ impl Region {
 pub struct PageMap {
     num_domains: usize,
     regions: RwLock<Vec<Region>>,
+    /// See the module doc. Bumped with `Release` after the change it
+    /// announces; [`PageTlb::touch`] loads it with `Acquire`, so a thread
+    /// that sees the new value also sees the change.
+    epoch: AtomicU64,
 }
 
 impl PageMap {
@@ -84,6 +100,7 @@ impl PageMap {
         PageMap {
             num_domains,
             regions: RwLock::new(Vec::new()),
+            epoch: AtomicU64::new(0),
         }
     }
 
@@ -120,6 +137,7 @@ impl PageMap {
             assert!(region.end() <= next.start, "region overlaps successor");
         }
         regions.insert(pos, region);
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Remove the region starting at `start` (e.g. on `free`). Returns true
@@ -128,6 +146,7 @@ impl PageMap {
         let mut regions = self.regions.write();
         if let Ok(idx) = regions.binary_search_by_key(&start, |r| r.start) {
             regions.remove(idx);
+            self.epoch.fetch_add(1, Ordering::Release);
             true
         } else {
             false
@@ -147,15 +166,15 @@ impl PageMap {
             .unwrap_or_else(|| panic!("access to unmapped address {addr:#x}"));
         let idx = r.page_index(addr);
 
-        // Protection check first: the fault conceptually precedes the access.
-        let fault = if r.prot[idx]
-            .compare_exchange(PROT_TRAP, PROT_NONE, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(FaultKind::FirstTouchTrap)
-        } else {
-            None
-        };
+        // Protection check first: the fault conceptually precedes the
+        // access. Few pages are ever protected, so look before paying for
+        // the read-modify-write; of racing touchers exactly one wins it.
+        let prot = &r.prot[idx];
+        let trapped = prot.load(Ordering::Acquire) == PROT_TRAP
+            && prot
+                .compare_exchange(PROT_TRAP, PROT_NONE, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok();
+        let fault = trapped.then_some(FaultKind::FirstTouchTrap);
 
         let cell = &r.domains[idx];
         let current = cell.load(Ordering::Acquire);
@@ -217,6 +236,7 @@ impl PageMap {
                 protected += 1;
             }
         }
+        self.epoch.fetch_add(1, Ordering::Release);
         protected
     }
 
@@ -279,6 +299,61 @@ impl PageMap {
         }
         let r = &regions[pos - 1];
         (addr < r.end()).then_some(r)
+    }
+}
+
+/// Slots in a [`PageTlb`]; a power of two, indexed by the low page-number
+/// bits.
+const TLB_SLOTS: usize = 256;
+
+/// A slot that matches no page: page numbers have at most 52 bits.
+const TLB_EMPTY: u64 = u64::MAX;
+
+/// One thread's direct-mapped cache of page → home domain.
+///
+/// A slot is filled only from a [`PageMap::touch`] answer, after which the
+/// page is bound and unprotected, and every slot is dropped as soon as the
+/// map's epoch has moved — so a hit may answer `bound_now: false, fault:
+/// None` without looking at the map.
+pub struct PageTlb {
+    epoch: u64,
+    /// `page number << 8 | domain`.
+    slots: [u64; TLB_SLOTS],
+}
+
+impl Default for PageTlb {
+    fn default() -> Self {
+        PageTlb {
+            epoch: 0,
+            slots: [TLB_EMPTY; TLB_SLOTS],
+        }
+    }
+}
+
+impl PageTlb {
+    /// [`PageMap::touch`], answered from the cache when it can be.
+    #[inline]
+    pub fn touch(&mut self, map: &PageMap, addr: u64, toucher: DomainId) -> PageQuery {
+        // Read the epoch before the map: a change that lands after this
+        // load leaves `self.epoch` stale, so the next touch flushes
+        // whatever this one caches.
+        let epoch = map.epoch.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.slots.fill(TLB_EMPTY);
+            self.epoch = epoch;
+        }
+        let page = addr >> PAGE_SHIFT;
+        let slot = &mut self.slots[page as usize % TLB_SLOTS];
+        if *slot >> 8 == page {
+            return PageQuery {
+                domain: DomainId(*slot as u8),
+                bound_now: false,
+                fault: None,
+            };
+        }
+        let q = map.touch(addr, toucher);
+        *slot = page << 8 | q.domain.0 as u64;
+        q
     }
 }
 
@@ -433,6 +508,76 @@ mod tests {
         assert_eq!(winners, 1, "exactly one thread performs the binding");
         let domain = results[0].domain;
         assert!(results.iter().all(|q| q.domain == domain));
+    }
+
+    #[test]
+    fn tlb_hit_repeats_the_maps_answer() {
+        let m = map();
+        let mut tlb = PageTlb::default();
+        m.register_region(BASE, 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
+        let first = tlb.touch(&m, BASE + 8, DomainId(3));
+        assert!(first.bound_now);
+        let hit = PageQuery {
+            domain: DomainId(3),
+            bound_now: false,
+            fault: None,
+        };
+        // A hit ignores the toucher, as a bound page does.
+        assert_eq!(tlb.touch(&m, BASE + 16, DomainId(5)), hit);
+        assert_eq!(
+            tlb.touch(&m, BASE + 16, DomainId(5)),
+            m.touch(BASE, DomainId(5))
+        );
+        // Pages that collide in the direct-mapped table evict each other
+        // and still resolve.
+        let far = BASE + TLB_SLOTS as u64 * PAGE_SIZE;
+        m.register_region(far, PAGE_SIZE, PlacementPolicy::Bind(DomainId(6)));
+        assert_eq!(tlb.touch(&m, far, DomainId(0)).domain, DomainId(6));
+        assert_eq!(tlb.touch(&m, BASE, DomainId(0)), hit);
+        assert_eq!(tlb.touch(&m, far, DomainId(0)).domain, DomainId(6));
+    }
+
+    #[test]
+    fn a_binding_made_through_one_tlb_is_seen_through_another() {
+        let m = map();
+        let (mut t0, mut t5) = (PageTlb::default(), PageTlb::default());
+        m.register_region(BASE, PAGE_SIZE, PlacementPolicy::FirstTouch);
+        assert!(t0.touch(&m, BASE, DomainId(0)).bound_now);
+        for _ in 0..2 {
+            let q = t5.touch(&m, BASE, DomainId(5));
+            assert_eq!((q.domain, q.bound_now), (DomainId(0), false));
+        }
+    }
+
+    #[test]
+    fn protecting_touched_pages_traps_once_per_page_through_a_warm_tlb() {
+        let m = map();
+        let mut tlb = PageTlb::default();
+        m.register_region(BASE, 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
+        let sweep = |tlb: &mut PageTlb| {
+            (0..8u64)
+                .filter(|i| {
+                    let q = tlb.touch(&m, BASE + i / 2 * PAGE_SIZE + i % 2 * 64, DomainId(1));
+                    q.fault.is_some()
+                })
+                .count()
+        };
+        assert_eq!(sweep(&mut tlb), 0);
+        assert_eq!(m.protect_extent(BASE, 4 * PAGE_SIZE), 4);
+        assert_eq!(sweep(&mut tlb), 4, "one trap per page, not per access");
+        assert_eq!(sweep(&mut tlb), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unmapped address")]
+    fn a_warm_tlb_does_not_outlive_its_region() {
+        let m = map();
+        let mut tlb = PageTlb::default();
+        m.register_region(BASE, PAGE_SIZE, PlacementPolicy::FirstTouch);
+        tlb.touch(&m, BASE, DomainId(0));
+        tlb.touch(&m, BASE, DomainId(0));
+        m.remove_region(BASE);
+        tlb.touch(&m, BASE, DomainId(0));
     }
 
     #[test]

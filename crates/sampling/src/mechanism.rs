@@ -358,6 +358,21 @@ impl PeriodCounter {
     pub fn tick(&mut self) -> bool {
         self.add(1) > 0
     }
+
+    /// Ticks this counter can absorb before the one that fires it.
+    pub fn quiet(&self) -> u64 {
+        self.next_arm - self.count - 1
+    }
+
+    /// Advance by `n <= self.quiet()` ticks, none of which can fire.
+    pub fn skip(&mut self, n: u64) {
+        self.count += n;
+        assert!(
+            self.count < self.next_arm,
+            "skipped {n} ticks past a counter armed at {}",
+            self.next_arm
+        );
+    }
 }
 
 #[cfg(test)]

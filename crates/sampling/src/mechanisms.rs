@@ -9,24 +9,30 @@ use crate::mechanism::{
 };
 use crate::sample::Sample;
 use numa_machine::AccessLevel;
-use numa_sim::MemoryEvent;
+use numa_sim::{MemoryEvent, SampleGate};
 
 /// A per-thread sampling engine. Samplers are stateful (period counters)
 /// and owned one-per-thread, mirroring per-CPU PMU state.
+///
+/// The engine need not show a sampler every event: [`Sampler::gate`] says
+/// how many qualifying events cannot fire, and [`Sampler::skipped`] stands
+/// in for feeding them to [`Sampler::on_access`] / [`Sampler::on_compute`]
+/// one by one.
+#[derive(Clone)]
 pub struct Sampler {
     spec: &'static MechanismSpec,
     caps: Capabilities,
     /// Marking stage in front of the period counter (MRK).
     dilution: Option<PeriodCounter>,
     period: PeriodCounter,
-    threshold: u32,
+    /// Which accesses qualify and what every access pays, sampled or not
+    /// (`quiet` is filled in by [`Sampler::gate`]).
+    gate: SampleGate,
     /// Cycles per delivered memory sample, before the refill term.
     sample_cost: u64,
     /// Cycles per counter fire on a non-memory instruction; `None` when
     /// such instructions do not tick the counter.
     compute_fire_cost: Option<u64>,
-    /// Cycles every access pays, sampled or not.
-    stub_cost: u64,
     refill: f64,
     events: u64,
 }
@@ -43,15 +49,34 @@ impl MechanismConfig {
         let period = PeriodCounter::with_jitter(self.period, self.jitter);
         let sample_cost =
             self.per_sample_cost + spec.correction_cost.map_or(0, |_| self.correction_cost);
+        let compute_fire_cost = spec.compute_fire_divisor.map(|d| sample_cost / d);
+        // One `quiet` describes one counter: compute instructions tick the
+        // period counter, so they cannot coexist with a marking stage.
+        assert!(
+            dilution.is_none() || compute_fire_cost.is_none(),
+            "{}: a diluted mechanism cannot sample non-memory instructions",
+            spec.name
+        );
+        let (loads_only, min_level, min_latency) = match spec.qualifier {
+            Qualifier::EveryAccess => (false, AccessLevel::L1, 0),
+            Qualifier::LoadBeyondLocalL3 => (true, AccessLevel::L3Remote, 0),
+            Qualifier::LoadAtOrAboveThreshold(_) => (true, AccessLevel::L1, self.latency_threshold),
+        };
         Sampler {
             spec,
             caps: Capabilities::for_kind(self.kind),
             dilution,
             period,
-            threshold: self.latency_threshold,
+            gate: SampleGate {
+                loads_only,
+                min_level,
+                min_latency,
+                compute_ticks: compute_fire_cost.is_some(),
+                stub_cost: spec.per_event_cost.map_or(0, |_| self.per_event_cost),
+                quiet: 0,
+            },
             sample_cost,
-            compute_fire_cost: spec.compute_fire_divisor.map(|d| sample_cost / d),
-            stub_cost: spec.per_event_cost.map_or(0, |_| self.per_event_cost),
+            compute_fire_cost,
             refill: self.refill_factor,
             events: 0,
         }
@@ -80,20 +105,9 @@ impl Sampler {
     pub fn on_access(&mut self, ev: &MemoryEvent) -> AccessOutcome {
         let mut out = AccessOutcome {
             sample: None,
-            overhead: self.stub_cost,
+            overhead: self.gate.stub_cost,
         };
-        let qualifies = match self.spec.qualifier {
-            Qualifier::EveryAccess => true,
-            Qualifier::LoadBeyondLocalL3 => {
-                !ev.is_store
-                    && matches!(
-                        ev.level,
-                        AccessLevel::L3Remote | AccessLevel::MemLocal | AccessLevel::MemRemote
-                    )
-            }
-            Qualifier::LoadAtOrAboveThreshold(_) => !ev.is_store && ev.latency >= self.threshold,
-        };
-        if !qualifies {
+        if !self.gate.ticks(ev.is_store, ev.level, ev.latency) {
             return out;
         }
         if self.spec.counts_events {
@@ -105,6 +119,29 @@ impl Sampler {
             out.overhead += self.sample_cost + (self.refill * ev.latency as f64) as u64;
         }
         out
+    }
+
+    /// What the engine may retire without showing it to this sampler:
+    /// `quiet` qualifying events — compute instructions among them if
+    /// `compute_ticks` — cannot fire the first-stage counter.
+    pub fn gate(&self) -> SampleGate {
+        SampleGate {
+            quiet: self.dilution.as_ref().unwrap_or(&self.period).quiet(),
+            ..self.gate
+        }
+    }
+
+    /// `ticks` qualifying events, at most the `quiet` of the last
+    /// [`Sampler::gate`], were retired unseen. Leaves the sampler as that
+    /// many `on_access` / `on_compute(1)` calls would have.
+    pub fn skipped(&mut self, ticks: u64) {
+        if self.spec.counts_events {
+            self.events += ticks;
+        }
+        self.dilution
+            .as_mut()
+            .unwrap_or(&mut self.period)
+            .skip(ticks);
     }
 
     /// Value of the mechanism's hardware event counter: the *absolute*

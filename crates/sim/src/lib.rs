@@ -31,7 +31,7 @@ pub use cache::{Cache, CacheConfig, LINE_SHIFT, LINE_SIZE};
 pub use event::{AllocInfo, MemoryEvent, PageFaultEvent, VarKind};
 pub use func::{Frame, FrameKind, FuncId, FuncRegistry};
 pub use l3::{L3Complex, SharedL3};
-pub use monitor::{Monitor, NullMonitor};
+pub use monitor::{Monitor, NullMonitor, SampleGate};
 pub use program::{alloc_static, ExecMode, Program, ProgramStats, SharedEnv};
 pub use space::AddressSpace;
 pub use thread::{ThreadCtx, ThreadState, ALLOC_BASE_COST, FAULT_DELIVERY_COST};

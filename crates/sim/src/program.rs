@@ -57,6 +57,9 @@ pub struct ProgramStats {
     pub instructions: u64,
     /// Total memory accesses across threads.
     pub mem_accesses: u64,
+    /// `on_access` + `on_compute` calls the monitor's gate let through,
+    /// across threads.
+    pub monitor_callbacks: u64,
 }
 
 impl ProgramStats {
@@ -122,7 +125,7 @@ impl Program {
             .map(|(tid, &cpu)| {
                 let domain = machine.topology().domain_of_cpu(cpu);
                 monitor.on_thread_start(tid, cpu, domain);
-                ThreadState::new(tid, cpu, domain)
+                ThreadState::new(tid, cpu, domain, &machine, monitor.gate(tid))
             })
             .collect();
         let num_threads = threads.len();
@@ -284,13 +287,17 @@ impl Program {
         }
     }
 
-    /// Declare the execution complete: notifies the monitor of final
+    /// Declare the execution complete: notifies the monitor of what each
+    /// thread retired unseen since its last callback and of final
     /// per-thread clocks. Further regions panic.
     pub fn finish(&mut self) -> ProgramStats {
         if !self.finished {
             self.finished = true;
-            for t in &self.threads {
-                self.env.monitor.on_thread_end(t.tid, t.clock);
+            let env = &self.env;
+            for state in &mut self.threads {
+                let mut ctx = ThreadCtx { state, env };
+                ctx.report_unseen();
+                env.monitor.on_thread_end(ctx.tid(), ctx.clock());
             }
         }
         self.stats()
@@ -303,6 +310,7 @@ impl Program {
             baseline_cycles: self.baseline_elapsed,
             instructions: self.threads.iter().map(|t| t.instructions).sum(),
             mem_accesses: self.threads.iter().map(|t| t.mem_accesses).sum(),
+            monitor_callbacks: self.threads.iter().map(|t| t.monitor_callbacks).sum(),
         }
     }
 
@@ -595,6 +603,152 @@ mod tests {
             });
         });
         assert_eq!(&*rec.0.lock(), &[1, 2]);
+    }
+
+    #[test]
+    fn gated_monitor_sees_what_its_gate_lets_through_and_is_told_the_rest() {
+        use crate::monitor::SampleGate;
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        /// Every tenth load, and any compute block longer than what is
+        /// left of the ten.
+        #[derive(Default)]
+        struct TenthLoad {
+            loads: AtomicU64,
+            computes: AtomicU64,
+            unseen_instructions: AtomicU64,
+            unseen_ticks: AtomicU64,
+        }
+        impl Monitor for TenthLoad {
+            fn gate(&self, _tid: usize) -> SampleGate {
+                SampleGate {
+                    loads_only: true,
+                    stub_cost: 3,
+                    quiet: 9,
+                    ..SampleGate::DELIVER_ALL
+                }
+            }
+            fn on_unseen(&self, _tid: usize, instructions: u64, ticks: u64) {
+                assert!(ticks <= 9 && ticks <= instructions);
+                self.unseen_instructions.fetch_add(instructions, Relaxed);
+                self.unseen_ticks.fetch_add(ticks, Relaxed);
+            }
+            fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
+                assert!(!ev.is_store);
+                self.loads.fetch_add(1, Relaxed);
+                7
+            }
+            fn on_compute(&self, _tid: usize, n: u64, _stack: &[Frame]) -> u64 {
+                self.computes.fetch_add(n, Relaxed);
+                0
+            }
+        }
+        let mon = Arc::new(TenthLoad::default());
+        let mut p = Program::new(machine(), 1, ExecMode::Sequential, mon.clone());
+        p.serial("main", |ctx| {
+            let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
+            for i in 0..25 {
+                ctx.load(a + i * 8, 8); // delivered: the 10th and the 20th
+                ctx.store(a + i * 8, 8); // never ticks
+            }
+            ctx.compute(4); // 5 loads + 4 = 9 ticks: still quiet
+            ctx.compute(1); // the 10th tick
+            ctx.compute(3);
+        });
+        let stats = p.finish();
+        assert_eq!(mon.loads.load(Relaxed), 2);
+        assert_eq!(mon.computes.load(Relaxed), 1);
+        assert_eq!(stats.monitor_callbacks, 3);
+        assert_eq!(mon.unseen_instructions.load(Relaxed), 23 + 25 + 4 + 3);
+        assert_eq!(mon.unseen_ticks.load(Relaxed), 23 + 4 + 3);
+        // The stub is charged for every access retired unseen, the
+        // callback's own return for the two delivered.
+        assert_eq!(
+            stats.elapsed_cycles - stats.baseline_cycles,
+            (23 + 25) * 3 + 2 * 7
+        );
+    }
+
+    #[test]
+    fn unmonitored_runs_make_no_callbacks() {
+        let mut p = Program::unmonitored(machine(), 2, ExecMode::Sequential);
+        p.parallel("work", |_, ctx| {
+            let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
+            ctx.load_range(a, 64, 8);
+            ctx.compute(1000);
+        });
+        let stats = p.finish();
+        assert_eq!(stats.monitor_callbacks, 0);
+        assert_eq!(stats.mem_accesses, 128);
+        assert_eq!(stats.instructions, 2 * (8 + 64 + 1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unmapped address")]
+    fn freed_memory_stays_unmapped_for_a_thread_that_cached_its_pages() {
+        let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+        p.serial("main", |ctx| {
+            let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
+            ctx.load(a, 8);
+            ctx.load(a, 8);
+            ctx.free(a);
+            ctx.load(a, 8);
+        });
+    }
+
+    #[test]
+    fn a_page_is_bound_once_and_every_thread_sees_that_binding() {
+        struct Homes(Mutex<Vec<(usize, u8, bool)>>);
+        impl Monitor for Homes {
+            fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
+                self.0
+                    .lock()
+                    .push((ev.tid, ev.home_domain.0, ev.first_touch_page));
+                0
+            }
+        }
+        let rec = Arc::new(Homes(Mutex::new(Vec::new())));
+        let mut p = Program::new(machine(), 8, ExecMode::Sequential, rec.clone());
+        let mut base = 0;
+        p.serial("init", |ctx| {
+            base = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
+            ctx.store(base, 8);
+            ctx.store(base + 64, 8);
+        });
+        p.parallel("read", |tid, ctx| {
+            if tid == 5 {
+                ctx.load(base, 8);
+                ctx.load(base + 128, 8);
+            }
+        });
+        assert_eq!(
+            &*rec.0.lock(),
+            &[(0, 0, true), (0, 0, false), (5, 0, false), (5, 0, false)]
+        );
+    }
+
+    #[test]
+    fn latency_table_matches_the_latency_model_on_every_preset() {
+        use numa_machine::{AccessLevel, DomainId};
+        for preset in MachinePreset::ALL {
+            let m = Machine::from_preset(preset);
+            let domains = m.topology().domains();
+            let model = m.latency_model();
+            for local in (0..domains).map(|d| DomainId(d as u8)) {
+                let table = crate::thread::latency_table(&m, local);
+                assert_eq!(table.len(), AccessLevel::ALL.len() * domains);
+                for level in AccessLevel::ALL {
+                    for serving in (0..domains).map(|d| DomainId(d as u8)) {
+                        let hops = m.interconnect().hops(local, serving);
+                        let latency = model.latency(level, hops, 1.0);
+                        assert_eq!(
+                            table[level as usize * domains + serving.index()],
+                            (latency, model.stall_cycles(latency)),
+                            "{preset:?} {level:?} {local:?}→{serving:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

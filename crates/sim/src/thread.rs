@@ -11,8 +11,9 @@
 use crate::cache::Cache;
 use crate::event::{AllocInfo, MemoryEvent, PageFaultEvent, VarKind};
 use crate::func::{Frame, FrameKind, FuncId};
+use crate::monitor::SampleGate;
 use crate::program::SharedEnv;
-use numa_machine::{AccessLevel, CpuId, DomainId};
+use numa_machine::{AccessLevel, CpuId, DomainId, Machine, PageTlb};
 
 /// Cycles charged for taking a first-touch trap, before the monitor's own
 /// handler cost (kernel signal delivery + mprotect restore).
@@ -44,10 +45,28 @@ pub struct ThreadState {
     /// domain — the basis for the fork-join contention charge applied at
     /// the region join (see `Program::join_region`).
     pub(crate) region_dram_stalls: Vec<u64>,
+    tlb: PageTlb,
+    /// `(latency, stall)` of an access served at a level by a domain, see
+    /// [`latency_table`].
+    latencies: Vec<(u32, u64)>,
+    /// The monitor's current gate; `gate.quiet` is the live countdown.
+    gate: SampleGate,
+    /// Instructions, and the ticks among them, retired since the monitor
+    /// was last told ([`Monitor::on_unseen`](crate::Monitor::on_unseen)).
+    unseen_instructions: u64,
+    unseen_ticks: u64,
+    /// Delivered `on_access` + `on_compute` calls.
+    pub(crate) monitor_callbacks: u64,
 }
 
 impl ThreadState {
-    pub(crate) fn new(tid: usize, cpu: CpuId, domain: DomainId) -> Self {
+    pub(crate) fn new(
+        tid: usize,
+        cpu: CpuId,
+        domain: DomainId,
+        machine: &Machine,
+        gate: SampleGate,
+    ) -> Self {
         ThreadState {
             tid,
             cpu,
@@ -62,8 +81,32 @@ impl ThreadState {
             stack_underflows: 0,
             line: 0,
             region_dram_stalls: Vec::new(),
+            tlb: PageTlb::default(),
+            latencies: latency_table(machine, domain),
+            gate,
+            unseen_instructions: 0,
+            unseen_ticks: 0,
+            monitor_callbacks: 0,
         }
     }
+}
+
+/// Uncontended `(latency, stall)` of every access a thread in `domain` can
+/// make, indexed `level as usize * domains + serving domain`: the latency
+/// model and the hop matrix are fixed for a run, so the per-access path
+/// looks up what it would otherwise recompute.
+pub(crate) fn latency_table(machine: &Machine, domain: DomainId) -> Vec<(u32, u64)> {
+    let model = machine.latency_model();
+    let domains = machine.topology().domains();
+    let mut table = Vec::with_capacity(AccessLevel::ALL.len() * domains);
+    for level in AccessLevel::ALL {
+        for serving in 0..domains {
+            let hops = machine.interconnect().hops(domain, DomainId(serving as u8));
+            let latency = model.latency(level, hops, 1.0);
+            table.push((latency, model.stall_cycles(latency)));
+        }
+    }
+    table
 }
 
 /// Mutable view of a thread during a region, bound to the program's shared
@@ -218,13 +261,40 @@ impl<'a> ThreadCtx<'a> {
         if n == 0 {
             return;
         }
-        self.state.instructions += n;
-        self.state.clock += n;
-        let oh = self
-            .env
-            .monitor
-            .on_compute(self.state.tid, n, &self.state.stack);
-        self.charge_overhead(oh);
+        let st = &mut *self.state;
+        st.instructions += n;
+        st.clock += n;
+        if !st.gate.compute_ticks {
+            st.unseen_instructions += n;
+        } else if n <= st.gate.quiet {
+            st.gate.quiet -= n;
+            st.unseen_instructions += n;
+            st.unseen_ticks += n;
+        } else {
+            self.report_unseen();
+            let st = &mut *self.state;
+            let oh = self.env.monitor.on_compute(st.tid, n, &st.stack);
+            self.delivered(oh);
+        }
+    }
+
+    /// Tell the monitor what was retired since it was last told.
+    pub(crate) fn report_unseen(&mut self) {
+        let st = &mut *self.state;
+        if st.unseen_instructions > 0 {
+            let (instructions, ticks) = (st.unseen_instructions, st.unseen_ticks);
+            self.env.monitor.on_unseen(st.tid, instructions, ticks);
+            st.unseen_instructions = 0;
+            st.unseen_ticks = 0;
+        }
+    }
+
+    /// Bookkeeping after a delivered `on_access` / `on_compute` that
+    /// charged `overhead`: count it, charge it, re-arm the gate.
+    fn delivered(&mut self, overhead: u64) {
+        self.charge_overhead(overhead);
+        self.state.monitor_callbacks += 1;
+        self.state.gate = self.env.monitor.gate(self.state.tid);
     }
 
     /// Issue a load of `size` bytes at `addr`.
@@ -246,7 +316,7 @@ impl<'a> ThreadCtx<'a> {
         st.clock += 1; // issue slot
 
         let machine = &self.env.machine;
-        let q = machine.page_map().touch(addr, st.domain);
+        let q = st.tlb.touch(machine.page_map(), addr, st.domain);
 
         // First-touch trap (simulated SIGSEGV): delivered before the access
         // completes, exactly once per protected page (§6).
@@ -289,17 +359,27 @@ impl<'a> ThreadCtx<'a> {
         // queueing delay under contention is charged to the clock at the
         // region join, where the whole region's per-domain load is known
         // exactly (independent of execution mode).
-        let lat_model = machine.latency_model();
-        let hops = machine.interconnect().hops(st.domain, serving);
-        let latency = lat_model.latency(level, hops, 1.0);
-        let stall = lat_model.stall_cycles(latency);
+        let domains = machine.topology().domains();
+        let (latency, stall) = st.latencies[level as usize * domains + serving.index()];
         st.clock += stall;
         if level.is_memory() {
             if st.region_dram_stalls.len() <= home.index() {
-                st.region_dram_stalls
-                    .resize(machine.topology().domains(), 0);
+                st.region_dram_stalls.resize(domains, 0);
             }
             st.region_dram_stalls[home.index()] += stall;
+        }
+
+        // Between samples the simulated PMU only counts.
+        let ticks = st.gate.ticks(is_store, level, latency);
+        if !ticks || st.gate.quiet > 0 {
+            st.unseen_instructions += 1;
+            if ticks {
+                st.gate.quiet -= 1;
+                st.unseen_ticks += 1;
+            }
+            st.clock += st.gate.stub_cost;
+            st.monitor_cycles += st.gate.stub_cost;
+            return;
         }
 
         let ev = MemoryEvent {
@@ -316,9 +396,9 @@ impl<'a> ThreadCtx<'a> {
             first_touch_page: q.bound_now,
             clock: st.clock,
         };
-        let oh = self.env.monitor.on_access(&ev, &st.stack);
-        st.clock += oh;
-        st.monitor_cycles += oh;
+        self.report_unseen();
+        let oh = self.env.monitor.on_access(&ev, &self.state.stack);
+        self.delivered(oh);
     }
 
     /// Convenience: load `count` consecutive elements of `elem_size` bytes
