@@ -42,7 +42,7 @@ usage: hpcd-sim [--listen ADDR]          (default 127.0.0.1:7701; port 0 = ephem
                 [--metrics-addr ADDR]    (serve GET /metrics as Prometheus text; port 0 = ephemeral)
                 [--slow-op-ms N]         (log requests slower than N ms; default 500)
                 [--fault-spec SPEC]      (testing: inject storage faults into the durable
-                                          store, e.g. enospc=4096 or sync=2,rename=1;
+                                          store, e.g. enospc=4096 or sync=2,truncate=1;
                                           see numa-faults::FaultSpec::parse)";
 
 fn main() {

@@ -1,15 +1,15 @@
 //! Deterministic fault injection for the durability stack.
 //!
 //! The store's WAL + snapshot layer performs a small, fixed vocabulary
-//! of filesystem operations: open/create a file, append bytes, flush,
-//! fsync, truncate, seek, rename, and fsync the containing directory.
+//! of filesystem operations: open or create a file, append bytes, flush,
+//! fsync, truncate, seek, and fsync the containing directory.
 //! [`Storage`] (and its per-file handle [`StorageFile`]) captures that
 //! vocabulary as a trait so the persistence code can run against:
 //!
 //! * [`StdStorage`] — the production passthrough over `std::fs`.
 //! * [`FaultyStorage`] — the same operations, but driven by a
 //!   [`FaultSpec`] schedule that deterministically fails the Nth sync,
-//!   short-writes the Nth write, errors the Nth rename, or returns
+//!   short-writes the Nth write, errors the Nth truncate, or returns
 //!   ENOSPC once a byte budget is spent. A [`FaultyStorage::kill`]
 //!   switch fails *everything* from that moment on, simulating the
 //!   process dying mid-operation: bytes already handed to `write_all`
@@ -17,8 +17,8 @@
 //!   cache), later operations never happen.
 //! * [`RecordingStorage`] — a decorator that logs every operation in
 //!   order, so tests can assert *ordering* properties (e.g. "the
-//!   directory fsync happens after the snapshot rename and before the
-//!   WAL truncate") instead of only end states.
+//!   snapshot is synced before the WAL is truncated") instead of only
+//!   end states.
 //!
 //! Schedules are deterministic: the same [`FaultSpec`] against the same
 //! operation sequence injects the same faults, which is what lets a
@@ -31,8 +31,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// One open file handle: the operations the WAL writer and snapshot
-/// writer perform on a file.
+/// One open file handle: the operations the WAL and snapshot writer
+/// performs on a file.
 // `len()` here is a fallible size query (it mirrors `File::metadata`),
 // so a clippy-style `is_empty` companion has no meaningful contract.
 #[allow(clippy::len_without_is_empty)]
@@ -72,15 +72,10 @@ pub trait StorageFile: Send {
 pub trait Storage: Send + Sync {
     /// Open `path` for reading and appending, creating it if absent.
     fn open_rw(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;
-    /// Create `path` fresh (truncating any existing file), write-only.
-    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;
     /// Open `path` for reading; `Ok(None)` when it does not exist.
     fn open_read(&self, path: &Path) -> io::Result<Option<Box<dyn StorageFile>>>;
-    /// Atomically rename `from` over `to`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Fsync the directory itself, making renames/creates within it
-    /// durable. This is what turns an atomic rename into a *power-loss
-    /// atomic* one.
+    /// Fsync the directory itself, making file creations within it
+    /// durable.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
 }
 
@@ -129,10 +124,6 @@ impl Storage for StdStorage {
         Ok(Box::new(StdFile(f)))
     }
 
-    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        Ok(Box::new(StdFile(File::create(path)?)))
-    }
-
     fn open_read(&self, path: &Path) -> io::Result<Option<Box<dyn StorageFile>>> {
         match File::open(path) {
             Ok(f) => Ok(Some(Box::new(StdFile(f)))),
@@ -141,13 +132,9 @@ impl Storage for StdStorage {
         }
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         // Opening a directory read-only and fsyncing it is the POSIX
-        // idiom for making renames/creates inside it durable.
+        // idiom for making creates inside it durable.
         File::open(dir)?.sync_all()
     }
 }
@@ -176,8 +163,10 @@ pub struct FaultSpec {
     /// On the Nth `write_all`, persist only the first `keep` bytes and
     /// then error — a torn write.
     pub short_write: Option<(u64, u64)>,
-    /// Fail the Nth rename (the file is left un-renamed).
-    pub fail_rename: Option<u64>,
+    /// Fail the Nth `set_len` (the file keeps its length) — the step
+    /// that resets the WAL after a compaction and that rolls a failed
+    /// group back.
+    pub fail_set_len: Option<u64>,
     /// Total byte budget: once cumulative written bytes would exceed
     /// it, writes persist up to the budget and then fail with
     /// `ErrorKind::StorageFull` — a full disk.
@@ -194,19 +183,19 @@ impl FaultSpec {
         let mut next = || splitmix64(&mut s);
         let fail_sync = (next() % 2 == 0).then(|| 1 + next() % 12);
         let short_write = (next() % 2 == 0).then(|| (1 + next() % 16, next() % 48));
-        let fail_rename = (next() % 4 == 0).then(|| 1 + next() % 3);
+        let fail_set_len = (next() % 4 == 0).then(|| 1 + next() % 6);
         let enospc_after = (next() % 4 == 0).then(|| 256 + next() % (48 << 10));
         FaultSpec {
             fail_sync,
             short_write,
-            fail_rename,
+            fail_set_len,
             enospc_after,
         }
     }
 
     /// Parse a CLI schedule: comma-separated `sync=N`, `write=N:KEEP`,
-    /// `rename=N`, `enospc=BYTES` terms (e.g. `"enospc=16384"`,
-    /// `"sync=2,rename=1"`).
+    /// `truncate=N`, `enospc=BYTES` terms (e.g. `"enospc=16384"`,
+    /// `"sync=2,truncate=1"`).
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
         let mut out = FaultSpec::default();
         for term in spec.split(',').filter(|t| !t.is_empty()) {
@@ -219,7 +208,7 @@ impl FaultSpec {
             };
             match key {
                 "sync" => out.fail_sync = Some(parse(value)?),
-                "rename" => out.fail_rename = Some(parse(value)?),
+                "truncate" => out.fail_set_len = Some(parse(value)?),
                 "enospc" => out.enospc_after = Some(parse(value)?),
                 "write" => {
                     let (n, keep) = value
@@ -254,7 +243,7 @@ struct FaultCtl {
 struct FaultCounts {
     writes: u64,
     syncs: u64,
-    renames: u64,
+    set_lens: u64,
     bytes_written: u64,
     injected: u64,
 }
@@ -299,7 +288,7 @@ impl FaultyStorage {
 
     /// Simulate the process dying: every operation from now on fails
     /// immediately. Bytes already written stay (the OS survives a
-    /// SIGKILL); syncs, renames, and truncates never happen.
+    /// SIGKILL); syncs and truncates never happen.
     pub fn kill(&self) {
         self.ctl.killed.store(true, Ordering::SeqCst);
     }
@@ -388,6 +377,14 @@ impl StorageFile for FaultyFile {
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.ctl.check_alive()?;
+        {
+            let mut c = self.ctl.counts.lock();
+            c.set_lens += 1;
+            if self.ctl.spec.fail_set_len == Some(c.set_lens) {
+                c.injected += 1;
+                return Err(io::Error::other("injected truncate failure"));
+            }
+        }
         self.inner.set_len(len)
     }
 
@@ -421,14 +418,6 @@ impl Storage for FaultyStorage {
         }))
     }
 
-    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        self.ctl.check_alive()?;
-        Ok(Box::new(FaultyFile {
-            inner: self.inner.create(path)?,
-            ctl: Arc::clone(&self.ctl),
-        }))
-    }
-
     fn open_read(&self, path: &Path) -> io::Result<Option<Box<dyn StorageFile>>> {
         self.ctl.check_alive()?;
         Ok(self.inner.open_read(path)?.map(|f| {
@@ -437,19 +426,6 @@ impl Storage for FaultyStorage {
                 ctl: Arc::clone(&self.ctl),
             }) as Box<dyn StorageFile>
         }))
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.ctl.check_alive()?;
-        {
-            let mut c = self.ctl.counts.lock();
-            c.renames += 1;
-            if self.ctl.spec.fail_rename == Some(c.renames) {
-                c.injected += 1;
-                return Err(io::Error::other("injected rename failure"));
-            }
-        }
-        self.inner.rename(from, to)
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
@@ -465,7 +441,7 @@ impl Storage for FaultyStorage {
 
 /// Decorator that logs every operation (by file name, not full path) in
 /// the order the persistence layer issued it, for ordering assertions
-/// like "rename is followed by a directory fsync before any truncate".
+/// like "the snapshot sync comes before any WAL truncate".
 pub struct RecordingStorage {
     inner: Arc<dyn Storage>,
     ops: Arc<Mutex<Vec<String>>>,
@@ -544,15 +520,6 @@ impl Storage for RecordingStorage {
         }))
     }
 
-    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        self.log(format!("create({})", name_of(path)));
-        Ok(Box::new(RecordingFile {
-            inner: self.inner.create(path)?,
-            name: name_of(path),
-            ops: Arc::clone(&self.ops),
-        }))
-    }
-
     fn open_read(&self, path: &Path) -> io::Result<Option<Box<dyn StorageFile>>> {
         Ok(self.inner.open_read(path)?.map(|f| {
             Box::new(RecordingFile {
@@ -561,11 +528,6 @@ impl Storage for RecordingStorage {
                 ops: Arc::clone(&self.ops),
             }) as Box<dyn StorageFile>
         }))
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.log(format!("rename({} -> {})", name_of(from), name_of(to)));
-        self.inner.rename(from, to)
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
@@ -601,7 +563,6 @@ mod tests {
         assert_eq!(r.read_exact_or_eof(&mut buf).unwrap(), 5);
         assert_eq!(&buf[..5], b"hello");
         assert!(storage.open_read(&dir.join("absent")).unwrap().is_none());
-        storage.rename(&path, &dir.join("b.bin")).unwrap();
         storage.sync_dir(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -657,6 +618,24 @@ mod tests {
     }
 
     #[test]
+    fn nth_set_len_fails_once_and_keeps_the_length() {
+        let dir = scratch("truncate");
+        let storage = FaultyStorage::new(FaultSpec {
+            fail_set_len: Some(2),
+            ..FaultSpec::default()
+        });
+        let mut f = storage.open_rw(&dir.join("w.bin")).unwrap();
+        f.write_all(b"12345678").unwrap();
+        f.set_len(6).unwrap();
+        assert!(f.set_len(2).is_err());
+        assert_eq!(f.len().unwrap(), 6);
+        f.set_len(2).unwrap();
+        assert_eq!(f.len().unwrap(), 2);
+        assert_eq!(storage.injected(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn kill_fails_everything_but_keeps_written_bytes() {
         let dir = scratch("kill");
         let storage = FaultyStorage::new(FaultSpec::default());
@@ -667,7 +646,7 @@ mod tests {
         assert!(f.write_all(b"lost").is_err());
         assert!(f.sync_data().is_err());
         assert!(f.set_len(0).is_err());
-        assert!(storage.rename(&path, &dir.join("x")).is_err());
+        assert!(storage.sync_dir(&dir).is_err());
         assert!(storage.open_rw(&path).is_err());
         drop(f);
         assert_eq!(std::fs::read(&path).unwrap(), b"durable");
@@ -678,20 +657,19 @@ mod tests {
     fn recording_storage_logs_ops_in_order() {
         let dir = scratch("rec");
         let rec = RecordingStorage::new(Arc::new(StdStorage));
-        let tmp = dir.join("s.tmp");
-        let mut f = rec.create(&tmp).unwrap();
+        let mut f = rec.open_rw(&dir.join("s.bin")).unwrap();
         f.write_all(b"abc").unwrap();
         f.sync_data().unwrap();
+        f.set_len(1).unwrap();
         drop(f);
-        rec.rename(&tmp, &dir.join("s.bin")).unwrap();
         rec.sync_dir(&dir).unwrap();
         assert_eq!(
             rec.ops(),
             vec![
-                "create(s.tmp)".to_string(),
-                "write(s.tmp, 3)".to_string(),
-                "sync_data(s.tmp)".to_string(),
-                "rename(s.tmp -> s.bin)".to_string(),
+                "open_rw(s.bin)".to_string(),
+                "write(s.bin, 3)".to_string(),
+                "sync_data(s.bin)".to_string(),
+                "set_len(s.bin, 1)".to_string(),
                 "sync_dir".to_string(),
             ]
         );
@@ -724,15 +702,16 @@ mod tests {
             }
         );
         assert_eq!(
-            FaultSpec::parse("sync=2,rename=1,write=5:10").unwrap(),
+            FaultSpec::parse("sync=2,truncate=1,write=5:10").unwrap(),
             FaultSpec {
                 fail_sync: Some(2),
-                fail_rename: Some(1),
+                fail_set_len: Some(1),
                 short_write: Some((5, 10)),
                 enospc_after: None,
             }
         );
         assert!(FaultSpec::parse("bogus=1").is_err());
+        assert!(FaultSpec::parse("rename=1").is_err());
         assert!(FaultSpec::parse("sync").is_err());
         assert!(FaultSpec::parse("").unwrap().is_noop());
     }

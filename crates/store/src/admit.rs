@@ -116,13 +116,13 @@ impl ProfileStore {
     /// simply be retried. In-memory stores (and replay, which runs
     /// before the persister is attached) stop after the insert.
     ///
-    /// Insert comes *before* persist, on purpose. A snapshot compaction
-    /// racing this call clones the store's corpus and then resets the
-    /// WAL, so a record persisted before its insert could be wiped from
-    /// the log while still missing from the snapshot — acknowledged yet
-    /// unrecoverable. Inserting first guarantees any compaction that
-    /// discards a row's WAL record has already captured the profile
-    /// itself; ack ⇒ durable then needs only the rollback below.
+    /// Insert comes *before* persist, on purpose. The fold that
+    /// discards a row's WAL record first appends the profile to the
+    /// snapshot, and it gets the profile by looking the committed id up
+    /// on its shelf — possibly in the same persister step that commits
+    /// the record, before this call has seen its ack. Inserting first
+    /// guarantees that lookup finds it; ack ⇒ durable then needs only
+    /// the rollback below.
     ///
     /// Known caveat: a concurrent identical ingest can dedup against an
     /// insert whose commit then fails — it reports `Ok(false)` for a
@@ -197,7 +197,10 @@ impl ProfileStore {
     fn persist_batch(p: &Persister, rows: &[&Admission]) -> Vec<AppendResult> {
         let records = rows
             .par_iter()
-            .map(|row| wal::encode_bin_record(&row.sp.label, &row.bytes, row.sp.id.0))
+            .map(|row| {
+                let record = wal::encode_bin_record(&row.sp.label, &row.bytes, row.sp.id.0);
+                (Some(row.sp.id), record)
+            })
             .collect_vec();
         let started = Instant::now();
         let acks = p.append_all(records);
@@ -213,13 +216,13 @@ impl ProfileStore {
             let records = log.entry(session).or_default();
             let seal = wal::encode_seal_record(session, records.len() as u64, sp.id.0, &sp.label);
             // Keep the seal alongside the chunks until the commit is
-            // settled: a compaction racing it re-stages chunks *and*
-            // seal together, so the sealed session survives the WAL
-            // reset even before the seal append is processed.
+            // settled: a fold racing it re-stages chunks *and* seal
+            // together, so the sealed session survives the WAL reset
+            // even before the seal append is processed.
             records.push(seal.clone());
             seal
         };
-        p.append_seal(seal, session)
+        p.append_seal(seal, session, sp.id)
     }
 
     // ------------------------------------------------------------------
@@ -228,56 +231,85 @@ impl ProfileStore {
 
     /// Rebuild the in-memory set from what recovery scanned, snapshot
     /// entries first and the log on top; content addressing dedups
-    /// records present in both. Profile records decode in parallel (the
-    /// expensive part) and are admitted in file order. Sealed streaming
-    /// sessions reassemble into ready rows admitted after them;
-    /// unsealed or incomplete sessions are dropped wholesale — a client
-    /// (or this daemon) that died mid-stream never half-ingests.
+    /// records present in both. Rows are admitted in file order — a
+    /// sealed session where its seal sits — and both files are written
+    /// in commit order, so listings after a restart read in the order
+    /// the profiles were acknowledged. Profile records decode in
+    /// parallel (the expensive part); unsealed or incomplete sessions
+    /// are dropped wholesale — a client (or this daemon) that died
+    /// mid-stream never half-ingests.
+    ///
+    /// Returns the ids only the log holds — its rows that admitted as
+    /// new — which is what the next fold owes the snapshot.
     pub(crate) fn recover(
         &self,
-        entries: impl Iterator<Item = wal::WalEntry>,
+        snapshot: Vec<wal::WalEntry>,
+        log: Vec<wal::WalEntry>,
         stats: &mut PersistStats,
-    ) {
-        let mut records: Vec<wal::BinProfileRecord> = Vec::new();
+    ) -> Vec<ProfileId> {
+        enum Slot {
+            Record(wal::BinProfileRecord),
+            Seal(wal::SealRecord),
+        }
+        // Each slot with whether it came off the log.
+        let mut slots: Vec<(Slot, bool)> = Vec::new();
         let mut chunks: HashMap<u64, BTreeMap<u64, Vec<u8>>> = HashMap::new();
-        let mut seals: Vec<wal::SealRecord> = Vec::new();
-        for entry in entries {
-            match entry {
-                wal::WalEntry::Profile(r) => records.push(r),
-                wal::WalEntry::Chunk(c) => {
-                    stats.session_chunks_replayed += 1;
-                    // BTreeMap insert dedups chunks re-staged by a
-                    // compaction that raced the original append.
-                    chunks
-                        .entry(c.session)
-                        .or_default()
-                        .insert(c.seq, c.payload);
+        for (entries, from_log) in [(snapshot, false), (log, true)] {
+            for entry in entries {
+                match entry {
+                    wal::WalEntry::Profile(r) => slots.push((Slot::Record(r), from_log)),
+                    wal::WalEntry::Chunk(c) => {
+                        stats.session_chunks_replayed += 1;
+                        // BTreeMap insert dedups chunks re-staged by a
+                        // fold that raced the original append.
+                        chunks
+                            .entry(c.session)
+                            .or_default()
+                            .insert(c.seq, c.payload);
+                    }
+                    wal::WalEntry::Seal(s) => slots.push((Slot::Seal(s), from_log)),
                 }
-                wal::WalEntry::Seal(s) => seals.push(s),
             }
         }
-        let decoded = records
+        let decoded = slots
             .par_iter()
-            .map(|r| numa_codec::decode_profile(&r.bytes).ok())
+            .map(|(slot, _)| match slot {
+                Slot::Record(r) => numa_codec::decode_profile(&r.bytes).ok(),
+                Slot::Seal(_) => None,
+            })
             .collect_vec();
-        stats.replay_parse_failures = decoded.iter().filter(|d| d.is_none()).count() as u64;
-        let mut rows: Vec<Admission> = records
-            .into_iter()
-            .zip(decoded)
-            .filter_map(|(r, d)| Some(Admission::recorded(r, d?)))
-            .collect();
-        for seal in seals {
-            let parts = chunks.remove(&seal.session).unwrap_or_default();
-            match assemble_sealed(&seal, parts) {
-                Some(row) => {
-                    stats.sessions_recovered += 1;
-                    rows.push(row);
+        let mut rows: Vec<Admission> = Vec::with_capacity(slots.len());
+        let mut row_from_log: Vec<bool> = Vec::with_capacity(slots.len());
+        for ((slot, from_log), decoded) in slots.into_iter().zip(decoded) {
+            let row = match (slot, decoded) {
+                (Slot::Record(r), Some(profile)) => Some(Admission::recorded(r, profile)),
+                (Slot::Record(_), None) => {
+                    stats.replay_parse_failures += 1;
+                    None
                 }
-                None => stats.sessions_dropped += 1,
+                (Slot::Seal(seal), _) => {
+                    let parts = chunks.remove(&seal.session).unwrap_or_default();
+                    let row = assemble_sealed(&seal, parts);
+                    match row {
+                        Some(_) => stats.sessions_recovered += 1,
+                        None => stats.sessions_dropped += 1,
+                    }
+                    row
+                }
+            };
+            if let Some(row) = row {
+                rows.push(row);
+                row_from_log.push(from_log);
             }
         }
         stats.sessions_dropped += chunks.len() as u64; // chunks with no seal
-        self.admit_all(&rows, Commit::Record);
+        let admitted = self.admit_all(&rows, Commit::Record);
+        rows.iter()
+            .zip(row_from_log)
+            .zip(admitted)
+            .filter(|((_, from_log), outcome)| *from_log && matches!(outcome, Ok(true)))
+            .map(|((row, _), _)| row.sp.id)
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -308,7 +340,7 @@ impl ProfileStore {
             .or_default()
             .push(record.clone());
         let started = Instant::now();
-        let appended = p.append_all(vec![record]).pop();
+        let appended = p.append_all(vec![(None, record)]).pop();
         trace::note_wal_ack_us(started.elapsed().as_micros() as u64);
         match appended {
             Some(Err(e)) => {

@@ -369,8 +369,8 @@ impl Shard {
     }
 }
 
-/// The sharded shelf set, shared with the persister thread (snapshot
-/// compaction reads the corpus through it).
+/// The sharded shelf set, shared with the persister thread (a fold
+/// looks committed profiles up through it).
 struct ShardSet {
     shards: Vec<Shard>,
     /// `shards.len() - 1`; the shard count is a power of two.
@@ -393,9 +393,17 @@ impl ShardSet {
         &self.shards[id.0 as usize & self.mask]
     }
 
+    fn get(&self, id: ProfileId) -> Option<Arc<StoredProfile>> {
+        let shelf = self.of(id).read();
+        shelf
+            .by_id
+            .get(&id)
+            .map(|&i| Arc::clone(&shelf.profiles[i].1))
+    }
+
     /// Every stored profile, sorted by id — a deterministic order that
     /// does not depend on the shard count or insertion interleaving, so
-    /// snapshots and pooled aggregates are reproducible.
+    /// pooled aggregates are reproducible.
     fn corpus_sorted(&self) -> Vec<Arc<StoredProfile>> {
         let mut all = Vec::new();
         for shard in &self.shards {
@@ -429,14 +437,18 @@ impl Default for StoreConfig {
 /// Tuning knobs for durable stores ([`ProfileStore::open_durable`]).
 #[derive(Clone, Debug)]
 pub struct PersistOptions {
-    /// Compact (snapshot + reset the WAL) once the WAL exceeds this many
-    /// bytes. The compaction cost is proportional to the whole corpus,
-    /// so this trades replay time against snapshot churn.
+    /// Compact (fold the WAL into the snapshot and reset it) once the
+    /// WAL has grown by this many bytes since the last compaction —
+    /// chunk records of open sessions that one re-staged do not count.
+    /// A compaction costs what was committed since the last one, so
+    /// this bounds replay time, not write volume.
     pub snapshot_wal_bytes: u64,
-    /// `fsync` the WAL once per group commit (and the snapshot after
-    /// every compaction). Off by default: flushing to the OS already
-    /// survives a SIGKILL of the daemon; `fsync` additionally survives
-    /// power loss at a large per-commit cost.
+    /// `fsync` the WAL once per group commit. Off by default: flushing
+    /// to the OS already survives a SIGKILL of the daemon; `fsync`
+    /// additionally survives power loss at a large per-commit cost. The
+    /// flag governs WAL commits only: a compaction always syncs what it
+    /// appended to the snapshot, because the WAL reset that follows
+    /// depends on it.
     pub fsync: bool,
 }
 
@@ -476,6 +488,13 @@ pub struct PersistStats {
     pub wal_bytes: u64,
     /// Snapshot compactions performed since startup (flushes included).
     pub snapshots_written: u64,
+    /// Current snapshot size in bytes (file header included; 0 until the
+    /// first compaction creates it).
+    pub snapshot_bytes: u64,
+    /// Profile records compactions appended to the snapshot since
+    /// startup. Write amplification is (bytes appended to the WAL +
+    /// bytes folded into the snapshot) / acknowledged bytes.
+    pub records_folded: u64,
     /// Append/compaction I/O failures. A failed append fails its whole
     /// commit group: the log tail is rolled back and every affected
     /// ingest returns [`StoreError::Persist`] instead of being
@@ -545,11 +564,13 @@ type PersistMetric = (&'static str, &'static str, bool, fn(&PersistStats) -> u64
 /// The persistence series [`ProfileStore::register_metrics`] exposes,
 /// in exposition order.
 #[rustfmt::skip]
-const PERSIST_METRICS: [PersistMetric; 9] = [
+const PERSIST_METRICS: [PersistMetric; 11] = [
     ("numa_store_wal_appends_total", "Records appended to the WAL since startup.", false, |p| p.wal_appends),
     ("numa_store_wal_group_commits_total", "WAL group commits since startup.", false, |p| p.wal_group_commits),
     ("numa_store_wal_bytes", "Current WAL size in bytes (header included).", true, |p| p.wal_bytes),
     ("numa_store_snapshots_written_total", "Snapshot compactions performed since startup.", false, |p| p.snapshots_written),
+    ("numa_store_snapshot_bytes", "Current snapshot size in bytes (header included).", true, |p| p.snapshot_bytes),
+    ("numa_store_records_folded_total", "Profile records compactions appended to the snapshot since startup.", false, |p| p.records_folded),
     ("numa_store_persist_io_errors_total", "WAL append / compaction I/O failures.", false, |p| p.io_errors),
     ("numa_store_snapshot_records_loaded", "Records loaded from the snapshot at startup.", false, |p| p.snapshot_records_loaded),
     ("numa_store_wal_records_replayed", "Records replayed from the WAL at startup.", false, |p| p.wal_records_replayed),
@@ -664,27 +685,36 @@ impl ProfileStore {
 
         // The persister is not attached yet, so replayed inserts do not
         // re-append to the WAL.
-        store.recover(snap.entries.into_iter().chain(log.entries), &mut base);
+        let unfolded = store.recover(snap.entries, log.entries, &mut base);
 
-        let writer =
-            wal::WalWriter::open_with(&*storage, &wal::wal_path(dir), log.valid_len, opts.fsync)?;
-        // The compaction corpus closure runs on the persister thread: it
-        // clones profile `Arc`s under brief shard read locks, then
-        // serializes outside any lock (in parallel under rayon).
+        let open_writer = |path: &Path, magic, valid_len| {
+            wal::WalWriter::open_with(&*storage, path, magic, valid_len, opts.fsync)
+        };
+        // A snapshot that exists is cut to its intact prefix now; one
+        // that does not is created by the first fold, not here.
+        let snapshot = (snap.valid_len + snap.truncated_bytes > 0)
+            .then(|| {
+                open_writer(
+                    &snapshot::snapshot_path(dir),
+                    wal::SNAPSHOT_MAGIC,
+                    snap.valid_len,
+                )
+            })
+            .transpose()?;
+        let recovered = persist::Recovered {
+            wal: open_writer(&wal::wal_path(dir), wal::WAL_MAGIC, log.valid_len)?,
+            snapshot,
+            unfolded,
+            stats: base,
+        };
+        // The fold's row closure runs on the persister thread: it takes
+        // a committed profile off its shelf under a brief shard read lock
+        // and serializes it outside any lock.
         let shards = Arc::clone(&store.shards);
-        let corpus: persist::CorpusFn = Box::new(move || {
-            use rayon::prelude::*;
-            let profiles = shards.corpus_sorted();
-            profiles
-                .par_iter()
-                .map(|sp| {
-                    (
-                        sp.label.to_string(),
-                        numa_codec::encode_profile(&sp.profile),
-                        sp.id.0,
-                    )
-                })
-                .collect_vec()
+        let row: persist::RowFn = Box::new(move |id| {
+            let sp = shards.get(id)?;
+            let bytes = numa_codec::encode_profile(&sp.profile);
+            Some((sp.label.to_string(), bytes, sp.id.0))
         });
         let session_log = Arc::clone(&store.session_log);
         let retained: persist::RetainedFn = Box::new(move || {
@@ -693,15 +723,8 @@ impl ProfileStore {
                 .flat_map(|(session, records)| records.iter().map(|r| (*session, r.clone())))
                 .collect()
         });
-        let persister = persist::Persister::spawn(
-            dir.to_path_buf(),
-            writer,
-            opts,
-            base,
-            storage,
-            corpus,
-            retained,
-        )?;
+        let persister =
+            persist::Persister::spawn(dir.to_path_buf(), recovered, opts, storage, row, retained)?;
         let _ = store.persist.set(persister);
         Ok(store)
     }
@@ -783,10 +806,10 @@ impl ProfileStore {
         }
     }
 
-    /// Force a snapshot compaction now: write the whole corpus to the
-    /// snapshot atomically and reset the WAL. A no-op for in-memory
-    /// stores. Call on daemon shutdown so restart recovery is a pure
-    /// snapshot load.
+    /// Force a snapshot compaction now: fold every profile committed
+    /// since the last one into the snapshot and reset the WAL. A no-op
+    /// for in-memory stores. Call on daemon shutdown so restart recovery
+    /// is a pure snapshot load.
     pub fn flush(&self) -> io::Result<()> {
         match self.persist.get() {
             None => Ok(()),
@@ -846,11 +869,7 @@ impl ProfileStore {
     }
 
     pub fn get(&self, id: ProfileId) -> Option<Arc<StoredProfile>> {
-        let shelf = self.shards.of(id).read();
-        shelf
-            .by_id
-            .get(&id)
-            .map(|&i| Arc::clone(&shelf.profiles[i].1))
+        self.shards.get(id)
     }
 
     /// Resolve a CLI-style reference: a hex id prefix or a label.
@@ -1128,7 +1147,8 @@ impl StoreStats {
                 "persistence: recovered {} snapshot + {} wal record(s), \
                  {} truncated byte(s), {} stale parse(s); \
                  {} append(s) in {} group commit(s) ({} KiB wal), \
-                 {} snapshot(s) written, {} io error(s)\n",
+                 {} snapshot(s) written ({} record(s) folded, {} KiB snapshot), \
+                 {} io error(s)\n",
                 p.snapshot_records_loaded,
                 p.wal_records_replayed,
                 p.wal_truncated_bytes + p.snapshot_truncated_bytes,
@@ -1137,6 +1157,8 @@ impl StoreStats {
                 p.wal_group_commits,
                 p.wal_bytes / 1024,
                 p.snapshots_written,
+                p.records_folded,
+                p.snapshot_bytes / 1024,
                 p.io_errors,
             ));
             out.push_str(&format!(

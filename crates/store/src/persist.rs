@@ -23,29 +23,52 @@
 //! typed error instead of silently claiming durability. I/O errors are
 //! additionally counted in [`PersistStats::io_errors`](crate::PersistStats::io_errors).
 //!
-//! ## Compaction and session poisoning
+//! ## Compaction is a fold
 //!
-//! Snapshot compaction (explicit [`Persister::flush`] or automatic once
-//! the WAL outgrows its bound) also runs on the persister thread. The
-//! corpus closure clones the profile `Arc`s under brief per-shard read
-//! locks and serializes them *outside* any lock; an insert racing past
-//! the clone simply lands in both the snapshot and the fresh WAL and
-//! dedups on replay. A compaction resets the WAL — the only place
-//! staged chunks of open streaming sessions live — and re-stages them
-//! into the fresh log. If that re-staging fails, the affected sessions
+//! A compaction (explicit [`Persister::flush`] or automatic once the WAL
+//! has grown by its bound since the last one) also runs on the persister
+//! thread, and costs what was committed since the last one, not the
+//! corpus. The snapshot is an append-only base log (see
+//! [`crate::snapshot`]) this thread holds open beside the WAL. Every
+//! append that makes a profile durable — a profile record, or the seal
+//! of a streamed session — carries that profile's id, and the worker
+//! remembers the ids of committed groups. A fold then
+//!
+//! 1. appends one profile record per remembered id to the snapshot (the
+//!    row closure looks each id up on its shelf — insert precedes
+//!    persist, so a committed id is always there; a miss fails the fold
+//!    rather than dropping an acknowledged record),
+//! 2. `sync_data`s the snapshot — always, whatever
+//!    [`PersistOptions::fsync`] says, because step 3 destroys the only
+//!    other copy,
+//! 3. resets the WAL and re-stages the chunk records of still-open
+//!    streaming sessions into the fresh log.
+//!
+//! A failure in step 1 or 2 truncates the snapshot back to its last
+//! synced length and leaves the WAL alone: nothing acknowledged is at
+//! risk and the next fold retries the same ids. A crash between 2 and 3
+//! leaves the folded records in both files; replay dedups them, and
+//! because only WAL rows that admitted as *new* are remembered at open,
+//! none is folded twice. The snapshot is created by the first fold, not
+//! at open (header → `sync_data` → directory fsync, like the WAL's).
+//!
+//! ## Session poisoning
+//!
+//! The WAL is the only place staged chunks of open streaming sessions
+//! live. If re-staging them after the reset fails, the affected sessions
 //! are *poisoned*: their chunks' durability is gone, so a later seal of
 //! such a session is refused ([`AppendError::SessionPoisoned`]) rather
 //! than written — an acknowledged seal whose chunks cannot replay would
 //! silently drop the whole session at the next restart. The store
 //! answers a refusal by persisting the assembled profile as an ordinary
-//! record instead. Poison marks clear on the next successful compaction
-//! (which re-stages every open session's records afresh). The check
-//! runs here, on the writer thread, because it must be serialized with
-//! compaction — a flag the ingest thread polls could be set a moment
-//! after it looked.
+//! record instead. Poison marks clear on the next successful fold (which
+//! re-stages every open session's records afresh). The check runs here,
+//! on the writer thread, because it must be serialized with the fold — a
+//! flag the ingest thread polls could be set a moment after it looked.
 
-use crate::wal::WalWriter;
-use crate::{PersistOptions, PersistStats};
+use crate::snapshot::{snapshot_path, SnapshotRow};
+use crate::wal::{encode_bin_record, WalWriter, FILE_HEADER_LEN, SNAPSHOT_MAGIC};
+use crate::{PersistOptions, PersistStats, ProfileId};
 use numa_faults::Storage;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -57,16 +80,17 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Produces the [`crate::snapshot::SnapshotRow`]s (label, canonical
-/// codec bytes, content hash) a snapshot persists. Runs on the persister
-/// thread.
-pub(crate) type CorpusFn = Box<dyn Fn() -> Vec<crate::snapshot::SnapshotRow> + Send + 'static>;
+/// Produces the [`SnapshotRow`] (label, canonical codec bytes, content
+/// hash) a fold appends for one committed id; `None` when the id is not
+/// on its shelf. Runs on the persister thread, one id at a time, so a
+/// fold of any size holds one encoded profile.
+pub(crate) type RowFn = Box<dyn Fn(ProfileId) -> Option<SnapshotRow> + Send + 'static>;
 
 /// Produces the `(session id, encoded record)` rows of still-open
-/// streaming sessions. A compaction resets the WAL — the only place
-/// those records live — so they are re-staged into the fresh log right
-/// after the reset (replay dedups chunks by sequence number, so a
-/// record surviving in both the old and new generation is harmless).
+/// streaming sessions. A fold resets the WAL — the only place those
+/// records live — so they are re-staged into the fresh log right after
+/// the reset (replay dedups chunks by sequence number, so a record
+/// surviving in both the old and new generation is harmless).
 /// The session ids identify which sessions to poison when re-staging
 /// fails. Runs on the persister thread.
 pub(crate) type RetainedFn = Box<dyn Fn() -> Vec<(u64, Vec<u8>)> + Send + 'static>;
@@ -96,17 +120,25 @@ impl fmt::Display for AppendError {
 
 pub(crate) type AppendResult = Result<(), AppendError>;
 
+/// One record written since the last commit point: the profile it makes
+/// durable, if any, and where to send its outcome.
+type Staged = (Option<ProfileId>, SyncSender<AppendResult>);
+
 enum Op {
     /// One pre-encoded WAL record; ack fires once its commit group is
     /// flushed (`Ok`) or has failed and been rolled back (`Err`).
-    /// `session` tags seal records with their session id so the writer
-    /// thread can refuse seals of poisoned sessions.
+    /// `makes_durable` is the profile this record commits — `None` for
+    /// a chunk, the assembled profile's id for a seal — which the next
+    /// fold appends to the snapshot. `session` tags seal records with
+    /// their session id so the writer thread can refuse seals of
+    /// poisoned sessions.
     Append {
         record: Vec<u8>,
+        makes_durable: Option<ProfileId>,
         session: Option<u64>,
         ack: SyncSender<AppendResult>,
     },
-    /// Commit pending appends, then compact the WAL into a snapshot.
+    /// Commit pending appends, then fold the WAL into the snapshot.
     Flush { ack: SyncSender<io::Result<()>> },
 }
 
@@ -117,8 +149,24 @@ struct Shared {
     wal_appends: AtomicU64,
     wal_bytes: AtomicU64,
     snapshots_written: AtomicU64,
+    snapshot_bytes: AtomicU64,
+    records_folded: AtomicU64,
     io_errors: AtomicU64,
     group_commits: AtomicU64,
+}
+
+/// What recovery hands the writer thread: the two files positioned after
+/// their intact prefixes, and what it learned scanning them.
+pub(crate) struct Recovered {
+    pub(crate) wal: WalWriter,
+    /// `None` when the directory has no snapshot yet; the first fold
+    /// creates it.
+    pub(crate) snapshot: Option<WalWriter>,
+    /// Ids the WAL holds and the snapshot does not: the replayed rows
+    /// that admitted as new, in log order.
+    pub(crate) unfolded: Vec<ProfileId>,
+    /// Recovery-time constants (replay counts, truncation).
+    pub(crate) stats: PersistStats,
 }
 
 /// Handle to the group-commit writer thread. Dropping the store calls
@@ -139,15 +187,24 @@ const STOPPED: &str = "persister thread stopped before the record was durable";
 impl Persister {
     pub(crate) fn spawn(
         dir: PathBuf,
-        wal: WalWriter,
+        recovered: Recovered,
         opts: PersistOptions,
-        base: PersistStats,
         storage: Arc<dyn Storage>,
-        corpus: CorpusFn,
+        row: RowFn,
         retained: RetainedFn,
     ) -> io::Result<Persister> {
+        let Recovered {
+            wal,
+            snapshot,
+            unfolded,
+            stats: base,
+        } = recovered;
         let shared = Arc::new(Shared::default());
         shared.wal_bytes.store(wal.len(), Ordering::Relaxed);
+        let snapshot_bytes = snapshot.as_ref().map_or(0, WalWriter::len);
+        shared
+            .snapshot_bytes
+            .store(snapshot_bytes, Ordering::Relaxed);
         let (tx, rx) = std::sync::mpsc::channel();
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
@@ -156,10 +213,13 @@ impl Persister {
                 Worker {
                     dir,
                     wal,
+                    snapshot,
+                    unfolded,
+                    restaged: 0,
                     opts,
                     shared: worker_shared,
                     storage,
-                    corpus,
+                    row,
                     retained,
                     poisoned: HashSet::new(),
                 }
@@ -173,13 +233,17 @@ impl Persister {
         })
     }
 
-    /// Enqueue a batch of pre-encoded records and block until every one
-    /// is flushed or has failed. Enqueueing the whole batch before
+    /// Enqueue a batch of pre-encoded records, each with the profile it
+    /// makes durable (`None` for a chunk), and block until every one is
+    /// flushed or has failed. Enqueueing the whole batch before
     /// waiting lets the persister commit it (plus anything other
     /// threads queued) with a single flush. Returns one result per
     /// record, in input order; a stopped persister fails the records it
     /// never wrote rather than acknowledging them.
-    pub(crate) fn append_all(&self, records: Vec<Vec<u8>>) -> Vec<AppendResult> {
+    pub(crate) fn append_all(
+        &self,
+        records: Vec<(Option<ProfileId>, Vec<u8>)>,
+    ) -> Vec<AppendResult> {
         let n = records.len();
         if n == 0 {
             return Vec::new();
@@ -188,10 +252,11 @@ impl Persister {
         {
             let guard = self.tx.lock();
             if let Some(tx) = guard.as_ref() {
-                for record in records {
+                for (makes_durable, record) in records {
                     let (ack, wait) = sync_channel(1);
                     let op = Op::Append {
                         record,
+                        makes_durable,
                         session: None,
                         ack,
                     };
@@ -213,10 +278,10 @@ impl Persister {
         out
     }
 
-    /// Append one session seal record and block until it is flushed,
-    /// failed, or refused because the session is poisoned (see the
-    /// module docs).
-    pub(crate) fn append_seal(&self, record: Vec<u8>, session: u64) -> AppendResult {
+    /// Append the seal record that commits `session` as profile `id` and
+    /// block until it is flushed, failed, or refused because the session
+    /// is poisoned (see the module docs).
+    pub(crate) fn append_seal(&self, record: Vec<u8>, session: u64, id: ProfileId) -> AppendResult {
         let wait = {
             let guard = self.tx.lock();
             let Some(tx) = guard.as_ref() else {
@@ -225,6 +290,7 @@ impl Persister {
             let (ack, wait) = sync_channel(1);
             let op = Op::Append {
                 record,
+                makes_durable: Some(id),
                 session: Some(session),
                 ack,
             };
@@ -237,7 +303,7 @@ impl Persister {
             .unwrap_or_else(|_| Err(AppendError::Io(STOPPED.to_string())))
     }
 
-    /// Commit pending appends and compact the WAL into a snapshot now.
+    /// Commit pending appends and fold the WAL into the snapshot now.
     pub(crate) fn flush(&self) -> io::Result<()> {
         let wait = {
             let guard = self.tx.lock();
@@ -258,6 +324,8 @@ impl Persister {
             wal_appends: self.shared.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.shared.wal_bytes.load(Ordering::Relaxed),
             snapshots_written: self.shared.snapshots_written.load(Ordering::Relaxed),
+            snapshot_bytes: self.shared.snapshot_bytes.load(Ordering::Relaxed),
+            records_folded: self.shared.records_folded.load(Ordering::Relaxed),
             io_errors: self.shared.io_errors.load(Ordering::Relaxed),
             wal_group_commits: self.shared.group_commits.load(Ordering::Relaxed),
             ..self.base
@@ -279,15 +347,26 @@ impl Persister {
 struct Worker {
     dir: PathBuf,
     wal: WalWriter,
+    /// The snapshot, open for append; `None` until the first fold
+    /// creates it (or after a roll-back of it failed — the next fold
+    /// reopens it at its last synced length).
+    snapshot: Option<WalWriter>,
+    /// Profiles committed to the WAL since the last fold, in commit
+    /// order: what the next fold appends to the snapshot.
+    unfolded: Vec<ProfileId>,
+    /// Bytes of open sessions' chunk records the last fold re-staged.
+    /// They were in the log before it was reset and will be in it after
+    /// every later one, so they do not count toward the bound.
+    restaged: u64,
     opts: PersistOptions,
     shared: Arc<Shared>,
     storage: Arc<dyn Storage>,
-    corpus: CorpusFn,
+    row: RowFn,
     retained: RetainedFn,
-    /// Sessions whose staged chunk records were lost when a compaction
-    /// reset the WAL and then failed to re-stage them. Seals of these
-    /// sessions are refused; a successful compaction (which re-stages
-    /// every open session afresh) heals them all.
+    /// Sessions whose staged chunk records were lost when a fold reset
+    /// the WAL and then failed to re-stage them. Seals of these sessions
+    /// are refused; a successful fold (which re-stages every open
+    /// session afresh) heals them all.
     poisoned: HashSet<u64>,
 }
 
@@ -305,7 +384,7 @@ impl Worker {
     }
 
     /// Acks fire only at the end (or at an explicit flush), *after* the
-    /// batch's single commit and any threshold compaction — so counters
+    /// batch's single commit and any threshold fold — so counters
     /// an ingester reads right after its ack (`snapshots_written`,
     /// `wal_appends`) already reflect its record, exactly as the old
     /// synchronous appender behaved.
@@ -314,12 +393,13 @@ impl Worker {
         // error poisons the rest of the group (its bytes may sit torn
         // in the log, so nothing written after it could commit
         // cleanly anyway).
-        let mut staged: Vec<SyncSender<AppendResult>> = Vec::new();
+        let mut staged: Vec<Staged> = Vec::new();
         let mut group_err: Option<String> = None;
         for op in batch {
             match op {
                 Op::Append {
                     record,
+                    makes_durable,
                     session,
                     ack,
                 } => {
@@ -336,11 +416,11 @@ impl Worker {
                             group_err = Some(e.to_string());
                         }
                     }
-                    staged.push(ack);
+                    staged.push((makes_durable, ack));
                 }
                 Op::Flush { ack } => {
                     let pending = self.finish_group(&mut staged, &mut group_err);
-                    let result = self.compact();
+                    let result = self.fold();
                     if result.is_err() {
                         self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
                     }
@@ -350,8 +430,8 @@ impl Worker {
             }
         }
         let pending = self.finish_group(&mut staged, &mut group_err);
-        if self.wal.len() >= self.opts.snapshot_wal_bytes {
-            if let Err(e) = self.compact() {
+        if self.wal.len() - self.restaged >= self.opts.snapshot_wal_bytes {
+            if let Err(e) = self.fold() {
                 self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("numa-store: snapshot compaction failed: {e}");
             }
@@ -360,10 +440,9 @@ impl Worker {
     }
 
     /// Deliver the acks a [`Worker::finish_group`] decided. Delivery is
-    /// deferred past any compaction the group triggered so counters read
-    /// right after an ack already reflect it (a compaction failure does
-    /// not change the results — the group's records are committed
-    /// either way).
+    /// deferred past any fold the group triggered so counters read right
+    /// after an ack already reflect it (a failed fold does not change the
+    /// results — the group's records are committed either way).
     fn dispatch(pending: Vec<(SyncSender<AppendResult>, AppendResult)>) {
         for (ack, result) in pending {
             let _ = ack.send(result);
@@ -375,10 +454,10 @@ impl Worker {
     /// commit failure the uncommitted tail is truncated away and every
     /// staged ack reports the error — a failed group is failed *whole*,
     /// never acked-then-dropped. Returns the acks to deliver (via
-    /// [`Worker::dispatch`]) once any triggered compaction is done.
+    /// [`Worker::dispatch`]) once any triggered fold is done.
     fn finish_group(
         &mut self,
-        staged: &mut Vec<SyncSender<AppendResult>>,
+        staged: &mut Vec<Staged>,
         group_err: &mut Option<String>,
     ) -> Vec<(SyncSender<AppendResult>, AppendResult)> {
         if staged.is_empty() {
@@ -399,6 +478,8 @@ impl Worker {
                     .wal_appends
                     .fetch_add(staged.len() as u64, Ordering::Relaxed);
                 self.shared.group_commits.fetch_add(1, Ordering::Relaxed);
+                self.unfolded
+                    .extend(staged.iter().filter_map(|(id, _)| *id));
             }
             Err(_) => {
                 // The tail past the last commit holds partial or
@@ -414,21 +495,69 @@ impl Worker {
         self.shared
             .wal_bytes
             .store(self.wal.len(), Ordering::Relaxed);
-        staged.drain(..).map(|ack| (ack, result.clone())).collect()
+        staged
+            .drain(..)
+            .map(|(_, ack)| (ack, result.clone()))
+            .collect()
     }
 
-    /// Snapshot the whole corpus atomically and reset the WAL,
+    /// Append the profiles committed since the last fold to the
+    /// snapshot and sync it. On failure the snapshot is back at its last
+    /// synced length and `unfolded` is kept for the retry.
+    fn fold_into_snapshot(&mut self) -> io::Result<()> {
+        let snapshot = match &mut self.snapshot {
+            Some(open) => open,
+            None => self.snapshot.insert(WalWriter::open_with(
+                &*self.storage,
+                &snapshot_path(&self.dir),
+                SNAPSHOT_MAGIC,
+                self.shared.snapshot_bytes.load(Ordering::Relaxed),
+                self.opts.fsync,
+            )?),
+        };
+        let appended = (|| {
+            for &id in &self.unfolded {
+                let (label, bytes, hash) = (self.row)(id).ok_or_else(|| {
+                    io::Error::other(format!("committed profile {id} is not on its shelf"))
+                })?;
+                snapshot.write_encoded(&encode_bin_record(&label, &bytes, hash))?;
+            }
+            // Unconditional: the WAL reset that follows destroys the only
+            // other copy of these records.
+            snapshot.sync()
+        })();
+        match appended {
+            Ok(()) => {
+                self.shared
+                    .snapshot_bytes
+                    .store(snapshot.len(), Ordering::Relaxed);
+                self.shared
+                    .records_folded
+                    .fetch_add(self.unfolded.len() as u64, Ordering::Relaxed);
+                self.unfolded.clear();
+            }
+            // A writer that cannot cut its own torn tail is dropped; the
+            // next fold reopens the file at the last synced length.
+            Err(_) => {
+                if snapshot.rollback_uncommitted().is_err() {
+                    self.snapshot = None;
+                }
+            }
+        }
+        appended
+    }
+
+    /// Fold the WAL generation into the snapshot and reset the WAL,
     /// re-staging the chunk records of still-open streaming sessions
     /// into the fresh log.
-    fn compact(&mut self) -> io::Result<()> {
-        let entries = (self.corpus)();
-        // A failure up to and including the snapshot write leaves the
-        // old snapshot + full WAL pair untouched: nothing acknowledged
-        // is at risk, the compaction can simply be retried later.
-        crate::snapshot::write_snapshot_with(&*self.storage, &self.dir, &entries)?;
-        // The snapshot rename is directory-fsynced (power-loss durable)
-        // before this point, so truncating the WAL can never pair an
-        // empty log with the *old* snapshot.
+    fn fold(&mut self) -> io::Result<()> {
+        // A failure up to and including the snapshot sync leaves the
+        // old snapshot + full WAL pair intact: nothing acknowledged is
+        // at risk, the fold can simply be retried later.
+        self.fold_into_snapshot()?;
+        // The folded records are synced (power-loss durable) before this
+        // point, so truncating the WAL can never leave a record in
+        // neither file.
         let retained = (self.retained)();
         let restage = (|| {
             self.wal.reset()?;
@@ -445,6 +574,7 @@ impl Worker {
                 // Every open session's records are freshly staged in
                 // the new log: earlier poison marks are healed.
                 self.poisoned.clear();
+                self.restaged = self.wal.len() - FILE_HEADER_LEN;
                 self.shared
                     .snapshots_written
                     .fetch_add(1, Ordering::Relaxed);
@@ -457,6 +587,7 @@ impl Worker {
                 // would drop.
                 eprintln!("numa-store: WAL re-staging after compaction failed: {e}");
                 let _ = self.wal.rollback_uncommitted();
+                self.restaged = 0;
                 self.poisoned.extend(retained.iter().map(|(s, _)| *s));
             }
         }

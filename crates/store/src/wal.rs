@@ -42,10 +42,11 @@
 //! A sealed session replays as a profile only when every chunk
 //! `0..chunks` is present and the assembled profile's canonical bytes
 //! hash to the seal's `content_hash`; chunks with no seal (the client or
-//! daemon died mid-stream) are dropped wholesale. Snapshot compaction
-//! folds profile records into the snapshot and re-stages the chunk
-//! records of still open sessions into the fresh WAL, so an open stream
-//! survives a compaction that happens underneath it.
+//! daemon died mid-stream) are dropped wholesale. A compaction appends
+//! one profile record per newly committed profile to the snapshot — a
+//! sealed session goes in as the profile it assembled to — and re-stages
+//! the chunk records of still open sessions into the fresh WAL, so an
+//! open stream survives a compaction that happens underneath it.
 //!
 //! ## Recovery contract
 //!
@@ -61,7 +62,10 @@
 //! that point is returned; everything after is reported as truncated
 //! tail bytes, never an error. A writer reopened with
 //! [`WalWriter::open_after`] physically truncates the file to the intact
-//! prefix so later appends extend a clean log.
+//! prefix so later appends extend a clean log. The snapshot is the same
+//! kind of file under [`SNAPSHOT_MAGIC`] and the persister appends to it
+//! through the same writer, so both files share one open, truncate,
+//! append and roll-back path.
 
 use crate::hash::fnv1a;
 use numa_faults::{StdStorage, Storage, StorageFile};
@@ -389,11 +393,12 @@ pub fn scan_file_with(
     })
 }
 
-/// Appender over the write-ahead log. Each append is written and
-/// flushed to the OS before the ingest call returns, so an acknowledged
-/// profile survives a SIGKILL of the process; `fsync` additionally
-/// forces it to stable storage (surviving power loss) at a large
-/// per-append cost.
+/// Appender over a record file: the write-ahead log, or the snapshot
+/// the persister folds each WAL generation into. Each WAL append is
+/// written and flushed to the OS before the ingest call returns, so an
+/// acknowledged profile survives a SIGKILL of the process; `fsync`
+/// additionally forces every commit to stable storage (surviving power
+/// loss) at a large per-append cost.
 pub struct WalWriter {
     file: Box<dyn StorageFile>,
     /// Current file length (header + intact records + appends so far).
@@ -406,19 +411,25 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Open the WAL at `path`, truncating it to `valid_len` (the intact
-    /// prefix reported by a [`scan_file`] that succeeded) and
-    /// positioning for appends. A missing file, or one the scan found
-    /// shorter than a header (a torn creation), is (re)initialized with
-    /// a fresh header.
-    pub fn open_after(path: &Path, valid_len: u64, fsync: bool) -> io::Result<WalWriter> {
-        Self::open_with(&StdStorage, path, valid_len, fsync)
+    /// Open the record file at `path`, truncating it to `valid_len` (the
+    /// intact prefix reported by a [`scan_file`] under the same `magic`
+    /// that succeeded) and positioning for appends. A missing file, or
+    /// one the scan found shorter than a header (a torn creation), is
+    /// (re)initialized with a fresh `magic` header.
+    pub fn open_after(
+        path: &Path,
+        magic: [u8; 4],
+        valid_len: u64,
+        fsync: bool,
+    ) -> io::Result<WalWriter> {
+        Self::open_with(&StdStorage, path, magic, valid_len, fsync)
     }
 
     /// [`WalWriter::open_after`] through an explicit [`Storage`].
     pub fn open_with(
         storage: &dyn Storage,
         path: &Path,
+        magic: [u8; 4],
         valid_len: u64,
         fsync: bool,
     ) -> io::Result<WalWriter> {
@@ -427,12 +438,12 @@ impl WalWriter {
         if bytes < FILE_HEADER_LEN {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&encode_file_header(WAL_MAGIC))?;
+            file.write_all(&encode_file_header(magic))?;
             file.flush()?;
-            // A fresh log is a *file creation*: without syncing the file
-            // and its parent directory, a power loss could forget the
-            // log ever existed while later appends' acks claimed
-            // durability.
+            // A fresh file is a *creation*: without syncing the file and
+            // its parent directory, a power loss could forget it ever
+            // existed while later appends' acks (or, for the snapshot,
+            // a WAL reset) relied on its contents.
             file.sync_data()?;
             if let Some(parent) = path.parent() {
                 storage.sync_dir(parent)?;
@@ -502,10 +513,10 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Drop every record: truncate back to a bare header. Called after a
-    /// snapshot has absorbed the log's contents — and only after the
-    /// snapshot's rename has been made durable (directory fsync), or a
-    /// power loss could pair the truncated log with the *old* snapshot.
+    /// Drop every record: truncate back to a bare header. Called after
+    /// the snapshot has absorbed the log's contents — and only after the
+    /// snapshot's appended records have been synced, or a power loss
+    /// could pair the truncated log with a snapshot that lacks them.
     pub fn reset(&mut self) -> io::Result<()> {
         self.file.set_len(FILE_HEADER_LEN)?;
         self.file.seek(SeekFrom::Start(FILE_HEADER_LEN))?;
@@ -523,7 +534,7 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Force the log to stable storage.
+    /// Force everything staged to stable storage, whatever `fsync` says.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.flush()?;
         self.file.sync_data()?;
@@ -568,7 +579,7 @@ mod tests {
     fn records_round_trip() {
         let dir = tmp("roundtrip");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         append(&mut w, "run-a", PAYLOAD);
         append(&mut w, "run-b", PAYLOAD);
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
@@ -585,7 +596,7 @@ mod tests {
     fn session_records_round_trip() {
         let dir = tmp("session");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         w.write_encoded(&encode_chunk_record(7, 1, &[0xAB, 0x00, 0xCD]))
             .unwrap();
         w.write_encoded(&encode_seal_record(7, 2, 0xDEAD_BEEF, "streamed"))
@@ -616,7 +627,7 @@ mod tests {
     fn binary_profile_records_round_trip() {
         let dir = tmp("binprofile");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         w.write_encoded(&encode_bin_record("bin-run", PAYLOAD, 0xFEED_FACE))
             .unwrap();
         w.commit().unwrap();
@@ -684,7 +695,7 @@ mod tests {
         assert!(scan.entries.is_empty());
         assert_eq!(scan.valid_len, 0);
         assert_eq!(scan.truncated_bytes, 5);
-        let w = WalWriter::open_after(&path, scan.valid_len, false).unwrap();
+        let w = WalWriter::open_after(&path, WAL_MAGIC, scan.valid_len, false).unwrap();
         assert_eq!(w.len(), FILE_HEADER_LEN);
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -697,7 +708,7 @@ mod tests {
     fn unknown_record_kind_truncates_the_tail() {
         let dir = tmp("unknownkind");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         let first_end = FILE_HEADER_LEN + append(&mut w, "one", PAYLOAD);
         drop(w);
         // Records with a valid checksum but a kind this revision does
@@ -723,7 +734,7 @@ mod tests {
     fn torn_tail_is_truncated_not_fatal() {
         let dir = tmp("torn");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         append(&mut w, "whole", PAYLOAD);
         let whole = w.len();
         drop(w);
@@ -736,7 +747,7 @@ mod tests {
         assert_eq!(scan.valid_len, whole);
         assert_eq!(scan.truncated_bytes, 7);
         // Reopening after the intact prefix discards the tail.
-        let w = WalWriter::open_after(&path, scan.valid_len, false).unwrap();
+        let w = WalWriter::open_after(&path, WAL_MAGIC, scan.valid_len, false).unwrap();
         assert_eq!(w.len(), whole);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
         std::fs::remove_dir_all(&dir).ok();
@@ -746,7 +757,7 @@ mod tests {
     fn corrupt_byte_drops_record_and_tail() {
         let dir = tmp("corrupt");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         let first_end = FILE_HEADER_LEN + append(&mut w, "one", PAYLOAD);
         append(&mut w, "two", PAYLOAD);
         drop(w);
@@ -766,7 +777,7 @@ mod tests {
     fn batched_writes_commit_as_one_durability_point() {
         let dir = tmp("batch");
         let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, 0, false).unwrap();
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
         for label in ["a", "b", "c"] {
             w.write_encoded(&encode_bin_record(label, PAYLOAD, fnv1a(PAYLOAD)))
                 .unwrap();

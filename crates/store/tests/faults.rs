@@ -2,7 +2,8 @@
 //!
 //! Each case derives a deterministic fault schedule ([`FaultSpec`]), a
 //! workload plan (one-shot ingests, streamed sessions, explicit
-//! compactions), and an optional kill point from one seed, runs the
+//! compactions), a WAL bound small enough that compactions also trigger
+//! by size mid-plan, and an optional kill point from one seed, runs the
 //! plan against a store whose storage injects those faults, and then
 //! recovers the data directory with clean storage. The contract under
 //! test is exact:
@@ -15,20 +16,22 @@
 //! * no schedule panics, wedges, or makes recovery itself fail.
 //!
 //! Alongside the matrix sit targeted regression tests for the bugs the
-//! harness flushed out: the missing directory fsyncs around the
-//! snapshot rename and WAL creation, the unvalidated `body_len`
-//! allocation in the record scanner, the group-commit error path, and
-//! the WAL-reset bookkeeping desync that lost acknowledged records
-//! after a failed compaction.
+//! harness flushed out — the missing directory fsyncs around file
+//! creation, the unvalidated `body_len` allocation in the record
+//! scanner, the group-commit error path, and the WAL-reset bookkeeping
+//! desync that lost acknowledged records after a failed compaction —
+//! and for the ordering and roll-back the fold depends on.
 
 use numa_faults::{FaultSpec, FaultyStorage, RecordingStorage, StdStorage, Storage};
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
+use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
 use numa_store::wal::{
-    encode_bin_record, encode_file_header, scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC,
+    encode_bin_record, encode_file_header, scan_file, wal_path, WalEntry, FILE_HEADER_LEN,
+    SNAPSHOT_MAGIC, WAL_MAGIC,
 };
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig, StoreError};
 use proptest::prelude::*;
@@ -125,7 +128,7 @@ enum PlannedOp {
     Ingest { idx: usize, bin: bool },
     /// Stream `corpus()[idx]` as `parts` chunks, then seal.
     Stream { idx: usize, parts: usize, bin: bool },
-    /// Explicit flush: group commit + snapshot compaction.
+    /// Explicit flush: group commit + fold into the snapshot.
     Flush,
 }
 
@@ -147,19 +150,29 @@ fn plan_ops(rng: &mut u64) -> Vec<PlannedOp> {
         .collect()
 }
 
+/// The WAL bound of a seeded schedule: never, after every commit group,
+/// or every one to three records (a corpus record is ≈ 4.8 KB) — so
+/// size-triggered folds, and the faults that land on their writes,
+/// syncs and truncates, happen inside the plan and not only at its
+/// explicit flushes.
+fn plan_wal_bound(rng: &mut u64) -> u64 {
+    [u64::MAX, 1, 6 << 10, 12 << 10][(splitmix64(rng) % 4) as usize]
+}
+
 /// Run one seeded schedule end to end and check the recovery contract.
 ///
-/// Ops run sequentially and block on their acks, and the WAL size bound
-/// is effectively infinite, so the only compactions are the plan's
-/// explicit flushes — every op's outcome is deterministic and the
-/// oracle (an in-memory store fed exactly the acked operations) is an
-/// exact model. Racing ingest against background threshold compaction
-/// is real concurrency and is exercised separately by the store's
-/// existing concurrent tests.
+/// Ops run sequentially and block on their acks, and a size-triggered
+/// compaction runs on the persister thread before the acks of the group
+/// that tripped it are delivered — so every op's outcome is
+/// deterministic and the oracle (an in-memory store fed exactly the
+/// acked operations) is an exact model. Racing ingest against a
+/// compaction is real concurrency and is exercised separately by the
+/// store's existing concurrent tests.
 fn run_schedule(seed: u64) {
     let mut rng = seed;
     let spec = FaultSpec::seeded(seed);
     let fsync = splitmix64(&mut rng).is_multiple_of(2);
+    let snapshot_wal_bytes = plan_wal_bound(&mut rng);
     let plan = plan_ops(&mut rng);
     let kill_at = splitmix64(&mut rng)
         .is_multiple_of(2)
@@ -167,7 +180,7 @@ fn run_schedule(seed: u64) {
     let dir = scratch("matrix");
     let storage = Arc::new(FaultyStorage::new(spec));
     let opts = PersistOptions {
-        snapshot_wal_bytes: u64::MAX,
+        snapshot_wal_bytes,
         fsync,
     };
     let oracle = ProfileStore::new();
@@ -246,8 +259,8 @@ fn run_schedule(seed: u64) {
     assert_eq!(
         recovered.len(),
         oracle.len(),
-        "seed {seed} (spec {spec:?}, plan {plan:?}, kill {kill_at:?}): \
-         recovered {} profile(s), oracle has {}",
+        "seed {seed} (spec {spec:?}, bound {snapshot_wal_bytes}, plan {plan:?}, \
+         kill {kill_at:?}): recovered {} profile(s), oracle has {}",
         recovered.len(),
         oracle.len()
     );
@@ -370,18 +383,18 @@ fn oversized_body_len_on_first_record_recovers_empty() {
 }
 
 // ---------------------------------------------------------------------
-// Regression: directory fsyncs around snapshot rename and WAL creation
+// Ordering: file creation is dir-synced, the snapshot is synced before
+// the WAL is truncated
 // ---------------------------------------------------------------------
 
-/// The compaction sequence must be: sync the snapshot tmp file → rename
-/// it over the live snapshot → fsync the data directory → only then
-/// truncate the WAL. Without the directory fsync in that position a
-/// power loss can resurrect the *old* snapshot next to an
-/// already-empty WAL, silently dropping acknowledged records. Creating
-/// a fresh WAL likewise must sync the file and its directory before
-/// any append can be acknowledged.
+/// A fold must sync what it appended to the snapshot strictly before it
+/// truncates the WAL — after the truncate the snapshot holds the only
+/// copy. The fold that creates the snapshot must first make the file
+/// itself durable (header write → file sync → directory sync), exactly
+/// as creating a fresh WAL must before any append can be acknowledged.
+/// Nothing is renamed and no other file is written.
 #[test]
-fn snapshot_rename_is_dir_synced_before_wal_truncate() {
+fn snapshot_is_synced_before_each_wal_truncate() {
     let dir = scratch("order");
     let rec = Arc::new(RecordingStorage::new(Arc::new(StdStorage)));
     let store = ProfileStore::open_durable_config_with(
@@ -391,36 +404,57 @@ fn snapshot_rename_is_dir_synced_before_wal_truncate() {
         Arc::clone(&rec) as Arc<dyn Storage>,
     )
     .unwrap();
+    assert!(!snapshot_path(&dir).exists(), "open creates no snapshot");
     store.ingest_bytes("a", &corpus()[0]).unwrap();
+    store.flush().unwrap();
+    store.ingest_bytes("b", &corpus()[1]).unwrap();
     store.flush().unwrap();
     drop(store);
 
     let ops = rec.ops();
-    let pos = |needle: &str| {
-        ops.iter()
+    let after = |from: usize, needle: &str| {
+        from + ops[from..]
+            .iter()
             .position(|op| op.starts_with(needle))
-            .unwrap_or_else(|| panic!("no {needle:?} in {ops:?}"))
+            .unwrap_or_else(|| panic!("no {needle:?} after op {from} in {ops:?}"))
     };
-    // Fresh-WAL creation: file write → file sync → directory sync.
-    let wal_header = pos("write(wal.log, 8)");
-    let wal_sync = pos("sync_data(wal.log)");
-    let first_dir_sync = pos("sync_dir");
-    assert!(
-        wal_header < wal_sync && wal_sync < first_dir_sync,
+    // Fresh-WAL creation: header write → file sync → directory sync.
+    let wal_header = after(0, "write(wal.log, 8)");
+    let wal_sync = after(wal_header, "sync_data(wal.log)");
+    let wal_dir_sync = after(wal_sync, "sync_dir");
+    // First fold: the same three steps for the snapshot, then the
+    // record and its sync, and only then the WAL truncate.
+    let truncate = format!("set_len(wal.log, {FILE_HEADER_LEN})");
+    let snap_header = after(wal_dir_sync, "write(snapshot.bin, 8)");
+    let snap_created = after(snap_header, "sync_data(snapshot.bin)");
+    let snap_dir_sync = after(snap_created, "sync_dir");
+    let record_a = after(snap_dir_sync, "write(snapshot.bin, ");
+    let synced_a = after(record_a, "sync_data(snapshot.bin)");
+    let truncate_a = after(0, &truncate);
+    assert!(synced_a < truncate_a, "{ops:?}");
+    // Second fold: append, sync, truncate — on the file already open.
+    let record_b = after(truncate_a, "write(snapshot.bin, ");
+    let synced_b = after(record_b, "sync_data(snapshot.bin)");
+    let truncate_b = after(truncate_a + 1, &truncate);
+    assert!(synced_b < truncate_b, "{ops:?}");
+    assert_eq!(
+        ops.iter().filter(|op| *op == "sync_dir").count(),
+        2,
+        "one directory sync per file creation: {ops:?}"
+    );
+    let opened = |name: &str| {
+        ops.iter()
+            .filter(|op| **op == format!("open_rw({name})"))
+            .count()
+    };
+    assert_eq!(
+        (opened("wal.log"), opened("snapshot.bin")),
+        (1, 1),
         "{ops:?}"
     );
-    // Compaction: tmp sync → rename → dir sync → WAL truncate.
-    let tmp_sync = pos("sync_data(snapshot.bin.tmp)");
-    let rename = pos("rename(snapshot.bin.tmp -> snapshot.bin)");
-    let dir_sync = ops
-        .iter()
-        .enumerate()
-        .position(|(i, op)| i > rename && op == "sync_dir")
-        .unwrap_or_else(|| panic!("no sync_dir after rename in {ops:?}"));
-    let truncate = pos(&format!("set_len(wal.log, {FILE_HEADER_LEN})"));
     assert!(
-        tmp_sync < rename && rename < dir_sync && dir_sync < truncate,
-        "{ops:?}"
+        ops.iter().all(|op| !op.contains(".tmp")),
+        "no sibling file: {ops:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -629,11 +663,12 @@ fn failed_compaction_poisons_session_and_keeps_later_appends() {
     let chunks: Vec<ChunkPayload> = split_profile(&p, 2);
     // With fsync on, the sync sequence is: WAL create file sync + dir
     // sync (2), one group commit per staged chunk (chunks.len()), then
-    // the flush's compaction: snapshot tmp sync + dir sync (2), WAL
-    // reset sync. Failing that last one makes the compaction fail
-    // *after* the WAL was truncated — the staged chunks are gone.
+    // the flush's compaction: snapshot create file sync + dir sync (2),
+    // the fold's own sync (1), WAL reset sync. Failing that last one
+    // makes the compaction fail *after* the WAL was truncated — the
+    // staged chunks are gone.
     let storage = Arc::new(FaultyStorage::new(FaultSpec {
-        fail_sync: Some(2 + chunks.len() as u64 + 2 + 1),
+        fail_sync: Some(2 + chunks.len() as u64 + 3 + 1),
         ..FaultSpec::default()
     }));
     let store = ProfileStore::open_durable_config_with(
@@ -652,7 +687,7 @@ fn failed_compaction_poisons_session_and_keeps_later_appends() {
             .stage_chunk(7, seq as u64, &chunk.to_binary())
             .unwrap();
     }
-    assert!(store.flush().is_err(), "sync 6 must fail this compaction");
+    assert!(store.flush().is_err(), "sync 8 must fail this compaction");
 
     // The seal is refused (chunks lost), so commit_sealed falls back to
     // an ordinary profile record — and still acknowledges.
@@ -672,4 +707,160 @@ fn failed_compaction_poisons_session_and_keeps_later_appends() {
     // It recovered as an ordinary record, not a sealed session.
     assert_eq!(store.persist_stats().sessions_recovered, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// A failed fold: the snapshot rolls back, the next fold succeeds
+// ---------------------------------------------------------------------
+
+/// Each step of a fold can fail — the short write of a record, the
+/// snapshot sync, the directory sync of the fold that creates the file,
+/// the WAL truncate after a good sync. Whichever does: the flush reports
+/// it, the snapshot is at its previous length unless its sync had
+/// already succeeded, nothing acknowledged is lost, and the next flush
+/// succeeds leaving each id in the snapshot exactly once.
+#[test]
+fn a_failed_fold_loses_nothing_and_the_next_one_succeeds() {
+    // Ordinals count every file of the directory. The plan is: open
+    // (WAL header write #1, set_len #1, syncs #1-2), ingest "a" (write
+    // #2), flush, ingest "b", flush.
+    let spec = FaultSpec::default();
+    let cases = [
+        // Fold 1 creates the snapshot: header is write #3, "a" write #4.
+        (
+            "first fold, record torn",
+            FaultSpec {
+                short_write: Some((4, 7)),
+                ..spec
+            },
+            1,
+        ),
+        // Syncs #3-4 create the snapshot, #5 is fold 1's.
+        (
+            "first fold, creation dir sync",
+            FaultSpec {
+                fail_sync: Some(4),
+                ..spec
+            },
+            1,
+        ),
+        (
+            "first fold, snapshot sync",
+            FaultSpec {
+                fail_sync: Some(5),
+                ..spec
+            },
+            1,
+        ),
+        // Fold 2: "b" is write #5 to the WAL, #6 to the snapshot; sync #6.
+        (
+            "second fold, record torn",
+            FaultSpec {
+                short_write: Some((6, 7)),
+                ..spec
+            },
+            2,
+        ),
+        (
+            "second fold, snapshot sync",
+            FaultSpec {
+                fail_sync: Some(6),
+                ..spec
+            },
+            2,
+        ),
+        // set_len #2 creates the snapshot, #3 and #4 reset the WAL.
+        (
+            "first fold, WAL truncate",
+            FaultSpec {
+                fail_set_len: Some(3),
+                ..spec
+            },
+            1,
+        ),
+        (
+            "second fold, WAL truncate",
+            FaultSpec {
+                fail_set_len: Some(4),
+                ..spec
+            },
+            2,
+        ),
+    ];
+    for (what, spec, failing_flush) in cases {
+        let dir = scratch("failed-fold");
+        let storage = Arc::new(FaultyStorage::new(spec));
+        let store = ProfileStore::open_durable_config_with(
+            &dir,
+            config(),
+            PersistOptions {
+                snapshot_wal_bytes: u64::MAX,
+                fsync: false,
+            },
+            Arc::clone(&storage) as Arc<dyn Storage>,
+        )
+        .unwrap();
+        let snapshot_len = || std::fs::metadata(snapshot_path(&dir)).map_or(0, |m| m.len());
+        let truncate_fault = spec.fail_set_len.is_some();
+        let mut synced_len = 0;
+        for (flush, (label, json)) in [("a", &corpus()[0]), ("b", &corpus()[1])]
+            .into_iter()
+            .enumerate()
+        {
+            store.ingest_bytes(label, json).unwrap();
+            let wal_before = std::fs::metadata(wal_path(&dir)).unwrap().len();
+            let flushed = store.flush();
+            if flush + 1 != failing_flush {
+                flushed.unwrap_or_else(|e| panic!("{what}: flush {} failed: {e}", flush + 1));
+                synced_len = snapshot_len();
+                continue;
+            }
+            assert!(flushed.is_err(), "{what}: flush {} must fail", flush + 1);
+            assert_eq!(storage.injected(), 1, "{what}");
+            assert!(store.persist_stats().io_errors >= 1, "{what}");
+            // The WAL still holds everything the fold meant to absorb.
+            assert_eq!(
+                std::fs::metadata(wal_path(&dir)).unwrap().len(),
+                wal_before,
+                "{what}: a failed fold must leave the WAL alone"
+            );
+            if !truncate_fault {
+                let rolled_back = snapshot_len();
+                assert!(
+                    rolled_back == synced_len
+                        || (synced_len == 0 && rolled_back == FILE_HEADER_LEN),
+                    "{what}: snapshot is {rolled_back} bytes, was {synced_len} before the fold"
+                );
+            }
+            // The one-shot fault has passed: the retry goes through.
+            store
+                .flush()
+                .unwrap_or_else(|e| panic!("{what}: retry failed: {e}"));
+            synced_len = snapshot_len();
+        }
+        assert_eq!(store.persist_stats().records_folded, 2, "{what}");
+        drop(store);
+
+        let scan = scan_file(&snapshot_path(&dir), SNAPSHOT_MAGIC).unwrap();
+        assert_eq!(scan.truncated_bytes, 0, "{what}");
+        let labels: Vec<&str> = scan
+            .entries
+            .iter()
+            .map(|e| match e {
+                WalEntry::Profile(r) => r.label.as_str(),
+                other => panic!("{what}: {other:?} in the snapshot"),
+            })
+            .collect();
+        assert_eq!(labels, ["a", "b"], "{what}: each id once, in commit order");
+        let recovered =
+            ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
+        assert_eq!(recovered.len(), 2, "{what}");
+        let p = recovered.persist_stats();
+        assert_eq!(
+            (p.snapshot_records_loaded, p.wal_records_replayed),
+            (2, 0),
+            "{what}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -1,7 +1,7 @@
-//! Durability tests for the persistent store: reopen round-trips, WAL
-//! compaction into snapshots, and fault injection — truncating the log
-//! at arbitrary offsets and flipping arbitrary bytes must never panic
-//! and must recover exactly the intact-record prefix.
+//! Durability tests for the persistent store: reopen round-trips, folding
+//! the WAL into the append-only snapshot, and fault injection —
+//! truncating the log at arbitrary offsets and flipping arbitrary bytes
+//! must never panic and must recover exactly the intact-record prefix.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
@@ -10,11 +10,12 @@ use numa_sim::{ExecMode, Program};
 use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile};
 use numa_store::wal::{
-    encode_file_header, encode_seal_record, scan_file, wal_path, UnsupportedHeader,
-    FILE_HEADER_LEN, PERSIST_VERSION, SNAPSHOT_MAGIC, WAL_MAGIC,
+    encode_bin_record, encode_file_header, encode_seal_record, scan_file, wal_path,
+    UnsupportedHeader, WalEntry, FILE_HEADER_LEN, PERSIST_VERSION, SNAPSHOT_MAGIC, WAL_MAGIC,
 };
 use numa_store::{PersistOptions, ProfileId, ProfileStore};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -283,35 +284,36 @@ fn a_seal_its_chunks_do_not_hash_to_drops_the_session() {
 
 /// An id acknowledged before a SIGKILL-style stop (no flush, no clean
 /// shutdown) is the id listed after the reopen — recovered from the WAL
-/// alone, and again from the snapshot alone — with the set hash equal.
+/// alone, and again from the snapshot alone — with the set hash equal
+/// and the listing in commit order both times: a sealed session replays
+/// where its seal sits in the log, and a fold appends in commit order.
 #[test]
 fn acked_ids_are_the_ids_listed_after_a_reopen() {
     let dir = scratch("acked-ids");
     let streamed = NumaProfile::from_json(&corpus()[2]).unwrap();
+    let labels = ["as-json", "streamed", "as-binary"];
     let (acked, set_hash) = {
         let store = open(&dir, PersistOptions::default());
-        let mut acked = vec![
-            store.ingest_bytes("as-json", &corpus()[0]).unwrap().0,
-            store
-                .ingest_binary(
-                    "as-binary",
-                    &numa_codec::encode_profile(&NumaProfile::from_json(&corpus()[1]).unwrap()),
-                )
-                .unwrap()
-                .0,
-        ];
+        let mut acked = vec![store.ingest_bytes(labels[0], &corpus()[0]).unwrap().0];
         for (seq, chunk) in split_profile(&streamed, 1).iter().enumerate() {
             store
                 .stage_chunk(5, seq as u64, &chunk.to_binary())
                 .unwrap();
         }
-        acked.push(store.commit_sealed(5, "streamed", streamed).unwrap().0);
+        acked.push(store.commit_sealed(5, labels[1], streamed).unwrap().0);
+        let binary = numa_codec::encode_profile(&NumaProfile::from_json(&corpus()[1]).unwrap());
+        acked.push(store.ingest_binary(labels[2], &binary).unwrap().0);
         (acked, store.set_hash())
     };
-    // WAL only: two profile records plus a sealed session.
+    let listed = |store: &ProfileStore| -> Vec<String> {
+        let entries = store.entries();
+        entries.iter().map(|e| e.label.to_string()).collect()
+    };
+    // WAL only: a profile record, a sealed session, a profile record.
     let store = open(&dir, PersistOptions::default());
     assert_eq!(store.persist_stats().snapshot_records_loaded, 0);
     assert_eq!(store.ids(), acked);
+    assert_eq!(listed(&store), labels);
     assert_eq!(store.set_hash(), set_hash);
     store.flush().unwrap();
     drop(store);
@@ -319,11 +321,8 @@ fn acked_ids_are_the_ids_listed_after_a_reopen() {
     let store = open(&dir, PersistOptions::default());
     let p = store.persist_stats();
     assert_eq!((p.snapshot_records_loaded, p.wal_records_replayed), (3, 0));
-    let mut listed = store.ids();
-    listed.sort();
-    let mut sorted = acked.clone();
-    sorted.sort();
-    assert_eq!(listed, sorted);
+    assert_eq!(store.ids(), acked);
+    assert_eq!(listed(&store), labels);
     assert_eq!(store.set_hash(), set_hash);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -412,6 +411,198 @@ fn compaction_restages_open_session_chunks() {
     let p = store.persist_stats();
     assert_eq!(p.sessions_recovered, 1);
     assert_eq!(p.sessions_dropped, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The profile records of the snapshot in `dir`, in file order, with
+/// the scan's intact length and torn-tail byte count.
+fn snapshot_records(dir: &Path) -> (Vec<(String, u64)>, u64, u64) {
+    let scan = scan_file(&snapshot_path(dir), SNAPSHOT_MAGIC).unwrap();
+    let records = scan
+        .entries
+        .iter()
+        .map(|e| match e {
+            WalEntry::Profile(r) => (r.label.clone(), r.content_hash),
+            other => panic!("not a profile record in the snapshot: {other:?}"),
+        })
+        .collect();
+    (records, scan.valid_len, scan.truncated_bytes)
+}
+
+/// `corpus()[k]` as the record a fold (or an ingest) frames it as.
+fn record_of(label: &str, k: usize) -> (ProfileId, Vec<u8>) {
+    let (id, bytes) = ProfileId::of(&NumaProfile::from_json(&corpus()[k]).unwrap());
+    (id, encode_bin_record(label, &bytes, id.0))
+}
+
+/// A snapshot as the full-rewrite compaction wrote it — every record
+/// sorted by id — is the same format: it opens as is, takes ingests,
+/// and the next fold appends after it without touching a byte of it.
+#[test]
+fn an_id_sorted_snapshot_opens_and_is_folded_on_top_of() {
+    let dir = scratch("id-sorted");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut old: Vec<(ProfileId, Vec<u8>)> =
+        (0..3).map(|k| record_of(&format!("old-{k}"), k)).collect();
+    old.sort_by_key(|(id, _)| *id);
+    let mut file = encode_file_header(SNAPSHOT_MAGIC).to_vec();
+    for (_, record) in &old {
+        file.extend_from_slice(record);
+    }
+    std::fs::write(snapshot_path(&dir), &file).unwrap();
+
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.persist_stats().snapshot_records_loaded, 3);
+    let old_ids: Vec<ProfileId> = old.iter().map(|(id, _)| *id).collect();
+    assert_eq!(store.ids(), old_ids);
+    let (new_id, new_record) = record_of("new", 3);
+    assert_eq!(store.ingest_bytes("new", &corpus()[3]).unwrap().0, new_id);
+    store.flush().unwrap();
+    let p = store.persist_stats();
+    assert_eq!(p.records_folded, 1);
+    assert_eq!(p.snapshot_bytes, (file.len() + new_record.len()) as u64);
+    let (len, set_hash) = (store.len(), store.set_hash());
+    drop(store);
+
+    file.extend_from_slice(&new_record);
+    assert!(std::fs::read(snapshot_path(&dir)).unwrap() == file);
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!((store.len(), store.set_hash()), (len, set_hash));
+    let p = store.persist_stats();
+    assert_eq!((p.snapshot_records_loaded, p.wal_records_replayed), (4, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A torn snapshot tail (a crash mid-fold) is physically cut at open
+/// and counted; the next fold appends right after the intact prefix.
+#[test]
+fn a_torn_snapshot_tail_is_truncated_at_open_and_folded_past() {
+    let dir = scratch("torn-snapshot");
+    {
+        let store = open(&dir, PersistOptions::default());
+        store.ingest_bytes("kept", &corpus()[0]).unwrap();
+        store.flush().unwrap();
+    }
+    let intact = std::fs::read(snapshot_path(&dir)).unwrap();
+    let mut torn = intact.clone();
+    let (next_id, next_record) = record_of("next", 1);
+    torn.extend_from_slice(&next_record[..next_record.len() / 2]);
+    std::fs::write(snapshot_path(&dir), &torn).unwrap();
+
+    let store = open(&dir, PersistOptions::default());
+    let p = store.persist_stats();
+    assert_eq!(p.snapshot_records_loaded, 1);
+    assert_eq!(
+        p.snapshot_truncated_bytes,
+        (torn.len() - intact.len()) as u64
+    );
+    assert_eq!(p.snapshot_bytes, intact.len() as u64);
+    assert!(std::fs::read(snapshot_path(&dir)).unwrap() == intact);
+    assert_eq!(store.ingest_bytes("next", &corpus()[1]).unwrap().0, next_id);
+    store.flush().unwrap();
+    drop(store);
+    let mut expect = intact;
+    expect.extend_from_slice(&next_record);
+    assert!(std::fs::read(snapshot_path(&dir)).unwrap() == expect);
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.len(), 2);
+    assert_eq!(store.persist_stats().snapshot_truncated_bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash after a fold synced the snapshot but before it reset the WAL
+/// leaves the folded records in both files. Replay dedups them, and the
+/// next fold must not append them a second time.
+#[test]
+fn records_folded_before_a_crash_are_not_folded_again() {
+    let dir = scratch("fold-crash");
+    let store = open(&dir, PersistOptions::default());
+    store.ingest_bytes("a", &corpus()[0]).unwrap();
+    store.ingest_bytes("b", &corpus()[1]).unwrap();
+    let full_wal = std::fs::read(wal_path(&dir)).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    // The WAL reset "never happened".
+    std::fs::write(wal_path(&dir), &full_wal).unwrap();
+    let folded = std::fs::metadata(snapshot_path(&dir)).unwrap().len();
+
+    let store = open(&dir, PersistOptions::default());
+    let p = store.persist_stats();
+    assert_eq!((p.snapshot_records_loaded, p.wal_records_replayed), (2, 2));
+    assert_eq!(store.len(), 2);
+    let (_, c_record) = record_of("c", 2);
+    store.ingest_bytes("c", &corpus()[2]).unwrap();
+    store.flush().unwrap();
+    assert_eq!(store.persist_stats().records_folded, 1);
+    drop(store);
+    let (records, valid_len, torn) = snapshot_records(&dir);
+    assert_eq!((valid_len, torn), (folded + c_record.len() as u64, 0));
+    let labels: Vec<&str> = records.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(labels, ["a", "b", "c"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Open streaming sessions whose re-staged chunks alone exceed the WAL
+/// bound must not make every later commit group compact: the bound is
+/// on growth since the last reset, and what a reset re-stages is the
+/// floor.
+#[test]
+fn restaged_chunks_of_open_sessions_do_not_cause_a_compaction_storm() {
+    let dir = scratch("storm");
+    let streams: Vec<NumaProfile> = (1..=6).map(profile).collect();
+    let ingests: Vec<NumaProfile> = (1..=8).map(profile).collect();
+    let chunks: Vec<Vec<Vec<u8>>> = streams
+        .iter()
+        .map(|p| split_profile(p, 2).iter().map(|c| c.to_binary()).collect())
+        .collect();
+    let staged: usize = chunks.iter().flatten().map(Vec::len).sum();
+    // Less than the open sessions hold, so once a compaction re-stages
+    // them the log is over the bound before anything is appended.
+    let bound = staged as u64 / 2;
+    let store = open(
+        &dir,
+        PersistOptions {
+            snapshot_wal_bytes: bound,
+            ..PersistOptions::default()
+        },
+    );
+    for (session, parts) in chunks.iter().enumerate() {
+        for (seq, part) in parts.iter().enumerate() {
+            store.stage_chunk(session as u64, seq as u64, part).unwrap();
+        }
+    }
+    // One flush re-stages everything: the log now starts over the bound.
+    store.flush().unwrap();
+    assert!(store.persist_stats().wal_bytes > bound);
+
+    let before = store.persist_stats().snapshots_written;
+    let mut record_bytes = 0;
+    for (k, p) in ingests.iter().enumerate() {
+        let label = format!("ingest-{k}");
+        let (id, bytes) = ProfileId::of(p);
+        record_bytes += encode_bin_record(&label, &bytes, id.0).len() as u64;
+        assert!(store.ingest_profile(&label, p.clone()).unwrap().1);
+    }
+    let compactions = store.persist_stats().snapshots_written - before;
+    assert!(
+        compactions <= 1 + record_bytes.div_ceil(bound),
+        "{compactions} compactions for {record_bytes} appended bytes under a {bound}-byte bound"
+    );
+    // Every session still seals, and everything survives a reopen.
+    for (session, p) in streams.iter().enumerate() {
+        let label = format!("stream-{session}");
+        assert!(
+            store
+                .commit_sealed(session as u64, &label, p.clone())
+                .unwrap()
+                .1
+        );
+    }
+    let (len, set_hash) = (store.len(), store.set_hash());
+    assert_eq!(len, streams.len() + ingests.len());
+    drop(store);
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!((store.len(), store.set_hash()), (len, set_hash));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -504,6 +695,81 @@ proptest! {
             let intact_end = if intact == 0 { FILE_HEADER_LEN } else { ends[intact - 1] };
             prop_assert_eq!(p.wal_truncated_bytes, full - intact_end);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Any sequence of ingests, streamed sessions, flushes, size-triggered
+    /// folds and SIGKILL-style restarts: the snapshot only ever grows by
+    /// appending (each observed file is a byte-prefix of the next), holds
+    /// each id once, and snapshot ∪ WAL is exactly the acknowledged set —
+    /// which a reopen lists in the order it was acknowledged.
+    #[test]
+    fn the_snapshot_only_grows_and_with_the_wal_holds_the_acked_set(
+        ops in prop::collection::vec(0u8..8, 6..14),
+    ) {
+        static POOL: OnceLock<Vec<NumaProfile>> = OnceLock::new();
+        let pool = POOL.get_or_init(|| (0..14).map(|k| profile(1 + k % 3)).collect());
+        let dir = scratch("fold-prop");
+        // About two records: folds trigger inside the sequence.
+        let opts = || PersistOptions {
+            snapshot_wal_bytes: 2 * numa_codec::encode_profile(&pool[0]).len() as u64,
+            ..PersistOptions::default()
+        };
+        let mut store = open(&dir, opts());
+        let mut acked: Vec<ProfileId> = Vec::new();
+        let mut previous: Vec<u8> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            let fresh = &pool[acked.len()];
+            let label = format!("op-{i}");
+            match op {
+                0 | 1 => acked.push(store.ingest_profile(&label, fresh.clone()).unwrap().0),
+                2 if !acked.is_empty() => {
+                    // Content already stored: dedups, appends nothing.
+                    let again = pool[i % acked.len()].clone();
+                    prop_assert!(!store.ingest_profile(&label, again).unwrap().1);
+                }
+                3 | 4 => {
+                    let chunks = split_profile(fresh, 1 + i % 3);
+                    for (seq, chunk) in chunks.iter().enumerate() {
+                        store.stage_chunk(i as u64, seq as u64, &chunk.to_binary()).unwrap();
+                    }
+                    let sealed = store.commit_sealed(i as u64, &label, assemble(chunks).unwrap());
+                    acked.push(sealed.unwrap().0);
+                }
+                5 => store.flush().unwrap(),
+                6 => {
+                    // A session that never seals: its chunks ride along
+                    // through every fold until the restart drops them.
+                    let chunk = split_profile(fresh, 1).remove(0).to_binary();
+                    store.stage_chunk(1_000 + i as u64, 0, &chunk).unwrap();
+                }
+                _ => {
+                    drop(store);
+                    store = open(&dir, opts());
+                    prop_assert_eq!(store.ids(), acked.clone());
+                }
+            }
+            let now = std::fs::read(snapshot_path(&dir)).unwrap_or_default();
+            prop_assert!(now.starts_with(&previous), "op {i} ({op}) rewrote the snapshot");
+            previous = now;
+            let (records, _, torn) = snapshot_records(&dir);
+            prop_assert_eq!(torn, 0);
+            let mut held: HashSet<u64> = HashSet::new();
+            for (label, id) in &records {
+                prop_assert!(held.insert(*id), "op {i}: {label} is in the snapshot twice");
+            }
+            for entry in scan_file(&wal_path(&dir), WAL_MAGIC).unwrap().entries {
+                match entry {
+                    WalEntry::Profile(r) => held.insert(r.content_hash),
+                    WalEntry::Seal(s) => held.insert(s.content_hash),
+                    WalEntry::Chunk(_) => false,
+                };
+            }
+            prop_assert_eq!(&held, &acked.iter().map(|id| id.0).collect::<HashSet<u64>>());
+        }
+        drop(store);
+        let store = open(&dir, PersistOptions::default());
+        prop_assert_eq!(store.ids(), acked);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
