@@ -220,15 +220,12 @@ pub fn open_store(
             let p = store.persist_stats();
             eprintln!(
                 "{tool}: recovered {} profile(s) from {dir} \
-                 ({} snapshot + {} wal record(s), {} truncated byte(s), {} stale parse(s); \
-                 sessions: {} recovered, {} dropped)",
+                 ({} snapshot + {} wal record(s), {} truncated byte(s), {} stale parse(s))",
                 store.len(),
                 p.snapshot_records_loaded,
                 p.wal_records_replayed,
                 p.wal_truncated_bytes + p.snapshot_truncated_bytes,
                 p.replay_parse_failures,
-                p.sessions_recovered,
-                p.sessions_dropped,
             );
             store
         }

@@ -13,20 +13,23 @@
 //!   [`ChunkPayload`] header or thread batch per chunk. Buffers are
 //!   bounded per chunk, per session, and across all sessions;
 //!   exceeding a bound is a typed [`SessionError`], never a stall or a
-//!   disconnect. On durable stores every accepted chunk is staged in
-//!   the WAL (group-committed) before the append is acknowledged.
+//!   disconnect. An append is check → parse → buffer: it does no I/O,
+//!   and its ack promises only that the chunk is held in memory for as
+//!   long as the lease is renewed.
 //! * It **seals** ([`SessionManager::seal`]): the chunks are assembled
-//!   into a canonical profile and committed through the ordinary store
-//!   ingest path, so a streamed profile is byte-identical — content
-//!   hash, set hash, aggregate text — to the same profile ingested
-//!   one-shot.
+//!   into a canonical profile and committed by
+//!   [`ProfileStore::ingest_profile`] — a seal *is* an ingest, so a
+//!   streamed profile is byte-identical — content hash, set hash,
+//!   aggregate text, and on a durable store the WAL record — to the same
+//!   profile ingested one-shot, and a seal's ack promises what an
+//!   ingest's does.
 //!
 //! Every `open`/`append` renews the session's lease. A client that dies
 //! mid-stream stops renewing; the janitor thread reaps the expired
-//! session, reclaims its buffers, and discards its staged chunks —
-//! partial data is never half-ingested. If the *daemon* dies
-//! mid-stream, WAL replay recovers exactly the sealed sessions and
-//! drops unsealed ones (see `numa_store::wal`).
+//! session and reclaims its buffers — partial data is never
+//! half-ingested. An open session lives in this process's memory and
+//! nowhere else: it costs the daemon no disk write, and if the *daemon*
+//! dies mid-stream the session is simply gone and the client re-streams.
 
 use numa_obs::{Counter, Gauge, Registry};
 use numa_store::stream::{assemble, ChunkPayload};
@@ -114,11 +117,9 @@ pub enum SessionError {
     /// The sealed chunk set does not assemble into a profile (missing
     /// or duplicate header, duplicate thread ids, no threads).
     Incomplete { session: u64, reason: String },
-    /// The durable store could not log the chunk or seal: the WAL
-    /// append failed and was rolled back, and the operation was **not**
-    /// applied. For an append, the session stays open at the same
-    /// expected sequence number so the client can retry the chunk; for
-    /// a seal, the session is discarded and must be re-streamed.
+    /// The durable store could not log the sealed profile: the WAL
+    /// append failed and was rolled back, and the profile was **not**
+    /// added. The session is discarded and must be re-streamed.
     NotDurable { session: u64, message: String },
 }
 
@@ -256,9 +257,9 @@ pub struct SessionManager {
     config: LiveConfig,
     inner: Mutex<Inner>,
     /// Session ids are time-seeded (`unix seconds << 20`, plus a
-    /// counter) so ids never repeat across daemon restarts — stale
-    /// chunk records in a recovered WAL can never be mistaken for a
-    /// new session's.
+    /// counter) so ids never repeat across daemon restarts — a client
+    /// still holding a session id from before a restart can never land
+    /// its chunks in a stranger's new session.
     next_id: AtomicU64,
     opened: Counter,
     sealed: Counter,
@@ -351,9 +352,8 @@ impl SessionManager {
 
     /// Append chunk `seq` (strictly sequential from 0) to a session;
     /// `bytes` is a binary-codec chunk (see [`ChunkPayload::to_binary`]).
-    /// Renews the lease. On durable stores the bytes are staged in the
-    /// WAL as sent before this returns. Returns the daemon-wide
-    /// buffered bytes after the append.
+    /// Renews the lease. The chunk is buffered in memory only. Returns
+    /// the daemon-wide buffered bytes after the append.
     pub fn append_binary(
         &self,
         session: u64,
@@ -362,10 +362,14 @@ impl SessionManager {
     ) -> Result<usize, SessionError> {
         let len = bytes.len();
         // Typed rejections first, under a brief lock, so oversized or
-        // out-of-order chunks never pay for a parse.
+        // out-of-order chunks never pay for a parse — and the chunk's
+        // bytes are reserved under the same lock that checked the
+        // budgets, so appends racing through the parse below cannot
+        // overshoot them together.
         let precheck = {
-            let inner = self.inner.lock();
-            match inner.sessions.get(&session) {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            match inner.sessions.get_mut(&session) {
                 None => Err(SessionError::UnknownSession { session }),
                 Some(s) if seq != s.next_seq => Err(SessionError::BadSequence {
                     session,
@@ -390,7 +394,12 @@ impl SessionManager {
                         max: self.config.max_open_bytes,
                     })
                 }
-                Some(_) => Ok(()),
+                Some(s) => {
+                    s.bytes += len;
+                    inner.open_bytes += len;
+                    self.open_bytes_gauge.add(len as i64);
+                    Ok(())
+                }
             }
         };
         if let Err(e) = precheck {
@@ -400,124 +409,92 @@ impl SessionManager {
             return Err(e);
         }
         // Parse outside the lock: a chunk can be megabytes.
-        let payload = ChunkPayload::from_binary(bytes).map_err(|e| SessionError::ChunkParse {
-            session,
-            seq,
-            message: e.to_string(),
-        })?;
-        let open_bytes = {
-            let mut inner = self.inner.lock();
-            // Re-validate: the session can be reaped (or a duplicate
-            // append can win the race) while this thread was parsing.
-            let Some(s) = inner.sessions.get_mut(&session) else {
-                return Err(SessionError::UnknownSession { session });
-            };
-            if seq != s.next_seq {
-                return Err(SessionError::BadSequence {
-                    session,
-                    got: seq,
-                    expected: s.next_seq,
-                });
-            }
-            s.chunks.push(payload);
-            s.bytes += len;
-            s.next_seq += 1;
-            s.deadline = Instant::now() + self.config.lease;
-            inner.open_bytes += len;
-            self.open_bytes_gauge.add(len as i64);
-            inner.open_bytes
-        };
-        // Durable staging blocks on the group commit, so an acked chunk
-        // survives a daemon SIGKILL. A failed append already un-staged
-        // itself from the store's retained map; roll the in-memory push
-        // back in step so the session still expects this sequence
-        // number and the client can retry the same chunk.
-        if let Err(e) = self.store.stage_chunk(session, seq, bytes) {
-            let mut inner = self.inner.lock();
-            if let Some(s) = inner.sessions.get_mut(&session) {
-                if s.next_seq == seq + 1 {
-                    s.chunks.pop();
-                    s.bytes -= len;
-                    s.next_seq = seq;
-                    inner.open_bytes -= len;
-                    self.open_bytes_gauge.sub(len as i64);
-                }
-            }
-            return Err(SessionError::NotDurable {
-                session,
-                message: e.to_string(),
-            });
-        }
-        // The lease can expire mid-write: if the janitor reaped the
-        // session meanwhile, discard what was just staged so the
-        // store's retained map cannot leak.
-        if !self.inner.lock().sessions.contains_key(&session) {
-            self.store.discard_session(session);
+        let parsed = ChunkPayload::from_binary(bytes);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        // Re-validate: the session can be sealed, aborted or reaped (or a
+        // duplicate append can win the race) while this thread was
+        // parsing. A session that is gone gave all of its `bytes` back,
+        // this chunk's reservation included.
+        let Some(s) = inner.sessions.get_mut(&session) else {
             return Err(SessionError::UnknownSession { session });
-        }
-        self.chunks_appended.inc();
-        Ok(open_bytes)
+        };
+        let refusal = match parsed {
+            Err(e) => SessionError::ChunkParse {
+                session,
+                seq,
+                message: e.to_string(),
+            },
+            Ok(_) if seq != s.next_seq => SessionError::BadSequence {
+                session,
+                got: seq,
+                expected: s.next_seq,
+            },
+            Ok(payload) => {
+                s.chunks.push(payload);
+                s.next_seq += 1;
+                s.deadline = Instant::now() + self.config.lease;
+                self.chunks_appended.inc();
+                return Ok(inner.open_bytes);
+            }
+        };
+        s.bytes -= len;
+        inner.open_bytes -= len;
+        self.open_bytes_gauge.sub(len as i64);
+        Err(refusal)
     }
 
     /// Seal a session: assemble its chunks into a canonical profile and
-    /// commit it through the store's ordinary ingest path. Succeeds or
-    /// fails atomically — an unassemblable chunk set discards the
-    /// session entirely (typed [`SessionError::Incomplete`]).
+    /// commit it with [`ProfileStore::ingest_profile`] — the one-shot
+    /// ingest path, whole. Succeeds or fails atomically: an
+    /// unassemblable chunk set is a typed [`SessionError::Incomplete`], a
+    /// commit the durable store could not log a typed
+    /// [`SessionError::NotDurable`] with the profile rolled back out of
+    /// the store; either way the session is gone.
     pub fn seal(&self, session: u64) -> Result<Sealed, SessionError> {
-        let s = {
-            let mut inner = self.inner.lock();
-            let s = inner
-                .sessions
-                .remove(&session)
-                .ok_or(SessionError::UnknownSession { session })?;
-            inner.open_bytes -= s.bytes;
-            self.open_sessions_gauge.dec();
-            self.open_bytes_gauge.sub(s.bytes as i64);
-            s
-        };
+        let s = self.remove(session)?;
         let chunks = s.next_seq;
-        match assemble(s.chunks) {
-            Ok(profile) => match self.store.commit_sealed(session, &s.label, profile) {
-                Ok((id, added)) => {
-                    self.sealed.inc();
-                    Ok(Sealed { id, added, chunks })
-                }
-                // The store already rolled the commit back and
-                // discarded the session's staged chunks; the client
-                // must re-stream.
-                Err(e) => {
-                    self.aborted.inc();
-                    Err(SessionError::NotDurable {
+        let committed = assemble(s.chunks)
+            .map_err(|e| SessionError::Incomplete {
+                session,
+                reason: e.to_string(),
+            })
+            .and_then(|profile| {
+                self.store
+                    .ingest_profile(&s.label, profile)
+                    .map_err(|e| SessionError::NotDurable {
                         session,
                         message: e.to_string(),
                     })
-                }
-            },
+            });
+        match committed {
+            Ok((id, added)) => {
+                self.sealed.inc();
+                Ok(Sealed { id, added, chunks })
+            }
             Err(e) => {
-                self.store.discard_session(session);
                 self.aborted.inc();
-                Err(SessionError::Incomplete {
-                    session,
-                    reason: e.to_string(),
-                })
+                Err(e)
             }
         }
     }
 
-    /// Abort a session: drop its buffers and staged chunks. Nothing is
-    /// ingested.
+    /// Take a session out of the registry, giving its bytes back.
+    fn remove(&self, session: u64) -> Result<LiveSession, SessionError> {
+        let mut inner = self.inner.lock();
+        let s = inner
+            .sessions
+            .remove(&session)
+            .ok_or(SessionError::UnknownSession { session })?;
+        inner.open_bytes -= s.bytes;
+        self.open_sessions_gauge.dec();
+        self.open_bytes_gauge.sub(s.bytes as i64);
+        Ok(s)
+    }
+
+    /// Abort a session: drop its buffers. Nothing is ingested.
     pub fn abort(&self, session: u64) -> Result<(), SessionError> {
-        {
-            let mut inner = self.inner.lock();
-            let s = inner
-                .sessions
-                .remove(&session)
-                .ok_or(SessionError::UnknownSession { session })?;
-            inner.open_bytes -= s.bytes;
-            self.open_sessions_gauge.dec();
-            self.open_bytes_gauge.sub(s.bytes as i64);
-        }
-        self.store.discard_session(session);
+        self.remove(session)?;
         self.aborted.inc();
         Ok(())
     }
@@ -526,7 +503,7 @@ impl SessionManager {
     /// the janitor thread). Returns how many were reclaimed.
     pub fn reap_expired(&self) -> usize {
         let now = Instant::now();
-        let dead: Vec<u64> = {
+        let dead = {
             let mut inner = self.inner.lock();
             let ids: Vec<u64> = inner
                 .sessions
@@ -541,13 +518,10 @@ impl SessionManager {
                     self.open_bytes_gauge.sub(s.bytes as i64);
                 }
             }
-            ids
+            ids.len()
         };
-        for id in &dead {
-            self.store.discard_session(*id);
-        }
-        self.reaped.add(dead.len() as u64);
-        dead.len()
+        self.reaped.add(dead as u64);
+        dead
     }
 
     /// Counter snapshot for observability.
@@ -629,8 +603,7 @@ impl SessionManager {
     }
 
     /// Stop and join the janitor thread. Idempotent. Open sessions are
-    /// left as they are — on a daemon shutdown their staged chunks stay
-    /// sealless in the WAL and replay drops them.
+    /// left as they are — on a daemon shutdown they end with the process.
     pub fn stop(&self) {
         drop(self.stop_tx.lock().take());
         if let Some(handle) = self.janitor.lock().take() {

@@ -1,7 +1,8 @@
 //! Session lifecycle: streamed ingestion must land byte-identically
-//! with one-shot ingestion, every rejection must be typed, the janitor
-//! must reap expired leases, and on a durable store chunks are staged
-//! exactly as sent and recover after a kill.
+//! with one-shot ingestion — on a durable store down to the WAL bytes —
+//! every rejection must be typed, the buffer budgets must hold under
+//! racing appends, the janitor must reap expired leases, and a session
+//! that never seals must never touch the disk.
 
 use numa_faults::{FaultSpec, FaultyStorage, Storage};
 use numa_live::{LiveConfig, SessionError, SessionManager};
@@ -10,9 +11,10 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{split_profile, ChunkPayload};
-use numa_store::wal::{scan_file, wal_path, WalEntry, WAL_MAGIC};
-use numa_store::{PersistOptions, ProfileStore, StoreConfig};
-use std::sync::{Arc, OnceLock};
+use numa_store::wal::{scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
+use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A small profile; `rounds` varies the content hash. Sampling is
@@ -301,58 +303,247 @@ fn appends_renew_the_lease() {
     mgr.stop();
 }
 
-/// Chunks appended to a durable store are staged as sent: the WAL holds
-/// the client's own bytes as binary (kind-4) chunk records, and a
-/// daemon killed right after the seal's ack recovers the session whole.
+/// The `numa_live_open_bytes` gauge as a scrape reads it.
+fn open_bytes_gauge(registry: &numa_obs::Registry) -> usize {
+    let scrape = registry.render();
+    let line = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("numa_live_open_bytes "))
+        .expect("gauge registered");
+    line.trim().parse().expect("gauge value")
+}
+
+/// Appends to *different* sessions race through the chunk parse, which
+/// runs outside the lock. The budget check and the reservation of the
+/// chunk's bytes are one critical section, so however the threads
+/// interleave the daemon never buffers more than `max_open_bytes`.
 #[test]
-fn appends_stage_the_bytes_as_sent_and_recover_after_a_kill() {
-    let dir = std::env::temp_dir().join(format!("numa-live-wal-{}", std::process::id()));
+fn racing_appends_never_overshoot_the_open_bytes_budget() {
+    const THREADS: usize = 8;
+    const FIT: usize = 3;
+    let parsed = NumaProfile::from_json(&corpus()[1]).unwrap();
+    // One chunk holding every thread: the longest parse this corpus has.
+    let chunk = split_profile(&parsed, usize::MAX)[1].to_binary();
+    let len = chunk.len();
+    let max_open_bytes = FIT * len + len / 2;
+    let mgr = SessionManager::new(
+        Arc::new(ProfileStore::new()),
+        LiveConfig {
+            max_open_bytes,
+            ..LiveConfig::default()
+        },
+    );
+    let registry = numa_obs::Registry::new();
+    mgr.register_metrics(&registry);
+
+    for round in 0..200 {
+        let sessions: Vec<u64> = (0..THREADS)
+            .map(|i| mgr.open(&format!("racer-{i}")).unwrap().session)
+            .collect();
+        let start = Barrier::new(THREADS);
+        let accepted: usize = std::thread::scope(|scope| {
+            let racers: Vec<_> = sessions
+                .iter()
+                .map(|&session| {
+                    let (mgr, chunk, start, registry) = (&mgr, &chunk, &start, &registry);
+                    scope.spawn(move || {
+                        start.wait();
+                        let outcome = mgr.append_binary(session, 0, chunk);
+                        let (held, gauge) = (mgr.stats().open_bytes, open_bytes_gauge(registry));
+                        assert!(
+                            held <= max_open_bytes && gauge <= max_open_bytes,
+                            "round {round}: {held} byte(s) held, gauge {gauge}, \
+                             budget {max_open_bytes}"
+                        );
+                        match outcome {
+                            Ok(_) => 1,
+                            Err(e) => {
+                                assert!(
+                                    matches!(e, SessionError::Backpressure { .. }),
+                                    "round {round}: {e:?}"
+                                );
+                                0
+                            }
+                        }
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        assert_eq!(accepted, FIT, "round {round}");
+        assert_eq!(mgr.stats().open_bytes, FIT * len, "round {round}");
+        for session in sessions {
+            mgr.abort(session).unwrap();
+        }
+        assert_eq!(mgr.stats().open_bytes, 0, "round {round}");
+        assert_eq!(open_bytes_gauge(&registry), 0, "round {round}");
+    }
+    mgr.stop();
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("numa-live-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let storage = Arc::new(FaultyStorage::new(FaultSpec::default()));
-    let store = Arc::new(
+    dir
+}
+
+fn open_durable(dir: &Path, storage: &Arc<FaultyStorage>) -> Arc<ProfileStore> {
+    Arc::new(
         ProfileStore::open_durable_config_with(
-            &dir,
+            dir,
             StoreConfig::default(),
             PersistOptions::default(),
-            Arc::clone(&storage) as Arc<dyn Storage>,
+            Arc::clone(storage) as Arc<dyn Storage>,
         )
         .unwrap(),
-    );
-    let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
-    let sealed = stream(&mgr, "streamed", &corpus()[0], 2);
-    assert!(sealed.added);
-    storage.kill();
-    mgr.stop();
-    drop(mgr);
-    drop(store);
+    )
+}
 
-    let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
-    let chunks: Vec<&Vec<u8>> = scan
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            WalEntry::Chunk(c) => Some(&c.payload),
-            _ => None,
-        })
-        .collect();
-    let sent: Vec<Vec<u8>> = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2)
+/// A sealed stream is one profile record: whatever the chunking, the
+/// WAL of a store that took the profile as a stream is byte-for-byte
+/// the WAL of a store that took it as a one-shot binary ingest — one
+/// record holding the canonical codec bytes — and a daemon killed right
+/// after the seal's ack recovers it under the acked id.
+#[test]
+fn a_sealed_stream_is_one_profile_record() {
+    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
+    // The canonical codec bytes, and the id they hash to.
+    let (id, canonical) = ProfileId::of(&p);
+    for threads_per_chunk in [1, 2, 7] {
+        let streamed_dir = scratch(&format!("streamed-{threads_per_chunk}"));
+        let oneshot_dir = scratch(&format!("oneshot-{threads_per_chunk}"));
+
+        let storage = Arc::new(FaultyStorage::new(FaultSpec::default()));
+        let store = open_durable(&streamed_dir, &storage);
+        let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
+        let sealed = stream(&mgr, "run", &corpus()[0], threads_per_chunk);
+        assert!(sealed.added);
+        assert_eq!(sealed.id, id);
+        let set_hash = store.set_hash();
+        storage.kill();
+        mgr.stop();
+        drop(mgr);
+        drop(store);
+
+        let oneshot =
+            ProfileStore::open_durable(&oneshot_dir, 16, PersistOptions::default()).unwrap();
+        assert_eq!(
+            oneshot.ingest_binary("run", &canonical).unwrap(),
+            (sealed.id, true)
+        );
+        drop(oneshot);
+
+        let wal = std::fs::read(wal_path(&streamed_dir)).unwrap();
+        assert!(
+            wal == std::fs::read(wal_path(&oneshot_dir)).unwrap(),
+            "{threads_per_chunk} thread(s) per chunk: the two logs differ"
+        );
+        let scan = scan_file(&wal_path(&streamed_dir), WAL_MAGIC).unwrap();
+        assert_eq!(scan.truncated_bytes, 0);
+        assert_eq!(scan.entries.len(), 1);
+        assert_eq!(scan.entries[0].label, "run");
+        assert_eq!(scan.entries[0].content_hash, sealed.id.0);
+        assert!(scan.entries[0].bytes == canonical);
+
+        let store =
+            ProfileStore::open_durable(&streamed_dir, 16, PersistOptions::default()).unwrap();
+        assert_eq!(store.ids(), vec![sealed.id]);
+        assert_eq!(&*store.resolve("run").unwrap().label, "run");
+        assert_eq!(store.set_hash(), set_hash);
+        std::fs::remove_dir_all(&streamed_dir).ok();
+        std::fs::remove_dir_all(&oneshot_dir).ok();
+    }
+}
+
+/// An unsealed session never touches the disk: however it ends — abort,
+/// lease reap, the manager going away — the log and the persister's
+/// counters are where they were before it was opened. So a disk that
+/// fails the next write fails the *seal*, not an append: the appends
+/// are acknowledged, the seal is a typed `NotDurable` with the profile
+/// rolled back and the session gone, and a re-stream is added.
+#[test]
+fn an_unsealed_session_never_touches_the_disk() {
+    let dir = scratch("unsealed");
+    // Write #1 is the WAL header at open; the next write, whoever makes
+    // it, tears after 5 bytes — exactly once.
+    let storage = Arc::new(FaultyStorage::new(FaultSpec {
+        short_write: Some((2, 5)),
+        ..FaultSpec::default()
+    }));
+    let store = open_durable(&dir, &storage);
+    let untouched = |what: &str| {
+        let p = store.persist_stats();
+        assert_eq!(
+            (
+                std::fs::metadata(wal_path(&dir)).unwrap().len(),
+                p.wal_bytes,
+                p.wal_appends,
+                p.wal_group_commits,
+                p.io_errors,
+                storage.injected(),
+            ),
+            (FILE_HEADER_LEN, FILE_HEADER_LEN, 0, 0, 0, 0),
+            "{what}"
+        );
+    };
+    let chunks: Vec<Vec<u8>> = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 1)
         .iter()
         .map(ChunkPayload::to_binary)
         .collect();
-    assert_eq!(chunks.len() as u64, sealed.chunks);
-    for (logged, sent) in chunks.iter().zip(&sent) {
-        assert!(
-            *logged == sent,
-            "the WAL must hold each chunk byte-for-byte as it was appended"
-        );
-    }
-    assert!(matches!(scan.entries.last(), Some(WalEntry::Seal(_))));
+    let open_and_append = |mgr: &SessionManager| {
+        let session = mgr.open("run").unwrap().session;
+        for (seq, chunk) in chunks.iter().enumerate() {
+            mgr.append_binary(session, seq as u64, chunk).unwrap();
+        }
+        untouched("after the appends");
+        session
+    };
 
-    let store = ProfileStore::open_durable(&dir, 16, PersistOptions::default()).unwrap();
+    let mgr = SessionManager::new(
+        Arc::clone(&store),
+        LiveConfig {
+            lease: Duration::from_millis(50),
+            janitor_period: Duration::from_millis(10),
+            ..LiveConfig::default()
+        },
+    );
+    let aborted = open_and_append(&mgr);
+    mgr.abort(aborted).unwrap();
+    untouched("after an abort");
+    open_and_append(&mgr);
+    wait_until("the janitor to reap the idle session", || {
+        mgr.stats().reaped == 1
+    });
+    untouched("after a lease reap");
+    open_and_append(&mgr);
+    mgr.stop();
+    drop(mgr);
+    untouched("after the manager is gone");
+
+    // The first write any of this causes is the seal's record.
+    let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
+    let doomed = open_and_append(&mgr);
+    let err = mgr.seal(doomed).unwrap_err();
+    assert!(
+        matches!(err, SessionError::NotDurable { session, .. } if session == doomed),
+        "{err:?}"
+    );
+    assert_eq!(storage.injected(), 1);
+    assert!(store.ids().is_empty(), "a failed seal must roll back");
+    assert_eq!(
+        mgr.abort(doomed).unwrap_err(),
+        SessionError::UnknownSession { session: doomed }
+    );
+    assert_eq!(mgr.stats().open_bytes, 0);
+    assert_eq!(
+        std::fs::metadata(wal_path(&dir)).unwrap().len(),
+        FILE_HEADER_LEN,
+        "the torn record was truncated away"
+    );
+    // The fault was one-shot: the client re-streams and is added.
+    let sealed = stream(&mgr, "run", &corpus()[0], 1);
+    assert!(sealed.added);
     assert_eq!(store.ids(), vec![sealed.id]);
-    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
-    let p = store.persist_stats();
-    assert_eq!(p.sessions_recovered, 1);
-    assert_eq!(p.sessions_dropped, 0);
+    mgr.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

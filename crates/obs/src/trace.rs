@@ -31,7 +31,7 @@ pub struct Span {
     pub shard: Option<u32>,
     /// Memo-cache outcome, if the request consulted the cache.
     pub cache_hit: Option<bool>,
-    /// Time spent blocked on the WAL ack, if the request staged data.
+    /// Time spent blocked on the WAL ack, if the request committed a profile.
     pub wal_ack_us: Option<u64>,
     /// End-to-end service time.
     pub total_us: u64,

@@ -566,7 +566,7 @@ pub struct SlowOpRow {
     /// Memo-cache outcome, if the request consulted the cache.
     pub cache_hit: Option<bool>,
     /// Microseconds spent blocked on the WAL ack, if the request
-    /// staged data.
+    /// committed a profile.
     pub wal_ack_us: Option<u64>,
     /// End-to-end service time in microseconds.
     pub total_us: u64,
@@ -648,16 +648,6 @@ pub struct ServerStatsReport {
     /// since startup.
     #[serde(default)]
     pub live_backpressure: u64,
-    /// Startup recovery: sealed sessions reassembled from WAL chunk
-    /// records.
-    #[serde(default)]
-    pub sessions_recovered: u64,
-    /// Startup recovery: unsealed or unassemblable sessions dropped.
-    #[serde(default)]
-    pub sessions_dropped: u64,
-    /// Startup recovery: chunk records replayed from the WAL.
-    #[serde(default)]
-    pub session_chunks_replayed: u64,
     /// Recent requests that crossed the slow-op threshold, oldest
     /// first (empty when talking to a daemon predating tracing).
     #[serde(default)]
@@ -716,10 +706,6 @@ impl ServerStatsReport {
                 self.wal_group_commits,
                 self.snapshots_written,
                 self.persist_io_errors,
-            ));
-            out.push_str(&format!(
-                "sessions: {} recovered, {} dropped, {} chunk record(s) replayed\n",
-                self.sessions_recovered, self.sessions_dropped, self.session_chunks_replayed,
             ));
         } else {
             out.push_str("persistence: off (in-memory store)\n");
@@ -829,10 +815,10 @@ pub enum WireError {
     SessionIncomplete { session: u64, detail: String },
     /// The daemon could not make the operation durable (WAL append or
     /// commit failed — full disk, I/O error). The operation was rolled
-    /// back, **not** applied: an ingest can be retried as-is; a chunk
-    /// append can be retried at the same sequence number; a failed seal
-    /// discards the session, which must be re-streamed. The daemon
-    /// keeps serving reads, and the connection stays usable.
+    /// back, **not** applied: an ingest can be retried as-is; a failed
+    /// seal discards the session, which must be re-streamed (a chunk
+    /// append does no I/O and never fails this way). The daemon keeps
+    /// serving reads, and the connection stays usable.
     NotDurable { detail: String },
 }
 
@@ -959,7 +945,7 @@ pub enum Response {
         max_chunk_bytes: u64,
         max_session_bytes: u64,
     },
-    /// Chunk accepted (and, on a durable store, staged in the WAL).
+    /// Chunk accepted: buffered in the daemon's memory until the seal.
     /// `open_bytes` is the daemon-wide buffered total after the append.
     ChunkAppended {
         session: u64,

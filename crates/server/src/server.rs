@@ -278,8 +278,8 @@ impl Server {
             let _ = s.join();
         }
         // Workers are gone, so no session op can race the janitor's
-        // teardown; open sessions die with the daemon (their staged WAL
-        // chunks are dropped as unsealed on the next replay).
+        // teardown; open sessions die with the daemon (they were only
+        // ever in its memory).
         self.backend.sessions.stop();
         Ok(self.backend.stats())
     }
@@ -775,9 +775,6 @@ impl Backend {
             live_leases_reaped: live.reaped,
             live_chunks_appended: live.chunks_appended,
             live_backpressure: live.backpressure_rejections,
-            sessions_recovered: persist.sessions_recovered,
-            sessions_dropped: persist.sessions_dropped,
-            session_chunks_replayed: persist.session_chunks_replayed,
             recent_slow_ops,
         }
     }

@@ -247,7 +247,7 @@ fn full_disk_daemon_answers_ingest_with_not_durable_and_keeps_serving_reads() {
 fn full_disk_streaming_session_fails_typed_and_daemon_survives() {
     let dir = scratch("enospc-stream");
 
-    // Nothing fits: every append hits the budget immediately.
+    // Nothing fits: every write past the WAL header hits the budget.
     let storage = Arc::new(FaultyStorage::new(FaultSpec {
         enospc_after: Some(numa_store::wal::FILE_HEADER_LEN),
         ..FaultSpec::default()
@@ -268,24 +268,16 @@ fn full_disk_streaming_session_fails_typed_and_daemon_survives() {
     let chunks = numa_store::stream::split_profile(&profile(3), 2);
     let session = c.open_session("streamed").expect("open session");
 
-    // Chunk appends are staged durably; with a full disk they must fail
-    // typed rather than ack bytes the log never saw.
-    let mut failed = false;
+    // Chunk appends are buffered in memory and never see the disk; the
+    // seal is the ingest, and with a full disk it must fail typed rather
+    // than ack a profile the log never saw.
     for (seq, chunk) in chunks.iter().enumerate() {
-        match c.append_chunk_binary(session.session, seq as u64, chunk.to_binary()) {
-            Ok(_) => {}
-            Err(ClientError::Server(WireError::NotDurable { .. })) => {
-                failed = true;
-                break;
-            }
-            other => panic!("expected Ok or NotDurable, got {other:?}"),
-        }
+        c.append_chunk_binary(session.session, seq as u64, chunk.to_binary())
+            .expect("an append does no I/O");
     }
-    if !failed {
-        match c.seal_session(session.session) {
-            Err(ClientError::Server(WireError::NotDurable { .. })) => {}
-            other => panic!("expected NotDurable on seal, got {other:?}"),
-        }
+    match c.seal_session(session.session) {
+        Err(ClientError::Server(WireError::NotDurable { .. })) => {}
+        other => panic!("expected NotDurable on seal, got {other:?}"),
     }
 
     // The daemon survives and the store holds nothing.

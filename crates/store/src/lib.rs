@@ -9,15 +9,15 @@
 //!
 //! * **Content-addressed ingestion through one admission path**
 //!   ([`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`],
-//!   [`ProfileStore::ingest_binary`], [`ProfileStore::commit_sealed`],
+//!   [`ProfileStore::ingest_binary`], [`ProfileStore::ingest_profile`],
 //!   ...): every entry point parses and hashes its input outside every
 //!   lock — a batch in parallel with rayon — and hands the prepared
 //!   rows to the single insert → commit → rollback tail in the `admit`
 //!   module. A profile is stored under the FNV-1a hash of its canonical
 //!   codec bytes ([`ProfileId::of`]), so duplicate runs dedup to one
 //!   copy whatever format they arrived in; those same bytes are the only
-//!   form the store hashes, stages or logs — JSON is an input format,
-//!   parsed at the edge.
+//!   form the store hashes or logs — JSON is an input format, parsed at
+//!   the edge.
 //! * **Hash-sharded shelves**: profiles live in N shard shelves keyed
 //!   by `content_hash & (N-1)`, each behind its own `RwLock`, so
 //!   concurrent ingests and queries touching different shards never
@@ -438,10 +438,9 @@ impl Default for StoreConfig {
 #[derive(Clone, Debug)]
 pub struct PersistOptions {
     /// Compact (fold the WAL into the snapshot and reset it) once the
-    /// WAL has grown by this many bytes since the last compaction —
-    /// chunk records of open sessions that one re-staged do not count.
-    /// A compaction costs what was committed since the last one, so
-    /// this bounds replay time, not write volume.
+    /// WAL has grown to this many bytes. A compaction costs what was
+    /// committed since the last one, so this bounds replay time, not
+    /// write volume.
     pub snapshot_wal_bytes: u64,
     /// `fsync` the WAL once per group commit. Off by default: flushing
     /// to the OS already survives a SIGKILL of the daemon; `fsync`
@@ -500,14 +499,6 @@ pub struct PersistStats {
     /// ingest returns [`StoreError::Persist`] instead of being
     /// acknowledged. The store keeps serving reads from memory.
     pub io_errors: u64,
-    /// Streaming sessions whose seal replayed to a complete profile at
-    /// startup.
-    pub sessions_recovered: u64,
-    /// Streaming sessions dropped at startup: unsealed (the client or
-    /// daemon died mid-stream) or sealed but incomplete/corrupt.
-    pub sessions_dropped: u64,
-    /// Session chunk records seen in the snapshot + WAL at startup.
-    pub session_chunks_replayed: u64,
 }
 
 /// Per-shard accounting row in [`StoreStats`].
@@ -533,12 +524,6 @@ pub struct ProfileStore {
     /// Group-commit persister; unset for in-memory stores. Ingest paths
     /// never hold a shelf lock while talking to it.
     persist: OnceLock<persist::Persister>,
-    /// Encoded WAL chunk records of open streaming sessions, keyed by
-    /// session id. Shared with the persister thread: a snapshot
-    /// compaction resets the WAL (the only place staged chunks live),
-    /// so it re-stages these into the fresh log. Entries are dropped on
-    /// seal/abort/reap via [`ProfileStore::discard_session`].
-    session_log: Arc<parking_lot::Mutex<HashMap<u64, Vec<Vec<u8>>>>>,
 }
 
 impl Default for ProfileStore {
@@ -564,7 +549,7 @@ type PersistMetric = (&'static str, &'static str, bool, fn(&PersistStats) -> u64
 /// The persistence series [`ProfileStore::register_metrics`] exposes,
 /// in exposition order.
 #[rustfmt::skip]
-const PERSIST_METRICS: [PersistMetric; 11] = [
+const PERSIST_METRICS: [PersistMetric; 9] = [
     ("numa_store_wal_appends_total", "Records appended to the WAL since startup.", false, |p| p.wal_appends),
     ("numa_store_wal_group_commits_total", "WAL group commits since startup.", false, |p| p.wal_group_commits),
     ("numa_store_wal_bytes", "Current WAL size in bytes (header included).", true, |p| p.wal_bytes),
@@ -574,8 +559,6 @@ const PERSIST_METRICS: [PersistMetric; 11] = [
     ("numa_store_persist_io_errors_total", "WAL append / compaction I/O failures.", false, |p| p.io_errors),
     ("numa_store_snapshot_records_loaded", "Records loaded from the snapshot at startup.", false, |p| p.snapshot_records_loaded),
     ("numa_store_wal_records_replayed", "Records replayed from the WAL at startup.", false, |p| p.wal_records_replayed),
-    ("numa_store_sessions_recovered_total", "Streaming sessions recovered whole at startup.", false, |p| p.sessions_recovered),
-    ("numa_store_sessions_dropped_total", "Streaming sessions dropped at startup (unsealed or corrupt).", false, |p| p.sessions_dropped),
 ];
 
 impl ProfileStore {
@@ -606,7 +589,6 @@ impl ProfileStore {
             dedup_hits: Counter::new(),
             parse_failures: Counter::new(),
             persist: OnceLock::new(),
-            session_log: Arc::new(parking_lot::Mutex::new(HashMap::new())),
         }
     }
 
@@ -716,15 +698,8 @@ impl ProfileStore {
             let bytes = numa_codec::encode_profile(&sp.profile);
             Some((sp.label.to_string(), bytes, sp.id.0))
         });
-        let session_log = Arc::clone(&store.session_log);
-        let retained: persist::RetainedFn = Box::new(move || {
-            let log = session_log.lock();
-            log.iter()
-                .flat_map(|(session, records)| records.iter().map(|r| (*session, r.clone())))
-                .collect()
-        });
         let persister =
-            persist::Persister::spawn(dir.to_path_buf(), recovered, opts, storage, row, retained)?;
+            persist::Persister::spawn(dir.to_path_buf(), recovered, opts, storage, row)?;
         let _ = store.persist.set(persister);
         Ok(store)
     }
@@ -1160,10 +1135,6 @@ impl StoreStats {
                 p.records_folded,
                 p.snapshot_bytes / 1024,
                 p.io_errors,
-            ));
-            out.push_str(&format!(
-                "sessions: {} recovered, {} dropped, {} chunk record(s) replayed\n",
-                p.sessions_recovered, p.sessions_dropped, p.session_chunks_replayed,
             ));
         } else {
             out.push_str("persistence: off (in-memory store)\n");

@@ -30,9 +30,8 @@
 //! thread, and costs what was committed since the last one, not the
 //! corpus. The snapshot is an append-only base log (see
 //! [`crate::snapshot`]) this thread holds open beside the WAL. Every
-//! append that makes a profile durable — a profile record, or the seal
-//! of a streamed session — carries that profile's id, and the worker
-//! remembers the ids of committed groups. A fold then
+//! record commits one profile and is enqueued with that profile's id,
+//! and the worker remembers the ids of committed groups. A fold then
 //!
 //! 1. appends one profile record per remembered id to the snapshot (the
 //!    row closure looks each id up on its shelf — insert precedes
@@ -41,8 +40,7 @@
 //! 2. `sync_data`s the snapshot — always, whatever
 //!    [`PersistOptions::fsync`] says, because step 3 destroys the only
 //!    other copy,
-//! 3. resets the WAL and re-stages the chunk records of still-open
-//!    streaming sessions into the fresh log.
+//! 3. truncates the WAL to its header.
 //!
 //! A failure in step 1 or 2 truncates the snapshot back to its last
 //! synced length and leaves the WAL alone: nothing acknowledged is at
@@ -51,28 +49,12 @@
 //! because only WAL rows that admitted as *new* are remembered at open,
 //! none is folded twice. The snapshot is created by the first fold, not
 //! at open (header → `sync_data` → directory fsync, like the WAL's).
-//!
-//! ## Session poisoning
-//!
-//! The WAL is the only place staged chunks of open streaming sessions
-//! live. If re-staging them after the reset fails, the affected sessions
-//! are *poisoned*: their chunks' durability is gone, so a later seal of
-//! such a session is refused ([`AppendError::SessionPoisoned`]) rather
-//! than written — an acknowledged seal whose chunks cannot replay would
-//! silently drop the whole session at the next restart. The store
-//! answers a refusal by persisting the assembled profile as an ordinary
-//! record instead. Poison marks clear on the next successful fold (which
-//! re-stages every open session's records afresh). The check runs here,
-//! on the writer thread, because it must be serialized with the fold — a
-//! flag the ingest thread polls could be set a moment after it looked.
 
 use crate::snapshot::{snapshot_path, SnapshotRow};
-use crate::wal::{encode_bin_record, WalWriter, FILE_HEADER_LEN, SNAPSHOT_MAGIC};
+use crate::wal::{encode_bin_record, WalWriter, SNAPSHOT_MAGIC};
 use crate::{PersistOptions, PersistStats, ProfileId};
 use numa_faults::Storage;
 use parking_lot::Mutex;
-use std::collections::HashSet;
-use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,56 +68,23 @@ use std::thread::JoinHandle;
 /// fold of any size holds one encoded profile.
 pub(crate) type RowFn = Box<dyn Fn(ProfileId) -> Option<SnapshotRow> + Send + 'static>;
 
-/// Produces the `(session id, encoded record)` rows of still-open
-/// streaming sessions. A fold resets the WAL — the only place those
-/// records live — so they are re-staged into the fresh log right after
-/// the reset (replay dedups chunks by sequence number, so a record
-/// surviving in both the old and new generation is harmless).
-/// The session ids identify which sessions to poison when re-staging
-/// fails. Runs on the persister thread.
-pub(crate) type RetainedFn = Box<dyn Fn() -> Vec<(u64, Vec<u8>)> + Send + 'static>;
+/// Why a record could not be made durable: its commit group failed and
+/// was rolled back. Converted to [`crate::StoreError::Persist`] at the
+/// ingest API boundary.
+pub(crate) type AppendResult = Result<(), String>;
 
-/// Why a persisted operation could not be made durable. Converted to
-/// [`crate::StoreError::Persist`] at the ingest API boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum AppendError {
-    /// The record's commit group failed and was rolled back.
-    Io(String),
-    /// A seal append was refused: a failed compaction lost the
-    /// session's staged chunks, so sealing it would acknowledge a
-    /// session a restart must drop. Nothing was written.
-    SessionPoisoned,
-}
-
-impl fmt::Display for AppendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AppendError::Io(message) => f.write_str(message),
-            AppendError::SessionPoisoned => {
-                f.write_str("staged session chunks were lost by a failed compaction")
-            }
-        }
-    }
-}
-
-pub(crate) type AppendResult = Result<(), AppendError>;
-
-/// One record written since the last commit point: the profile it makes
-/// durable, if any, and where to send its outcome.
-type Staged = (Option<ProfileId>, SyncSender<AppendResult>);
+/// One record written since the last commit point: the profile it
+/// commits and where to send its outcome.
+type Staged = (ProfileId, SyncSender<AppendResult>);
 
 enum Op {
     /// One pre-encoded WAL record; ack fires once its commit group is
     /// flushed (`Ok`) or has failed and been rolled back (`Err`).
-    /// `makes_durable` is the profile this record commits — `None` for
-    /// a chunk, the assembled profile's id for a seal — which the next
-    /// fold appends to the snapshot. `session` tags seal records with
-    /// their session id so the writer thread can refuse seals of
-    /// poisoned sessions.
+    /// `makes_durable` is the profile this record commits, which the
+    /// next fold appends to the snapshot.
     Append {
         record: Vec<u8>,
-        makes_durable: Option<ProfileId>,
-        session: Option<u64>,
+        makes_durable: ProfileId,
         ack: SyncSender<AppendResult>,
     },
     /// Commit pending appends, then fold the WAL into the snapshot.
@@ -191,7 +140,6 @@ impl Persister {
         opts: PersistOptions,
         storage: Arc<dyn Storage>,
         row: RowFn,
-        retained: RetainedFn,
     ) -> io::Result<Persister> {
         let Recovered {
             wal,
@@ -215,13 +163,10 @@ impl Persister {
                     wal,
                     snapshot,
                     unfolded,
-                    restaged: 0,
                     opts,
                     shared: worker_shared,
                     storage,
                     row,
-                    retained,
-                    poisoned: HashSet::new(),
                 }
                 .run(rx)
             })?;
@@ -234,16 +179,13 @@ impl Persister {
     }
 
     /// Enqueue a batch of pre-encoded records, each with the profile it
-    /// makes durable (`None` for a chunk), and block until every one is
-    /// flushed or has failed. Enqueueing the whole batch before
-    /// waiting lets the persister commit it (plus anything other
-    /// threads queued) with a single flush. Returns one result per
-    /// record, in input order; a stopped persister fails the records it
-    /// never wrote rather than acknowledging them.
-    pub(crate) fn append_all(
-        &self,
-        records: Vec<(Option<ProfileId>, Vec<u8>)>,
-    ) -> Vec<AppendResult> {
+    /// commits, and block until every one is flushed or has failed.
+    /// Enqueueing the whole batch before waiting lets the persister
+    /// commit it (plus anything other threads queued) with a single
+    /// flush. Returns one result per record, in input order; a stopped
+    /// persister fails the records it never wrote rather than
+    /// acknowledging them.
+    pub(crate) fn append_all(&self, records: Vec<(ProfileId, Vec<u8>)>) -> Vec<AppendResult> {
         let n = records.len();
         if n == 0 {
             return Vec::new();
@@ -257,7 +199,6 @@ impl Persister {
                     let op = Op::Append {
                         record,
                         makes_durable,
-                        session: None,
                         ack,
                     };
                     if tx.send(op).is_err() {
@@ -269,38 +210,10 @@ impl Persister {
         }
         let mut out: Vec<AppendResult> = waits
             .into_iter()
-            .map(|wait| {
-                wait.recv()
-                    .unwrap_or_else(|_| Err(AppendError::Io(STOPPED.to_string())))
-            })
+            .map(|wait| wait.recv().unwrap_or_else(|_| Err(STOPPED.to_string())))
             .collect();
-        out.resize_with(n, || Err(AppendError::Io(STOPPED.to_string())));
+        out.resize_with(n, || Err(STOPPED.to_string()));
         out
-    }
-
-    /// Append the seal record that commits `session` as profile `id` and
-    /// block until it is flushed, failed, or refused because the session
-    /// is poisoned (see the module docs).
-    pub(crate) fn append_seal(&self, record: Vec<u8>, session: u64, id: ProfileId) -> AppendResult {
-        let wait = {
-            let guard = self.tx.lock();
-            let Some(tx) = guard.as_ref() else {
-                return Err(AppendError::Io(STOPPED.to_string()));
-            };
-            let (ack, wait) = sync_channel(1);
-            let op = Op::Append {
-                record,
-                makes_durable: Some(id),
-                session: Some(session),
-                ack,
-            };
-            if tx.send(op).is_err() {
-                return Err(AppendError::Io(STOPPED.to_string()));
-            }
-            wait
-        };
-        wait.recv()
-            .unwrap_or_else(|_| Err(AppendError::Io(STOPPED.to_string())))
     }
 
     /// Commit pending appends and fold the WAL into the snapshot now.
@@ -354,20 +267,10 @@ struct Worker {
     /// Profiles committed to the WAL since the last fold, in commit
     /// order: what the next fold appends to the snapshot.
     unfolded: Vec<ProfileId>,
-    /// Bytes of open sessions' chunk records the last fold re-staged.
-    /// They were in the log before it was reset and will be in it after
-    /// every later one, so they do not count toward the bound.
-    restaged: u64,
     opts: PersistOptions,
     shared: Arc<Shared>,
     storage: Arc<dyn Storage>,
     row: RowFn,
-    retained: RetainedFn,
-    /// Sessions whose staged chunk records were lost when a fold reset
-    /// the WAL and then failed to re-stage them. Seals of these sessions
-    /// are refused; a successful fold (which re-stages every open
-    /// session afresh) heals them all.
-    poisoned: HashSet<u64>,
 }
 
 impl Worker {
@@ -400,15 +303,8 @@ impl Worker {
                 Op::Append {
                     record,
                     makes_durable,
-                    session,
                     ack,
                 } => {
-                    if let Some(session) = session {
-                        if self.poisoned.remove(&session) {
-                            let _ = ack.send(Err(AppendError::SessionPoisoned));
-                            continue;
-                        }
-                    }
                     if group_err.is_none() {
                         if let Err(e) = self.wal.write_encoded(&record) {
                             self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -430,7 +326,7 @@ impl Worker {
             }
         }
         let pending = self.finish_group(&mut staged, &mut group_err);
-        if self.wal.len() - self.restaged >= self.opts.snapshot_wal_bytes {
+        if self.wal.len() >= self.opts.snapshot_wal_bytes {
             if let Err(e) = self.fold() {
                 self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("numa-store: snapshot compaction failed: {e}");
@@ -465,11 +361,11 @@ impl Worker {
             return Vec::new();
         }
         let result: AppendResult = match group_err.take() {
-            Some(e) => Err(AppendError::Io(e)),
+            Some(e) => Err(e),
             None => self.wal.commit().map_err(|e| {
                 self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("numa-store: WAL commit failed: {e}");
-                AppendError::Io(e.to_string())
+                e.to_string()
             }),
         };
         match &result {
@@ -478,8 +374,7 @@ impl Worker {
                     .wal_appends
                     .fetch_add(staged.len() as u64, Ordering::Relaxed);
                 self.shared.group_commits.fetch_add(1, Ordering::Relaxed);
-                self.unfolded
-                    .extend(staged.iter().filter_map(|(id, _)| *id));
+                self.unfolded.extend(staged.iter().map(|(id, _)| *id));
             }
             Err(_) => {
                 // The tail past the last commit holds partial or
@@ -547,9 +442,7 @@ impl Worker {
         appended
     }
 
-    /// Fold the WAL generation into the snapshot and reset the WAL,
-    /// re-staging the chunk records of still-open streaming sessions
-    /// into the fresh log.
+    /// Fold the WAL generation into the snapshot, then truncate the WAL.
     fn fold(&mut self) -> io::Result<()> {
         // A failure up to and including the snapshot sync leaves the
         // old snapshot + full WAL pair intact: nothing acknowledged is
@@ -557,43 +450,17 @@ impl Worker {
         self.fold_into_snapshot()?;
         // The folded records are synced (power-loss durable) before this
         // point, so truncating the WAL can never leave a record in
-        // neither file.
-        let retained = (self.retained)();
-        let restage = (|| {
-            self.wal.reset()?;
-            if !retained.is_empty() {
-                for (_, record) in &retained {
-                    self.wal.write_encoded(record)?;
-                }
-                self.wal.commit()?;
-            }
-            Ok(())
-        })();
-        match &restage {
-            Ok(()) => {
-                // Every open session's records are freshly staged in
-                // the new log: earlier poison marks are healed.
-                self.poisoned.clear();
-                self.restaged = self.wal.len() - FILE_HEADER_LEN;
-                self.shared
-                    .snapshots_written
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                // The WAL was (or may have been) reset but the open
-                // sessions' chunks could not be re-staged: their
-                // durability is gone. Poison them so a later seal is
-                // refused instead of acknowledging a session a restart
-                // would drop.
-                eprintln!("numa-store: WAL re-staging after compaction failed: {e}");
-                let _ = self.wal.rollback_uncommitted();
-                self.restaged = 0;
-                self.poisoned.extend(retained.iter().map(|(s, _)| *s));
-            }
+        // neither file. A failed truncate leaves them in both, which
+        // replay dedups.
+        let reset = self.wal.reset();
+        if reset.is_ok() {
+            self.shared
+                .snapshots_written
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.shared
             .wal_bytes
             .store(self.wal.len(), Ordering::Relaxed);
-        restage
+        reset
     }
 }

@@ -10,10 +10,9 @@
 //! original profile — so a streamed profile is byte-identical (content
 //! hash, set hash, aggregate text) to the same profile ingested one-shot.
 //!
-//! The binary chunk form ([`ChunkPayload::to_binary`]) is the wire and
-//! the WAL staging format: the daemon writes each appended chunk as a
-//! [`crate::wal::ChunkRecord`] holding those bytes, and crash replay
-//! feeds the recorded payloads back through [`assemble`].
+//! The binary chunk form ([`ChunkPayload::to_binary`]) is a wire format
+//! only: the daemon buffers the decoded chunks in memory until the seal
+//! and logs the assembled profile, never a chunk.
 
 use numa_profiler::{FirstTouchRecord, NumaProfile, ThreadProfile, VarRecord};
 use numa_sampling::{Capabilities, MechanismKind};
@@ -45,7 +44,7 @@ const CHUNK_TAG_HEADER: u8 = 0;
 const CHUNK_TAG_THREADS: u8 = 1;
 
 impl ChunkPayload {
-    /// Serialize to the binary wire/WAL chunk format: a tag byte
+    /// Serialize to the binary wire chunk format: a tag byte
     /// followed by a numa-codec container. A `Header` chunk is encoded
     /// as a full-profile container with an empty thread list; a
     /// `Threads` chunk as a thread-batch container — both sides of the
@@ -74,7 +73,7 @@ impl ChunkPayload {
         }
     }
 
-    /// Deserialize from the binary wire/WAL chunk format.
+    /// Deserialize from the binary wire chunk format.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, numa_codec::CodecError> {
         let (&tag, rest) = bytes
             .split_first()

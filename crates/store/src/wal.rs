@@ -1,5 +1,4 @@
-//! Append-only write-ahead log of ingested profiles and in-flight
-//! streaming sessions.
+//! Append-only write-ahead log of ingested profiles.
 //!
 //! ## File layout (all integers big-endian)
 //!
@@ -11,42 +10,26 @@
 //! ```
 //!
 //! Each record is length-prefixed and checksummed, and its body opens
-//! with a kind byte. Every payload is numa-codec bytes:
+//! with a kind byte. There is one kind, and its payload is numa-codec
+//! bytes:
 //!
 //! ```text
 //! u32  body_len       byte count of `body`
 //! u64  body_fnv       FNV-1a over the body bytes
 //! body:
-//!   u8   kind         2 = session seal, 3 = profile, 4 = session chunk
-//!
-//!   kind 2 (seal — commits a streamed session):
-//!     u64  session      session id
-//!     u64  chunks       number of chunks the session must replay with
-//!     u64  content_hash the ProfileId of the assembled profile
-//!     u32  label_len    byte count of `label`
-//!     ...  label        UTF-8 label (rest of the body, exactly)
-//!
-//!   kind 3 (profile — a fully ingested run):
-//!     u32  label_len    byte count of `label`
-//!     ...  label        UTF-8 label
-//!     u64  content_hash FNV-1a of `bytes` (the ProfileId)
-//!     ...  bytes        canonical numa-codec profile buffer (rest of
-//!                       the body)
-//!
-//!   kind 4 (chunk — one staged piece of an open streaming session):
-//!     u64  session      session id
-//!     u64  seq          zero-based chunk sequence number
-//!     ...  bytes        binary chunk payload (rest of the body)
+//!   u8   kind         3 = profile
+//!   u32  label_len    byte count of `label`
+//!   ...  label        UTF-8 label
+//!   u64  content_hash FNV-1a of `bytes` (the ProfileId)
+//!   ...  bytes        canonical numa-codec profile buffer (rest of
+//!                     the body)
 //! ```
 //!
-//! A sealed session replays as a profile only when every chunk
-//! `0..chunks` is present and the assembled profile's canonical bytes
-//! hash to the seal's `content_hash`; chunks with no seal (the client or
-//! daemon died mid-stream) are dropped wholesale. A compaction appends
-//! one profile record per newly committed profile to the snapshot — a
-//! sealed session goes in as the profile it assembled to — and re-stages
-//! the chunk records of still open sessions into the fresh WAL, so an
-//! open stream survives a compaction that happens underneath it.
+//! Every record commits one profile, however it arrived: a streamed
+//! session is assembled in memory and logged at its seal as the same
+//! record a one-shot ingest of that profile writes. A compaction appends
+//! one such record per newly committed profile to the snapshot and
+//! empties the WAL.
 //!
 //! ## Recovery contract
 //!
@@ -74,11 +57,14 @@ use std::io::{self, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// On-disk format revision for WAL and snapshot files. Version 4 made
-/// the content id the hash of the canonical codec bytes and dropped the
-/// JSON-era record kinds. Readers accept exactly this version: ids from
-/// older revisions are hashes of a different serialization, so an older
-/// file is refused ([`UnsupportedHeader`]), not replayed.
-pub const PERSIST_VERSION: u16 = 4;
+/// the content id the hash of the canonical codec bytes; version 5
+/// retired the session chunk and seal records, leaving the profile
+/// record as the only kind. Readers accept exactly this version: a
+/// version-4 log may hold session records this build cannot replay
+/// (reading them as a torn tail would drop acknowledged profiles) and
+/// ids from older revisions hash a different serialization, so any
+/// other file is refused ([`UnsupportedHeader`]), not replayed.
+pub const PERSIST_VERSION: u16 = 5;
 
 /// Magic of the write-ahead log file.
 pub const WAL_MAGIC: [u8; 4] = *b"HPWL";
@@ -95,9 +81,9 @@ pub const RECORD_HEADER_LEN: usize = 12;
 /// WAL file name inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
 
-const KIND_SEAL: u8 = 2;
+/// The one record kind. Numbers 0, 1, 2 and 4 belonged to retired kinds
+/// and are never reused.
 const KIND_PROFILE: u8 = 3;
-const KIND_CHUNK: u8 = 4;
 
 /// Path of the WAL inside `dir`.
 pub fn wal_path(dir: &Path) -> PathBuf {
@@ -158,80 +144,19 @@ pub struct BinProfileRecord {
     pub bytes: Vec<u8>,
 }
 
-/// One staged chunk of an open streaming session.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkRecord {
-    pub session: u64,
-    /// Zero-based sequence number within the session.
-    pub seq: u64,
-    /// Binary chunk payload (see `ChunkPayload::to_binary`).
-    pub payload: Vec<u8>,
-}
-
-/// The commit record of a streamed session.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SealRecord {
-    pub session: u64,
-    /// Number of chunks (`seq` 0..chunks) the session must replay with.
-    pub chunks: u64,
-    /// The ProfileId of the assembled profile.
-    pub content_hash: u64,
-    pub label: String,
-}
-
-/// Any intact record pulled off a log or snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalEntry {
-    Profile(BinProfileRecord),
-    Chunk(ChunkRecord),
-    Seal(SealRecord),
-}
-
 /// Serialize one profile record (record header + body). `bytes` are the
 /// canonical codec bytes and `content_hash` their FNV-1a, both as
 /// `ProfileId::of` returns them.
 pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64) -> Vec<u8> {
     let body_len = 1 + 4 + label.len() + 8 + bytes.len();
-    let mut out = begin_record(body_len, KIND_PROFILE);
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + body_len);
+    out.extend_from_slice(&(body_len as u32).to_be_bytes());
+    out.extend_from_slice(&[0u8; 8]); // body_fnv placeholder
+    out.push(KIND_PROFILE);
     out.extend_from_slice(&(label.len() as u32).to_be_bytes());
     out.extend_from_slice(label.as_bytes());
     out.extend_from_slice(&content_hash.to_be_bytes());
     out.extend_from_slice(bytes);
-    finish_record(out)
-}
-
-/// Serialize one session-chunk record (record header + body) around a
-/// binary chunk payload.
-pub fn encode_chunk_record(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = 1 + 8 + 8 + payload.len();
-    let mut out = begin_record(body_len, KIND_CHUNK);
-    out.extend_from_slice(&session.to_be_bytes());
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(payload);
-    finish_record(out)
-}
-
-/// Serialize one session-seal record (record header + body).
-pub fn encode_seal_record(session: u64, chunks: u64, content_hash: u64, label: &str) -> Vec<u8> {
-    let body_len = 1 + 8 + 8 + 8 + 4 + label.len();
-    let mut out = begin_record(body_len, KIND_SEAL);
-    out.extend_from_slice(&session.to_be_bytes());
-    out.extend_from_slice(&chunks.to_be_bytes());
-    out.extend_from_slice(&content_hash.to_be_bytes());
-    out.extend_from_slice(&(label.len() as u32).to_be_bytes());
-    out.extend_from_slice(label.as_bytes());
-    finish_record(out)
-}
-
-fn begin_record(body_len: usize, kind: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + body_len);
-    out.extend_from_slice(&(body_len as u32).to_be_bytes());
-    out.extend_from_slice(&[0u8; 8]); // body_fnv placeholder
-    out.push(kind);
-    out
-}
-
-fn finish_record(mut out: Vec<u8>) -> Vec<u8> {
     let fnv = fnv1a(&out[RECORD_HEADER_LEN..]);
     out[4..12].copy_from_slice(&fnv.to_be_bytes());
     out
@@ -241,7 +166,7 @@ fn finish_record(mut out: Vec<u8>) -> Vec<u8> {
 #[derive(Clone, Debug, Default)]
 pub struct RecordScan {
     /// Intact records, in file order.
-    pub entries: Vec<WalEntry>,
+    pub entries: Vec<BinProfileRecord>,
     /// File offset just past the last intact record (or past the header
     /// when no record is intact; 0 when the file is missing or shorter
     /// than a header).
@@ -251,22 +176,16 @@ pub struct RecordScan {
 }
 
 /// Checksum and decode one record body. `None` means corrupt.
-fn decode_body(stored_fnv: u64, body: &[u8]) -> Option<WalEntry> {
+fn decode_body(stored_fnv: u64, body: &[u8]) -> Option<BinProfileRecord> {
     if fnv1a(body) != stored_fnv {
         return None; // bit rot anywhere in the body
     }
     // The checksum held, so the body should parse — but lengths are
     // re-validated anyway: a writer bug must not become a panic here.
     let (&kind, body) = body.split_first()?;
-    match kind {
-        KIND_SEAL => decode_seal_body(body),
-        KIND_PROFILE => decode_bin_profile_body(body),
-        KIND_CHUNK => decode_chunk_body(body),
-        _ => None, // not a record this format revision defines
+    if kind != KIND_PROFILE {
+        return None; // not a record this format revision defines
     }
-}
-
-fn decode_bin_profile_body(body: &[u8]) -> Option<WalEntry> {
     if body.len() < 12 {
         return None;
     }
@@ -279,42 +198,11 @@ fn decode_bin_profile_body(body: &[u8]) -> Option<WalEntry> {
     let content_hash = u64::from_be_bytes(body[at..at + 8].try_into().unwrap());
     // The payload is opaque here: the WAL frames bytes, the codec crate
     // owns their meaning. The record checksum already vouched for them.
-    Some(WalEntry::Profile(BinProfileRecord {
+    Some(BinProfileRecord {
         label: label.to_string(),
         content_hash,
         bytes: body[at + 8..].to_vec(),
-    }))
-}
-
-fn decode_chunk_body(body: &[u8]) -> Option<WalEntry> {
-    if body.len() < 16 {
-        return None;
-    }
-    Some(WalEntry::Chunk(ChunkRecord {
-        session: u64::from_be_bytes(body[..8].try_into().unwrap()),
-        seq: u64::from_be_bytes(body[8..16].try_into().unwrap()),
-        payload: body[16..].to_vec(),
-    }))
-}
-
-fn decode_seal_body(body: &[u8]) -> Option<WalEntry> {
-    if body.len() < 28 {
-        return None;
-    }
-    let session = u64::from_be_bytes(body[..8].try_into().unwrap());
-    let chunks = u64::from_be_bytes(body[8..16].try_into().unwrap());
-    let content_hash = u64::from_be_bytes(body[16..24].try_into().unwrap());
-    let label_len = u32::from_be_bytes(body[24..28].try_into().unwrap()) as usize;
-    if body.len() != 28 + label_len {
-        return None;
-    }
-    let label = std::str::from_utf8(&body[28..]).ok()?;
-    Some(WalEntry::Seal(SealRecord {
-        session,
-        chunks,
-        content_hash,
-        label: label.to_string(),
-    }))
+    })
 }
 
 /// Scan a record file on disk. A missing file scans as empty (zero
@@ -465,8 +353,7 @@ impl WalWriter {
         })
     }
 
-    /// Buffer one pre-encoded record (see [`encode_bin_record`],
-    /// [`encode_chunk_record`], [`encode_seal_record`]) without
+    /// Buffer one pre-encoded record (see [`encode_bin_record`]) without
     /// flushing. A group-commit writer stages a whole batch this way and
     /// then makes it durable with one [`WalWriter::commit`].
     pub fn write_encoded(&mut self, record: &[u8]) -> io::Result<u64> {
@@ -563,16 +450,6 @@ mod tests {
         n
     }
 
-    fn profiles(scan: &RecordScan) -> Vec<&BinProfileRecord> {
-        scan.entries
-            .iter()
-            .map(|e| match e {
-                WalEntry::Profile(r) => r,
-                other => panic!("not a profile record: {other:?}"),
-            })
-            .collect()
-    }
-
     const PAYLOAD: &[u8] = b"NPCB\xFF\x00opaque";
 
     #[test]
@@ -583,43 +460,11 @@ mod tests {
         append(&mut w, "run-a", PAYLOAD);
         append(&mut w, "run-b", PAYLOAD);
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        let profiles = profiles(&scan);
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].label, "run-a");
-        assert_eq!(profiles[1].bytes, PAYLOAD);
+        assert_eq!(scan.entries.len(), 2);
+        assert_eq!(scan.entries[0].label, "run-a");
+        assert_eq!(scan.entries[1].bytes, PAYLOAD);
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(scan.valid_len, w.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn session_records_round_trip() {
-        let dir = tmp("session");
-        let path = wal_path(&dir);
-        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
-        w.write_encoded(&encode_chunk_record(7, 1, &[0xAB, 0x00, 0xCD]))
-            .unwrap();
-        w.write_encoded(&encode_seal_record(7, 2, 0xDEAD_BEEF, "streamed"))
-            .unwrap();
-        w.commit().unwrap();
-        let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        assert_eq!(scan.truncated_bytes, 0);
-        assert_eq!(
-            scan.entries,
-            vec![
-                WalEntry::Chunk(ChunkRecord {
-                    session: 7,
-                    seq: 1,
-                    payload: vec![0xAB, 0x00, 0xCD],
-                }),
-                WalEntry::Seal(SealRecord {
-                    session: 7,
-                    chunks: 2,
-                    content_hash: 0xDEAD_BEEF,
-                    label: "streamed".to_string(),
-                }),
-            ]
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -635,11 +480,11 @@ mod tests {
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(
             scan.entries,
-            vec![WalEntry::Profile(BinProfileRecord {
+            vec![BinProfileRecord {
                 label: "bin-run".to_string(),
                 content_hash: 0xFEED_FACE,
                 bytes: PAYLOAD.to_vec(),
-            })]
+            }]
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -654,9 +499,10 @@ mod tests {
         let ours = encode_file_header(WAL_MAGIC);
         for (at, value, says) in [
             (5, 3, "magic \"HPWL\", version 3, reserved 0x0000"),
-            (5, 5, "magic \"HPWL\", version 5, reserved 0x0000"),
-            (0, b'N', "magic \"NPWL\", version 4, reserved 0x0000"),
-            (7, 1, "magic \"HPWL\", version 4, reserved 0x0001"),
+            (5, 4, "magic \"HPWL\", version 4, reserved 0x0000"),
+            (5, 6, "magic \"HPWL\", version 6, reserved 0x0000"),
+            (0, b'N', "magic \"NPWL\", version 5, reserved 0x0000"),
+            (7, 1, "magic \"HPWL\", version 5, reserved 0x0001"),
         ] {
             let mut bytes = ours.to_vec();
             bytes[at] = value;
@@ -676,7 +522,7 @@ mod tests {
             assert!(text.contains("wal.log"), "{text}");
             assert!(text.contains(&format!("header says {says};")), "{text}");
             assert!(
-                text.ends_with("reads only magic \"HPWL\", version 4, reserved 0x0000"),
+                text.ends_with("reads only magic \"HPWL\", version 5, reserved 0x0000"),
                 "{text}"
             );
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "file untouched");
@@ -712,8 +558,9 @@ mod tests {
         let first_end = FILE_HEADER_LEN + append(&mut w, "one", PAYLOAD);
         drop(w);
         // Records with a valid checksum but a kind this revision does
-        // not define: one from the future, one from the JSON era.
-        for kind in [9u8, 0] {
+        // not define: one from the future, one from the JSON era, and the
+        // retired session seal and chunk.
+        for kind in [9u8, 0, 2, 4] {
             let mut bytes = std::fs::read(&path).unwrap();
             let mut body = vec![kind];
             body.extend_from_slice(b"payload");
@@ -766,9 +613,8 @@ mod tests {
         bytes[hit] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
-        let profiles = profiles(&scan);
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(profiles[0].label, "one");
+        assert_eq!(scan.entries.len(), 1);
+        assert_eq!(scan.entries[0].label, "one");
         assert_eq!(scan.valid_len, first_end);
         std::fs::remove_dir_all(&dir).ok();
     }

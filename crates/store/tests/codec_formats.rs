@@ -8,7 +8,7 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{assemble, split_profile};
-use numa_store::wal::{scan_file, wal_path, WalEntry, WAL_MAGIC};
+use numa_store::wal::{scan_file, wal_path, WAL_MAGIC};
 use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,12 +170,7 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     assert_eq!(store.ingest_binary("odd", &odd).unwrap(), (id, false));
     let mut chunks = split_profile(&p, 1);
     chunks.reverse(); // header last, threads in reverse tid order
-    for (seq, chunk) in chunks.iter().enumerate() {
-        store
-            .stage_chunk(9, seq as u64, &chunk.to_binary())
-            .unwrap();
-    }
-    let sealed = store.commit_sealed(9, "streamed", assemble(chunks).unwrap());
+    let sealed = store.ingest_profile("streamed", assemble(chunks).unwrap());
     assert_eq!(sealed.unwrap(), (id, false));
 
     let stats = store.stats();
@@ -183,17 +178,9 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     assert_eq!(stats.codec_bytes, canonical.len());
     drop(store);
     let log = scan_file(&wal_path(&dir.join("db")), WAL_MAGIC).unwrap();
-    let logged: Vec<_> = log
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            WalEntry::Profile(r) => Some(r),
-            _ => None, // the deduplicated stream's sealless chunks
-        })
-        .collect();
-    assert_eq!(logged.len(), 1);
+    assert_eq!(log.entries.len(), 1);
     assert_eq!(
-        (logged[0].content_hash, &logged[0].bytes),
+        (log.entries[0].content_hash, &log.entries[0].bytes),
         (id.0, &canonical)
     );
 
@@ -203,7 +190,7 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     assert_eq!(store.ingest_binary("odd", &odd).unwrap(), (id, true));
     drop(store);
     let log = scan_file(&wal_path(&dir.join("odd-first")), WAL_MAGIC).unwrap();
-    assert!(matches!(log.entries.as_slice(), [WalEntry::Profile(r)]
+    assert!(matches!(log.entries.as_slice(), [r]
         if r.label == "odd" && r.content_hash == id.0 && r.bytes == canonical));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,8 +30,8 @@ use numa_sim::{ExecMode, Program};
 use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
 use numa_store::wal::{
-    encode_bin_record, encode_file_header, scan_file, wal_path, WalEntry, FILE_HEADER_LEN,
-    SNAPSHOT_MAGIC, WAL_MAGIC,
+    encode_bin_record, encode_file_header, scan_file, wal_path, FILE_HEADER_LEN, SNAPSHOT_MAGIC,
+    WAL_MAGIC,
 };
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig, StoreError};
 use proptest::prelude::*;
@@ -193,7 +193,6 @@ fn run_schedule(seed: u64) {
     );
     // An open that faulted acked nothing; recovery must come up empty.
     if let Ok(store) = opened {
-        let mut session = 0u64;
         for (i, op) in plan.iter().enumerate() {
             if kill_at == Some(i) {
                 storage.kill();
@@ -211,32 +210,22 @@ fn run_schedule(seed: u64) {
                     }
                 }
                 PlannedOp::Stream { idx, parts, bin } => {
-                    session += 1;
                     let p = NumaProfile::from_json(&corpus()[idx]).unwrap();
-                    let chunks: Vec<ChunkPayload> = split_profile(&p, parts);
-                    let staged = chunks.iter().enumerate().all(|(seq, chunk)| {
+                    let mut chunks: Vec<ChunkPayload> = split_profile(&p, parts);
+                    if !bin {
                         // The other arm reaches the store the way the
-                        // live layer hands a chunk over: decoded off the
-                        // wire, then staged re-encoded.
-                        let payload = if bin {
-                            chunk.to_binary()
-                        } else {
-                            ChunkPayload::from_binary(&chunk.to_binary())
-                                .unwrap()
-                                .to_binary()
-                        };
-                        store.stage_chunk(session, seq as u64, &payload).is_ok()
-                    });
-                    if !staged {
-                        // A client whose chunk was refused gives up; the
-                        // sealless chunks already in the WAL must be
-                        // dropped by replay.
-                        store.discard_session(session);
-                        continue;
+                        // live layer hands its chunks over: each decoded
+                        // off the wire before the seal assembles them.
+                        for chunk in &mut chunks {
+                            *chunk = ChunkPayload::from_binary(&chunk.to_binary()).unwrap();
+                        }
                     }
+                    // Chunks are buffered in memory and cannot fault; the
+                    // seal is an ingest of what they assemble to, and the
+                    // stream is in the model iff that was acked.
                     let assembled = assemble(chunks).unwrap();
                     let json = assembled.to_json();
-                    if store.commit_sealed(session, &label, assembled).is_ok() {
+                    if store.ingest_profile(&label, assembled).is_ok() {
                         oracle.ingest_bytes(&label, &json).unwrap();
                     }
                 }
@@ -486,18 +475,9 @@ impl Entry {
         Entry::Sealed,
     ];
 
-    /// Chunks a sealed commit stages (one WAL write each) before the
-    /// commit itself; nothing for the one-shot entries.
-    fn chunks(self) -> Vec<ChunkPayload> {
-        match self {
-            Entry::Sealed => split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2),
-            _ => Vec::new(),
-        }
-    }
-
     /// Admit `corpus()[0]` as "torn" through this entry point:
     /// `Ok(added)` or the typed error it reported.
-    fn admit(self, store: &ProfileStore, session: u64) -> Result<bool, StoreError> {
+    fn admit(self, store: &ProfileStore) -> Result<bool, StoreError> {
         let batch = |inputs: &[(String, String)]| {
             let mut report = store.ingest_batch(inputs);
             assert!(report.rejected.is_empty() && report.io_errors.is_empty());
@@ -520,15 +500,11 @@ impl Entry {
             Entry::Binary => store.ingest_binary("torn", &bin_corpus()[0]).map(|r| r.1),
             Entry::BatchOne => batch(&[row("torn")]),
             Entry::BatchMixed => batch(&[row("torn"), row("torn-dup")]),
+            // What a seal does with the chunks a session buffered.
             Entry::Sealed => {
-                let chunks = self.chunks();
-                for (seq, chunk) in chunks.iter().enumerate() {
-                    store
-                        .stage_chunk(session, seq as u64, &chunk.to_binary())
-                        .unwrap();
-                }
+                let chunks = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2);
                 store
-                    .commit_sealed(session, "torn", assemble(chunks).unwrap())
+                    .ingest_profile("torn", assemble(chunks).unwrap())
                     .map(|r| r.1)
             }
         }
@@ -544,12 +520,11 @@ impl Entry {
 fn failed_append_is_typed_rolled_back_and_retryable() {
     for entry in Entry::ALL {
         let dir = scratch("groupfail");
-        // Write #1 is the WAL header at open and a sealed commit first
-        // stages its chunks, one write each; the write after those —
-        // the entry's own record — tears after 5 bytes, exactly once.
-        let staged = entry.chunks().len() as u64;
+        // Write #1 is the WAL header at open; the next write — the
+        // entry's own record, for a sealed stream too — tears after 5
+        // bytes, exactly once.
         let storage = Arc::new(FaultyStorage::new(FaultSpec {
-            short_write: Some((2 + staged, 5)),
+            short_write: Some((2, 5)),
             ..FaultSpec::default()
         }));
         let store = ProfileStore::open_durable_config_with(
@@ -561,7 +536,7 @@ fn failed_append_is_typed_rolled_back_and_retryable() {
         .unwrap();
         let wal_len = || std::fs::metadata(wal_path(&dir)).unwrap().len();
 
-        let err = entry.admit(&store, 1).unwrap_err();
+        let err = entry.admit(&store).unwrap_err();
         assert!(
             matches!(err, StoreError::Persist { .. }),
             "{entry:?}: {err:?}"
@@ -575,18 +550,12 @@ fn failed_append_is_typed_rolled_back_and_retryable() {
         assert_eq!(store.set_hash(), 0, "{entry:?}");
         assert!(store.persist_stats().io_errors >= 1, "{entry:?}");
         // The torn prefix was truncated away: the log is back to a bare
-        // header (plus, for a seal, the chunk records committed earlier).
-        let committed = wal_len();
-        let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
-        assert_eq!(scan.truncated_bytes, 0, "{entry:?}");
-        assert_eq!(scan.entries.len() as u64, staged, "{entry:?}");
-        if staged == 0 {
-            assert_eq!(committed, FILE_HEADER_LEN, "{entry:?}");
-        }
+        // header.
+        assert_eq!(wal_len(), FILE_HEADER_LEN, "{entry:?}");
 
-        // The schedule tears only that one write: the retry (a sealed
-        // session re-streams under a fresh id) goes through.
-        assert!(entry.admit(&store, 2).unwrap(), "{entry:?}: retry adds");
+        // The schedule tears only that one write: the retry (a client
+        // whose seal failed re-streams) goes through.
+        assert!(entry.admit(&store).unwrap(), "{entry:?}: retry adds");
         assert_eq!(store.len(), 1, "{entry:?}");
         let acked = store.ids();
         drop(store);
@@ -647,28 +616,23 @@ fn enospc_fails_ingest_keeps_serving_and_acked_data() {
 }
 
 // ---------------------------------------------------------------------
-// Regression: failed compaction — poisoned sessions and WAL bookkeeping
+// Regression: failed compaction — WAL bookkeeping
 // ---------------------------------------------------------------------
 
-/// A compaction that resets the WAL but cannot re-stage an open
-/// session's chunks poisons that session: its later seal is refused and
-/// the store falls back to persisting the assembled profile as an
-/// ordinary record. Appends acknowledged *after* the failed compaction
-/// must also survive — the WAL writer's bookkeeping has to follow the
-/// truncated file, not the failed fsync.
+/// A compaction whose WAL reset truncates the file but then fails its
+/// fsync reports the failure — and appends acknowledged *after* it must
+/// survive: the WAL writer's bookkeeping has to follow the truncated
+/// file, not the failed fsync.
 #[test]
-fn failed_compaction_poisons_session_and_keeps_later_appends() {
-    let dir = scratch("poison");
-    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let chunks: Vec<ChunkPayload> = split_profile(&p, 2);
+fn a_failed_wal_reset_sync_keeps_later_appends() {
+    let dir = scratch("reset-sync");
     // With fsync on, the sync sequence is: WAL create file sync + dir
-    // sync (2), one group commit per staged chunk (chunks.len()), then
-    // the flush's compaction: snapshot create file sync + dir sync (2),
-    // the fold's own sync (1), WAL reset sync. Failing that last one
-    // makes the compaction fail *after* the WAL was truncated — the
-    // staged chunks are gone.
+    // sync (2), the ingest's group commit (1), then the flush's
+    // compaction: snapshot create file sync + dir sync (2), the fold's
+    // own sync (1), WAL reset sync. Failing that last one makes the
+    // compaction fail *after* the WAL was truncated.
     let storage = Arc::new(FaultyStorage::new(FaultSpec {
-        fail_sync: Some(2 + chunks.len() as u64 + 3 + 1),
+        fail_sync: Some(2 + 1 + 3 + 1),
         ..FaultSpec::default()
     }));
     let store = ProfileStore::open_durable_config_with(
@@ -682,30 +646,18 @@ fn failed_compaction_poisons_session_and_keeps_later_appends() {
     )
     .unwrap();
 
-    for (seq, chunk) in chunks.iter().enumerate() {
-        store
-            .stage_chunk(7, seq as u64, &chunk.to_binary())
-            .unwrap();
-    }
-    assert!(store.flush().is_err(), "sync 8 must fail this compaction");
-
-    // The seal is refused (chunks lost), so commit_sealed falls back to
-    // an ordinary profile record — and still acknowledges.
-    let (_, added) = store
-        .commit_sealed(7, "streamed", assemble(chunks).unwrap())
-        .unwrap();
-    assert!(added);
+    store.ingest_bytes("folded", &corpus()[0]).unwrap();
+    assert!(store.flush().is_err(), "sync 7 must fail this compaction");
+    assert_eq!(storage.injected(), 1);
     // An ordinary ingest after the failed compaction must be durable.
     store.ingest_bytes("later", &corpus()[1]).unwrap();
     drop(store);
 
     let store =
         ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
-    assert_eq!(store.len(), 2, "fallback + later ingest both recovered");
-    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
+    assert_eq!(store.len(), 2, "folded + later ingest both recovered");
+    assert_eq!(&*store.resolve("folded").unwrap().label, "folded");
     assert_eq!(&*store.resolve("later").unwrap().label, "later");
-    // It recovered as an ordinary record, not a sealed session.
-    assert_eq!(store.persist_stats().sessions_recovered, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -843,14 +795,7 @@ fn a_failed_fold_loses_nothing_and_the_next_one_succeeds() {
 
         let scan = scan_file(&snapshot_path(&dir), SNAPSHOT_MAGIC).unwrap();
         assert_eq!(scan.truncated_bytes, 0, "{what}");
-        let labels: Vec<&str> = scan
-            .entries
-            .iter()
-            .map(|e| match e {
-                WalEntry::Profile(r) => r.label.as_str(),
-                other => panic!("{what}: {other:?} in the snapshot"),
-            })
-            .collect();
+        let labels: Vec<&str> = scan.entries.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["a", "b"], "{what}: each id once, in commit order");
         let recovered =
             ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();

@@ -10,10 +10,10 @@ use numa_sim::{ExecMode, Program};
 use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile};
 use numa_store::wal::{
-    encode_bin_record, encode_file_header, encode_seal_record, scan_file, wal_path,
-    UnsupportedHeader, WalEntry, FILE_HEADER_LEN, PERSIST_VERSION, SNAPSHOT_MAGIC, WAL_MAGIC,
+    encode_bin_record, encode_file_header, scan_file, wal_path, UnsupportedHeader, FILE_HEADER_LEN,
+    PERSIST_VERSION, SNAPSHOT_MAGIC, WAL_MAGIC,
 };
-use numa_store::{PersistOptions, ProfileId, ProfileStore};
+use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -188,30 +188,20 @@ fn duplicate_content_is_not_persisted_twice() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sealed stream — the assembled chunks through `ingest_profile`, which
+/// is all a seal is — replays as the profile a one-shot ingest stores.
+/// A stream that never seals was never handed to the store, so there is
+/// nothing of it to drop.
 #[test]
 fn sealed_sessions_replay_and_unsealed_are_dropped() {
     let dir = scratch("sessions");
     let oracle = ProfileStore::new();
     oracle.ingest_bytes("streamed", &corpus()[0]).unwrap();
     let a = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let b = NumaProfile::from_json(&corpus()[1]).unwrap();
-    let a_chunks = split_profile(&a, 2);
-    let b_chunks = split_profile(&b, 2);
     {
         let store = open(&dir, PersistOptions::default());
-        for (seq, chunk) in a_chunks.iter().enumerate() {
-            store
-                .stage_chunk(1, seq as u64, &chunk.to_binary())
-                .unwrap();
-        }
-        // Session 2 stages two chunks but never seals: a dead client.
-        for (seq, chunk) in b_chunks.iter().enumerate().take(2) {
-            store
-                .stage_chunk(2, seq as u64, &chunk.to_binary())
-                .unwrap();
-        }
         let (_, added) = store
-            .commit_sealed(1, "streamed", assemble(a_chunks.clone()).unwrap())
+            .ingest_profile("streamed", assemble(split_profile(&a, 2)).unwrap())
             .unwrap();
         assert!(added);
         // The sealed stream is byte-identical to one-shot ingest: same
@@ -219,74 +209,31 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
         assert_eq!(store.set_hash(), oracle.set_hash());
         let (_, again) = store.ingest_bytes("streamed", &corpus()[0]).unwrap();
         assert!(!again);
-        // No flush: recovery must come from chunk + seal records.
+        // No flush: recovery must come from the WAL.
     }
+    // One record, the one `ingest_binary` of the same profile writes.
+    let (id, canonical) = ProfileId::of(&a);
+    let mut expect = encode_file_header(WAL_MAGIC).to_vec();
+    expect.extend_from_slice(&encode_bin_record("streamed", &canonical, id.0));
+    assert!(std::fs::read(wal_path(&dir)).unwrap() == expect);
+
     let store = open(&dir, PersistOptions::default());
-    assert_eq!(store.len(), 1);
+    assert_eq!(store.ids(), vec![id]);
     assert_eq!(store.set_hash(), oracle.set_hash());
     assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
     assert_eq!(
         store.aggregate().unwrap().text(),
         oracle.aggregate().unwrap().text()
     );
-    let p = store.persist_stats();
-    assert_eq!(p.sessions_recovered, 1);
-    assert_eq!(p.sessions_dropped, 1);
-    assert_eq!(p.session_chunks_replayed, (a_chunks.len() + 2) as u64);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A seal whose chunks no longer hash to it — here the seal names
-/// another profile's id — drops the session instead of admitting a
-/// profile under an id its bytes do not have.
-#[test]
-fn a_seal_its_chunks_do_not_hash_to_drops_the_session() {
-    let dir = scratch("seal-mismatch");
-    let a = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let other = ProfileId::of(&NumaProfile::from_json(&corpus()[1]).unwrap()).0;
-    let chunks = split_profile(&a, 2);
-    {
-        let store = open(&dir, PersistOptions::default());
-        for (seq, chunk) in chunks.iter().enumerate() {
-            store
-                .stage_chunk(1, seq as u64, &chunk.to_binary())
-                .unwrap();
-        }
-    }
-    // The daemon died before the seal; forge one that disagrees.
-    let staged = std::fs::read(wal_path(&dir)).unwrap();
-    let with_seal = |content_hash: u64| {
-        let mut bytes = staged.clone();
-        bytes.extend_from_slice(&encode_seal_record(
-            1,
-            chunks.len() as u64,
-            content_hash,
-            "sealed",
-        ));
-        std::fs::write(wal_path(&dir), &bytes).unwrap();
-    };
-    with_seal(other.0);
-    let store = open(&dir, PersistOptions::default());
-    assert_eq!(store.len(), 0);
-    let p = store.persist_stats();
-    assert_eq!(p.wal_truncated_bytes, 0);
-    assert_eq!((p.sessions_recovered, p.sessions_dropped), (0, 1));
-    drop(store);
-
-    // The same chunks under the seal they do hash to recover.
-    let right = ProfileId::of(&a).0;
-    with_seal(right.0);
-    let store = open(&dir, PersistOptions::default());
-    assert_eq!(store.ids(), vec![right]);
-    assert_eq!(store.persist_stats().sessions_recovered, 1);
+    assert_eq!(store.persist_stats().wal_records_replayed, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An id acknowledged before a SIGKILL-style stop (no flush, no clean
 /// shutdown) is the id listed after the reopen — recovered from the WAL
 /// alone, and again from the snapshot alone — with the set hash equal
-/// and the listing in commit order both times: a sealed session replays
-/// where its seal sits in the log, and a fold appends in commit order.
+/// and the listing in commit order both times: a sealed stream is logged
+/// where its seal was acknowledged, and a fold appends in commit order.
 #[test]
 fn acked_ids_are_the_ids_listed_after_a_reopen() {
     let dir = scratch("acked-ids");
@@ -295,12 +242,8 @@ fn acked_ids_are_the_ids_listed_after_a_reopen() {
     let (acked, set_hash) = {
         let store = open(&dir, PersistOptions::default());
         let mut acked = vec![store.ingest_bytes(labels[0], &corpus()[0]).unwrap().0];
-        for (seq, chunk) in split_profile(&streamed, 1).iter().enumerate() {
-            store
-                .stage_chunk(5, seq as u64, &chunk.to_binary())
-                .unwrap();
-        }
-        acked.push(store.commit_sealed(5, labels[1], streamed).unwrap().0);
+        let sealed = assemble(split_profile(&streamed, 1)).unwrap();
+        acked.push(store.ingest_profile(labels[1], sealed).unwrap().0);
         let binary = numa_codec::encode_profile(&NumaProfile::from_json(&corpus()[1]).unwrap());
         acked.push(store.ingest_binary(labels[2], &binary).unwrap().0);
         (acked, store.set_hash())
@@ -309,7 +252,7 @@ fn acked_ids_are_the_ids_listed_after_a_reopen() {
         let entries = store.entries();
         entries.iter().map(|e| e.label.to_string()).collect()
     };
-    // WAL only: a profile record, a sealed session, a profile record.
+    // WAL only: three profile records.
     let store = open(&dir, PersistOptions::default());
     assert_eq!(store.persist_stats().snapshot_records_loaded, 0);
     assert_eq!(store.ids(), acked);
@@ -327,7 +270,7 @@ fn acked_ids_are_the_ids_listed_after_a_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The four ways a complete header can fail to be this build's, over a
+/// The ways a complete header can fail to be this build's, over a
 /// non-empty WAL and over a non-empty snapshot: `open_durable` returns
 /// the typed refusal and both files are byte-for-byte what they were.
 #[test]
@@ -354,8 +297,16 @@ fn foreign_headers_refuse_the_open_and_leave_both_files_untouched() {
     ] {
         let ours = encode_file_header(magic);
         let good = std::fs::read(&path).unwrap();
-        // An older version, a newer one, another magic, a reserved word.
-        for (at, value) in [(5, 3), (5, PERSIST_VERSION as u8 + 1), (0, b'h'), (7, 1)] {
+        // Two older versions — the previous one could hold session
+        // records this build cannot replay — a newer one, another magic,
+        // a reserved word.
+        for (at, value) in [
+            (5, 3),
+            (5, PERSIST_VERSION as u8 - 1),
+            (5, PERSIST_VERSION as u8 + 1),
+            (0, b'h'),
+            (7, 1),
+        ] {
             let mut damaged = good.clone();
             damaged[at] = value;
             std::fs::write(&path, &damaged).unwrap();
@@ -383,35 +334,48 @@ fn foreign_headers_refuse_the_open_and_leave_both_files_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A well-framed record of a retired kind — 2 was the session seal, 4 the
+/// session chunk — under this build's header is no record this format
+/// defines: the log is cut there like any torn tail, the prefix before
+/// it kept and the cut counted, and the store stays writable.
 #[test]
-fn compaction_restages_open_session_chunks() {
-    let dir = scratch("retain");
-    let a = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let chunks = split_profile(&a, 1);
-    {
-        let store = open(&dir, PersistOptions::default());
-        for (seq, chunk) in chunks.iter().enumerate() {
-            store
-                .stage_chunk(9, seq as u64, &chunk.to_binary())
-                .unwrap();
+fn a_retired_record_kind_under_this_header_is_a_torn_tail() {
+    for kind in [2u8, 4] {
+        let dir = scratch("retired-kind");
+        {
+            let store = open(&dir, PersistOptions::default());
+            store.ingest_bytes("kept", &corpus()[0]).unwrap();
         }
-        // A compaction resets the WAL underneath the open session...
-        store.ingest_bytes("oneshot", &corpus()[1]).unwrap();
-        store.flush().unwrap();
-        // ...but the seal that follows must still find its chunks on
-        // replay, because compaction re-staged them into the fresh log.
-        let (_, added) = store
-            .commit_sealed(9, "streamed", assemble(chunks).unwrap())
-            .unwrap();
-        assert!(added);
+        let intact = std::fs::read(wal_path(&dir)).unwrap();
+        let mut body = vec![kind];
+        body.extend_from_slice(&7u64.to_be_bytes()); // session
+        body.extend_from_slice(&0u64.to_be_bytes()); // seq / chunk count
+        body.extend_from_slice(b"payload");
+        let mut framed = (body.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(&fnv1a(&body).to_be_bytes());
+        framed.extend_from_slice(&body);
+        let mut bytes = intact.clone();
+        bytes.extend_from_slice(&framed);
+        // A good record after it is unreachable: the scan stops at the cut.
+        bytes.extend_from_slice(&record_of("after", 1).1);
+        std::fs::write(wal_path(&dir), &bytes).unwrap();
+
+        let store = open(&dir, PersistOptions::default());
+        assert_eq!(store.len(), 1, "kind {kind}");
+        assert_eq!(&*store.resolve("kept").unwrap().label, "kept");
+        let p = store.persist_stats();
+        assert_eq!(p.wal_records_replayed, 1, "kind {kind}");
+        assert_eq!(
+            p.wal_truncated_bytes,
+            (bytes.len() - intact.len()) as u64,
+            "kind {kind}"
+        );
+        assert!(std::fs::read(wal_path(&dir)).unwrap() == intact);
+        store.ingest_bytes("next", &corpus()[2]).unwrap();
+        drop(store);
+        assert_eq!(open(&dir, PersistOptions::default()).len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let store = open(&dir, PersistOptions::default());
-    assert_eq!(store.len(), 2);
-    assert_eq!(&*store.resolve("streamed").unwrap().label, "streamed");
-    let p = store.persist_stats();
-    assert_eq!(p.sessions_recovered, 1);
-    assert_eq!(p.sessions_dropped, 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The profile records of the snapshot in `dir`, in file order, with
@@ -421,10 +385,7 @@ fn snapshot_records(dir: &Path) -> (Vec<(String, u64)>, u64, u64) {
     let records = scan
         .entries
         .iter()
-        .map(|e| match e {
-            WalEntry::Profile(r) => (r.label.clone(), r.content_hash),
-            other => panic!("not a profile record in the snapshot: {other:?}"),
-        })
+        .map(|r| (r.label.clone(), r.content_hash))
         .collect();
     (records, scan.valid_len, scan.truncated_bytes)
 }
@@ -542,70 +503,6 @@ fn records_folded_before_a_crash_are_not_folded_again() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Open streaming sessions whose re-staged chunks alone exceed the WAL
-/// bound must not make every later commit group compact: the bound is
-/// on growth since the last reset, and what a reset re-stages is the
-/// floor.
-#[test]
-fn restaged_chunks_of_open_sessions_do_not_cause_a_compaction_storm() {
-    let dir = scratch("storm");
-    let streams: Vec<NumaProfile> = (1..=6).map(profile).collect();
-    let ingests: Vec<NumaProfile> = (1..=8).map(profile).collect();
-    let chunks: Vec<Vec<Vec<u8>>> = streams
-        .iter()
-        .map(|p| split_profile(p, 2).iter().map(|c| c.to_binary()).collect())
-        .collect();
-    let staged: usize = chunks.iter().flatten().map(Vec::len).sum();
-    // Less than the open sessions hold, so once a compaction re-stages
-    // them the log is over the bound before anything is appended.
-    let bound = staged as u64 / 2;
-    let store = open(
-        &dir,
-        PersistOptions {
-            snapshot_wal_bytes: bound,
-            ..PersistOptions::default()
-        },
-    );
-    for (session, parts) in chunks.iter().enumerate() {
-        for (seq, part) in parts.iter().enumerate() {
-            store.stage_chunk(session as u64, seq as u64, part).unwrap();
-        }
-    }
-    // One flush re-stages everything: the log now starts over the bound.
-    store.flush().unwrap();
-    assert!(store.persist_stats().wal_bytes > bound);
-
-    let before = store.persist_stats().snapshots_written;
-    let mut record_bytes = 0;
-    for (k, p) in ingests.iter().enumerate() {
-        let label = format!("ingest-{k}");
-        let (id, bytes) = ProfileId::of(p);
-        record_bytes += encode_bin_record(&label, &bytes, id.0).len() as u64;
-        assert!(store.ingest_profile(&label, p.clone()).unwrap().1);
-    }
-    let compactions = store.persist_stats().snapshots_written - before;
-    assert!(
-        compactions <= 1 + record_bytes.div_ceil(bound),
-        "{compactions} compactions for {record_bytes} appended bytes under a {bound}-byte bound"
-    );
-    // Every session still seals, and everything survives a reopen.
-    for (session, p) in streams.iter().enumerate() {
-        let label = format!("stream-{session}");
-        assert!(
-            store
-                .commit_sealed(session as u64, &label, p.clone())
-                .unwrap()
-                .1
-        );
-    }
-    let (len, set_hash) = (store.len(), store.set_hash());
-    assert_eq!(len, streams.len() + ingests.len());
-    drop(store);
-    let store = open(&dir, PersistOptions::default());
-    assert_eq!((store.len(), store.set_hash()), (len, set_hash));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Ingest the first three corpus profiles one at a time, recording the
 /// WAL length after each, so fault-injection tests know exactly where
 /// record boundaries fall. Returns (per-record end offsets, per-prefix
@@ -705,7 +602,7 @@ proptest! {
     /// which a reopen lists in the order it was acknowledged.
     #[test]
     fn the_snapshot_only_grows_and_with_the_wal_holds_the_acked_set(
-        ops in prop::collection::vec(0u8..8, 6..14),
+        ops in prop::collection::vec(0u8..7, 6..14),
     ) {
         static POOL: OnceLock<Vec<NumaProfile>> = OnceLock::new();
         let pool = POOL.get_or_init(|| (0..14).map(|k| profile(1 + k % 3)).collect());
@@ -729,20 +626,10 @@ proptest! {
                     prop_assert!(!store.ingest_profile(&label, again).unwrap().1);
                 }
                 3 | 4 => {
-                    let chunks = split_profile(fresh, 1 + i % 3);
-                    for (seq, chunk) in chunks.iter().enumerate() {
-                        store.stage_chunk(i as u64, seq as u64, &chunk.to_binary()).unwrap();
-                    }
-                    let sealed = store.commit_sealed(i as u64, &label, assemble(chunks).unwrap());
-                    acked.push(sealed.unwrap().0);
+                    let sealed = assemble(split_profile(fresh, 1 + i % 3)).unwrap();
+                    acked.push(store.ingest_profile(&label, sealed).unwrap().0);
                 }
                 5 => store.flush().unwrap(),
-                6 => {
-                    // A session that never seals: its chunks ride along
-                    // through every fold until the restart drops them.
-                    let chunk = split_profile(fresh, 1).remove(0).to_binary();
-                    store.stage_chunk(1_000 + i as u64, 0, &chunk).unwrap();
-                }
                 _ => {
                     drop(store);
                     store = open(&dir, opts());
@@ -758,12 +645,8 @@ proptest! {
             for (label, id) in &records {
                 prop_assert!(held.insert(*id), "op {i}: {label} is in the snapshot twice");
             }
-            for entry in scan_file(&wal_path(&dir), WAL_MAGIC).unwrap().entries {
-                match entry {
-                    WalEntry::Profile(r) => held.insert(r.content_hash),
-                    WalEntry::Seal(s) => held.insert(s.content_hash),
-                    WalEntry::Chunk(_) => false,
-                };
+            for record in scan_file(&wal_path(&dir), WAL_MAGIC).unwrap().entries {
+                held.insert(record.content_hash);
             }
             prop_assert_eq!(&held, &acked.iter().map(|id| id.0).collect::<HashSet<u64>>());
         }
