@@ -8,10 +8,10 @@
 //! maps each class to the paper's corresponding optimization.
 
 use crate::analyzer::ThreadRange;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Shape of a variable's per-thread access ranges.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum AccessPattern {
     /// Disjoint ascending blocks, one per thread (LULESH `z`, Figure 3):
     /// thread `i` touches roughly the `i`-th slice.
@@ -31,7 +31,7 @@ pub enum AccessPattern {
 }
 
 /// The optimization the tool recommends (§2's strategies).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Recommendation {
     /// Distribute pages block-wise across domains at the first-touch site
     /// (co-location: maximizes local accesses, reduces contention).
@@ -53,7 +53,7 @@ pub enum Recommendation {
 }
 
 /// Classification thresholds (exposed for the ablation benches).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct ClassifierConfig {
     /// Median normalized coverage above which the pattern is `FullRange`.
     pub full_range_coverage: f64,

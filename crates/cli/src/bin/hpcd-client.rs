@@ -6,36 +6,35 @@
 //!
 //! ```text
 //! hpcd-client --dir runs/ --cmd aggregate
-//! hpcd-client --dir runs/ --cmd diff --before base.json --after tuned.json
+//! hpcd-client --dir runs/ --cmd diff --before base.hpcrun --after tuned.hpcrun
 //! hpcd-client --data-dir db/ --cmd list
 //! hpcd-client --addr 127.0.0.1:7701 --cmd ping
-//! hpcd-client --addr 127.0.0.1:7701 --cmd ingest --file run.json
-//! hpcd-client --addr 127.0.0.1:7701 --cmd stream --file run.json --chunk-threads 2
+//! hpcd-client --addr 127.0.0.1:7701 --cmd ingest --file run.hpcrun
+//! hpcd-client --addr 127.0.0.1:7701 --cmd stream --file run.hpcrun --chunk-threads 2
 //! hpcd-client --addr 127.0.0.1:7701 --cmd list
 //! hpcd-client --addr 127.0.0.1:7701 --cmd aggregate
 //! hpcd-client --addr 127.0.0.1:7701 --cmd top --n 5
-//! hpcd-client --addr 127.0.0.1:7701 --cmd report --profile run.json --format json
+//! hpcd-client --addr 127.0.0.1:7701 --cmd report --profile run.hpcrun --format json
 //! hpcd-client --addr 127.0.0.1:7701 --cmd view --profile 1a2b --var m_matrix
-//! hpcd-client --addr 127.0.0.1:7701 --cmd cct --profile run.json
-//! hpcd-client --addr 127.0.0.1:7701 --cmd diff --before base.json --after tuned.json
+//! hpcd-client --addr 127.0.0.1:7701 --cmd cct --profile run.hpcrun
+//! hpcd-client --addr 127.0.0.1:7701 --cmd diff --before base.hpcrun --after tuned.hpcrun
 //! hpcd-client --addr 127.0.0.1:7701 --cmd server-stats
 //! hpcd-client --addr 127.0.0.1:7701 --cmd shutdown
 //! ```
 
-use numa_profiler::NumaProfile;
 use numa_server::{caps, Backend, Client, ClientError, ReportFormat, ServerConfig};
 use numa_store::{PersistOptions, StoreConfig};
-use numa_tools::{die, fail, open_store, Args};
+use numa_tools::{die, fail, open_store, read_profile, Args};
 use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
 usage: hpcd-client (--addr HOST:PORT | --dir PROFILES_DIR | --data-dir DIR)
                    --cmd ping|ingest|stream|list|resolve|aggregate|top|report|view|cct|diff|stats|server-stats|metrics|clear-cache|shutdown
-                   (--addr: on an hpcd-sim daemon; --dir: in-process over every *.json in
-                    PROFILES_DIR; --data-dir: in-process over the durable store at DIR,
-                    flushed on exit, optionally loading --dir into it first)
-                   [--file FILE]          (ingest/stream: profile JSON to send)
+                   (--addr: on an hpcd-sim daemon; --dir: in-process over every profile
+                    file in PROFILES_DIR; --data-dir: in-process over the durable store at
+                    DIR, flushed on exit, optionally loading --dir into it first)
+                   [--file FILE]          (ingest/stream: profile file to send)
                    [--label NAME]         (ingest/stream: label; default = file name)
                    [--chunk-threads N]    (stream: threads per chunk; default 2)
                    [--chunk-delay-ms N]   (stream: pause between chunks; default 0)
@@ -128,10 +127,7 @@ fn main() {
         }
         "stream" => {
             let file = require("file");
-            let json = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| die(USAGE, &format!("cannot read {file}: {e}")));
-            let profile = NumaProfile::from_json(&json)
-                .unwrap_or_else(|e| die(USAGE, &format!("cannot parse {file}: {e}")));
+            let profile = read_profile(file).unwrap_or_else(|e| fail("hpcd-client", &e));
             let label = args.get("label").unwrap_or(file);
             let per: usize = args
                 .get_parsed("chunk-threads", 2)
@@ -153,13 +149,12 @@ fn main() {
         }
         "ingest" => {
             let file = require("file");
-            let json = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| die(USAGE, &format!("cannot read {file}: {e}")));
+            // The file is a codec container: it travels as read, and the
+            // store decodes, canonicalizes and hashes it.
+            let bytes = std::fs::read(file)
+                .unwrap_or_else(|e| fail("hpcd-client", &format!("cannot read {file}: {e}")));
             let label = args.get("label").unwrap_or(file);
-            // Parse locally: the profile travels as codec bytes.
-            let profile = NumaProfile::from_json(&json)
-                .unwrap_or_else(|e| die(USAGE, &format!("cannot parse {file}: {e}")));
-            let (id, added) = run(client.ingest_profile(label, &profile));
+            let (id, added) = run(client.ingest_binary(label, bytes));
             format!(
                 "{id}  {label} ({})\n",
                 if added { "added" } else { "deduplicated" }

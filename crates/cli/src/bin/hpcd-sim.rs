@@ -25,7 +25,7 @@ use std::time::Duration;
 
 const USAGE: &str = "\
 usage: hpcd-sim [--listen ADDR]          (default 127.0.0.1:7701; port 0 = ephemeral)
-                [--dir PROFILES_DIR]     (preload every *.json in DIR)
+                [--dir PROFILES_DIR]     (preload every profile file in DIR)
                 [--data-dir DIR]         (durable store: WAL + snapshot crash recovery)
                 [--snapshot-wal-kib N]   (compact once the WAL exceeds N KiB; default 4096)
                 [--fsync-wal on|off]     (fsync every WAL append; default off)

@@ -2,23 +2,19 @@
 //! and after a NUMA fix) and report what changed.
 //!
 //! ```text
-//! hpcrun-sim --workload lulesh --variant baseline  --out before.json
-//! hpcrun-sim --workload lulesh --variant blockwise --out after.json
-//! hpcdiff-sim --before before.json --after after.json
+//! hpcrun-sim --workload lulesh --variant baseline  --out before.hpcrun
+//! hpcrun-sim --workload lulesh --variant blockwise --out after.hpcrun
+//! hpcdiff-sim --before before.hpcrun --after after.hpcrun
 //! ```
 
 use numa_analysis::{diff, Analyzer};
-use numa_profiler::NumaProfile;
-use numa_tools::{die, Args};
+use numa_tools::{die, fail, read_profile, Args};
 
 const USAGE: &str = "\
-usage: hpcdiff-sim --before PROFILE.json --after PROFILE.json [--format text|json]";
+usage: hpcdiff-sim --before PROFILE.hpcrun --after PROFILE.hpcrun [--format text|json]";
 
 fn load(path: &str) -> Analyzer {
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| die(USAGE, &e.to_string()));
-    let profile =
-        NumaProfile::from_json(&json).unwrap_or_else(|e| die(USAGE, &format!("bad profile: {e}")));
-    Analyzer::new(profile)
+    Analyzer::new(read_profile(path).unwrap_or_else(|e| fail("hpcdiff-sim", &e)))
 }
 
 fn main() {

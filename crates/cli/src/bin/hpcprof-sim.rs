@@ -3,15 +3,14 @@
 //! HPCToolkit's `hpcprof`.
 //!
 //! ```text
-//! hpcprof-sim --in lulesh.profile.json [--format text|json]
+//! hpcprof-sim --in lulesh.hpcrun [--format text|json|html]
 //! ```
 
 use numa_analysis::{analyze, full_text_report, html_report, Analyzer};
-use numa_profiler::NumaProfile;
-use numa_tools::{die, Args};
+use numa_tools::{die, fail, read_profile, Args};
 
 const USAGE: &str = "\
-usage: hpcprof-sim --in PROFILE.json [--format text|json|html] [--out FILE]";
+usage: hpcprof-sim --in PROFILE.hpcrun [--format text|json|html] [--out FILE]";
 
 fn main() {
     let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
@@ -20,9 +19,7 @@ fn main() {
     let path = args
         .get("in")
         .unwrap_or_else(|| die(USAGE, "--in is required"));
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| die(USAGE, &e.to_string()));
-    let profile =
-        NumaProfile::from_json(&json).unwrap_or_else(|e| die(USAGE, &format!("bad profile: {e}")));
+    let profile = read_profile(path).unwrap_or_else(|e| fail("hpcprof-sim", &e));
     let analyzer = Analyzer::new(profile);
     let output = match args.get_or("format", "text") {
         "text" => full_text_report(&analyzer),

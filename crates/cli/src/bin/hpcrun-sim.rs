@@ -1,22 +1,26 @@
 //! `hpcrun-sim`: run a bundled workload under the NUMA profiler and write
-//! the measurement profile as JSON — the simulated analogue of
-//! HPCToolkit's `hpcrun`.
+//! the measurement profile — the simulated analogue of HPCToolkit's
+//! `hpcrun`. The file is the profile's canonical `numa-codec` container,
+//! the bytes the store hashes and logs, so its FNV-1a hash is the id any
+//! store assigns it.
 //!
 //! ```text
 //! hpcrun-sim --workload lulesh --variant baseline --machine amd \
-//!            --mechanism ibs --threads 48 --out lulesh.profile.json
+//!            --mechanism ibs --threads 48 --out lulesh.hpcrun
 //! hpcrun-sim --workload lulesh --stream 127.0.0.1:7701 --chunk-threads 4
 //! ```
 //!
 //! With `--stream ADDR` the measurement is delivered to a running
 //! `hpcd-sim` daemon over a streaming ingestion session (per-thread
 //! chunks, sealed at the end) instead of being written to a file; add
-//! `--out` explicitly to do both.
+//! `--out` explicitly to do both — the file is written first, so a
+//! failed stream does not lose the measurement.
 
 use numa_profiler::ProfilerConfig;
 use numa_sampling::MechanismConfig;
 use numa_server::Client;
 use numa_sim::ExecMode;
+use numa_store::codec::encode_profile;
 use numa_tools::{die, fail, parse_machine, parse_mechanism, parse_workload, Args};
 use numa_workloads::run_profiled;
 use std::time::{Duration, Instant};
@@ -36,7 +40,7 @@ usage: hpcrun-sim [--workload lulesh|amg2006|blackscholes|umt2013]
                   [--chunk-threads N]        (stream: threads per chunk; default 4)
                   [--label NAME]             (stream: label; default workload-variant)
                   [--connect-retry-ms N]     (stream: retry connecting up to N ms; default 5000)
-                  [--out FILE]               (default profile.json; skipped when streaming
+                  [--out FILE]               (default profile.hpcrun; skipped when streaming
                                               unless given explicitly)";
 
 fn main() {
@@ -142,6 +146,15 @@ fn main() {
         wall.as_nanos() as f64 / stats.mem_accesses.max(1) as f64,
         stats.monitor_callbacks
     );
+    // Streaming replaces the file write unless --out was given
+    // explicitly; batch runs keep the profile.hpcrun default. The file
+    // goes first, so a failed stream leaves the measurement on disk.
+    if stream_addr.is_none() || explicit_out.is_some() {
+        let out = explicit_out.as_deref().unwrap_or("profile.hpcrun");
+        std::fs::write(out, encode_profile(&profile))
+            .unwrap_or_else(|e| fail("hpcrun-sim", &format!("cannot write {out}: {e}")));
+        eprintln!("hpcrun-sim: wrote {out}");
+    }
     if let Some(addr) = &stream_addr {
         let per: usize = args
             .get_parsed("chunk-threads", 4)
@@ -168,13 +181,5 @@ fn main() {
             "hpcrun-sim: streamed {label} to {addr} in {chunks} chunk(s): {id} ({})",
             if added { "added" } else { "deduplicated" }
         );
-    }
-    // Streaming replaces the file write unless --out was given
-    // explicitly; batch runs keep the profile.json default.
-    if stream_addr.is_none() || explicit_out.is_some() {
-        let out = explicit_out.unwrap_or_else(|| "profile.json".to_string());
-        std::fs::write(&out, profile.to_json())
-            .unwrap_or_else(|e| fail("hpcrun-sim", &format!("cannot write {out}: {e}")));
-        eprintln!("hpcrun-sim: wrote {out}");
     }
 }

@@ -3,25 +3,25 @@
 //! extended `hpcviewer` (§7.2).
 //!
 //! ```text
-//! hpcviewer-sim --in lulesh.profile.json --var z
-//! hpcviewer-sim --in amg.profile.json --var RAP_diag_data \
+//! hpcviewer-sim --in lulesh.hpcrun --var z
+//! hpcviewer-sim --in amg.hpcrun --var RAP_diag_data \
 //!               --region hypre_boomerAMGRelax._omp
-//! hpcviewer-sim --in lulesh.profile.json --list vars
+//! hpcviewer-sim --in lulesh.hpcrun --list vars
 //! ```
 
 use numa_analysis::{
     classify, export_address_view, render_address_view, render_cct, render_metric_table,
     render_trace_timelines, Analyzer,
 };
-use numa_profiler::{NumaProfile, RangeScope};
-use numa_tools::{die, Args};
+use numa_profiler::RangeScope;
+use numa_tools::{die, fail, read_profile, Args};
 
 const USAGE: &str = "\
-usage: hpcviewer-sim --in PROFILE.json --var NAME [--region PARALLEL_REGION]
+usage: hpcviewer-sim --in PROFILE.hpcrun --var NAME [--region PARALLEL_REGION]
                      [--format text|json]
-       hpcviewer-sim --in PROFILE.json --list vars|regions
-       hpcviewer-sim --in PROFILE.json --pane cct       (code-centric tree)
-       hpcviewer-sim --in PROFILE.json --pane timeline  (trace view)";
+       hpcviewer-sim --in PROFILE.hpcrun --list vars|regions
+       hpcviewer-sim --in PROFILE.hpcrun --pane cct       (code-centric tree)
+       hpcviewer-sim --in PROFILE.hpcrun --pane timeline  (trace view)";
 
 fn main() {
     let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
@@ -30,9 +30,7 @@ fn main() {
     let path = args
         .get("in")
         .unwrap_or_else(|| die(USAGE, "--in is required"));
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| die(USAGE, &e.to_string()));
-    let profile =
-        NumaProfile::from_json(&json).unwrap_or_else(|e| die(USAGE, &format!("bad profile: {e}")));
+    let profile = read_profile(path).unwrap_or_else(|e| fail("hpcviewer-sim", &e));
     let analyzer = Analyzer::new(profile);
 
     if let Some(pane) = args.get("pane") {

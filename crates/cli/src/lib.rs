@@ -1,13 +1,18 @@
 //! Shared plumbing for the command-line tools.
 //!
-//! The three binaries mirror HPCToolkit's workflow on the simulated
-//! machine:
+//! Four binaries mirror HPCToolkit's workflow on the simulated machine:
 //!
 //! * `hpcrun-sim` — run one of the bundled workloads under a chosen
-//!   sampling mechanism and write a profile (JSON);
+//!   sampling mechanism and write a profile file (`profile.hpcrun`);
 //! * `hpcprof-sim` — merge and analyze a profile, print the report;
 //! * `hpcviewer-sim` — render the address-centric view and metric pane
-//!   for a chosen variable (whole program or one parallel region).
+//!   for a chosen variable (whole program or one parallel region);
+//! * `hpcdiff-sim` — compare two profiles of the same workload.
+//!
+//! A profile file is a `numa-codec` container: the canonical bytes the
+//! store hashes and logs, so a file's FNV-1a hash is the id the store
+//! assigns it. Every tool reads one through [`read_profile`]; JSON is
+//! only ever an output (`--format json`).
 //!
 //! `hpcd-sim` serves a multi-profile store over TCP and `hpcd-client`
 //! runs the store's verbs against it — or, with `--dir` / `--data-dir`,
@@ -18,9 +23,10 @@
 
 use numa_faults::Storage;
 use numa_machine::{Machine, MachinePreset};
+use numa_profiler::NumaProfile;
 use numa_sampling::{MechanismKind, MechanismSpec, MECHANISMS};
 use numa_store::wal::UnsupportedHeader;
-use numa_store::{PersistOptions, ProfileStore, StoreConfig};
+use numa_store::{codec, PersistOptions, ProfileStore, StoreConfig};
 use numa_workloads::{
     Amg2006, AmgVariant, Blackscholes, BlackscholesVariant, Lulesh, LuleshVariant, Umt2013,
     UmtVariant, Workload,
@@ -186,10 +192,18 @@ pub fn parse_workload(name: &str, variant: &str, size: &str) -> Result<Box<dyn W
     Ok(w)
 }
 
+/// Read the profile file at `path` (a codec container, as `hpcrun-sim
+/// --out` writes it). `Err` names the file; it is a run-time failure,
+/// for [`fail`].
+pub fn read_profile(path: &str) -> Result<NumaProfile, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    codec::decode_profile(&bytes).map_err(|e| format!("cannot decode {path}: {e}"))
+}
+
 /// Open the store a front end works on: in memory, or — given
 /// `durable` = (data dir, options, storage backend) — recovered from
 /// that directory's snapshot + WAL and persisting from then on; then
-/// ingest every `*.json` under `preload`. Recovery and preload
+/// ingest every profile file in `preload`. Recovery and preload
 /// summaries, and one diagnostic per file that was skipped, go to
 /// stderr prefixed with `tool`. `Err` is a message for [`die`].
 pub fn open_store(
@@ -210,8 +224,8 @@ pub fn open_store(
                             .get_ref()
                             .is_some_and(|inner| inner.is::<UnsupportedHeader>());
                         let advice = if refused {
-                            "\nre-ingest the profile JSON files into a fresh directory, \
-                             or open this one with the build that wrote it"
+                            "\nre-ingest the profile files (`hpcrun-sim --out`) into a \
+                             fresh directory, or open this one with the build that wrote it"
                         } else {
                             ""
                         };

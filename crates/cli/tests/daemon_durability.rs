@@ -88,7 +88,7 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     let oracle = ProfileStore::new();
     for (label, p) in &corpus {
         oracle
-            .ingest_bytes(label, &p.to_json())
+            .ingest_profile(label, p.clone())
             .expect("oracle ingest");
     }
     let oracle_hash = format!("{:016x}", oracle.set_hash());

@@ -9,6 +9,7 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::{Client, ServerStatsReport};
 use numa_sim::{ExecMode, Program};
+use numa_store::codec::encode_profile;
 use numa_store::ProfileStore;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A small profile; `rounds` varies the content hash. Sampling is
-/// interval-randomized, so tests serialize once and reuse the JSON.
+/// interval-randomized, so tests build each profile once and reuse it.
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
@@ -99,9 +100,9 @@ fn scratch(tag: &str) -> PathBuf {
 #[test]
 fn sigkilled_streaming_client_is_reaped_without_partial_state() {
     let dir = scratch("client-kill");
-    let json = profile(1).to_json();
-    let profile_path = dir.join("run.json");
-    std::fs::write(&profile_path, &json).expect("write profile");
+    let run = profile(1);
+    let profile_path = dir.join("run.hpcrun");
+    std::fs::write(&profile_path, encode_profile(&run)).expect("write profile");
 
     // Short lease so the janitor notices the dead client quickly.
     let daemon = spawn_daemon(&["--session-lease-ms", "300"]);
@@ -149,9 +150,8 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
     // Nothing was half-ingested, and the same profile still streams
     // cleanly end to end afterwards.
     assert!(c.list().expect("list").is_empty());
-    let parsed = NumaProfile::from_json(&json).unwrap();
     let (_, added, _) = c
-        .stream_profile("recovered", &parsed, 2)
+        .stream_profile("recovered", &run, 2)
         .expect("stream after reap");
     assert!(added);
     assert_eq!(c.list().expect("list").len(), 1);
@@ -166,12 +166,12 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
 fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
     let dir = scratch("daemon-kill");
     let data_dir = dir.join("db");
-    let sealed_json = profile(1).to_json();
-    let unsealed_json = profile(2).to_json();
+    let sealed = profile(1);
+    let unsealed = profile(2);
 
     // Oracle: only the sealed profile, ingested one-shot.
     let oracle = ProfileStore::new();
-    oracle.ingest_bytes("sealed", &sealed_json).unwrap();
+    oracle.ingest_profile("sealed", sealed.clone()).unwrap();
     let oracle_hash = format!("{:016x}", oracle.set_hash());
     let oracle_aggregate = oracle.aggregate().unwrap().text();
 
@@ -179,12 +179,10 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("connect");
         // Session A: streamed to completion — sealed and acknowledged.
-        let sealed = NumaProfile::from_json(&sealed_json).unwrap();
         let (_, added, _) = c.stream_profile("sealed", &sealed, 2).expect("stream");
         assert!(added);
         // Session B: chunks appended and acknowledged (buffered in the
         // daemon's memory) but never sealed.
-        let unsealed = NumaProfile::from_json(&unsealed_json).unwrap();
         let chunks = numa_store::stream::split_profile(&unsealed, 2);
         let info = c.open_session("unsealed").expect("open");
         for (seq, chunk) in chunks.iter().enumerate() {
@@ -218,13 +216,11 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
 
         // The streamed profile is byte-identical to one-shot ingest:
         // re-ingesting the same profile deduplicates...
-        let sealed = NumaProfile::from_json(&sealed_json).unwrap();
         let (_, added) = c
             .ingest_profile("sealed-again", &sealed)
             .expect("re-ingest");
         assert!(!added, "recovered streamed profile must dedup");
         // ...while the unsealed one really is gone: ingesting it adds.
-        let unsealed = NumaProfile::from_json(&unsealed_json).unwrap();
         let (_, added) = c.ingest_profile("unsealed", &unsealed).expect("ingest");
         assert!(added, "unsealed session must have been dropped");
 

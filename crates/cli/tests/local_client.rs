@@ -9,6 +9,7 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::Client;
 use numa_sim::{ExecMode, Program};
+use numa_store::codec::encode_profile;
 use numa_store::snapshot::snapshot_path;
 use numa_store::wal::{wal_path, FILE_HEADER_LEN};
 use std::io::{BufRead, BufReader};
@@ -88,7 +89,11 @@ fn scratch(tag: &str) -> PathBuf {
 fn local_and_remote_verbs_print_identical_stdout() {
     let dir = scratch("verbs");
     for r in 1..=3 {
-        std::fs::write(dir.join(format!("run-{r}.json")), profile(r).to_json()).unwrap();
+        std::fs::write(
+            dir.join(format!("run-{r}.hpcrun")),
+            encode_profile(&profile(r)),
+        )
+        .unwrap();
     }
     let dir = dir.to_str().unwrap();
     let mut daemon = spawn_daemon("--dir", dir);
@@ -99,27 +104,27 @@ fn local_and_remote_verbs_print_identical_stdout() {
     let verbs: &[&[&str]] = &[
         &["--cmd", "stats"],
         &["--cmd", "list"],
-        &["--cmd", "resolve", "--profile", "run-2.json"],
+        &["--cmd", "resolve", "--profile", "run-2.hpcrun"],
         &["--cmd", "aggregate"],
         &["--cmd", "top", "--n", "3"],
-        &["--cmd", "report", "--profile", "run-1.json"],
+        &["--cmd", "report", "--profile", "run-1.hpcrun"],
         &[
             "--cmd",
             "report",
             "--profile",
-            "run-1.json",
+            "run-1.hpcrun",
             "--format",
             "json",
         ],
-        &["--cmd", "view", "--profile", "run-3.json", "--var", "z"],
-        &["--cmd", "cct", "--profile", "run-3.json"],
+        &["--cmd", "view", "--profile", "run-3.hpcrun", "--var", "z"],
+        &["--cmd", "cct", "--profile", "run-3.hpcrun"],
         &[
             "--cmd",
             "diff",
             "--before",
-            "run-1.json",
+            "run-1.hpcrun",
             "--after",
-            "run-3.json",
+            "run-3.hpcrun",
         ],
     ];
     for verb in verbs {

@@ -1,12 +1,13 @@
 //! Binary columnar encoding of [`NumaProfile`] — the one profile codec
 //! every layer speaks.
 //!
-//! A versioned, length-delimited, sectioned binary layout, ~3-4x
-//! smaller than the profile's JSON and decoded without any text
-//! parsing. The WAL, snapshots, the wire protocol
-//! (`caps::BINARY_CODEC`) and streaming chunks all carry these bytes;
-//! JSON survives as the file format `hpcrun-sim --out` writes and the
-//! store's file-ingest adapters read.
+//! A versioned, length-delimited, sectioned binary layout, smaller than
+//! the profile's JSON rendering and decoded without any text parsing.
+//! It is the one stored and transported form: the profile file
+//! `hpcrun-sim --out` writes (`*.hpcrun`), the WAL, snapshots, the wire
+//! protocol (`caps::BINARY_CODEC`) and streaming chunks all carry these
+//! bytes. JSON is an output only (reports, `NumaProfile::to_json`);
+//! nothing decodes a profile from it.
 //!
 //! ## The encoding is canonical
 //!
@@ -17,11 +18,12 @@
 //! holds no floats and no maps whose iteration order could vary. So a
 //! profile has exactly one encoding, `encode(decode(b))` is that
 //! encoding for *any* buffer `b` that decodes to it — including one
-//! with reordered or unknown sections — and a detour through the JSON
-//! form changes nothing (`tests/canonical.rs` holds all three as
-//! properties). This is what lets `numa-store` define a profile's
+//! with reordered or unknown sections (`tests/canonical.rs` holds these
+//! as properties). This is what lets `numa-store` define a profile's
 //! content id as the FNV-1a hash of these bytes and still dedup the
-//! same run arriving as a JSON file, a container or a chunked stream.
+//! same run arriving as a file, a non-canonical container or a chunked
+//! stream — and what makes a file `hpcrun-sim` wrote hash to the id the
+//! store assigns it.
 //!
 //! ## Layout (all integers big-endian)
 //!

@@ -11,18 +11,18 @@
 use crate::datacentric::VarId;
 use numa_sampling::Sample;
 use numa_sim::FuncId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Scope of a range record: whole program or one parallel region.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RangeScope {
     Program,
     Region(FuncId),
 }
 
 /// Key of one address-range accumulator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct RangeKey {
     pub var: VarId,
     pub bin: u16,
@@ -30,7 +30,7 @@ pub struct RangeKey {
 }
 
 /// Accumulated \[min,max\] bounds plus weights.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct RangeStat {
     pub min_addr: u64,
     pub max_addr: u64,
@@ -75,7 +75,7 @@ impl RangeStat {
 }
 
 /// One thread's address-centric profile.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct AddressRanges {
     ranges: HashMap<RangeKey, RangeStat>,
 }

@@ -8,7 +8,7 @@
 
 use crate::metrics::MetricSet;
 use numa_sim::Frame;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Identifier of a CCT node within one tree.
@@ -18,7 +18,7 @@ pub type NodeId = u32;
 pub const ROOT: NodeId = 0;
 
 /// What distinguishes a node from its siblings.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum NodeKey {
     Root,
     /// A call-stack frame (function, loop, or parallel region).
@@ -30,7 +30,7 @@ pub enum NodeKey {
 
 /// One node: key, parent link, and exclusive metrics (samples attributed
 /// exactly here; inclusive values are computed by the analyzer).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CctNode {
     pub key: NodeKey,
     pub parent: NodeId,
@@ -38,7 +38,7 @@ pub struct CctNode {
 }
 
 /// An append-only calling context tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Cct {
     nodes: Vec<CctNode>,
     domains: usize,
@@ -60,9 +60,9 @@ impl Cct {
     }
 
     /// Rebuild a tree from its serialized parts: the node vector (root
-    /// first, parents preceding children) plus the domain count. Used by
-    /// decoders that bypass serde (the binary profile codec). The lookup
-    /// index is rebuilt eagerly, so the tree is immediately resolvable.
+    /// first, parents preceding children) plus the domain count — how
+    /// the profile codec decodes a tree. The lookup index is rebuilt
+    /// eagerly, so the tree is immediately resolvable.
     /// Returns `None` when the parts cannot form a valid tree: no root,
     /// a non-`Root` first node, or a parent reference at or past its
     /// node's own id (the append-only invariant every consumer relies
@@ -77,13 +77,17 @@ impl Cct {
                 return None;
             }
         }
-        let mut cct = Cct {
+        let index = nodes
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(i, n)| ((n.parent, n.key), i as NodeId))
+            .collect();
+        Some(Cct {
             nodes,
             domains,
-            index: HashMap::new(),
-        };
-        cct.rebuild_index();
-        Some(cct)
+            index,
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -174,14 +178,6 @@ impl Cct {
         acc[id as usize].clone()
     }
 
-    /// Rebuild the lookup index after deserialization (serde skips it).
-    pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (i, n) in self.nodes.iter().enumerate().skip(1) {
-            self.index.insert((n.parent, n.key), i as NodeId);
-        }
-    }
-
     /// Approximate resident bytes (for the 40 MB footprint check).
     pub fn footprint_bytes(&self) -> usize {
         self.nodes.len() * (std::mem::size_of::<CctNode>() + self.domains * 8)
@@ -264,9 +260,7 @@ mod tests {
     fn rebuild_index_restores_resolution() {
         let mut cct = Cct::new(2);
         let a = cct.resolve(&[f(1), f(2)], 5);
-        let json = serde_json::to_string(&cct).unwrap();
-        let mut back: Cct = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let mut back = Cct::from_parts(cct.nodes().to_vec(), cct.domains()).unwrap();
         let b = back.resolve(&[f(1), f(2)], 5);
         assert_eq!(a, b);
         assert_eq!(back.len(), cct.len());

@@ -2,7 +2,7 @@
 
 use crate::firsttouch::FirstTouchGranularity;
 use numa_sampling::MechanismConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Environment variable overriding the address-centric bin count, as the
 /// paper's tool allows ("one can change this number via an environment
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub const BINS_ENV_VAR: &str = "HPCTOOLKIT_NUMA_BINS";
 
 /// Configuration of the online profiler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ProfilerConfig {
     /// Which sampling mechanism to drive, with its period/overhead model.
     pub mechanism: MechanismConfig,

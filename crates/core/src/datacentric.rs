@@ -9,15 +9,15 @@
 use numa_machine::{PAGE_SHIFT, PAGE_SIZE};
 use numa_sim::{Frame, VarKind};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Identifier of a monitored variable.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct VarId(pub u32);
 
 /// Everything known about one variable.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct VarRecord {
     pub id: VarId,
     pub name: String,

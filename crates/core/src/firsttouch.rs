@@ -13,10 +13,10 @@ use crate::datacentric::VarId;
 use numa_machine::{CpuId, DomainId};
 use numa_sim::Frame;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How much of a variable to unprotect when its first fault arrives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum FirstTouchGranularity {
     /// The paper's behaviour: the handler restores permissions for the
     /// variable's monitored pages, so each variable faults O(#concurrent
@@ -29,7 +29,7 @@ pub enum FirstTouchGranularity {
 }
 
 /// One recorded first touch.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct FirstTouchRecord {
     pub var: VarId,
     pub tid: usize,

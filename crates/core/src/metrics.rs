@@ -17,7 +17,7 @@
 
 use numa_machine::{AccessLevel, DomainId};
 use numa_sampling::Sample;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of [`AccessLevel`] variants (histogram width).
 pub const LEVELS: usize = 6;
@@ -34,7 +34,7 @@ fn level_index(l: AccessLevel) -> usize {
 }
 
 /// Accumulated NUMA metrics for one scope.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct MetricSet {
     /// Sampled memory accesses touching the local NUMA domain (`M_l`).
     pub m_local: u64,
@@ -49,9 +49,7 @@ pub struct MetricSet {
     /// Samples whose mechanism reported a latency field at all. This is
     /// what distinguishes "no latency captured" from "zero remote
     /// latency": `latency_total` alone conflates the two when every
-    /// captured latency is local or zero-cycle. Defaults to 0 when
-    /// deserializing profiles written before the field existed.
-    #[serde(default)]
+    /// captured latency is local or zero-cycle.
     pub latency_samples: u64,
     /// Memory samples.
     pub samples_mem: u64,

@@ -1,5 +1,6 @@
-//! The serialized output of one monitored execution: what `hpcrun` writes
-//! and the offline analyzer (crate `numa-analysis`) consumes.
+//! The measurement of one monitored execution: what `hpcrun` writes (as
+//! a `numa-codec` container) and the offline analyzer (crate
+//! `numa-analysis`) consumes.
 
 use crate::addrcentric::{RangeKey, RangeStat};
 use crate::cct::Cct;
@@ -9,10 +10,10 @@ use crate::metrics::MetricSet;
 use crate::trace::Trace;
 use numa_machine::{CpuId, DomainId};
 use numa_sampling::{Capabilities, MechanismKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One thread's measurement data.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ThreadProfile {
     pub tid: usize,
     pub cpu: CpuId,
@@ -32,20 +33,16 @@ pub struct ThreadProfile {
     /// Address-centric \[min,max\] ranges per (variable, bin, scope).
     pub ranges: Vec<(RangeKey, RangeStat)>,
     /// Time series of cumulative NUMA counters (empty unless tracing was
-    /// enabled). Optional in the on-disk format for compatibility with
-    /// profiles written before tracing existed.
-    #[serde(default)]
+    /// enabled).
     pub trace: Trace,
     /// Call-stack underflows the engine absorbed on this thread: exits
     /// that outnumbered enters in a malformed replayed program. Nonzero
     /// means the code-centric attribution for this thread is suspect.
-    /// Optional on disk for compatibility with older profiles.
-    #[serde(default)]
     pub stack_underflows: u64,
 }
 
 /// Full profile of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct NumaProfile {
     pub mechanism: MechanismKind,
     pub capabilities: Capabilities,
@@ -99,17 +96,9 @@ impl NumaProfile {
         self.threads.iter().map(|t| t.instructions).sum()
     }
 
-    /// Serialize to JSON (the on-disk profile format).
+    /// Render as JSON — an output only: profile files are codec
+    /// containers (`numa-codec`), and nothing reads this form back.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("profile serializes")
-    }
-
-    /// Deserialize from JSON, rebuilding CCT indices.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let mut p: NumaProfile = serde_json::from_str(s)?;
-        for t in &mut p.threads {
-            t.cct.rebuild_index();
-        }
-        Ok(p)
     }
 }

@@ -433,19 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_roundtrips_through_json() {
-        let profile = run_simple(MechanismKind::SoftIbs, 16);
-        let json = profile.to_json();
-        let back = NumaProfile::from_json(&json).unwrap();
-        assert_eq!(back.threads.len(), profile.threads.len());
-        assert_eq!(back.vars.len(), profile.vars.len());
-        assert_eq!(
-            back.threads[0].totals.samples_mem,
-            profile.threads[0].totals.samples_mem
-        );
-    }
-
-    #[test]
     fn footprint_stays_small() {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 16));

@@ -9,10 +9,10 @@
 //! behaviour (e.g. the serial initialization's local-store burst followed
 //! by the solve phase's remote-read plateau).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One snapshot of a thread's cumulative NUMA counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TracePoint {
     /// Thread virtual clock at the snapshot.
     pub clock: u64,
@@ -25,7 +25,7 @@ pub struct TracePoint {
 }
 
 /// Per-thread trace recorder.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Trace {
     interval: u64,
     points: Vec<TracePoint>,

@@ -71,16 +71,16 @@ proptest! {
         }
     }
 
-    /// Serde roundtrip preserves structure and resolution behaviour.
+    /// A serialization round trip — the tree rebuilt from its parts,
+    /// as the profile codec decodes it — preserves structure and
+    /// resolution behaviour.
     #[test]
     fn serde_roundtrip_preserves_resolution(
         stacks in prop::collection::vec(arb_stack(), 1..30)
     ) {
         let mut cct = Cct::new(2);
         let ids: Vec<u32> = stacks.iter().map(|(s, l)| cct.resolve(s, *l)).collect();
-        let json = serde_json::to_string(&cct).unwrap();
-        let mut back: Cct = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let mut back = Cct::from_parts(cct.nodes().to_vec(), cct.domains()).unwrap();
         prop_assert_eq!(back.len(), cct.len());
         for ((s, l), id) in stacks.iter().zip(ids) {
             prop_assert_eq!(back.resolve(s, *l), id);

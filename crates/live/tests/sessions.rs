@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 /// A small profile; `rounds` varies the content hash. Sampling is
 /// interval-randomized, so tests that need the same profile twice must
-/// serialize once and reuse the JSON (see [`corpus`]).
+/// build it once and reuse it (see [`corpus`]).
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
@@ -40,17 +40,21 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-fn corpus() -> &'static [String; 2] {
-    static CORPUS: OnceLock<[String; 2]> = OnceLock::new();
-    CORPUS.get_or_init(|| [profile(1).to_json(), profile(2).to_json()])
+fn corpus() -> &'static [NumaProfile; 2] {
+    static CORPUS: OnceLock<[NumaProfile; 2]> = OnceLock::new();
+    CORPUS.get_or_init(|| [profile(1), profile(2)])
 }
 
-/// Streams `json` through `mgr` in chunks of `per` threads and returns
-/// the seal result.
-fn stream(mgr: &SessionManager, label: &str, json: &str, per: usize) -> numa_live::Sealed {
-    let parsed = NumaProfile::from_json(json).expect("corpus profile parses");
+/// Streams `profile` through `mgr` in chunks of `per` threads and
+/// returns the seal result.
+fn stream(
+    mgr: &SessionManager,
+    label: &str,
+    profile: &NumaProfile,
+    per: usize,
+) -> numa_live::Sealed {
     let ticket = mgr.open(label).expect("open session");
-    for (seq, chunk) in split_profile(&parsed, per).iter().enumerate() {
+    for (seq, chunk) in split_profile(profile, per).iter().enumerate() {
         mgr.append_binary(ticket.session, seq as u64, &chunk.to_binary())
             .expect("append chunk");
     }
@@ -75,7 +79,7 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 #[test]
 fn streamed_session_matches_oneshot_ingest() {
     let oracle = ProfileStore::new();
-    let (oracle_id, _) = oracle.ingest_bytes("run", &corpus()[0]).unwrap();
+    let (oracle_id, _) = oracle.ingest_profile("run", corpus()[0].clone()).unwrap();
 
     let store = Arc::new(ProfileStore::new());
     let mgr = SessionManager::new(Arc::clone(&store), LiveConfig::default());
@@ -291,8 +295,7 @@ fn appends_renew_the_lease() {
     );
 
     // The survivor still takes a whole profile and seals it.
-    let parsed = NumaProfile::from_json(&corpus()[1]).unwrap();
-    for chunk in split_profile(&parsed, 1) {
+    for chunk in split_profile(&corpus()[1], 1) {
         mgr.append_binary(slow.session, seq, &chunk.to_binary())
             .expect("append after outliving one lease");
         seq += 1;
@@ -321,9 +324,8 @@ fn open_bytes_gauge(registry: &numa_obs::Registry) -> usize {
 fn racing_appends_never_overshoot_the_open_bytes_budget() {
     const THREADS: usize = 8;
     const FIT: usize = 3;
-    let parsed = NumaProfile::from_json(&corpus()[1]).unwrap();
     // One chunk holding every thread: the longest parse this corpus has.
-    let chunk = split_profile(&parsed, usize::MAX)[1].to_binary();
+    let chunk = split_profile(&corpus()[1], usize::MAX)[1].to_binary();
     let len = chunk.len();
     let max_open_bytes = FIT * len + len / 2;
     let mgr = SessionManager::new(
@@ -406,9 +408,8 @@ fn open_durable(dir: &Path, storage: &Arc<FaultyStorage>) -> Arc<ProfileStore> {
 /// after the seal's ack recovers it under the acked id.
 #[test]
 fn a_sealed_stream_is_one_profile_record() {
-    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
     // The canonical codec bytes, and the id they hash to.
-    let (id, canonical) = ProfileId::of(&p);
+    let (id, canonical) = ProfileId::of(&corpus()[0]);
     for threads_per_chunk in [1, 2, 7] {
         let streamed_dir = scratch(&format!("streamed-{threads_per_chunk}"));
         let oneshot_dir = scratch(&format!("oneshot-{threads_per_chunk}"));
@@ -486,7 +487,7 @@ fn an_unsealed_session_never_touches_the_disk() {
             "{what}"
         );
     };
-    let chunks: Vec<Vec<u8>> = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 1)
+    let chunks: Vec<Vec<u8>> = split_profile(&corpus()[0], 1)
         .iter()
         .map(ChunkPayload::to_binary)
         .collect();

@@ -33,10 +33,10 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-/// Canonical JSON (and its one-shot oracle hashes) per corpus profile,
-/// computed once per test process.
+/// Each corpus profile and its one-shot oracle hashes, computed once
+/// per test process.
 struct Oracle {
-    json: String,
+    profile: NumaProfile,
     id: ProfileId,
     set_hash: u64,
     aggregate: String,
@@ -45,12 +45,11 @@ struct Oracle {
 fn oracles() -> &'static [Oracle; 2] {
     static ORACLES: OnceLock<[Oracle; 2]> = OnceLock::new();
     ORACLES.get_or_init(|| {
-        [profile(1), profile(2)].map(|p| {
-            let json = p.to_json();
+        [profile(1), profile(2)].map(|profile| {
             let store = ProfileStore::new();
-            let (id, _) = store.ingest_bytes("run", &json).unwrap();
+            let (id, _) = store.ingest_profile("run", profile.clone()).unwrap();
             Oracle {
-                json,
+                profile,
                 id,
                 set_hash: store.set_hash(),
                 aggregate: store.aggregate().unwrap().text(),
@@ -67,12 +66,11 @@ proptest! {
         shuffle_seed in any::<u64>(),
     ) {
         let oracle = &oracles()[which];
-        let parsed = NumaProfile::from_json(&oracle.json).unwrap();
 
         // Random granularity, then a random permutation of the chunk
         // *contents* — sequence numbers stay 0..n (the wire contract),
         // but assembly must not care which part arrives when.
-        let mut chunks = split_profile(&parsed, per);
+        let mut chunks = split_profile(&oracle.profile, per);
         let mut state = shuffle_seed | 1;
         for i in (1..chunks.len()).rev() {
             state = state

@@ -8,10 +8,10 @@
 
 use crate::ids::DomainId;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Symmetric hop-distance matrix between NUMA domains.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Interconnect {
     domains: usize,
     /// Row-major `domains × domains` hop counts.

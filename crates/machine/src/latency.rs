@@ -7,13 +7,13 @@
 
 use crate::ids::DomainId;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Where a memory access was satisfied. This doubles as the "data source"
 /// field that IBS and PEBS-LL samples report. Variants are ordered by
 /// distance from the core, so `level >= AccessLevel::L3Remote` reads
 /// "beyond the local L3".
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum AccessLevel {
     /// Private level-1 cache hit.
     L1,
@@ -72,7 +72,7 @@ impl AccessLevel {
 }
 
 /// Per-level base latencies plus scaling knobs, in cycles.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LatencyModel {
     pub l1_hit: u32,
     pub l2_hit: u32,

@@ -7,10 +7,10 @@
 //! distribution for co-location, explicit binding).
 
 use crate::ids::{DomainId, PAGE_SHIFT};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How pages of an allocation region are bound to NUMA domains.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub enum PlacementPolicy {
     /// Linux default: a page is bound to the domain of the thread that first
     /// reads or writes it.

@@ -2,12 +2,12 @@
 
 use crate::latency::LatencyModel;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const GIB: u64 = 1 << 30;
 
 /// The machines used in the paper's experiments (§8, Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum MachinePreset {
     /// Four 12-core AMD Magny-Cours packages. Each package holds two 6-core
     /// dies, each die a NUMA domain: 8 domains, 48 cores, 128 GiB evenly

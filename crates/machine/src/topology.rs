@@ -1,14 +1,14 @@
 //! NUMA topology: domains, sockets, cores, and SMT hardware threads.
 
 use crate::ids::{CpuId, DomainId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static description of a machine's NUMA organization.
 ///
 /// CPUs are numbered densely: CPU `i` belongs to domain
 /// `i / (cores_per_domain * smt)`. This matches the common Linux enumeration
 /// where hardware threads of one socket are contiguous.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Topology {
     name: String,
     domains: usize,

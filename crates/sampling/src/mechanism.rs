@@ -9,10 +9,10 @@
 
 use crate::sample::Sample;
 use numa_machine::MachinePreset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The six mechanisms of §3.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum MechanismKind {
     /// Instruction-based sampling — AMD Opteron family.
     Ibs,
@@ -56,7 +56,7 @@ impl MechanismKind {
 
 /// What a mechanism's hardware can capture (§3's three capabilities plus
 /// the §10 comparison).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Capabilities {
     /// IBS/PEBS sample the whole instruction stream (useful: the
     /// memory-instruction fraction and `I^s` come for free); event-based

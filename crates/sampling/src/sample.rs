@@ -2,7 +2,7 @@
 
 use numa_machine::{AccessLevel, CpuId, DomainId};
 use numa_sim::MemoryEvent;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One address sample, with optional fields gated by the capturing
 /// mechanism's [`Capabilities`](crate::mechanism::Capabilities). Fields that
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// derived metrics degrade exactly as the paper describes (e.g. without
 /// latency, `lpi_NUMA` is unavailable and the tool falls back to
 /// `M_l`/`M_r` analysis as in the MRK case studies).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Sample {
     pub tid: usize,
     /// CPU that took the sample. PMU-based mechanisms report it directly;

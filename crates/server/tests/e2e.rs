@@ -61,7 +61,7 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
     let oracle = ProfileStore::new();
     for (label, p) in &corpus {
         oracle
-            .ingest_bytes(label, &p.to_json())
+            .ingest_profile(label, p.clone())
             .expect("oracle ingest");
     }
     let oracle_aggregate = oracle.aggregate().expect("oracle aggregate").text();

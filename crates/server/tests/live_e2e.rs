@@ -100,12 +100,10 @@ fn check_streamed_profiles_match_oneshot(c: &mut Client) {
     let streamed = profile(1);
     let oneshot = profile(2);
 
-    // Oracle: both profiles via plain JSON ingestion into a bare store.
+    // Oracle: both profiles ingested whole into a bare store.
     let oracle = ProfileStore::new();
-    let (oracle_id, _) = oracle
-        .ingest_bytes("streamed", &streamed.to_json())
-        .unwrap();
-    oracle.ingest_bytes("oneshot", &oneshot.to_json()).unwrap();
+    let (oracle_id, _) = oracle.ingest_profile("streamed", streamed.clone()).unwrap();
+    oracle.ingest_profile("oneshot", oneshot.clone()).unwrap();
 
     // One profile streamed in 3-thread chunks, one ingested one-shot.
     let (id, added, chunks) = c
@@ -278,11 +276,11 @@ fn binary_codec_ingest_and_stream_match_json_over_tcp() {
     let p1 = profile(1);
     let p2 = profile(2);
     let oracle = ProfileStore::new();
-    let (id1, _) = oracle.ingest_bytes("bin", &p1.to_json()).unwrap();
-    let (id2, _) = oracle.ingest_bytes("streamed", &p2.to_json()).unwrap();
+    let (id1, _) = oracle.ingest_profile("bin", p1.clone()).unwrap();
+    let (id2, _) = oracle.ingest_profile("streamed", p2.clone()).unwrap();
 
     // Ingest travels as codec bytes, yet the stored identity is the
-    // JSON oracle's: content ids are format-independent.
+    // in-process oracle's: content ids are transport-independent.
     let (id, added) = c.ingest_profile("bin", &p1).expect("binary ingest");
     assert!(added);
     assert_eq!(id, id1.to_string());

@@ -5,7 +5,7 @@
 //! was this access satisfied", which a tags-only model answers. Lines are
 //! 64 bytes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Line size in bytes (fixed — every modern x86/POWER level uses 64 B).
 pub const LINE_SIZE: u64 = 64;
@@ -15,7 +15,7 @@ pub const LINE_SHIFT: u32 = 6;
 const INVALID: u64 = u64::MAX;
 
 /// Geometry of one cache level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CacheConfig {
     pub size_bytes: u64,
     pub associativity: usize,

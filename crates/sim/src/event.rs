@@ -1,12 +1,12 @@
 //! Events the engine delivers to monitors.
 
 use numa_machine::{AccessLevel, CpuId, DomainId, PlacementPolicy};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Kind of data object, for data-centric attribution. The paper handles heap
 /// and static variables and lists stack variables as future work; the engine
 /// tags all three so the profiler can monitor stack data too.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum VarKind {
     Heap,
     Static,
@@ -31,7 +31,7 @@ impl VarKind {
 /// latency, and the data source — everything §3 lists as required for NUMA
 /// profiling. Monitors see *every* access; sampling mechanisms decide which
 /// become samples.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct MemoryEvent {
     /// Software thread index (0-based within the program).
     pub tid: usize,

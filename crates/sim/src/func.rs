@@ -7,18 +7,18 @@
 //! explicit).
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Interned function (or region) name.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct FuncId(pub u32);
 
 /// What a stack frame represents. Parallel regions are flagged so the
 /// analyzer can scope address-centric views to a single OpenMP-style region
 /// (as Figures 5 and 7 do).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum FrameKind {
     /// An ordinary function call.
     Function,
@@ -29,7 +29,7 @@ pub enum FrameKind {
 }
 
 /// One entry of a thread's call stack.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct Frame {
     pub func: FuncId,
     pub kind: FrameKind,

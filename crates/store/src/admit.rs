@@ -2,16 +2,15 @@
 //!
 //! Every public entry point — [`ProfileStore::ingest_profile`] (which is
 //! also how a sealed streaming session commits the profile it
-//! assembled), [`ProfileStore::ingest_bytes`],
-//! [`ProfileStore::ingest_binary`], [`ProfileStore::ingest_batch`] — and
+//! assembled), [`ProfileStore::ingest_binary`],
+//! [`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`] — and
 //! startup replay is an adapter that prepares [`Admission`] rows outside
-//! every lock (parse, encode canonically, hash) and hands them to
+//! every lock (decode, encode canonically, hash) and hands them to
 //! `ProfileStore::admit_all`, which owns the insert → commit → rollback
 //! tail once: one profile record per fresh row, all in one commit group.
-//! JSON stops at the adapters ([`ProfileStore::ingest_bytes`],
-//! [`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`]): it is
-//! parsed to the struct before anything is hashed, so below them the
-//! store hashes and logs codec bytes only.
+//! Every input is codec bytes — a profile file is a codec container — so
+//! the store never parses JSON; it decodes, re-encodes canonically and
+//! hashes, and logs only what it hashed.
 
 use crate::persist::{AppendResult, Persister};
 use crate::{wal, BatchReport, PersistStats, ProfileId, ProfileStore, StoreError, StoredProfile};
@@ -24,8 +23,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Files per [`ProfileStore::ingest_dir`] read-and-parse chunk: bounds
-/// buffered bytes while still letting rayon parse a chunk in parallel.
+/// Files per [`ProfileStore::ingest_dir`] read-and-decode chunk: bounds
+/// buffered bytes while still letting rayon decode a chunk in parallel.
 const INGEST_DIR_CHUNK: usize = 32;
 
 /// One profile prepared for admission: the stored form (which carries
@@ -227,38 +226,31 @@ impl ProfileStore {
         self.admit(row)
     }
 
-    /// Ingest one profile serialized as JSON.
-    pub fn ingest_bytes(&self, label: &str, json: &str) -> Result<(ProfileId, bool), StoreError> {
-        self.admit(self.prepare_json(label, json)?)
-    }
-
-    /// Ingest one binary-codec profile container (the
-    /// `caps::BINARY_CODEC` wire path). The buffer is decoded and the
-    /// profile's *re-encoding* is what gets hashed and logged, never the
-    /// buffer as sent: a container with reordered or unknown sections
-    /// (the codec skips them on decode) gets the id of its canonical
-    /// form and dedups against it, as does the same profile arriving as
-    /// JSON.
+    /// Ingest one binary-codec profile container — a profile file as
+    /// `hpcrun-sim --out` writes it, or the `caps::BINARY_CODEC` wire
+    /// payload. The buffer is decoded and the profile's *re-encoding* is
+    /// what gets hashed and logged, never the buffer as sent: a
+    /// container with reordered or unknown sections (the codec skips
+    /// them on decode) gets the id of its canonical form and dedups
+    /// against it.
     pub fn ingest_binary(
         &self,
         label: &str,
         bytes: &[u8],
     ) -> Result<(ProfileId, bool), StoreError> {
-        let profile = numa_codec::decode_profile(bytes).map_err(|e| self.parse_error(label, e))?;
-        let row = Admission::prepare(label, profile);
-        self.admit(row)
+        self.admit(self.prepare_binary(label, bytes)?)
     }
 
-    /// Ingest a batch of `(label, json)` inputs. Parsing and content
-    /// hashing — the expensive part — run in parallel under rayon (the
-    /// active thread pool; see `ThreadPool::install`); insertion is a
-    /// short sequential tail of per-shard lock grabs. On durable stores
+    /// Ingest a batch of `(label, codec bytes)` inputs. Decoding and
+    /// content hashing — the expensive part — run in parallel under rayon
+    /// (the active thread pool; see `ThreadPool::install`); insertion is
+    /// a short sequential tail of per-shard lock grabs. On durable stores
     /// the whole batch is enqueued to the persister at once and waits
     /// for a single group commit. Bad inputs are reported, not fatal.
-    pub fn ingest_batch(&self, inputs: &[(String, String)]) -> BatchReport {
+    pub fn ingest_batch(&self, inputs: &[(String, Vec<u8>)]) -> BatchReport {
         let prepared = inputs
             .par_iter()
-            .map(|(label, json)| self.prepare_json(label, json))
+            .map(|(label, bytes)| self.prepare_binary(label, bytes))
             .collect_vec();
         let mut report = BatchReport::default();
         let mut rows = Vec::new();
@@ -278,11 +270,9 @@ impl ProfileStore {
         report
     }
 
-    /// Parse one JSON input into a row, or count and type the failure.
-    /// The crate's one `NumaProfile::from_json`: JSON is transcoded here,
-    /// before hashing, and goes no further.
-    fn prepare_json(&self, label: &str, json: &str) -> Result<Admission, StoreError> {
-        let profile = NumaProfile::from_json(json).map_err(|e| self.parse_error(label, e))?;
+    /// Decode one container into a row, or count and type the failure.
+    fn prepare_binary(&self, label: &str, bytes: &[u8]) -> Result<Admission, StoreError> {
+        let profile = numa_codec::decode_profile(bytes).map_err(|e| self.parse_error(label, e))?;
         Ok(Admission::prepare(label, profile))
     }
 
@@ -294,16 +284,17 @@ impl ProfileStore {
         }
     }
 
-    /// Ingest every `*.json` file in a directory (sorted by file name,
-    /// so batch reports are deterministic). Files are read in bounded
-    /// chunks — the whole directory is never buffered at once — and an
-    /// unreadable file is recorded in [`BatchReport::io_errors`] instead
-    /// of aborting the batch. Only listing the directory itself fails
-    /// the call.
+    /// Ingest every entry of a directory as a profile file (sorted by
+    /// file name, so batch reports are deterministic); there is no
+    /// extension filter, so a file that is not a codec container is a
+    /// [`BatchReport::rejected`] row under its own name. Files are read
+    /// in bounded chunks — the whole directory is never buffered at once
+    /// — and an unreadable entry (a subdirectory, say) is recorded in
+    /// [`BatchReport::io_errors`] instead of aborting the batch. Only
+    /// listing the directory itself fails the call.
     pub fn ingest_dir(&self, dir: &Path) -> std::io::Result<BatchReport> {
         let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect();
         files.sort();
         let mut report = BatchReport::default();
@@ -326,8 +317,8 @@ impl ProfileStore {
                     },
                     None => f.display().to_string(),
                 };
-                match std::fs::read_to_string(f) {
-                    Ok(json) => inputs.push((label, json)),
+                match std::fs::read(f) {
+                    Ok(bytes) => inputs.push((label, bytes)),
                     Err(e) => report.io_errors.push((label, e.to_string())),
                 }
             }

@@ -5,12 +5,12 @@
 //! function of the struct alone — fixed section order, fixed-width
 //! big-endian integers, every list in stored order, no floats and no
 //! maps — so two runs that produced identical measurements hash
-//! identically no matter how the bytes arrived: a JSON file, a codec
+//! identically no matter how the bytes arrived: a profile file, a wire
 //! container (canonical or not) and a chunked stream of the same run
 //! all decode to the same struct first, and dedup to one stored copy.
 
 use numa_profiler::NumaProfile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::str::FromStr;
 
@@ -35,7 +35,7 @@ pub fn mix(h: u64, x: u64) -> u64 {
 }
 
 /// Content address of one stored profile.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ProfileId(pub u64);
 
 impl ProfileId {

@@ -10,18 +10,19 @@
 //! * **Content-addressed ingestion through one admission path**
 //!   ([`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`],
 //!   [`ProfileStore::ingest_binary`], [`ProfileStore::ingest_profile`],
-//!   ...): every entry point parses and hashes its input outside every
+//!   ...): every entry point decodes and hashes its input outside every
 //!   lock — a batch in parallel with rayon — and hands the prepared
 //!   rows to the single insert → commit → rollback tail in the `admit`
-//!   module. A profile is stored under the FNV-1a hash of its canonical
-//!   codec bytes ([`ProfileId::of`]), so duplicate runs dedup to one
-//!   copy whatever format they arrived in; those same bytes are the only
-//!   form the store hashes or logs — JSON is an input format, parsed at
-//!   the edge.
+//!   module. Every input is a codec container (a profile file, a wire
+//!   payload, an assembled stream); a profile is stored under the
+//!   FNV-1a hash of its canonical re-encoding ([`ProfileId::of`]), so
+//!   duplicate runs dedup to one copy however they arrived, and those
+//!   same bytes are the only form the store hashes or logs. The store
+//!   never reads JSON; it only renders it (`Query::ReportJson`).
 //! * **Hash-sharded shelves**: profiles live in N shard shelves keyed
 //!   by `content_hash & (N-1)`, each behind its own `RwLock`, so
 //!   concurrent ingests and queries touching different shards never
-//!   contend. All CPU work — parsing, canonical encoding, FNV-1a
+//!   contend. All CPU work — decoding, canonical encoding, FNV-1a
 //!   hashing — happens *before* any lock is taken; a shard write lock covers one
 //!   hash-map insert and a vec push.
 //! * **Cross-run merging** ([`ProfileStore::aggregate`]): pooled
@@ -34,7 +35,7 @@
 //! * **Group-commit durability** ([`ProfileStore::open_durable`]): WAL
 //!   appends are queued to a dedicated persister thread that batches
 //!   pending records and flushes once per batch (see the `persist`
-//!   module docs); startup replay parses records in parallel and
+//!   module docs); startup replay decodes records in parallel and
 //!   re-admits them through the same tail.
 //!
 //! The CLI front end is `hpcd-client` in the `numa-tools` crate, over
@@ -55,6 +56,9 @@ pub mod wal;
 pub use aggregate::{aggregate, CrossRunAggregate, VarAggregate};
 pub use cache::{CacheStats, MemoCache};
 pub use hash::{fnv1a, mix, ProfileId};
+/// The profile codec, for front ends that read and write profile files
+/// without a dependency edge of their own.
+pub use numa_codec as codec;
 
 use numa_analysis::{analyze, diff, full_text_report, render_cct, Analyzer};
 use numa_engine::Engine;

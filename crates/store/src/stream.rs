@@ -5,8 +5,7 @@
 //! per-run field except the threads) plus any number of `Threads`
 //! chunks — and appends them to an open session in any grouping or
 //! order. [`assemble`] reverses the split deterministically: threads
-//! are sorted by `tid` (duplicates rejected), CCT indices are rebuilt,
-//! and the result encodes to the exact same canonical codec bytes as the
+//! are sorted by `tid` (duplicates rejected), and the result encodes to the exact same canonical codec bytes as the
 //! original profile — so a streamed profile is byte-identical (content
 //! hash, set hash, aggregate text) to the same profile ingested one-shot.
 //!
@@ -44,7 +43,7 @@ const CHUNK_TAG_HEADER: u8 = 0;
 const CHUNK_TAG_THREADS: u8 = 1;
 
 impl ChunkPayload {
-    /// Serialize to the binary wire chunk format: a tag byte
+    /// Encode to the binary wire chunk format: a tag byte
     /// followed by a numa-codec container. A `Header` chunk is encoded
     /// as a full-profile container with an empty thread list; a
     /// `Threads` chunk as a thread-batch container — both sides of the
@@ -73,7 +72,7 @@ impl ChunkPayload {
         }
     }
 
-    /// Deserialize from the binary wire chunk format.
+    /// Decode from the binary wire chunk format.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, numa_codec::CodecError> {
         let (&tag, rest) = bytes
             .split_first()
@@ -147,8 +146,8 @@ pub fn split_profile(profile: &NumaProfile, threads_per_chunk: usize) -> Vec<Chu
 
 /// Reassemble chunks into a canonical profile: exactly one header,
 /// threads gathered from every `Threads` chunk and sorted by `tid`
-/// (duplicates rejected), CCT indices rebuilt. Chunk order does not
-/// matter — any permutation of the same chunks yields the same profile.
+/// (duplicates rejected). Chunk order does not matter — any
+/// permutation of the same chunks yields the same profile.
 pub fn assemble(chunks: Vec<ChunkPayload>) -> Result<NumaProfile, AssembleError> {
     let mut header: Option<Box<ProfileHeader>> = None;
     let mut threads: Vec<ThreadProfile> = Vec::new();
@@ -170,9 +169,6 @@ pub fn assemble(chunks: Vec<ChunkPayload>) -> Result<NumaProfile, AssembleError>
     threads.sort_by_key(|t| t.tid);
     if let Some(w) = threads.windows(2).find(|w| w[0].tid == w[1].tid) {
         return Err(AssembleError::DuplicateThread { tid: w[0].tid });
-    }
-    for t in &mut threads {
-        t.cct.rebuild_index();
     }
     Ok(NumaProfile {
         mechanism: header.mechanism,

@@ -1,8 +1,9 @@
 //! Cross-format store behavior: one profile gets one id however it
-//! arrives — a JSON file, codec bytes, a non-canonical container, a
+//! arrives — the struct, codec bytes, a non-canonical container, a
 //! chunked stream — and `ingest_dir` keeps non-UTF-8 file names
 //! distinguishable.
 
+use numa_engine::Engine;
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
@@ -12,12 +13,12 @@ use numa_store::wal::{scan_file, wal_path, WAL_MAGIC};
 use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = std::sync::Arc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
     let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
@@ -34,18 +35,17 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-/// Canonical JSON of three distinct profiles, generated once per test
-/// process (sampling is interval-randomized, so regenerating would not
-/// reproduce the same content).
-fn corpus() -> &'static [String; 3] {
-    static CORPUS: OnceLock<[String; 3]> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        [
-            profile(1).to_json(),
-            profile(2).to_json(),
-            profile(3).to_json(),
-        ]
-    })
+/// Three distinct profiles, generated once per test process (sampling
+/// is interval-randomized, so regenerating would not reproduce the same
+/// content).
+fn corpus() -> &'static [NumaProfile; 3] {
+    static CORPUS: OnceLock<[NumaProfile; 3]> = OnceLock::new();
+    CORPUS.get_or_init(|| [profile(1), profile(2), profile(3)])
+}
+
+/// Corpus profile `i` as a profile file holds it: its codec container.
+fn file_bytes(i: usize) -> Vec<u8> {
+    numa_codec::encode_profile(&corpus()[i])
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -64,31 +64,50 @@ fn open(dir: &Path) -> ProfileStore {
 }
 
 #[test]
-fn binary_ingest_dedups_with_json_and_shares_one_id() {
+fn binary_ingest_dedups_with_struct_ingest_and_shares_one_id() {
     let store = ProfileStore::new();
-    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let bytes = numa_codec::encode_profile(&p);
+    let bytes = file_bytes(0);
 
-    let (json_id, added) = store.ingest_bytes("as-json", &corpus()[0]).unwrap();
+    let (struct_id, added) = store
+        .ingest_profile("as-struct", corpus()[0].clone())
+        .unwrap();
     assert!(added);
-    // The same content arriving as codec bytes is the same profile:
-    // JSON is parsed to the struct before anything is hashed.
+    // The same content arriving as codec bytes is the same profile.
     let (bin_id, added) = store.ingest_binary("as-binary", &bytes).unwrap();
     assert!(!added);
-    assert_eq!(json_id, bin_id);
+    assert_eq!(struct_id, bin_id);
     assert_eq!(store.len(), 1);
 
     // Queries against a binary-only ingest answer identically to the
-    // JSON ingest of the same profile (the engine consumes the decoded
+    // struct ingest of the same profile (the engine consumes the decoded
     // scalar columns).
     let fresh = ProfileStore::new();
     let (id2, added) = fresh.ingest_binary("bin-only", &bytes).unwrap();
     assert!(added);
-    assert_eq!(id2, json_id);
+    assert_eq!(id2, struct_id);
     assert_eq!(
         fresh.aggregate().unwrap().text(),
         store.aggregate().unwrap().text()
     );
+}
+
+/// The engine's index survives a codec round trip of its profile:
+/// building from the decoded container answers exactly what building
+/// from the original does (guards against index state that depends on
+/// in-memory-only artifacts like CCT lookup tables).
+#[test]
+fn index_is_stable_across_codec_roundtrip() {
+    for (i, p) in corpus().iter().enumerate() {
+        let back = numa_codec::decode_profile(&file_bytes(i)).unwrap();
+        let a = Engine::new(Arc::new(p.clone()));
+        let b = Engine::new(Arc::new(back));
+        assert_eq!(a.totals(), b.totals());
+        assert_eq!(a.index().var_columns(), b.index().var_columns());
+        assert_eq!(
+            serde_json::to_string(a.merged_cct()).unwrap(),
+            serde_json::to_string(b.merged_cct()).unwrap()
+        );
+    }
 }
 
 #[test]
@@ -107,15 +126,17 @@ fn binary_ingest_rejects_garbage_with_typed_parse_error() {
 fn binary_ingests_replay_across_reopen() {
     let dir = scratch("bin-reopen");
     let oracle = ProfileStore::new();
-    for (i, json) in corpus().iter().enumerate() {
-        oracle.ingest_bytes(&format!("run-{i}"), json).unwrap();
+    for (i, p) in corpus().iter().enumerate() {
+        oracle
+            .ingest_profile(&format!("run-{i}"), p.clone())
+            .unwrap();
     }
     {
         let store = open(&dir);
-        for (i, json) in corpus().iter().enumerate() {
-            let p = NumaProfile::from_json(json).unwrap();
-            let bytes = numa_codec::encode_profile(&p);
-            store.ingest_binary(&format!("run-{i}"), &bytes).unwrap();
+        for i in 0..corpus().len() {
+            store
+                .ingest_binary(&format!("run-{i}"), &file_bytes(i))
+                .unwrap();
         }
         assert_eq!(store.set_hash(), oracle.set_hash());
         // No flush: replay must come from binary WAL records.
@@ -141,17 +162,17 @@ fn non_canonical(canonical: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The identity this store promises: one profile ingested as a JSON
-/// file, as its canonical codec bytes, as a non-canonical container and
-/// as a stream of reversed chunks gets one id and three dedups; that id
-/// is `ProfileId::of`'s (the benchmark harness's oracle); and the WAL
+/// The identity this store promises: one profile ingested as the
+/// struct, as its canonical codec bytes, as a non-canonical container
+/// and as a stream of reversed chunks gets one id and three dedups; that
+/// id is `ProfileId::of`'s (the benchmark harness's oracle); and the WAL
 /// holds the canonical bytes, once.
 #[test]
 fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
-    let p = NumaProfile::from_json(&corpus()[0]).unwrap();
-    let (id, canonical) = ProfileId::of(&p);
+    let p = &corpus()[0];
+    let (id, canonical) = ProfileId::of(p);
     assert_eq!(id.0, fnv1a(&canonical));
-    assert_eq!(canonical, numa_codec::encode_profile(&p));
+    assert_eq!(canonical, numa_codec::encode_profile(p));
     let odd = non_canonical(&canonical);
     assert_ne!(
         fnv1a(&odd),
@@ -160,15 +181,15 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     );
 
     let dir = scratch("four-formats");
-    let files = dir.join("files");
-    std::fs::create_dir_all(&files).unwrap();
-    std::fs::write(files.join("run.json"), &corpus()[0]).unwrap();
     let store = open(&dir.join("db"));
 
-    assert_eq!(store.ingest_dir(&files).unwrap().added, vec![id]);
+    assert_eq!(
+        store.ingest_profile("struct", p.clone()).unwrap(),
+        (id, true)
+    );
     assert_eq!(store.ingest_binary("bin", &canonical).unwrap(), (id, false));
     assert_eq!(store.ingest_binary("odd", &odd).unwrap(), (id, false));
-    let mut chunks = split_profile(&p, 1);
+    let mut chunks = split_profile(p, 1);
     chunks.reverse(); // header last, threads in reverse tid order
     let sealed = store.ingest_profile("streamed", assemble(chunks).unwrap());
     assert_eq!(sealed.unwrap(), (id, false));
@@ -204,11 +225,11 @@ fn ingest_dir_disambiguates_non_utf8_labels() {
     let dir = scratch("nonutf8");
     std::fs::create_dir_all(&dir).unwrap();
     // Two distinct non-UTF-8 names whose lossy conversion collides on
-    // "run-\u{FFFD}.json".
-    let name_a = OsStr::from_bytes(b"run-\xFF.json");
-    let name_b = OsStr::from_bytes(b"run-\xFE.json");
-    std::fs::write(dir.join(name_a), &corpus()[0]).unwrap();
-    std::fs::write(dir.join(name_b), &corpus()[1]).unwrap();
+    // "run-\u{FFFD}.hpcrun".
+    let name_a = OsStr::from_bytes(b"run-\xFF.hpcrun");
+    let name_b = OsStr::from_bytes(b"run-\xFE.hpcrun");
+    std::fs::write(dir.join(name_a), file_bytes(0)).unwrap();
+    std::fs::write(dir.join(name_b), file_bytes(1)).unwrap();
 
     let store = ProfileStore::new();
     let report = store.ingest_dir(&dir).unwrap();
@@ -226,15 +247,18 @@ fn ingest_dir_disambiguates_non_utf8_labels() {
     assert_ne!(labels[0], labels[1]);
     for label in &labels {
         assert!(
-            label.starts_with("run-\u{FFFD}.json#"),
+            label.starts_with("run-\u{FFFD}.hpcrun#"),
             "unexpected label {label:?}"
         );
         // Each label resolves to exactly one profile (no ambiguity).
         store.resolve(label).unwrap();
     }
     // A plain UTF-8 name keeps its unsuffixed label.
-    std::fs::write(dir.join("plain.json"), &corpus()[2]).unwrap();
+    std::fs::write(dir.join("plain.hpcrun"), file_bytes(2)).unwrap();
     store.ingest_dir(&dir).unwrap();
-    assert_eq!(&*store.resolve("plain.json").unwrap().label, "plain.json");
+    assert_eq!(
+        &*store.resolve("plain.hpcrun").unwrap().label,
+        "plain.hpcrun"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -60,33 +60,18 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-/// Canonical JSON of four distinct profiles, generated once per test
-/// process so every case ingests bit-identical content and cross-store
-/// hash comparisons are meaningful.
-fn corpus() -> &'static [String; 4] {
-    static CORPUS: OnceLock<[String; 4]> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        [
-            profile(1).to_json(),
-            profile(2).to_json(),
-            profile(3).to_json(),
-            profile(4).to_json(),
-        ]
-    })
+/// Four distinct profiles, generated once per test process so every
+/// case ingests bit-identical content and cross-store hash comparisons
+/// are meaningful.
+fn corpus() -> &'static [NumaProfile; 4] {
+    static CORPUS: OnceLock<[NumaProfile; 4]> = OnceLock::new();
+    CORPUS.get_or_init(|| [profile(1), profile(2), profile(3), profile(4)])
 }
 
-/// The same corpus as codec bytes: binary ops in a schedule ingest
-/// content-identical profiles, so the JSON oracle stays exact.
+/// The same corpus as codec bytes, as profile files hold it.
 fn bin_corpus() -> &'static [Vec<u8>; 4] {
     static BIN: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
-    BIN.get_or_init(|| {
-        corpus()
-            .iter()
-            .map(|json| numa_codec::encode_profile(&NumaProfile::from_json(json).unwrap()))
-            .collect::<Vec<_>>()
-            .try_into()
-            .unwrap()
-    })
+    BIN.get_or_init(|| corpus().each_ref().map(numa_codec::encode_profile))
 }
 
 /// Fresh scratch dir per call, unique across tests and matrix cases.
@@ -119,9 +104,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// One step of a seeded workload. `bin` selects how the op arrives —
-/// an ingest as codec bytes or as JSON the store transcodes, a stream's
-/// chunks as split or after a wire round trip — so the matrix exercises
-/// both arrival paths, and their mixtures, under faults.
+/// an ingest as codec bytes or as the struct, a stream's chunks as
+/// split or after a wire round trip — so the matrix exercises both
+/// arrival paths, and their mixtures, under faults.
 #[derive(Clone, Copy, Debug)]
 enum PlannedOp {
     /// One-shot ingest of `corpus()[idx]`.
@@ -203,15 +188,14 @@ fn run_schedule(seed: u64) {
                     let acked = if bin {
                         store.ingest_binary(&label, &bin_corpus()[idx]).is_ok()
                     } else {
-                        store.ingest_bytes(&label, &corpus()[idx]).is_ok()
+                        store.ingest_profile(&label, corpus()[idx].clone()).is_ok()
                     };
                     if acked {
-                        oracle.ingest_bytes(&label, &corpus()[idx]).unwrap();
+                        oracle.ingest_binary(&label, &bin_corpus()[idx]).unwrap();
                     }
                 }
                 PlannedOp::Stream { idx, parts, bin } => {
-                    let p = NumaProfile::from_json(&corpus()[idx]).unwrap();
-                    let mut chunks: Vec<ChunkPayload> = split_profile(&p, parts);
+                    let mut chunks: Vec<ChunkPayload> = split_profile(&corpus()[idx], parts);
                     if !bin {
                         // The other arm reaches the store the way the
                         // live layer hands its chunks over: each decoded
@@ -224,9 +208,8 @@ fn run_schedule(seed: u64) {
                     // seal is an ingest of what they assemble to, and the
                     // stream is in the model iff that was acked.
                     let assembled = assemble(chunks).unwrap();
-                    let json = assembled.to_json();
-                    if store.ingest_profile(&label, assembled).is_ok() {
-                        oracle.ingest_bytes(&label, &json).unwrap();
+                    if store.ingest_profile(&label, assembled.clone()).is_ok() {
+                        oracle.ingest_profile(&label, assembled).unwrap();
                     }
                 }
                 PlannedOp::Flush => {
@@ -324,7 +307,7 @@ fn oversized_body_len_is_torn_tail_not_allocation() {
     // Valid header + one intact record + a bogus header claiming ~4 GiB.
     let store =
         ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
-    store.ingest_bytes("keep", &corpus()[0]).unwrap();
+    store.ingest_binary("keep", &bin_corpus()[0]).unwrap();
     drop(store);
     let intact = std::fs::metadata(&path).unwrap().len();
     let mut bytes = std::fs::read(&path).unwrap();
@@ -342,7 +325,7 @@ fn oversized_body_len_is_torn_tail_not_allocation() {
     let store =
         ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
     assert_eq!(store.len(), 1);
-    store.ingest_bytes("after", &corpus()[1]).unwrap();
+    store.ingest_binary("after", &bin_corpus()[1]).unwrap();
     drop(store);
     let store =
         ProfileStore::open_durable_config(&dir, config(), PersistOptions::default()).unwrap();
@@ -394,9 +377,9 @@ fn snapshot_is_synced_before_each_wal_truncate() {
     )
     .unwrap();
     assert!(!snapshot_path(&dir).exists(), "open creates no snapshot");
-    store.ingest_bytes("a", &corpus()[0]).unwrap();
+    store.ingest_binary("a", &bin_corpus()[0]).unwrap();
     store.flush().unwrap();
-    store.ingest_bytes("b", &corpus()[1]).unwrap();
+    store.ingest_binary("b", &bin_corpus()[1]).unwrap();
     store.flush().unwrap();
     drop(store);
 
@@ -456,7 +439,6 @@ fn snapshot_is_synced_before_each_wal_truncate() {
 /// [`failed_append_is_typed_rolled_back_and_retryable`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Entry {
-    Bytes,
     Profile,
     Binary,
     BatchOne,
@@ -466,8 +448,7 @@ enum Entry {
 }
 
 impl Entry {
-    const ALL: [Entry; 6] = [
-        Entry::Bytes,
+    const ALL: [Entry; 5] = [
         Entry::Profile,
         Entry::Binary,
         Entry::BatchOne,
@@ -478,7 +459,7 @@ impl Entry {
     /// Admit `corpus()[0]` as "torn" through this entry point:
     /// `Ok(added)` or the typed error it reported.
     fn admit(self, store: &ProfileStore) -> Result<bool, StoreError> {
-        let batch = |inputs: &[(String, String)]| {
+        let batch = |inputs: &[(String, Vec<u8>)]| {
             let mut report = store.ingest_batch(inputs);
             assert!(report.rejected.is_empty() && report.io_errors.is_empty());
             assert_eq!(report.deduplicated, inputs.len() - 1);
@@ -491,18 +472,17 @@ impl Entry {
                 None => Ok(report.added.len() == 1),
             }
         };
-        let row = |label: &str| (label.to_string(), corpus()[0].clone());
+        let row = |label: &str| (label.to_string(), bin_corpus()[0].clone());
         match self {
-            Entry::Bytes => store.ingest_bytes("torn", &corpus()[0]).map(|r| r.1),
             Entry::Profile => store
-                .ingest_profile("torn", NumaProfile::from_json(&corpus()[0]).unwrap())
+                .ingest_profile("torn", corpus()[0].clone())
                 .map(|r| r.1),
             Entry::Binary => store.ingest_binary("torn", &bin_corpus()[0]).map(|r| r.1),
             Entry::BatchOne => batch(&[row("torn")]),
             Entry::BatchMixed => batch(&[row("torn"), row("torn-dup")]),
             // What a seal does with the chunks a session buffered.
             Entry::Sealed => {
-                let chunks = split_profile(&NumaProfile::from_json(&corpus()[0]).unwrap(), 2);
+                let chunks = split_profile(&corpus()[0], 2);
                 store
                     .ingest_profile("torn", assemble(chunks).unwrap())
                     .map(|r| r.1)
@@ -581,7 +561,7 @@ fn enospc_fails_ingest_keeps_serving_and_acked_data() {
     let dir = scratch("enospc");
     // Budget: header + the record ingest #1 writes + a sliver, so it
     // commits and ingest #2 hits ENOSPC.
-    let (id, bytes) = ProfileId::of(&NumaProfile::from_json(&corpus()[0]).unwrap());
+    let (id, bytes) = ProfileId::of(&corpus()[0]);
     let first = encode_bin_record("full-0", &bytes, id.0);
     let storage = Arc::new(FaultyStorage::new(FaultSpec {
         enospc_after: Some(FILE_HEADER_LEN + first.len() as u64 + 16),
@@ -594,9 +574,9 @@ fn enospc_fails_ingest_keeps_serving_and_acked_data() {
         Arc::clone(&storage) as Arc<dyn Storage>,
     )
     .unwrap();
-    store.ingest_bytes("full-0", &corpus()[0]).unwrap();
+    store.ingest_binary("full-0", &bin_corpus()[0]).unwrap();
     let before = store.aggregate().unwrap();
-    let err = store.ingest_bytes("full-1", &corpus()[1]).unwrap_err();
+    let err = store.ingest_binary("full-1", &bin_corpus()[1]).unwrap_err();
     assert!(err.to_string().contains("not durable"), "{err}");
     // Still serving: the acked profile resolves and aggregates — and
     // the rollback put the set hash back, so the aggregate memoized
@@ -646,11 +626,11 @@ fn a_failed_wal_reset_sync_keeps_later_appends() {
     )
     .unwrap();
 
-    store.ingest_bytes("folded", &corpus()[0]).unwrap();
+    store.ingest_binary("folded", &bin_corpus()[0]).unwrap();
     assert!(store.flush().is_err(), "sync 7 must fail this compaction");
     assert_eq!(storage.injected(), 1);
     // An ordinary ingest after the failed compaction must be durable.
-    store.ingest_bytes("later", &corpus()[1]).unwrap();
+    store.ingest_binary("later", &bin_corpus()[1]).unwrap();
     drop(store);
 
     let store =
@@ -755,11 +735,11 @@ fn a_failed_fold_loses_nothing_and_the_next_one_succeeds() {
         let snapshot_len = || std::fs::metadata(snapshot_path(&dir)).map_or(0, |m| m.len());
         let truncate_fault = spec.fail_set_len.is_some();
         let mut synced_len = 0;
-        for (flush, (label, json)) in [("a", &corpus()[0]), ("b", &corpus()[1])]
+        for (flush, (label, bytes)) in [("a", &bin_corpus()[0]), ("b", &bin_corpus()[1])]
             .into_iter()
             .enumerate()
         {
-            store.ingest_bytes(label, json).unwrap();
+            store.ingest_binary(label, bytes).unwrap();
             let wal_before = std::fs::metadata(wal_path(&dir)).unwrap().len();
             let flushed = store.flush();
             if flush + 1 != failing_flush {

@@ -34,19 +34,12 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-/// Canonical JSON of four distinct profiles, generated once per test
+/// Codec bytes of four distinct profiles, generated once per test
 /// process (profiler sampling is randomized, so the same `rounds` twice
 /// would produce different content).
-fn corpus() -> &'static [String; 4] {
-    static CORPUS: OnceLock<[String; 4]> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        [
-            profile(1).to_json(),
-            profile(2).to_json(),
-            profile(3).to_json(),
-            profile(4).to_json(),
-        ]
-    })
+fn corpus() -> &'static [Vec<u8>; 4] {
+    static CORPUS: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
+    CORPUS.get_or_init(|| [1, 2, 3, 4].map(|rounds| numa_codec::encode_profile(&profile(rounds))))
 }
 
 fn sharded(shards: usize) -> ProfileStore {
@@ -96,7 +89,7 @@ proptest! {
         for (kind, idx) in &ops {
             if *kind == 0 {
                 oracle
-                    .ingest_bytes(&format!("run-{idx}"), &corpus[*idx])
+                    .ingest_binary(&format!("run-{idx}"), &corpus[*idx])
                     .expect("corpus parses");
             }
         }
@@ -195,9 +188,9 @@ fn shard_count_rounds_to_power_of_two_and_clamps() {
 fn listings_preserve_insertion_order_across_shards() {
     let corpus = corpus();
     let store = sharded(8);
-    for (i, json) in corpus.iter().enumerate() {
+    for (i, bytes) in corpus.iter().enumerate() {
         store
-            .ingest_bytes(&format!("run-{i}"), json)
+            .ingest_binary(&format!("run-{i}"), bytes)
             .expect("parses");
     }
     let labels: Vec<String> = store
@@ -215,13 +208,13 @@ fn listings_preserve_insertion_order_across_shards() {
 fn shard_stats_account_for_every_profile_and_ingest() {
     let corpus = corpus();
     let store = sharded(8);
-    for (i, json) in corpus.iter().enumerate() {
+    for (i, bytes) in corpus.iter().enumerate() {
         store
-            .ingest_bytes(&format!("run-{i}"), json)
+            .ingest_binary(&format!("run-{i}"), bytes)
             .expect("parses");
     }
     // Re-ingest one duplicate: counted as a dedup hit, not a shard ingest.
-    store.ingest_bytes("dup", &corpus[0]).expect("parses");
+    store.ingest_binary("dup", &corpus[0]).expect("parses");
 
     let stats = store.stats();
     assert_eq!(stats.shards.len(), 8);
@@ -238,14 +231,15 @@ fn single_shard_matches_default_semantics() {
     let corpus = corpus();
     let one = sharded(1);
     let eight = sharded(8);
-    for (i, json) in corpus.iter().enumerate() {
-        one.ingest_bytes(&format!("run-{i}"), json).expect("parses");
+    for (i, bytes) in corpus.iter().enumerate() {
+        one.ingest_binary(&format!("run-{i}"), bytes)
+            .expect("parses");
     }
     // Reverse order into the 8-shard store: set hash is order- and
     // layout-insensitive.
-    for (i, json) in corpus.iter().enumerate().rev() {
+    for (i, bytes) in corpus.iter().enumerate().rev() {
         eight
-            .ingest_bytes(&format!("run-{i}"), json)
+            .ingest_binary(&format!("run-{i}"), bytes)
             .expect("parses");
     }
     assert_eq!(one.set_hash(), eight.set_hash());

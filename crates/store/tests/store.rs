@@ -5,6 +5,7 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
+use numa_store::codec::encode_profile;
 use numa_store::{ProfileStore, Query, StoreError};
 use std::sync::Arc;
 
@@ -47,9 +48,9 @@ fn ingest_dedups_by_content() {
 fn batch_ingest_reports_rejects_without_aborting() {
     let store = ProfileStore::new();
     let inputs = vec![
-        ("good-1".to_string(), profile(1).to_json()),
-        ("bad".to_string(), "{\"mechanism\":".to_string()),
-        ("good-2".to_string(), profile(2).to_json()),
+        ("good-1".to_string(), encode_profile(&profile(1))),
+        ("bad".to_string(), b"NPCB\0\x01".to_vec()),
+        ("good-2".to_string(), encode_profile(&profile(2))),
     ];
     let report = store.ingest_batch(&inputs);
     assert_eq!(report.added.len(), 2);
@@ -61,8 +62,8 @@ fn batch_ingest_reports_rejects_without_aborting() {
 
 #[test]
 fn set_hash_ignores_ingestion_order() {
-    let a = profile(1).to_json();
-    let b = profile(2).to_json();
+    let a = encode_profile(&profile(1));
+    let b = encode_profile(&profile(2));
     let s1 = ProfileStore::new();
     s1.ingest_batch(&[("a".into(), a.clone()), ("b".into(), b.clone())]);
     let s2 = ProfileStore::new();
@@ -209,20 +210,34 @@ fn address_view_and_diff_render() {
     assert!(code.text().contains("calling context"));
 }
 
+/// Every directory entry is read as a profile file, whatever its name:
+/// a container is added, a JSON file is a typed parse rejection under
+/// its own name (never transcoded), and a subdirectory is an I/O error.
 #[test]
-fn ingest_dir_loads_json_files() {
+fn ingest_dir_loads_profile_files() {
     let dir = std::env::temp_dir().join(format!("numa-store-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("a.json"), profile(1).to_json()).unwrap();
-    std::fs::write(dir.join("b.json"), profile(2).to_json()).unwrap();
-    std::fs::write(dir.join("ignored.txt"), "not a profile").unwrap();
-    let store = ProfileStore::new();
+    std::fs::create_dir_all(dir.join("nested")).unwrap();
+    std::fs::write(dir.join("a.hpcrun"), encode_profile(&profile(1))).unwrap();
+    std::fs::write(dir.join("old.json"), r#"{"mechanism":"Ibs","domains":8}"#).unwrap();
+    let store = Arc::new(ProfileStore::new());
+    let registry = numa_obs::Registry::new();
+    store.register_metrics(&registry);
     let report = store.ingest_dir(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(report.added.len(), 2);
-    assert!(report.rejected.is_empty());
-    assert_eq!(store.len(), 2);
-    assert!(store.resolve("a.json").is_ok());
+    assert_eq!(report.added.len(), 1, "{report:?}");
+    assert!(matches!(
+        report.rejected.as_slice(),
+        [(name, StoreError::Parse { label, message })]
+            if name == "old.json" && label == "old.json" && message.contains("bad magic")
+    ));
+    assert_eq!(report.io_errors.len(), 1, "{report:?}");
+    assert!(report.io_errors[0].0.contains("nested"));
+    assert_eq!(store.len(), 1);
+    assert!(store.resolve("a.hpcrun").is_ok());
+    assert!(registry
+        .render()
+        .lines()
+        .any(|l| l == "numa_store_parse_failures_total 1"));
 }
 
 #[test]
@@ -259,15 +274,15 @@ fn resolve_reports_ambiguity_with_candidates() {
 fn ingest_dir_records_unreadable_entries() {
     let dir = std::env::temp_dir().join(format!("numa-store-ioerr-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("good.json"), profile(1).to_json()).unwrap();
+    std::fs::write(dir.join("good.hpcrun"), encode_profile(&profile(1))).unwrap();
     // A *directory* named like a profile triggers a read error on every
     // platform (even running as root, where permission bits are ignored).
-    std::fs::create_dir_all(dir.join("bad.json")).unwrap();
+    std::fs::create_dir_all(dir.join("bad.hpcrun")).unwrap();
     let store = ProfileStore::new();
     let report = store.ingest_dir(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(report.added.len(), 1);
     assert_eq!(report.io_errors.len(), 1);
-    assert!(report.io_errors[0].0.contains("bad.json"));
+    assert!(report.io_errors[0].0.contains("bad.hpcrun"));
     assert_eq!(store.len(), 1);
 }

@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 /// A small profile; `rounds` varies the content hash. Sampling inside
 /// the simulated profiler is interval-randomized, so two calls with the
 /// same `rounds` produce *different* content — tests that need the same
-/// profile twice must serialize once and reuse the JSON (see [`corpus`]).
+/// profile twice must build it once and reuse it (see [`profiles`]).
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
@@ -44,19 +44,18 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
-/// Canonical JSON of four distinct profiles, generated once per test
-/// process so every test (and every proptest case) ingests bit-identical
-/// content and cross-store hash comparisons are meaningful.
-fn corpus() -> &'static [String; 4] {
-    static CORPUS: OnceLock<[String; 4]> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        [
-            profile(1).to_json(),
-            profile(2).to_json(),
-            profile(3).to_json(),
-            profile(4).to_json(),
-        ]
-    })
+/// Four distinct profiles, generated once per test process so every
+/// test (and every proptest case) ingests bit-identical content and
+/// cross-store hash comparisons are meaningful.
+fn profiles() -> &'static [NumaProfile; 4] {
+    static PROFILES: OnceLock<[NumaProfile; 4]> = OnceLock::new();
+    PROFILES.get_or_init(|| [profile(1), profile(2), profile(3), profile(4)])
+}
+
+/// [`profiles`] as codec bytes, as profile files hold them.
+fn corpus() -> &'static [Vec<u8>; 4] {
+    static CORPUS: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
+    CORPUS.get_or_init(|| profiles().each_ref().map(numa_codec::encode_profile))
 }
 
 /// Fresh scratch dir per call, unique across tests and proptest cases.
@@ -81,9 +80,9 @@ fn durable_store_round_trips_across_reopen() {
     let oracle = ProfileStore::new();
     {
         let store = open(&dir, PersistOptions::default());
-        for (r, json) in corpus().iter().enumerate() {
-            store.ingest_bytes(&format!("run-{r}"), json).unwrap();
-            oracle.ingest_bytes(&format!("run-{r}"), json).unwrap();
+        for (r, bytes) in corpus().iter().enumerate() {
+            store.ingest_binary(&format!("run-{r}"), bytes).unwrap();
+            oracle.ingest_binary(&format!("run-{r}"), bytes).unwrap();
         }
         assert!(store.is_durable());
         assert_eq!(store.set_hash(), oracle.set_hash());
@@ -107,10 +106,10 @@ fn flush_compacts_wal_into_snapshot() {
     let oracle = ProfileStore::new();
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("a", &corpus()[0]).unwrap();
-        store.ingest_bytes("b", &corpus()[1]).unwrap();
-        oracle.ingest_bytes("a", &corpus()[0]).unwrap();
-        oracle.ingest_bytes("b", &corpus()[1]).unwrap();
+        store.ingest_binary("a", &corpus()[0]).unwrap();
+        store.ingest_binary("b", &corpus()[1]).unwrap();
+        oracle.ingest_binary("a", &corpus()[0]).unwrap();
+        oracle.ingest_binary("b", &corpus()[1]).unwrap();
         store.flush().unwrap();
         assert!(store.persist_stats().snapshots_written >= 1);
     }
@@ -136,8 +135,8 @@ fn tiny_threshold_compacts_automatically() {
         ..PersistOptions::default()
     };
     let store = open(&dir, opts);
-    for (r, json) in corpus().iter().enumerate().take(3) {
-        store.ingest_bytes(&format!("run-{r}"), json).unwrap();
+    for (r, bytes) in corpus().iter().enumerate().take(3) {
+        store.ingest_binary(&format!("run-{r}"), bytes).unwrap();
     }
     assert!(store.persist_stats().snapshots_written >= 3);
     drop(store);
@@ -152,9 +151,9 @@ fn replay_does_not_reappend_records() {
     let dir = scratch("no-reappend");
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("in-snapshot", &corpus()[0]).unwrap();
+        store.ingest_binary("in-snapshot", &corpus()[0]).unwrap();
         store.flush().unwrap();
-        store.ingest_bytes("in-wal", &corpus()[1]).unwrap();
+        store.ingest_binary("in-wal", &corpus()[1]).unwrap();
     }
     let files = || {
         (
@@ -179,8 +178,8 @@ fn duplicate_content_is_not_persisted_twice() {
     let dir = scratch("dedup");
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("a", &corpus()[0]).unwrap();
-        store.ingest_bytes("a-again", &corpus()[0]).unwrap(); // same content hash
+        store.ingest_binary("a", &corpus()[0]).unwrap();
+        store.ingest_binary("a-again", &corpus()[0]).unwrap(); // same content hash
         assert_eq!(store.len(), 1);
     }
     let scan = scan_file(&wal_path(&dir), WAL_MAGIC).unwrap();
@@ -196,23 +195,23 @@ fn duplicate_content_is_not_persisted_twice() {
 fn sealed_sessions_replay_and_unsealed_are_dropped() {
     let dir = scratch("sessions");
     let oracle = ProfileStore::new();
-    oracle.ingest_bytes("streamed", &corpus()[0]).unwrap();
-    let a = NumaProfile::from_json(&corpus()[0]).unwrap();
+    oracle.ingest_binary("streamed", &corpus()[0]).unwrap();
+    let a = &profiles()[0];
     {
         let store = open(&dir, PersistOptions::default());
         let (_, added) = store
-            .ingest_profile("streamed", assemble(split_profile(&a, 2)).unwrap())
+            .ingest_profile("streamed", assemble(split_profile(a, 2)).unwrap())
             .unwrap();
         assert!(added);
         // The sealed stream is byte-identical to one-shot ingest: same
-        // set hash, and re-ingesting the original JSON dedups.
+        // set hash, and re-ingesting the original bytes dedups.
         assert_eq!(store.set_hash(), oracle.set_hash());
-        let (_, again) = store.ingest_bytes("streamed", &corpus()[0]).unwrap();
+        let (_, again) = store.ingest_binary("streamed", &corpus()[0]).unwrap();
         assert!(!again);
         // No flush: recovery must come from the WAL.
     }
     // One record, the one `ingest_binary` of the same profile writes.
-    let (id, canonical) = ProfileId::of(&a);
+    let (id, canonical) = ProfileId::of(a);
     let mut expect = encode_file_header(WAL_MAGIC).to_vec();
     expect.extend_from_slice(&encode_bin_record("streamed", &canonical, id.0));
     assert!(std::fs::read(wal_path(&dir)).unwrap() == expect);
@@ -237,15 +236,14 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
 #[test]
 fn acked_ids_are_the_ids_listed_after_a_reopen() {
     let dir = scratch("acked-ids");
-    let streamed = NumaProfile::from_json(&corpus()[2]).unwrap();
-    let labels = ["as-json", "streamed", "as-binary"];
+    let labels = ["as-struct", "streamed", "as-binary"];
     let (acked, set_hash) = {
         let store = open(&dir, PersistOptions::default());
-        let mut acked = vec![store.ingest_bytes(labels[0], &corpus()[0]).unwrap().0];
-        let sealed = assemble(split_profile(&streamed, 1)).unwrap();
+        let profile = profiles()[0].clone();
+        let mut acked = vec![store.ingest_profile(labels[0], profile).unwrap().0];
+        let sealed = assemble(split_profile(&profiles()[2], 1)).unwrap();
         acked.push(store.ingest_profile(labels[1], sealed).unwrap().0);
-        let binary = numa_codec::encode_profile(&NumaProfile::from_json(&corpus()[1]).unwrap());
-        acked.push(store.ingest_binary(labels[2], &binary).unwrap().0);
+        acked.push(store.ingest_binary(labels[2], &corpus()[1]).unwrap().0);
         (acked, store.set_hash())
     };
     let listed = |store: &ProfileStore| -> Vec<String> {
@@ -278,9 +276,9 @@ fn foreign_headers_refuse_the_open_and_leave_both_files_untouched() {
     let dir = scratch("foreign");
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("in-snapshot", &corpus()[0]).unwrap();
+        store.ingest_binary("in-snapshot", &corpus()[0]).unwrap();
         store.flush().unwrap();
-        store.ingest_bytes("in-wal", &corpus()[1]).unwrap();
+        store.ingest_binary("in-wal", &corpus()[1]).unwrap();
     }
     let files = || {
         (
@@ -344,7 +342,7 @@ fn a_retired_record_kind_under_this_header_is_a_torn_tail() {
         let dir = scratch("retired-kind");
         {
             let store = open(&dir, PersistOptions::default());
-            store.ingest_bytes("kept", &corpus()[0]).unwrap();
+            store.ingest_binary("kept", &corpus()[0]).unwrap();
         }
         let intact = std::fs::read(wal_path(&dir)).unwrap();
         let mut body = vec![kind];
@@ -371,7 +369,7 @@ fn a_retired_record_kind_under_this_header_is_a_torn_tail() {
             "kind {kind}"
         );
         assert!(std::fs::read(wal_path(&dir)).unwrap() == intact);
-        store.ingest_bytes("next", &corpus()[2]).unwrap();
+        store.ingest_binary("next", &corpus()[2]).unwrap();
         drop(store);
         assert_eq!(open(&dir, PersistOptions::default()).len(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -390,9 +388,9 @@ fn snapshot_records(dir: &Path) -> (Vec<(String, u64)>, u64, u64) {
     (records, scan.valid_len, scan.truncated_bytes)
 }
 
-/// `corpus()[k]` as the record a fold (or an ingest) frames it as.
+/// `profiles()[k]` as the record a fold (or an ingest) frames it as.
 fn record_of(label: &str, k: usize) -> (ProfileId, Vec<u8>) {
-    let (id, bytes) = ProfileId::of(&NumaProfile::from_json(&corpus()[k]).unwrap());
+    let (id, bytes) = ProfileId::of(&profiles()[k]);
     (id, encode_bin_record(label, &bytes, id.0))
 }
 
@@ -417,7 +415,7 @@ fn an_id_sorted_snapshot_opens_and_is_folded_on_top_of() {
     let old_ids: Vec<ProfileId> = old.iter().map(|(id, _)| *id).collect();
     assert_eq!(store.ids(), old_ids);
     let (new_id, new_record) = record_of("new", 3);
-    assert_eq!(store.ingest_bytes("new", &corpus()[3]).unwrap().0, new_id);
+    assert_eq!(store.ingest_binary("new", &corpus()[3]).unwrap().0, new_id);
     store.flush().unwrap();
     let p = store.persist_stats();
     assert_eq!(p.records_folded, 1);
@@ -441,7 +439,7 @@ fn a_torn_snapshot_tail_is_truncated_at_open_and_folded_past() {
     let dir = scratch("torn-snapshot");
     {
         let store = open(&dir, PersistOptions::default());
-        store.ingest_bytes("kept", &corpus()[0]).unwrap();
+        store.ingest_binary("kept", &corpus()[0]).unwrap();
         store.flush().unwrap();
     }
     let intact = std::fs::read(snapshot_path(&dir)).unwrap();
@@ -459,7 +457,10 @@ fn a_torn_snapshot_tail_is_truncated_at_open_and_folded_past() {
     );
     assert_eq!(p.snapshot_bytes, intact.len() as u64);
     assert!(std::fs::read(snapshot_path(&dir)).unwrap() == intact);
-    assert_eq!(store.ingest_bytes("next", &corpus()[1]).unwrap().0, next_id);
+    assert_eq!(
+        store.ingest_binary("next", &corpus()[1]).unwrap().0,
+        next_id
+    );
     store.flush().unwrap();
     drop(store);
     let mut expect = intact;
@@ -478,8 +479,8 @@ fn a_torn_snapshot_tail_is_truncated_at_open_and_folded_past() {
 fn records_folded_before_a_crash_are_not_folded_again() {
     let dir = scratch("fold-crash");
     let store = open(&dir, PersistOptions::default());
-    store.ingest_bytes("a", &corpus()[0]).unwrap();
-    store.ingest_bytes("b", &corpus()[1]).unwrap();
+    store.ingest_binary("a", &corpus()[0]).unwrap();
+    store.ingest_binary("b", &corpus()[1]).unwrap();
     let full_wal = std::fs::read(wal_path(&dir)).unwrap();
     store.flush().unwrap();
     drop(store);
@@ -492,7 +493,7 @@ fn records_folded_before_a_crash_are_not_folded_again() {
     assert_eq!((p.snapshot_records_loaded, p.wal_records_replayed), (2, 2));
     assert_eq!(store.len(), 2);
     let (_, c_record) = record_of("c", 2);
-    store.ingest_bytes("c", &corpus()[2]).unwrap();
+    store.ingest_binary("c", &corpus()[2]).unwrap();
     store.flush().unwrap();
     assert_eq!(store.persist_stats().records_folded, 1);
     drop(store);
@@ -512,9 +513,9 @@ fn build_wal(dir: &Path) -> (Vec<u64>, Vec<u64>) {
     let oracle = ProfileStore::new();
     let mut ends = Vec::new();
     let mut hashes = vec![oracle.set_hash()];
-    for (r, json) in corpus().iter().enumerate().take(3) {
-        store.ingest_bytes(&format!("run-{r}"), json).unwrap();
-        oracle.ingest_bytes(&format!("run-{r}"), json).unwrap();
+    for (r, bytes) in corpus().iter().enumerate().take(3) {
+        store.ingest_binary(&format!("run-{r}"), bytes).unwrap();
+        oracle.ingest_binary(&format!("run-{r}"), bytes).unwrap();
         ends.push(std::fs::metadata(wal_path(dir)).unwrap().len());
         hashes.push(oracle.set_hash());
     }
@@ -549,7 +550,7 @@ proptest! {
 
         // The reopened writer resumes from the intact prefix: a fresh
         // ingest after damage must survive the next reopen.
-        store.ingest_bytes("after-damage", &corpus()[3]).unwrap();
+        store.ingest_binary("after-damage", &corpus()[3]).unwrap();
         let expect = store.set_hash();
         drop(store);
         let store = open(&dir, PersistOptions::default());

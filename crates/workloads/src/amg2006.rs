@@ -24,10 +24,10 @@ use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use crate::lulesh::block;
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Data-placement variants of the AMG2006 case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum AmgVariant {
     /// Master init: everything first-touched into domain 0.
     Baseline,

@@ -9,10 +9,10 @@ use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use crate::lulesh::block;
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which canonical shape the kernel produces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum SyntheticPattern {
     /// Disjoint ascending per-thread blocks.
     Blocked,

@@ -15,10 +15,10 @@
 use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Variants of the UMT2013 case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum UmtVariant {
     /// Master-thread initialization of `STime`.
     Baseline,

@@ -87,7 +87,8 @@ fn reports_are_renderable_and_serializable_for_all_mechanisms() {
 fn profile_json_roundtrip_preserves_analysis() {
     let profile = run(MechanismKind::Ibs, 16);
     let a1 = Analyzer::new(profile.clone());
-    let back = NumaProfile::from_json(&profile.to_json()).unwrap();
+    let file = numa_store::codec::encode_profile(&profile);
+    let back = numa_store::codec::decode_profile(&file).unwrap();
     let a2 = Analyzer::new(back);
     assert_eq!(a1.totals().samples_mem, a2.totals().samples_mem);
     assert_eq!(a1.totals().m_remote, a2.totals().m_remote);

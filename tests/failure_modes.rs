@@ -2,7 +2,6 @@
 //! loudly on programming errors and degrade gracefully on bad inputs.
 
 use hpctoolkit_numa::machine::{DomainId, Machine, MachinePreset, PlacementPolicy};
-use hpctoolkit_numa::profiler::NumaProfile;
 use hpctoolkit_numa::sim::{ExecMode, Program};
 
 fn machine() -> Machine {
@@ -100,15 +99,17 @@ fn unbalanced_exits_surface_on_the_profile_not_as_a_panic() {
     // The malformed thread still profiled its compute work.
     assert!(profile.threads[1].instructions >= 100);
     // And the count survives the on-disk round trip.
-    let round = NumaProfile::from_json(&profile.to_json()).expect("round trip");
+    let file = numa_store::codec::encode_profile(&profile);
+    let round = numa_store::codec::decode_profile(&file).expect("round trip");
     assert_eq!(round.total_stack_underflows(), 2);
 }
 
 #[test]
 fn corrupt_profiles_are_rejected_not_panicked() {
-    assert!(NumaProfile::from_json("not json").is_err());
-    assert!(NumaProfile::from_json("{}").is_err());
-    assert!(NumaProfile::from_json("{\"mechanism\":\"Ibs\"}").is_err());
+    use numa_store::codec::decode_profile;
+    assert!(decode_profile(b"not a profile").is_err());
+    assert!(decode_profile(b"NPCB").is_err());
+    assert!(decode_profile(b"{\"mechanism\":\"Ibs\"}").is_err());
 }
 
 #[test]

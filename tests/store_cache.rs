@@ -18,9 +18,12 @@ fn run(options: u64) -> NumaProfile {
     profile
 }
 
-fn corpus(n: usize) -> Vec<(String, String)> {
+fn corpus(n: usize) -> Vec<(String, Vec<u8>)> {
     (0..n)
-        .map(|i| (format!("run-{i}"), run(64 + 16 * i as u64).to_json()))
+        .map(|i| {
+            let bytes = numa_store::codec::encode_profile(&run(64 + 16 * i as u64));
+            (format!("run-{i}"), bytes)
+        })
         .collect()
 }
 
@@ -48,8 +51,8 @@ fn batched_ingestion_dedups_and_pools() {
 #[test]
 fn cache_counters_track_cold_and_warm_queries() {
     let store = ProfileStore::new();
-    for (label, json) in corpus(2) {
-        store.ingest_bytes(&label, &json).unwrap();
+    for (label, bytes) in corpus(2) {
+        store.ingest_binary(&label, &bytes).unwrap();
     }
     let ids = store.ids();
 
@@ -75,8 +78,8 @@ fn cache_counters_track_cold_and_warm_queries() {
 #[test]
 fn tiny_cache_evicts_under_pressure() {
     let store = ProfileStore::with_cache_capacity(1);
-    for (label, json) in corpus(2) {
-        store.ingest_bytes(&label, &json).unwrap();
+    for (label, bytes) in corpus(2) {
+        store.ingest_binary(&label, &bytes).unwrap();
     }
     let ids = store.ids();
     // Far more distinct queries than the cache can hold.

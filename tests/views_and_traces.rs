@@ -124,8 +124,8 @@ fn tracing_disabled_by_default() {
 #[test]
 fn traces_roundtrip_through_json() {
     let a = run(default_config().with_trace(10_000));
-    let json = a.profile().to_json();
-    let back = hpctoolkit_numa::profiler::NumaProfile::from_json(&json).unwrap();
+    let file = numa_store::codec::encode_profile(a.profile());
+    let back = numa_store::codec::decode_profile(&file).unwrap();
     assert_eq!(
         back.threads[1].trace.len(),
         a.profile().threads[1].trace.len()
