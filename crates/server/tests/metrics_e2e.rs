@@ -323,6 +323,11 @@ fn http_responder_serves_the_registry() {
 fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
     let (server, addr) = spawn_server(ServerConfig::default(), Arc::new(ProfileStore::new()));
     let server = run_server(server);
+    // Connected first: a connection holds one of the default four
+    // workers for its whole life, so an observer that lost the race to
+    // four writers would wait out the read timeout instead of scraping.
+    let mut c = Client::connect(addr).expect("observer connect");
+    c.ping().expect("observer holds a worker");
 
     // Four writers hammer the daemon with mixed ops while the main
     // thread scrapes continuously. Every snapshot must be internally
@@ -346,7 +351,6 @@ fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
         })
         .collect();
 
-    let mut c = Client::connect(addr).expect("observer connect");
     for _ in 0..50 {
         let stats = c.server_stats().expect("stats");
         assert!(stats.latency.p50_us <= stats.latency.p95_us);

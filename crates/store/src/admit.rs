@@ -10,7 +10,9 @@
 //! tail once: one profile record per fresh row, all in one commit group.
 //! Every input is codec bytes — a profile file is a codec container — so
 //! the store never parses JSON; it decodes, re-encodes canonically and
-//! hashes, and logs only what it hashed.
+//! hashes, and logs only what it hashed. That hash is the only pass over
+//! a payload on the way to disk: framing a record hashes its header, and
+//! a fold copies the framed record as it is.
 
 use crate::persist::{AppendResult, Persister};
 use crate::{wal, BatchReport, PersistStats, ProfileId, ProfileStore, StoreError, StoredProfile};
@@ -48,10 +50,11 @@ impl Admission {
         }
     }
 
-    /// A recovered profile record as a row. No re-hash: the id was
-    /// computed at ingest time and the record is checksum-protected, so
-    /// it is trusted as recorded — the cost of replay is the columnar
-    /// decode the caller already did.
+    /// A recovered profile record as a row. The scan already re-derived
+    /// the recorded id from the payload — that hash is the payload's
+    /// checksum — so the id is taken as recorded and no encode runs:
+    /// the rest of replay's cost is the columnar decode the caller
+    /// already did.
     fn recorded(r: wal::BinProfileRecord, profile: NumaProfile) -> Self {
         let id = ProfileId(r.content_hash);
         let sp = StoredProfile::new(id, &r.label, profile, r.bytes.len());
@@ -59,6 +62,11 @@ impl Admission {
             sp: Arc::new(sp),
             bytes: r.bytes,
         }
+    }
+
+    /// The WAL record this row is committed as.
+    fn record(&self) -> Vec<u8> {
+        wal::encode_bin_record(&self.sp.label, &self.bytes, self.sp.id.0)
     }
 }
 
@@ -100,13 +108,11 @@ impl ProfileStore {
     /// simply be retried. In-memory stores (and replay, which runs
     /// before the persister is attached) stop after the insert.
     ///
-    /// Insert comes *before* persist, on purpose. The fold that
-    /// discards a row's WAL record first appends the profile to the
-    /// snapshot, and it gets the profile by looking the committed id up
-    /// on its shelf — possibly in the same persister step that commits
-    /// the record, before this call has seen its ack. Inserting first
-    /// guarantees that lookup finds it; ack ⇒ durable then needs only
-    /// the rollback below.
+    /// Insert comes *before* persist, on purpose: the insert is the
+    /// dedup decision. Only a row that shelved as new is logged, so a
+    /// profile is committed once however many identical ingests race,
+    /// and they race on a shard lock, never on the log. Ack ⇒ durable
+    /// then needs only the rollback below.
     ///
     /// Known caveat: a concurrent identical ingest can dedup against an
     /// insert whose commit then fails — it reports `Ok(false)` for a
@@ -159,16 +165,11 @@ impl ProfileStore {
     }
 
     /// Frame one profile record per row — here, on the ingest thread,
-    /// outside every lock — enqueue them all, and block until the
-    /// group-commit persister has flushed or failed each.
+    /// outside every lock; a copy and a header hash each — enqueue them
+    /// all, and block until the group-commit persister has flushed or
+    /// failed each.
     fn persist_batch(p: &Persister, rows: &[&Admission]) -> Vec<AppendResult> {
-        let records = rows
-            .par_iter()
-            .map(|row| {
-                let record = wal::encode_bin_record(&row.sp.label, &row.bytes, row.sp.id.0);
-                (row.sp.id, record)
-            })
-            .collect_vec();
+        let records = rows.iter().map(|row| row.record()).collect();
         let started = Instant::now();
         let acks = p.append_all(records);
         trace::note_wal_ack_us(started.elapsed().as_micros() as u64);
@@ -185,14 +186,15 @@ impl ProfileStore {
     /// files are written in commit order, so listings after a restart
     /// read in the order the profiles were acknowledged.
     ///
-    /// Returns the ids only the log holds — its rows that admitted as
-    /// new — which is what the next fold owes the snapshot.
+    /// Returns the records only the log holds — its rows that admitted
+    /// as new, framed again from the bytes the scan read — which is what
+    /// the next fold owes the snapshot.
     pub(crate) fn recover(
         &self,
         snapshot: Vec<wal::BinProfileRecord>,
         log: Vec<wal::BinProfileRecord>,
         stats: &mut PersistStats,
-    ) -> Vec<ProfileId> {
+    ) -> Vec<Vec<u8>> {
         self.admit_all(&recorded_rows(snapshot, stats));
         let log_rows = recorded_rows(log, stats);
         let admitted = self.admit_all(&log_rows);
@@ -200,7 +202,7 @@ impl ProfileStore {
             .iter()
             .zip(admitted)
             .filter(|(_, outcome)| matches!(outcome, Ok(true)))
-            .map(|(row, _)| row.sp.id)
+            .map(|(row, _)| row.record())
             .collect()
     }
 

@@ -373,8 +373,7 @@ impl Shard {
     }
 }
 
-/// The sharded shelf set, shared with the persister thread (a fold
-/// looks committed profiles up through it).
+/// The sharded shelf set.
 struct ShardSet {
     shards: Vec<Shard>,
     /// `shards.len() - 1`; the shard count is a power of two.
@@ -443,8 +442,9 @@ impl Default for StoreConfig {
 pub struct PersistOptions {
     /// Compact (fold the WAL into the snapshot and reset it) once the
     /// WAL has grown to this many bytes. A compaction costs what was
-    /// committed since the last one, so this bounds replay time, not
-    /// write volume.
+    /// committed since the last one, so this bounds replay time and the
+    /// framed records the persister keeps for the next fold, not write
+    /// volume.
     pub snapshot_wal_bytes: u64,
     /// `fsync` the WAL once per group commit. Off by default: flushing
     /// to the OS already survives a SIGKILL of the daemon; `fsync`
@@ -521,7 +521,7 @@ pub struct ShardStats {
 /// The store: hash-sharded profiles plus the memo cache over them,
 /// optionally backed by a WAL + snapshot data directory.
 pub struct ProfileStore {
-    shards: Arc<ShardSet>,
+    shards: ShardSet,
     cache: MemoCache<(u64, Query), Artifact>,
     dedup_hits: Counter,
     parse_failures: Counter,
@@ -588,7 +588,7 @@ impl ProfileStore {
     pub fn with_config(config: StoreConfig) -> Self {
         let shards = config.shards.clamp(1, 256).next_power_of_two();
         ProfileStore {
-            shards: Arc::new(ShardSet::new(shards)),
+            shards: ShardSet::new(shards),
             cache: MemoCache::new(config.cache_capacity),
             dedup_hits: Counter::new(),
             parse_failures: Counter::new(),
@@ -693,17 +693,7 @@ impl ProfileStore {
             unfolded,
             stats: base,
         };
-        // The fold's row closure runs on the persister thread: it takes
-        // a committed profile off its shelf under a brief shard read lock
-        // and serializes it outside any lock.
-        let shards = Arc::clone(&store.shards);
-        let row: persist::RowFn = Box::new(move |id| {
-            let sp = shards.get(id)?;
-            let bytes = numa_codec::encode_profile(&sp.profile);
-            Some((sp.label.to_string(), bytes, sp.id.0))
-        });
-        let persister =
-            persist::Persister::spawn(dir.to_path_buf(), recovered, opts, storage, row)?;
+        let persister = persist::Persister::spawn(dir.to_path_buf(), recovered, opts, storage)?;
         let _ = store.persist.set(persister);
         Ok(store)
     }

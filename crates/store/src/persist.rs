@@ -29,14 +29,12 @@
 //! has grown by its bound since the last one) also runs on the persister
 //! thread, and costs what was committed since the last one, not the
 //! corpus. The snapshot is an append-only base log (see
-//! [`crate::snapshot`]) this thread holds open beside the WAL. Every
-//! record commits one profile and is enqueued with that profile's id,
-//! and the worker remembers the ids of committed groups. A fold then
+//! [`crate::snapshot`]) this thread holds open beside the WAL. The
+//! worker keeps the framed records of every committed group — the very
+//! buffers it wrote to the WAL, moved rather than copied — and a fold
 //!
-//! 1. appends one profile record per remembered id to the snapshot (the
-//!    row closure looks each id up on its shelf — insert precedes
-//!    persist, so a committed id is always there; a miss fails the fold
-//!    rather than dropping an acknowledged record),
+//! 1. writes those bytes to the snapshot, one `write` per record, with
+//!    no encode and no hash,
 //! 2. `sync_data`s the snapshot — always, whatever
 //!    [`PersistOptions::fsync`] says, because step 3 destroys the only
 //!    other copy,
@@ -44,15 +42,21 @@
 //!
 //! A failure in step 1 or 2 truncates the snapshot back to its last
 //! synced length and leaves the WAL alone: nothing acknowledged is at
-//! risk and the next fold retries the same ids. A crash between 2 and 3
-//! leaves the folded records in both files; replay dedups them, and
-//! because only WAL rows that admitted as *new* are remembered at open,
-//! none is folded twice. The snapshot is created by the first fold, not
-//! at open (header → `sync_data` → directory fsync, like the WAL's).
+//! risk and the next fold retries the same records. A crash between 2
+//! and 3 leaves the folded records in both files; replay dedups them,
+//! and because only WAL rows that admitted as *new* are re-framed at
+//! open, none is folded twice. The snapshot is created by the first
+//! fold, not at open (header → `sync_data` → directory fsync, like the
+//! WAL's).
+//!
+//! The kept records are the WAL's own records, so they cost at most
+//! [`PersistOptions::snapshot_wal_bytes`] plus one commit group of
+//! memory; a store opened with `u64::MAX` holds its whole WAL until
+//! [`Persister::flush`].
 
-use crate::snapshot::{snapshot_path, SnapshotRow};
-use crate::wal::{encode_bin_record, WalWriter, SNAPSHOT_MAGIC};
-use crate::{PersistOptions, PersistStats, ProfileId};
+use crate::snapshot::snapshot_path;
+use crate::wal::{WalWriter, SNAPSHOT_MAGIC};
+use crate::{PersistOptions, PersistStats};
 use numa_faults::Storage;
 use parking_lot::Mutex;
 use std::io;
@@ -62,29 +66,21 @@ use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Produces the [`SnapshotRow`] (label, canonical codec bytes, content
-/// hash) a fold appends for one committed id; `None` when the id is not
-/// on its shelf. Runs on the persister thread, one id at a time, so a
-/// fold of any size holds one encoded profile.
-pub(crate) type RowFn = Box<dyn Fn(ProfileId) -> Option<SnapshotRow> + Send + 'static>;
-
 /// Why a record could not be made durable: its commit group failed and
 /// was rolled back. Converted to [`crate::StoreError::Persist`] at the
 /// ingest API boundary.
 pub(crate) type AppendResult = Result<(), String>;
 
-/// One record written since the last commit point: the profile it
-/// commits and where to send its outcome.
-type Staged = (ProfileId, SyncSender<AppendResult>);
+/// One record written since the last commit point: its framed bytes,
+/// which the next fold appends to the snapshot, and where to send its
+/// outcome.
+type Staged = (Vec<u8>, SyncSender<AppendResult>);
 
 enum Op {
     /// One pre-encoded WAL record; ack fires once its commit group is
     /// flushed (`Ok`) or has failed and been rolled back (`Err`).
-    /// `makes_durable` is the profile this record commits, which the
-    /// next fold appends to the snapshot.
     Append {
         record: Vec<u8>,
-        makes_durable: ProfileId,
         ack: SyncSender<AppendResult>,
     },
     /// Commit pending appends, then fold the WAL into the snapshot.
@@ -111,9 +107,9 @@ pub(crate) struct Recovered {
     /// `None` when the directory has no snapshot yet; the first fold
     /// creates it.
     pub(crate) snapshot: Option<WalWriter>,
-    /// Ids the WAL holds and the snapshot does not: the replayed rows
-    /// that admitted as new, in log order.
-    pub(crate) unfolded: Vec<ProfileId>,
+    /// Records the WAL holds and the snapshot does not: the replayed
+    /// rows that admitted as new, re-framed, in log order.
+    pub(crate) unfolded: Vec<Vec<u8>>,
     /// Recovery-time constants (replay counts, truncation).
     pub(crate) stats: PersistStats,
 }
@@ -139,7 +135,6 @@ impl Persister {
         recovered: Recovered,
         opts: PersistOptions,
         storage: Arc<dyn Storage>,
-        row: RowFn,
     ) -> io::Result<Persister> {
         let Recovered {
             wal,
@@ -166,7 +161,6 @@ impl Persister {
                     opts,
                     shared: worker_shared,
                     storage,
-                    row,
                 }
                 .run(rx)
             })?;
@@ -178,14 +172,14 @@ impl Persister {
         })
     }
 
-    /// Enqueue a batch of pre-encoded records, each with the profile it
-    /// commits, and block until every one is flushed or has failed.
+    /// Enqueue a batch of pre-encoded records and block until every one
+    /// is flushed or has failed.
     /// Enqueueing the whole batch before waiting lets the persister
     /// commit it (plus anything other threads queued) with a single
     /// flush. Returns one result per record, in input order; a stopped
     /// persister fails the records it never wrote rather than
     /// acknowledging them.
-    pub(crate) fn append_all(&self, records: Vec<(ProfileId, Vec<u8>)>) -> Vec<AppendResult> {
+    pub(crate) fn append_all(&self, records: Vec<Vec<u8>>) -> Vec<AppendResult> {
         let n = records.len();
         if n == 0 {
             return Vec::new();
@@ -194,14 +188,9 @@ impl Persister {
         {
             let guard = self.tx.lock();
             if let Some(tx) = guard.as_ref() {
-                for (makes_durable, record) in records {
+                for record in records {
                     let (ack, wait) = sync_channel(1);
-                    let op = Op::Append {
-                        record,
-                        makes_durable,
-                        ack,
-                    };
-                    if tx.send(op).is_err() {
+                    if tx.send(Op::Append { record, ack }).is_err() {
                         break;
                     }
                     waits.push(wait);
@@ -264,13 +253,12 @@ struct Worker {
     /// creates it (or after a roll-back of it failed — the next fold
     /// reopens it at its last synced length).
     snapshot: Option<WalWriter>,
-    /// Profiles committed to the WAL since the last fold, in commit
+    /// Records committed to the WAL since the last fold, in commit
     /// order: what the next fold appends to the snapshot.
-    unfolded: Vec<ProfileId>,
+    unfolded: Vec<Vec<u8>>,
     opts: PersistOptions,
     shared: Arc<Shared>,
     storage: Arc<dyn Storage>,
-    row: RowFn,
 }
 
 impl Worker {
@@ -300,11 +288,7 @@ impl Worker {
         let mut group_err: Option<String> = None;
         for op in batch {
             match op {
-                Op::Append {
-                    record,
-                    makes_durable,
-                    ack,
-                } => {
+                Op::Append { record, ack } => {
                     if group_err.is_none() {
                         if let Err(e) = self.wal.write_encoded(&record) {
                             self.shared.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -312,7 +296,7 @@ impl Worker {
                             group_err = Some(e.to_string());
                         }
                     }
-                    staged.push((makes_durable, ack));
+                    staged.push((record, ack));
                 }
                 Op::Flush { ack } => {
                     let pending = self.finish_group(&mut staged, &mut group_err);
@@ -368,13 +352,14 @@ impl Worker {
                 e.to_string()
             }),
         };
+        let (records, acks): (Vec<Vec<u8>>, Vec<_>) = staged.drain(..).unzip();
         match &result {
             Ok(()) => {
                 self.shared
                     .wal_appends
-                    .fetch_add(staged.len() as u64, Ordering::Relaxed);
+                    .fetch_add(records.len() as u64, Ordering::Relaxed);
                 self.shared.group_commits.fetch_add(1, Ordering::Relaxed);
-                self.unfolded.extend(staged.iter().map(|(id, _)| *id));
+                self.unfolded.extend(records);
             }
             Err(_) => {
                 // The tail past the last commit holds partial or
@@ -390,15 +375,12 @@ impl Worker {
         self.shared
             .wal_bytes
             .store(self.wal.len(), Ordering::Relaxed);
-        staged
-            .drain(..)
-            .map(|(_, ack)| (ack, result.clone()))
-            .collect()
+        acks.into_iter().map(|ack| (ack, result.clone())).collect()
     }
 
-    /// Append the profiles committed since the last fold to the
-    /// snapshot and sync it. On failure the snapshot is back at its last
-    /// synced length and `unfolded` is kept for the retry.
+    /// Append the records committed since the last fold to the snapshot
+    /// and sync it. On failure the snapshot is back at its last synced
+    /// length and `unfolded` is kept for the retry.
     fn fold_into_snapshot(&mut self) -> io::Result<()> {
         let snapshot = match &mut self.snapshot {
             Some(open) => open,
@@ -411,11 +393,8 @@ impl Worker {
             )?),
         };
         let appended = (|| {
-            for &id in &self.unfolded {
-                let (label, bytes, hash) = (self.row)(id).ok_or_else(|| {
-                    io::Error::other(format!("committed profile {id} is not on its shelf"))
-                })?;
-                snapshot.write_encoded(&encode_bin_record(&label, &bytes, hash))?;
+            for record in &self.unfolded {
+                snapshot.write_encoded(record)?;
             }
             // Unconditional: the WAL reset that follows destroys the only
             // other copy of these records.

@@ -5,10 +5,10 @@
 //! order they were committed. Stored profiles are never deleted, so
 //! nothing in it ever dies: a compaction does not rewrite it, it *folds*
 //! the WAL generation into it — the persister (see `persist.rs`) holds
-//! the file open through a [`crate::wal::WalWriter`], appends one record
-//! for each profile committed since the last fold, syncs, and only then
-//! resets the WAL. The snapshot-plus-empty-log pair is equivalent to the
-//! old snapshot-plus-full-log pair. A fold that fails is truncated back
+//! the file open through a [`crate::wal::WalWriter`], writes the framed
+//! records committed since the last fold exactly as it wrote them to the
+//! WAL, syncs, and only then resets the WAL. The snapshot-plus-empty-log
+//! pair is equivalent to the old snapshot-plus-full-log pair. A fold that fails is truncated back
 //! off the end; a crash mid-fold leaves a torn tail that the next open
 //! truncates the same way the WAL's is.
 //!
@@ -23,10 +23,6 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-
-/// One profile row a fold appends: label, canonical codec bytes, and
-/// their FNV-1a (the content id).
-pub type SnapshotRow = (String, Vec<u8>, u64);
 
 /// Path of the snapshot inside `dir`.
 pub fn snapshot_path(dir: &Path) -> PathBuf {

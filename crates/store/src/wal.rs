@@ -15,7 +15,8 @@
 //!
 //! ```text
 //! u32  body_len       byte count of `body`
-//! u64  body_fnv       FNV-1a over the body bytes
+//! u64  body_fnv       FNV-1a over the body's header (kind through
+//!                     content_hash), not the payload
 //! body:
 //!   u8   kind         3 = profile
 //!   u32  label_len    byte count of `label`
@@ -25,11 +26,17 @@
 //!                     the body)
 //! ```
 //!
+//! The payload needs no checksum of its own: `content_hash` is its hash,
+//! and the scan re-derives it. So framing a record hashes only its few
+//! header bytes, a payload is hashed once on the way in (its id) and
+//! once per replay (the check), and a framed record can be copied from
+//! the WAL into the snapshot as it is.
+//!
 //! Every record commits one profile, however it arrived: a streamed
 //! session is assembled in memory and logged at its seal as the same
 //! record a one-shot ingest of that profile writes. A compaction appends
-//! one such record per newly committed profile to the snapshot and
-//! empties the WAL.
+//! the records committed since the last one to the snapshot, byte for
+//! byte, and empties the WAL.
 //!
 //! ## Recovery contract
 //!
@@ -40,8 +47,9 @@
 //! wrote: the scan fails with [`UnsupportedHeader`] and nothing is
 //! written — an unreadable file is never truncated or compacted over.
 //! Past the header, records are validated in order and the scan stops
-//! at the first torn or corrupt one (short read, checksum mismatch,
-//! unknown kind, invalid UTF-8, inconsistent lengths). Everything before
+//! at the first torn or corrupt one (short read, header checksum
+//! mismatch, a payload that does not hash to its recorded id, unknown
+//! kind, invalid UTF-8, inconsistent lengths). Everything before
 //! that point is returned; everything after is reported as truncated
 //! tail bytes, never an error. A writer reopened with
 //! [`WalWriter::open_after`] physically truncates the file to the intact
@@ -59,12 +67,14 @@ use std::path::{Path, PathBuf};
 /// On-disk format revision for WAL and snapshot files. Version 4 made
 /// the content id the hash of the canonical codec bytes; version 5
 /// retired the session chunk and seal records, leaving the profile
-/// record as the only kind. Readers accept exactly this version: a
-/// version-4 log may hold session records this build cannot replay
-/// (reading them as a torn tail would drop acknowledged profiles) and
-/// ids from older revisions hash a different serialization, so any
-/// other file is refused ([`UnsupportedHeader`]), not replayed.
-pub const PERSIST_VERSION: u16 = 5;
+/// record as the only kind; version 6 made the hash word-at-a-time and
+/// narrowed the record checksum to the body's header. Readers accept
+/// exactly this version: a version-4 log may hold session records this
+/// build cannot replay (reading them as a torn tail would drop
+/// acknowledged profiles), and ids and checksums from older revisions
+/// are another hash's, so any other file is refused
+/// ([`UnsupportedHeader`]), not replayed.
+pub const PERSIST_VERSION: u16 = 6;
 
 /// Magic of the write-ahead log file.
 pub const WAL_MAGIC: [u8; 4] = *b"HPWL";
@@ -146,7 +156,7 @@ pub struct BinProfileRecord {
 
 /// Serialize one profile record (record header + body). `bytes` are the
 /// canonical codec bytes and `content_hash` their FNV-1a, both as
-/// `ProfileId::of` returns them.
+/// `ProfileId::of` returns them; only the header is hashed here.
 pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64) -> Vec<u8> {
     let body_len = 1 + 4 + label.len() + 8 + bytes.len();
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + body_len);
@@ -156,9 +166,9 @@ pub fn encode_bin_record(label: &str, bytes: &[u8], content_hash: u64) -> Vec<u8
     out.extend_from_slice(&(label.len() as u32).to_be_bytes());
     out.extend_from_slice(label.as_bytes());
     out.extend_from_slice(&content_hash.to_be_bytes());
-    out.extend_from_slice(bytes);
     let fnv = fnv1a(&out[RECORD_HEADER_LEN..]);
     out[4..12].copy_from_slice(&fnv.to_be_bytes());
+    out.extend_from_slice(bytes);
     out
 }
 
@@ -175,33 +185,32 @@ pub struct RecordScan {
     pub truncated_bytes: u64,
 }
 
-/// Checksum and decode one record body. `None` means corrupt.
-fn decode_body(stored_fnv: u64, body: &[u8]) -> Option<BinProfileRecord> {
-    if fnv1a(body) != stored_fnv {
-        return None; // bit rot anywhere in the body
+/// Check and decode one record body. `None` means corrupt.
+fn decode_body(stored_fnv: u64, mut body: Vec<u8>) -> Option<BinProfileRecord> {
+    // `label_len` comes off disk unchecked: bound it before hashing.
+    let label_len = u32::from_be_bytes(body.get(1..5)?.try_into().unwrap()) as usize;
+    let head_len = label_len.checked_add(1 + 4 + 8)?;
+    let head = body.get(..head_len)?;
+    if fnv1a(head) != stored_fnv {
+        return None; // bit rot in the kind, a length, the label or the id
     }
-    // The checksum held, so the body should parse — but lengths are
-    // re-validated anyway: a writer bug must not become a panic here.
-    let (&kind, body) = body.split_first()?;
-    if kind != KIND_PROFILE {
+    if head[0] != KIND_PROFILE {
         return None; // not a record this format revision defines
     }
-    if body.len() < 12 {
-        return None;
+    let label = std::str::from_utf8(&head[5..5 + label_len])
+        .ok()?
+        .to_string();
+    let content_hash = u64::from_be_bytes(head[head_len - 8..].try_into().unwrap());
+    // The payload is opaque here — the WAL frames bytes, the codec crate
+    // owns their meaning — and its id is its checksum.
+    if fnv1a(&body[head_len..]) != content_hash {
+        return None; // bit rot in the payload, or a cut body_len
     }
-    let label_len = u32::from_be_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() < 4 + label_len + 8 {
-        return None;
-    }
-    let label = std::str::from_utf8(&body[4..4 + label_len]).ok()?;
-    let at = 4 + label_len;
-    let content_hash = u64::from_be_bytes(body[at..at + 8].try_into().unwrap());
-    // The payload is opaque here: the WAL frames bytes, the codec crate
-    // owns their meaning. The record checksum already vouched for them.
+    body.drain(..head_len);
     Some(BinProfileRecord {
-        label: label.to_string(),
+        label,
         content_hash,
-        bytes: body[at + 8..].to_vec(),
+        bytes: body,
     })
 }
 
@@ -268,7 +277,7 @@ pub fn scan_file_with(
         if file.read_exact_or_eof(&mut body)? < body.len() {
             break; // the file shrank under us: torn tail
         }
-        let Some(entry) = decode_body(stored_fnv, &body) else {
+        let Some(entry) = decode_body(stored_fnv, body) else {
             break;
         };
         entries.push(entry);
@@ -473,19 +482,38 @@ mod tests {
         let dir = tmp("binprofile");
         let path = wal_path(&dir);
         let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
-        w.write_encoded(&encode_bin_record("bin-run", PAYLOAD, 0xFEED_FACE))
-            .unwrap();
-        w.commit().unwrap();
+        append(&mut w, "bin-run", PAYLOAD);
         let scan = scan_file(&path, WAL_MAGIC).unwrap();
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(
             scan.entries,
             vec![BinProfileRecord {
                 label: "bin-run".to_string(),
-                content_hash: 0xFEED_FACE,
+                content_hash: fnv1a(PAYLOAD),
                 bytes: PAYLOAD.to_vec(),
             }]
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record whose header checksum holds but whose recorded id is not
+    /// its payload's hash is bit rot in the payload: the scan cuts there
+    /// like any torn tail, keeping the prefix and counting the cut.
+    #[test]
+    fn a_payload_that_is_not_its_ids_preimage_is_a_torn_tail() {
+        let dir = tmp("wrongid");
+        let path = wal_path(&dir);
+        let mut w = WalWriter::open_after(&path, WAL_MAGIC, 0, false).unwrap();
+        let first_end = FILE_HEADER_LEN + append(&mut w, "kept", PAYLOAD);
+        let liar = w
+            .write_encoded(&encode_bin_record("liar", PAYLOAD, 0xFEED_FACE))
+            .unwrap();
+        w.commit().unwrap();
+        let scan = scan_file(&path, WAL_MAGIC).unwrap();
+        assert_eq!(scan.entries.len(), 1);
+        assert_eq!(scan.entries[0].label, "kept");
+        assert_eq!(scan.valid_len, first_end);
+        assert_eq!(scan.truncated_bytes, liar);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -500,9 +528,10 @@ mod tests {
         for (at, value, says) in [
             (5, 3, "magic \"HPWL\", version 3, reserved 0x0000"),
             (5, 4, "magic \"HPWL\", version 4, reserved 0x0000"),
-            (5, 6, "magic \"HPWL\", version 6, reserved 0x0000"),
-            (0, b'N', "magic \"NPWL\", version 5, reserved 0x0000"),
-            (7, 1, "magic \"HPWL\", version 5, reserved 0x0001"),
+            (5, 5, "magic \"HPWL\", version 5, reserved 0x0000"),
+            (5, 7, "magic \"HPWL\", version 7, reserved 0x0000"),
+            (0, b'N', "magic \"NPWL\", version 6, reserved 0x0000"),
+            (7, 1, "magic \"HPWL\", version 6, reserved 0x0001"),
         ] {
             let mut bytes = ours.to_vec();
             bytes[at] = value;
@@ -522,7 +551,7 @@ mod tests {
             assert!(text.contains("wal.log"), "{text}");
             assert!(text.contains(&format!("header says {says};")), "{text}");
             assert!(
-                text.ends_with("reads only magic \"HPWL\", version 5, reserved 0x0000"),
+                text.ends_with("reads only magic \"HPWL\", version 6, reserved 0x0000"),
                 "{text}"
             );
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "file untouched");
@@ -562,11 +591,11 @@ mod tests {
         // retired session seal and chunk.
         for kind in [9u8, 0, 2, 4] {
             let mut bytes = std::fs::read(&path).unwrap();
-            let mut body = vec![kind];
-            body.extend_from_slice(b"payload");
-            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&fnv1a(&body).to_be_bytes());
-            bytes.extend_from_slice(&body);
+            let mut record = encode_bin_record("", PAYLOAD, fnv1a(PAYLOAD));
+            record[RECORD_HEADER_LEN] = kind;
+            let checksum = fnv1a(&record[RECORD_HEADER_LEN..RECORD_HEADER_LEN + 13]);
+            record[4..12].copy_from_slice(&checksum.to_be_bytes());
+            bytes.extend_from_slice(&record);
             std::fs::write(&path, &bytes).unwrap();
             let scan = scan_file(&path, WAL_MAGIC).unwrap();
             assert_eq!(scan.entries.len(), 1);

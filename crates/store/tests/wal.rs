@@ -350,7 +350,9 @@ fn a_retired_record_kind_under_this_header_is_a_torn_tail() {
         body.extend_from_slice(&0u64.to_be_bytes()); // seq / chunk count
         body.extend_from_slice(b"payload");
         let mut framed = (body.len() as u32).to_be_bytes().to_vec();
-        framed.extend_from_slice(&fnv1a(&body).to_be_bytes());
+        // The checksum a v6 scan verifies: kind, a zero label_len (the
+        // session's top bytes) and the eight bytes after it.
+        framed.extend_from_slice(&fnv1a(&body[..13]).to_be_bytes());
         framed.extend_from_slice(&body);
         let mut bytes = intact.clone();
         bytes.extend_from_slice(&framed);
@@ -502,6 +504,40 @@ fn records_folded_before_a_crash_are_not_folded_again() {
     let labels: Vec<&str> = records.iter().map(|(label, _)| label.as_str()).collect();
     assert_eq!(labels, ["a", "b", "c"]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fold is a byte copy: with size-triggered compaction off, the
+/// snapshot a flush creates holds exactly the records the WAL held — also
+/// when a reopen before the fold recovered them and framed them again.
+#[test]
+fn a_fold_writes_the_bytes_the_wal_committed() {
+    let no_auto_fold = || PersistOptions {
+        snapshot_wal_bytes: u64::MAX,
+        ..PersistOptions::default()
+    };
+    for reopen in [false, true] {
+        let dir = scratch("fold-copy");
+        let mut store = open(&dir, no_auto_fold());
+        for (r, bytes) in corpus().iter().enumerate().take(3) {
+            store.ingest_binary(&format!("run-{r}"), bytes).unwrap();
+        }
+        let logged = std::fs::read(wal_path(&dir)).unwrap()[8..].to_vec();
+        assert_eq!(
+            scan_file(&wal_path(&dir), WAL_MAGIC).unwrap().entries.len(),
+            3
+        );
+        if reopen {
+            drop(store);
+            store = open(&dir, no_auto_fold());
+        }
+        store.flush().unwrap();
+        let snapshot = std::fs::read(snapshot_path(&dir)).unwrap();
+        assert!(
+            snapshot[8..] == logged[..],
+            "reopen before the fold: {reopen}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Ingest the first three corpus profiles one at a time, recording the
