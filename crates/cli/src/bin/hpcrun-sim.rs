@@ -104,6 +104,12 @@ fn main() {
     };
     let stream_addr = args.get("stream").map(str::to_string);
     let explicit_out = args.get("out").map(str::to_string);
+    let per: usize = args
+        .get_parsed("chunk-threads", 4)
+        .unwrap_or_else(|e| die(USAGE, &e));
+    let retry_ms: u64 = args
+        .get_parsed("connect-retry-ms", 5_000)
+        .unwrap_or_else(|e| die(USAGE, &e));
 
     let mut config = ProfilerConfig::new(MechanismConfig::scaled(mechanism, scale))
         .with_bins(bins)
@@ -156,12 +162,6 @@ fn main() {
         eprintln!("hpcrun-sim: wrote {out}");
     }
     if let Some(addr) = &stream_addr {
-        let per: usize = args
-            .get_parsed("chunk-threads", 4)
-            .unwrap_or_else(|e| die(USAGE, &e));
-        let retry_ms: u64 = args
-            .get_parsed("connect-retry-ms", 5_000)
-            .unwrap_or_else(|e| die(USAGE, &e));
         let default_label = format!(
             "{}-{}",
             args.get_or("workload", "lulesh"),

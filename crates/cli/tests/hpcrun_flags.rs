@@ -30,6 +30,34 @@ fn out_of_range_flag_values_are_usage_errors() {
     }
 }
 
+/// A bad stream flag is a usage error before the run: no simulation, no
+/// file left behind.
+#[test]
+fn stream_flags_are_parsed_before_the_run() {
+    let dir = scratch("stream-flags");
+    for flag in ["--chunk-threads", "--connect-retry-ms"] {
+        let out_file = dir.join("never-written.hpcrun");
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcrun-sim"))
+            .args(["--workload", "blackscholes", "--size", "small"])
+            .args(["--stream", "127.0.0.1:1", flag, "x", "--out"])
+            .arg(&out_file)
+            .output()
+            .expect("spawn hpcrun-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag}: cannot parse \"x\"")),
+            "{flag}: {stderr}"
+        );
+        assert!(
+            !stderr.contains(" cycles ("),
+            "{flag} ran the simulation: {stderr}"
+        );
+        assert!(!out_file.exists(), "{flag} left {out_file:?} behind");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A scratch directory of this test process's own.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hpcrun-flags-{tag}-{}", std::process::id()));

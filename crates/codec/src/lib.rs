@@ -5,7 +5,7 @@
 //! the profile's JSON rendering and decoded without any text parsing.
 //! It is the one stored and transported form: the profile file
 //! `hpcrun-sim --out` writes (`*.hpcrun`), the WAL, snapshots, the wire
-//! protocol (`caps::BINARY_CODEC`) and streaming chunks all carry these
+//! protocol's ingest requests and streaming chunks all carry these
 //! bytes. JSON is an output only (reports, `NumaProfile::to_json`);
 //! nothing decodes a profile from it.
 //!

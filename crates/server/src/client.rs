@@ -5,13 +5,13 @@
 use crate::protocol::{
     caps, decode_response, encode_request, read_frame, write_frame_flags, ProfileEntry, RecvError,
     ReportFormat, Request, Response, ServerStatsReport, WireError, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    PROTOCOL_VERSION, READ_BUFFER,
 };
 use crate::server::Backend;
 use numa_profiler::NumaProfile;
 use numa_store::stream::split_profile;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,8 +77,9 @@ pub struct SessionInfo {
 /// Where a [`Client`]'s requests execute. Only [`Client::call_raw`]
 /// looks inside.
 enum Transport {
-    /// Frames over a connection to an `hpcd-sim` daemon.
-    Tcp(TcpStream),
+    /// Frames over a connection to an `hpcd-sim` daemon, read through
+    /// one buffer for the connection's life.
+    Tcp(BufReader<TcpStream>),
     /// Direct calls into a [`Backend`] in this process.
     InProcess(Arc<Backend>),
 }
@@ -127,7 +128,7 @@ impl Client {
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            transport: Transport::Tcp(stream),
+            transport: Transport::Tcp(BufReader::with_capacity(READ_BUFFER, stream)),
             max_frame: DEFAULT_MAX_FRAME,
             server_caps: None,
         })
@@ -177,24 +178,24 @@ impl Client {
     /// back as `Ok(Response::Error(..))`; use [`Client::call`] to have
     /// them folded into `Err`.
     pub fn call_raw(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let stream = match &mut self.transport {
-            Transport::Tcp(stream) => stream,
+        let reader = match &mut self.transport {
+            Transport::Tcp(reader) => reader,
             Transport::InProcess(backend) => {
                 self.server_caps = Some(caps::SUPPORTED);
                 return Ok(backend.execute(req));
             }
         };
         // The request frame declares the capabilities the op relies on
-        // (e.g. STREAMING on session ops) so an older daemon answers
-        // with a typed `Unsupported` instead of killing the connection.
+        // (e.g. STREAMING on session ops); a daemon without them answers
+        // with a typed `Unsupported` and keeps the connection.
         write_frame_flags(
-            stream,
+            &mut reader.get_ref(),
             PROTOCOL_VERSION,
             req.required_caps(),
             &encode_request(req),
             self.max_frame,
         )?;
-        let frame = read_frame(stream, self.max_frame)?.ok_or(ClientError::Disconnected)?;
+        let frame = read_frame(reader, self.max_frame)?.ok_or(ClientError::Disconnected)?;
         if frame.version != PROTOCOL_VERSION {
             return Err(ClientError::Server(WireError::UnsupportedVersion {
                 got: frame.version,
@@ -224,9 +225,8 @@ impl Client {
         }
     }
 
-    /// Ingest already-encoded `numa-codec` profile bytes. Requires a
-    /// daemon advertising [`caps::BINARY_CODEC`]; older daemons answer
-    /// with a typed `Unsupported` error. Returns `(id, newly_added)`.
+    /// Ingest already-encoded `numa-codec` profile bytes. Returns
+    /// `(id, newly_added)`.
     pub fn ingest_binary(
         &mut self,
         label: &str,
@@ -322,7 +322,7 @@ impl Client {
 
     /// Prometheus text exposition of every daemon metric — the same
     /// text `GET /metrics` serves. Requires a daemon advertising
-    /// [`caps::METRICS`]; older daemons answer a typed `Unsupported`.
+    /// [`caps::METRICS`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.text(&Request::Metrics)
     }
@@ -366,9 +366,8 @@ impl Client {
         }
     }
 
-    /// Append chunk `seq` (strictly sequential from 0), a binary-codec
-    /// chunk payload (requires [`caps::BINARY_CODEC`] on top of
-    /// streaming). Returns the daemon-wide buffered bytes after the
+    /// Append chunk `seq` (strictly sequential from 0), a numa-codec
+    /// chunk payload. Returns the daemon-wide buffered bytes after the
     /// append.
     pub fn append_chunk_binary(
         &mut self,

@@ -7,8 +7,9 @@
 //! crate turns the store into a *service*, the way NUMAscope pairs a
 //! long-running collection daemon with a live query surface:
 //!
-//! * [`protocol`] — length-prefixed JSON frames with a versioned
-//!   header, a strict frame-size cap, and a typed error taxonomy
+//! * [`protocol`] — length-prefixed frames with a versioned header
+//!   around one tagged binary message each, a strict frame-size cap,
+//!   and a typed error taxonomy
 //!   ([`protocol::WireError`]). The blocking reader
 //!   ([`protocol::read_frame`]) takes exactly one frame off the
 //!   transport per call; the push-based [`protocol::FrameDecoder`]
@@ -27,8 +28,9 @@
 //! Streaming ingestion (the `numa-live` crate's sessions) rides the
 //! same frame format: the header's flags word carries capability bits
 //! ([`protocol::caps`]), session ops are ordinary request/response
-//! round trips, and a daemon that predates streaming answers them with
-//! a typed [`protocol::WireError::Unsupported`] instead of hanging up.
+//! round trips, and a session op whose frame does not declare streaming
+//! draws a typed [`protocol::WireError::Unsupported`] instead of a
+//! closed connection.
 //! * [`metrics`] — per-op request/error counters and a fixed-bucket
 //!   latency histogram, surfaced remotely via the `server-stats` op.
 //!

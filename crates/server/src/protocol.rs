@@ -1,4 +1,4 @@
-//! The `hpcd` wire protocol: length-prefixed JSON frames with a
+//! The `hpcd` wire protocol: length-prefixed binary frames with a
 //! versioned header, shared by the daemon and the client.
 //!
 //! ## Frame layout (all integers big-endian)
@@ -8,9 +8,7 @@
 //! offset 4..6    version    u16 — protocol revision, see [`PROTOCOL_VERSION`]
 //! offset 6..8    flags      u16 — capability bits, see [`caps`]
 //! offset 8..12   length     u32 — payload byte count
-//! offset 12..    payload    `length` bytes: UTF-8 JSON, or — for the two
-//!                           profile-bearing requests — the binary
-//!                           envelope (BINARY_REQUEST_MAGIC)
+//! offset 12..    payload    `length` bytes: one tagged binary message
 //! ```
 //!
 //! A peer validates the header as soon as its 12 bytes arrive, so an
@@ -20,6 +18,28 @@
 //! consumes exactly one frame per call, so pipelined frames are each
 //! answered; [`FrameDecoder`] parses the same format from pushed bytes.
 //!
+//! ## Payload grammar
+//!
+//! A payload is one tag byte naming the [`Request`] or [`Response`]
+//! variant (the two number their tags separately), then the variant's
+//! fields in declaration order:
+//!
+//! * `u8`/`u16`/`u32`/`u64` big-endian; `usize` travels as `u64`;
+//! * `bool` one byte, 0 or 1;
+//! * `String` a `u32` length, then UTF-8 (validated);
+//! * `Vec<T>` a `u32` count, then the items — the count is checked
+//!   against the bytes left before anything is allocated;
+//! * `Option<T>` a 0/1 byte, then the value if present; `Box<T>` as `T`;
+//! * a [`WireError`] is its own tag byte, then its fields;
+//! * the trailing blob of `IngestBinary`, `AppendChunkBinary` and
+//!   `Text` is the rest of the payload, unprefixed — a rendered text
+//!   travels as its own bytes.
+//!
+//! An unknown tag, a short field, a bad UTF-8 string or flag byte, and
+//! bytes left over after the last field are all a typed
+//! [`WireError::Malformed`]. The tags are the `= N` after each variant
+//! below — the one table of them.
+//!
 //! ## Version and capability rules
 //!
 //! Every frame carries the sender's protocol version. The daemon
@@ -27,21 +47,18 @@
 //! [`WireError::UnsupportedVersion`] response (framed with its *own*
 //! version) and closes the connection.
 //!
-//! The flags word (the header field that was required-zero before
-//! capability bits existed) carries [`caps`] bits. A client sets the
-//! capability a request relies on (e.g. [`caps::STREAMING`] on session
-//! ops); the daemon answers a request whose bits it does not implement
-//! with a typed [`WireError::Unsupported`] — the connection stays
-//! usable, unlike the old behavior of hanging up on any non-zero word.
-//! Every daemon response frame advertises the full [`caps::SUPPORTED`]
-//! set, so one `ping` round trip tells a client what the server can do.
+//! The flags word carries [`caps`] bits. A client sets the capability
+//! a request relies on (e.g. [`caps::STREAMING`] on session ops); the
+//! daemon answers a request whose bits it does not implement with a
+//! typed [`WireError::Unsupported`] and keeps the connection. Every
+//! daemon response frame advertises the full [`caps::SUPPORTED`] set,
+//! so one `ping` round trip tells a client what the server can do.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Current protocol revision.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"HPCD";
@@ -58,38 +75,29 @@ pub const DEFAULT_MAX_FRAME: usize = 4 << 20;
 /// A request frame sets the bits the request relies on; a response
 /// frame advertises everything the daemon implements. Unknown bits in a
 /// request draw a typed [`WireError::Unsupported`] instead of a closed
-/// connection, so a newer client downgrades gracefully against an older
-/// daemon.
+/// connection.
 pub mod caps {
     /// Streaming ingestion sessions: `OpenSession` /
     /// `AppendChunkBinary` / `SealSession` / `AbortSession`.
     pub const STREAMING: u16 = 1 << 0;
 
-    /// Binary columnar profile payloads (`IngestBinary` /
-    /// `AppendChunkBinary`): request payloads framed as numa-codec
-    /// containers instead of JSON — the only encoding the two
-    /// profile-bearing ops have. A daemon predating the codec answers
-    /// them with a typed `Unsupported`.
-    pub const BINARY_CODEC: u16 = 1 << 1;
+    // Bit 1 is retired (it marked binary request payloads, which every
+    // request now is) and is never reused: a frame that sets it draws
+    // the `Unsupported` any unknown bit draws.
 
     /// The `Metrics` op: Prometheus text exposition of every daemon
-    /// counter over the wire. A daemon predating the metrics registry
-    /// answers the op with a typed `Unsupported` instead of a closed
-    /// connection.
+    /// counter over the wire.
     pub const METRICS: u16 = 1 << 2;
 
     /// Every capability this build implements; response frames carry
     /// this set.
-    pub const SUPPORTED: u16 = STREAMING | BINARY_CODEC | METRICS;
+    pub const SUPPORTED: u16 = STREAMING | METRICS;
 
     /// Render a capability set for display (`ping` output, errors).
     pub fn render(flags: u16) -> String {
         let mut names = Vec::new();
         if flags & STREAMING != 0 {
             names.push("streaming");
-        }
-        if flags & BINARY_CODEC != 0 {
-            names.push("binary-codec");
         }
         if flags & METRICS != 0 {
             names.push("metrics");
@@ -356,6 +364,12 @@ fn parse_header(
 /// make the receiver allocate by *declaring* a length.
 const PAYLOAD_RESERVE: usize = 64 << 10;
 
+/// Capacity of a connection's read buffer, on either end: a request, or
+/// a rendered answer of tens of KB, arrives in one `read` together with
+/// its header, and frames a peer pipelined stay buffered for the next
+/// [`read_frame`].
+pub(crate) const READ_BUFFER: usize = 64 << 10;
+
 /// Read exactly one frame from a blocking reader — the header, then the
 /// `length` payload bytes it declares, and never a byte past them, so
 /// frames a peer pipelined behind this one stay in the transport for
@@ -389,79 +403,340 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>, 
 }
 
 // ---------------------------------------------------------------------------
+// The payload grammar
+// ---------------------------------------------------------------------------
+
+/// A field type's binary encoding: [`Wire::put`] appends it,
+/// [`Wire::take`] reads it off the front of the input, and `MIN` is the
+/// fewest bytes any value of the type occupies — what a list count is
+/// checked against before anything is allocated.
+trait Wire: Sized {
+    const MIN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(input: &mut &[u8]) -> Result<Self, WireError>;
+}
+
+/// A message's trailing blob: the rest of the payload, unprefixed.
+trait Rest: Sized {
+    fn put_rest(&self, out: &mut Vec<u8>);
+    fn take_rest(input: &mut &[u8]) -> Result<Self, WireError>;
+}
+
+fn malformed(detail: String) -> WireError {
+    WireError::Malformed { detail }
+}
+
+fn truncated(what: &str, left: usize) -> WireError {
+    malformed(format!(
+        "payload truncated in a {what} ({left} byte(s) left)"
+    ))
+}
+
+fn utf8(bytes: &[u8]) -> Result<String, WireError> {
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|e| malformed(format!("string is not UTF-8: {e}")))
+}
+
+/// A string length or list count as its `u32` word. Nothing longer fits
+/// a frame, whose own length field is a `u32`.
+fn put_len(len: usize, out: &mut Vec<u8>) {
+    u32::try_from(len)
+        .expect("a string or list longer than a frame")
+        .put(out);
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+            fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+                let (head, tail) = input
+                    .split_first_chunk()
+                    .ok_or_else(|| truncated(stringify!($t), input.len()))?;
+                *input = tail;
+                Ok(<$t>::from_be_bytes(*head))
+            }
+        }
+    )*};
+}
+wire_uint!(u8, u16, u32, u64);
+
+impl Wire for usize {
+    const MIN: usize = <u64 as Wire>::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        let n = u64::take(input)?;
+        usize::try_from(n).map_err(|_| malformed(format!("{n} does not fit a usize")))
+    }
+}
+
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::take(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(malformed(format!("flag byte {b:#04x} is not 0 or 1"))),
+        }
+    }
+}
+
+impl Wire for String {
+    const MIN: usize = <u32 as Wire>::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        let len = u32::take(input)? as usize;
+        let (bytes, tail) = input
+            .split_at_checked(len)
+            .ok_or_else(|| truncated("string", input.len()))?;
+        *input = tail;
+        utf8(bytes)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = <u32 as Wire>::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        let count = u32::take(input)? as usize;
+        if count.saturating_mul(T::MIN) > input.len() {
+            return Err(malformed(format!(
+                "a list of {count} item(s) cannot fit in {} byte(s)",
+                input.len()
+            )));
+        }
+        (0..count).map(|_| T::take(input)).collect()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(if bool::take(input)? {
+            Some(T::take(input)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN: usize = T::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+        T::take(input).map(Box::new)
+    }
+}
+
+impl Rest for Vec<u8> {
+    fn put_rest(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn take_rest(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(std::mem::take(input).to_vec())
+    }
+}
+
+impl Rest for String {
+    fn put_rest(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take_rest(input: &mut &[u8]) -> Result<Self, WireError> {
+        utf8(std::mem::take(input))
+    }
+}
+
+/// Declare a struct whose encoding is its fields in declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl Wire for $name {
+            const MIN: usize = 0 $(+ <$ty as Wire>::MIN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$field.put(out); )*
+            }
+            fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($name { $( $field: Wire::take(input)?, )* })
+            }
+        }
+    };
+}
+
+/// Declare an enum whose encoding is the variant's `= TAG` byte, then
+/// its fields in declaration order. A field written `..name` is the
+/// trailing blob; a tuple variant names its one field, `Text(..text:
+/// String)`, so that the table can bind it.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident ($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $({
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty ),*
+                    $(, ..$rest:ident: $rty:ty )? $(,)?
+                })?
+                $(( $one:ident: $oty:ty ))?
+                $(( ..$tail:ident: $tty:ty ))?
+                = $tag:literal,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant
+                $({ $( $(#[$fmeta])* $field: $ty, )* $( $rest: $rty, )? })?
+                $(($oty))?
+                $(($tty))?,
+            )*
+        }
+
+        impl Wire for $name {
+            const MIN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(
+                        $name::$variant
+                        $({ $($field,)* $($rest,)? })?
+                        $(($one))?
+                        $(($tail))? => {
+                            out.push($tag);
+                            $( $( $field.put(out); )* $( $rest.put_rest(out); )? )?
+                            $( $one.put(out); )?
+                            $( $tail.put_rest(out); )?
+                        }
+                    )*
+                }
+            }
+            fn take(input: &mut &[u8]) -> Result<Self, WireError> {
+                match u8::take(input)? {
+                    $(
+                        $tag => {
+                            $(
+                                $( let $field = Wire::take(input)?; )*
+                                $( let $rest = Rest::take_rest(input)?; )?
+                            )?
+                            $( let $one = Wire::take(input)?; )?
+                            $( let $tail = Rest::take_rest(input)?; )?
+                            Ok($name::$variant
+                                $({ $($field,)* $($rest,)? })?
+                                $(($one))?
+                                $(($tail))?)
+                        }
+                    )*
+                    tag => Err(malformed(format!(concat!("unknown ", $what, " tag {:#04x}"), tag))),
+                }
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-/// Output shape for report queries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReportFormat {
-    Text,
-    Json,
+wire_enum! {
+    /// Output shape for report queries.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum ReportFormat ("report format") {
+        Text = 0,
+        Json = 1,
+    }
 }
 
-/// Every operation the daemon serves — the stack's one verb table,
-/// reached over TCP or in-process. Profile references are resolved by
-/// the store: an id prefix or a label.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Request {
-    /// Liveness probe.
-    Ping,
-    /// List stored profiles.
-    List,
-    /// Resolve an id prefix or label to a stored profile.
-    Resolve { reference: String },
-    /// Cross-run aggregate over the whole stored set.
-    Aggregate,
-    /// Top-n hottest variables across the stored set.
-    Top { n: usize },
-    /// Per-profile report, text or JSON.
-    Report {
-        profile: String,
-        format: ReportFormat,
-    },
-    /// Code-centric CCT view; subtrees below `min_share_permille`/1000
-    /// of program cost are elided.
-    CodeView {
-        profile: String,
-        min_share_permille: u16,
-    },
-    /// Address-centric view of one variable.
-    AddressView { profile: String, var: String },
-    /// Pairwise diff of two stored runs.
-    Diff { before: String, after: String },
-    /// Store accounting (profile count, dedup, cache counters).
-    StoreStats,
-    /// Daemon observability: per-op counters + latency percentiles.
-    ServerStats,
-    /// Prometheus text exposition of every registered metric (requires
-    /// [`caps::METRICS`]); the same text `GET /metrics` serves.
-    Metrics,
-    /// Drop every memoized artifact (admin; used to measure cold paths).
-    ClearCache,
-    /// Ask the daemon to drain and exit (admin).
-    Shutdown,
-    /// Open a streaming ingestion session (requires
-    /// [`caps::STREAMING`]). The reply carries the session id, the lease
-    /// the client must renew by appending, and the buffer limits.
-    OpenSession { label: String },
-    /// Seal a session: assemble its chunks and commit the profile
-    /// through the ordinary ingest path.
-    SealSession { session: u64 },
-    /// Abort a session, discarding everything buffered for it.
-    AbortSession { session: u64 },
-    /// Ingest one binary-codec profile container (requires
-    /// [`caps::BINARY_CODEC`]). Travels as a [`BINARY_REQUEST_MAGIC`]
-    /// envelope, not JSON.
-    IngestBinary { label: String, bytes: Vec<u8> },
-    /// Append chunk `seq` (strictly sequential from 0) to an open
-    /// session; `bytes` is a binary-codec `ChunkPayload` (requires
-    /// [`caps::STREAMING`] | [`caps::BINARY_CODEC`]). Travels as a
-    /// [`BINARY_REQUEST_MAGIC`] envelope, not JSON.
-    AppendChunkBinary {
-        session: u64,
-        seq: u64,
-        bytes: Vec<u8>,
-    },
+wire_enum! {
+    /// Every operation the daemon serves — the stack's one verb table,
+    /// reached over TCP or in-process. Profile references are resolved
+    /// by the store: an id prefix or a label.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request ("request") {
+        /// Liveness probe.
+        Ping = 0,
+        /// List stored profiles.
+        List = 1,
+        /// Resolve an id prefix or label to a stored profile.
+        Resolve { reference: String } = 2,
+        /// Cross-run aggregate over the whole stored set.
+        Aggregate = 3,
+        /// Top-n hottest variables across the stored set.
+        Top { n: usize } = 4,
+        /// Per-profile report, text or JSON.
+        Report { profile: String, format: ReportFormat } = 5,
+        /// Code-centric CCT view; subtrees below `min_share_permille`/1000
+        /// of program cost are elided.
+        CodeView { profile: String, min_share_permille: u16 } = 6,
+        /// Address-centric view of one variable.
+        AddressView { profile: String, var: String } = 7,
+        /// Pairwise diff of two stored runs.
+        Diff { before: String, after: String } = 8,
+        /// Store accounting (profile count, dedup, cache counters).
+        StoreStats = 9,
+        /// Daemon observability: per-op counters + latency percentiles.
+        ServerStats = 10,
+        /// Prometheus text exposition of every registered metric
+        /// (requires [`caps::METRICS`]); the same text `GET /metrics`
+        /// serves.
+        Metrics = 11,
+        /// Drop every memoized artifact (admin; used to measure cold
+        /// paths).
+        ClearCache = 12,
+        /// Ask the daemon to drain and exit (admin).
+        Shutdown = 13,
+        /// Open a streaming ingestion session (requires
+        /// [`caps::STREAMING`]). The reply carries the session id, the
+        /// lease the client must renew by appending, and the buffer
+        /// limits.
+        OpenSession { label: String } = 14,
+        /// Seal a session: assemble its chunks and commit the profile
+        /// through the ordinary ingest path.
+        SealSession { session: u64 } = 15,
+        /// Abort a session, discarding everything buffered for it.
+        AbortSession { session: u64 } = 16,
+        /// Ingest one numa-codec profile container; the container is
+        /// the rest of the payload.
+        IngestBinary { label: String, ..bytes: Vec<u8> } = 17,
+        /// Append chunk `seq` (strictly sequential from 0) to an open
+        /// session (requires [`caps::STREAMING`]); `bytes`, the rest of
+        /// the payload, is a numa-codec `ChunkPayload`.
+        AppendChunkBinary { session: u64, seq: u64, ..bytes: Vec<u8> } = 18,
+    }
 }
 
 impl Request {
@@ -497,9 +772,8 @@ impl Request {
         match self {
             Request::OpenSession { .. }
             | Request::SealSession { .. }
-            | Request::AbortSession { .. } => caps::STREAMING,
-            Request::IngestBinary { .. } => caps::BINARY_CODEC,
-            Request::AppendChunkBinary { .. } => caps::STREAMING | caps::BINARY_CODEC,
+            | Request::AbortSession { .. }
+            | Request::AppendChunkBinary { .. } => caps::STREAMING,
             Request::Metrics => caps::METRICS,
             _ => 0,
         }
@@ -510,148 +784,147 @@ impl Request {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// One row of a `List` response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ProfileEntry {
-    /// Hex content id.
-    pub id: String,
-    pub label: String,
-    pub threads: usize,
-    /// Length of the profile's canonical codec bytes.
-    pub codec_bytes: usize,
+wire_struct! {
+    /// One row of a `List` response.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ProfileEntry {
+        /// Hex content id.
+        pub id: String,
+        pub label: String,
+        pub threads: usize,
+        /// Length of the profile's canonical codec bytes.
+        pub codec_bytes: usize,
+    }
 }
 
-/// Per-op counter row in a `ServerStats` response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OpStat {
-    pub op: String,
-    pub requests: u64,
-    pub errors: u64,
+wire_struct! {
+    /// Per-op counter row in a `ServerStats` response.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct OpStat {
+        pub op: String,
+        pub requests: u64,
+        pub errors: u64,
+    }
 }
 
-/// Latency summary from the daemon's fixed-bucket histogram.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    pub count: u64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
+wire_struct! {
+    /// Latency summary from the daemon's fixed-bucket histogram.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct LatencySummary {
+        pub count: u64,
+        pub p50_us: u64,
+        pub p95_us: u64,
+        pub p99_us: u64,
+        pub max_us: u64,
+    }
 }
 
-/// One store shard's accounting row in a `ServerStats` response.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardStatRow {
-    pub shard: usize,
-    pub profiles: usize,
-    pub ingests: u64,
-    /// Shelf read-lock acquisitions that had to block.
-    pub read_contended: u64,
-    /// Shelf write-lock acquisitions that had to block.
-    pub write_contended: u64,
+wire_struct! {
+    /// One store shard's accounting row in a `ServerStats` response.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct ShardStatRow {
+        pub shard: usize,
+        pub profiles: usize,
+        pub ingests: u64,
+        /// Shelf read-lock acquisitions that had to block.
+        pub read_contended: u64,
+        /// Shelf write-lock acquisitions that had to block.
+        pub write_contended: u64,
+    }
 }
 
-/// One retained slow-op span in a `ServerStats` response: a request
-/// whose total service time crossed the daemon's `--slow-op-ms`
-/// threshold, with the structured facts its trace collected.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct SlowOpRow {
-    /// Trace sequence number (strictly monotonic per daemon).
-    pub seq: u64,
-    pub op: String,
-    /// Request payload size in bytes.
-    pub bytes: u64,
-    /// Store shard the request touched, if any.
-    pub shard: Option<u32>,
-    /// Memo-cache outcome, if the request consulted the cache.
-    pub cache_hit: Option<bool>,
-    /// Microseconds spent blocked on the WAL ack, if the request
-    /// committed a profile.
-    pub wal_ack_us: Option<u64>,
-    /// End-to-end service time in microseconds.
-    pub total_us: u64,
-    /// Whether the request drew a typed error.
-    pub error: bool,
+wire_struct! {
+    /// One retained slow-op span in a `ServerStats` response: a request
+    /// whose total service time crossed the daemon's `--slow-op-ms`
+    /// threshold, with the structured facts its trace collected.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SlowOpRow {
+        /// Trace sequence number (strictly monotonic per daemon).
+        pub seq: u64,
+        pub op: String,
+        /// Request payload size in bytes.
+        pub bytes: u64,
+        /// Store shard the request touched, if any.
+        pub shard: Option<u32>,
+        /// Memo-cache outcome, if the request consulted the cache.
+        pub cache_hit: Option<bool>,
+        /// Microseconds spent blocked on the WAL ack, if the request
+        /// committed a profile.
+        pub wal_ack_us: Option<u64>,
+        /// End-to-end service time in microseconds.
+        pub total_us: u64,
+        /// Whether the request drew a typed error.
+        pub error: bool,
+    }
 }
 
-/// The `server-stats` payload: request observability plus the store's
-/// cache counters, one round trip.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ServerStatsReport {
-    pub uptime_ms: u64,
-    pub connections_accepted: u64,
-    pub connections_closed: u64,
-    pub requests_total: u64,
-    pub errors_total: u64,
-    pub rejected_oversized: u64,
-    pub malformed_frames: u64,
-    pub timeouts: u64,
-    pub per_op: Vec<OpStat>,
-    pub latency: LatencySummary,
-    pub store_profiles: usize,
-    /// Hex content hash of the stored set — two daemons (or a daemon
-    /// before and after a crash-restart) holding the same corpus report
-    /// the same value.
-    pub store_set_hash: String,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_insertions: u64,
-    pub cache_evictions: u64,
-    /// Whether the store is backed by a `--data-dir`.
-    pub durable: bool,
-    /// Startup recovery: records loaded from the snapshot.
-    pub snapshot_records_loaded: u64,
-    /// Startup recovery: records replayed from the WAL.
-    pub wal_records_replayed: u64,
-    /// Startup recovery: torn/corrupt tail bytes dropped (WAL +
-    /// snapshot).
-    pub wal_truncated_bytes: u64,
-    /// Records appended to the WAL since startup.
-    pub wal_appends: u64,
-    /// Group commits since startup: WAL flushes that made a batch of
-    /// appends durable. `wal_appends / wal_group_commits` is the
-    /// achieved batching factor. Defaults to zero when talking to a
-    /// daemon predating group commit.
-    #[serde(default)]
-    pub wal_group_commits: u64,
-    /// Snapshot compactions since startup.
-    pub snapshots_written: u64,
-    /// Persistence I/O failures since startup (serving continued from
-    /// memory).
-    pub persist_io_errors: u64,
-    /// Per-shard store accounting (empty when talking to a daemon
-    /// predating the sharded store).
-    #[serde(default)]
-    pub store_shards: Vec<ShardStatRow>,
-    /// Streaming sessions open right now.
-    #[serde(default)]
-    pub live_sessions: u64,
-    /// Bytes buffered across all open streaming sessions.
-    #[serde(default)]
-    pub live_open_bytes: u64,
-    /// Sessions opened since startup.
-    #[serde(default)]
-    pub live_sessions_opened: u64,
-    /// Sessions sealed (committed) since startup.
-    #[serde(default)]
-    pub live_sessions_sealed: u64,
-    /// Sessions aborted (client abort or failed seal) since startup.
-    #[serde(default)]
-    pub live_sessions_aborted: u64,
-    /// Expired leases reclaimed by the janitor since startup.
-    #[serde(default)]
-    pub live_leases_reaped: u64,
-    /// Chunks accepted since startup.
-    #[serde(default)]
-    pub live_chunks_appended: u64,
-    /// Capacity-induced rejections (too many sessions, buffer budgets)
-    /// since startup.
-    #[serde(default)]
-    pub live_backpressure: u64,
-    /// Recent requests that crossed the slow-op threshold, oldest
-    /// first (empty when talking to a daemon predating tracing).
-    #[serde(default)]
-    pub recent_slow_ops: Vec<SlowOpRow>,
+wire_struct! {
+    /// The `server-stats` payload: request observability plus the
+    /// store's cache counters, one round trip.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ServerStatsReport {
+        pub uptime_ms: u64,
+        pub connections_accepted: u64,
+        pub connections_closed: u64,
+        pub requests_total: u64,
+        pub errors_total: u64,
+        pub rejected_oversized: u64,
+        pub malformed_frames: u64,
+        pub timeouts: u64,
+        pub per_op: Vec<OpStat>,
+        pub latency: LatencySummary,
+        pub store_profiles: usize,
+        /// Hex content hash of the stored set — two daemons (or a
+        /// daemon before and after a crash-restart) holding the same
+        /// corpus report the same value.
+        pub store_set_hash: String,
+        pub cache_hits: u64,
+        pub cache_misses: u64,
+        pub cache_insertions: u64,
+        pub cache_evictions: u64,
+        /// Whether the store is backed by a `--data-dir`.
+        pub durable: bool,
+        /// Startup recovery: records loaded from the snapshot.
+        pub snapshot_records_loaded: u64,
+        /// Startup recovery: records replayed from the WAL.
+        pub wal_records_replayed: u64,
+        /// Startup recovery: torn/corrupt tail bytes dropped (WAL +
+        /// snapshot).
+        pub wal_truncated_bytes: u64,
+        /// Records appended to the WAL since startup.
+        pub wal_appends: u64,
+        /// Group commits since startup: WAL flushes that made a batch
+        /// of appends durable. `wal_appends / wal_group_commits` is the
+        /// achieved batching factor.
+        pub wal_group_commits: u64,
+        /// Snapshot compactions since startup.
+        pub snapshots_written: u64,
+        /// Persistence I/O failures since startup (serving continued
+        /// from memory).
+        pub persist_io_errors: u64,
+        /// Per-shard store accounting.
+        pub store_shards: Vec<ShardStatRow>,
+        /// Streaming sessions open right now.
+        pub live_sessions: u64,
+        /// Bytes buffered across all open streaming sessions.
+        pub live_open_bytes: u64,
+        /// Sessions opened since startup.
+        pub live_sessions_opened: u64,
+        /// Sessions sealed (committed) since startup.
+        pub live_sessions_sealed: u64,
+        /// Sessions aborted (client abort or failed seal) since startup.
+        pub live_sessions_aborted: u64,
+        /// Expired leases reclaimed by the janitor since startup.
+        pub live_leases_reaped: u64,
+        /// Chunks accepted since startup.
+        pub live_chunks_appended: u64,
+        /// Capacity-induced rejections (too many sessions, buffer
+        /// budgets) since startup.
+        pub live_backpressure: u64,
+        /// Recent requests that crossed the slow-op threshold, oldest
+        /// first.
+        pub recent_slow_ops: Vec<SlowOpRow>,
+    }
 }
 
 impl ServerStatsReport {
@@ -753,73 +1026,65 @@ impl ServerStatsReport {
     }
 }
 
-/// Typed error taxonomy every failure maps into. The connection stays
-/// usable after a request-level error; frame-level errors
-/// ([`WireError::Malformed`], [`WireError::Oversized`],
-/// [`WireError::UnsupportedVersion`]) close it, since the byte stream
-/// can no longer be trusted.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum WireError {
-    /// Payload was not valid UTF-8 JSON for a known request.
-    Malformed { detail: String },
-    /// Frame payload exceeded the daemon's cap.
-    Oversized { len: usize, max: usize },
-    /// Client spoke a protocol revision the daemon does not serve.
-    UnsupportedVersion { got: u16, supported: u16 },
-    /// A profile reference matched nothing in the store.
-    UnknownProfile { reference: String },
-    /// A profile reference matched more than one stored profile.
-    /// Candidates are rendered `"{id}  {label}"` rows so a client can
-    /// show the user what to disambiguate between.
-    AmbiguousReference {
-        reference: String,
-        candidates: Vec<String>,
-    },
-    /// The profile never recorded that variable.
-    UnknownVariable { name: String },
-    /// A set-level query hit an empty store.
-    EmptyStore,
-    /// An ingested payload was not a valid profile.
-    ProfileParse { label: String, message: String },
-    /// The daemon failed internally (a bug, not a client error).
-    Internal { detail: String },
-    /// The request relies on capability bits the daemon does not
-    /// implement (or a streaming op arrived without declaring
-    /// [`caps::STREAMING`]). The connection stays usable.
-    Unsupported { feature: u16, supported: u16 },
-    /// No such open session (never opened, already sealed or aborted,
-    /// or lease-expired and reaped).
-    UnknownSession { session: u64 },
-    /// Chunks must arrive strictly in sequence, exactly once.
-    BadChunkSequence {
-        session: u64,
-        got: u64,
-        expected: u64,
-    },
-    /// One chunk exceeded the daemon's per-chunk limit.
-    ChunkTooLarge { session: u64, len: u64, max: u64 },
-    /// The session (or daemon-wide) buffer budget is exhausted; retry
-    /// later or fall back to one-shot ingestion.
-    SessionBufferFull { session: u64, bytes: u64, max: u64 },
-    /// The daemon cannot take more streaming work right now (too many
-    /// sessions or global backpressure); retry later.
-    Busy { detail: String },
-    /// A chunk payload did not parse.
-    ChunkParse {
-        session: u64,
-        seq: u64,
-        message: String,
-    },
-    /// A sealed chunk set did not assemble into a profile; the session
-    /// was discarded.
-    SessionIncomplete { session: u64, detail: String },
-    /// The daemon could not make the operation durable (WAL append or
-    /// commit failed — full disk, I/O error). The operation was rolled
-    /// back, **not** applied: an ingest can be retried as-is; a failed
-    /// seal discards the session, which must be re-streamed (a chunk
-    /// append does no I/O and never fails this way). The daemon keeps
-    /// serving reads, and the connection stays usable.
-    NotDurable { detail: String },
+wire_enum! {
+    /// Typed error taxonomy every failure maps into. The connection
+    /// stays usable after a request-level error; frame-level errors
+    /// ([`WireError::Malformed`], [`WireError::Oversized`],
+    /// [`WireError::UnsupportedVersion`]) close it, since the byte
+    /// stream can no longer be trusted.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum WireError ("wire error") {
+        /// Payload was not a well-formed message of a known request.
+        Malformed { detail: String } = 0,
+        /// Frame payload exceeded the daemon's cap.
+        Oversized { len: usize, max: usize } = 1,
+        /// Client spoke a protocol revision the daemon does not serve.
+        UnsupportedVersion { got: u16, supported: u16 } = 2,
+        /// A profile reference matched nothing in the store.
+        UnknownProfile { reference: String } = 3,
+        /// A profile reference matched more than one stored profile.
+        /// Candidates are rendered `"{id}  {label}"` rows so a client
+        /// can show the user what to disambiguate between.
+        AmbiguousReference { reference: String, candidates: Vec<String> } = 4,
+        /// The profile never recorded that variable.
+        UnknownVariable { name: String } = 5,
+        /// A set-level query hit an empty store.
+        EmptyStore = 6,
+        /// An ingested payload was not a valid profile.
+        ProfileParse { label: String, message: String } = 7,
+        /// The daemon failed internally (a bug, not a client error).
+        Internal { detail: String } = 8,
+        /// The request relies on capability bits the daemon does not
+        /// implement (or a streaming op arrived without declaring
+        /// [`caps::STREAMING`]). The connection stays usable.
+        Unsupported { feature: u16, supported: u16 } = 9,
+        /// No such open session (never opened, already sealed or
+        /// aborted, or lease-expired and reaped).
+        UnknownSession { session: u64 } = 10,
+        /// Chunks must arrive strictly in sequence, exactly once.
+        BadChunkSequence { session: u64, got: u64, expected: u64 } = 11,
+        /// One chunk exceeded the daemon's per-chunk limit.
+        ChunkTooLarge { session: u64, len: u64, max: u64 } = 12,
+        /// The session (or daemon-wide) buffer budget is exhausted;
+        /// retry later or fall back to one-shot ingestion.
+        SessionBufferFull { session: u64, bytes: u64, max: u64 } = 13,
+        /// The daemon cannot take more streaming work right now (too
+        /// many sessions or global backpressure); retry later.
+        Busy { detail: String } = 14,
+        /// A chunk payload did not parse.
+        ChunkParse { session: u64, seq: u64, message: String } = 15,
+        /// A sealed chunk set did not assemble into a profile; the
+        /// session was discarded.
+        SessionIncomplete { session: u64, detail: String } = 16,
+        /// The daemon could not make the operation durable (WAL append
+        /// or commit failed — full disk, I/O error). The operation was
+        /// rolled back, **not** applied: an ingest can be retried
+        /// as-is; a failed seal discards the session, which must be
+        /// re-streamed (a chunk append does no I/O and never fails this
+        /// way). The daemon keeps serving reads, and the connection
+        /// stays usable.
+        NotDurable { detail: String } = 17,
+    }
 }
 
 impl fmt::Display for WireError {
@@ -916,187 +1181,82 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Every reply the daemon sends.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Response {
-    Pong,
-    Ingested {
-        id: String,
-        added: bool,
-    },
-    Profiles(Vec<ProfileEntry>),
-    Resolved {
-        id: String,
-        label: String,
-    },
-    /// Rendered artifact text (aggregate, top, report, views, diff,
-    /// store-stats).
-    Text(String),
-    /// Boxed: the report (per-op rows + per-shard rows) dwarfs every
-    /// other variant, and `Response` values move through channels.
-    ServerStats(Box<ServerStatsReport>),
-    CacheCleared,
-    ShuttingDown,
-    /// A streaming session is open; stream chunks under this id and
-    /// within these limits, appending at least once per `lease_ms`.
-    SessionOpened {
-        session: u64,
-        lease_ms: u64,
-        max_chunk_bytes: u64,
-        max_session_bytes: u64,
-    },
-    /// Chunk accepted: buffered in the daemon's memory until the seal.
-    /// `open_bytes` is the daemon-wide buffered total after the append.
-    ChunkAppended {
-        session: u64,
-        seq: u64,
-        open_bytes: u64,
-    },
-    /// The session assembled and committed. `added` is false when the
-    /// identical profile was already stored (content-addressed dedup).
-    SessionSealed {
-        id: String,
-        added: bool,
-        chunks: u64,
-    },
-    SessionAborted {
-        session: u64,
-    },
-    Error(WireError),
-}
-
-// ---------------------------------------------------------------------------
-// Payload helpers (JSON requests + the binary request envelope)
-// ---------------------------------------------------------------------------
-
-/// Magic opening a binary request payload. JSON payloads cannot start
-/// with these bytes (`N` opens no JSON value), so the two request
-/// encodings are disjoint and a receiver dispatches on the first four
-/// bytes alone.
-pub const BINARY_REQUEST_MAGIC: [u8; 4] = *b"NBRQ";
-
-const BINOP_INGEST: u8 = 0;
-const BINOP_APPEND_CHUNK: u8 = 1;
-
-/// Binary envelope layout (all integers big-endian):
-///
-/// ```text
-/// offset 0..4  magic   b"NBRQ"
-/// offset 4     opcode  0 = IngestBinary, 1 = AppendChunkBinary
-///
-/// opcode 0:  u32 label_len, label bytes, codec bytes (rest)
-/// opcode 1:  u64 session, u64 seq, chunk bytes (rest)
-/// ```
-fn encode_binary_request(req: &Request) -> Option<Vec<u8>> {
-    match req {
-        Request::IngestBinary { label, bytes } => {
-            let mut out = Vec::with_capacity(9 + label.len() + bytes.len());
-            out.extend_from_slice(&BINARY_REQUEST_MAGIC);
-            out.push(BINOP_INGEST);
-            out.extend_from_slice(&(label.len() as u32).to_be_bytes());
-            out.extend_from_slice(label.as_bytes());
-            out.extend_from_slice(bytes);
-            Some(out)
-        }
-        Request::AppendChunkBinary {
-            session,
-            seq,
-            bytes,
-        } => {
-            let mut out = Vec::with_capacity(21 + bytes.len());
-            out.extend_from_slice(&BINARY_REQUEST_MAGIC);
-            out.push(BINOP_APPEND_CHUNK);
-            out.extend_from_slice(&session.to_be_bytes());
-            out.extend_from_slice(&seq.to_be_bytes());
-            out.extend_from_slice(bytes);
-            Some(out)
-        }
-        _ => None,
+wire_enum! {
+    /// Every reply the daemon sends.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response ("response") {
+        Pong = 0,
+        Ingested { id: String, added: bool } = 1,
+        Profiles(entries: Vec<ProfileEntry>) = 2,
+        Resolved { id: String, label: String } = 3,
+        /// Rendered artifact text (aggregate, top, report, views, diff,
+        /// store-stats): the rest of the payload, as its own bytes.
+        Text(..text: String) = 4,
+        /// Boxed: the report (per-op rows + per-shard rows) dwarfs
+        /// every other variant, and `Response` values move through
+        /// channels.
+        ServerStats(stats: Box<ServerStatsReport>) = 5,
+        CacheCleared = 6,
+        ShuttingDown = 7,
+        /// A streaming session is open; stream chunks under this id and
+        /// within these limits, appending at least once per `lease_ms`.
+        SessionOpened {
+            session: u64,
+            lease_ms: u64,
+            max_chunk_bytes: u64,
+            max_session_bytes: u64,
+        } = 8,
+        /// Chunk accepted: buffered in the daemon's memory until the
+        /// seal. `open_bytes` is the daemon-wide buffered total after
+        /// the append.
+        ChunkAppended { session: u64, seq: u64, open_bytes: u64 } = 9,
+        /// The session assembled and committed. `added` is false when
+        /// the identical profile was already stored (content-addressed
+        /// dedup).
+        SessionSealed { id: String, added: bool, chunks: u64 } = 10,
+        SessionAborted { session: u64 } = 11,
+        Error(error: WireError) = 12,
     }
 }
 
-fn decode_binary_request(payload: &[u8]) -> Result<Request, WireError> {
-    let malformed = |detail: &str| WireError::Malformed {
-        detail: detail.to_string(),
-    };
-    let body = &payload[BINARY_REQUEST_MAGIC.len()..];
-    let (&opcode, body) = body
-        .split_first()
-        .ok_or_else(|| malformed("binary request truncated before opcode"))?;
-    match opcode {
-        BINOP_INGEST => {
-            if body.len() < 4 {
-                return Err(malformed("binary ingest truncated before label length"));
-            }
-            let label_len = u32::from_be_bytes(body[..4].try_into().unwrap()) as usize;
-            if body.len() < 4 + label_len {
-                return Err(malformed("binary ingest label exceeds payload"));
-            }
-            let label = std::str::from_utf8(&body[4..4 + label_len])
-                .map_err(|_| malformed("binary ingest label is not UTF-8"))?
-                .to_string();
-            Ok(Request::IngestBinary {
-                label,
-                bytes: body[4 + label_len..].to_vec(),
-            })
-        }
-        BINOP_APPEND_CHUNK => {
-            if body.len() < 16 {
-                return Err(malformed("binary chunk append truncated before header"));
-            }
-            let session = u64::from_be_bytes(body[..8].try_into().unwrap());
-            let seq = u64::from_be_bytes(body[8..16].try_into().unwrap());
-            Ok(Request::AppendChunkBinary {
-                session,
-                seq,
-                bytes: body[16..].to_vec(),
-            })
-        }
-        other => Err(WireError::Malformed {
-            detail: format!("unknown binary request opcode {other}"),
-        }),
+// ---------------------------------------------------------------------------
+// Payload entry points
+// ---------------------------------------------------------------------------
+
+/// Decode one whole payload: the message, and not a byte more.
+fn decode<T: Wire>(mut payload: &[u8]) -> Result<T, WireError> {
+    let message = T::take(&mut payload)?;
+    if !payload.is_empty() {
+        return Err(malformed(format!(
+            "{} byte(s) left over after the message",
+            payload.len()
+        )));
     }
+    Ok(message)
 }
 
-/// Decode a frame payload into a request: the binary envelope when it
-/// opens with [`BINARY_REQUEST_MAGIC`], UTF-8 JSON otherwise.
-/// Distinguishes "not UTF-8" from "not a request" in the error detail.
+fn encode<T: Wire>(message: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    message.put(&mut out);
+    out
+}
+
+/// Decode a frame payload into a request.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    if payload.starts_with(&BINARY_REQUEST_MAGIC) {
-        return decode_binary_request(payload);
-    }
-    let text = std::str::from_utf8(payload).map_err(|e| WireError::Malformed {
-        detail: format!("payload is not UTF-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| WireError::Malformed {
-        detail: e.to_string(),
-    })
+    decode(payload)
 }
 
-/// Encode a request as a frame payload. Binary-codec requests take the
-/// [`BINARY_REQUEST_MAGIC`] envelope; everything else is JSON.
+/// Encode a request as a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    if let Some(bin) = encode_binary_request(req) {
-        return bin;
-    }
-    serde_json::to_string(req)
-        .expect("requests always serialize")
-        .into_bytes()
+    encode(req)
 }
 
 /// Encode a response as a frame payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    serde_json::to_string(resp)
-        .expect("responses always serialize")
-        .into_bytes()
+    encode(resp)
 }
 
 /// Decode a frame payload into a response.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let text = std::str::from_utf8(payload).map_err(|e| WireError::Malformed {
-        detail: format!("payload is not UTF-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| WireError::Malformed {
-        detail: e.to_string(),
-    })
+    decode(payload)
 }

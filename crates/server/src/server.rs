@@ -31,13 +31,13 @@ use crate::metrics::{Metrics, OpSlot};
 use crate::protocol::{
     caps, decode_request, encode_response, read_frame, write_frame_flags, FrameError, ProfileEntry,
     RecvError, ReportFormat, Request, Response, ServerStatsReport, ShardStatRow, SlowOpRow,
-    WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION, READ_BUFFER,
 };
 use numa_live::{LiveConfig, SessionError, SessionManager};
 use numa_obs::trace::{Span, SpanBody};
 use numa_obs::{trace, Registry, SpanRing};
 use numa_store::{ProfileStore, Query, StoreError};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -310,8 +310,11 @@ fn worker_loop(ctx: WorkerCtx) {
 }
 
 /// Serve one connection until EOF, error, timeout, or drain.
-fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
+fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
     let metrics = &ctx.backend.metrics;
+    // Frames are read through one buffer for the connection's life, so
+    // a request and its header arrive in one `read`.
+    let mut reader = BufReader::with_capacity(READ_BUFFER, &stream);
     loop {
         let draining = ctx.backend.shutdown.load(Ordering::SeqCst);
         if draining {
@@ -319,7 +322,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
             // wire, but do not wait for new work.
             let _ = stream.set_read_timeout(Some(ctx.config.drain_timeout));
         }
-        match read_frame(&mut stream, ctx.config.max_frame) {
+        match read_frame(&mut reader, ctx.config.max_frame) {
             Ok(None) => return, // clean EOF
             Ok(Some(frame)) => {
                 if frame.version != PROTOCOL_VERSION {
@@ -327,7 +330,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                         got: frame.version,
                         supported: PROTOCOL_VERSION,
                     });
-                    let _ = send(&mut stream, &resp);
+                    let _ = send(&stream, &resp);
                     return;
                 }
                 let start = Instant::now();
@@ -344,8 +347,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                 let (op, resp) = if unknown_caps != 0 {
                     // The frame is structurally sound, so the byte
                     // stream stays trustworthy: answer with a typed
-                    // capability error and keep serving (older daemons
-                    // hung up on any non-zero flags word).
+                    // capability error and keep serving.
                     (
                         OpSlot::UNKNOWN,
                         Response::Error(WireError::Unsupported {
@@ -359,10 +361,9 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                             let op = OpSlot::of(&req);
                             let missing = req.required_caps() & !frame.flags;
                             if missing != 0 {
-                                // A streaming op that did not declare
-                                // STREAMING is a client from before the
-                                // capability existed; tell it precisely
-                                // what it lacks.
+                                // An op whose frame did not declare
+                                // the capability it relies on: tell
+                                // the client precisely what it lacks.
                                 (
                                     op,
                                     Response::Error(WireError::Unsupported {
@@ -382,7 +383,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                     }
                 };
                 let is_error = matches!(resp, Response::Error(_));
-                let sent = send(&mut stream, &resp);
+                let sent = send(&stream, &resp);
                 let elapsed = start.elapsed();
                 metrics.record_request(op, elapsed, is_error);
                 if tracing {
@@ -401,7 +402,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
             Err(RecvError::Frame(FrameError::Oversized { len, max })) => {
                 metrics.rejected_oversized();
                 let resp = Response::Error(WireError::Oversized { len, max });
-                let _ = send(&mut stream, &resp);
+                let _ = send(&stream, &resp);
                 return;
             }
             Err(RecvError::Frame(e)) => {
@@ -409,7 +410,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                 let resp = Response::Error(WireError::Malformed {
                     detail: e.to_string(),
                 });
-                let _ = send(&mut stream, &resp);
+                let _ = send(&stream, &resp);
                 return;
             }
             Err(e) if e.is_timeout() => {
@@ -475,11 +476,11 @@ fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Du
 /// responses are limited only by the wire format's own `u32` length
 /// field, so tightening the inbound cap never makes stats or listing
 /// responses unsendable.
-fn send(stream: &mut TcpStream, resp: &Response) -> Result<(), RecvError> {
+fn send(mut stream: &TcpStream, resp: &Response) -> Result<(), RecvError> {
     // Every response frame advertises the daemon's full capability set,
     // so one ping round trip tells a client what this build can do.
     write_frame_flags(
-        stream,
+        &mut stream,
         PROTOCOL_VERSION,
         caps::SUPPORTED,
         &encode_response(resp),

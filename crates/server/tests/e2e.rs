@@ -6,7 +6,9 @@
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::protocol::{encode_frame, read_frame, Response, PROTOCOL_VERSION};
+use numa_server::protocol::{
+    encode_frame, encode_request, read_frame, Request, Response, PROTOCOL_VERSION,
+};
 use numa_server::{Client, ClientError, ReportFormat, Server, ServerConfig, WireError};
 use numa_sim::{ExecMode, Program};
 use numa_store::{ProfileStore, Query};
@@ -213,10 +215,10 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
         );
     }
 
-    // Valid frame, JSON that names no request — the retired JSON ingest
-    // and append ops included: typed malformed error, then the
-    // connection is closed (never a hang on a peer that still sends
-    // them).
+    // Valid frame, JSON where a binary message belongs — the retired
+    // JSON ingest and append ops included: `{` is no request's tag, so a
+    // typed malformed error, then the connection is closed (never a
+    // hang on a peer that still sends them).
     for bogus in [
         r#"{"no": "such request"}"#,
         r#"{"Ingest":{"label":"old","json":"{}"}}"#,
@@ -238,26 +240,28 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
         );
     }
 
-    // Wrong protocol version: typed version error.
-    {
+    // Wrong protocol version: typed version error. A version-1 peer
+    // spoke JSON; it learns the version it must speak instead of
+    // drawing a `Malformed`.
+    for (version, payload) in [
+        (1, b"\"Ping\"".to_vec()),
+        (99, encode_request(&Request::Ping)),
+    ] {
         let mut s = TcpStream::connect(addr).expect("connect raw");
-        s.write_all(&encode_frame(99, b"\"Ping\"").expect("encode"))
-            .expect("send v99");
+        s.write_all(&encode_frame(version, &payload).expect("encode"))
+            .expect("send old version");
         let frame = read_frame(&mut s, 1 << 20).expect("reply").expect("frame");
         assert_eq!(
             frame.version, PROTOCOL_VERSION,
             "server frames its own version"
         );
         let resp = numa_server::protocol::decode_response(&frame.payload).expect("decode");
-        assert!(
-            matches!(
-                resp,
-                Response::Error(WireError::UnsupportedVersion {
-                    got: 99,
-                    supported: 1
-                })
-            ),
-            "{resp:?}"
+        assert_eq!(
+            resp,
+            Response::Error(WireError::UnsupportedVersion {
+                got: version,
+                supported: 2
+            })
         );
     }
 
@@ -282,7 +286,7 @@ fn two_frames_in_one_write_get_two_answers() {
     // one frame answers once and lets the second read time out.
     let mut s = TcpStream::connect(addr).expect("connect raw");
     s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
-    let ping = encode_frame(PROTOCOL_VERSION, b"\"Ping\"").expect("encode");
+    let ping = encode_frame(PROTOCOL_VERSION, &encode_request(&Request::Ping)).expect("encode");
     s.write_all(&[ping.clone(), ping].concat())
         .expect("send both");
     for nth in ["first", "second"] {

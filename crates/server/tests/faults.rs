@@ -8,7 +8,7 @@ use numa_faults::{FaultSpec, FaultyStorage};
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::protocol::{encode_frame, PROTOCOL_VERSION};
+use numa_server::protocol::{encode_frame, encode_request, Request, PROTOCOL_VERSION};
 use numa_server::{Client, ClientError, ReportFormat, Server, ServerConfig, WireError};
 use numa_sim::{ExecMode, Program};
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig};
@@ -78,7 +78,7 @@ fn mid_frame_disconnects_leave_the_daemon_serving() {
     // A well-formed frame, cut at every interesting byte offset: inside
     // the header, exactly after the header, and mid-payload. The peer
     // vanishes without warning each time.
-    let frame = encode_frame(PROTOCOL_VERSION, b"\"Ping\"").expect("encode");
+    let frame = encode_frame(PROTOCOL_VERSION, &encode_request(&Request::Ping)).expect("encode");
     for cut in [1, 3, frame.len() / 2, frame.len() - 1] {
         let mut s = TcpStream::connect(addr).expect("connect raw");
         s.write_all(&frame[..cut]).expect("send truncated prefix");
@@ -105,7 +105,7 @@ fn stalled_mid_frame_reads_time_out_and_are_counted() {
     // Send half a frame, then stall: the daemon must not wait forever
     // for the rest. It drops the connection after the read timeout and
     // counts it, without taking a worker hostage.
-    let frame = encode_frame(PROTOCOL_VERSION, b"\"Ping\"").expect("encode");
+    let frame = encode_frame(PROTOCOL_VERSION, &encode_request(&Request::Ping)).expect("encode");
     let mut stalled = TcpStream::connect(addr).expect("connect stalled");
     stalled
         .write_all(&frame[..frame.len() / 2])
@@ -129,7 +129,7 @@ fn byte_level_truncation_gets_a_typed_error_or_a_clean_drop() {
     // A frame whose header promises more payload than the peer ever
     // delivers, followed by a clean close. Whatever the daemon answers
     // (typed malformed error or silent drop), it must keep serving.
-    let full = encode_frame(PROTOCOL_VERSION, b"\"Ping\"").expect("encode");
+    let full = encode_frame(PROTOCOL_VERSION, &encode_request(&Request::Ping)).expect("encode");
     {
         let mut s = TcpStream::connect(addr).expect("connect raw");
         s.write_all(&full[..full.len() - 3])

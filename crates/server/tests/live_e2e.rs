@@ -8,8 +8,8 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::protocol::{
-    caps, encode_frame_flags, encode_request, encode_response, read_frame, Request, Response,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    caps, decode_response, encode_frame_flags, encode_request, encode_response, read_frame,
+    Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use numa_server::{
     Backend, Client, ClientError, LiveConfig, Server, ServerConfig, ServerStatsReport, WireError,
@@ -218,22 +218,24 @@ fn capability_bits_gate_streaming_and_keep_connections_alive() {
     assert_eq!(c.ping().expect("ping"), caps::SUPPORTED);
     assert_eq!(c.server_caps(), Some(caps::SUPPORTED));
 
-    // Raw exchange: a frame with an unknown capability bit draws a
-    // typed Unsupported — and the SAME connection then serves a valid
-    // ping, where the old protocol hung up on any non-zero word.
+    // Raw exchange: a frame with an unknown capability bit — the
+    // retired bit 1 included — draws a typed Unsupported, and the SAME
+    // connection then serves a valid ping.
     let mut s = TcpStream::connect(addr).expect("raw connect");
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let ping = encode_request(&Request::Ping);
-    s.write_all(&encode_frame_flags(PROTOCOL_VERSION, 0x8000, &ping).unwrap())
-        .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME)
-        .expect("readable")
-        .expect("answered");
-    match serde_json::from_str::<Response>(std::str::from_utf8(&frame.payload).unwrap()) {
-        Ok(Response::Error(WireError::Unsupported { supported, .. })) => {
-            assert_eq!(supported, caps::SUPPORTED)
+    for unknown in [0x8000, 1 << 1] {
+        s.write_all(&encode_frame_flags(PROTOCOL_VERSION, unknown, &ping).unwrap())
+            .unwrap();
+        let frame = read_frame(&mut s, DEFAULT_MAX_FRAME)
+            .expect("readable")
+            .expect("answered");
+        match decode_response(&frame.payload) {
+            Ok(Response::Error(WireError::Unsupported { feature, supported })) => {
+                assert_eq!((feature, supported), (unknown, caps::SUPPORTED))
+            }
+            other => panic!("expected Unsupported for {unknown:#x}, got {other:?}"),
         }
-        other => panic!("expected Unsupported, got {other:?}"),
     }
     s.write_all(&encode_frame_flags(PROTOCOL_VERSION, 0, &ping).unwrap())
         .unwrap();
@@ -241,14 +243,13 @@ fn capability_bits_gate_streaming_and_keep_connections_alive() {
         .expect("readable")
         .expect("still served");
     assert_eq!(frame.flags, caps::SUPPORTED, "responses advertise caps");
-    match serde_json::from_str::<Response>(std::str::from_utf8(&frame.payload).unwrap()) {
+    match decode_response(&frame.payload) {
         Ok(Response::Pong) => {}
         other => panic!("expected Pong after capability error, got {other:?}"),
     }
 
-    // A streaming op whose frame does not declare STREAMING (a client
-    // from before the capability existed) gets a typed refusal naming
-    // the missing bit.
+    // A streaming op whose frame does not declare STREAMING gets a
+    // typed refusal naming the missing bit.
     let open = encode_request(&Request::OpenSession {
         label: "old-client".to_string(),
     });
@@ -257,7 +258,7 @@ fn capability_bits_gate_streaming_and_keep_connections_alive() {
     let frame = read_frame(&mut s, DEFAULT_MAX_FRAME)
         .expect("readable")
         .expect("answered");
-    match serde_json::from_str::<Response>(std::str::from_utf8(&frame.payload).unwrap()) {
+    match decode_response(&frame.payload) {
         Ok(Response::Error(WireError::Unsupported { feature, .. })) => {
             assert_eq!(feature, caps::STREAMING)
         }
@@ -296,29 +297,8 @@ fn binary_codec_ingest_and_stream_match_json_over_tcp() {
         oracle.aggregate().unwrap().text()
     );
 
-    // A binary op whose frame does not declare BINARY_CODEC (a client
-    // from before the capability existed) draws a typed refusal naming
-    // the missing bit — and the connection keeps serving.
-    let mut s = TcpStream::connect(addr).expect("raw connect");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let req = encode_request(&Request::IngestBinary {
-        label: "old-client".to_string(),
-        bytes: numa_codec::encode_profile(&p1),
-    });
-    s.write_all(&encode_frame_flags(PROTOCOL_VERSION, 0, &req).unwrap())
-        .unwrap();
-    let frame = read_frame(&mut s, DEFAULT_MAX_FRAME)
-        .expect("readable")
-        .expect("answered");
-    match serde_json::from_str::<Response>(std::str::from_utf8(&frame.payload).unwrap()) {
-        Ok(Response::Error(WireError::Unsupported { feature, .. })) => {
-            assert_eq!(feature, caps::BINARY_CODEC)
-        }
-        other => panic!("expected Unsupported{{BINARY_CODEC}}, got {other:?}"),
-    }
-
-    // Garbage codec bytes with the right caps are a request-level parse
-    // error, not a dead connection.
+    // Garbage codec bytes are a request-level parse error, not a dead
+    // connection.
     match c.ingest_binary("junk", vec![0xAB, 0xCD, 0xEF]) {
         Err(ClientError::Server(WireError::ProfileParse { label, .. })) => {
             assert_eq!(label, "junk")

@@ -1,13 +1,17 @@
 //! Property tests for the wire protocol: arbitrary payloads survive
-//! framing, arbitrary TCP fragmentation reassembles, and every
-//! malformed byte stream yields a typed error — never a panic.
+//! framing, arbitrary TCP fragmentation reassembles, every message of
+//! the binary grammar round-trips, and every malformed byte stream
+//! yields a typed error — never a panic.
 
 use numa_server::protocol::{
     caps, decode_request, decode_response, encode_frame, encode_frame_flags, encode_request,
-    encode_response, frame_len, read_frame, FrameDecoder, FrameError, RecvError, ReportFormat,
-    Request, Response, WireError, HEADER_LEN, PROTOCOL_VERSION,
+    encode_response, frame_len, read_frame, FrameDecoder, FrameError, LatencySummary, OpStat,
+    ProfileEntry, RecvError, ReportFormat, Request, Response, ServerStatsReport, ShardStatRow,
+    SlowOpRow, WireError, HEADER_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// Arbitrary payload bytes (0–1528 bytes, every byte value reachable).
 fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -130,7 +134,7 @@ proptest! {
     }
 
     #[test]
-    fn requests_round_trip_as_json(label in text_strategy(), body in text_strategy(), n in 0usize..10_000) {
+    fn requests_round_trip_in_binary(label in text_strategy(), body in text_strategy(), n in 0usize..10_000) {
         let requests = [
             Request::Ping,
             Request::List,
@@ -148,8 +152,8 @@ proptest! {
             Request::OpenSession { label: label.clone() },
             Request::SealSession { session: n as u64 },
             Request::AbortSession { session: n as u64 },
-            // The two profile-bearing requests take the binary
-            // envelope, through the same encode/decode entry points.
+            // The two profile-bearing requests carry their codec bytes
+            // as the rest of the payload.
             Request::IngestBinary { label: label.clone(), bytes: body.clone().into_bytes() },
             Request::AppendChunkBinary { session: n as u64, seq: n as u64, bytes: body.clone().into_bytes() },
         ];
@@ -157,13 +161,12 @@ proptest! {
             let decoded = decode_request(&encode_request(req)).expect("round-trip");
             prop_assert_eq!(&decoded, req);
         }
-        // Only session and binary-codec ops rely on capability bits.
+        // Only session ops rely on capability bits.
         for req in &requests {
             let expected = match req {
                 Request::OpenSession { .. } | Request::SealSession { .. }
-                | Request::AbortSession { .. } => caps::STREAMING,
-                Request::IngestBinary { .. } => caps::BINARY_CODEC,
-                Request::AppendChunkBinary { .. } => caps::STREAMING | caps::BINARY_CODEC,
+                | Request::AbortSession { .. }
+                | Request::AppendChunkBinary { .. } => caps::STREAMING,
                 _ => 0,
             };
             prop_assert_eq!(req.required_caps(), expected);
@@ -171,7 +174,7 @@ proptest! {
     }
 
     #[test]
-    fn responses_round_trip_as_json(text in text_strategy(), added in any::<bool>()) {
+    fn responses_round_trip_in_binary(text in text_strategy(), added in any::<bool>()) {
         let responses = [
             Response::Pong,
             Response::Ingested { id: text.clone(), added },
@@ -228,39 +231,39 @@ fn flags_word_is_accepted_where_reserved_was_rejected() {
 
 #[test]
 fn capability_set_is_coherent() {
-    // STREAMING and BINARY_CODEC are implemented, and render() names
-    // known bits.
-    assert_eq!(caps::SUPPORTED & caps::STREAMING, caps::STREAMING);
-    assert_eq!(caps::SUPPORTED & caps::BINARY_CODEC, caps::BINARY_CODEC);
-    assert_ne!(caps::STREAMING, caps::BINARY_CODEC);
-    assert!(caps::render(caps::STREAMING).contains("streaming"));
-    assert!(caps::render(caps::BINARY_CODEC).contains("binary-codec"));
+    // STREAMING and METRICS are implemented, and render() names known
+    // bits.
+    assert_eq!(caps::SUPPORTED, caps::STREAMING | caps::METRICS);
+    assert_ne!(caps::STREAMING, caps::METRICS);
+    assert_eq!(caps::render(caps::SUPPORTED), "0x0005 (streaming, metrics)");
     assert!(caps::render(0).contains("none"));
     assert!(caps::render(0x8000).contains("unknown"));
+    // Bit 1 is retired, never reused: it is an unknown bit.
+    assert_eq!(caps::SUPPORTED & (1 << 1), 0);
+    assert!(caps::render(1 << 1).contains("unknown"));
 }
 
 #[test]
 fn truncated_binary_requests_are_typed_malformed_errors() {
-    use numa_server::protocol::BINARY_REQUEST_MAGIC;
     let full = encode_request(&Request::IngestBinary {
         label: "run".to_string(),
         bytes: vec![1, 2, 3],
     });
-    assert!(full.starts_with(&BINARY_REQUEST_MAGIC));
-    // Every proper prefix of the envelope header (magic, opcode, label
-    // length, label) decodes to a typed error, never a panic; the codec
-    // body itself is validated at execute time, not decode time.
-    let header_len = 4 + 1 + 4 + "run".len();
-    for cut in 4..header_len {
+    // Every proper prefix of the message's head (tag, label length,
+    // label) decodes to a typed error, never a panic; the codec body
+    // itself is validated at execute time, not decode time.
+    let header_len = 1 + 4 + "run".len();
+    assert_eq!(full.len(), header_len + 3);
+    for cut in 0..header_len {
         let err = decode_request(&full[..cut]).unwrap_err();
         assert!(
             matches!(err, WireError::Malformed { .. }),
             "cut={cut} {err:?}"
         );
     }
-    // An unknown opcode is typed, too.
+    // An unknown tag is typed, too.
     let mut bad = full.clone();
-    bad[4] = 0xEE;
+    bad[0] = 0xEE;
     let err = decode_request(&bad).unwrap_err();
     assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
 }
@@ -269,9 +272,19 @@ fn truncated_binary_requests_are_typed_malformed_errors() {
 fn non_utf8_payload_is_a_typed_malformed_error() {
     let err = decode_request(&[0xff, 0xfe, 0x00]).unwrap_err();
     assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
+    // A string field that is not UTF-8 is typed, and says so.
+    let mut resolve = encode_request(&Request::Resolve {
+        reference: "ab".to_string(),
+    });
+    resolve[5] = 0xff;
+    match decode_request(&resolve).unwrap_err() {
+        WireError::Malformed { detail } => assert!(detail.contains("UTF-8"), "{detail}"),
+        other => panic!("{other:?}"),
+    }
     let err = decode_request(b"{\"not\": \"a request\"}").unwrap_err();
     assert!(matches!(err, WireError::Malformed { .. }), "{err:?}");
-    // The retired JSON twins of the payload ops are unknown variants now.
+    // JSON of any request — the retired JSON twins of the payload ops
+    // included — opens with an unknown tag.
     for retired in [
         r#"{"Ingest":{"label":"run","json":"{}"}}"#,
         r#"{"AppendChunk":{"session":1,"seq":0,"chunk":"{}"}}"#,
@@ -432,9 +445,9 @@ fn read_frame_surfaces_a_timeout_mid_frame() {
     }
 }
 
-/// Strings that exercise every branch of the JSON string kernels under
-/// the response path: each control byte, the two escaped punctuation
-/// marks, `/`, DEL, 2–4-byte UTF-8 and long clean runs, in seeded mixes.
+/// Strings full of what a text encoding would have to escape or
+/// re-encode: each control byte, `"`, `\`, `/`, DEL, 2–4-byte UTF-8 and
+/// long clean runs, in seeded mixes.
 fn kernel_strings() -> Vec<String> {
     let mut out = vec![
         String::new(),
@@ -480,13 +493,16 @@ fn kernel_strings() -> Vec<String> {
 #[test]
 fn text_responses_round_trip_through_the_string_kernels() {
     for s in kernel_strings() {
-        let resp = Response::Text(s);
-        let payload = encode_response(&resp);
-        assert!(
-            payload.iter().all(|&b| b >= 0x20),
-            "a control byte went out unescaped: {resp:?}"
+        let payload = encode_response(&Response::Text(s.clone()));
+        assert_eq!(
+            &payload[1..],
+            s.as_bytes(),
+            "the text travels as its own bytes"
         );
-        assert_eq!(decode_response(&payload).expect("decode"), resp);
+        assert_eq!(
+            decode_response(&payload).expect("decode"),
+            Response::Text(s)
+        );
     }
 }
 
@@ -494,14 +510,508 @@ fn text_responses_round_trip_through_the_string_kernels() {
 fn text_response_payload_is_pinned_byte_for_byte() {
     let resp =
         Response::Text("cross-run aggregate: 2 run(s)\n\t\"z\" 50% → C:\\x/y\u{1}é\r".into());
-    let want =
-        "{\"Text\":\"cross-run aggregate: 2 run(s)\\n\\t\\\"z\\\" 50% → C:\\\\x/y\\u0001é\\r\"}";
-    assert_eq!(String::from_utf8(encode_response(&resp)).unwrap(), want);
-    assert_eq!(decode_response(want.as_bytes()).unwrap(), resp);
-    // Escapes this build never prints are still read.
-    let spelled = "{\"Text\":\"\\u0041\\/\\b\\f\"}";
-    assert_eq!(
-        decode_response(spelled.as_bytes()).unwrap(),
-        Response::Text("A/\u{8}\u{c}".into())
+    // Tag 4, then the UTF-8 bytes as they are: no length, no escapes.
+    let want: &[u8] =
+        b"\x04cross-run aggregate: 2 run(s)\n\t\"z\" 50% \xe2\x86\x92 C:\\x/y\x01\xc3\xa9\r";
+    assert_eq!(encode_response(&resp), want);
+    assert_eq!(decode_response(want).unwrap(), resp);
+}
+
+// ---------------------------------------------------------------------------
+// The binary grammar, over every variant
+// ---------------------------------------------------------------------------
+
+/// Generated field values, enough to build one message of every variant.
+#[derive(Clone, Debug)]
+struct Draw {
+    a: String,
+    b: String,
+    n: u64,
+    m: u64,
+    bytes: Vec<u8>,
+    list: Vec<String>,
+}
+
+fn draw_strategy() -> impl Strategy<Value = Draw> {
+    (
+        text_strategy(),
+        text_strategy(),
+        any::<u64>(),
+        any::<u64>(),
+        prop::collection::vec(any::<u64>(), 0..24)
+            .prop_map(|w| w.iter().flat_map(|w| w.to_le_bytes()).collect()),
+        prop::collection::vec(text_strategy(), 0..40),
+    )
+        .prop_map(|(a, b, n, m, bytes, list)| Draw {
+            a,
+            b,
+            n,
+            m,
+            bytes,
+            list,
+        })
+}
+
+fn every_request(d: &Draw) -> Vec<Request> {
+    let format = [ReportFormat::Text, ReportFormat::Json][(d.n & 1) as usize];
+    vec![
+        Request::Ping,
+        Request::List,
+        Request::Resolve {
+            reference: d.a.clone(),
+        },
+        Request::Aggregate,
+        Request::Top { n: d.n as usize },
+        Request::Report {
+            profile: d.a.clone(),
+            format,
+        },
+        Request::CodeView {
+            profile: d.b.clone(),
+            min_share_permille: d.m as u16,
+        },
+        Request::AddressView {
+            profile: d.a.clone(),
+            var: d.b.clone(),
+        },
+        Request::Diff {
+            before: d.a.clone(),
+            after: d.b.clone(),
+        },
+        Request::StoreStats,
+        Request::ServerStats,
+        Request::Metrics,
+        Request::ClearCache,
+        Request::Shutdown,
+        Request::OpenSession { label: d.a.clone() },
+        Request::SealSession { session: d.n },
+        Request::AbortSession { session: d.m },
+        Request::IngestBinary {
+            label: d.a.clone(),
+            bytes: d.bytes.clone(),
+        },
+        Request::AppendChunkBinary {
+            session: d.n,
+            seq: d.m,
+            bytes: d.bytes.clone(),
+        },
+    ]
+}
+
+fn every_wire_error(d: &Draw) -> Vec<WireError> {
+    vec![
+        WireError::Malformed {
+            detail: d.a.clone(),
+        },
+        WireError::Oversized {
+            len: d.n as usize,
+            max: d.m as usize,
+        },
+        WireError::UnsupportedVersion {
+            got: d.n as u16,
+            supported: PROTOCOL_VERSION,
+        },
+        WireError::UnknownProfile {
+            reference: d.a.clone(),
+        },
+        WireError::AmbiguousReference {
+            reference: d.b.clone(),
+            candidates: d.list.clone(),
+        },
+        WireError::UnknownVariable { name: d.b.clone() },
+        WireError::EmptyStore,
+        WireError::ProfileParse {
+            label: d.a.clone(),
+            message: d.b.clone(),
+        },
+        WireError::Internal {
+            detail: d.b.clone(),
+        },
+        WireError::Unsupported {
+            feature: d.n as u16,
+            supported: caps::SUPPORTED,
+        },
+        WireError::UnknownSession { session: d.n },
+        WireError::BadChunkSequence {
+            session: d.n,
+            got: d.m,
+            expected: d.n ^ d.m,
+        },
+        WireError::ChunkTooLarge {
+            session: d.m,
+            len: d.n,
+            max: 4096,
+        },
+        WireError::SessionBufferFull {
+            session: d.n,
+            bytes: d.m,
+            max: u64::MAX,
+        },
+        WireError::Busy {
+            detail: d.a.clone(),
+        },
+        WireError::ChunkParse {
+            session: d.n,
+            seq: d.m,
+            message: d.a.clone(),
+        },
+        WireError::SessionIncomplete {
+            session: d.m,
+            detail: d.b.clone(),
+        },
+        WireError::NotDurable {
+            detail: d.a.clone(),
+        },
+    ]
+}
+
+/// A report with every field set, its lists as long as the draw's, and
+/// each optional slow-op fact present or absent by the draw's bits.
+fn stats_report(d: &Draw) -> ServerStatsReport {
+    let k = d.list.len() as u64;
+    let bit = |i: usize| (d.n >> (i % 64)) & 1 == 1;
+    ServerStatsReport {
+        uptime_ms: d.n,
+        connections_accepted: d.m,
+        connections_closed: k,
+        requests_total: d.n ^ 1,
+        errors_total: d.m ^ 2,
+        rejected_oversized: 3,
+        malformed_frames: 4,
+        timeouts: 5,
+        per_op: d
+            .list
+            .iter()
+            .enumerate()
+            .map(|(i, op)| OpStat {
+                op: op.clone(),
+                requests: d.n.wrapping_add(i as u64),
+                errors: i as u64,
+            })
+            .collect(),
+        latency: LatencySummary {
+            count: d.n,
+            p50_us: 6,
+            p95_us: 7,
+            p99_us: 8,
+            max_us: d.m,
+        },
+        store_profiles: d.m as usize,
+        store_set_hash: d.b.clone(),
+        cache_hits: 9,
+        cache_misses: 10,
+        cache_insertions: 11,
+        cache_evictions: 12,
+        durable: bit(0),
+        snapshot_records_loaded: 13,
+        wal_records_replayed: 14,
+        wal_truncated_bytes: 15,
+        wal_appends: 16,
+        wal_group_commits: 17,
+        snapshots_written: 18,
+        persist_io_errors: 19,
+        store_shards: (0..k as usize)
+            .map(|shard| ShardStatRow {
+                shard,
+                profiles: shard * 2,
+                ingests: d.n,
+                read_contended: d.m,
+                write_contended: k,
+            })
+            .collect(),
+        live_sessions: 20,
+        live_open_bytes: 21,
+        live_sessions_opened: 22,
+        live_sessions_sealed: 23,
+        live_sessions_aborted: 24,
+        live_leases_reaped: 25,
+        live_chunks_appended: 26,
+        live_backpressure: 27,
+        recent_slow_ops: d
+            .list
+            .iter()
+            .enumerate()
+            .map(|(i, op)| SlowOpRow {
+                seq: i as u64,
+                op: op.clone(),
+                bytes: d.m,
+                shard: bit(i).then_some(i as u32),
+                cache_hit: bit(i + 1).then_some(bit(i + 2)),
+                wal_ack_us: bit(i + 3).then_some(d.n),
+                total_us: d.n,
+                error: bit(i + 4),
+            })
+            .collect(),
+    }
+}
+
+fn every_response(d: &Draw) -> Vec<Response> {
+    let mut out = vec![
+        Response::Pong,
+        Response::Ingested {
+            id: d.a.clone(),
+            added: d.n & 1 == 1,
+        },
+        Response::Profiles(
+            d.list
+                .iter()
+                .map(|label| ProfileEntry {
+                    id: d.a.clone(),
+                    label: label.clone(),
+                    threads: d.n as usize,
+                    codec_bytes: d.m as usize,
+                })
+                .collect(),
+        ),
+        Response::Resolved {
+            id: d.a.clone(),
+            label: d.b.clone(),
+        },
+        Response::Text(d.list.concat()),
+        Response::ServerStats(Box::new(stats_report(d))),
+        Response::CacheCleared,
+        Response::ShuttingDown,
+        Response::SessionOpened {
+            session: d.n,
+            lease_ms: d.m,
+            max_chunk_bytes: 4 << 20,
+            max_session_bytes: 64 << 20,
+        },
+        Response::ChunkAppended {
+            session: d.n,
+            seq: d.m,
+            open_bytes: d.n ^ d.m,
+        },
+        Response::SessionSealed {
+            id: d.b.clone(),
+            added: d.m & 1 == 1,
+            chunks: d.n,
+        },
+        Response::SessionAborted { session: d.m },
+    ];
+    out.extend(every_wire_error(d).into_iter().map(Response::Error));
+    out
+}
+
+/// Length of a message's trailing blob — the rest of the payload, which
+/// any prefix past the head still spells (shorter) — or `None` for a
+/// message without one.
+fn request_blob(req: &Request) -> Option<usize> {
+    match req {
+        Request::IngestBinary { bytes, .. } | Request::AppendChunkBinary { bytes, .. } => {
+            Some(bytes.len())
+        }
+        _ => None,
+    }
+}
+
+fn response_blob(resp: &Response) -> Option<usize> {
+    match resp {
+        Response::Text(text) => Some(text.len()),
+        _ => None,
+    }
+}
+
+/// The tags a decoder knows: every byte whose one-byte payload is not
+/// refused as an unknown tag. `prefix` is what comes before the tag.
+fn known_tags<T>(prefix: &[u8], decode: impl Fn(&[u8]) -> Result<T, WireError>) -> Vec<u8> {
+    (0..=255u8)
+        .filter(|&tag| {
+            let payload = [prefix, &[tag]].concat();
+            !matches!(decode(&payload), Err(WireError::Malformed { detail }) if detail.contains("unknown"))
+        })
+        .collect()
+}
+
+/// Every strict prefix and every single-byte flip of `bytes` decodes to
+/// a typed `Malformed` or to a message that re-encodes to exactly those
+/// bytes; a prefix shorter than the head (everything before the blob)
+/// is always `Malformed`.
+fn check_corruptions<T: std::fmt::Debug>(
+    bytes: &[u8],
+    blob: Option<usize>,
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let head = bytes.len() - blob.unwrap_or(0);
+    let mut altered = bytes.to_vec();
+    for i in 0..bytes.len() {
+        match decode(&bytes[..i]) {
+            Err(WireError::Malformed { .. }) => {}
+            Ok(m) => assert!(
+                i >= head && encode(&m) == bytes[..i],
+                "prefix {i} of {bytes:?} decoded to {m:?}"
+            ),
+            Err(e) => panic!("prefix {i}: untyped {e:?}"),
+        }
+        altered[i] ^= 0xFF;
+        match decode(&altered) {
+            Err(WireError::Malformed { .. }) => {}
+            Ok(m) => assert_eq!(encode(&m), altered, "flip at {i} decoded to {m:?}"),
+            Err(e) => panic!("flip at {i}: untyped {e:?}"),
+        }
+        altered[i] ^= 0xFF;
+    }
+    // A byte past the last field: a blob absorbs it, anything else is
+    // left over.
+    altered.push(0);
+    match decode(&altered) {
+        Ok(m) if blob.is_some() => assert_eq!(encode(&m), altered),
+        Err(WireError::Malformed { detail }) if blob.is_none() => {
+            assert!(detail.contains("left over"), "{detail}")
+        }
+        other => panic!("one trailing byte after {bytes:?}: {other:?}"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn every_variant_round_trips(d in draw_strategy()) {
+        let requests = every_request(&d);
+        for req in &requests {
+            prop_assert_eq!(&decode_request(&encode_request(req)).expect("request"), req);
+        }
+        let responses = every_response(&d);
+        for resp in &responses {
+            prop_assert_eq!(&decode_response(&encode_response(resp)).expect("response"), resp);
+        }
+        // Every tag the decoders know is drawn above: a variant added to
+        // the grammar but not to this test fails here.
+        let tags = |payloads: Vec<Vec<u8>>, at: usize| {
+            let mut tags: Vec<u8> = payloads.iter().map(|p| p[at]).collect();
+            tags.dedup();
+            tags
+        };
+        prop_assert_eq!(
+            tags(requests.iter().map(encode_request).collect(), 0),
+            known_tags(&[], decode_request)
+        );
+        prop_assert_eq!(
+            tags(responses.iter().map(encode_response).collect(), 0),
+            known_tags(&[], decode_response)
+        );
+        let errors: Vec<Vec<u8>> = every_wire_error(&d)
+            .into_iter()
+            .map(|e| encode_response(&Response::Error(e)))
+            .collect();
+        let error_tag = errors[0][0];
+        prop_assert_eq!(tags(errors, 1), known_tags(&[error_tag], decode_response));
+    }
+
+    #[test]
+    fn prefixes_flips_and_trailing_bytes_are_typed(d in draw_strategy()) {
+        // Every byte is cut and flipped, so keep the lists short here;
+        // long ones round-trip above.
+        let d = Draw { list: d.list.into_iter().take(3).collect(), ..d };
+        for req in every_request(&d) {
+            check_corruptions(&encode_request(&req), request_blob(&req), decode_request, encode_request);
+        }
+        for resp in every_response(&d) {
+            check_corruptions(&encode_response(&resp), response_blob(&resp), decode_response, encode_response);
+        }
+    }
+}
+
+#[test]
+fn unknown_tags_are_malformed_and_named() {
+    let cases: [(&[u8], &str); 4] = [
+        (&[0xEE], "unknown request tag 0xee"),
+        (&[5, 0, 0, 0, 0, 0x07], "unknown report format tag 0x07"),
+        (&[0xEE], "unknown response tag 0xee"),
+        (&[12, 0x7b], "unknown wire error tag 0x7b"),
+    ];
+    for (i, (payload, want)) in cases.into_iter().enumerate() {
+        let err = if i < 2 {
+            decode_request(payload).unwrap_err()
+        } else {
+            decode_response(payload).unwrap_err()
+        };
+        match err {
+            WireError::Malformed { detail } => assert_eq!(detail, want),
+            other => panic!("{payload:?}: {other:?}"),
+        }
+    }
+}
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts the bytes this thread asks the allocator for.
+struct Counting;
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+#[test]
+fn a_huge_count_or_length_word_allocates_nothing() {
+    // (is a request, the head before a u32::MAX word, what the word is)
+    let cases: [(bool, &[u8], &str); 5] = [
+        (true, &[2], "Resolve reference length"),
+        (true, &[17], "IngestBinary label length"),
+        (false, &[1], "Ingested id length"),
+        (false, &[2], "Profiles entry count"),
+        (
+            false,
+            &[12, 4, 0, 0, 0, 0],
+            "AmbiguousReference candidate count",
+        ),
+    ];
+    for (request, head, word) in cases {
+        let mut payload = [head, &u32::MAX.to_be_bytes()].concat();
+        payload.resize(16, 0);
+        let before = ALLOCATED.with(Cell::get);
+        let err = if request {
+            decode_request(&payload).map(drop)
+        } else {
+            decode_response(&payload).map(drop)
+        }
+        .unwrap_err();
+        let allocated = ALLOCATED.with(Cell::get) - before;
+        // The error's message is the only allocation: nothing is sized
+        // by the word.
+        match err {
+            WireError::Malformed { detail } => {
+                assert!(
+                    allocated <= 2 * detail.len().max(64),
+                    "{word}: {allocated} B"
+                );
+            }
+            other => panic!("{word}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_fully_populated_stats_report_round_trips() {
+    let d = Draw {
+        a: "é → 温 😀".to_string(),
+        b: String::new(),
+        n: 0xdead_beef_f00d_cafe,
+        m: u64::MAX,
+        bytes: Vec::new(),
+        list: (0..40).map(|i| format!("op-{i}")).collect(),
+    };
+    let report = stats_report(&d);
+    // Each optional slow-op fact takes both shapes.
+    let slow = &report.recent_slow_ops;
+    assert!(slow.iter().any(|s| s.shard.is_some()) && slow.iter().any(|s| s.shard.is_none()));
+    assert!(slow.iter().any(|s| s.cache_hit == Some(true)));
+    assert!(slow.iter().any(|s| s.cache_hit == Some(false)));
+    assert!(slow.iter().any(|s| s.cache_hit.is_none()));
+    assert!(
+        slow.iter().any(|s| s.wal_ack_us.is_some()) && slow.iter().any(|s| s.wal_ack_us.is_none())
     );
+    let resp = Response::ServerStats(Box::new(report));
+    assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
 }

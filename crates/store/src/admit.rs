@@ -229,8 +229,8 @@ impl ProfileStore {
     }
 
     /// Ingest one binary-codec profile container — a profile file as
-    /// `hpcrun-sim --out` writes it, or the `caps::BINARY_CODEC` wire
-    /// payload. The buffer is decoded and the profile's *re-encoding* is
+    /// `hpcrun-sim --out` writes it, or the blob of an `IngestBinary`
+    /// wire request. The buffer is decoded and the profile's *re-encoding* is
     /// what gets hashed and logged, never the buffer as sent: a
     /// container with reordered or unknown sections (the codec skips
     /// them on decode) gets the id of its canonical form and dedups
