@@ -178,14 +178,14 @@ mod tests {
     use numa_machine::{DomainId, Machine, MachinePreset, PlacementPolicy};
     use numa_profiler::{finish_profile, NumaProfiler, ProfilerConfig};
     use numa_sampling::{MechanismConfig, MechanismKind};
-    use numa_sim::{ExecMode, Program};
-    use std::sync::Arc;
+    use numa_sim::Program;
+    use std::rc::Rc;
 
     fn run(policy: PlacementPolicy) -> Analyzer {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let cfg = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), cfg, 8));
-        let mut p = Program::new(machine.clone(), 8, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), cfg, 8));
+        let mut p = Program::new(machine.clone(), 8, profiler.clone());
         let mut base = 0;
         p.serial("main", |ctx| {
             base = ctx.alloc("data", 8 << 20, policy);

@@ -265,14 +265,14 @@ mod tests {
     use numa_machine::{Machine, MachinePreset, PlacementPolicy};
     use numa_profiler::{finish_profile, NumaProfiler, ProfilerConfig};
     use numa_sampling::{MechanismConfig, MechanismKind};
-    use numa_sim::{ExecMode, Program};
-    use std::sync::Arc;
+    use numa_sim::Program;
+    use std::rc::Rc;
 
     fn blocked_profile() -> Analyzer {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-        let mut p = Program::new(machine, 8, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+        let mut p = Program::new(machine, 8, profiler.clone());
         let size = 4u64 << 20;
         let mut base = 0;
         p.serial("main", |ctx| {

@@ -12,11 +12,11 @@
 //!   gap is distance (slope 0) and how much is queueing (§2).
 
 use numa_analysis::{classify, Analyzer};
-use numa_bench::{amd, MODE};
+use numa_bench::amd;
 use numa_machine::{DomainId, LatencyModel, Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{ProfilerConfig, RangeScope};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{Program, ProgramStats};
+use numa_sim::{ExecMode, Program, ProgramStats};
 use numa_workloads::{run_profiled, Lulesh, LuleshVariant};
 
 fn lulesh(config: ProfilerConfig) -> (ProgramStats, Analyzer) {
@@ -24,7 +24,7 @@ fn lulesh(config: ProfilerConfig) -> (ProgramStats, Analyzer) {
         &Lulesh::new(24, 1, LuleshVariant::Baseline),
         amd(),
         8,
-        MODE,
+        ExecMode::Sequential,
         config,
     );
     (stats, Analyzer::new(profile))
@@ -42,7 +42,7 @@ fn sweep(slope: f64, colocated: bool) -> u64 {
     } else {
         PlacementPolicy::Bind(DomainId(0))
     };
-    let mut p = Program::unmonitored(machine, threads, MODE);
+    let mut p = Program::unmonitored(machine, threads);
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("data", bytes, policy);

@@ -4,20 +4,20 @@
 //! actual NUMA latency. The `lpi_NUMA` metric (§4.2) eliminates the bias.
 
 use numa_analysis::Analyzer;
-use numa_bench::{amd, print_comparison, Row, MODE};
+use numa_bench::{amd, print_comparison, Row};
 use numa_machine::{DomainId, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfiler, ProfilerConfig, LPI_THRESHOLD};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::Program;
-use std::sync::Arc;
+use std::rc::Rc;
 
 fn main() {
     println!("§4.1 bias demo: cached remote data inflates M_r but not lpi_NUMA\n");
 
     let machine = amd();
     let config = ProfilerConfig::new(MechanismConfig::scaled(MechanismKind::Ibs, 64));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 2));
-    let mut p = Program::new(machine, 2, MODE, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 2));
+    let mut p = Program::new(machine, 2, profiler.clone());
 
     let mut base = 0;
     p.serial("main", |ctx| {

@@ -9,7 +9,7 @@
 //! 2. interleaved across domains — contention avoided, locality still poor;
 //! 3. co-located (block-wise) with the computation — local, uncontended.
 
-use numa_bench::{amd, print_comparison, speedup_pct, Row, MODE};
+use numa_bench::{amd, print_comparison, speedup_pct, Row};
 use numa_machine::{DomainId, PlacementPolicy};
 use numa_sim::Program;
 
@@ -29,7 +29,7 @@ fn run(dist: Dist, label: &str) -> (u64, f64, String) {
         Dist::Interleaved => PlacementPolicy::interleave_all(8),
         Dist::CoLocated => machine.blockwise_for_threads(THREADS),
     };
-    let mut p = Program::unmonitored(machine.clone(), THREADS, MODE);
+    let mut p = Program::unmonitored(machine, THREADS);
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("data", ARRAY_BYTES, policy);
@@ -43,7 +43,7 @@ fn run(dist: Dist, label: &str) -> (u64, f64, String) {
         }
     });
     let stats = p.finish();
-    let hist = machine.controllers().lifetime_histogram();
+    let hist = &stats.dram_requests;
     let total: u64 = hist.iter().sum::<u64>().max(1);
     let max_share = *hist.iter().max().unwrap() as f64 / total as f64;
     (

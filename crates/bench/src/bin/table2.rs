@@ -8,9 +8,10 @@
 //! thread count equal to that machine's hardware threads (UMT-style
 //! adjustments aside), exactly as the paper adjusted inputs per machine.
 
-use numa_bench::{fmt_pct, print_comparison, profile_workload, Row, MODE};
+use numa_bench::{fmt_pct, print_comparison, profile_workload, Row};
 use numa_machine::{Machine, MachinePreset};
 use numa_sampling::MechanismKind;
+use numa_sim::ExecMode;
 use numa_workloads::{
     run_unmonitored, Amg2006, AmgVariant, Blackscholes, BlackscholesVariant, Lulesh, LuleshVariant,
     Workload,
@@ -76,8 +77,12 @@ fn main() {
             // The engine separates monitoring cycles exactly, so the
             // monitored run's own baseline is the denominator; the bare run
             // cross-checks that monitoring did not change the work done.
-            let (base, _) =
-                run_unmonitored(w.as_ref(), Machine::from_preset(preset), threads, MODE);
+            let (base, _) = run_unmonitored(
+                w.as_ref(),
+                Machine::from_preset(preset),
+                threads,
+                ExecMode::Sequential,
+            );
             let (monitored, _, profile) =
                 profile_workload(w.as_ref(), Machine::from_preset(preset), threads, kind);
             assert_eq!(base.mem_accesses, monitored.mem_accesses);

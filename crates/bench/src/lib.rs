@@ -62,10 +62,6 @@ pub fn fmt_pct(x: f64) -> String {
 /// simulated ones.
 pub const SCALE: u64 = 64;
 
-/// Standard execution mode for regenerators. Sequential keeps every number
-/// in EXPERIMENTS.md reproducible run-to-run (up to sampling jitter).
-pub const MODE: ExecMode = ExecMode::Sequential;
-
 /// The AMD Magny-Cours machine most case studies use (48 threads, 8
 /// domains).
 pub fn amd() -> Machine {
@@ -113,7 +109,7 @@ pub fn profile_workload(
     // with 48-thread blocks, 64 bins let the hot-bin filter isolate each
     // thread's block from stray neighbour-gather samples.
     let config = ProfilerConfig::new(MechanismConfig::scaled(kind, SCALE)).with_bins(64);
-    run_profiled(w, machine, threads, MODE, config)
+    run_profiled(w, machine, threads, ExecMode::Sequential, config)
 }
 
 /// Run a workload unmonitored.
@@ -122,5 +118,5 @@ pub fn bare_workload(
     machine: Machine,
     threads: usize,
 ) -> (numa_sim::ProgramStats, numa_workloads::WorkloadOutput) {
-    run_unmonitored(w, machine, threads, MODE)
+    run_unmonitored(w, machine, threads, ExecMode::Sequential)
 }

@@ -34,7 +34,6 @@ usage: hpcrun-sim [--workload lulesh|amg2006|blackscholes|umt2013]
                   [--size small|medium|large] (default medium)
                   [--scale N]                (period scale factor, default 64)
                   [--bins N]                 (address-centric bins, default 5)
-                  [--mode seq|par]           (default seq)
                   [--trace CYCLES]           (record a time series, 1 point/CYCLES)
                   [--stream HOST:PORT]       (stream the profile to a hpcd-sim daemon)
                   [--chunk-threads N]        (stream: threads per chunk; default 4)
@@ -54,7 +53,6 @@ fn main() {
         "size",
         "scale",
         "bins",
-        "mode",
         "trace",
         "stream",
         "chunk-threads",
@@ -97,11 +95,6 @@ fn main() {
     if bins == 0 {
         die(USAGE, "--bins must be at least 1");
     }
-    let mode = match args.get_or("mode", "seq") {
-        "seq" => ExecMode::Sequential,
-        "par" => ExecMode::Parallel,
-        other => die(USAGE, &format!("unknown mode {other:?}")),
-    };
     let stream_addr = args.get("stream").map(str::to_string);
     let explicit_out = args.get("out").map(str::to_string);
     let per: usize = args
@@ -133,7 +126,13 @@ fn main() {
         threads
     );
     let started = Instant::now();
-    let (stats, _, profile) = run_profiled(workload.as_ref(), machine, threads, mode, config);
+    let (stats, _, profile) = run_profiled(
+        workload.as_ref(),
+        machine,
+        threads,
+        ExecMode::Sequential,
+        config,
+    );
     let wall = started.elapsed();
     eprintln!(
         "hpcrun-sim: {} cycles ({:.1}% monitoring overhead), {} samples",

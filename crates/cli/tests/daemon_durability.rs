@@ -7,13 +7,13 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::Client;
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::wal::{wal_path, FILE_HEADER_LEN};
 use numa_store::ProfileStore;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A small profile; `rounds` varies the content hash. The profiler's
 /// sampling intervals are randomized, so each profile is built once and
@@ -21,8 +21,8 @@ use std::sync::Arc;
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
     p.serial("main", |ctx| {

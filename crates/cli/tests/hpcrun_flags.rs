@@ -30,6 +30,31 @@ fn out_of_range_flag_values_are_usage_errors() {
     }
 }
 
+/// The simulator has one execution mode, so `--mode` is an unknown flag:
+/// a usage error before the run.
+#[test]
+fn the_mode_flag_is_refused_as_unknown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcrun-sim"))
+        .args([
+            "--workload",
+            "blackscholes",
+            "--size",
+            "small",
+            "--mode",
+            "par",
+        ])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn hpcrun-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --mode"), "{stderr}");
+    assert!(
+        !stderr.contains(" cycles ("),
+        "ran the simulation: {stderr}"
+    );
+}
+
 /// A bad stream flag is a usage error before the run: no simulation, no
 /// file left behind.
 #[test]

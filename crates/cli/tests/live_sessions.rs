@@ -8,13 +8,13 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::{Client, ServerStatsReport};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::codec::encode_profile;
 use numa_store::ProfileStore;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A small profile; `rounds` varies the content hash. Sampling is
@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
     p.serial("main", |ctx| {

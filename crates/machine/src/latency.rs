@@ -155,14 +155,6 @@ impl LatencyModel {
         }
     }
 
-    /// Contention multiplier for a domain receiving `share` of total DRAM
-    /// traffic on a machine with `domains` domains. `share * domains == 1`
-    /// is a perfectly balanced load and yields 1.0.
-    pub fn contention_multiplier(&self, share: f64, domains: usize) -> f64 {
-        let fair = 1.0 / domains.max(1) as f64;
-        self.contention_multiplier_load(share / fair)
-    }
-
     /// Contention multiplier for an absolute overload factor: `load == 1`
     /// means the domain's controller serves about as many concurrent
     /// request streams as it has local hardware threads (its design point);
@@ -220,22 +212,22 @@ mod tests {
     #[test]
     fn contention_multiplier_is_one_when_balanced() {
         let m = model();
-        let mult = m.contention_multiplier(1.0 / 8.0, 8);
+        let mult = m.contention_multiplier_load(1.0);
         assert!((mult - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn contention_multiplier_caps_at_max() {
         let m = model();
-        // All traffic to a single domain of eight.
-        let mult = m.contention_multiplier(1.0, 8);
+        // All traffic of eight fully loaded domains to one of them.
+        let mult = m.contention_multiplier_load(8.0);
         assert!((mult - m.contention_max).abs() < 1e-9, "got {mult}");
     }
 
     #[test]
     fn contention_never_discounts_cold_domains() {
         let m = model();
-        let mult = m.contention_multiplier(0.0, 8);
+        let mult = m.contention_multiplier_load(0.0);
         assert!((mult - 1.0).abs() < 1e-9);
     }
 

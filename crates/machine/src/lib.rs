@@ -13,19 +13,17 @@
 //!   protection bits used for first-touch trapping (§6). The address→domain
 //!   query mirrors libnuma's `move_pages`.
 //! * [`LatencyModel`] and [`Interconnect`] — per-level access latencies with
-//!   the remote-access penalty (>30% per §2) and hop distances between
-//!   domains.
-//! * [`MemoryControllers`] — epoch-based bandwidth-contention estimation: a
-//!   domain receiving far more than its fair share of traffic serves requests
-//!   with latency inflated by up to ~5× (§2 cites a 5× inflation under
-//!   contention).
+//!   the remote-access penalty (>30% per §2), hop distances between
+//!   domains, and the memory-controller contention multiplier: a domain
+//!   serving far more than its fair share of a region's DRAM traffic serves
+//!   it with latency inflated by up to ~5× (§2 cites a 5× inflation under
+//!   contention). The engine applies it at each fork-join barrier.
 //!
 //! The model is intentionally first-order: the profiler built on top of it
 //! consumes *events* (address, latency, serving domain), so only the ordering
 //! and rough magnitude of those quantities matter for reproducing the paper's
 //! analyses.
 
-pub mod controller;
 pub mod ids;
 pub mod interconnect;
 pub mod latency;
@@ -34,7 +32,6 @@ pub mod policy;
 pub mod presets;
 pub mod topology;
 
-pub use controller::MemoryControllers;
 pub use ids::{CpuId, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 pub use interconnect::Interconnect;
 pub use latency::{AccessLevel, LatencyModel};
@@ -43,17 +40,17 @@ pub use policy::PlacementPolicy;
 pub use presets::MachinePreset;
 pub use topology::Topology;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// A complete simulated NUMA machine: topology, page map, latency model,
-/// interconnect, and memory controllers.
+/// A complete simulated NUMA machine: topology, page map, latency model and
+/// interconnect.
 ///
-/// `Machine` is cheap to share across threads (everything inside is either
-/// immutable or internally synchronized) and is the single object workloads
-/// and the profiler agree on.
+/// `Machine` is a cheap handle: clones share one page map, which is the
+/// single object workloads, the engine and the profiler agree on. It lives
+/// on the one thread that runs the simulation.
 #[derive(Clone)]
 pub struct Machine {
-    inner: Arc<MachineInner>,
+    inner: Rc<MachineInner>,
 }
 
 struct MachineInner {
@@ -61,7 +58,6 @@ struct MachineInner {
     page_map: PageMap,
     latency: LatencyModel,
     interconnect: Interconnect,
-    controllers: MemoryControllers,
 }
 
 impl Machine {
@@ -75,15 +71,13 @@ impl Machine {
     /// Build a machine with an explicit latency model.
     pub fn with_latency(topology: Topology, latency: LatencyModel) -> Self {
         let interconnect = Interconnect::for_topology(&topology);
-        let controllers = MemoryControllers::new(topology.domains());
         let page_map = PageMap::new(topology.domains());
         Machine {
-            inner: Arc::new(MachineInner {
+            inner: Rc::new(MachineInner {
                 topology,
                 page_map,
                 latency,
                 interconnect,
-                controllers,
             }),
         }
     }
@@ -108,10 +102,6 @@ impl Machine {
 
     pub fn interconnect(&self) -> &Interconnect {
         &self.inner.interconnect
-    }
-
-    pub fn controllers(&self) -> &MemoryControllers {
-        &self.inner.controllers
     }
 
     /// The NUMA domain of a CPU — the simulated `numa_node_of_cpu`.

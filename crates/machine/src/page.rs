@@ -12,32 +12,27 @@
 //!   delivers to the profiler, which attributes it and restores access.
 //!
 //! The map is organized as a sorted list of *regions* (one per allocation),
-//! each holding per-page atomic state. [`PageMap::touch`] costs a read lock
-//! (two atomic read-modify-writes), a binary search and two atomic loads,
-//! plus a compare-exchange only on a page that is protected or unbound —
-//! too much to pay on every simulated access, so each virtual thread goes
-//! through its own [`PageTlb`], which answers repeat touches of a page with
-//! one atomic load of the map's *epoch*.
+//! each holding per-page cells. The map is shared through `&self` by the
+//! engine, the profiler and the caller that built the machine, all on the
+//! one simulation thread, so the region list sits in a `RefCell` and each
+//! page's state in a `Cell`. [`PageMap::touch`] still costs a borrow and a
+//! binary search — too much to pay on every simulated access, so each
+//! virtual thread goes through its own [`PageTlb`], which answers repeat
+//! touches of a page after one comparison with the map's *epoch*.
 //!
 //! The epoch counts the operations that can make a cached answer wrong:
 //! [`PageMap::register_region`], [`PageMap::remove_region`] and
-//! [`PageMap::protect_extent`] each bump it *after* their change is in
-//! place. Everything else only moves a page toward the state a TLB entry
-//! already assumes (bound, unprotected): a binding never changes while its
-//! region lives, and `touch` / [`PageMap::unprotect_extent`] only clear
-//! protection.
+//! [`PageMap::protect_extent`] each bump it. Everything else only moves a
+//! page toward the state a TLB entry already assumes (bound, unprotected):
+//! a binding never changes while its region lives, and `touch` /
+//! [`PageMap::unprotect_extent`] only clear protection.
 
 use crate::ids::{pages_spanned, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 use crate::policy::PlacementPolicy;
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::{Cell, RefCell};
 
 /// Sentinel for "page not yet bound to any domain".
 const UNBOUND: u8 = u8::MAX;
-
-/// Per-page protection state (see [`PageMap::protect_extent`]).
-const PROT_NONE: u8 = 0;
-const PROT_TRAP: u8 = 1;
 
 /// What a page-access resolution reported.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,9 +60,10 @@ struct Region {
     bytes: u64,
     policy: PlacementPolicy,
     /// Domain per page, `UNBOUND` until first touch.
-    domains: Vec<AtomicU8>,
-    /// Protection flag per page.
-    prot: Vec<AtomicU8>,
+    domains: Vec<Cell<u8>>,
+    /// Per page: protected for first-touch trapping (see
+    /// [`PageMap::protect_extent`]).
+    trap: Vec<Cell<bool>>,
 }
 
 impl Region {
@@ -84,14 +80,12 @@ impl Region {
     }
 }
 
-/// Concurrent page map for one machine.
+/// The page map of one machine.
 pub struct PageMap {
     num_domains: usize,
-    regions: RwLock<Vec<Region>>,
-    /// See the module doc. Bumped with `Release` after the change it
-    /// announces; [`PageTlb::touch`] loads it with `Acquire`, so a thread
-    /// that sees the new value also sees the change.
-    epoch: AtomicU64,
+    regions: RefCell<Vec<Region>>,
+    /// See the module doc.
+    epoch: Cell<u64>,
 }
 
 impl PageMap {
@@ -99,8 +93,8 @@ impl PageMap {
         assert!(num_domains >= 1 && num_domains < UNBOUND as usize);
         PageMap {
             num_domains,
-            regions: RwLock::new(Vec::new()),
-            epoch: AtomicU64::new(0),
+            regions: RefCell::new(Vec::new()),
+            epoch: Cell::new(0),
         }
     }
 
@@ -123,10 +117,10 @@ impl PageMap {
             start,
             bytes,
             policy,
-            domains: (0..pages).map(|_| AtomicU8::new(UNBOUND)).collect(),
-            prot: (0..pages).map(|_| AtomicU8::new(PROT_NONE)).collect(),
+            domains: vec![Cell::new(UNBOUND); pages],
+            trap: vec![Cell::new(false); pages],
         };
-        let mut regions = self.regions.write();
+        let mut regions = self.regions.borrow_mut();
         let pos = regions.partition_point(|r| r.start < start);
         if pos > 0 {
             let prev = &regions[pos - 1];
@@ -137,16 +131,16 @@ impl PageMap {
             assert!(region.end() <= next.start, "region overlaps successor");
         }
         regions.insert(pos, region);
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.bump_epoch();
     }
 
     /// Remove the region starting at `start` (e.g. on `free`). Returns true
     /// if a region was removed.
     pub fn remove_region(&self, start: u64) -> bool {
-        let mut regions = self.regions.write();
+        let mut regions = self.regions.borrow_mut();
         if let Ok(idx) = regions.binary_search_by_key(&start, |r| r.start) {
             regions.remove(idx);
-            self.epoch.fetch_add(1, Ordering::Release);
+            self.bump_epoch();
             true
         } else {
             false
@@ -161,23 +155,19 @@ impl PageMap {
     /// Panics if `addr` does not fall in any registered region ("wild"
     /// accesses are workload bugs).
     pub fn touch(&self, addr: u64, toucher: DomainId) -> PageQuery {
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         let r = Self::find(&regions, addr)
             .unwrap_or_else(|| panic!("access to unmapped address {addr:#x}"));
         let idx = r.page_index(addr);
 
         // Protection check first: the fault conceptually precedes the
-        // access. Few pages are ever protected, so look before paying for
-        // the read-modify-write; of racing touchers exactly one wins it.
-        let prot = &r.prot[idx];
-        let trapped = prot.load(Ordering::Acquire) == PROT_TRAP
-            && prot
-                .compare_exchange(PROT_TRAP, PROT_NONE, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok();
-        let fault = trapped.then_some(FaultKind::FirstTouchTrap);
+        // access, and clears the protection.
+        let fault = r.trap[idx]
+            .replace(false)
+            .then_some(FaultKind::FirstTouchTrap);
 
         let cell = &r.domains[idx];
-        let current = cell.load(Ordering::Acquire);
+        let current = cell.get();
         if current != UNBOUND {
             return PageQuery {
                 domain: DomainId(current),
@@ -190,27 +180,20 @@ impl PageMap {
             .domain_for_page(idx as u64, r.pages())
             .unwrap_or(toucher);
         debug_assert!(target.index() < self.num_domains);
-        match cell.compare_exchange(UNBOUND, target.0, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => PageQuery {
-                domain: target,
-                bound_now: true,
-                fault,
-            },
-            // Another thread bound it first; its choice wins (as on Linux).
-            Err(won) => PageQuery {
-                domain: DomainId(won),
-                bound_now: false,
-                fault,
-            },
+        cell.set(target.0);
+        PageQuery {
+            domain: target,
+            bound_now: true,
+            fault,
         }
     }
 
     /// The domain backing `addr`, or `None` if unmapped or not yet touched.
     /// This is the `move_pages` query the profiler issues per sample.
     pub fn domain_of_addr(&self, addr: u64) -> Option<DomainId> {
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         let r = Self::find(&regions, addr)?;
-        let d = r.domains[r.page_index(addr)].load(Ordering::Acquire);
+        let d = r.domains[r.page_index(addr)].get();
         (d != UNBOUND).then_some(DomainId(d))
     }
 
@@ -227,49 +210,47 @@ impl PageMap {
         if end_full <= first_full {
             return 0;
         }
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         let mut protected = 0;
         for pn in first_full..end_full {
             let addr = PageNum(pn).base_addr();
             if let Some(r) = Self::find(&regions, addr) {
-                r.prot[r.page_index(addr)].store(PROT_TRAP, Ordering::Release);
+                r.trap[r.page_index(addr)].set(true);
                 protected += 1;
             }
         }
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.bump_epoch();
         protected
     }
 
     /// Clear protection on every page of `[start, start+bytes)`.
     pub fn unprotect_extent(&self, start: u64, bytes: u64) {
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         let first = start >> PAGE_SHIFT;
         let last = (start + bytes.max(1) - 1) >> PAGE_SHIFT;
         for pn in first..=last {
             let addr = PageNum(pn).base_addr().max(start);
             if let Some(r) = Self::find(&regions, addr) {
-                r.prot[r.page_index(addr)].store(PROT_NONE, Ordering::Release);
+                r.trap[r.page_index(addr)].set(false);
             }
         }
     }
 
     /// Is the page holding `addr` currently protected?
     pub fn is_protected(&self, addr: u64) -> bool {
-        let regions = self.regions.read();
-        Self::find(&regions, addr)
-            .map(|r| r.prot[r.page_index(addr)].load(Ordering::Acquire) == PROT_TRAP)
-            .unwrap_or(false)
+        let regions = self.regions.borrow();
+        Self::find(&regions, addr).is_some_and(|r| r.trap[r.page_index(addr)].get())
     }
 
     /// Pages of region `start` bound to each domain (index = domain id).
     /// Useful for verifying distributions in tests and reports.
     pub fn binding_histogram(&self, start: u64) -> Option<Vec<u64>> {
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         let idx = regions.binary_search_by_key(&start, |r| r.start).ok()?;
         let r = &regions[idx];
         let mut hist = vec![0u64; self.num_domains];
         for cell in &r.domains {
-            let d = cell.load(Ordering::Acquire);
+            let d = cell.get();
             if d != UNBOUND {
                 hist[d as usize] += 1;
             }
@@ -279,17 +260,21 @@ impl PageMap {
 
     /// Total number of registered regions (diagnostics / footprint).
     pub fn region_count(&self) -> usize {
-        self.regions.read().len()
+        self.regions.borrow().len()
     }
 
     /// Approximate resident bytes of the map itself (for the paper's <40 MB
     /// footprint check).
     pub fn footprint_bytes(&self) -> usize {
-        let regions = self.regions.read();
+        let regions = self.regions.borrow();
         regions
             .iter()
             .map(|r| std::mem::size_of::<Region>() + r.domains.len() * 2)
             .sum()
+    }
+
+    fn bump_epoch(&self) {
+        self.epoch.set(self.epoch.get() + 1);
     }
 
     fn find(regions: &[Region], addr: u64) -> Option<&Region> {
@@ -334,10 +319,7 @@ impl PageTlb {
     /// [`PageMap::touch`], answered from the cache when it can be.
     #[inline]
     pub fn touch(&mut self, map: &PageMap, addr: u64, toucher: DomainId) -> PageQuery {
-        // Read the epoch before the map: a change that lands after this
-        // load leaves `self.epoch` stale, so the next touch flushes
-        // whatever this one caches.
-        let epoch = map.epoch.load(Ordering::Acquire);
+        let epoch = map.epoch.get();
         if epoch != self.epoch {
             self.slots.fill(TLB_EMPTY);
             self.epoch = epoch;
@@ -491,23 +473,6 @@ mod tests {
         for p in 0..4u64 {
             assert!(!m.is_protected(BASE + p * PAGE_SIZE));
         }
-    }
-
-    #[test]
-    fn concurrent_first_touch_single_winner() {
-        use std::sync::Arc;
-        let m = Arc::new(map());
-        m.register_region(BASE, PAGE_SIZE, PlacementPolicy::FirstTouch);
-        let mut handles = Vec::new();
-        for t in 0..8u8 {
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || m.touch(BASE, DomainId(t))));
-        }
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let winners = results.iter().filter(|q| q.bound_now).count();
-        assert_eq!(winners, 1, "exactly one thread performs the binding");
-        let domain = results[0].domain;
-        assert!(results.iter().all(|q| q.domain == domain));
     }
 
     #[test]

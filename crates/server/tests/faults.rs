@@ -10,10 +10,11 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::protocol::{encode_frame, encode_request, Request, PROTOCOL_VERSION};
 use numa_server::{Client, ClientError, ReportFormat, Server, ServerConfig, WireError};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,8 +22,8 @@ use std::time::Duration;
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 20;
     let mut base = 0;
     p.serial("main", |ctx| {

@@ -14,11 +14,12 @@ use numa_server::protocol::{
 use numa_server::{
     Backend, Client, ClientError, LiveConfig, Server, ServerConfig, ServerStatsReport, WireError,
 };
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::stream::ChunkPayload;
 use numa_store::ProfileStore;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::rc::Rc;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -26,8 +27,8 @@ use std::time::{Duration, Instant};
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-    let mut p = Program::new(machine, 8, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+    let mut p = Program::new(machine, 8, profiler.clone());
     let size = 1u64 << 20;
     let mut base = 0;
     p.serial("main", |ctx| {

@@ -9,11 +9,12 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::{Client, LiveConfig, Server, ServerConfig};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::ProfileStore;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,8 +22,8 @@ use std::time::{Duration, Instant};
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-    let mut p = Program::new(machine, 8, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+    let mut p = Program::new(machine, 8, profiler.clone());
     let size = 1u64 << 20;
     let mut base = 0;
     p.serial("main", |ctx| {

@@ -1,5 +1,5 @@
-//! Set-associative LRU cache, used for private L1/L2 and (sharded) shared
-//! L3 levels.
+//! Set-associative LRU cache, used for private L1/L2 and the per-domain
+//! shared L3 levels.
 //!
 //! Only presence is simulated, not data: the profiler's events need "where
 //! was this access satisfied", which a tags-only model answers. Lines are

@@ -6,10 +6,9 @@
 //! attribution unwinds the call stack per sample; here the stack is already
 //! explicit).
 
-use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Interned function (or region) name.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
@@ -35,20 +34,13 @@ pub struct Frame {
     pub kind: FrameKind,
 }
 
-/// Thread-safe interner mapping names to [`FuncId`]s.
-///
-/// Lookup of an existing name takes a read lock only; workloads can also
-/// pre-intern with [`FuncRegistry::intern`] and use
-/// `ThreadCtx::enter_id` to keep the hot path lock-free-ish.
+/// Interner mapping names to [`FuncId`]s. Workloads can pre-intern with
+/// [`FuncRegistry::intern`] and use `ThreadCtx::enter_id` to skip the
+/// lookup on a hot path.
 #[derive(Default)]
 pub struct FuncRegistry {
-    inner: RwLock<RegistryInner>,
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    names: Vec<Arc<str>>,
-    by_name: HashMap<Arc<str>, FuncId>,
+    names: Vec<Rc<str>>,
+    by_name: HashMap<Rc<str>, FuncId>,
 }
 
 impl FuncRegistry {
@@ -57,18 +49,14 @@ impl FuncRegistry {
     }
 
     /// Intern `name`, returning its id (stable for the registry's lifetime).
-    pub fn intern(&self, name: &str) -> FuncId {
-        if let Some(&id) = self.inner.read().by_name.get(name) {
+    pub fn intern(&mut self, name: &str) -> FuncId {
+        if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_name.get(name) {
-            return id;
-        }
-        let id = FuncId(inner.names.len() as u32);
-        let arc: Arc<str> = Arc::from(name);
-        inner.names.push(Arc::clone(&arc));
-        inner.by_name.insert(arc, id);
+        let id = FuncId(self.names.len() as u32);
+        let rc: Rc<str> = Rc::from(name);
+        self.names.push(Rc::clone(&rc));
+        self.by_name.insert(rc, id);
         id
     }
 
@@ -76,17 +64,17 @@ impl FuncRegistry {
     ///
     /// # Panics
     /// Panics if `id` was not produced by this registry.
-    pub fn name(&self, id: FuncId) -> Arc<str> {
-        Arc::clone(&self.inner.read().names[id.0 as usize])
+    pub fn name(&self, id: FuncId) -> &str {
+        &self.names[id.0 as usize]
     }
 
     /// Id for a name, if already interned.
     pub fn lookup(&self, name: &str) -> Option<FuncId> {
-        self.inner.read().by_name.get(name).copied()
+        self.by_name.get(name).copied()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.names.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -97,7 +85,7 @@ impl FuncRegistry {
     pub fn render_stack(&self, stack: &[Frame]) -> String {
         stack
             .iter()
-            .map(|f| self.name(f.func).to_string())
+            .map(|f| self.name(f.func))
             .collect::<Vec<_>>()
             .join(" > ")
     }
@@ -109,17 +97,17 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let r = FuncRegistry::new();
+        let mut r = FuncRegistry::new();
         let a = r.intern("main");
         let b = r.intern("main");
         assert_eq!(a, b);
         assert_eq!(r.len(), 1);
-        assert_eq!(&*r.name(a), "main");
+        assert_eq!(r.name(a), "main");
     }
 
     #[test]
     fn distinct_names_get_distinct_ids() {
-        let r = FuncRegistry::new();
+        let mut r = FuncRegistry::new();
         let a = r.intern("a");
         let b = r.intern("b");
         assert_ne!(a, b);
@@ -129,7 +117,7 @@ mod tests {
 
     #[test]
     fn render_stack_joins_names() {
-        let r = FuncRegistry::new();
+        let mut r = FuncRegistry::new();
         let main = r.intern("main");
         let f = r.intern("f");
         let stack = [
@@ -143,24 +131,5 @@ mod tests {
             },
         ];
         assert_eq!(r.render_stack(&stack), "main > f");
-    }
-
-    #[test]
-    fn concurrent_interning_is_consistent() {
-        let r = Arc::new(FuncRegistry::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let r = Arc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                (0..100)
-                    .map(|i| r.intern(&format!("f{}", i % 10)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let results: Vec<Vec<FuncId>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for w in &results[1..] {
-            assert_eq!(w, &results[0]);
-        }
-        assert_eq!(r.len(), 10);
     }
 }

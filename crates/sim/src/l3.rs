@@ -1,99 +1,30 @@
-//! Shared per-domain last-level caches.
+//! Per-domain last-level caches.
 //!
-//! Each NUMA domain has one L3 shared by its cores. Under parallel execution
-//! multiple worker threads access a domain's L3 concurrently, so the cache is
-//! sharded by set index: a line's set picks its shard, and each shard is an
-//! independently locked [`Cache`]. Contention is bounded by the shard count
-//! and sets never migrate between shards, so behaviour matches an unsharded
-//! cache exactly.
+//! Each NUMA domain has one L3 shared by its cores. The engine runs one
+//! virtual thread at a time, so a domain's L3 is a plain [`Cache`] that the
+//! running thread borrows for the length of one access.
 
-use crate::cache::{Cache, CacheConfig, LINE_SHIFT};
+use crate::cache::{Cache, CacheConfig};
 use numa_machine::DomainId;
-use parking_lot::Mutex;
-
-/// Number of independently locked shards per L3.
-const SHARDS: usize = 16;
-
-/// One domain's shared L3.
-pub struct SharedL3 {
-    shards: Vec<Mutex<Cache>>,
-    shard_mask: u64,
-}
-
-impl SharedL3 {
-    pub fn new(config: CacheConfig) -> Self {
-        assert!(
-            config.sets().is_multiple_of(SHARDS),
-            "sets must divide into shards"
-        );
-        let per_shard_sets = config.sets() / SHARDS;
-        let per_shard = CacheConfig::new(
-            (per_shard_sets * config.associativity) as u64 * 64,
-            config.associativity,
-        );
-        SharedL3 {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(Cache::new(per_shard)))
-                .collect(),
-            shard_mask: SHARDS as u64 - 1,
-        }
-    }
-
-    /// Split an address into (shard index, shard-local address). The low
-    /// line-number bits pick the shard and are *removed* from the address
-    /// handed to the shard's cache, so every set of every shard is
-    /// reachable and total capacity equals the configured size.
-    #[inline]
-    fn split(&self, addr: u64) -> (usize, u64) {
-        let line = addr >> LINE_SHIFT;
-        let shard = (line & self.shard_mask) as usize;
-        let local = (line >> SHARDS.trailing_zeros()) << LINE_SHIFT;
-        (shard, local)
-    }
-
-    /// Access (lookup + fill on miss). Returns true on hit.
-    pub fn access(&self, addr: u64) -> bool {
-        let (shard, local) = self.split(addr);
-        self.shards[shard].lock().access(local)
-    }
-
-    /// Presence check without fill or LRU update.
-    pub fn probe(&self, addr: u64) -> bool {
-        let (shard, local) = self.split(addr);
-        self.shards[shard].lock().probe(local)
-    }
-
-    pub fn flush(&self) {
-        for s in &self.shards {
-            s.lock().flush();
-        }
-    }
-
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().footprint_bytes()).sum()
-    }
-}
 
 /// The set of all L3 caches of a machine, indexed by domain.
 pub struct L3Complex {
-    caches: Vec<SharedL3>,
+    caches: Vec<Cache>,
 }
 
 impl L3Complex {
     pub fn new(domains: usize, config: CacheConfig) -> Self {
         L3Complex {
-            caches: (0..domains).map(|_| SharedL3::new(config)).collect(),
+            caches: (0..domains).map(|_| Cache::new(config)).collect(),
         }
     }
 
-    pub fn domain(&self, d: DomainId) -> &SharedL3 {
+    pub fn domain(&self, d: DomainId) -> &Cache {
         &self.caches[d.index()]
     }
 
-    pub fn flush(&self) {
-        for c in &self.caches {
-            c.flush();
-        }
+    pub fn domain_mut(&mut self, d: DomainId) -> &mut Cache {
+        &mut self.caches[d.index()]
     }
 
     pub fn footprint_bytes(&self) -> usize {
@@ -106,8 +37,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn miss_then_hit_across_shards() {
-        let l3 = SharedL3::new(CacheConfig::l3());
+    fn miss_then_hit_across_sets() {
+        let mut complex = L3Complex::new(1, CacheConfig::l3());
+        let l3 = complex.domain_mut(DomainId(0));
         for i in 0..64u64 {
             assert!(!l3.access(i * 64));
         }
@@ -118,7 +50,8 @@ mod tests {
 
     #[test]
     fn probe_is_passive() {
-        let l3 = SharedL3::new(CacheConfig::l3());
+        let mut complex = L3Complex::new(1, CacheConfig::l3());
+        let l3 = complex.domain_mut(DomainId(0));
         assert!(!l3.probe(0x40));
         assert!(!l3.access(0x40));
         assert!(l3.probe(0x40));
@@ -126,17 +59,16 @@ mod tests {
 
     #[test]
     fn domains_are_independent() {
-        let complex = L3Complex::new(2, CacheConfig::l3());
-        complex.domain(DomainId(0)).access(0x1000);
+        let mut complex = L3Complex::new(2, CacheConfig::l3());
+        complex.domain_mut(DomainId(0)).access(0x1000);
         assert!(complex.domain(DomainId(0)).probe(0x1000));
         assert!(!complex.domain(DomainId(1)).probe(0x1000));
     }
 
     #[test]
     fn full_configured_capacity_is_usable() {
-        // Regression: shard selection must not alias with set indexing,
-        // otherwise only 1/SHARDS of the sets are reachable.
-        let l3 = SharedL3::new(CacheConfig::l3());
+        let mut complex = L3Complex::new(1, CacheConfig::l3());
+        let l3 = complex.domain_mut(DomainId(0));
         let lines = (8 * 1024 * 1024 / 64) as u64;
         for i in 0..lines {
             l3.access(i * 64);
@@ -146,23 +78,5 @@ mod tests {
             present as u64, lines,
             "a just-filled cache retains its capacity"
         );
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        use std::sync::Arc;
-        let l3 = Arc::new(SharedL3::new(CacheConfig::l3()));
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let l3 = Arc::clone(&l3);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..10_000u64 {
-                    l3.access((t * 1_000_000 + i) * 64);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

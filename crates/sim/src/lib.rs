@@ -30,7 +30,7 @@ pub mod thread;
 pub use cache::{Cache, CacheConfig, LINE_SHIFT, LINE_SIZE};
 pub use event::{AllocInfo, MemoryEvent, PageFaultEvent, VarKind};
 pub use func::{Frame, FrameKind, FuncId, FuncRegistry};
-pub use l3::{L3Complex, SharedL3};
+pub use l3::L3Complex;
 pub use monitor::{Monitor, NullMonitor, SampleGate};
 pub use program::{alloc_static, ExecMode, Program, ProgramStats, SharedEnv};
 pub use space::AddressSpace;

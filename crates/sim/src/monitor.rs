@@ -69,10 +69,10 @@ impl SampleGate {
 /// everything, so a monitor that does not implement [`Monitor::gate`] sees
 /// every access and every compute block.
 ///
-/// Methods may be called concurrently from different worker threads, but for
-/// a fixed `tid` calls are strictly sequential (the engine is the only
-/// caller and each virtual thread is driven by one worker).
-pub trait Monitor: Send + Sync {
+/// The engine is the only caller and runs one virtual thread at a time, so
+/// calls arrive strictly one after another, and each borrow a monitor takes
+/// of its own state ends before the callback returns.
+pub trait Monitor {
     /// A virtual thread came online, bound to `cpu` in `domain`.
     fn on_thread_start(&self, tid: usize, cpu: CpuId, domain: DomainId) {
         let _ = (tid, cpu, domain);

@@ -3,18 +3,12 @@
 //!
 //! A [`Program`] owns one virtual thread per software thread, each pinned to
 //! a hardware thread of the machine. Workloads are sequences of `serial`
-//! (master-thread) and `parallel` (OpenMP-style) regions. After every region
-//! the engine joins at a barrier: all thread clocks advance to the slowest
-//! participant, which is how fork-join programs actually spend time.
-//!
-//! Two execution modes:
-//!
-//! * [`ExecMode::Parallel`] — one OS thread per virtual thread
-//!   (`std::thread::scope`); shared L3s and contention counters are touched
-//!   concurrently, so timings are realistic but not bit-reproducible.
-//! * [`ExecMode::Sequential`] — virtual threads run one after another;
-//!   fully deterministic, used by tests and by experiments that must
-//!   reproduce exactly.
+//! (master-thread) and `parallel` (OpenMP-style) regions. Inside a parallel
+//! region the engine runs the virtual threads one after another, each on its
+//! own clock, so a run is deterministic: the same program on the same
+//! machine produces the same events, clocks and profile bytes. After every
+//! region the engine joins at a barrier: all thread clocks advance to the
+//! slowest participant, which is how fork-join programs actually spend time.
 
 use crate::event::VarKind;
 use crate::func::{FrameKind, FuncRegistry};
@@ -23,24 +17,27 @@ use crate::monitor::{Monitor, NullMonitor};
 use crate::space::AddressSpace;
 use crate::thread::{ThreadCtx, ThreadState};
 use numa_machine::{CpuId, Machine};
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// How parallel regions execute.
+/// How parallel regions execute. The engine has one mode: virtual threads
+/// run one after another, deterministically. The type remains because the
+/// benchmark harness under `benchmark/` names `ExecMode::Sequential` when it
+/// calls `run_profiled` and `run_unmonitored`; it goes when the harness
+/// stops naming it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecMode {
-    /// Real OS threads; fast and realistic, mildly nondeterministic.
-    Parallel,
     /// One thread at a time; deterministic.
     Sequential,
 }
 
-/// Environment shared by all virtual threads of one program.
+/// Environment shared by all virtual threads of one program. The engine
+/// lends it to one thread at a time.
 pub struct SharedEnv {
     pub(crate) machine: Machine,
     pub(crate) l3: L3Complex,
     pub(crate) space: AddressSpace,
     pub(crate) funcs: FuncRegistry,
-    pub(crate) monitor: Arc<dyn Monitor>,
+    pub(crate) monitor: Rc<dyn Monitor>,
     pub(crate) num_threads: usize,
 }
 
@@ -60,6 +57,9 @@ pub struct ProgramStats {
     /// `on_access` + `on_compute` calls the monitor's gate let through,
     /// across threads.
     pub monitor_callbacks: u64,
+    /// DRAM requests per home domain (index = domain id), across threads:
+    /// the load each domain's memory controller served.
+    pub dram_requests: Vec<u64>,
 }
 
 impl ProgramStats {
@@ -77,7 +77,6 @@ impl ProgramStats {
 pub struct Program {
     env: SharedEnv,
     threads: Vec<ThreadState>,
-    mode: ExecMode,
     elapsed: u64,
     baseline_elapsed: u64,
     finished: bool,
@@ -87,28 +86,18 @@ impl Program {
     /// Create a program with `n_threads` software threads spread across the
     /// machine's domains round-robin (the paper's per-core binding), under
     /// `monitor`.
-    pub fn new(
-        machine: Machine,
-        n_threads: usize,
-        mode: ExecMode,
-        monitor: Arc<dyn Monitor>,
-    ) -> Self {
+    pub fn new(machine: Machine, n_threads: usize, monitor: Rc<dyn Monitor>) -> Self {
         let binding = machine.topology().spread_binding(n_threads);
-        Self::with_binding(machine, binding, mode, monitor)
+        Self::with_binding(machine, binding, monitor)
     }
 
     /// Create a program with an unmonitored (null) monitor.
-    pub fn unmonitored(machine: Machine, n_threads: usize, mode: ExecMode) -> Self {
-        Self::new(machine, n_threads, mode, Arc::new(NullMonitor))
+    pub fn unmonitored(machine: Machine, n_threads: usize) -> Self {
+        Self::new(machine, n_threads, Rc::new(NullMonitor))
     }
 
     /// Create a program with an explicit thread→CPU binding.
-    pub fn with_binding(
-        machine: Machine,
-        binding: Vec<CpuId>,
-        mode: ExecMode,
-        monitor: Arc<dyn Monitor>,
-    ) -> Self {
+    pub fn with_binding(machine: Machine, binding: Vec<CpuId>, monitor: Rc<dyn Monitor>) -> Self {
         assert!(!binding.is_empty(), "a program needs at least one thread");
         assert_eq!(
             machine.page_map().region_count(),
@@ -139,7 +128,6 @@ impl Program {
                 num_threads,
             },
             threads,
-            mode,
             elapsed: 0,
             baseline_elapsed: 0,
             finished: false,
@@ -154,74 +142,52 @@ impl Program {
         self.env.num_threads
     }
 
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Run `f` on the master thread (thread 0) inside a function frame named
     /// `name`; all other threads wait at the join.
     pub fn serial(&mut self, name: &str, f: impl FnOnce(&mut ThreadCtx<'_>)) {
         assert!(!self.finished, "program already finished");
-        let starts: Vec<(u64, u64)> = self
-            .threads
-            .iter()
-            .map(|t| (t.clock, t.monitor_cycles))
-            .collect();
-        {
-            let env = &self.env;
-            let st = &mut self.threads[0];
-            let mut ctx = ThreadCtx { state: st, env };
-            ctx.call(name, f);
+        let starts = self.region_starts();
+        let mut ctx = ThreadCtx {
+            state: &mut self.threads[0],
+            env: &mut self.env,
+        };
+        ctx.call(name, f);
+        self.join_region(&starts);
+    }
+
+    /// Run `f(tid, ctx)` on every thread, in thread order, inside a
+    /// parallel-region frame named `name` (the OpenMP parallel region of the
+    /// source program), then join.
+    pub fn parallel(&mut self, name: &str, mut f: impl FnMut(usize, &mut ThreadCtx<'_>)) {
+        assert!(!self.finished, "program already finished");
+        let starts = self.region_starts();
+        let region_id = self.env.funcs.intern(name);
+        for (tid, state) in self.threads.iter_mut().enumerate() {
+            let mut ctx = ThreadCtx {
+                state,
+                env: &mut self.env,
+            };
+            ctx.enter_id(region_id, FrameKind::ParallelRegion);
+            f(tid, &mut ctx);
+            ctx.exit_frame();
         }
         self.join_region(&starts);
     }
 
-    /// Run `f(tid, ctx)` on every thread inside a parallel-region frame
-    /// named `name` (the OpenMP parallel region of the source program),
-    /// then join.
-    pub fn parallel(&mut self, name: &str, f: impl Fn(usize, &mut ThreadCtx<'_>) + Sync) {
-        assert!(!self.finished, "program already finished");
-        let starts: Vec<(u64, u64)> = self
-            .threads
+    /// Every thread's `(clock, monitor_cycles)` as a region begins.
+    fn region_starts(&self) -> Vec<(u64, u64)> {
+        self.threads
             .iter()
             .map(|t| (t.clock, t.monitor_cycles))
-            .collect();
-        let region_id = self.env.funcs.intern(name);
-        match self.mode {
-            ExecMode::Sequential => {
-                let env = &self.env;
-                for (tid, st) in self.threads.iter_mut().enumerate() {
-                    let mut ctx = ThreadCtx { state: st, env };
-                    ctx.enter_id(region_id, FrameKind::ParallelRegion);
-                    f(tid, &mut ctx);
-                    ctx.exit_frame();
-                }
-            }
-            ExecMode::Parallel => {
-                let env = &self.env;
-                let f = &f;
-                std::thread::scope(|s| {
-                    for (tid, st) in self.threads.iter_mut().enumerate() {
-                        s.spawn(move || {
-                            let mut ctx = ThreadCtx { state: st, env };
-                            ctx.enter_id(region_id, FrameKind::ParallelRegion);
-                            f(tid, &mut ctx);
-                            ctx.exit_frame();
-                        });
-                    }
-                });
-            }
-        }
-        self.join_region(&starts);
+            .collect()
     }
 
     /// Fork-join barrier accounting: first charge memory-controller
-    /// contention for the region (exactly, from the region's aggregate
-    /// per-domain DRAM load — identical in sequential and parallel modes),
-    /// then advance elapsed time by the slowest participant and
+    /// contention for the region (from the region's aggregate per-domain
+    /// DRAM load), then advance elapsed time by the slowest participant and
     /// synchronize every thread's clock to the barrier.
     fn join_region(&mut self, starts: &[(u64, u64)]) {
-        self.charge_region_contention(starts.len());
+        self.charge_region_contention();
         let mut max_delta = 0u64;
         let mut max_baseline_delta = 0u64;
         for (t, &(clock0, oh0)) in self.threads.iter().zip(starts) {
@@ -244,20 +210,21 @@ impl Program {
     /// domain `d` is `share_d × active_threads / cpus_per_domain`, and
     /// every thread's clock is charged its own stalls scaled by the
     /// domain's multiplier.
-    fn charge_region_contention(&mut self, _participants: usize) {
+    fn charge_region_contention(&mut self) {
         let domains = self.env.machine.topology().domains();
         let mut totals = vec![0u64; domains];
         let mut active_threads = 0u64;
         for t in &self.threads {
-            let mut any = false;
+            // Only threads that made at least one DRAM access this region
+            // count as active (concurrent) demand: `region_dram_stalls` is
+            // sized at a thread's first DRAM access and cleared at every
+            // join.
+            if t.region_dram_stalls.is_empty() {
+                continue;
+            }
+            active_threads += 1;
             for (d, s) in t.region_dram_stalls.iter().enumerate() {
                 totals[d] += s;
-                any |= *s > 0;
-            }
-            // Threads that did any work this region count as active
-            // (concurrent) demand, DRAM-bound or not.
-            if any || !t.region_dram_stalls.is_empty() {
-                active_threads += 1;
             }
         }
         let grand: u64 = totals.iter().sum();
@@ -293,11 +260,13 @@ impl Program {
     pub fn finish(&mut self) -> ProgramStats {
         if !self.finished {
             self.finished = true;
-            let env = &self.env;
             for state in &mut self.threads {
-                let mut ctx = ThreadCtx { state, env };
+                let mut ctx = ThreadCtx {
+                    state,
+                    env: &mut self.env,
+                };
                 ctx.report_unseen();
-                env.monitor.on_thread_end(ctx.tid(), ctx.clock());
+                ctx.env.monitor.on_thread_end(ctx.tid(), ctx.clock());
             }
         }
         self.stats()
@@ -305,12 +274,19 @@ impl Program {
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ProgramStats {
+        let mut dram_requests = vec![0u64; self.env.machine.topology().domains()];
+        for t in &self.threads {
+            for (sum, n) in dram_requests.iter_mut().zip(&t.dram_requests) {
+                *sum += n;
+            }
+        }
         ProgramStats {
             elapsed_cycles: self.elapsed,
             baseline_cycles: self.baseline_elapsed,
             instructions: self.threads.iter().map(|t| t.instructions).sum(),
             mem_accesses: self.threads.iter().map(|t| t.mem_accesses).sum(),
             monitor_callbacks: self.threads.iter().map(|t| t.monitor_callbacks).sum(),
+            dram_requests,
         }
     }
 
@@ -326,8 +302,8 @@ impl Program {
     }
 
     /// Tear the program down, keeping only the function-name registry.
-    /// Dropping the program here also drops its clone of the monitor `Arc`,
-    /// so a profiler held behind `Arc` becomes uniquely owned again.
+    /// Dropping the program here also drops its clone of the monitor `Rc`,
+    /// so a profiler held behind `Rc` becomes uniquely owned again.
     pub fn into_func_registry(self) -> FuncRegistry {
         self.env.funcs
     }
@@ -366,7 +342,7 @@ mod tests {
     use crate::event::MemoryEvent;
     use crate::func::Frame;
     use numa_machine::{MachinePreset, PlacementPolicy};
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
 
     fn machine() -> Machine {
         Machine::from_preset(MachinePreset::AmdMagnyCours)
@@ -374,7 +350,7 @@ mod tests {
 
     #[test]
     fn serial_region_runs_on_master() {
-        let mut p = Program::unmonitored(machine(), 4, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 4);
         p.serial("init", |ctx| {
             assert_eq!(ctx.tid(), 0);
             assert_eq!(ctx.domain().0, 0);
@@ -387,20 +363,18 @@ mod tests {
 
     #[test]
     fn parallel_region_visits_every_thread() {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let mut p = Program::unmonitored(machine(), 8, mode);
-            let seen = Mutex::new(vec![false; 8]);
-            p.parallel("work", |tid, ctx| {
-                seen.lock()[tid] = true;
-                ctx.compute(5);
-            });
-            assert!(seen.into_inner().iter().all(|&s| s));
-        }
+        let mut p = Program::unmonitored(machine(), 8);
+        let mut seen = Vec::new();
+        p.parallel("work", |tid, ctx| {
+            seen.push(tid);
+            ctx.compute(5);
+        });
+        assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn threads_spread_across_domains() {
-        let p = Program::unmonitored(machine(), 8, ExecMode::Sequential);
+        let p = Program::unmonitored(machine(), 8);
         // Round-robin binding on 8 domains: thread i in domain i.
         let domains: Vec<u8> = (0..8)
             .map(|i| {
@@ -415,7 +389,7 @@ mod tests {
 
     #[test]
     fn elapsed_is_max_of_parallel_threads() {
-        let mut p = Program::unmonitored(machine(), 4, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 4);
         p.parallel("uneven", |tid, ctx| {
             ctx.compute((tid as u64 + 1) * 100);
         });
@@ -426,7 +400,7 @@ mod tests {
 
     #[test]
     fn regions_accumulate_elapsed() {
-        let mut p = Program::unmonitored(machine(), 2, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 2);
         p.serial("a", |ctx| ctx.compute(50));
         p.parallel("b", |_, ctx| ctx.compute(100));
         assert_eq!(p.stats().elapsed_cycles, 150);
@@ -434,14 +408,14 @@ mod tests {
 
     #[test]
     fn stack_underflow_is_a_counted_no_op() {
-        struct Recorder(Mutex<Vec<usize>>);
+        struct Recorder(RefCell<Vec<usize>>);
         impl Monitor for Recorder {
             fn on_stack_underflow(&self, tid: usize) {
-                self.0.lock().push(tid);
+                self.0.borrow_mut().push(tid);
             }
         }
-        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
-        let mut p = Program::new(machine(), 1, ExecMode::Sequential, rec.clone());
+        let rec = Rc::new(Recorder(RefCell::new(Vec::new())));
+        let mut p = Program::new(machine(), 1, rec.clone());
         p.serial("main", |ctx| {
             // A malformed replayed program: exits outnumber enters. The
             // first pop closes "main"; the next two underflow; the
@@ -454,12 +428,12 @@ mod tests {
             // The context still works after the underflows.
             ctx.compute(5);
         });
-        assert_eq!(rec.0.lock().as_slice(), &[0, 0, 0]);
+        assert_eq!(rec.0.borrow().as_slice(), &[0, 0, 0]);
     }
 
     #[test]
     fn first_touch_allocation_and_access() {
-        let mut p = Program::unmonitored(machine(), 2, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 2);
         let mut base = 0;
         p.serial("alloc", |ctx| {
             base = ctx.alloc("arr", 2 * 4096, PlacementPolicy::FirstTouch);
@@ -472,22 +446,22 @@ mod tests {
 
     #[test]
     fn cache_hierarchy_produces_hits_on_reuse() {
-        struct Recorder(Mutex<Vec<numa_machine::AccessLevel>>);
+        struct Recorder(RefCell<Vec<numa_machine::AccessLevel>>);
         impl Monitor for Recorder {
             fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
-                self.0.lock().push(ev.level);
+                self.0.borrow_mut().push(ev.level);
                 0
             }
         }
-        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
-        let mut p = Program::new(machine(), 1, ExecMode::Sequential, rec.clone());
+        let rec = Rc::new(Recorder(RefCell::new(Vec::new())));
+        let mut p = Program::new(machine(), 1, rec.clone());
         p.serial("main", |ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             ctx.load(a, 8);
             ctx.load(a, 8);
             ctx.load(a + 8, 8); // same line
         });
-        let levels = rec.0.lock().clone();
+        let levels = rec.0.borrow().clone();
         assert_eq!(levels.len(), 3);
         assert!(levels[0].is_memory(), "cold access goes to DRAM");
         assert_eq!(levels[1], numa_machine::AccessLevel::L1);
@@ -497,17 +471,17 @@ mod tests {
     #[test]
     fn remote_access_costs_more_than_local() {
         // Thread 1 (domain 1) reads data homed in domain 0.
-        struct LatRec(Mutex<Vec<(bool, u32)>>);
+        struct LatRec(RefCell<Vec<(bool, u32)>>);
         impl Monitor for LatRec {
             fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
                 if ev.level.is_memory() {
-                    self.0.lock().push((ev.is_remote_homed(), ev.latency));
+                    self.0.borrow_mut().push((ev.is_remote_homed(), ev.latency));
                 }
                 0
             }
         }
-        let rec = Arc::new(LatRec(Mutex::new(Vec::new())));
-        let mut p = Program::new(machine(), 2, ExecMode::Sequential, rec.clone());
+        let rec = Rc::new(LatRec(RefCell::new(Vec::new())));
+        let mut p = Program::new(machine(), 2, rec.clone());
         let mut base = 0;
         p.serial("alloc", |ctx| {
             base = ctx.alloc(
@@ -531,7 +505,7 @@ mod tests {
                 }
             }
         });
-        let recs = rec.0.lock().clone();
+        let recs = rec.0.borrow().clone();
         let remote: Vec<u32> = recs.iter().filter(|(r, _)| *r).map(|(_, l)| *l).collect();
         let local: Vec<u32> = recs.iter().filter(|(r, _)| !*r).map(|(_, l)| *l).collect();
         assert!(!remote.is_empty() && !local.is_empty());
@@ -552,7 +526,7 @@ mod tests {
                 100
             }
         }
-        let mut p = Program::new(machine(), 1, ExecMode::Sequential, Arc::new(Costly));
+        let mut p = Program::new(machine(), 1, Rc::new(Costly));
         p.serial("main", |ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             for _ in 0..10 {
@@ -565,36 +539,60 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_on_instruction_counts() {
-        let run = |mode| {
-            let mut p = Program::unmonitored(machine(), 8, mode);
+    fn dram_requests_count_each_dram_access_by_home_domain() {
+        use numa_machine::{AccessLevel, DomainId};
+        struct DramEvents(RefCell<u64>);
+        impl Monitor for DramEvents {
+            fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
+                if matches!(ev.level, AccessLevel::MemLocal | AccessLevel::MemRemote) {
+                    *self.0.borrow_mut() += 1;
+                }
+                0
+            }
+        }
+        // One line per page over 64 pages, swept by each of 8 threads in
+        // turn: cold lines reach DRAM, later sweeps may hit a cache.
+        let sweep = |policy: PlacementPolicy| {
+            let mon = Rc::new(DramEvents(RefCell::new(0)));
+            let mut p = Program::new(machine(), 8, mon.clone());
             let mut base = 0;
-            p.serial("alloc", |ctx| {
-                base = ctx.alloc("a", 1 << 20, PlacementPolicy::interleave_all(8));
+            p.serial("alloc", |ctx| base = ctx.alloc("a", 64 * 4096, policy));
+            p.parallel("sweep", |_, ctx| {
+                for page in 0..64 {
+                    ctx.load(base + page * 4096, 8);
+                }
             });
-            p.parallel("sweep", |tid, ctx| {
-                let chunk = (1 << 20) / 8u64;
-                ctx.load_range(base + tid as u64 * chunk, chunk / 64, 8);
-            });
-            p.finish()
+            let stats = p.finish();
+            let seen = *mon.0.borrow();
+            (stats.dram_requests, seen)
         };
-        let seq = run(ExecMode::Sequential);
-        let par = run(ExecMode::Parallel);
-        assert_eq!(seq.instructions, par.instructions);
-        assert_eq!(seq.mem_accesses, par.mem_accesses);
+
+        let (bound, seen) = sweep(PlacementPolicy::Bind(DomainId(0)));
+        assert_eq!(bound.len(), 8);
+        assert!(bound[0] >= 64, "{bound:?}");
+        assert_eq!(bound[1..], [0; 7]);
+        assert_eq!(bound.iter().sum::<u64>(), seen);
+
+        let (interleaved, seen) = sweep(PlacementPolicy::interleave_all(8));
+        assert!(interleaved[0] >= 8, "{interleaved:?}");
+        assert!(
+            interleaved.iter().all(|&n| n == interleaved[0]),
+            "{interleaved:?}"
+        );
+        assert_eq!(interleaved.iter().sum::<u64>(), seen);
     }
 
     #[test]
     fn call_stack_nesting_visible_to_monitor() {
-        struct StackDepth(Mutex<Vec<usize>>);
+        struct StackDepth(RefCell<Vec<usize>>);
         impl Monitor for StackDepth {
             fn on_access(&self, _ev: &MemoryEvent, stack: &[Frame]) -> u64 {
-                self.0.lock().push(stack.len());
+                self.0.borrow_mut().push(stack.len());
                 0
             }
         }
-        let rec = Arc::new(StackDepth(Mutex::new(Vec::new())));
-        let mut p = Program::new(machine(), 1, ExecMode::Sequential, rec.clone());
+        let rec = Rc::new(StackDepth(RefCell::new(Vec::new())));
+        let mut p = Program::new(machine(), 1, rec.clone());
         p.serial("main", |ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             ctx.load(a, 8); // depth: main
@@ -602,7 +600,7 @@ mod tests {
                 ctx.load(a, 8); // depth: main > inner
             });
         });
-        assert_eq!(&*rec.0.lock(), &[1, 2]);
+        assert_eq!(&*rec.0.borrow(), &[1, 2]);
     }
 
     #[test]
@@ -642,8 +640,8 @@ mod tests {
                 0
             }
         }
-        let mon = Arc::new(TenthLoad::default());
-        let mut p = Program::new(machine(), 1, ExecMode::Sequential, mon.clone());
+        let mon = Rc::new(TenthLoad::default());
+        let mut p = Program::new(machine(), 1, mon.clone());
         p.serial("main", |ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             for i in 0..25 {
@@ -670,7 +668,7 @@ mod tests {
 
     #[test]
     fn unmonitored_runs_make_no_callbacks() {
-        let mut p = Program::unmonitored(machine(), 2, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 2);
         p.parallel("work", |_, ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             ctx.load_range(a, 64, 8);
@@ -685,7 +683,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "access to unmapped address")]
     fn freed_memory_stays_unmapped_for_a_thread_that_cached_its_pages() {
-        let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 1);
         p.serial("main", |ctx| {
             let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
             ctx.load(a, 8);
@@ -697,17 +695,17 @@ mod tests {
 
     #[test]
     fn a_page_is_bound_once_and_every_thread_sees_that_binding() {
-        struct Homes(Mutex<Vec<(usize, u8, bool)>>);
+        struct Homes(RefCell<Vec<(usize, u8, bool)>>);
         impl Monitor for Homes {
             fn on_access(&self, ev: &MemoryEvent, _stack: &[Frame]) -> u64 {
                 self.0
-                    .lock()
+                    .borrow_mut()
                     .push((ev.tid, ev.home_domain.0, ev.first_touch_page));
                 0
             }
         }
-        let rec = Arc::new(Homes(Mutex::new(Vec::new())));
-        let mut p = Program::new(machine(), 8, ExecMode::Sequential, rec.clone());
+        let rec = Rc::new(Homes(RefCell::new(Vec::new())));
+        let mut p = Program::new(machine(), 8, rec.clone());
         let mut base = 0;
         p.serial("init", |ctx| {
             base = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
@@ -721,7 +719,7 @@ mod tests {
             }
         });
         assert_eq!(
-            &*rec.0.lock(),
+            &*rec.0.borrow(),
             &[(0, 0, true), (0, 0, false), (5, 0, false), (5, 0, false)]
         );
     }
@@ -754,7 +752,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already finished")]
     fn regions_after_finish_panic() {
-        let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+        let mut p = Program::unmonitored(machine(), 1);
         p.finish();
         p.serial("late", |_| {});
     }

@@ -6,7 +6,6 @@
 //! that without changing what the profiler computes).
 
 use numa_machine::PAGE_SIZE;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Base of the simulated address space (arbitrary, nonzero so that 0 stays
 /// an obviously-invalid address).
@@ -17,7 +16,7 @@ pub const MIN_ALIGN: u64 = 64;
 
 /// Monotone virtual-address allocator shared by all threads of a program.
 pub struct AddressSpace {
-    next: AtomicU64,
+    next: u64,
 }
 
 impl Default for AddressSpace {
@@ -28,36 +27,28 @@ impl Default for AddressSpace {
 
 impl AddressSpace {
     pub fn new() -> Self {
-        AddressSpace {
-            next: AtomicU64::new(SPACE_BASE),
-        }
+        AddressSpace { next: SPACE_BASE }
     }
 
     /// Reserve `bytes` of address space. Allocations of a page or more are
     /// page-aligned (like `malloc` for large requests), so whole-variable
     /// page protection and per-page placement behave as they would for real
     /// large arrays; smaller allocations are cache-line aligned.
-    pub fn allocate(&self, bytes: u64) -> u64 {
+    pub fn allocate(&mut self, bytes: u64) -> u64 {
         assert!(bytes > 0, "zero-size allocation");
         let align = if bytes >= PAGE_SIZE {
             PAGE_SIZE
         } else {
             MIN_ALIGN
         };
-        // fetch_update keeps the bump atomic under concurrent allocation.
-        let mut base = 0;
-        self.next
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                base = cur.next_multiple_of(align);
-                Some(base + bytes)
-            })
-            .expect("fetch_update closure always returns Some");
+        let base = self.next.next_multiple_of(align);
+        self.next = base + bytes;
         base
     }
 
     /// Total address space consumed so far.
     pub fn used_bytes(&self) -> u64 {
-        self.next.load(Ordering::Relaxed) - SPACE_BASE
+        self.next - SPACE_BASE
     }
 }
 
@@ -67,7 +58,7 @@ mod tests {
 
     #[test]
     fn large_allocations_are_page_aligned() {
-        let s = AddressSpace::new();
+        let mut s = AddressSpace::new();
         s.allocate(100); // misalign the bump pointer
         let a = s.allocate(PAGE_SIZE * 3);
         assert_eq!(a % PAGE_SIZE, 0);
@@ -75,7 +66,7 @@ mod tests {
 
     #[test]
     fn small_allocations_are_line_aligned_and_disjoint() {
-        let s = AddressSpace::new();
+        let mut s = AddressSpace::new();
         let a = s.allocate(10);
         let b = s.allocate(10);
         assert_eq!(a % MIN_ALIGN, 0);
@@ -85,35 +76,12 @@ mod tests {
 
     #[test]
     fn addresses_never_reused() {
-        let s = AddressSpace::new();
+        let mut s = AddressSpace::new();
         let mut last = 0;
         for _ in 0..100 {
             let a = s.allocate(8);
             assert!(a > last);
             last = a;
-        }
-    }
-
-    #[test]
-    fn concurrent_allocations_never_overlap() {
-        use std::sync::Arc;
-        let s = Arc::new(AddressSpace::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                (0..1000)
-                    .map(|i| (s.allocate(64 + i % 128), 64 + i % 128))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<(u64, u64)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        for w in all.windows(2) {
-            assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {:?} {:?}", w[0], w[1]);
         }
     }
 }

@@ -45,6 +45,9 @@ pub struct ThreadState {
     /// domain — the basis for the fork-join contention charge applied at
     /// the region join (see `Program::join_region`).
     pub(crate) region_dram_stalls: Vec<u64>,
+    /// DRAM requests per home domain over the whole run, summed into
+    /// [`ProgramStats::dram_requests`](crate::ProgramStats::dram_requests).
+    pub(crate) dram_requests: Vec<u64>,
     tlb: PageTlb,
     /// `(latency, stall)` of an access served at a level by a domain, see
     /// [`latency_table`].
@@ -81,6 +84,7 @@ impl ThreadState {
             stack_underflows: 0,
             line: 0,
             region_dram_stalls: Vec::new(),
+            dram_requests: vec![0; machine.topology().domains()],
             tlb: PageTlb::default(),
             latencies: latency_table(machine, domain),
             gate,
@@ -109,12 +113,12 @@ pub(crate) fn latency_table(machine: &Machine, domain: DomainId) -> Vec<(u32, u6
     table
 }
 
-/// Mutable view of a thread during a region, bound to the program's shared
-/// environment. Created by the engine; workload code receives `&mut
-/// ThreadCtx`.
+/// Mutable view of a thread during a region, holding the program's shared
+/// environment for as long as the thread runs. Created by the engine;
+/// workload code receives `&mut ThreadCtx`.
 pub struct ThreadCtx<'a> {
     pub(crate) state: &'a mut ThreadState,
-    pub(crate) env: &'a SharedEnv,
+    pub(crate) env: &'a mut SharedEnv,
 }
 
 impl<'a> ThreadCtx<'a> {
@@ -203,7 +207,7 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Intern a function name (for `enter_id`).
-    pub fn intern(&self, name: &str) -> FuncId {
+    pub fn intern(&mut self, name: &str) -> FuncId {
         self.env.funcs.intern(name)
     }
 
@@ -344,21 +348,21 @@ impl<'a> ThreadCtx<'a> {
             (AccessLevel::L1, st.domain)
         } else if st.l2.access(addr) {
             (AccessLevel::L2, st.domain)
-        } else if self.env.l3.domain(st.domain).access(addr) {
+        } else if self.env.l3.domain_mut(st.domain).access(addr) {
             (AccessLevel::L3Local, st.domain)
         } else if let Some(d) = remote_l3_holder(self.env, addr, st.domain, home) {
             // Another domain's L3 holds the line (directory/probe-filter
             // coherence): a cache-to-cache transfer beats DRAM.
             (AccessLevel::L3Remote, d)
         } else {
-            machine.controllers().record(home);
+            st.dram_requests[home.index()] += 1;
             (numa_machine::latency::dram_level(st.domain, home), home)
         };
 
         // Sampled (PMU-visible) latency is the *uncontended* latency;
         // queueing delay under contention is charged to the clock at the
         // region join, where the whole region's per-domain load is known
-        // exactly (independent of execution mode).
+        // exactly.
         let domains = machine.topology().domains();
         let (latency, stall) = st.latencies[level as usize * domains + serving.index()];
         st.clock += stall;

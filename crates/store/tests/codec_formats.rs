@@ -7,19 +7,20 @@ use numa_engine::Engine;
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::stream::{assemble, split_profile};
 use numa_store::wal::{scan_file, wal_path, WAL_MAGIC};
 use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore, StoreError};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
     p.serial("main", |ctx| {

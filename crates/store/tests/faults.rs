@@ -26,7 +26,7 @@ use numa_faults::{FaultSpec, FaultyStorage, RecordingStorage, StdStorage, Storag
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::snapshot::snapshot_path;
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
 use numa_store::wal::{
@@ -36,6 +36,7 @@ use numa_store::wal::{
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -43,8 +44,8 @@ use std::sync::{Arc, OnceLock};
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
     p.serial("main", |ctx| {

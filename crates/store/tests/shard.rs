@@ -7,7 +7,7 @@
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::{ProfileStore, StoreConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,8 +17,8 @@ use std::sync::{Barrier, Mutex, OnceLock};
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = std::sync::Arc::new(NumaProfiler::new(machine.clone(), config, 4));
-    let mut p = Program::new(machine, 4, ExecMode::Sequential, profiler.clone());
+    let profiler = std::rc::Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
     let size = 1u64 << 18;
     let mut base = 0;
     p.serial("main", |ctx| {

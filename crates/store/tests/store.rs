@@ -4,9 +4,10 @@
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_sim::{ExecMode, Program};
+use numa_sim::Program;
 use numa_store::codec::encode_profile;
 use numa_store::{ProfileStore, Query, StoreError};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A small deterministic profile; `rounds` varies the content (and thus
@@ -14,8 +15,8 @@ use std::sync::Arc;
 fn profile(rounds: usize) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, 8));
-    let mut p = Program::new(machine, 8, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 8));
+    let mut p = Program::new(machine, 8, profiler.clone());
     let size = 1u64 << 20;
     let mut base = 0;
     p.serial("main", |ctx| {

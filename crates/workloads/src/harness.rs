@@ -3,7 +3,7 @@
 use numa_machine::Machine;
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sim::{ExecMode, Program, ProgramStats};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-phase timing emitted by a workload (e.g. AMG's setup vs. solve —
 /// the paper reports solver-phase improvements separately).
@@ -20,7 +20,7 @@ impl WorkloadOutput {
 }
 
 /// A mini-app: drives a [`Program`] through its regions.
-pub trait Workload: Sync {
+pub trait Workload {
     fn name(&self) -> &'static str;
     fn execute(&self, program: &mut Program) -> WorkloadOutput;
 }
@@ -38,14 +38,15 @@ pub fn timed_phase(
     out.phases.push((name.to_string(), after - before));
 }
 
-/// Run a workload without monitoring (the Table 2 baseline).
+/// Run a workload without monitoring (the Table 2 baseline). `ExecMode`
+/// has one variant; see its doc for why the parameter remains.
 pub fn run_unmonitored(
     w: &dyn Workload,
     machine: Machine,
     threads: usize,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> (ProgramStats, WorkloadOutput) {
-    let mut p = Program::unmonitored(machine, threads, mode);
+    let mut p = Program::unmonitored(machine, threads);
     let out = w.execute(&mut p);
     (p.finish(), out)
 }
@@ -55,11 +56,11 @@ pub fn run_profiled(
     w: &dyn Workload,
     machine: Machine,
     threads: usize,
-    mode: ExecMode,
+    _mode: ExecMode,
     config: ProfilerConfig,
 ) -> (ProgramStats, WorkloadOutput, NumaProfile) {
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, threads));
-    let mut p = Program::new(machine, threads, mode, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, threads));
+    let mut p = Program::new(machine, threads, profiler.clone());
     let out = w.execute(&mut p);
     let stats = p.stats();
     let profile = finish_profile(p, profiler);

@@ -15,8 +15,8 @@ use hpctoolkit_numa::analysis::{classify, recommend, render_ranges, Analyzer};
 use hpctoolkit_numa::machine::{Machine, MachinePreset, PlacementPolicy};
 use hpctoolkit_numa::profiler::{finish_profile, NumaProfiler, ProfilerConfig, RangeScope};
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program, ThreadCtx};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::{Program, ThreadCtx};
+use std::rc::Rc;
 
 const SIZE: u64 = 8 << 20;
 const THREADS: usize = 16;
@@ -27,8 +27,8 @@ fn demo(name: &str, body: impl Fn(usize, &mut ThreadCtx<'_>, u64) + Sync) {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config =
         ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8)).with_bins(64);
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(machine, THREADS, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine, THREADS, profiler.clone());
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("var", SIZE, PlacementPolicy::interleave_all(8));

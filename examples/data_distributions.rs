@@ -9,7 +9,7 @@
 //! the per-domain DRAM request histogram for each.
 
 use hpctoolkit_numa::machine::{DomainId, Machine, MachinePreset, PlacementPolicy};
-use hpctoolkit_numa::sim::{ExecMode, Program};
+use hpctoolkit_numa::sim::Program;
 
 const ARRAY: u64 = 128 << 20;
 const THREADS: usize = 48;
@@ -17,7 +17,7 @@ const THREADS: usize = 48;
 fn run(label: &str, make_policy: impl Fn(&Machine) -> PlacementPolicy) {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let policy = make_policy(&machine);
-    let mut p = Program::unmonitored(machine.clone(), THREADS, ExecMode::Sequential);
+    let mut p = Program::unmonitored(machine, THREADS);
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("data", ARRAY, policy);
@@ -29,10 +29,9 @@ fn run(label: &str, make_policy: impl Fn(&Machine) -> PlacementPolicy) {
         }
     });
     let stats = p.finish();
-    let hist = machine.controllers().lifetime_histogram();
     println!(
-        "{label:<26} {:>12} cycles   DRAM requests/domain: {hist:?}",
-        stats.elapsed_cycles
+        "{label:<26} {:>12} cycles   DRAM requests/domain: {:?}",
+        stats.elapsed_cycles, stats.dram_requests
     );
 }
 

@@ -17,8 +17,8 @@ use hpctoolkit_numa::profiler::{
     finish_profile, FirstTouchGranularity, NumaProfiler, ProfilerConfig,
 };
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::Program;
+use std::rc::Rc;
 
 const SIZE: u64 = 4 << 20;
 const THREADS: usize = 8;
@@ -31,13 +31,8 @@ fn main() {
     // Variable granularity — records only the first initializer.
     let config = ProfilerConfig::new(MechanismConfig::scaled(MechanismKind::Ibs, 64))
         .with_first_touch_granularity(FirstTouchGranularity::Page);
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(
-        machine.clone(),
-        THREADS,
-        ExecMode::Sequential,
-        profiler.clone(),
-    );
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine.clone(), THREADS, profiler.clone());
 
     let mut a = 0;
     let mut b = 0;

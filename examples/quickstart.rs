@@ -14,8 +14,8 @@ use hpctoolkit_numa::analysis::{analyze, full_text_report, Analyzer};
 use hpctoolkit_numa::machine::{Machine, MachinePreset, PlacementPolicy};
 use hpctoolkit_numa::profiler::{finish_profile, NumaProfiler, ProfilerConfig};
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::Program;
+use std::rc::Rc;
 
 const ARRAY: u64 = 32 << 20;
 const THREADS: usize = 8;
@@ -27,10 +27,10 @@ fn main() {
     // 2. The profiler, configured for IBS address sampling (period scaled
     //    for a short run).
     let config = ProfilerConfig::new(MechanismConfig::scaled(MechanismKind::Ibs, 64));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
 
     // 3. The monitored program: allocate, master-init, parallel process.
-    let mut program = Program::new(machine, THREADS, ExecMode::Sequential, profiler.clone());
+    let mut program = Program::new(machine, THREADS, profiler.clone());
     let mut data = 0;
     program.serial("main", |ctx| {
         data = ctx.alloc("data", ARRAY, PlacementPolicy::FirstTouch);

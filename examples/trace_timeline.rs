@@ -15,8 +15,8 @@ use hpctoolkit_numa::analysis::{render_trace_timelines, Analyzer};
 use hpctoolkit_numa::machine::{Machine, MachinePreset, PlacementPolicy};
 use hpctoolkit_numa::profiler::{finish_profile, NumaProfiler, ProfilerConfig};
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::Program;
+use std::rc::Rc;
 
 const SIZE: u64 = 16 << 20;
 const THREADS: usize = 8;
@@ -25,13 +25,8 @@ fn main() {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config =
         ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8)).with_trace(50_000);
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(
-        machine.clone(),
-        THREADS,
-        ExecMode::Sequential,
-        profiler.clone(),
-    );
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine.clone(), THREADS, profiler.clone());
 
     // Phase 1: the classic bug — master first-touches everything.
     let mut a = 0;

@@ -5,8 +5,8 @@ use hpctoolkit_numa::analysis::{analyze, Analyzer};
 use hpctoolkit_numa::machine::{Machine, MachinePreset, PlacementPolicy};
 use hpctoolkit_numa::profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::Program;
+use std::rc::Rc;
 
 const SIZE: u64 = 8 << 20;
 const THREADS: usize = 8;
@@ -15,8 +15,8 @@ const THREADS: usize = 8;
 fn run(kind: MechanismKind, period: u64) -> NumaProfile {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(kind, period));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(machine, THREADS, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine, THREADS, profiler.clone());
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("hot", SIZE, PlacementPolicy::FirstTouch);
@@ -120,11 +120,11 @@ fn instruction_counts_are_mechanism_independent() {
 }
 
 #[test]
-fn parallel_mode_agrees_with_sequential_on_structure() {
+fn master_initialized_data_is_hot_and_homed_only_in_domain_zero() {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 4));
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(machine, THREADS, ExecMode::Parallel, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine, THREADS, profiler.clone());
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("hot", SIZE, PlacementPolicy::FirstTouch);
@@ -138,8 +138,8 @@ fn parallel_mode_agrees_with_sequential_on_structure() {
     let a = Analyzer::new(profile);
     let hot = a.hot_variables();
     assert_eq!(hot[0].name, "hot");
-    // Workers (threads outside domain 0) still see all requests homed in
-    // domain 0, even under real concurrency.
+    // Workers (threads outside domain 0) see all requests homed in
+    // domain 0.
     assert!(a.totals().per_domain[0] > 0);
     assert_eq!(a.totals().per_domain[1..].iter().sum::<u64>(), 0);
 }

@@ -2,7 +2,7 @@
 //! loudly on programming errors and degrade gracefully on bad inputs.
 
 use hpctoolkit_numa::machine::{DomainId, Machine, MachinePreset, PlacementPolicy};
-use hpctoolkit_numa::sim::{ExecMode, Program};
+use hpctoolkit_numa::sim::Program;
 
 fn machine() -> Machine {
     Machine::from_preset(MachinePreset::AmdMagnyCours)
@@ -11,7 +11,7 @@ fn machine() -> Machine {
 #[test]
 #[should_panic(expected = "unmapped")]
 fn wild_access_panics_loudly() {
-    let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+    let mut p = Program::unmonitored(machine(), 1);
     p.serial("main", |ctx| {
         ctx.load(0xdead_beef, 8);
     });
@@ -22,14 +22,14 @@ fn wild_access_panics_loudly() {
 fn reusing_a_machine_for_two_programs_is_rejected() {
     let m = machine();
     {
-        let mut p = Program::unmonitored(m.clone(), 1, ExecMode::Sequential);
+        let mut p = Program::unmonitored(m.clone(), 1);
         p.serial("main", |ctx| {
             ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
         });
         p.finish();
     }
     // The page map still holds the first program's regions.
-    let _second = Program::unmonitored(m, 1, ExecMode::Sequential);
+    let _second = Program::unmonitored(m, 1);
 }
 
 #[test]
@@ -38,8 +38,7 @@ fn zero_thread_program_is_rejected() {
     Program::with_binding(
         machine(),
         Vec::new(),
-        ExecMode::Sequential,
-        std::sync::Arc::new(hpctoolkit_numa::sim::NullMonitor),
+        std::rc::Rc::new(hpctoolkit_numa::sim::NullMonitor),
     );
 }
 
@@ -47,12 +46,12 @@ fn zero_thread_program_is_rejected() {
 #[should_panic(expected = "cannot bind")]
 fn too_many_threads_rejected() {
     // The AMD machine has 48 hardware threads.
-    Program::unmonitored(machine(), 49, ExecMode::Sequential);
+    Program::unmonitored(machine(), 49);
 }
 
 #[test]
 fn freeing_twice_is_harmless() {
-    let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+    let mut p = Program::unmonitored(machine(), 1);
     p.serial("main", |ctx| {
         let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
         ctx.store(a, 8);
@@ -65,7 +64,7 @@ fn freeing_twice_is_harmless() {
 #[test]
 #[should_panic(expected = "unmapped")]
 fn use_after_free_is_a_wild_access() {
-    let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+    let mut p = Program::unmonitored(machine(), 1);
     p.serial("main", |ctx| {
         let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
         ctx.free(a);
@@ -79,8 +78,8 @@ fn unbalanced_exits_surface_on_the_profile_not_as_a_panic() {
     use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
     let m = machine();
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
-    let profiler = std::sync::Arc::new(NumaProfiler::new(m.clone(), config, 2));
-    let mut p = Program::new(m, 2, ExecMode::Sequential, profiler.clone());
+    let profiler = std::rc::Rc::new(NumaProfiler::new(m.clone(), config, 2));
+    let mut p = Program::new(m, 2, profiler.clone());
     p.parallel("work._omp", |tid, ctx| {
         // Thread 1 replays a malformed trace whose exits outnumber its
         // enters; the engine absorbs each underflow as a counted no-op.
@@ -115,7 +114,7 @@ fn corrupt_profiles_are_rejected_not_panicked() {
 #[test]
 #[should_panic(expected = "bind domain out of range")]
 fn binding_to_a_nonexistent_domain_is_rejected() {
-    let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+    let mut p = Program::unmonitored(machine(), 1);
     p.serial("main", |ctx| {
         ctx.alloc("x", 4096, PlacementPolicy::Bind(DomainId(200)));
     });
@@ -128,7 +127,7 @@ fn thread_aligned_blockwise_matches_spread_binding() {
     let m = machine();
     let threads = 16;
     let policy = m.blockwise_for_threads(threads);
-    let mut p = Program::unmonitored(m.clone(), threads, ExecMode::Sequential);
+    let mut p = Program::unmonitored(m.clone(), threads);
     let bytes = threads as u64 * 4096 * 4;
     let mut base = 0;
     p.serial("main", |ctx| {
@@ -148,8 +147,8 @@ fn thread_aligned_blockwise_matches_spread_binding() {
     // (Need a monitored program; rebuild on a fresh machine.)
     let m2 = machine();
     let policy2 = m2.blockwise_for_threads(threads);
-    let monitor = std::sync::Arc::new(AllLocal(std::sync::atomic::AtomicU64::new(0)));
-    let mut p2 = Program::new(m2, threads, ExecMode::Sequential, monitor.clone());
+    let monitor = std::rc::Rc::new(AllLocal(std::sync::atomic::AtomicU64::new(0)));
+    let mut p2 = Program::new(m2, threads, monitor.clone());
     let mut base2 = 0;
     p2.serial("main", |ctx| {
         base2 = ctx.alloc("arr", bytes, policy2);

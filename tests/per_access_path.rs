@@ -9,12 +9,11 @@ use hpctoolkit_numa::profiler::{
 };
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
 use hpctoolkit_numa::sim::{
-    AllocInfo, ExecMode, Frame, MemoryEvent, Monitor, PageFaultEvent, Program, ProgramStats,
-    SampleGate,
+    AllocInfo, Frame, MemoryEvent, Monitor, PageFaultEvent, Program, ProgramStats, SampleGate,
 };
 use hpctoolkit_numa::workloads::{Lulesh, LuleshVariant, Workload};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
 fn machine() -> Machine {
     Machine::from_preset(MachinePreset::AmdMagnyCours)
@@ -23,8 +22,8 @@ fn machine() -> Machine {
 /// The profiler, with its `on_access`, `on_compute` and `on_alloc` calls
 /// counted.
 struct Counting {
-    inner: Arc<NumaProfiler>,
-    counts: Arc<[AtomicU64; 3]>,
+    inner: Rc<NumaProfiler>,
+    counts: Rc<[AtomicU64; 3]>,
 }
 
 impl Monitor for Counting {
@@ -71,17 +70,17 @@ fn the_profiler_is_called_only_when_a_sample_can_fire() {
         let mechanism = MechanismConfig::scaled(kind, 64);
         let dilution = mechanism.dilution;
         let m = machine();
-        let profiler = Arc::new(NumaProfiler::new(
+        let profiler = Rc::new(NumaProfiler::new(
             m.clone(),
             ProfilerConfig::new(mechanism),
             THREADS,
         ));
-        let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
-        let monitor = Arc::new(Counting {
+        let counts = Rc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
+        let monitor = Rc::new(Counting {
             inner: profiler.clone(),
             counts: counts.clone(),
         });
-        let mut p = Program::new(m, THREADS, ExecMode::Sequential, monitor);
+        let mut p = Program::new(m, THREADS, monitor);
         Lulesh::new(20, 3, LuleshVariant::Baseline).execute(&mut p);
         let stats = p.stats();
         let profile = finish_profile(p, profiler);
@@ -143,8 +142,8 @@ fn reprotected_sweeps(granularity: FirstTouchGranularity, second: usize) -> usiz
     let m = machine();
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::SoftIbs, 1024))
         .with_first_touch_granularity(granularity);
-    let profiler = Arc::new(NumaProfiler::new(m.clone(), config, 2));
-    let mut p = Program::new(m.clone(), 2, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(m.clone(), config, 2));
+    let mut p = Program::new(m.clone(), 2, profiler.clone());
     let mut base = 0;
     p.serial("init", |ctx| {
         base = ctx.alloc("arr", BYTES, PlacementPolicy::FirstTouch);
@@ -172,22 +171,22 @@ fn reprotected_pages_trap_again_through_a_warm_tlb_exactly_as_through_a_cold_one
 
 /// Eight threads each allocate and first-touch their own variable, then
 /// after the join read their right-hand neighbour's.
-fn own_then_neighbour(mode: ExecMode) -> (ProgramStats, NumaProfile) {
+fn own_then_neighbour() -> (ProgramStats, NumaProfile) {
     const THREADS: usize = 8;
     const BYTES: u64 = 4 * 4096;
     let m = machine();
     let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 64))
         .with_first_touch_granularity(FirstTouchGranularity::Page);
-    let profiler = Arc::new(NumaProfiler::new(m.clone(), config, THREADS));
-    let mut p = Program::new(m, THREADS, mode, profiler.clone());
-    let bases: Vec<AtomicU64> = (0..THREADS).map(|_| AtomicU64::new(0)).collect();
+    let profiler = Rc::new(NumaProfiler::new(m.clone(), config, THREADS));
+    let mut p = Program::new(m, THREADS, profiler.clone());
+    let mut bases = [0; THREADS];
     p.parallel("init", |tid, ctx| {
         let base = ctx.alloc(&format!("v{tid}"), BYTES, PlacementPolicy::FirstTouch);
         ctx.store_range(base, BYTES / 64, 64);
-        bases[tid].store(base, Relaxed);
+        bases[tid] = base;
     });
     p.parallel("read", |tid, ctx| {
-        let base = bases[(tid + 1) % THREADS].load(Relaxed);
+        let base = bases[(tid + 1) % THREADS];
         ctx.load_range(base, BYTES / 64, 64);
         ctx.compute(100);
     });
@@ -196,14 +195,13 @@ fn own_then_neighbour(mode: ExecMode) -> (ProgramStats, NumaProfile) {
 }
 
 #[test]
-fn parallel_mode_traps_and_counts_what_sequential_mode_does() {
-    let (seq_stats, seq) = own_then_neighbour(ExecMode::Sequential);
-    let (par_stats, par) = own_then_neighbour(ExecMode::Parallel);
-    assert_eq!(seq.first_touches.len(), 8 * 4);
-    assert_eq!(par.first_touches.len(), seq.first_touches.len());
-    let per_thread =
-        |p: &NumaProfile| -> Vec<u64> { p.threads.iter().map(|t| t.instructions).collect() };
-    assert_eq!(per_thread(&par), per_thread(&seq));
-    assert_eq!(par_stats.instructions, seq_stats.instructions);
-    assert_eq!(par_stats.mem_accesses, seq_stats.mem_accesses);
+fn every_page_traps_once_and_the_profiler_counts_every_access() {
+    let (stats, profile) = own_then_neighbour();
+    assert_eq!(profile.first_touches.len(), 8 * 4);
+    // Per thread: its own variable's stores, the neighbour's loads and
+    // the compute block.
+    let accesses = 2 * 4 * 4096 / 64;
+    let per_thread: Vec<u64> = profile.threads.iter().map(|t| t.instructions).collect();
+    assert_eq!(per_thread, vec![accesses + 100; 8]);
+    assert_eq!(stats.mem_accesses, 8 * accesses);
 }

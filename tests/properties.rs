@@ -8,10 +8,10 @@ use hpctoolkit_numa::profiler::{
     finish_profile, MetricSet, NumaProfiler, ProfilerConfig, VarRecord,
 };
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind, Sample};
-use hpctoolkit_numa::sim::{ExecMode, Program, VarKind};
+use hpctoolkit_numa::sim::{Program, VarKind};
 use numa_machine::CpuId;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::rc::Rc;
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (
@@ -199,8 +199,8 @@ proptest! {
         let config = ProfilerConfig::new(
             MechanismConfig::for_tests(MechanismKind::SoftIbs, period)
         );
-        let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, threads));
-        let mut p = Program::new(machine, threads, ExecMode::Sequential, profiler.clone());
+        let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, threads));
+        let mut p = Program::new(machine, threads, profiler.clone());
         let mut base = 0;
         p.serial("main", |ctx| {
             base = ctx.alloc("v", 1 << 16, PlacementPolicy::FirstTouch);

@@ -6,16 +6,16 @@ use hpctoolkit_numa::analysis::{render_cct, render_trace_timelines, Analyzer};
 use hpctoolkit_numa::machine::{Machine, MachinePreset, PlacementPolicy};
 use hpctoolkit_numa::profiler::{finish_profile, NodeKey, NumaProfiler, ProfilerConfig};
 use hpctoolkit_numa::sampling::{MechanismConfig, MechanismKind};
-use hpctoolkit_numa::sim::{ExecMode, Program};
-use std::sync::Arc;
+use hpctoolkit_numa::sim::Program;
+use std::rc::Rc;
 
 const SIZE: u64 = 8 << 20;
 const THREADS: usize = 8;
 
 fn run(config: ProfilerConfig) -> Analyzer {
     let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
-    let profiler = Arc::new(NumaProfiler::new(machine.clone(), config, THREADS));
-    let mut p = Program::new(machine, THREADS, ExecMode::Sequential, profiler.clone());
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, THREADS));
+    let mut p = Program::new(machine, THREADS, profiler.clone());
     let mut base = 0;
     p.serial("main", |ctx| {
         base = ctx.alloc("data", SIZE, PlacementPolicy::FirstTouch);
