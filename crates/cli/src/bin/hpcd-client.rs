@@ -18,7 +18,7 @@
 //! hpcd-client --addr 127.0.0.1:7701 --cmd view --profile 1a2b --var m_matrix
 //! hpcd-client --addr 127.0.0.1:7701 --cmd cct --profile run.hpcrun
 //! hpcd-client --addr 127.0.0.1:7701 --cmd diff --before base.hpcrun --after tuned.hpcrun
-//! hpcd-client --addr 127.0.0.1:7701 --cmd server-stats
+//! hpcd-client --addr 127.0.0.1:7701 --cmd metrics
 //! hpcd-client --addr 127.0.0.1:7701 --cmd shutdown
 //! ```
 
@@ -30,7 +30,7 @@ use std::time::Duration;
 
 const USAGE: &str = "\
 usage: hpcd-client (--addr HOST:PORT | --dir PROFILES_DIR | --data-dir DIR)
-                   --cmd ping|ingest|stream|list|resolve|aggregate|top|report|view|cct|diff|stats|server-stats|metrics|clear-cache|shutdown
+                   --cmd ping|ingest|stream|list|resolve|aggregate|top|report|view|cct|diff|metrics|clear-cache|shutdown
                    (--addr: on an hpcd-sim daemon; --dir: in-process over every profile
                     file in PROFILES_DIR; --data-dir: in-process over the durable store at
                     DIR, flushed on exit, optionally loading --dir into it first)
@@ -206,8 +206,6 @@ fn main() {
             let after = require("after");
             run(client.diff(before, after))
         }
-        "stats" => run(client.store_stats()),
-        "server-stats" => run(client.server_stats()).render(),
         "metrics" => run(client.metrics()),
         "clear-cache" => {
             run(client.clear_cache());

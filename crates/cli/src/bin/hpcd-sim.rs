@@ -15,7 +15,7 @@
 //! The daemon runs until a client sends the `shutdown` op (see
 //! `hpcd-client --cmd shutdown`), then drains in-flight requests,
 //! flushes the store (final snapshot compaction) and exits 0, printing
-//! a final stats snapshot to stderr.
+//! its final metric exposition (the `metrics` op's text) to stderr.
 
 use numa_server::{LiveConfig, Server, ServerConfig};
 use numa_store::{PersistOptions, ProfileStore, StoreConfig};
@@ -177,13 +177,13 @@ fn main() {
     eprintln!("hpcd-sim: serving (send the shutdown op to stop)");
 
     match server.run() {
-        Ok(stats) => {
+        Ok(exposition) => {
             // Final compaction: a clean shutdown leaves a snapshot and
             // an empty WAL, so the next startup is a pure snapshot load.
             if let Err(e) = store.flush() {
                 eprintln!("hpcd-sim: final flush failed: {e}");
             }
-            eprintln!("hpcd-sim: drained and stopped\n{}", stats.render());
+            eprint!("hpcd-sim: drained and stopped\n{exposition}");
         }
         Err(e) => die(USAGE, &format!("serve loop failed: {e}")),
     }

@@ -1,15 +1,17 @@
 //! Fault-injection test against the real `hpcd-sim` binary: ingest over
 //! TCP, SIGKILL the daemon mid-flight, restart it on the same
-//! `--data-dir`, and require the recovered corpus (content set hash and
-//! cached-aggregate output) to match an uninterrupted in-process oracle.
+//! `--data-dir`, and require the recovered corpus (the ids `list`
+//! prints, in order, and cached-aggregate output) to match an
+//! uninterrupted in-process oracle.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::Client;
+use numa_server::{parse_exposition, Client};
 use numa_sim::Program;
 use numa_store::wal::{wal_path, FILE_HEADER_LEN};
 use numa_store::ProfileStore;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -72,6 +74,16 @@ fn spawn_daemon(data_dir: &Path) -> Daemon {
     Daemon { child, addr }
 }
 
+/// The daemon's series, read through the `metrics` op.
+fn scrape(c: &mut Client) -> BTreeMap<String, i128> {
+    parse_exposition(&c.metrics().expect("metrics")).expect("exposition parses")
+}
+
+/// The ids `list` prints, in its (commit) order.
+fn listed_ids(c: &mut Client) -> Vec<String> {
+    c.list().expect("list").into_iter().map(|e| e.id).collect()
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("numa-daemon-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -91,7 +103,7 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
             .ingest_profile(label, p.clone())
             .expect("oracle ingest");
     }
-    let oracle_hash = format!("{:016x}", oracle.set_hash());
+    let oracle_ids: Vec<String> = oracle.ids().iter().map(|id| id.to_string()).collect();
     let oracle_aggregate = oracle.aggregate().expect("oracle aggregate").text();
 
     // Round 1: ingest everything, then SIGKILL — no shutdown, no flush.
@@ -102,11 +114,11 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
             let (_, added) = c.ingest_profile(label, p).expect("ingest");
             assert!(added);
         }
-        let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 3);
-        assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.wal_appends, 3);
+        let stats = scrape(&mut c);
+        assert!(stats["numa_store_wal_bytes"] > 0, "durable: {stats:?}");
+        assert_eq!(stats["numa_store_profiles"], 3);
+        assert_eq!(listed_ids(&mut c), oracle_ids);
+        assert_eq!(stats["numa_store_wal_appends_total"], 3);
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
     }
     daemon.child.kill().expect("SIGKILL");
@@ -129,15 +141,14 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     let mut daemon = spawn_daemon(&data_dir);
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
-        let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 3);
-        assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.wal_records_replayed, 3);
-        assert_eq!(stats.snapshot_records_loaded, 0);
-        assert_eq!(stats.wal_truncated_bytes, garbage.len() as u64);
+        let stats = scrape(&mut c);
+        assert!(stats["numa_store_wal_bytes"] > 0, "durable: {stats:?}");
+        assert_eq!(stats["numa_store_profiles"], 3);
+        assert_eq!(listed_ids(&mut c), oracle_ids);
+        assert_eq!(stats["numa_store_wal_records_replayed"], 3);
+        assert_eq!(stats["numa_store_snapshot_records_loaded"], 0);
+        assert_eq!(stats["numa_store_truncated_bytes"], garbage.len() as i128);
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
-        assert_eq!(c.list().expect("list").len(), 3);
         // Clean shutdown this time: drains, flushes, compacts.
         c.shutdown().expect("shutdown");
     }
@@ -153,11 +164,11 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     let mut daemon = spawn_daemon(&data_dir);
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
-        let stats = c.server_stats().expect("server stats");
-        assert_eq!(stats.store_profiles, 3);
-        assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.snapshot_records_loaded, 3);
-        assert_eq!(stats.wal_records_replayed, 0);
+        let stats = scrape(&mut c);
+        assert_eq!(stats["numa_store_profiles"], 3);
+        assert_eq!(listed_ids(&mut c), oracle_ids);
+        assert_eq!(stats["numa_store_snapshot_records_loaded"], 3);
+        assert_eq!(stats["numa_store_wal_records_replayed"], 0);
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
         c.shutdown().expect("shutdown");
     }
@@ -212,11 +223,11 @@ fn sigkill_during_group_commit_keeps_every_acknowledged_ingest() {
     let mut daemon = spawn_daemon(&data_dir);
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
-        let stats = c.server_stats().expect("server stats");
-        assert_eq!(stats.store_profiles, CLIENTS, "{stats:?}");
+        let stats = scrape(&mut c);
+        assert_eq!(stats["numa_store_profiles"], CLIENTS as i128, "{stats:?}");
         assert_eq!(
-            stats.snapshot_records_loaded + stats.wal_records_replayed,
-            CLIENTS as u64,
+            stats["numa_store_snapshot_records_loaded"] + stats["numa_store_wal_records_replayed"],
+            CLIENTS as i128,
             "{stats:?}"
         );
         for (id, label) in &acked {

@@ -7,10 +7,11 @@
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::{Client, ServerStatsReport};
+use numa_server::{parse_exposition, Client};
 use numa_sim::Program;
 use numa_store::codec::encode_profile;
 use numa_store::ProfileStore;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -69,16 +70,21 @@ fn spawn_daemon(extra: &[&str]) -> Daemon {
     Daemon { child, addr }
 }
 
-/// Poll `server-stats` until `done` holds. Every probe is a blocking
-/// round trip to the daemon, so the loop needs no pause of its own.
+/// The daemon's series, read through the `metrics` op.
+fn scrape(c: &mut Client) -> BTreeMap<String, i128> {
+    parse_exposition(&c.metrics().expect("metrics")).expect("exposition parses")
+}
+
+/// Scrape until `done` holds. Every probe is a blocking round trip to
+/// the daemon, so the loop needs no pause of its own.
 fn wait_for_stats(
     c: &mut Client,
     what: &str,
-    done: impl Fn(&ServerStatsReport) -> bool,
-) -> ServerStatsReport {
+    done: impl Fn(&BTreeMap<String, i128>) -> bool,
+) -> BTreeMap<String, i128> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = c.server_stats().expect("server stats");
+        let stats = scrape(c);
         if done(&stats) {
             return stats;
         }
@@ -137,15 +143,17 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
     // holds data; SIGKILL then: no abort, no seal, the TCP connection
     // just dies.
     wait_for_stats(&mut c, "the streamer's first chunk", |s| {
-        s.live_chunks_appended >= 1
+        s["numa_live_chunks_appended_total"] >= 1
     });
     streamer.kill().expect("SIGKILL streaming client");
     streamer.wait().expect("reap client");
 
-    let stats = wait_for_stats(&mut c, "the lease reap", |s| s.live_leases_reaped >= 1);
-    assert_eq!(stats.live_sessions, 0, "{stats:?}");
-    assert_eq!(stats.live_open_bytes, 0, "{stats:?}");
-    assert!(stats.render().contains("1 lease(s) reaped"));
+    let stats = wait_for_stats(&mut c, "the lease reap", |s| {
+        s["numa_live_sessions_reaped_total"] >= 1
+    });
+    assert_eq!(stats["numa_live_sessions_reaped_total"], 1, "{stats:?}");
+    assert_eq!(stats["numa_live_open_sessions"], 0, "{stats:?}");
+    assert_eq!(stats["numa_live_open_bytes"], 0, "{stats:?}");
 
     // Nothing was half-ingested, and the same profile still streams
     // cleanly end to end afterwards.
@@ -172,7 +180,7 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
     // Oracle: only the sealed profile, ingested one-shot.
     let oracle = ProfileStore::new();
     oracle.ingest_profile("sealed", sealed.clone()).unwrap();
-    let oracle_hash = format!("{:016x}", oracle.set_hash());
+    let oracle_ids: Vec<String> = oracle.ids().iter().map(|id| id.to_string()).collect();
     let oracle_aggregate = oracle.aggregate().unwrap().text();
 
     let daemon = spawn_daemon(&["--data-dir", data_dir.to_str().unwrap()]);
@@ -202,16 +210,20 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
     let daemon = spawn_daemon(&["--data-dir", data_dir.to_str().unwrap()]);
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
-        let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 1, "{stats:?}");
-        assert_eq!(stats.store_set_hash, oracle_hash);
+        let stats = scrape(&mut c);
+        assert!(stats["numa_store_wal_bytes"] > 0, "durable: {stats:?}");
+        assert_eq!(stats["numa_store_profiles"], 1, "{stats:?}");
+        let ids: Vec<String> = c.list().expect("list").into_iter().map(|e| e.id).collect();
+        assert_eq!(ids, oracle_ids);
         assert_eq!(
-            (stats.snapshot_records_loaded, stats.wal_records_replayed),
+            (
+                stats["numa_store_snapshot_records_loaded"],
+                stats["numa_store_wal_records_replayed"]
+            ),
             (0, 1),
             "{stats:?}"
         );
-        assert_eq!(stats.wal_truncated_bytes, 0, "{stats:?}");
+        assert_eq!(stats["numa_store_truncated_bytes"], 0, "{stats:?}");
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
 
         // The streamed profile is byte-identical to one-shot ingest:

@@ -98,11 +98,23 @@ fn local_and_remote_verbs_print_identical_stdout() {
     let dir = dir.to_str().unwrap();
     let mut daemon = spawn_daemon("--dir", dir);
 
-    // `stats` goes first: it prints cache counters, which every later
-    // query moves on the long-lived daemon but not on the one-shot
-    // local store.
+    // `metrics` goes first: its store series include cache counters,
+    // which every later query moves on the long-lived daemon but not on
+    // the one-shot local store. Only the store's series are compared:
+    // uptime, connections and request counts are the process's own.
+    let store_series = |text: String| -> String {
+        text.lines()
+            .filter(|l| l.starts_with("numa_store_"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    let remote = store_series(client(["--addr", &daemon.addr], &["--cmd", "metrics"]));
+    assert!(remote.contains("numa_store_profiles 3\n"), "{remote}");
+    assert_eq!(
+        store_series(client(["--dir", dir], &["--cmd", "metrics"])),
+        remote
+    );
     let verbs: &[&[&str]] = &[
-        &["--cmd", "stats"],
         &["--cmd", "list"],
         &["--cmd", "resolve", "--profile", "run-2.hpcrun"],
         &["--cmd", "aggregate"],
@@ -196,9 +208,10 @@ fn local_data_dir_sees_what_a_killed_daemon_acked_and_compacts_it() {
         std::fs::metadata(wal_path(&data_dir)).unwrap().len(),
         FILE_HEADER_LEN
     );
-    let stats = client(["--data-dir", dir], &["--cmd", "stats"]);
+    let stats = client(["--data-dir", dir], &["--cmd", "metrics"]);
     assert!(
-        stats.contains("persistence: recovered 3 snapshot + 0 wal record(s)"),
+        stats.contains("\nnuma_store_snapshot_records_loaded 3\n")
+            && stats.contains("\nnuma_store_wal_records_replayed 0\n"),
         "{stats}"
     );
     // (A snapshot holds the corpus in id order, so compare as sets.)

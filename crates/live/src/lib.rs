@@ -216,7 +216,8 @@ pub struct Sealed {
     pub chunks: u64,
 }
 
-/// Live-ingestion counters for observability (`server-stats`).
+/// Live-ingestion counters, the same numbers the `numa_live_*` series
+/// carry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LiveStats {
     /// Sessions open right now.

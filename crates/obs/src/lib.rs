@@ -10,9 +10,10 @@
 //!   exactly one storage location per number (no parallel bookkeeping
 //!   to drift out of sync).
 //! - [`Registry`] — names, help text, and labels for a set of handles,
-//!   rendered as Prometheus text exposition (`GET /metrics`). Derived
-//!   values (anything already guarded by a component's own lock) join
-//!   via closure collectors instead of duplicating state.
+//!   rendered as Prometheus text exposition (`GET /metrics`) and read
+//!   back by [`parse_exposition`]. Derived values (anything already
+//!   guarded by a component's own lock) join via closure collectors
+//!   instead of duplicating state.
 //! - [`trace`] — per-request structured spans: a bounded ring buffer
 //!   of (op, bytes, shard, cache hit/miss, WAL-ack latency, total
 //!   latency) plus a thread-local side channel that lets lower layers
@@ -34,5 +35,5 @@ pub mod trace;
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
-pub use registry::Registry;
-pub use trace::{Span, SpanRing};
+pub use registry::{parse_exposition, parse_percentiles, Registry};
+pub use trace::{parse_slow_ops, Span, SpanRing};

@@ -12,10 +12,21 @@
 //! ```
 //!
 //! Registering the same family name again appends a series (e.g. one
-//! per op label); help and type come from the first registration.
+//! per op label); help and type come from the first registration. A
+//! histogram also gets one comment line of percentiles read from the
+//! same snapshot as its buckets, so a human reading the text, or a
+//! test, sees ordered p50/p95/p99/max without re-deriving them:
+//!
+//! ```text
+//! # numa_server_request_latency_us p50 64 p95 512 p99 1024 max 1730
+//! ```
+//!
+//! [`parse_exposition`] reads the series back and [`parse_percentiles`]
+//! that comment, so callers never parse the text format themselves.
 
 use crate::metrics::{bucket_upper_bound, Counter, Gauge, Histogram, BUCKETS};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 enum Source {
@@ -163,12 +174,64 @@ impl Registry {
                             writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", family.name, snap.count);
                         let _ = writeln!(out, "{}_sum {}", family.name, snap.sum);
                         let _ = writeln!(out, "{}_count {}", family.name, snap.count);
+                        let _ = writeln!(
+                            out,
+                            "# {} p50 {} p95 {} p99 {} max {}",
+                            family.name,
+                            snap.percentile(0.50),
+                            snap.percentile(0.95),
+                            snap.percentile(0.99),
+                            snap.max,
+                        );
                     }
                 }
             }
         }
         out
     }
+}
+
+/// Read a text exposition back as `series -> value`, the key being the
+/// series name with its rendered labels (`numa_server_requests_total{op="ping"}`).
+/// Comment lines are skipped. Values are `i128` so that every `u64`
+/// counter and every `i64` gauge [`Registry::render`] writes reads back
+/// exactly. A line without a numeric value, or a series seen twice, is
+/// an error naming the line.
+pub fn parse_exposition(text: &str) -> Result<BTreeMap<String, i128>, String> {
+    let mut out = BTreeMap::new();
+    for line in text.lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let value = line
+            .rsplit_once(' ')
+            .and_then(|(series, value)| Some((series, value.parse().ok()?)));
+        let Some((series, value)) = value else {
+            return Err(format!("not a `series value` line: {line:?}"));
+        };
+        if out.insert(series.to_string(), value).is_some() {
+            return Err(format!("series {series:?} appears twice"));
+        }
+    }
+    Ok(out)
+}
+
+/// The `[p50, p95, p99, max]` comment [`Registry::render`] writes for
+/// histogram family `name`, or `None` when `text` carries none.
+pub fn parse_percentiles(text: &str, name: &str) -> Option<[u64; 4]> {
+    text.lines().find_map(|line| {
+        let rest = line.strip_prefix("# ")?.strip_prefix(name)?;
+        let words: Vec<&str> = rest.strip_prefix(' ')?.split(' ').collect();
+        let ["p50", p50, "p95", p95, "p99", p99, "max", max] = words[..] else {
+            return None;
+        };
+        Some([
+            p50.parse().ok()?,
+            p95.parse().ok()?,
+            p99.parse().ok()?,
+            max.parse().ok()?,
+        ])
+    })
 }
 
 fn valid_name(name: &str) -> bool {
@@ -255,6 +318,74 @@ mod tests {
         assert!(text.contains("numa_latency_us_count 3\n"));
         let sum = 1 + 3 + (1u64 << 40);
         assert!(text.contains(&format!("numa_latency_us_sum {sum}\n")));
+    }
+
+    #[test]
+    fn histogram_percentiles_ride_in_one_comment() {
+        let registry = Registry::new();
+        let h = Histogram::new();
+        for v in [1u64, 10, 100, 1000] {
+            h.record(v);
+        }
+        registry.histogram("numa_latency_us", "Latency.", h);
+        let text = registry.render();
+        assert!(
+            text.contains("\n# numa_latency_us p50 16 p95 1000 p99 1000 max 1000\n"),
+            "{text}"
+        );
+        assert_eq!(
+            parse_percentiles(&text, "numa_latency_us"),
+            Some([16, 1000, 1000, 1000])
+        );
+        assert_eq!(parse_percentiles(&text, "numa_latency"), None);
+        assert_eq!(parse_percentiles(&text, "numa_other_us"), None);
+    }
+
+    #[test]
+    fn parse_reads_back_every_series_render_writes() {
+        let registry = Registry::new();
+        let (ping, ingest) = (Counter::new(), Counter::new());
+        ping.add(3);
+        ingest.add(u64::MAX);
+        registry.counter("numa_requests_total", "By op.", &[("op", "ping")], ping);
+        registry.counter("numa_requests_total", "By op.", &[("op", "ingest")], ingest);
+        let g = Gauge::new();
+        g.set(i64::MIN);
+        registry.gauge("numa_open_bytes", "Bytes.", &[("shard", "7")], g);
+        registry.gauge_fn("numa_profiles", "Profiles.", &[], || 2);
+        let h = Histogram::new();
+        h.record(3);
+        h.record(1 << 40);
+        registry.histogram("numa_latency_us", "Latency.", h);
+
+        let text = registry.render();
+        let series = parse_exposition(&text).expect("parses");
+        // Every non-comment line is one series: nothing dropped.
+        let lines = text.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(series.len(), lines);
+        let get = |key: &str| series.get(key).copied();
+        assert_eq!(get("numa_requests_total{op=\"ping\"}"), Some(3));
+        assert_eq!(
+            get("numa_requests_total{op=\"ingest\"}"),
+            Some(u64::MAX as i128)
+        );
+        assert_eq!(get("numa_open_bytes{shard=\"7\"}"), Some(i64::MIN as i128));
+        assert_eq!(get("numa_profiles"), Some(2));
+        assert_eq!(get("numa_latency_us_bucket{le=\"4\"}"), Some(1));
+        assert_eq!(get("numa_latency_us_bucket{le=\"+Inf\"}"), Some(2));
+        assert_eq!(get("numa_latency_us_count"), Some(2));
+        assert_eq!(get("numa_latency_us_sum"), Some(3 + (1 << 40)));
+    }
+
+    #[test]
+    fn parse_rejects_what_render_never_writes() {
+        assert!(parse_exposition("numa_x\n").is_err());
+        assert!(parse_exposition("numa_x one\n").is_err());
+        assert!(parse_exposition("numa_x 1\nnuma_x 2\n").is_err());
+        assert_eq!(
+            parse_exposition("# comment\n\nnuma_x -1\n").unwrap(),
+            BTreeMap::from([("numa_x".to_string(), -1)])
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// One finished request span. `seq` is assigned by the ring and is
 /// strictly monotonic in ring order.
@@ -37,6 +38,60 @@ pub struct Span {
     pub total_us: u64,
     /// Whether the request was answered with a typed error.
     pub error: bool,
+}
+
+/// One line: `#SEQ OP TOTAL µs (BYTES byte(s)` then whichever of
+/// `, shard N`, `, cache hit|miss`, `, wal ack N µs` and `, error` the
+/// span carries, then `)`. The daemon's slow-op log line and its
+/// `# slow-op` exposition comment both print this.
+impl fmt::Display for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "#{} {} {} µs ({} byte(s)",
+            self.seq, self.op, self.total_us, self.bytes
+        )?;
+        if let Some(shard) = self.shard {
+            write!(f, ", shard {shard}")?;
+        }
+        match self.cache_hit {
+            Some(true) => f.write_str(", cache hit")?,
+            Some(false) => f.write_str(", cache miss")?,
+            None => {}
+        }
+        if let Some(us) = self.wal_ack_us {
+            write!(f, ", wal ack {us} µs")?;
+        }
+        if self.error {
+            f.write_str(", error")?;
+        }
+        f.write_str(")")
+    }
+}
+
+/// Prefix of the exposition comment that carries one retained slow span.
+const SLOW_OP_COMMENT: &str = "# slow-op ";
+
+/// Append `span` to an exposition as one `# slow-op` comment line.
+pub fn write_slow_op(out: &mut String, span: &Span) {
+    use fmt::Write as _;
+    let _ = writeln!(out, "{SLOW_OP_COMMENT}{span}");
+}
+
+/// The `# slow-op` comments of an exposition as `(seq, span line)`, in
+/// text order. A comment whose line does not start with `#SEQ` is an
+/// error naming it.
+pub fn parse_slow_ops(text: &str) -> Result<Vec<(u64, &str)>, String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(SLOW_OP_COMMENT))
+        .map(|span| {
+            let seq = span
+                .strip_prefix('#')
+                .and_then(|rest| rest.split(' ').next()?.parse().ok());
+            seq.map(|seq| (seq, span))
+                .ok_or_else(|| format!("slow-op line without a seq: {span:?}"))
+        })
+        .collect()
 }
 
 /// Everything of a [`Span`] except the ring-assigned sequence number.
@@ -225,6 +280,54 @@ mod tests {
         assert_eq!(ring.push(body("ping", 1)), 0);
         assert_eq!(ring.push(body("ping", 1)), 1);
         assert!(ring.recent(10).is_empty());
+    }
+
+    #[test]
+    fn a_span_displays_only_the_facts_it_carries() {
+        let mut span = Span {
+            seq: 7,
+            op: "ingest-binary",
+            bytes: 512,
+            shard: None,
+            cache_hit: None,
+            wal_ack_us: None,
+            total_us: 900,
+            error: false,
+        };
+        assert_eq!(span.to_string(), "#7 ingest-binary 900 µs (512 byte(s))");
+        span.shard = Some(3);
+        span.cache_hit = Some(false);
+        span.wal_ack_us = Some(40);
+        span.error = true;
+        assert_eq!(
+            span.to_string(),
+            "#7 ingest-binary 900 µs (512 byte(s), shard 3, cache miss, wal ack 40 µs, error)"
+        );
+    }
+
+    #[test]
+    fn slow_op_comments_read_back_in_text_order() {
+        let span = |seq| Span {
+            seq,
+            op: "ping",
+            bytes: 0,
+            shard: None,
+            cache_hit: None,
+            wal_ack_us: None,
+            total_us: 1,
+            error: false,
+        };
+        let mut text = String::from("numa_x 1\n");
+        write_slow_op(&mut text, &span(4));
+        write_slow_op(&mut text, &span(9));
+        assert_eq!(
+            parse_slow_ops(&text).unwrap(),
+            [
+                (4, "#4 ping 1 µs (0 byte(s))"),
+                (9, "#9 ping 1 µs (0 byte(s))")
+            ]
+        );
+        assert!(parse_slow_ops("# slow-op ping\n").is_err());
     }
 
     #[test]

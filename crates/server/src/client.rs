@@ -4,8 +4,7 @@
 
 use crate::protocol::{
     caps, decode_response, encode_request, read_frame, write_frame_flags, ProfileEntry, RecvError,
-    ReportFormat, Request, Response, ServerStatsReport, WireError, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION, READ_BUFFER,
+    ReportFormat, Request, Response, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION, READ_BUFFER,
 };
 use crate::server::Backend;
 use numa_profiler::NumaProfile;
@@ -309,19 +308,10 @@ impl Client {
         })
     }
 
-    pub fn store_stats(&mut self) -> Result<String, ClientError> {
-        self.text(&Request::StoreStats)
-    }
-
-    pub fn server_stats(&mut self) -> Result<ServerStatsReport, ClientError> {
-        match self.call(&Request::ServerStats)? {
-            Response::ServerStats(s) => Ok(*s),
-            other => Err(unexpected("ServerStats", &other)),
-        }
-    }
-
-    /// Prometheus text exposition of every daemon metric — the same
-    /// text `GET /metrics` serves. Requires a daemon advertising
+    /// The daemon's statistics: the Prometheus text exposition of every
+    /// metric plus its `# slow-op` lines, the same text `GET /metrics`
+    /// serves ([`crate::Backend::exposition`]). Read the series with
+    /// [`crate::parse_exposition`]. Requires a daemon advertising
     /// [`caps::METRICS`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.text(&Request::Metrics)

@@ -1,22 +1,30 @@
 //! Minimal embedded HTTP/1.1 responder for `GET /metrics`.
 //!
 //! Just enough HTTP for a Prometheus scraper or `curl`: parse the
-//! request line, answer `GET /metrics` with the registry's text
-//! exposition, 404 anything else, 405 non-GET methods. One short-lived
-//! thread per connection (scrapes are rare and trusted — this listens
-//! where the operator pointed `--metrics-addr`, typically loopback);
-//! the accept loop is non-blocking so it can observe the daemon's
-//! shutdown flag.
+//! request line, answer `GET /metrics` with the daemon's exposition,
+//! 404 anything else, 405 non-GET methods. The request head is read
+//! within `MAX_HEAD` bytes; one that does not end inside the bound
+//! draws a 431. One short-lived thread per connection (scrapes are rare
+//! and trusted — this listens where the operator pointed
+//! `--metrics-addr`, typically loopback); the accept loop is
+//! non-blocking so it can observe the daemon's shutdown flag.
 
-use numa_obs::Registry;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Content type of the Prometheus text exposition format.
 const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// The most bytes of a request head (request line plus headers) a
+/// scrape may send; a peer cannot make the responder buffer more.
+const MAX_HEAD: u64 = 8 << 10;
+
+/// How long the responder keeps discarding what a peer still sends
+/// after a refused head.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// Bind the metrics listener (port 0 for ephemeral) without serving.
 pub fn bind(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
@@ -25,21 +33,26 @@ pub fn bind(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
     Ok((listener, addr))
 }
 
-/// Serve scrapes until `shutdown` flips. Blocks; callers spawn this on
-/// its own thread.
-pub fn serve(listener: TcpListener, registry: Arc<Registry>, shutdown: Arc<AtomicBool>) {
+/// Serve scrapes with the text `render` returns until `shutdown` flips.
+/// Blocks; callers spawn this on its own thread.
+pub fn serve(
+    listener: TcpListener,
+    render: impl Fn() -> String + Send + Sync + 'static,
+    shutdown: Arc<AtomicBool>,
+) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
+    let render = Arc::new(render);
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let registry = Arc::clone(&registry);
+                let render = Arc::clone(&render);
                 // Scrape handling off the accept loop so one slow
                 // reader cannot block the next scraper.
                 let _ = std::thread::Builder::new()
                     .name("hpcd-metrics".to_string())
-                    .spawn(move || answer(stream, &registry));
+                    .spawn(move || answer(stream, &*render));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -50,38 +63,64 @@ pub fn serve(listener: TcpListener, registry: Arc<Registry>, shutdown: Arc<Atomi
     }
 }
 
-fn answer(stream: TcpStream, registry: &Registry) {
+fn answer(stream: TcpStream, render: &dyn Fn() -> String) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(stream);
+    let mut head = BufReader::new((&stream).take(MAX_HEAD));
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    if head.read_line(&mut request_line).is_err() {
         return;
     }
-    // Drain the headers so the peer's write buffer is not left full
-    // when we answer (politeness; we never need the header values).
+    // Read the headers to the blank line that ends them, so the peer's
+    // write buffer is not left full when we answer (we never need the
+    // header values).
     let mut header = String::new();
+    let mut ended = false;
     loop {
         header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
+        match head.read_line(&mut header) {
+            Ok(_) if header == "\r\n" || header == "\n" => {
+                ended = true;
+                break;
+            }
+            Ok(0) | Err(_) => break,
             Ok(_) => {}
-            Err(_) => break,
         }
     }
-    let mut stream = reader.into_inner();
+    // A head still going when the bound ran out is refused; one the
+    // peer cut short (EOF, timeout) is answered as it stands.
+    let overlong = !ended && head.get_ref().limit() == 0;
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (status, body) = match (method, path) {
-        ("GET", "/metrics") => ("200 OK", registry.render()),
+        _ if overlong => (
+            "431 Request Header Fields Too Large",
+            format!("the request head exceeds {MAX_HEAD} bytes\n"),
+        ),
+        ("GET", "/metrics") => ("200 OK", render()),
         ("GET", _) => ("404 Not Found", "not found; try /metrics\n".to_string()),
         _ => ("405 Method Not Allowed", "only GET is served\n".to_string()),
     };
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
-    let _ = stream.flush();
+    let mut stream = &stream;
+    let _ = stream.write_all(response.as_bytes());
+    if overlong {
+        // Closing with request bytes unread resets the connection, and
+        // a reset can destroy the answer before the peer reads it: end
+        // our side, then discard what the peer still sends, for a
+        // bounded time.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(LINGER));
+        let deadline = Instant::now() + LINGER;
+        let mut sink = [0u8; 8192];
+        while Instant::now() < deadline {
+            match stream.read(&mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+    }
 }

@@ -32,7 +32,10 @@
 //! draws a typed [`protocol::WireError::Unsupported`] instead of a
 //! closed connection.
 //! * [`metrics`] — per-op request/error counters and a fixed-bucket
-//!   latency histogram, surfaced remotely via the `server-stats` op.
+//!   latency histogram, registered with the store and session series
+//!   in one registry: [`server::Backend::exposition`] is the daemon's
+//!   only statistics report, served by the `metrics` op, by
+//!   `GET /metrics` ([`http`]) and by `hpcd-sim` at shutdown.
 //!
 //! The CLI front ends (`hpcd-sim`, `hpcd-client`) live in the
 //! `numa-tools` crate next to the other `hpc*-sim` binaries.
@@ -45,8 +48,9 @@ pub mod server;
 
 pub use client::{Client, ClientError, SessionInfo};
 pub use numa_live::LiveConfig;
+pub use numa_obs::{parse_exposition, parse_percentiles, parse_slow_ops};
 pub use protocol::{
     caps, FrameDecoder, FrameError, ProfileEntry, RecvError, ReportFormat, Request, Response,
-    ServerStatsReport, SlowOpRow, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{Backend, Server, ServerConfig};

@@ -3,66 +3,113 @@
 //!
 //! The hot path (one request) touches exactly three relaxed atomics:
 //! op requests, the histogram bucket, and optionally op errors. The
-//! same handles feed both `server-stats` (via [`Metrics::latency_summary`]
-//! and [`Metrics::per_op`]) and the Prometheus scrape (via
-//! [`Metrics::register`]) — one storage location per number.
+//! handles are read only through the registry ([`Metrics::register`]),
+//! whose text the `metrics` op and `GET /metrics` serve.
 
-use crate::protocol::{LatencySummary, OpStat, Request};
+use crate::protocol::Request;
 use numa_obs::{Counter, Histogram, Registry};
 
 /// Every op the daemon serves, densely numbered for counter arrays.
-/// Slot [`OpSlot::COUNT`]`-1` ("unknown") absorbs malformed requests
-/// that never decoded to an op.
+/// Each slot carries its op name, the `op` label of its series, so a
+/// slot and its name are written once, together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpSlot(usize);
+pub struct OpSlot {
+    index: usize,
+    name: &'static str,
+}
 
 impl OpSlot {
-    pub const NAMES: [&'static str; 20] = [
-        "ping",
-        "ingest-binary",
-        "list",
-        "resolve",
-        "aggregate",
-        "top",
-        "report",
-        "code-view",
-        "address-view",
-        "diff",
-        "store-stats",
-        "server-stats",
-        "metrics",
-        "clear-cache",
-        "shutdown",
-        "open-session",
-        "append-chunk-binary",
-        "seal-session",
-        "abort-session",
-        "unknown",
-    ];
-    pub const COUNT: usize = Self::NAMES.len();
-    pub const UNKNOWN: OpSlot = OpSlot(Self::COUNT - 1);
+    const fn new(index: usize, name: &'static str) -> OpSlot {
+        OpSlot { index, name }
+    }
 
+    const PING: OpSlot = OpSlot::new(0, "ping");
+    const INGEST_BINARY: OpSlot = OpSlot::new(1, "ingest-binary");
+    const LIST: OpSlot = OpSlot::new(2, "list");
+    const RESOLVE: OpSlot = OpSlot::new(3, "resolve");
+    const AGGREGATE: OpSlot = OpSlot::new(4, "aggregate");
+    const TOP: OpSlot = OpSlot::new(5, "top");
+    const REPORT: OpSlot = OpSlot::new(6, "report");
+    const CODE_VIEW: OpSlot = OpSlot::new(7, "code-view");
+    const ADDRESS_VIEW: OpSlot = OpSlot::new(8, "address-view");
+    const DIFF: OpSlot = OpSlot::new(9, "diff");
+    const METRICS: OpSlot = OpSlot::new(10, "metrics");
+    const CLEAR_CACHE: OpSlot = OpSlot::new(11, "clear-cache");
+    const SHUTDOWN: OpSlot = OpSlot::new(12, "shutdown");
+    const OPEN_SESSION: OpSlot = OpSlot::new(13, "open-session");
+    const APPEND_CHUNK_BINARY: OpSlot = OpSlot::new(14, "append-chunk-binary");
+    const SEAL_SESSION: OpSlot = OpSlot::new(15, "seal-session");
+    const ABORT_SESSION: OpSlot = OpSlot::new(16, "abort-session");
+    /// Absorbs malformed requests that never decoded to an op.
+    pub const UNKNOWN: OpSlot = OpSlot::new(17, "unknown");
+
+    /// Every slot, `ALL[i]` being slot `i` (checked at compile time
+    /// below, so a missing, duplicated or misplaced slot does not build).
+    const ALL: [OpSlot; 18] = [
+        Self::PING,
+        Self::INGEST_BINARY,
+        Self::LIST,
+        Self::RESOLVE,
+        Self::AGGREGATE,
+        Self::TOP,
+        Self::REPORT,
+        Self::CODE_VIEW,
+        Self::ADDRESS_VIEW,
+        Self::DIFF,
+        Self::METRICS,
+        Self::CLEAR_CACHE,
+        Self::SHUTDOWN,
+        Self::OPEN_SESSION,
+        Self::APPEND_CHUNK_BINARY,
+        Self::SEAL_SESSION,
+        Self::ABORT_SESSION,
+        Self::UNKNOWN,
+    ];
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// The slot counting `req`. The match is exhaustive, so an op added
+    /// to [`Request`] does not compile until it has a slot here.
     pub fn of(req: &Request) -> OpSlot {
-        let name = req.op_name();
-        OpSlot(
-            Self::NAMES
-                .iter()
-                .position(|n| *n == name)
-                .unwrap_or(Self::COUNT - 1),
-        )
+        match req {
+            Request::Ping => Self::PING,
+            Request::IngestBinary { .. } => Self::INGEST_BINARY,
+            Request::List => Self::LIST,
+            Request::Resolve { .. } => Self::RESOLVE,
+            Request::Aggregate => Self::AGGREGATE,
+            Request::Top { .. } => Self::TOP,
+            Request::Report { .. } => Self::REPORT,
+            Request::CodeView { .. } => Self::CODE_VIEW,
+            Request::AddressView { .. } => Self::ADDRESS_VIEW,
+            Request::Diff { .. } => Self::DIFF,
+            Request::Metrics => Self::METRICS,
+            Request::ClearCache => Self::CLEAR_CACHE,
+            Request::Shutdown => Self::SHUTDOWN,
+            Request::OpenSession { .. } => Self::OPEN_SESSION,
+            Request::AppendChunkBinary { .. } => Self::APPEND_CHUNK_BINARY,
+            Request::SealSession { .. } => Self::SEAL_SESSION,
+            Request::AbortSession { .. } => Self::ABORT_SESSION,
+        }
     }
 
     pub fn name(&self) -> &'static str {
-        Self::NAMES[self.0]
+        self.name
     }
 }
+
+const _: () = {
+    let mut i = 0;
+    while i < OpSlot::COUNT {
+        assert!(OpSlot::ALL[i].index == i, "OpSlot::ALL out of index order");
+        i += 1;
+    }
+};
 
 /// All daemon counters, shared by workers via `Arc`.
 #[derive(Default)]
 pub struct Metrics {
     requests: [Counter; OpSlot::COUNT],
     errors: [Counter; OpSlot::COUNT],
-    pub latency: Histogram,
+    latency: Histogram,
     connections_accepted: Counter,
     connections_closed: Counter,
     rejected_oversized: Counter,
@@ -76,9 +123,9 @@ impl Metrics {
     }
 
     pub fn record_request(&self, op: OpSlot, elapsed: std::time::Duration, is_error: bool) {
-        self.requests[op.0].inc();
+        self.requests[op.index].inc();
         if is_error {
-            self.errors[op.0].inc();
+            self.errors[op.index].inc();
         }
         self.latency.record_duration(elapsed);
     }
@@ -103,80 +150,21 @@ impl Metrics {
         self.timeouts.inc();
     }
 
-    pub fn requests_total(&self) -> u64 {
-        self.requests.iter().map(Counter::get).sum()
-    }
-
-    pub fn errors_total(&self) -> u64 {
-        self.errors.iter().map(Counter::get).sum()
-    }
-
-    pub fn connections_accepted_total(&self) -> u64 {
-        self.connections_accepted.get()
-    }
-
-    pub fn connections_closed_total(&self) -> u64 {
-        self.connections_closed.get()
-    }
-
-    pub fn rejected_oversized_total(&self) -> u64 {
-        self.rejected_oversized.get()
-    }
-
-    pub fn malformed_total(&self) -> u64 {
-        self.malformed_frames.get()
-    }
-
-    pub fn timeouts_total(&self) -> u64 {
-        self.timeouts.get()
-    }
-
-    /// One consistent latency summary: every percentile line comes
-    /// from the same bucket snapshot, so p50 ≤ p95 ≤ p99 holds even
-    /// while workers are recording.
-    pub fn latency_summary(&self) -> LatencySummary {
-        let s = self.latency.snapshot();
-        LatencySummary {
-            count: s.count,
-            p50_us: s.percentile(0.50),
-            p95_us: s.percentile(0.95),
-            p99_us: s.percentile(0.99),
-            max_us: s.max,
-        }
-    }
-
-    /// Per-op rows for ops that saw at least one request.
-    pub fn per_op(&self) -> Vec<OpStat> {
-        (0..OpSlot::COUNT)
-            .filter_map(|i| {
-                let requests = self.requests[i].get();
-                if requests == 0 {
-                    return None;
-                }
-                Some(OpStat {
-                    op: OpSlot::NAMES[i].to_string(),
-                    requests,
-                    errors: self.errors[i].get(),
-                })
-            })
-            .collect()
-    }
-
     /// Adopt every counter into `registry` under the `numa_server_`
     /// prefix (clones of the same handles the hot path increments).
     pub fn register(&self, registry: &Registry) {
-        for (i, name) in OpSlot::NAMES.iter().enumerate() {
+        for slot in OpSlot::ALL {
             registry.counter(
                 "numa_server_requests_total",
                 "Requests served, by op.",
-                &[("op", name)],
-                self.requests[i].clone(),
+                &[("op", slot.name)],
+                self.requests[slot.index].clone(),
             );
             registry.counter(
                 "numa_server_errors_total",
                 "Requests answered with a typed error, by op.",
-                &[("op", name)],
-                self.errors[i].clone(),
+                &[("op", slot.name)],
+                self.errors[slot.index].clone(),
             );
         }
         registry.histogram(
@@ -243,26 +231,86 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zero() {
-        let s = Metrics::new().latency_summary();
-        assert_eq!((s.count, s.p50_us, s.p99_us, s.max_us), (0, 0, 0, 0));
+        let registry = Registry::new();
+        Metrics::new().register(&registry);
+        let text = registry.render();
+        assert!(
+            text.contains("\n# numa_server_request_latency_us p50 0 p95 0 p99 0 max 0\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn op_slots_cover_every_request() {
-        use crate::protocol::Request;
-        let reqs = [
-            Request::Ping,
-            Request::List,
-            Request::Aggregate,
-            Request::StoreStats,
-            Request::ServerStats,
-            Request::Metrics,
-            Request::ClearCache,
-            Request::Shutdown,
+        // Every variant, each with the op name its series has always
+        // carried.
+        let s = String::new;
+        let ops = [
+            (Request::Ping, "ping"),
+            (Request::List, "list"),
+            (Request::Resolve { reference: s() }, "resolve"),
+            (Request::Aggregate, "aggregate"),
+            (Request::Top { n: 5 }, "top"),
+            (
+                Request::Report {
+                    profile: s(),
+                    format: crate::protocol::ReportFormat::Text,
+                },
+                "report",
+            ),
+            (
+                Request::CodeView {
+                    profile: s(),
+                    min_share_permille: 5,
+                },
+                "code-view",
+            ),
+            (
+                Request::AddressView {
+                    profile: s(),
+                    var: s(),
+                },
+                "address-view",
+            ),
+            (
+                Request::Diff {
+                    before: s(),
+                    after: s(),
+                },
+                "diff",
+            ),
+            (Request::Metrics, "metrics"),
+            (Request::ClearCache, "clear-cache"),
+            (Request::Shutdown, "shutdown"),
+            (Request::OpenSession { label: s() }, "open-session"),
+            (Request::SealSession { session: 1 }, "seal-session"),
+            (Request::AbortSession { session: 1 }, "abort-session"),
+            (
+                Request::IngestBinary {
+                    label: s(),
+                    bytes: Vec::new(),
+                },
+                "ingest-binary",
+            ),
+            (
+                Request::AppendChunkBinary {
+                    session: 1,
+                    seq: 0,
+                    bytes: Vec::new(),
+                },
+                "append-chunk-binary",
+            ),
         ];
-        for r in &reqs {
-            assert_ne!(OpSlot::of(r), OpSlot::UNKNOWN, "{:?}", r.op_name());
+        let mut seen = [false; OpSlot::COUNT];
+        for (req, name) in &ops {
+            let slot = OpSlot::of(req);
+            assert_eq!(slot.name(), *name);
+            assert!(!seen[slot.index], "{name} shares a slot");
+            seen[slot.index] = true;
         }
+        // Every slot but "unknown" is some request's: no stale name.
+        assert_eq!(ops.len(), OpSlot::COUNT - 1);
+        assert_eq!(OpSlot::UNKNOWN.name(), "unknown");
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! * `String` a `u32` length, then UTF-8 (validated);
 //! * `Vec<T>` a `u32` count, then the items — the count is checked
 //!   against the bytes left before anything is allocated;
-//! * `Option<T>` a 0/1 byte, then the value if present; `Box<T>` as `T`;
 //! * a [`WireError`] is its own tag byte, then its fields;
 //! * the trailing blob of `IngestBinary`, `AppendChunkBinary` and
 //!   `Text` is the rest of the payload, unprefixed — a rendered text
@@ -38,7 +37,8 @@
 //! An unknown tag, a short field, a bad UTF-8 string or flag byte, and
 //! bytes left over after the last field are all a typed
 //! [`WireError::Malformed`]. The tags are the `= N` after each variant
-//! below — the one table of them.
+//! below — the one table of them. A retired tag is never reused: it
+//! stays an unknown tag.
 //!
 //! ## Version and capability rules
 //!
@@ -57,8 +57,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Current protocol revision.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Current protocol revision. 3 retired the `store-stats` and
+/// `server-stats` ops, so a revision-2 peer is told so by
+/// [`WireError::UnsupportedVersion`] instead of meeting an unknown tag.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"HPCD";
@@ -526,33 +528,6 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    const MIN: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        self.is_some().put(out);
-        if let Some(value) = self {
-            value.put(out);
-        }
-    }
-    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(if bool::take(input)? {
-            Some(T::take(input)?)
-        } else {
-            None
-        })
-    }
-}
-
-impl<T: Wire> Wire for Box<T> {
-    const MIN: usize = T::MIN;
-    fn put(&self, out: &mut Vec<u8>) {
-        (**self).put(out);
-    }
-    fn take(input: &mut &[u8]) -> Result<Self, WireError> {
-        T::take(input).map(Box::new)
-    }
-}
-
 impl Rest for Vec<u8> {
     fn put_rest(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self);
@@ -706,13 +681,12 @@ wire_enum! {
         AddressView { profile: String, var: String } = 7,
         /// Pairwise diff of two stored runs.
         Diff { before: String, after: String } = 8,
-        /// Store accounting (profile count, dedup, cache counters).
-        StoreStats = 9,
-        /// Daemon observability: per-op counters + latency percentiles.
-        ServerStats = 10,
-        /// Prometheus text exposition of every registered metric
-        /// (requires [`caps::METRICS`]); the same text `GET /metrics`
-        /// serves.
+        // Tags 9 and 10 are retired (the `store-stats` and `server-stats`
+        // reports, which duplicated `Metrics`) and are never reused: a
+        // payload that opens with either is an unknown request tag.
+        /// Prometheus text exposition of every registered metric, then
+        /// a `# slow-op` comment per retained slow span (requires
+        /// [`caps::METRICS`]); the same text `GET /metrics` serves.
         Metrics = 11,
         /// Drop every memoized artifact (admin; used to measure cold
         /// paths).
@@ -740,31 +714,6 @@ wire_enum! {
 }
 
 impl Request {
-    /// Stable op name, used for per-op metrics and display.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::List => "list",
-            Request::Resolve { .. } => "resolve",
-            Request::Aggregate => "aggregate",
-            Request::Top { .. } => "top",
-            Request::Report { .. } => "report",
-            Request::CodeView { .. } => "code-view",
-            Request::AddressView { .. } => "address-view",
-            Request::Diff { .. } => "diff",
-            Request::StoreStats => "store-stats",
-            Request::ServerStats => "server-stats",
-            Request::Metrics => "metrics",
-            Request::ClearCache => "clear-cache",
-            Request::Shutdown => "shutdown",
-            Request::OpenSession { .. } => "open-session",
-            Request::SealSession { .. } => "seal-session",
-            Request::AbortSession { .. } => "abort-session",
-            Request::IngestBinary { .. } => "ingest-binary",
-            Request::AppendChunkBinary { .. } => "append-chunk-binary",
-        }
-    }
-
     /// The capability bits this request relies on; the client stamps
     /// them on the request frame, and the daemon rejects a streaming op
     /// whose frame failed to declare [`caps::STREAMING`].
@@ -794,235 +743,6 @@ wire_struct! {
         pub threads: usize,
         /// Length of the profile's canonical codec bytes.
         pub codec_bytes: usize,
-    }
-}
-
-wire_struct! {
-    /// Per-op counter row in a `ServerStats` response.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct OpStat {
-        pub op: String,
-        pub requests: u64,
-        pub errors: u64,
-    }
-}
-
-wire_struct! {
-    /// Latency summary from the daemon's fixed-bucket histogram.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct LatencySummary {
-        pub count: u64,
-        pub p50_us: u64,
-        pub p95_us: u64,
-        pub p99_us: u64,
-        pub max_us: u64,
-    }
-}
-
-wire_struct! {
-    /// One store shard's accounting row in a `ServerStats` response.
-    #[derive(Clone, Debug, Default, PartialEq)]
-    pub struct ShardStatRow {
-        pub shard: usize,
-        pub profiles: usize,
-        pub ingests: u64,
-        /// Shelf read-lock acquisitions that had to block.
-        pub read_contended: u64,
-        /// Shelf write-lock acquisitions that had to block.
-        pub write_contended: u64,
-    }
-}
-
-wire_struct! {
-    /// One retained slow-op span in a `ServerStats` response: a request
-    /// whose total service time crossed the daemon's `--slow-op-ms`
-    /// threshold, with the structured facts its trace collected.
-    #[derive(Clone, Debug, Default, PartialEq)]
-    pub struct SlowOpRow {
-        /// Trace sequence number (strictly monotonic per daemon).
-        pub seq: u64,
-        pub op: String,
-        /// Request payload size in bytes.
-        pub bytes: u64,
-        /// Store shard the request touched, if any.
-        pub shard: Option<u32>,
-        /// Memo-cache outcome, if the request consulted the cache.
-        pub cache_hit: Option<bool>,
-        /// Microseconds spent blocked on the WAL ack, if the request
-        /// committed a profile.
-        pub wal_ack_us: Option<u64>,
-        /// End-to-end service time in microseconds.
-        pub total_us: u64,
-        /// Whether the request drew a typed error.
-        pub error: bool,
-    }
-}
-
-wire_struct! {
-    /// The `server-stats` payload: request observability plus the
-    /// store's cache counters, one round trip.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct ServerStatsReport {
-        pub uptime_ms: u64,
-        pub connections_accepted: u64,
-        pub connections_closed: u64,
-        pub requests_total: u64,
-        pub errors_total: u64,
-        pub rejected_oversized: u64,
-        pub malformed_frames: u64,
-        pub timeouts: u64,
-        pub per_op: Vec<OpStat>,
-        pub latency: LatencySummary,
-        pub store_profiles: usize,
-        /// Hex content hash of the stored set — two daemons (or a
-        /// daemon before and after a crash-restart) holding the same
-        /// corpus report the same value.
-        pub store_set_hash: String,
-        pub cache_hits: u64,
-        pub cache_misses: u64,
-        pub cache_insertions: u64,
-        pub cache_evictions: u64,
-        /// Whether the store is backed by a `--data-dir`.
-        pub durable: bool,
-        /// Startup recovery: records loaded from the snapshot.
-        pub snapshot_records_loaded: u64,
-        /// Startup recovery: records replayed from the WAL.
-        pub wal_records_replayed: u64,
-        /// Startup recovery: torn/corrupt tail bytes dropped (WAL +
-        /// snapshot).
-        pub wal_truncated_bytes: u64,
-        /// Records appended to the WAL since startup.
-        pub wal_appends: u64,
-        /// Group commits since startup: WAL flushes that made a batch
-        /// of appends durable. `wal_appends / wal_group_commits` is the
-        /// achieved batching factor.
-        pub wal_group_commits: u64,
-        /// Snapshot compactions since startup.
-        pub snapshots_written: u64,
-        /// Persistence I/O failures since startup (serving continued
-        /// from memory).
-        pub persist_io_errors: u64,
-        /// Per-shard store accounting.
-        pub store_shards: Vec<ShardStatRow>,
-        /// Streaming sessions open right now.
-        pub live_sessions: u64,
-        /// Bytes buffered across all open streaming sessions.
-        pub live_open_bytes: u64,
-        /// Sessions opened since startup.
-        pub live_sessions_opened: u64,
-        /// Sessions sealed (committed) since startup.
-        pub live_sessions_sealed: u64,
-        /// Sessions aborted (client abort or failed seal) since startup.
-        pub live_sessions_aborted: u64,
-        /// Expired leases reclaimed by the janitor since startup.
-        pub live_leases_reaped: u64,
-        /// Chunks accepted since startup.
-        pub live_chunks_appended: u64,
-        /// Capacity-induced rejections (too many sessions, buffer
-        /// budgets) since startup.
-        pub live_backpressure: u64,
-        /// Recent requests that crossed the slow-op threshold, oldest
-        /// first.
-        pub recent_slow_ops: Vec<SlowOpRow>,
-    }
-}
-
-impl ServerStatsReport {
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "uptime: {:.1} s\n\
-             connections: {} accepted, {} closed\n\
-             requests: {} total, {} error(s)\n\
-             frames: {} oversized rejected, {} malformed, {} timeout(s)\n\
-             latency: p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} request(s)\n\
-             store: {} profile(s), set hash {}; cache {} hit(s), {} miss(es), {} insertion(s), {} eviction(s)\n",
-            self.uptime_ms as f64 / 1e3,
-            self.connections_accepted,
-            self.connections_closed,
-            self.requests_total,
-            self.errors_total,
-            self.rejected_oversized,
-            self.malformed_frames,
-            self.timeouts,
-            self.latency.p50_us,
-            self.latency.p95_us,
-            self.latency.p99_us,
-            self.latency.max_us,
-            self.latency.count,
-            self.store_profiles,
-            self.store_set_hash,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-        );
-        out.push_str(&format!(
-            "live: {} session(s) open holding {} byte(s); {} opened, {} sealed, {} aborted, \
-             {} lease(s) reaped, {} chunk(s) appended, {} backpressure rejection(s)\n",
-            self.live_sessions,
-            self.live_open_bytes,
-            self.live_sessions_opened,
-            self.live_sessions_sealed,
-            self.live_sessions_aborted,
-            self.live_leases_reaped,
-            self.live_chunks_appended,
-            self.live_backpressure,
-        ));
-        if self.durable {
-            out.push_str(&format!(
-                "persistence: recovered {} snapshot + {} wal record(s), {} truncated byte(s); \
-                 {} append(s) in {} group commit(s), {} snapshot(s) written, {} io error(s)\n",
-                self.snapshot_records_loaded,
-                self.wal_records_replayed,
-                self.wal_truncated_bytes,
-                self.wal_appends,
-                self.wal_group_commits,
-                self.snapshots_written,
-                self.persist_io_errors,
-            ));
-        } else {
-            out.push_str("persistence: off (in-memory store)\n");
-        }
-        for s in &self.store_shards {
-            out.push_str(&format!(
-                "  shard {:>2}: {} profile(s), {} ingest(s), \
-                 {} contended read(s), {} contended write(s)\n",
-                s.shard, s.profiles, s.ingests, s.read_contended, s.write_contended,
-            ));
-        }
-        for op in &self.per_op {
-            out.push_str(&format!(
-                "  op {:<14} {:>8} request(s) {:>6} error(s)\n",
-                op.op, op.requests, op.errors
-            ));
-        }
-        if !self.recent_slow_ops.is_empty() {
-            out.push_str("recent slow ops:\n");
-            for s in &self.recent_slow_ops {
-                out.push_str(&format!(
-                    "  #{} {:<14} {:>8} µs, {} byte(s){}{}{}{}\n",
-                    s.seq,
-                    s.op,
-                    s.total_us,
-                    s.bytes,
-                    match s.shard {
-                        Some(sh) => format!(", shard {sh}"),
-                        None => String::new(),
-                    },
-                    match s.cache_hit {
-                        Some(true) => ", cache hit",
-                        Some(false) => ", cache miss",
-                        None => "",
-                    },
-                    match s.wal_ack_us {
-                        Some(us) => format!(", wal ack {us} µs"),
-                        None => String::new(),
-                    },
-                    if s.error { ", error" } else { "" },
-                ));
-            }
-        }
-        out
     }
 }
 
@@ -1190,12 +910,9 @@ wire_enum! {
         Profiles(entries: Vec<ProfileEntry>) = 2,
         Resolved { id: String, label: String } = 3,
         /// Rendered artifact text (aggregate, top, report, views, diff,
-        /// store-stats): the rest of the payload, as its own bytes.
+        /// metrics): the rest of the payload, as its own bytes.
         Text(..text: String) = 4,
-        /// Boxed: the report (per-op rows + per-shard rows) dwarfs
-        /// every other variant, and `Response` values move through
-        /// channels.
-        ServerStats(stats: Box<ServerStatsReport>) = 5,
+        // Tag 5 is retired (the `server-stats` report) and never reused.
         CacheCleared = 6,
         ShuttingDown = 7,
         /// A streaming session is open; stream chunks under this id and

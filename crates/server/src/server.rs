@@ -30,8 +30,8 @@ use crate::http;
 use crate::metrics::{Metrics, OpSlot};
 use crate::protocol::{
     caps, decode_request, encode_response, read_frame, write_frame_flags, FrameError, ProfileEntry,
-    RecvError, ReportFormat, Request, Response, ServerStatsReport, ShardStatRow, SlowOpRow,
-    WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION, READ_BUFFER,
+    RecvError, ReportFormat, Request, Response, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    READ_BUFFER,
 };
 use numa_live::{LiveConfig, SessionError, SessionManager};
 use numa_obs::trace::{Span, SpanBody};
@@ -71,7 +71,7 @@ pub struct ServerConfig {
     /// ephemeral port ([`Server::metrics_addr`] reports it).
     pub metrics_addr: Option<String>,
     /// Requests slower than this get a slow-op log line and their span
-    /// retained in the `server-stats` `recent-slow-ops` section.
+    /// retained as a `# slow-op` line of [`Backend::exposition`].
     pub slow_op_threshold: Duration,
     /// Spans kept in the request-trace ring buffer. 0 disables span
     /// capture entirely (used by the overhead A/B bench).
@@ -95,10 +95,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Slow-op spans retained for `server-stats` (a burst of fast
-/// requests cannot evict them from the main trace ring).
+/// Slow-op spans retained for the exposition (a burst of fast requests
+/// cannot evict them from the main trace ring).
 const SLOW_OP_CAPACITY: usize = 64;
-/// Slow-op rows reported per `server-stats` response.
+/// Slow-op lines per exposition.
 const SLOW_OPS_REPORTED: usize = 16;
 
 /// What every request executes against: the store, the streaming
@@ -114,13 +114,12 @@ pub struct Backend {
     trace: SpanRing,
     slow_ops: SpanRing,
     shutdown: Arc<AtomicBool>,
-    started: Instant,
 }
 
 impl Backend {
     /// Build the session manager over `store` and assemble the metric
     /// registry: every server, store, and live counter is adopted here,
-    /// so the scrape and `server-stats` read the same storage.
+    /// so [`Backend::exposition`] is the daemon's one statistics report.
     pub fn new(store: Arc<ProfileStore>, config: &ServerConfig) -> Arc<Backend> {
         let sessions = SessionManager::new(Arc::clone(&store), config.live.clone());
         let metrics = Arc::new(Metrics::new());
@@ -149,8 +148,23 @@ impl Backend {
                 SLOW_OP_CAPACITY
             }),
             shutdown: Arc::new(AtomicBool::new(false)),
-            started,
         })
+    }
+
+    /// The daemon's statistics, as the `metrics` op, `GET /metrics` and
+    /// `hpcd-sim`'s shutdown print all serve them: the registry's text
+    /// exposition, then one `# slow-op` comment per retained slow span,
+    /// oldest first.
+    pub fn exposition(&self) -> String {
+        let mut out = self.registry.render();
+        // Slow spans arrive from racing workers; order them by the
+        // trace sequence so "oldest first" holds for readers.
+        let mut slow = self.slow_ops.recent(SLOW_OPS_REPORTED);
+        slow.sort_by_key(|s| s.seq);
+        for span in slow {
+            trace::write_slow_op(&mut out, &span);
+        }
+        out
     }
 }
 
@@ -198,8 +212,8 @@ impl Server {
     }
 
     /// Serve until shutdown, then drain and join every worker. Returns
-    /// the final observability snapshot.
-    pub fn run(self) -> io::Result<ServerStatsReport> {
+    /// the final [`Backend::exposition`].
+    pub fn run(self) -> io::Result<String> {
         // Non-blocking accept so the loop can observe the shutdown flag
         // promptly; the listener has no other wake-up mechanism without
         // an async reactor.
@@ -210,12 +224,14 @@ impl Server {
 
         let scraper = match self.metrics_listener {
             Some((listener, _)) => {
-                let registry = Arc::clone(&self.backend.registry);
+                let backend = Arc::clone(&self.backend);
                 let shutdown = Arc::clone(&self.backend.shutdown);
                 Some(
                     std::thread::Builder::new()
                         .name("hpcd-metrics-http".to_string())
-                        .spawn(move || http::serve(listener, registry, shutdown))?,
+                        .spawn(move || {
+                            http::serve(listener, move || backend.exposition(), shutdown)
+                        })?,
                 )
             }
             None => None,
@@ -281,7 +297,7 @@ impl Server {
         // teardown; open sessions die with the daemon (they were only
         // ever in its memory).
         self.backend.sessions.stop();
-        Ok(self.backend.stats())
+        Ok(self.backend.exposition())
     }
 }
 
@@ -440,25 +456,7 @@ fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Du
         error,
     });
     if elapsed >= ctx.config.slow_op_threshold {
-        eprintln!(
-            "hpcd-sim: slow-op #{seq} {} {total_us} µs ({bytes} byte(s){}{}{}{})",
-            op.name(),
-            match notes.shard {
-                Some(s) => format!(", shard {s}"),
-                None => String::new(),
-            },
-            match notes.cache_hit {
-                Some(true) => ", cache hit",
-                Some(false) => ", cache miss",
-                None => "",
-            },
-            match notes.wal_ack_us {
-                Some(us) => format!(", wal ack {us} µs"),
-                None => String::new(),
-            },
-            if error { ", error" } else { "" },
-        );
-        ctx.backend.slow_ops.retain(Span {
+        let span = Span {
             seq,
             op: op.name(),
             bytes,
@@ -467,7 +465,9 @@ fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Du
             wal_ack_us: notes.wal_ack_us,
             total_us,
             error,
-        });
+        };
+        eprintln!("hpcd-sim: slow-op {span}");
+        ctx.backend.slow_ops.retain(span);
     }
 }
 
@@ -565,9 +565,7 @@ impl Backend {
                     (Err(e), _) | (_, Err(e)) => Response::Error(e),
                 }
             }
-            Request::StoreStats => Response::Text(store.stats().render()),
-            Request::ServerStats => Response::ServerStats(Box::new(self.stats())),
-            Request::Metrics => Response::Text(self.registry.render()),
+            Request::Metrics => Response::Text(self.exposition()),
             Request::ClearCache => {
                 store.clear_cache();
                 Response::CacheCleared
@@ -704,79 +702,5 @@ fn wire_error(e: StoreError) -> WireError {
         StoreError::EmptyStore => WireError::EmptyStore,
         StoreError::UnknownVariable(name) => WireError::UnknownVariable { name },
         StoreError::Persist { message } => WireError::NotDurable { detail: message },
-    }
-}
-
-impl Backend {
-    fn stats(&self) -> ServerStatsReport {
-        let metrics = &self.metrics;
-        let store_stats = self.store.stats();
-        let persist = store_stats.persist;
-        let live = self.sessions.stats();
-        // Slow spans arrive from racing workers; order the report by the
-        // trace sequence so "oldest first" holds for readers.
-        let mut recent_slow_ops: Vec<SlowOpRow> = self
-            .slow_ops
-            .recent(SLOW_OPS_REPORTED)
-            .into_iter()
-            .map(|s| SlowOpRow {
-                seq: s.seq,
-                op: s.op.to_string(),
-                bytes: s.bytes,
-                shard: s.shard,
-                cache_hit: s.cache_hit,
-                wal_ack_us: s.wal_ack_us,
-                total_us: s.total_us,
-                error: s.error,
-            })
-            .collect();
-        recent_slow_ops.sort_by_key(|s| s.seq);
-        ServerStatsReport {
-            uptime_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
-            connections_accepted: metrics.connections_accepted_total(),
-            connections_closed: metrics.connections_closed_total(),
-            requests_total: metrics.requests_total(),
-            errors_total: metrics.errors_total(),
-            rejected_oversized: metrics.rejected_oversized_total(),
-            malformed_frames: metrics.malformed_total(),
-            timeouts: metrics.timeouts_total(),
-            per_op: metrics.per_op(),
-            latency: metrics.latency_summary(),
-            store_profiles: store_stats.profiles,
-            store_set_hash: format!("{:016x}", store_stats.set_hash),
-            cache_hits: store_stats.cache.hits,
-            cache_misses: store_stats.cache.misses,
-            cache_insertions: store_stats.cache.insertions,
-            cache_evictions: store_stats.cache.evictions,
-            durable: persist.durable,
-            snapshot_records_loaded: persist.snapshot_records_loaded,
-            wal_records_replayed: persist.wal_records_replayed,
-            wal_truncated_bytes: persist.wal_truncated_bytes + persist.snapshot_truncated_bytes,
-            wal_appends: persist.wal_appends,
-            wal_group_commits: persist.wal_group_commits,
-            snapshots_written: persist.snapshots_written,
-            persist_io_errors: persist.io_errors,
-            store_shards: store_stats
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardStatRow {
-                    shard,
-                    profiles: s.profiles,
-                    ingests: s.ingests,
-                    read_contended: s.read_contended,
-                    write_contended: s.write_contended,
-                })
-                .collect(),
-            live_sessions: live.open_sessions as u64,
-            live_open_bytes: live.open_bytes as u64,
-            live_sessions_opened: live.opened,
-            live_sessions_sealed: live.sealed,
-            live_sessions_aborted: live.aborted,
-            live_leases_reaped: live.reaped,
-            live_chunks_appended: live.chunks_appended,
-            live_backpressure: live.backpressure_rejections,
-            recent_slow_ops,
-        }
     }
 }

@@ -9,9 +9,13 @@ use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::protocol::{
     encode_frame, encode_request, read_frame, Request, Response, PROTOCOL_VERSION,
 };
-use numa_server::{Client, ClientError, ReportFormat, Server, ServerConfig, WireError};
+use numa_server::{
+    parse_exposition, parse_percentiles, Client, ClientError, ReportFormat, Server, ServerConfig,
+    WireError,
+};
 use numa_sim::Program;
 use numa_store::{ProfileStore, Query};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
@@ -41,15 +45,29 @@ fn profile(rounds: usize) -> NumaProfile {
 
 fn spawn_server(
     config: ServerConfig,
-) -> (
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
-) {
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<String>>) {
     let store = Arc::new(ProfileStore::new());
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
     (addr, handle)
+}
+
+/// The daemon's series, read through the `metrics` op.
+fn scrape(c: &mut Client) -> BTreeMap<String, i128> {
+    parse_exposition(&c.metrics().expect("metrics")).expect("exposition parses")
+}
+
+/// A family's total over every label set.
+fn family(series: &BTreeMap<String, i128>, name: &str) -> i128 {
+    series
+        .iter()
+        .filter(|(key, _)| {
+            key.strip_prefix(name)
+                .is_some_and(|labels| labels.starts_with('{'))
+        })
+        .map(|(_, value)| value)
+        .sum()
 }
 
 #[test]
@@ -128,33 +146,31 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
     // Observability: the daemon counted every op and latencies are
     // monotone across percentiles.
     let mut c = Client::connect(addr).expect("connect for stats");
-    let stats = c.server_stats().expect("server-stats");
-    assert_eq!(stats.store_profiles, CLIENTS);
-    let ingests = stats
-        .per_op
-        .iter()
-        .find(|o| o.op == "ingest-binary")
-        .expect("ingest op counted");
-    assert_eq!(ingests.requests, (CLIENTS * 2) as u64);
-    let aggregates = stats
-        .per_op
-        .iter()
-        .find(|o| o.op == "aggregate")
-        .expect("aggregate op counted");
-    assert_eq!(aggregates.requests, (CLIENTS * 3) as u64);
-    assert!(stats.latency.count >= (CLIENTS * 11) as u64);
-    assert!(stats.latency.p50_us <= stats.latency.p95_us);
-    assert!(stats.latency.p95_us <= stats.latency.p99_us);
-    assert!(stats.latency.p99_us <= stats.latency.max_us.max(stats.latency.p99_us));
+    let text = c.metrics().expect("metrics");
+    let stats = parse_exposition(&text).expect("exposition parses");
+    assert_eq!(stats["numa_store_profiles"], CLIENTS as i128);
+    assert_eq!(
+        stats["numa_server_requests_total{op=\"ingest-binary\"}"],
+        (CLIENTS * 2) as i128
+    );
+    assert_eq!(
+        stats["numa_server_requests_total{op=\"aggregate\"}"],
+        (CLIENTS * 3) as i128
+    );
+    assert!(stats["numa_server_request_latency_us_count"] >= (CLIENTS * 11) as i128);
+    let [p50, p95, p99, max] = parse_percentiles(&text, "numa_server_request_latency_us")
+        .unwrap_or_else(|| panic!("no latency percentile line in {text}"));
+    assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "{text}");
     // The repeated aggregate/top/report queries hit the memo cache.
     assert!(
-        stats.cache_hits > 0,
-        "warm queries must be served from the cache: {stats:?}"
+        stats["numa_store_cache_hits_total"] > 0,
+        "warm queries must be served from the cache: {text}"
     );
 
     c.shutdown().expect("shutdown");
-    let final_stats = server.join().expect("server thread").expect("run ok");
-    assert_eq!(final_stats.errors_total, 0, "{final_stats:?}");
+    let last = server.join().expect("server thread").expect("run ok");
+    let last = parse_exposition(&last).expect("final exposition parses");
+    assert_eq!(family(&last, "numa_server_errors_total"), 0, "{last:?}");
 }
 
 #[test]
@@ -168,8 +184,9 @@ fn shutdown_answers_the_in_flight_request_then_drains() {
     // The shutdown request itself is "in flight" when the flag flips:
     // it must still be answered (that is the drain contract).
     b.shutdown().expect("shutdown answered");
-    let stats = server.join().expect("server thread").expect("run ok");
-    assert_eq!(stats.store_profiles, 1);
+    let last = server.join().expect("server thread").expect("run ok");
+    let last = parse_exposition(&last).expect("final exposition parses");
+    assert_eq!(last["numa_store_profiles"], 1);
 
     // After drain the daemon is gone: new exchanges fail.
     let err = a.ping();
@@ -242,10 +259,12 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
     }
 
     // Wrong protocol version: typed version error. A version-1 peer
-    // spoke JSON; it learns the version it must speak instead of
-    // drawing a `Malformed`.
+    // spoke JSON, and a version-2 peer may send a retired stats tag;
+    // each learns the version it must speak instead of drawing a
+    // `Malformed`.
     for (version, payload) in [
         (1, b"\"Ping\"".to_vec()),
+        (2, vec![10]),
         (99, encode_request(&Request::Ping)),
     ] {
         let mut s = TcpStream::connect(addr).expect("connect raw");
@@ -261,7 +280,7 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
             resp,
             Response::Error(WireError::UnsupportedVersion {
                 got: version,
-                supported: 2
+                supported: 3
             })
         );
     }
@@ -269,9 +288,15 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
     // The daemon took all of that without dying.
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("still alive");
-    let stats = c.server_stats().expect("stats");
-    assert!(stats.rejected_oversized >= 1, "{stats:?}");
-    assert!(stats.malformed_frames >= 4, "{stats:?}");
+    let stats = scrape(&mut c);
+    assert!(
+        stats["numa_server_rejected_oversized_total"] >= 1,
+        "{stats:?}"
+    );
+    assert!(
+        stats["numa_server_malformed_frames_total"] >= 4,
+        "{stats:?}"
+    );
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");
@@ -351,8 +376,8 @@ fn request_level_errors_keep_the_connection_usable() {
     assert_eq!(resolved, id_a);
     assert_eq!(label, "dup");
 
-    let stats = c.server_stats().expect("stats");
-    assert!(stats.errors_total >= 4, "{stats:?}");
+    let stats = scrape(&mut c);
+    assert!(family(&stats, "numa_server_errors_total") >= 4, "{stats:?}");
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");
@@ -372,8 +397,8 @@ fn idle_connections_time_out_without_killing_the_daemon() {
 
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after idle drop");
-    let stats = c.server_stats().expect("stats");
-    assert!(stats.timeouts >= 1, "{stats:?}");
+    let stats = scrape(&mut c);
+    assert!(stats["numa_server_timeouts_total"] >= 1, "{stats:?}");
     drop(idle);
 
     c.shutdown().expect("shutdown");

@@ -9,7 +9,9 @@ use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_server::protocol::{encode_frame, encode_request, Request, PROTOCOL_VERSION};
-use numa_server::{Client, ClientError, ReportFormat, Server, ServerConfig, WireError};
+use numa_server::{
+    parse_exposition, Client, ClientError, ReportFormat, Server, ServerConfig, WireError,
+};
 use numa_sim::Program;
 use numa_store::{PersistOptions, ProfileId, ProfileStore, StoreConfig};
 use std::io::Write;
@@ -42,10 +44,7 @@ fn profile(rounds: usize) -> NumaProfile {
 fn spawn_server_with_store(
     config: ServerConfig,
     store: Arc<ProfileStore>,
-) -> (
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
-) {
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<String>>) {
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
@@ -54,10 +53,7 @@ fn spawn_server_with_store(
 
 fn spawn_server(
     config: ServerConfig,
-) -> (
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
-) {
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<String>>) {
     spawn_server_with_store(config, Arc::new(ProfileStore::new()))
 }
 
@@ -115,8 +111,8 @@ fn stalled_mid_frame_reads_time_out_and_are_counted() {
 
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after stalled peer");
-    let stats = c.server_stats().expect("stats");
-    assert!(stats.timeouts >= 1, "{stats:?}");
+    let stats = parse_exposition(&c.metrics().expect("metrics")).expect("exposition");
+    assert!(stats["numa_server_timeouts_total"] >= 1, "{stats:?}");
     drop(stalled);
 
     c.shutdown().expect("shutdown");

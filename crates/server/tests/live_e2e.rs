@@ -12,11 +12,12 @@ use numa_server::protocol::{
     Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use numa_server::{
-    Backend, Client, ClientError, LiveConfig, Server, ServerConfig, ServerStatsReport, WireError,
+    parse_exposition, Backend, Client, ClientError, LiveConfig, Server, ServerConfig, WireError,
 };
 use numa_sim::Program;
 use numa_store::stream::ChunkPayload;
 use numa_store::ProfileStore;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
@@ -46,10 +47,7 @@ fn profile(rounds: usize) -> NumaProfile {
 
 fn spawn_server(
     config: ServerConfig,
-) -> (
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
-) {
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<String>>) {
     let store = Arc::new(ProfileStore::new());
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
     let addr = server.local_addr();
@@ -57,16 +55,21 @@ fn spawn_server(
     (addr, handle)
 }
 
-/// Poll `server-stats` until `done` holds. Every probe is a blocking
-/// round trip to the daemon, so the loop needs no pause of its own.
+/// The daemon's series, read through the `metrics` op.
+fn scrape(c: &mut Client) -> BTreeMap<String, i128> {
+    parse_exposition(&c.metrics().expect("metrics")).expect("exposition parses")
+}
+
+/// Scrape until `done` holds. Every probe is a blocking round trip to
+/// the daemon, so the loop needs no pause of its own.
 fn wait_for_stats(
     c: &mut Client,
     what: &str,
-    done: impl Fn(&ServerStatsReport) -> bool,
-) -> ServerStatsReport {
+    done: impl Fn(&BTreeMap<String, i128>) -> bool,
+) -> BTreeMap<String, i128> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = c.server_stats().expect("server stats");
+        let stats = scrape(c);
         if done(&stats) {
             return stats;
         }
@@ -130,15 +133,16 @@ fn check_streamed_profiles_match_oneshot(c: &mut Client) {
     assert!(!added2, "identical content must dedup");
     assert_eq!(id2, id);
 
-    let stats = c.server_stats().expect("server stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_open_bytes, 0);
-    assert_eq!(stats.live_sessions_opened, 2);
-    assert_eq!(stats.live_sessions_sealed, 2);
-    assert_eq!(stats.live_chunks_appended, chunks + 5);
-    assert_eq!(stats.store_profiles, 2);
-    let rendered = stats.render();
-    assert!(rendered.contains("2 sealed"), "{rendered}");
+    let stats = scrape(c);
+    assert_eq!(stats["numa_live_open_sessions"], 0);
+    assert_eq!(stats["numa_live_open_bytes"], 0);
+    assert_eq!(stats["numa_live_sessions_opened_total"], 2);
+    assert_eq!(stats["numa_live_sessions_sealed_total"], 2);
+    assert_eq!(
+        stats["numa_live_chunks_appended_total"],
+        i128::from(chunks + 5)
+    );
+    assert_eq!(stats["numa_store_profiles"], 2);
 }
 
 #[test]
@@ -202,9 +206,9 @@ fn streaming_errors_are_typed_and_keep_the_connection() {
     // serves, and nothing was half-ingested.
     c.ping().expect("connection survives typed errors");
     assert!(c.list().expect("list").is_empty());
-    let stats = c.server_stats().expect("stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_sessions_aborted, 1);
+    let stats = scrape(&mut c);
+    assert_eq!(stats["numa_live_open_sessions"], 0);
+    assert_eq!(stats["numa_live_sessions_aborted_total"], 1);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -341,11 +345,11 @@ fn dead_clients_are_reaped_and_nothing_is_half_ingested() {
     // The janitor reaps the expired lease.
     let mut c = Client::connect(addr).expect("connect observer");
     let stats = wait_for_stats(&mut c, "the dead client's lease reap", |s| {
-        s.live_leases_reaped >= 1
+        s["numa_live_sessions_reaped_total"] >= 1
     });
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_open_bytes, 0);
-    assert!(stats.render().contains("1 lease(s) reaped"));
+    assert_eq!(stats["numa_live_sessions_reaped_total"], 1);
+    assert_eq!(stats["numa_live_open_sessions"], 0);
+    assert_eq!(stats["numa_live_open_bytes"], 0);
 
     // The partial stream left nothing behind; a complete stream of the
     // same profile afterwards ingests cleanly (no stale session state).

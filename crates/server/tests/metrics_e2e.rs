@@ -1,17 +1,20 @@
 //! End-to-end observability tests: the `metrics` wire op and the
-//! embedded `GET /metrics` responder must expose exactly the counters
-//! `server-stats` reports (one storage location, two readers), scrapes
-//! racing ingest must never see torn histogram snapshots, slow-op
-//! tracing must survive concurrent writers, and the live-session
-//! gauges must track aborts and lease reaps exactly.
+//! embedded `GET /metrics` responder serve the daemon's one exposition
+//! and count a known workload exactly, scrapes racing ingest never see
+//! torn histogram snapshots, slow-op tracing survives concurrent
+//! writers, the live-session gauges track aborts and lease reaps
+//! exactly, and the scrape endpoint bounds what a peer can make it
+//! buffer.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
-use numa_server::{Client, LiveConfig, Server, ServerConfig};
+use numa_server::{
+    parse_exposition, parse_percentiles, parse_slow_ops, Client, LiveConfig, Server, ServerConfig,
+};
 use numa_sim::Program;
 use numa_store::ProfileStore;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
@@ -45,42 +48,28 @@ fn spawn_server(config: ServerConfig, store: Arc<ProfileStore>) -> (Server, Sock
     (server, addr)
 }
 
-fn run_server(
-    server: Server,
-) -> std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>> {
+fn run_server(server: Server) -> std::thread::JoinHandle<std::io::Result<String>> {
     std::thread::spawn(move || server.run())
 }
 
-/// Minimal Prometheus text parser: `name{labels} value` lines keyed by
-/// the full series name (labels included), comments skipped.
-fn parse_metrics(text: &str) -> HashMap<String, i128> {
-    let mut out = HashMap::new();
-    for line in text.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let (key, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-            panic!("metric line without a value: {line:?}");
-        });
-        let value: i128 = value
-            .parse()
-            .unwrap_or_else(|e| panic!("bad value in {line:?}: {e}"));
-        assert!(
-            out.insert(key.to_string(), value).is_none(),
-            "duplicate series {key:?}"
-        );
-    }
-    out
+/// The daemon's series, read through the `metrics` op.
+fn scrape(c: &mut Client) -> BTreeMap<String, i128> {
+    parse_exposition(&c.metrics().expect("metrics")).expect("exposition parses")
 }
 
-fn series(scrape: &HashMap<String, i128>, key: &str) -> i128 {
-    *scrape
-        .get(key)
-        .unwrap_or_else(|| panic!("series {key:?} missing from scrape"))
+/// `[p50, p95, p99, max]` of the request-latency histogram.
+fn latency_percentiles(text: &str) -> [u64; 4] {
+    parse_percentiles(text, "numa_server_request_latency_us")
+        .unwrap_or_else(|| panic!("no latency percentile line in {text}"))
+}
+
+/// The exposition's `# slow-op` lines as `(seq, span)`, in text order.
+fn slow_ops(text: &str) -> Vec<(u64, &str)> {
+    parse_slow_ops(text).expect("slow-op lines parse")
 }
 
 #[test]
-fn scrape_matches_server_stats_after_a_mixed_workload() {
+fn scrape_counts_a_mixed_workload_exactly() {
     let (server, addr) = spawn_server(ServerConfig::default(), Arc::new(ProfileStore::new()));
     let server = run_server(server);
     let mut c = Client::connect(addr).expect("connect");
@@ -101,20 +90,18 @@ fn scrape_matches_server_stats_after_a_mixed_workload() {
     c.aggregate().expect("aggregate (cache miss)");
     c.aggregate().expect("aggregate (cache hit)");
     c.top(3).expect("top");
-    c.list().expect("list");
-    let report = c.server_stats().expect("server stats");
-    let scrape = parse_metrics(&c.metrics().expect("metrics op"));
+    let listed = c.list().expect("list");
+    let scrape = scrape(&mut c);
 
-    // The pre-migration fixture: every counter the workload touched,
-    // by value. A migration that forked the storage (hot path counts
-    // one atomic, the scrape reads another) breaks these.
+    // Every counter the workload touched, by value. A change that
+    // forked the storage (hot path counts one atomic, the scrape reads
+    // another) breaks these.
     let expected: &[(&str, i128)] = &[
         ("numa_server_requests_total{op=\"ping\"}", 1),
         ("numa_server_requests_total{op=\"ingest-binary\"}", 4),
         ("numa_server_requests_total{op=\"aggregate\"}", 2),
         ("numa_server_requests_total{op=\"top\"}", 1),
         ("numa_server_requests_total{op=\"list\"}", 1),
-        ("numa_server_requests_total{op=\"server-stats\"}", 1),
         // The scrape is rendered before its own request is recorded.
         ("numa_server_requests_total{op=\"metrics\"}", 0),
         ("numa_server_errors_total{op=\"ingest-binary\"}", 1),
@@ -128,121 +115,37 @@ fn scrape_matches_server_stats_after_a_mixed_workload() {
         ("numa_store_parse_failures_total", 1),
         ("numa_store_profiles", 2),
         ("numa_store_wal_appends_total", 0),
+        ("numa_store_wal_bytes", 0),
+        ("numa_store_truncated_bytes", 0),
+        ("numa_store_replay_parse_failures", 0),
         ("numa_live_open_sessions", 0),
         ("numa_live_open_bytes", 0),
         ("numa_live_sessions_opened_total", 0),
     ];
     for (key, want) in expected {
-        assert_eq!(series(&scrape, key), *want, "series {key}");
+        assert_eq!(scrape.get(*key), Some(want), "series {key}");
     }
-
-    // Counter parity: every migrated counter in the `server-stats`
-    // report equals its scraped series — same storage, two surfaces.
-    // (`server-stats` renders its report before recording its own
-    // request, so its op count is one behind the later scrape.)
-    let parity: &[(&str, u64)] = &[
-        ("numa_store_cache_hits_total", report.cache_hits),
-        ("numa_store_cache_misses_total", report.cache_misses),
-        ("numa_store_cache_insertions_total", report.cache_insertions),
-        ("numa_store_cache_evictions_total", report.cache_evictions),
-        ("numa_store_dedup_hits_total", 1),
-        ("numa_store_wal_appends_total", report.wal_appends),
-        (
-            "numa_store_wal_group_commits_total",
-            report.wal_group_commits,
-        ),
-        (
-            "numa_store_snapshots_written_total",
-            report.snapshots_written,
-        ),
-        (
-            "numa_store_persist_io_errors_total",
-            report.persist_io_errors,
-        ),
-        ("numa_live_open_sessions", report.live_sessions),
-        ("numa_live_open_bytes", report.live_open_bytes),
-        (
-            "numa_live_sessions_opened_total",
-            report.live_sessions_opened,
-        ),
-        (
-            "numa_live_sessions_sealed_total",
-            report.live_sessions_sealed,
-        ),
-        (
-            "numa_live_sessions_aborted_total",
-            report.live_sessions_aborted,
-        ),
-        ("numa_live_sessions_reaped_total", report.live_leases_reaped),
-        (
-            "numa_live_chunks_appended_total",
-            report.live_chunks_appended,
-        ),
-        (
-            "numa_live_backpressure_rejections_total",
-            report.live_backpressure,
-        ),
-        (
-            "numa_server_connections_accepted_total",
-            report.connections_accepted,
-        ),
-        (
-            "numa_server_rejected_oversized_total",
-            report.rejected_oversized,
-        ),
-        (
-            "numa_server_malformed_frames_total",
-            report.malformed_frames,
-        ),
-        ("numa_server_timeouts_total", report.timeouts),
-    ];
-    for (key, want) in parity {
-        assert_eq!(series(&scrape, key), *want as i128, "parity for {key}");
-    }
-    for op in &report.per_op {
-        let adjust = if op.op == "server-stats" { 1 } else { 0 };
-        assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_server_requests_total{{op=\"{}\"}}", op.op)
-            ),
-            (op.requests + adjust) as i128,
-            "per-op parity for {}",
-            op.op
-        );
-        assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_server_errors_total{{op=\"{}\"}}", op.op)
-            ),
-            op.errors as i128,
-            "per-op error parity for {}",
-            op.op
-        );
-    }
-    for row in &report.store_shards {
-        assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_store_shard_ingests_total{{shard=\"{}\"}}", row.shard)
-            ),
-            row.ingests as i128,
-            "shard {} ingest parity",
-            row.shard
-        );
-    }
+    // The two profiles are resident in the shards, and the codec bytes
+    // `list` reports are the store's footprint.
+    let shard_profiles: i128 = (0..ProfileStore::DEFAULT_SHARDS)
+        .map(|i| scrape[&format!("numa_store_shard_profiles{{shard=\"{i}\"}}")])
+        .sum();
+    assert_eq!(shard_profiles, 2);
+    let codec_bytes: usize = listed.iter().map(|e| e.codec_bytes).sum();
+    assert!(codec_bytes > 0);
+    assert_eq!(scrape["numa_store_codec_bytes"], codec_bytes as i128);
     // The request-latency histogram rides along with a consistent
     // count: le="+Inf" equals _count by construction.
     assert_eq!(
-        series(
-            &scrape,
-            "numa_server_request_latency_us_bucket{le=\"+Inf\"}"
-        ),
-        series(&scrape, "numa_server_request_latency_us_count"),
+        scrape["numa_server_request_latency_us_bucket{le=\"+Inf\"}"],
+        scrape["numa_server_request_latency_us_count"],
     );
 
     c.shutdown().expect("shutdown");
-    server.join().unwrap().expect("server run");
+    // `run` hands back the same exposition, the shutdown counted too.
+    let last = parse_exposition(&server.join().unwrap().expect("server run")).expect("parses");
+    assert_eq!(last["numa_server_requests_total{op=\"metrics\"}"], 1);
+    assert_eq!(last["numa_server_requests_total{op=\"shutdown\"}"], 1);
 }
 
 #[test]
@@ -256,21 +159,12 @@ fn durable_counters_appear_in_the_scrape() {
 
     c.ingest_profile("a", &profile(1)).expect("ingest a");
     c.ingest_profile("b", &profile(2)).expect("ingest b");
-    let report = c.server_stats().expect("stats");
-    let scrape = parse_metrics(&c.metrics().expect("metrics"));
+    let scrape = scrape(&mut c);
 
-    assert!(report.durable);
-    assert_eq!(report.wal_appends, 2);
-    assert_eq!(
-        series(&scrape, "numa_store_wal_appends_total"),
-        report.wal_appends as i128
-    );
-    assert_eq!(
-        series(&scrape, "numa_store_wal_group_commits_total"),
-        report.wal_group_commits as i128
-    );
-    assert!(report.wal_group_commits >= 1);
-    assert!(series(&scrape, "numa_store_wal_bytes") > 0);
+    assert_eq!(scrape["numa_store_wal_appends_total"], 2);
+    let commits = scrape["numa_store_wal_group_commits_total"];
+    assert!((1..=2).contains(&commits), "{commits} group commit(s)");
+    assert!(scrape["numa_store_wal_bytes"] > 0);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -309,14 +203,93 @@ fn http_responder_serves_the_registry() {
     // The body is the same registry the wire op renders: parse it and
     // check a store counter the ingest above moved.
     let body = ok.split("\r\n\r\n").nth(1).expect("has a body");
-    let scrape = parse_metrics(body);
-    assert_eq!(series(&scrape, "numa_store_profiles"), 1);
+    let scrape = parse_exposition(body).expect("exposition parses");
+    assert_eq!(scrape["numa_store_profiles"], 1);
     assert!(scrape.contains_key("numa_server_uptime_seconds"));
 
     assert!(get("/other", "GET").starts_with("HTTP/1.1 404 "));
     assert!(get("/metrics", "POST").starts_with("HTTP/1.1 405 "));
 
     c.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server run");
+}
+
+/// Send `request` to the scrape endpoint from a second thread (the
+/// responder may stop reading, and close, long before the last byte)
+/// and return whatever the responder answered before closing.
+fn exchange(addr: SocketAddr, request: Vec<u8>) -> String {
+    let stream = TcpStream::connect(addr).expect("connect scraper");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        // Fails once the responder has answered and closed.
+        let _ = writer.write_all(&request);
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    let mut answer = Vec::new();
+    // Whatever ends the read, EOF or an error, the answer is what
+    // arrived before it.
+    let _ = (&stream).read_to_end(&mut answer);
+    sender.join().expect("sender");
+    String::from_utf8_lossy(&answer).into_owned()
+}
+
+#[test]
+fn overlong_request_heads_get_431_and_the_endpoint_keeps_serving() {
+    let (server, addr) = spawn_server(
+        ServerConfig {
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            ..ServerConfig::default()
+        },
+        Arc::new(ProfileStore::new()),
+    );
+    let metrics_addr = server.metrics_addr().expect("metrics listener bound");
+    let server = run_server(server);
+
+    // 1 MiB of header lines behind a valid request line, properly ended.
+    let mut padded = b"GET /metrics HTTP/1.1\r\n".to_vec();
+    while padded.len() < 1 << 20 {
+        padded.extend_from_slice(b"X-Pad: 0123456789abcdef0123456789abcdef\r\n");
+    }
+    padded.extend_from_slice(b"\r\n");
+    // 64 KiB with no newline at all.
+    let endless = vec![b'G'; 64 << 10];
+    for (what, request) in [
+        ("1 MiB of headers", padded),
+        ("64 KiB, no newline", endless),
+    ] {
+        let answer = exchange(metrics_addr, request);
+        assert!(
+            answer.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{what}: {answer:?}"
+        );
+        assert!(
+            answer.contains("Connection: close\r\n"),
+            "{what}: {answer:?}"
+        );
+    }
+
+    // A head just under the bound is served.
+    let mut fits = b"GET /metrics HTTP/1.1\r\n".to_vec();
+    fits.extend_from_slice(&vec![b'a'; 8000]);
+    fits.extend_from_slice(b": b\r\n\r\n");
+    assert!(fits.len() < 8 << 10);
+    let answer = exchange(metrics_addr, fits);
+    assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "{answer:?}");
+    // And an ordinary scrape still gets the exposition.
+    let answer = exchange(
+        metrics_addr,
+        b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n".to_vec(),
+    );
+    assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "{answer:?}");
+    assert!(answer.contains("\nnuma_store_profiles 0\n"), "{answer:?}");
+
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     server.join().unwrap().expect("server run");
 }
 
@@ -331,7 +304,7 @@ fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
     c.ping().expect("observer holds a worker");
 
     // Four writers hammer the daemon with mixed ops while the main
-    // thread scrapes continuously. Every snapshot must be internally
+    // thread scrapes continuously. Every scrape must be internally
     // consistent: ordered percentiles and count == bucket sum.
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
@@ -353,17 +326,13 @@ fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
         .collect();
 
     for _ in 0..50 {
-        let stats = c.server_stats().expect("stats");
-        assert!(stats.latency.p50_us <= stats.latency.p95_us);
-        assert!(stats.latency.p95_us <= stats.latency.p99_us);
-        assert!(stats.latency.p99_us <= stats.latency.max_us);
-        let scrape = parse_metrics(&c.metrics().expect("metrics"));
+        let text = c.metrics().expect("metrics");
+        let [p50, p95, p99, max] = latency_percentiles(&text);
+        assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "{text}");
+        let scrape = parse_exposition(&text).expect("exposition parses");
         assert_eq!(
-            series(
-                &scrape,
-                "numa_server_request_latency_us_bucket{le=\"+Inf\"}"
-            ),
-            series(&scrape, "numa_server_request_latency_us_count"),
+            scrape["numa_server_request_latency_us_bucket{le=\"+Inf\"}"],
+            scrape["numa_server_request_latency_us_count"],
             "scrape saw a torn histogram"
         );
     }
@@ -405,34 +374,36 @@ fn slow_op_trace_survives_eight_concurrent_writers() {
             })
         })
         .collect();
-    // Scrape while the writers are live: rows must never be torn.
+    // Scrape while the writers are live: lines must never be torn.
     let mut observer = Client::connect(addr).expect("observer");
     for _ in 0..10 {
-        let stats = observer.server_stats().expect("stats");
-        assert!(stats.recent_slow_ops.len() <= 16);
-        for pair in stats.recent_slow_ops.windows(2) {
+        let text = observer.metrics().expect("metrics");
+        let slow = slow_ops(&text);
+        assert!(slow.len() <= 16, "{slow:?}");
+        for pair in slow.windows(2) {
             assert!(
-                pair[0].seq < pair[1].seq,
-                "slow-op seqs must be strictly increasing: {:?}",
-                stats.recent_slow_ops
+                pair[0].0 < pair[1].0,
+                "slow-op seqs must be strictly increasing: {slow:?}"
             );
         }
-        for row in &stats.recent_slow_ops {
-            assert!(!row.op.is_empty(), "torn row: {row:?}");
+        for (_, span) in &slow {
+            let op = span.split(' ').nth(1).unwrap_or("");
+            assert!(!op.is_empty() && span.ends_with(')'), "torn line: {span:?}");
         }
     }
     for w in writers {
         w.join().expect("writer");
     }
 
-    let stats = observer.server_stats().expect("final stats");
+    let text = observer.metrics().expect("final metrics");
+    let slow = slow_ops(&text);
+    assert!(!slow.is_empty(), "threshold zero must retain slow ops");
+    assert!(slow.len() <= 16);
     assert!(
-        !stats.recent_slow_ops.is_empty(),
-        "threshold zero must retain slow ops"
+        slow.iter()
+            .any(|(_, span)| span.contains(" ingest-binary ")),
+        "{slow:?}"
     );
-    assert!(stats.recent_slow_ops.len() <= 16);
-    let rendered = stats.render();
-    assert!(rendered.contains("recent slow ops:"), "{rendered}");
 
     observer.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -452,11 +423,10 @@ fn trace_capacity_zero_disables_span_capture() {
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("ping");
     c.ingest_profile("one", &profile(1)).expect("ingest");
-    let stats = c.server_stats().expect("stats");
+    let text = c.metrics().expect("metrics");
     assert!(
-        stats.recent_slow_ops.is_empty(),
-        "capacity 0 must capture nothing: {:?}",
-        stats.recent_slow_ops
+        slow_ops(&text).is_empty(),
+        "capacity 0 must capture nothing: {text}"
     );
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -481,28 +451,25 @@ fn abort_decrements_the_session_gauges_exactly() {
         .expect("doomed 1");
     let doomed_bytes = (doomed_chunks[0].len() + doomed_chunks[1].len()) as i128;
 
-    let before = parse_metrics(&c.metrics().expect("metrics before"));
-    assert_eq!(series(&before, "numa_live_open_sessions"), 2);
+    let before = scrape(&mut c);
+    assert_eq!(before["numa_live_open_sessions"], 2);
     assert_eq!(
-        series(&before, "numa_live_open_bytes"),
+        before["numa_live_open_bytes"],
         keep_chunk.len() as i128 + doomed_bytes
     );
 
     // Abort must subtract exactly the aborted session's bytes and one
     // session — the surviving session's accounting is untouched.
     c.abort_session(doomed.session).expect("abort");
-    let after = parse_metrics(&c.metrics().expect("metrics after"));
-    assert_eq!(series(&after, "numa_live_open_sessions"), 1);
-    assert_eq!(
-        series(&after, "numa_live_open_bytes"),
-        keep_chunk.len() as i128
-    );
-    assert_eq!(series(&after, "numa_live_sessions_aborted_total"), 1);
+    let after = scrape(&mut c);
+    assert_eq!(after["numa_live_open_sessions"], 1);
+    assert_eq!(after["numa_live_open_bytes"], keep_chunk.len() as i128);
+    assert_eq!(after["numa_live_sessions_aborted_total"], 1);
 
     c.abort_session(keep.session).expect("abort keep");
-    let finished = parse_metrics(&c.metrics().expect("metrics final"));
-    assert_eq!(series(&finished, "numa_live_open_sessions"), 0);
-    assert_eq!(series(&finished, "numa_live_open_bytes"), 0);
+    let finished = scrape(&mut c);
+    assert_eq!(finished["numa_live_open_sessions"], 0);
+    assert_eq!(finished["numa_live_open_bytes"], 0);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -538,15 +505,15 @@ fn lease_reap_decrements_the_session_gauges_exactly() {
     let mut c = Client::connect(addr).expect("observer");
     let deadline = Instant::now() + Duration::from_secs(10);
     let scrape = loop {
-        let scrape = parse_metrics(&c.metrics().expect("metrics"));
-        if series(&scrape, "numa_live_sessions_reaped_total") >= 1 {
+        let scrape = scrape(&mut c);
+        if scrape["numa_live_sessions_reaped_total"] >= 1 {
             break scrape;
         }
         assert!(Instant::now() < deadline, "janitor never reaped");
         std::thread::yield_now();
     };
-    assert_eq!(series(&scrape, "numa_live_open_sessions"), 0);
-    assert_eq!(series(&scrape, "numa_live_open_bytes"), 0);
+    assert_eq!(scrape["numa_live_open_sessions"], 0);
+    assert_eq!(scrape["numa_live_open_bytes"], 0);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -592,12 +559,9 @@ fn abort_racing_durable_appends_leaves_no_gauge_residue() {
     }
 
     let mut c = Client::connect(addr).expect("observer");
-    let scrape = parse_metrics(&c.metrics().expect("metrics"));
-    assert_eq!(series(&scrape, "numa_live_open_sessions"), 0);
-    assert_eq!(series(&scrape, "numa_live_open_bytes"), 0);
-    let stats = c.server_stats().expect("stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_open_bytes, 0);
+    let scrape = scrape(&mut c);
+    assert_eq!(scrape["numa_live_open_sessions"], 0);
+    assert_eq!(scrape["numa_live_open_bytes"], 0);
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");

@@ -5,9 +5,8 @@
 
 use numa_server::protocol::{
     caps, decode_request, decode_response, encode_frame, encode_frame_flags, encode_request,
-    encode_response, frame_len, read_frame, FrameDecoder, FrameError, LatencySummary, OpStat,
-    ProfileEntry, RecvError, ReportFormat, Request, Response, ServerStatsReport, ShardStatRow,
-    SlowOpRow, WireError, HEADER_LEN, PROTOCOL_VERSION,
+    encode_response, frame_len, read_frame, FrameDecoder, FrameError, ProfileEntry, RecvError,
+    ReportFormat, Request, Response, WireError, HEADER_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -145,8 +144,6 @@ proptest! {
             Request::CodeView { profile: label.clone(), min_share_permille: (n % 1000) as u16 },
             Request::AddressView { profile: label.clone(), var: body.clone() },
             Request::Diff { before: label.clone(), after: body.clone() },
-            Request::StoreStats,
-            Request::ServerStats,
             Request::ClearCache,
             Request::Shutdown,
             Request::OpenSession { label: label.clone() },
@@ -578,8 +575,6 @@ fn every_request(d: &Draw) -> Vec<Request> {
             before: d.a.clone(),
             after: d.b.clone(),
         },
-        Request::StoreStats,
-        Request::ServerStats,
         Request::Metrics,
         Request::ClearCache,
         Request::Shutdown,
@@ -665,86 +660,6 @@ fn every_wire_error(d: &Draw) -> Vec<WireError> {
     ]
 }
 
-/// A report with every field set, its lists as long as the draw's, and
-/// each optional slow-op fact present or absent by the draw's bits.
-fn stats_report(d: &Draw) -> ServerStatsReport {
-    let k = d.list.len() as u64;
-    let bit = |i: usize| (d.n >> (i % 64)) & 1 == 1;
-    ServerStatsReport {
-        uptime_ms: d.n,
-        connections_accepted: d.m,
-        connections_closed: k,
-        requests_total: d.n ^ 1,
-        errors_total: d.m ^ 2,
-        rejected_oversized: 3,
-        malformed_frames: 4,
-        timeouts: 5,
-        per_op: d
-            .list
-            .iter()
-            .enumerate()
-            .map(|(i, op)| OpStat {
-                op: op.clone(),
-                requests: d.n.wrapping_add(i as u64),
-                errors: i as u64,
-            })
-            .collect(),
-        latency: LatencySummary {
-            count: d.n,
-            p50_us: 6,
-            p95_us: 7,
-            p99_us: 8,
-            max_us: d.m,
-        },
-        store_profiles: d.m as usize,
-        store_set_hash: d.b.clone(),
-        cache_hits: 9,
-        cache_misses: 10,
-        cache_insertions: 11,
-        cache_evictions: 12,
-        durable: bit(0),
-        snapshot_records_loaded: 13,
-        wal_records_replayed: 14,
-        wal_truncated_bytes: 15,
-        wal_appends: 16,
-        wal_group_commits: 17,
-        snapshots_written: 18,
-        persist_io_errors: 19,
-        store_shards: (0..k as usize)
-            .map(|shard| ShardStatRow {
-                shard,
-                profiles: shard * 2,
-                ingests: d.n,
-                read_contended: d.m,
-                write_contended: k,
-            })
-            .collect(),
-        live_sessions: 20,
-        live_open_bytes: 21,
-        live_sessions_opened: 22,
-        live_sessions_sealed: 23,
-        live_sessions_aborted: 24,
-        live_leases_reaped: 25,
-        live_chunks_appended: 26,
-        live_backpressure: 27,
-        recent_slow_ops: d
-            .list
-            .iter()
-            .enumerate()
-            .map(|(i, op)| SlowOpRow {
-                seq: i as u64,
-                op: op.clone(),
-                bytes: d.m,
-                shard: bit(i).then_some(i as u32),
-                cache_hit: bit(i + 1).then_some(bit(i + 2)),
-                wal_ack_us: bit(i + 3).then_some(d.n),
-                total_us: d.n,
-                error: bit(i + 4),
-            })
-            .collect(),
-    }
-}
-
 fn every_response(d: &Draw) -> Vec<Response> {
     let mut out = vec![
         Response::Pong,
@@ -768,7 +683,6 @@ fn every_response(d: &Draw) -> Vec<Response> {
             label: d.b.clone(),
         },
         Response::Text(d.list.concat()),
-        Response::ServerStats(Box::new(stats_report(d))),
         Response::CacheCleared,
         Response::ShuttingDown,
         Response::SessionOpened {
@@ -933,6 +847,25 @@ fn unknown_tags_are_malformed_and_named() {
     }
 }
 
+#[test]
+fn retired_stats_tags_are_unknown_tags() {
+    // Request tags 9 and 10 (the `store-stats` and `server-stats` ops)
+    // and response tag 5 (the `server-stats` report) are retired, never
+    // reused.
+    for (tag, want) in [(9u8, "0x09"), (10, "0x0a")] {
+        match decode_request(&[tag]).unwrap_err() {
+            WireError::Malformed { detail } => {
+                assert_eq!(detail, format!("unknown request tag {want}"))
+            }
+            other => panic!("request tag {tag}: {other:?}"),
+        }
+    }
+    match decode_response(&[5]).unwrap_err() {
+        WireError::Malformed { detail } => assert_eq!(detail, "unknown response tag 0x05"),
+        other => panic!("response tag 5: {other:?}"),
+    }
+}
+
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
@@ -990,28 +923,4 @@ fn a_huge_count_or_length_word_allocates_nothing() {
             other => panic!("{word}: {other:?}"),
         }
     }
-}
-
-#[test]
-fn a_fully_populated_stats_report_round_trips() {
-    let d = Draw {
-        a: "é → 温 😀".to_string(),
-        b: String::new(),
-        n: 0xdead_beef_f00d_cafe,
-        m: u64::MAX,
-        bytes: Vec::new(),
-        list: (0..40).map(|i| format!("op-{i}")).collect(),
-    };
-    let report = stats_report(&d);
-    // Each optional slow-op fact takes both shapes.
-    let slow = &report.recent_slow_ops;
-    assert!(slow.iter().any(|s| s.shard.is_some()) && slow.iter().any(|s| s.shard.is_none()));
-    assert!(slow.iter().any(|s| s.cache_hit == Some(true)));
-    assert!(slow.iter().any(|s| s.cache_hit == Some(false)));
-    assert!(slow.iter().any(|s| s.cache_hit.is_none()));
-    assert!(
-        slow.iter().any(|s| s.wal_ack_us.is_some()) && slow.iter().any(|s| s.wal_ack_us.is_none())
-    );
-    let resp = Response::ServerStats(Box::new(report));
-    assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
 }

@@ -27,17 +27,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Entry<V> {
     stamp: u64,
     value: Arc<V>,

@@ -31,7 +31,7 @@
 //!   coverage — the §7.2 reduction lifted from threads to runs.
 //! * **Memoized queries** ([`ProfileStore::query`]): derived artifacts
 //!   are cached in a sharded LRU keyed by `(scope hash, query)` with
-//!   hit/miss/insertion/eviction counters ([`ProfileStore::stats`]).
+//!   hit/miss/insertion/eviction counters ([`ProfileStore::cache_stats`]).
 //! * **Group-commit durability** ([`ProfileStore::open_durable`]): WAL
 //!   appends are queued to a dedicated persister thread that batches
 //!   pending records and flushes once per batch (see the `persist`
@@ -505,7 +505,7 @@ pub struct PersistStats {
     pub io_errors: u64,
 }
 
-/// Per-shard accounting row in [`StoreStats`].
+/// Per-shard accounting row of [`ProfileStore::shard_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Profiles resident in this shard.
@@ -553,7 +553,7 @@ type PersistMetric = (&'static str, &'static str, bool, fn(&PersistStats) -> u64
 /// The persistence series [`ProfileStore::register_metrics`] exposes,
 /// in exposition order.
 #[rustfmt::skip]
-const PERSIST_METRICS: [PersistMetric; 9] = [
+const PERSIST_METRICS: [PersistMetric; 11] = [
     ("numa_store_wal_appends_total", "Records appended to the WAL since startup.", false, |p| p.wal_appends),
     ("numa_store_wal_group_commits_total", "WAL group commits since startup.", false, |p| p.wal_group_commits),
     ("numa_store_wal_bytes", "Current WAL size in bytes (header included).", true, |p| p.wal_bytes),
@@ -563,6 +563,8 @@ const PERSIST_METRICS: [PersistMetric; 9] = [
     ("numa_store_persist_io_errors_total", "WAL append / compaction I/O failures.", false, |p| p.io_errors),
     ("numa_store_snapshot_records_loaded", "Records loaded from the snapshot at startup.", false, |p| p.snapshot_records_loaded),
     ("numa_store_wal_records_replayed", "Records replayed from the WAL at startup.", false, |p| p.wal_records_replayed),
+    ("numa_store_truncated_bytes", "Torn or corrupt tail bytes dropped at startup, WAL plus snapshot.", false, |p| p.wal_truncated_bytes + p.snapshot_truncated_bytes),
+    ("numa_store_replay_parse_failures", "Replayed records whose payload no longer decoded.", false, |p| p.replay_parse_failures),
 ];
 
 impl ProfileStore {
@@ -748,6 +750,13 @@ impl ProfileStore {
                 &[("shard", &label)],
                 shard.write_contended.clone(),
             );
+            let store = Arc::clone(self);
+            registry.gauge_fn(
+                "numa_store_shard_profiles",
+                "Profiles resident, by shard.",
+                &[("shard", &label)],
+                move || store.shards.shards[i].read().profiles.len() as i64,
+            );
         }
         let store = Arc::clone(self);
         registry.gauge_fn(
@@ -755,6 +764,13 @@ impl ProfileStore {
             "Profiles resident in the store.",
             &[],
             move || store.len() as i64,
+        );
+        let store = Arc::clone(self);
+        registry.gauge_fn(
+            "numa_store_codec_bytes",
+            "Canonical codec bytes of the stored set: its WAL and snapshot footprint, framing aside.",
+            &[],
+            move || store.codec_bytes() as i64,
         );
         let store = Arc::clone(self);
         registry.gauge_fn(
@@ -800,6 +816,21 @@ impl ProfileStore {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Canonical codec bytes of the stored set.
+    fn codec_bytes(&self) -> usize {
+        self.shards
+            .shards
+            .iter()
+            .map(|s| {
+                s.read()
+                    .profiles
+                    .iter()
+                    .map(|(_, p)| p.codec_bytes)
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     /// Ids in insertion order (merged across shards by their global
@@ -1041,106 +1072,5 @@ impl ProfileStore {
                 write_contended: s.write_contended.get(),
             })
             .collect()
-    }
-
-    pub fn stats(&self) -> StoreStats {
-        let shards = self.shard_stats();
-        let (mut profiles, mut codec_bytes, mut hash) = (0usize, 0usize, 0u64);
-        for shard in &self.shards.shards {
-            let shelf = shard.read();
-            profiles += shelf.profiles.len();
-            codec_bytes += shelf
-                .profiles
-                .iter()
-                .map(|(_, p)| p.codec_bytes)
-                .sum::<usize>();
-            hash ^= shelf.set_hash;
-        }
-        StoreStats {
-            profiles,
-            codec_bytes,
-            set_hash: hash,
-            deduplicated: self.dedup_hits.get(),
-            parse_failures: self.parse_failures.get(),
-            cached_artifacts: self.cache.len(),
-            cache: self.cache.stats(),
-            persist: self.persist_stats(),
-            shards,
-        }
-    }
-}
-
-/// Snapshot of store accounting.
-#[derive(Clone, Debug)]
-pub struct StoreStats {
-    pub profiles: usize,
-    /// Total canonical codec bytes of the stored set — its footprint in
-    /// the WAL and the snapshot, record framing aside.
-    pub codec_bytes: usize,
-    /// Order-insensitive content hash of the stored set (see
-    /// [`ProfileStore::set_hash`]); two stores holding the same corpus
-    /// report the same value, which is how recovery is verified.
-    pub set_hash: u64,
-    /// Ingest attempts that deduplicated against an existing profile.
-    pub deduplicated: u64,
-    pub parse_failures: u64,
-    pub cached_artifacts: usize,
-    pub cache: CacheStats,
-    pub persist: PersistStats,
-    /// One row per shard shelf.
-    pub shards: Vec<ShardStats>,
-}
-
-impl StoreStats {
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "profiles: {} ({} KiB codec), set hash {:016x}\n\
-             ingest: {} deduplicated, {} parse failure(s)\n\
-             cache: {} artifact(s) resident; {} hit(s), {} miss(es), \
-             {} insertion(s), {} eviction(s) ({:.0}% hit rate)\n",
-            self.profiles,
-            self.codec_bytes / 1024,
-            self.set_hash,
-            self.deduplicated,
-            self.parse_failures,
-            self.cached_artifacts,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.insertions,
-            self.cache.evictions,
-            self.cache.hit_rate() * 100.0
-        );
-        if self.persist.durable {
-            let p = &self.persist;
-            out.push_str(&format!(
-                "persistence: recovered {} snapshot + {} wal record(s), \
-                 {} truncated byte(s), {} stale parse(s); \
-                 {} append(s) in {} group commit(s) ({} KiB wal), \
-                 {} snapshot(s) written ({} record(s) folded, {} KiB snapshot), \
-                 {} io error(s)\n",
-                p.snapshot_records_loaded,
-                p.wal_records_replayed,
-                p.wal_truncated_bytes + p.snapshot_truncated_bytes,
-                p.replay_parse_failures,
-                p.wal_appends,
-                p.wal_group_commits,
-                p.wal_bytes / 1024,
-                p.snapshots_written,
-                p.records_folded,
-                p.snapshot_bytes / 1024,
-                p.io_errors,
-            ));
-        } else {
-            out.push_str("persistence: off (in-memory store)\n");
-        }
-        out.push_str(&format!("shards: {}\n", self.shards.len()));
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "  shard {i:>2}: {} profile(s), {} ingest(s), \
-                 {} contended read(s), {} contended write(s)\n",
-                s.profiles, s.ingests, s.read_contended, s.write_contended,
-            ));
-        }
-        out
     }
 }

@@ -5,12 +5,14 @@
 
 use numa_engine::Engine;
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
+use numa_obs::{parse_exposition, Registry};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::Program;
 use numa_store::stream::{assemble, split_profile};
 use numa_store::wal::{scan_file, wal_path, WAL_MAGIC};
 use numa_store::{fnv1a, PersistOptions, ProfileId, ProfileStore, StoreError};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,6 +66,13 @@ fn open(dir: &Path) -> ProfileStore {
     ProfileStore::open_durable(dir, 16, PersistOptions::default()).expect("open durable store")
 }
 
+/// The store's series, as a daemon's exposition carries them.
+fn scrape(store: &Arc<ProfileStore>) -> BTreeMap<String, i128> {
+    let registry = Registry::new();
+    store.register_metrics(&registry);
+    parse_exposition(&registry.render()).expect("exposition parses")
+}
+
 #[test]
 fn binary_ingest_dedups_with_struct_ingest_and_shares_one_id() {
     let store = ProfileStore::new();
@@ -113,14 +122,14 @@ fn index_is_stable_across_codec_roundtrip() {
 
 #[test]
 fn binary_ingest_rejects_garbage_with_typed_parse_error() {
-    let store = ProfileStore::new();
+    let store = Arc::new(ProfileStore::new());
     let err = store.ingest_binary("junk", b"not a container").unwrap_err();
     assert!(
         matches!(&err, StoreError::Parse { label, .. } if label == "junk"),
         "{err:?}"
     );
     assert_eq!(store.len(), 0);
-    assert_eq!(store.stats().parse_failures, 1);
+    assert_eq!(scrape(&store)["numa_store_parse_failures_total"], 1);
 }
 
 #[test]
@@ -182,7 +191,7 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     );
 
     let dir = scratch("four-formats");
-    let store = open(&dir.join("db"));
+    let store = Arc::new(open(&dir.join("db")));
 
     assert_eq!(
         store.ingest_profile("struct", p.clone()).unwrap(),
@@ -195,9 +204,10 @@ fn one_profile_in_four_formats_gets_one_id_and_one_canonical_record() {
     let sealed = store.ingest_profile("streamed", assemble(chunks).unwrap());
     assert_eq!(sealed.unwrap(), (id, false));
 
-    let stats = store.stats();
-    assert_eq!((stats.profiles, stats.deduplicated), (1, 3));
-    assert_eq!(stats.codec_bytes, canonical.len());
+    let stats = scrape(&store);
+    assert_eq!(store.len(), 1);
+    assert_eq!(stats["numa_store_dedup_hits_total"], 3);
+    assert_eq!(stats["numa_store_codec_bytes"], canonical.len() as i128);
     drop(store);
     let log = scan_file(&wal_path(&dir.join("db")), WAL_MAGIC).unwrap();
     assert_eq!(log.entries.len(), 1);

@@ -5,13 +5,14 @@
 //! performance layout, never a semantic change.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
+use numa_obs::{parse_exposition, Registry};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::Program;
 use numa_store::{ProfileStore, StoreConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 /// A small profile; `rounds` varies the content hash.
 fn profile(rounds: usize) -> NumaProfile {
@@ -207,7 +208,7 @@ fn listings_preserve_insertion_order_across_shards() {
 #[test]
 fn shard_stats_account_for_every_profile_and_ingest() {
     let corpus = corpus();
-    let store = sharded(8);
+    let store = Arc::new(sharded(8));
     for (i, bytes) in corpus.iter().enumerate() {
         store
             .ingest_binary(&format!("run-{i}"), bytes)
@@ -216,14 +217,21 @@ fn shard_stats_account_for_every_profile_and_ingest() {
     // Re-ingest one duplicate: counted as a dedup hit, not a shard ingest.
     store.ingest_binary("dup", &corpus[0]).expect("parses");
 
-    let stats = store.stats();
-    assert_eq!(stats.shards.len(), 8);
-    assert_eq!(stats.shards.iter().map(|s| s.profiles).sum::<usize>(), 4);
-    assert_eq!(stats.shards.iter().map(|s| s.ingests).sum::<u64>(), 4);
-    assert_eq!(stats.deduplicated, 1);
-    let rendered = stats.render();
-    assert!(rendered.contains("shards: 8"), "{rendered}");
-    assert!(rendered.contains("shard  0:"), "{rendered}");
+    let shards = store.shard_stats();
+    assert_eq!(shards.len(), 8);
+    assert_eq!(shards.iter().map(|s| s.profiles).sum::<usize>(), 4);
+    assert_eq!(shards.iter().map(|s| s.ingests).sum::<u64>(), 4);
+    // The exposition carries the same rows, one labelled series each.
+    let registry = Registry::new();
+    store.register_metrics(&registry);
+    let series = parse_exposition(&registry.render()).expect("exposition parses");
+    assert_eq!(series["numa_store_dedup_hits_total"], 1);
+    for (i, shard) in shards.iter().enumerate() {
+        let row = |family: &str| series[&format!("{family}{{shard=\"{i}\"}}")];
+        assert_eq!(row("numa_store_shard_profiles"), shard.profiles as i128);
+        assert_eq!(row("numa_store_shard_ingests_total"), shard.ingests as i128);
+    }
+    assert!(!series.contains_key("numa_store_shard_profiles{shard=\"8\"}"));
 }
 
 #[test]

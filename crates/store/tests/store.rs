@@ -2,11 +2,13 @@
 //! cache contract.
 
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
+use numa_obs::{parse_exposition, Registry};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::Program;
 use numa_store::codec::encode_profile;
 use numa_store::{ProfileStore, Query, StoreError};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -32,9 +34,16 @@ fn profile(rounds: usize) -> NumaProfile {
     finish_profile(p, profiler)
 }
 
+/// The store's series, as a daemon's exposition carries them.
+fn scrape(store: &Arc<ProfileStore>) -> BTreeMap<String, i128> {
+    let registry = Registry::new();
+    store.register_metrics(&registry);
+    parse_exposition(&registry.render()).expect("exposition parses")
+}
+
 #[test]
 fn ingest_dedups_by_content() {
-    let store = ProfileStore::new();
+    let store = Arc::new(ProfileStore::new());
     let p = profile(2);
     let (id1, added1) = store.ingest_profile("run-a", p.clone()).unwrap();
     let (id2, added2) = store.ingest_profile("run-a-again", p).unwrap();
@@ -42,12 +51,12 @@ fn ingest_dedups_by_content() {
     assert!(!added2, "identical content must dedup");
     assert_eq!(id1, id2);
     assert_eq!(store.len(), 1);
-    assert_eq!(store.stats().deduplicated, 1);
+    assert_eq!(scrape(&store)["numa_store_dedup_hits_total"], 1);
 }
 
 #[test]
 fn batch_ingest_reports_rejects_without_aborting() {
-    let store = ProfileStore::new();
+    let store = Arc::new(ProfileStore::new());
     let inputs = vec![
         ("good-1".to_string(), encode_profile(&profile(1))),
         ("bad".to_string(), b"NPCB\0\x01".to_vec()),
@@ -58,7 +67,7 @@ fn batch_ingest_reports_rejects_without_aborting() {
     assert_eq!(report.rejected.len(), 1);
     assert_eq!(report.rejected[0].0, "bad");
     assert_eq!(store.len(), 2);
-    assert_eq!(store.stats().parse_failures, 1);
+    assert_eq!(scrape(&store)["numa_store_parse_failures_total"], 1);
 }
 
 #[test]

@@ -96,5 +96,7 @@ fn tiny_cache_evicts_under_pressure() {
     }
     let s = store.cache_stats();
     assert!(s.evictions > 0, "expected evictions: {s:?}");
-    assert!(store.stats().cached_artifacts <= 8, "cache kept growing");
+    // Nothing was cleared, so what is resident is what was inserted
+    // and not evicted.
+    assert!(s.insertions - s.evictions <= 8, "cache kept growing: {s:?}");
 }
