@@ -1,6 +1,7 @@
-//! Tier-1 slice of `check-results.sh`: the two millisecond-scale
-//! regenerators must print exactly what `results/` holds. Table 1 is read
-//! straight off the mechanism table in `numa-sampling`.
+//! The paper reproduction guard: every regenerator must print exactly
+//! what `results/` holds. The simulated quantities are deterministic, so
+//! any difference is a behaviour change, not noise. Each regenerator runs
+//! as its own process, so no state can leak from one into another.
 
 use std::process::Command;
 
@@ -16,12 +17,23 @@ fn assert_matches_results(exe: &str, name: &str) {
     );
 }
 
-#[test]
-fn table1_matches_checked_in_result() {
-    assert_matches_results(env!("CARGO_BIN_EXE_table1"), "table1");
+macro_rules! guard {
+    ($($test:ident => $name:literal),* $(,)?) => {$(
+        #[test]
+        fn $test() {
+            assert_matches_results(env!(concat!("CARGO_BIN_EXE_", $name)), $name);
+        }
+    )*};
 }
 
-#[test]
-fn bias_demo_matches_checked_in_result() {
-    assert_matches_results(env!("CARGO_BIN_EXE_bias_demo"), "bias_demo");
+guard! {
+    table1_matches_checked_in_result => "table1",
+    bias_demo_matches_checked_in_result => "bias_demo",
+    fig1_matches_checked_in_result => "fig1",
+    table2_matches_checked_in_result => "table2",
+    fig3_lulesh_matches_checked_in_result => "fig3_lulesh",
+    fig4_7_amg_matches_checked_in_result => "fig4_7_amg",
+    fig8_9_blackscholes_matches_checked_in_result => "fig8_9_blackscholes",
+    fig10_umt_matches_checked_in_result => "fig10_umt",
+    ablations_matches_checked_in_result => "ablations",
 }

@@ -29,8 +29,7 @@ usage: hpcd-sim [--listen ADDR]          (default 127.0.0.1:7701; port 0 = ephem
                 [--data-dir DIR]         (durable store: WAL + snapshot crash recovery)
                 [--snapshot-wal-kib N]   (compact once the WAL exceeds N KiB; default 4096)
                 [--fsync-wal on|off]     (fsync every WAL append; default off)
-                [--workers N]            (worker threads; default 4)
-                [--max-pending N]        (accept-queue bound; default 64)
+                [--workers N]            (requests executing at once; default 4)
                 [--max-frame-kib N]      (frame payload cap; default 4096)
                 [--read-timeout-ms N]    (per-connection; default 10000)
                 [--write-timeout-ms N]   (per-connection; default 10000)
@@ -54,7 +53,6 @@ fn main() {
         "snapshot-wal-kib",
         "fsync-wal",
         "workers",
-        "max-pending",
         "max-frame-kib",
         "read-timeout-ms",
         "write-timeout-ms",
@@ -81,9 +79,6 @@ fn main() {
     let config = ServerConfig {
         workers: args
             .get_parsed("workers", 4)
-            .unwrap_or_else(|e| die(USAGE, &e)),
-        max_pending_connections: args
-            .get_parsed("max-pending", 64)
             .unwrap_or_else(|e| die(USAGE, &e)),
         max_frame: args
             .get_parsed::<usize>("max-frame-kib", 4096)
@@ -122,7 +117,6 @@ fn main() {
                 ..LiveConfig::default()
             }
         },
-        ..ServerConfig::default()
     };
 
     let durable = match args.get("data-dir") {

@@ -19,8 +19,6 @@ pub struct ProfilerConfig {
     /// A variable is "large" (and binned) if it spans more than this many
     /// pages (§5.2 default: five).
     pub bin_threshold_pages: u64,
-    /// Enable first-touch pinpointing via page protection (§6).
-    pub first_touch: bool,
     /// Unprotect granularity on a first-touch fault.
     pub first_touch_granularity: FirstTouchGranularity,
     /// Monitor static variables (data-centric attribution reads them from
@@ -45,7 +43,6 @@ impl ProfilerConfig {
             mechanism,
             bins: 5,
             bin_threshold_pages: 5,
-            first_touch: true,
             first_touch_granularity: FirstTouchGranularity::Variable,
             monitor_static: true,
             monitor_stack: true,
@@ -70,11 +67,6 @@ impl ProfilerConfig {
     pub fn with_bins(mut self, bins: u16) -> Self {
         assert!(bins >= 1);
         self.bins = bins;
-        self
-    }
-
-    pub fn without_first_touch(mut self) -> Self {
-        self.first_touch = false;
         self
     }
 
@@ -105,7 +97,6 @@ mod tests {
         let c = base();
         assert_eq!(c.bins, 5);
         assert_eq!(c.bin_threshold_pages, 5);
-        assert!(c.first_touch);
         assert_eq!(c.first_touch_granularity, FirstTouchGranularity::Variable);
     }
 

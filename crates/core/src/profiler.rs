@@ -57,11 +57,11 @@ impl NumaProfiler {
         let domains = machine.topology().domains();
         let caps = Capabilities::for_kind(config.mechanism.kind);
         let threads = (0..num_threads)
-            .map(|_| {
+            .map(|tid| {
                 RefCell::new(ThreadLocal {
                     cpu: CpuId(0),
                     domain: DomainId(0),
-                    mechanism: config.mechanism.build(),
+                    mechanism: config.mechanism.build(tid),
                     cct: Cct::new(domains),
                     ranges: AddressRanges::new(),
                     totals: MetricSet::new(domains),
@@ -201,14 +201,11 @@ impl Monitor for NumaProfiler {
             stack.to_vec(),
             bins,
         );
-        if self.config.first_touch {
-            let pages = self
-                .machine
-                .page_map()
-                .protect_extent(info.addr, info.bytes);
-            return pages * self.config.protect_cost_per_page + 50;
-        }
-        0
+        let pages = self
+            .machine
+            .page_map()
+            .protect_extent(info.addr, info.bytes);
+        pages * self.config.protect_cost_per_page + 50
     }
 
     fn on_free(&self, _tid: usize, addr: u64) -> u64 {

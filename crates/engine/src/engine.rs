@@ -64,11 +64,6 @@ impl Engine {
         &self.profile
     }
 
-    /// The shared profile handle (no deep copy).
-    pub fn profile_arc(&self) -> &Arc<NumaProfile> {
-        &self.profile
-    }
-
     pub fn index(&self) -> &ProfileIndex {
         &self.index
     }

@@ -64,12 +64,8 @@ pub struct ProfileIndex {
     regions: Vec<FuncId>,
     /// The merged all-thread calling context tree.
     merged_cct: Cct,
-    /// Interned names (funcs, vars, machine share one table).
+    /// Interned names (funcs and vars share one table).
     symbols: SymbolTable,
-    /// Symbol of `func_names[i]` / `vars[i].name` / the machine name.
-    func_syms: Vec<Symbol>,
-    var_syms: Vec<Symbol>,
-    machine_sym: Symbol,
     /// First variable / function carrying each name (mirrors the
     /// first-match contract of `NumaProfile::var_by_name`).
     var_by_name: HashMap<Symbol, VarId>,
@@ -245,7 +241,6 @@ impl ProfileIndex {
             // `NumaProfile::var_by_name(..).id` would.
             var_by_name.entry(*sym).or_insert(rec.id);
         }
-        let machine_sym = symbols.intern(&profile.machine_name);
 
         ProfileIndex {
             totals,
@@ -261,9 +256,6 @@ impl ProfileIndex {
             regions,
             merged_cct,
             symbols,
-            func_syms,
-            var_syms,
-            machine_sym,
             var_by_name,
             func_by_name,
         }
@@ -339,20 +331,6 @@ impl ProfileIndex {
 
     pub fn symbols(&self) -> &SymbolTable {
         &self.symbols
-    }
-
-    /// Symbol of a function name (aligned with `profile.func_names`).
-    pub fn func_symbol(&self, f: FuncId) -> Option<Symbol> {
-        self.func_syms.get(f.0 as usize).copied()
-    }
-
-    /// Symbol of a variable name (aligned with `profile.vars`).
-    pub fn var_symbol(&self, v: VarId) -> Option<Symbol> {
-        self.var_syms.get(v.0 as usize).copied()
-    }
-
-    pub fn machine_symbol(&self) -> Symbol {
-        self.machine_sym
     }
 
     /// First variable with this name, interned lookup.

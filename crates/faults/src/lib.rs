@@ -293,11 +293,6 @@ impl FaultyStorage {
         self.ctl.killed.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`FaultyStorage::kill`] has been called.
-    pub fn is_killed(&self) -> bool {
-        self.ctl.killed.load(Ordering::SeqCst)
-    }
-
     /// How many faults the schedule has injected so far (kill excluded).
     pub fn injected(&self) -> u64 {
         self.ctl.counts.lock().injected

@@ -14,12 +14,12 @@
 //!   back by [`parse_exposition`]. Derived values (anything already
 //!   guarded by a component's own lock) join via closure collectors
 //!   instead of duplicating state.
-//! - [`trace`] — per-request structured spans: a bounded ring buffer
-//!   of (op, bytes, shard, cache hit/miss, WAL-ack latency, total
-//!   latency) plus a thread-local side channel that lets lower layers
-//!   (store, persistence) deposit facts into the span the serving
-//!   layer is building, without threading a context argument through
-//!   every call.
+//! - [`trace`] — per-request structured spans (op, bytes, shard, cache
+//!   hit/miss, WAL-ack latency, total latency), a bounded ring that
+//!   keeps the slow ones, and a thread-local side channel that lets
+//!   lower layers (store, persistence) deposit facts into the span the
+//!   serving layer is building, without threading a context argument
+//!   through every call.
 //!
 //! The histogram keeps the power-of-two bucket shape the daemon's
 //! latency histogram established: 27 buckets, bucket `i` covering

@@ -4,10 +4,9 @@
 //! ([`begin`] / [`take`]); lower layers deposit facts into the active
 //! trace through the thread-local note functions ([`note_shard`],
 //! [`note_cache`], [`note_wal_ack_us`]) without any context argument
-//! threading. The finished [`Span`] goes into a bounded [`SpanRing`];
-//! spans slower than a configurable threshold are additionally kept in
-//! a slow-op ring so a burst of fast requests cannot evict the
-//! interesting evidence.
+//! threading. A finished [`Span`] slower than a configurable threshold
+//! is kept in a bounded [`SpanRing`], so the evidence for a slow request
+//! outlives it.
 //!
 //! Notes are no-ops when no trace is active on the thread, so
 //! instrumented code in the store costs one thread-local flag check
@@ -19,8 +18,8 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// One finished request span. `seq` is assigned by the ring and is
-/// strictly monotonic in ring order.
+/// One finished request span. `seq` numbers the daemon's requests in
+/// the order they finished.
 #[derive(Clone, Debug)]
 pub struct Span {
     pub seq: u64,
@@ -94,98 +93,36 @@ pub fn parse_slow_ops(text: &str) -> Result<Vec<(u64, &str)>, String> {
         .collect()
 }
 
-/// Everything of a [`Span`] except the ring-assigned sequence number.
-#[derive(Clone, Debug)]
-pub struct SpanBody {
-    pub op: &'static str,
-    pub bytes: u64,
-    pub shard: Option<u32>,
-    pub cache_hit: Option<bool>,
-    pub wal_ack_us: Option<u64>,
-    pub total_us: u64,
-    pub error: bool,
-}
-
-/// A bounded ring of recent spans. Pushes assign strictly monotonic
-/// sequence numbers under the same lock that orders the ring, so a
-/// reader always sees whole spans (never torn fields) in strictly
-/// increasing `seq` order, and memory stays capped at `capacity`
-/// spans.
+/// A bounded ring of spans. Spans go in whole under one lock, so a
+/// reader never sees torn fields, and memory stays capped at `capacity`
+/// spans (at least one).
 pub struct SpanRing {
-    inner: Mutex<RingInner>,
+    spans: Mutex<VecDeque<Span>>,
     capacity: usize,
-}
-
-struct RingInner {
-    spans: VecDeque<Span>,
-    next_seq: u64,
 }
 
 impl SpanRing {
     pub fn new(capacity: usize) -> SpanRing {
         SpanRing {
-            inner: Mutex::new(RingInner {
-                spans: VecDeque::with_capacity(capacity.min(1024)),
-                next_seq: 0,
-            }),
-            capacity,
+            spans: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
+            capacity: capacity.max(1),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Append a span, evicting the oldest when full. Returns the
-    /// assigned sequence number. With capacity 0 the ring only hands
-    /// out sequence numbers.
-    pub fn push(&self, body: SpanBody) -> u64 {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if self.capacity == 0 {
-            return seq;
-        }
-        if inner.spans.len() == self.capacity {
-            inner.spans.pop_front();
-        }
-        inner.spans.push_back(Span {
-            seq,
-            op: body.op,
-            bytes: body.bytes,
-            shard: body.shard,
-            cache_hit: body.cache_hit,
-            wal_ack_us: body.wal_ack_us,
-            total_us: body.total_us,
-            error: body.error,
-        });
-        seq
-    }
-
-    /// Retain an already-sequenced span (the slow-op log keeps the
-    /// trace-assigned `seq` so a slow span can be correlated with the
-    /// main ring). Evicts the oldest when full; a no-op at capacity 0.
+    /// Keep `span`, evicting the oldest when full.
     pub fn retain(&self, span: Span) {
-        if self.capacity == 0 {
-            return;
+        let mut spans = self.spans.lock();
+        if spans.len() == self.capacity {
+            spans.pop_front();
         }
-        let mut inner = self.inner.lock();
-        if inner.spans.len() == self.capacity {
-            inner.spans.pop_front();
-        }
-        inner.spans.push_back(span);
-    }
-
-    /// Total spans ever pushed (sequence numbers handed out).
-    pub fn pushed(&self) -> u64 {
-        self.inner.lock().next_seq
+        spans.push_back(span);
     }
 
     /// The most recent `n` spans, oldest first.
     pub fn recent(&self, n: usize) -> Vec<Span> {
-        let inner = self.inner.lock();
-        let skip = inner.spans.len().saturating_sub(n);
-        inner.spans.iter().skip(skip).cloned().collect()
+        let spans = self.spans.lock();
+        let skip = spans.len().saturating_sub(n);
+        spans.iter().skip(skip).cloned().collect()
     }
 }
 
@@ -248,14 +185,15 @@ pub fn note_wal_ack_us(us: u64) {
 mod tests {
     use super::*;
 
-    fn body(op: &'static str, total_us: u64) -> SpanBody {
-        SpanBody {
-            op,
+    fn span(seq: u64) -> Span {
+        Span {
+            seq,
+            op: "ping",
             bytes: 0,
             shard: None,
             cache_hit: None,
             wal_ack_us: None,
-            total_us,
+            total_us: 1,
             error: false,
         }
     }
@@ -263,23 +201,13 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_keeps_monotonic_seq() {
         let ring = SpanRing::new(3);
-        for i in 0..5 {
-            let seq = ring.push(body("ping", i));
-            assert_eq!(seq, i);
+        for seq in 0..5 {
+            ring.retain(span(seq));
         }
-        let recent = ring.recent(10);
-        assert_eq!(recent.len(), 3);
-        let seqs: Vec<u64> = recent.iter().map(|s| s.seq).collect();
+        let seqs: Vec<u64> = ring.recent(10).iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(ring.pushed(), 5);
-    }
-
-    #[test]
-    fn zero_capacity_ring_only_counts() {
-        let ring = SpanRing::new(0);
-        assert_eq!(ring.push(body("ping", 1)), 0);
-        assert_eq!(ring.push(body("ping", 1)), 1);
-        assert!(ring.recent(10).is_empty());
+        let seqs: Vec<u64> = ring.recent(2).iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, vec![3, 4]);
     }
 
     #[test]
@@ -307,16 +235,6 @@ mod tests {
 
     #[test]
     fn slow_op_comments_read_back_in_text_order() {
-        let span = |seq| Span {
-            seq,
-            op: "ping",
-            bytes: 0,
-            shard: None,
-            cache_hit: None,
-            wal_ack_us: None,
-            total_us: 1,
-            error: false,
-        };
         let mut text = String::from("numa_x 1\n");
         write_slow_op(&mut text, &span(4));
         write_slow_op(&mut text, &span(9));

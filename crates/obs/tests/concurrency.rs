@@ -1,10 +1,9 @@
 //! Concurrency contracts: the span ring under 8 writers + racing
-//! readers (no torn spans, bounded memory, monotonic sequence
-//! numbers), and histogram snapshots that stay internally consistent
-//! while writers hammer `record`.
+//! readers (no torn spans, bounded memory, each writer's spans in the
+//! order it retained them), and histogram snapshots that stay
+//! internally consistent while writers hammer `record`.
 
-use numa_obs::trace::SpanBody;
-use numa_obs::{Histogram, SpanRing};
+use numa_obs::{Histogram, Span, SpanRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -13,10 +12,12 @@ const PER_WRITER: u64 = 2_000;
 const CAPACITY: usize = 64;
 
 /// Span fields carry a checksum relation so a reader can detect a torn
-/// span (fields from two different pushes) no matter how the ring is
-/// sliced: for payload `x`, wal_ack = 3x and total = 7x.
-fn checked_body(x: u64) -> SpanBody {
-    SpanBody {
+/// span (fields from two different retains) no matter how the ring is
+/// sliced: for sequence number `x`, bytes = x, wal_ack = 3x and
+/// total = 7x. Writer `w` retains `x` = w·PER_WRITER … in order.
+fn checked_span(x: u64) -> Span {
+    Span {
+        seq: x,
         op: "ingest",
         bytes: x,
         shard: Some((x % 16) as u32),
@@ -49,15 +50,17 @@ fn ring_survives_eight_writers_and_racing_readers() {
                     let spans = ring.recent(CAPACITY * 2);
                     // Bounded memory: never more than the capacity.
                     assert!(spans.len() <= CAPACITY, "ring grew to {}", spans.len());
-                    let mut last_seq = None;
+                    let mut last_seq = [None; WRITERS];
                     for s in &spans {
-                        // Monotonic sequence numbers in ring order.
-                        if let Some(prev) = last_seq {
+                        // Each writer's spans in its retain order.
+                        let last = &mut last_seq[(s.seq / PER_WRITER) as usize];
+                        if let Some(prev) = *last {
                             assert!(s.seq > prev, "seq {} after {}", s.seq, prev);
                         }
-                        last_seq = Some(s.seq);
+                        *last = Some(s.seq);
                         // No torn spans: the checksum relation holds.
-                        let x = s.bytes;
+                        let x = s.seq;
+                        assert_eq!(s.bytes, x, "torn span {s:?}");
                         assert_eq!(s.wal_ack_us, Some(x.wrapping_mul(3)), "torn span {s:?}");
                         assert_eq!(s.total_us, x.wrapping_mul(7), "torn span {s:?}");
                         assert_eq!(s.shard, Some((x % 16) as u32), "torn span {s:?}");
@@ -78,7 +81,7 @@ fn ring_survives_eight_writers_and_racing_readers() {
             std::thread::spawn(move || {
                 start.wait();
                 for i in 0..PER_WRITER {
-                    ring.push(checked_body(w as u64 * PER_WRITER + i));
+                    ring.retain(checked_span(w as u64 * PER_WRITER + i));
                 }
             })
         })
@@ -92,13 +95,16 @@ fn ring_survives_eight_writers_and_racing_readers() {
         assert!(scrapes > 0, "reader never ran");
     }
 
-    // Every push got a distinct sequence number; the ring kept exactly
-    // the last CAPACITY of them.
-    assert_eq!(ring.pushed(), (WRITERS as u64) * PER_WRITER);
+    // The ring kept exactly the last CAPACITY retains, and the very
+    // last one was some writer's final span.
     let finals = ring.recent(usize::MAX);
     assert_eq!(finals.len(), CAPACITY);
-    let max_seq = finals.last().expect("nonempty").seq;
-    assert_eq!(max_seq, (WRITERS as u64) * PER_WRITER - 1);
+    let last = finals.last().expect("nonempty").seq;
+    assert_eq!(
+        last % PER_WRITER,
+        PER_WRITER - 1,
+        "last retained seq {last}"
+    );
 }
 
 #[test]

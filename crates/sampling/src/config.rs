@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn build_constructs_matching_kind() {
         for kind in MechanismKind::ALL {
-            let m = MechanismConfig::scaled(kind, 64).build();
+            let m = MechanismConfig::scaled(kind, 64).build(0);
             assert_eq!(m.kind(), kind);
         }
     }

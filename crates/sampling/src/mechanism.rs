@@ -304,9 +304,8 @@ pub(crate) struct PeriodCounter {
     jitter: bool,
 }
 
-/// Per-process uniquifier so each counter (one per thread) jitters
-/// differently.
-static COUNTER_SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0x9e37);
+/// Seed of thread 0's first counter (see `MechanismConfig::build`).
+pub(crate) const SEED_BASE: u64 = 0x9e37;
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -317,9 +316,9 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 impl PeriodCounter {
-    pub fn with_jitter(period: u64, jitter: bool) -> Self {
+    /// A counter whose jitter stream is drawn from `seed`.
+    pub fn with_jitter(period: u64, jitter: bool, seed: u64) -> Self {
         assert!(period >= 1, "sampling period must be positive");
-        let seed = COUNTER_SEED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut c = PeriodCounter {
             period,
             count: 0,
@@ -381,7 +380,7 @@ mod tests {
 
     #[test]
     fn unjittered_counter_fires_at_exact_rate() {
-        let mut c = PeriodCounter::with_jitter(10, false);
+        let mut c = PeriodCounter::with_jitter(10, false, 0);
         let mut fires = 0;
         for _ in 0..100 {
             if c.tick() {
@@ -393,7 +392,7 @@ mod tests {
 
     #[test]
     fn jittered_counter_fires_at_the_right_average_rate() {
-        let mut c = PeriodCounter::with_jitter(100, true);
+        let mut c = PeriodCounter::with_jitter(100, true, 0);
         let fires = c.add(1_000_000);
         let expectation = 1_000_000 / 100;
         assert!(
@@ -407,8 +406,8 @@ mod tests {
         // Two counters with the same period must not fire in lockstep —
         // that lockstep is exactly what biases sampling of periodic access
         // streams (§3's uniformity requirement).
-        let mut a = PeriodCounter::with_jitter(64, true);
-        let mut b = PeriodCounter::with_jitter(64, true);
+        let mut a = PeriodCounter::with_jitter(64, true, 0);
+        let mut b = PeriodCounter::with_jitter(64, true, 1);
         let mut same = 0;
         let mut total = 0;
         for _ in 0..100_000 {
@@ -430,8 +429,8 @@ mod tests {
 
     #[test]
     fn period_counter_bulk_add_matches_ticks() {
-        let mut a = PeriodCounter::with_jitter(7, false);
-        let mut b = PeriodCounter::with_jitter(7, false);
+        let mut a = PeriodCounter::with_jitter(7, false, 0);
+        let mut b = PeriodCounter::with_jitter(7, false, 1);
         let mut fa = 0;
         for _ in 0..1000 {
             if a.tick() {

@@ -5,7 +5,7 @@
 use crate::config::MechanismConfig;
 use crate::mechanism::{
     AccessOutcome, Capabilities, ComputeOutcome, MechanismKind, MechanismSpec, PeriodCounter,
-    Qualifier,
+    Qualifier, SEED_BASE,
 };
 use crate::sample::Sample;
 use numa_machine::AccessLevel;
@@ -38,15 +38,18 @@ pub struct Sampler {
 }
 
 impl MechanismConfig {
-    /// Instantiate a per-thread sampling engine.
-    pub fn build(&self) -> Sampler {
+    /// Instantiate thread `tid`'s sampling engine. Its `n` counters (the
+    /// marking stage, if any, then the period counter) draw their jitter
+    /// streams from seeds `0x9e37 + tid·n` onwards, so a profiled run
+    /// is a pure function of its inputs.
+    pub fn build(&self, tid: usize) -> Sampler {
         let spec = self.kind.spec();
-        // Counter creation order is observable: each counter draws its
-        // jitter stream from a process-global seed.
+        let n = 1 + spec.dilution.is_some() as u64;
+        let seed = SEED_BASE + tid as u64 * n;
         let dilution = spec
             .dilution
-            .map(|_| PeriodCounter::with_jitter(self.dilution.max(1), self.jitter));
-        let period = PeriodCounter::with_jitter(self.period, self.jitter);
+            .map(|_| PeriodCounter::with_jitter(self.dilution.max(1), self.jitter, seed));
+        let period = PeriodCounter::with_jitter(self.period, self.jitter, seed + n - 1);
         let sample_cost =
             self.per_sample_cost + spec.correction_cost.map_or(0, |_| self.correction_cost);
         let compute_fire_cost = spec.compute_fire_divisor.map(|d| sample_cost / d);
@@ -189,7 +192,7 @@ mod tests {
     #[test]
     fn ibs_samples_at_period_across_both_streams() {
         let cfg = MechanismConfig::for_tests_exact(MechanismKind::Ibs, 10);
-        let mut ibs = cfg.build();
+        let mut ibs = cfg.build(0);
         // 95 compute instructions + 5 accesses = 100 instructions → 10 samples.
         let c = ibs.on_compute(95);
         let events: Vec<_> = (0..5).map(|_| ev(AccessLevel::L1, 4, false)).collect();
@@ -200,7 +203,7 @@ mod tests {
     #[test]
     fn ibs_memory_samples_carry_latency_and_source() {
         let cfg = MechanismConfig::for_tests(MechanismKind::Ibs, 1);
-        let mut ibs = cfg.build();
+        let mut ibs = cfg.build(0);
         let o = ibs.on_access(&ev(AccessLevel::MemRemote, 300, false));
         let s = o.sample.unwrap();
         assert_eq!(s.latency, Some(300));
@@ -211,7 +214,7 @@ mod tests {
     #[test]
     fn mrk_only_samples_l3_miss_traffic() {
         let cfg = MechanismConfig::for_tests(MechanismKind::Mrk, 1);
-        let mut mrk = cfg.build();
+        let mut mrk = cfg.build(0);
         assert!(mrk
             .on_access(&ev(AccessLevel::L1, 4, false))
             .sample
@@ -231,7 +234,7 @@ mod tests {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::Pebs, 1);
         cfg.correction_cost = 500;
         cfg.per_sample_cost = 100;
-        let mut pebs = cfg.build();
+        let mut pebs = cfg.build(0);
         let o = pebs.on_access(&ev(AccessLevel::L2, 12, true));
         assert_eq!(o.overhead, 600);
         let s = o.sample.unwrap();
@@ -244,7 +247,7 @@ mod tests {
     fn dear_filters_stores_and_fast_loads() {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::Dear, 1);
         cfg.latency_threshold = 8;
-        let mut dear = cfg.build();
+        let mut dear = cfg.build(0);
         assert!(dear
             .on_access(&ev(AccessLevel::L1, 4, false))
             .sample
@@ -263,7 +266,7 @@ mod tests {
     fn pebs_ll_thresholded_with_latency() {
         let mut cfg = MechanismConfig::for_tests(MechanismKind::PebsLl, 1);
         cfg.latency_threshold = 32;
-        let mut ll = cfg.build();
+        let mut ll = cfg.build(0);
         assert!(ll
             .on_access(&ev(AccessLevel::L2, 12, false))
             .sample
@@ -281,7 +284,7 @@ mod tests {
         let mut cfg = MechanismConfig::for_tests_exact(MechanismKind::SoftIbs, 4);
         cfg.per_event_cost = 10;
         cfg.per_sample_cost = 100;
-        let mut soft = cfg.build();
+        let mut soft = cfg.build(0);
         let events: Vec<_> = (0..8).map(|_| ev(AccessLevel::L1, 4, false)).collect();
         let (samples, overhead) = drive(&mut soft, &events);
         assert_eq!(samples, 2);
@@ -293,7 +296,7 @@ mod tests {
         // §3 requires uniform sampling of memory accesses; a period counter
         // fires exactly count/period times regardless of phase.
         let cfg = MechanismConfig::for_tests_exact(MechanismKind::SoftIbs, 1000);
-        let mut soft = cfg.build();
+        let mut soft = cfg.build(0);
         let events: Vec<_> = (0..100_000)
             .map(|_| ev(AccessLevel::L1, 4, false))
             .collect();

@@ -57,7 +57,7 @@ proptest! {
     ) {
         let mut cfg = MechanismConfig::for_tests(kind, period);
         cfg.latency_threshold = 1; // everything eligible for DEAR/PEBS-LL
-        let mut m = cfg.build();
+        let mut m = cfg.build(0);
         let n = 40_000u64;
         let mut samples = 0u64;
         for _ in 0..n {
@@ -79,7 +79,7 @@ proptest! {
     fn load_only_mechanisms_ignore_stores(period in 1u64..32) {
         for kind in [MechanismKind::Mrk, MechanismKind::Dear, MechanismKind::PebsLl] {
             let cfg = MechanismConfig::for_tests(kind, period);
-            let mut m = cfg.build();
+            let mut m = cfg.build(0);
             for _ in 0..1000 {
                 prop_assert!(m.on_access(&ev(300, true)).sample.is_none(), "{kind:?}");
             }

@@ -157,7 +157,7 @@ proptest! {
             })
             .collect();
         // Both sides must draw one jitter stream: clone, never build twice.
-        let sampler = cfg.build();
+        let sampler = cfg.build(0);
         let expected = every_event(sampler.clone(), &steps);
         prop_assert_eq!(gated(sampler, &steps), expected, "{:?}", cfg);
     }

@@ -167,12 +167,6 @@ impl Client {
         self.server_caps
     }
 
-    /// Override the local frame cap (must match the daemon's to ingest
-    /// very large profiles).
-    pub fn set_max_frame(&mut self, max: usize) {
-        self.max_frame = max;
-    }
-
     /// One raw request/response exchange. Server-reported errors come
     /// back as `Ok(Response::Error(..))`; use [`Client::call`] to have
     /// them folded into `Err`.

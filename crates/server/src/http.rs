@@ -4,15 +4,14 @@
 //! request line, answer `GET /metrics` with the daemon's exposition,
 //! 404 anything else, 405 non-GET methods. The request head is read
 //! within `MAX_HEAD` bytes; one that does not end inside the bound
-//! draws a 431. One short-lived thread per connection (scrapes are rare
-//! and trusted — this listens where the operator pointed
-//! `--metrics-addr`, typically loopback); the accept loop is
-//! non-blocking so it can observe the daemon's shutdown flag.
+//! draws a 431. One short-lived thread per connection, at most
+//! `SCRAPES` at once (scrapes are rare and trusted — this listens
+//! where the operator pointed `--metrics-addr`, typically loopback).
 
+use crate::server::serve_each;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// Content type of the Prometheus text exposition format.
@@ -26,6 +25,9 @@ const MAX_HEAD: u64 = 8 << 10;
 /// after a refused head.
 const LINGER: Duration = Duration::from_secs(1);
 
+/// Scrapes answered at once; further scrapers wait in the backlog.
+const SCRAPES: usize = 4;
+
 /// Bind the metrics listener (port 0 for ephemeral) without serving.
 pub fn bind(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
     let listener = TcpListener::bind(addr)?;
@@ -33,34 +35,17 @@ pub fn bind(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
     Ok((listener, addr))
 }
 
-/// Serve scrapes with the text `render` returns until `shutdown` flips.
-/// Blocks; callers spawn this on its own thread.
+/// Serve scrapes with the text `render` returns until `shutdown` is set
+/// and someone connects once more to wake the accept loop. Blocks;
+/// callers spawn this on its own thread.
 pub fn serve(
-    listener: TcpListener,
+    listener: &TcpListener,
     render: impl Fn() -> String + Send + Sync + 'static,
-    shutdown: Arc<AtomicBool>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let render = Arc::new(render);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let render = Arc::clone(&render);
-                // Scrape handling off the accept loop so one slow
-                // reader cannot block the next scraper.
-                let _ = std::thread::Builder::new()
-                    .name("hpcd-metrics".to_string())
-                    .spawn(move || answer(stream, &*render));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+    shutdown: &AtomicBool,
+) -> io::Result<()> {
+    serve_each(listener, SCRAPES, shutdown, "hpcd-metrics", move |stream| {
+        answer(stream, &render)
+    })
 }
 
 fn answer(stream: TcpStream, render: &dyn Fn() -> String) {

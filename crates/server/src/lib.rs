@@ -16,10 +16,9 @@
 //!   parses the same format from arbitrary TCP fragments.
 //! * [`server`] — [`server::Backend`], the one function that executes
 //!   a [`protocol::Request`], and `hpcd-sim`'s engine in front of it:
-//!   accept loop + bounded connection queue + worker-thread pool (the
-//!   offline build has no async runtime; threads and channels are the
-//!   concurrency model), per-connection timeouts, and
-//!   drain-on-shutdown.
+//!   one blocking accept loop and a thread per connection (the offline
+//!   build has no async runtime), a cap on the requests executing at
+//!   once, per-connection timeouts, and drain-on-shutdown.
 //! * [`client`] — a blocking [`client::Client`] used by `hpcd-client`
 //!   and the tests; one typed method per op, plus streaming-session
 //!   verbs and [`client::Client::stream_profile`], over a TCP

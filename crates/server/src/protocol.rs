@@ -236,17 +236,6 @@ pub fn encode_frame_flags(version: u16, flags: u16, payload: &[u8]) -> Result<Ve
     Ok(out)
 }
 
-/// Write one flag-less frame to a blocking writer. See
-/// [`write_frame_flags`].
-pub fn write_frame(
-    w: &mut impl Write,
-    version: u16,
-    payload: &[u8],
-    max: usize,
-) -> Result<(), RecvError> {
-    write_frame_flags(w, version, 0, payload, max)
-}
-
 /// Write one frame to a blocking writer. Refuses payloads above `max`
 /// locally so a well-behaved peer never triggers the remote cap; the
 /// wire format's own `u32` ceiling applies even when `max` is larger.

@@ -6,25 +6,26 @@
 //!
 //! ## Threading model
 //!
-//! One accept loop + a fixed pool of worker threads. Accepted
-//! connections flow through a bounded queue (`std::sync::mpsc::
-//! sync_channel`); when every worker is busy and the queue is full the
-//! accept loop stops pulling connections off the listener, so
-//! backpressure lands in the kernel backlog instead of unbounded
-//! daemon memory. Each worker owns one connection at a time and serves
-//! its requests sequentially (frame in → execute → frame out), so
-//! per-connection ordering is trivial; cross-connection concurrency
-//! comes from the pool, and thread safety from the store's own locks.
+//! A connection is a thread. One blocking accept loop spawns a thread
+//! per accepted connection, which serves its requests in order (frame
+//! in → execute → frame out), so per-connection ordering is trivial.
+//! Two counting gates bound the work: at most `workers` + 64
+//! connections are open at once (at the cap the loop stops accepting,
+//! so backpressure lands in the kernel backlog), and at most `workers`
+//! requests execute at once. A connection holds an execution permit
+//! only around [`Backend::execute`], never while it reads or writes, so
+//! an idle or trickling peer ties up its own thread and nothing else.
+//! Thread safety across connections comes from the store's own locks.
 //!
 //! ## Shutdown
 //!
-//! A shared [`AtomicBool`] flag (set by a client's `Shutdown` request)
-//! makes the accept loop stop, closes
-//! the queue, and puts workers into *drain* mode: each worker finishes
-//! the request it is executing, answers any request already in flight
-//! on its connection (bounded by a short drain timeout), then closes.
-//! `run` joins every worker before returning, so when it returns no
-//! request is left unanswered.
+//! A client's `Shutdown` request sets a shared [`AtomicBool`]; the
+//! connection that answers it then connects once to each listener, so
+//! the blocked `accept` returns and sees the flag. The loop then shuts
+//! the read side of every open connection: a read blocked on an idle
+//! peer returns EOF at once, while a request already on the wire is
+//! still read and answered. `run` returns only after every connection
+//! thread is gone, so no accepted request is left unanswered.
 
 use crate::http;
 use crate::metrics::{Metrics, OpSlot};
@@ -34,35 +35,29 @@ use crate::protocol::{
     READ_BUFFER,
 };
 use numa_live::{LiveConfig, SessionError, SessionManager};
-use numa_obs::trace::{Span, SpanBody};
+use numa_obs::trace::Span;
 use numa_obs::{trace, Registry, SpanRing};
 use numa_store::{ProfileStore, Query, StoreError};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads; also the number of connections served
-    /// concurrently.
+    /// Requests executing at once. Connections are not counted here:
+    /// each has its own thread, and up to `workers` + 64 may be open.
     pub workers: usize,
-    /// Accepted-but-unserved connections the daemon will hold before
-    /// the accept loop applies backpressure.
-    pub max_pending_connections: usize,
     /// Payload-size cap enforced on every received frame.
     pub max_frame: usize,
     /// Per-connection socket read timeout (idle clients are dropped).
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
-    /// How long a draining worker waits for one last in-flight request
-    /// before closing the connection.
-    pub drain_timeout: Duration,
     /// Streaming-session limits (lease, buffer budgets, janitor
     /// cadence).
     pub live: LiveConfig,
@@ -73,36 +68,34 @@ pub struct ServerConfig {
     /// Requests slower than this get a slow-op log line and their span
     /// retained as a `# slow-op` line of [`Backend::exposition`].
     pub slow_op_threshold: Duration,
-    /// Spans kept in the request-trace ring buffer. 0 disables span
-    /// capture entirely (used by the overhead A/B bench).
-    pub trace_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            max_pending_connections: 64,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            drain_timeout: Duration::from_millis(100),
             live: LiveConfig::default(),
             metrics_addr: None,
             slow_op_threshold: Duration::from_millis(500),
-            trace_capacity: 256,
         }
     }
 }
 
-/// Slow-op spans retained for the exposition (a burst of fast requests
-/// cannot evict them from the main trace ring).
+/// Connections open beyond `workers` before the accept loop stops
+/// accepting.
+const QUEUED_CONNECTIONS: usize = 64;
+/// Slow-op spans retained for the exposition.
 const SLOW_OP_CAPACITY: usize = 64;
 /// Slow-op lines per exposition.
 const SLOW_OPS_REPORTED: usize = 16;
+/// How long the shutdown wake-up waits to reach a listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// What every request executes against: the store, the streaming
-/// sessions over it, and the metrics, trace rings and shutdown flag
+/// sessions over it, and the metrics, slow-op ring and shutdown flag
 /// that observe them. One per daemon (or per in-process
 /// [`crate::Client`]); [`Backend::execute`] is the stack's only
 /// `Request` → `Response` mapping.
@@ -111,7 +104,8 @@ pub struct Backend {
     sessions: Arc<SessionManager>,
     metrics: Arc<Metrics>,
     registry: Arc<Registry>,
-    trace: SpanRing,
+    /// The next served request's span number.
+    next_seq: AtomicU64,
     slow_ops: SpanRing,
     shutdown: Arc<AtomicBool>,
 }
@@ -141,12 +135,8 @@ impl Backend {
             sessions,
             metrics,
             registry,
-            trace: SpanRing::new(config.trace_capacity),
-            slow_ops: SpanRing::new(if config.trace_capacity == 0 {
-                0
-            } else {
-                SLOW_OP_CAPACITY
-            }),
+            next_seq: AtomicU64::new(0),
+            slow_ops: SpanRing::new(SLOW_OP_CAPACITY),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -157,8 +147,8 @@ impl Backend {
     /// oldest first.
     pub fn exposition(&self) -> String {
         let mut out = self.registry.render();
-        // Slow spans arrive from racing workers; order them by the
-        // trace sequence so "oldest first" holds for readers.
+        // Slow spans arrive from racing connections; order them by
+        // sequence number so "oldest first" holds for readers.
         let mut slow = self.slow_ops.recent(SLOW_OPS_REPORTED);
         slow.sort_by_key(|s| s.seq);
         for span in slow {
@@ -211,89 +201,49 @@ impl Server {
         self.metrics_listener.as_ref().map(|(_, addr)| *addr)
     }
 
-    /// Serve until shutdown, then drain and join every worker. Returns
-    /// the final [`Backend::exposition`].
+    /// Serve until shutdown, then drain every connection. Returns the
+    /// final [`Backend::exposition`].
     pub fn run(self) -> io::Result<String> {
-        // Non-blocking accept so the loop can observe the shutdown flag
-        // promptly; the listener has no other wake-up mechanism without
-        // an async reactor.
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx) =
-            std::sync::mpsc::sync_channel::<TcpStream>(self.config.max_pending_connections.max(1));
-        let rx = Arc::new(parking_lot::Mutex::new(rx));
-
+        let shutdown = &self.backend.shutdown;
+        let mut wake = vec![reachable(self.local_addr)];
         let scraper = match self.metrics_listener {
-            Some((listener, _)) => {
+            Some((listener, addr)) => {
+                wake.push(reachable(addr));
                 let backend = Arc::clone(&self.backend);
-                let shutdown = Arc::clone(&self.backend.shutdown);
+                let shutdown = Arc::clone(shutdown);
                 Some(
                     std::thread::Builder::new()
                         .name("hpcd-metrics-http".to_string())
                         .spawn(move || {
-                            http::serve(listener, move || backend.exposition(), shutdown)
+                            http::serve(&listener, move || backend.exposition(), &shutdown)
                         })?,
                 )
             }
             None => None,
         };
 
-        let mut workers = Vec::with_capacity(self.config.workers.max(1));
-        for i in 0..self.config.workers.max(1) {
-            let ctx = WorkerCtx {
-                rx: Arc::clone(&rx),
-                backend: Arc::clone(&self.backend),
-                config: self.config.clone(),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("hpcd-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))?,
-            );
-        }
-
-        let shutdown = &self.backend.shutdown;
-        while !shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.backend.metrics.connection_accepted();
-                    let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-                    let _ = stream.set_nodelay(true);
-                    let mut pending = stream;
-                    // Backpressure: when the queue is full, keep the
-                    // connection and retry instead of accepting more.
-                    loop {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break; // drop the connection; we are exiting
-                        }
-                        match tx.try_send(pending) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(s)) => {
-                                pending = s;
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Closing the queue lets workers drain what was already
-        // accepted and then exit.
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        let workers = self.config.workers.max(1);
+        let ctx = Arc::new(ConnCtx {
+            backend: Arc::clone(&self.backend),
+            executing: Gate::new(workers),
+            wake,
+            config: self.config,
+        });
+        serve_each(
+            &self.listener,
+            workers + QUEUED_CONNECTIONS,
+            shutdown,
+            "hpcd-conn",
+            move |stream| {
+                ctx.backend.metrics.connection_accepted();
+                serve_connection(&ctx, &stream);
+                ctx.backend.metrics.connection_closed();
+            },
+        )?;
         if let Some(s) = scraper {
             let _ = s.join();
         }
-        // Workers are gone, so no session op can race the janitor's
+        // Connections are gone, so no session op can race the janitor's
         // teardown; open sessions die with the daemon (they were only
         // ever in its memory).
         self.backend.sessions.stop();
@@ -301,43 +251,172 @@ impl Server {
     }
 }
 
-struct WorkerCtx {
-    rx: Arc<parking_lot::Mutex<Receiver<TcpStream>>>,
-    backend: Arc<Backend>,
-    config: ServerConfig,
+/// An unspecified bind address (`0.0.0.0`, `[::]`) is reached through
+/// the loopback address of its family.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
-fn worker_loop(ctx: WorkerCtx) {
-    loop {
-        // Lock only to receive; serving happens with the queue free so
-        // other workers keep pulling connections.
-        let stream = {
-            let guard = ctx.rx.lock();
-            guard.recv()
-        };
-        match stream {
-            Ok(s) => {
-                serve_connection(&ctx, s);
-                ctx.backend.metrics.connection_closed();
-            }
-            Err(_) => return, // queue closed: shutdown drained
+/// A counting gate: at most `cap` [`Permit`]s are out at once.
+struct Gate {
+    slots: Mutex<Slots>,
+    freed: Condvar,
+    idle: Condvar,
+    cap: usize,
+}
+
+/// A gate's count, and who waits on it: a release signals a condvar
+/// only when someone waits there (signalling is a system call).
+#[derive(Default)]
+struct Slots {
+    held: usize,
+    waiting: usize,
+    watched: bool,
+}
+
+/// One slot of a [`Gate`], released on drop — by a panicking thread's
+/// unwind too.
+struct Permit(Arc<Gate>);
+
+impl Gate {
+    fn new(cap: usize) -> Arc<Gate> {
+        Arc::new(Gate {
+            slots: Mutex::default(),
+            freed: Condvar::new(),
+            idle: Condvar::new(),
+            cap: cap.max(1),
+        })
+    }
+
+    /// Take a slot, blocking while all `cap` are out.
+    fn acquire(self: &Arc<Gate>) -> Permit {
+        let mut slots = lock(&self.slots);
+        while slots.held >= self.cap {
+            slots.waiting += 1;
+            slots = self
+                .freed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+            slots.waiting -= 1;
+        }
+        slots.held += 1;
+        Permit(Arc::clone(self))
+    }
+
+    /// Block until every permit has been released.
+    fn wait_idle(&self) {
+        let mut slots = lock(&self.slots);
+        slots.watched = true;
+        while slots.held > 0 {
+            slots = self
+                .idle
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
+impl Drop for Permit {
+    fn drop(&mut self) {
+        let gate = &self.0;
+        let mut slots = lock(&gate.slots);
+        slots.held -= 1;
+        if slots.waiting > 0 {
+            gate.freed.notify_one();
+        }
+        if slots.held == 0 && slots.watched {
+            gate.idle.notify_all();
+        }
+    }
+}
+
+/// Accept on `listener` until `shutdown` is set, handing each
+/// connection to `handle` on its own thread, with at most `cap` open at
+/// once. Then shut the read side of every open connection and wait for
+/// their threads to finish. Someone must connect once after setting
+/// `shutdown`, so the blocked `accept` returns.
+pub(crate) fn serve_each(
+    listener: &TcpListener,
+    cap: usize,
+    shutdown: &AtomicBool,
+    name: &str,
+    handle: impl Fn(TcpStream) + Send + Sync + 'static,
+) -> io::Result<()> {
+    let open = Gate::new(cap);
+    // A second handle on each open connection, for the sweep below.
+    let live = Arc::new(Mutex::new(HashMap::<u64, TcpStream>::new()));
+    let handle = Arc::new(handle);
+    let mut result = Ok(());
+    for id in 0u64.. {
+        let permit = open.acquire();
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                result = Err(e);
+                break;
+            }
+        };
+        if shutdown.load(Ordering::SeqCst) {
+            break; // the wake-up connection, or one that lost the race
+        }
+        // Registered before the spawn, so the sweep cannot miss it.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        lock(&live).insert(id, clone);
+        let (live_, handle) = (Arc::clone(&live), Arc::clone(&handle));
+        let spawned = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                let _permit = permit;
+                handle(stream);
+                lock(&live_).remove(&id);
+            });
+        if spawned.is_err() {
+            lock(&live).remove(&id);
+        }
+    }
+    for stream in lock(&live).values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    open.wait_idle();
+    result
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a connection thread serves with.
+struct ConnCtx {
+    backend: Arc<Backend>,
+    /// Bounds the requests executing at once (`workers`).
+    executing: Arc<Gate>,
+    /// The listeners to connect to once after answering `Shutdown`.
+    wake: Vec<SocketAddr>,
+    config: ServerConfig,
+}
+
 /// Serve one connection until EOF, error, timeout, or drain.
-fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
+fn serve_connection(ctx: &ConnCtx, stream: &TcpStream) {
     let metrics = &ctx.backend.metrics;
+    let _ = stream.set_read_timeout(Some(ctx.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(ctx.config.write_timeout));
+    let _ = stream.set_nodelay(true);
     // Frames are read through one buffer for the connection's life, so
     // a request and its header arrive in one `read`.
-    let mut reader = BufReader::with_capacity(READ_BUFFER, &stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
     loop {
+        // Once draining, answer what is already on the wire (the sweep
+        // turns an empty socket into EOF), but take on no more.
         let draining = ctx.backend.shutdown.load(Ordering::SeqCst);
-        if draining {
-            // One short grace read: answer a request already on the
-            // wire, but do not wait for new work.
-            let _ = stream.set_read_timeout(Some(ctx.config.drain_timeout));
-        }
         match read_frame(&mut reader, ctx.config.max_frame) {
             Ok(None) => return, // clean EOF
             Ok(Some(frame)) => {
@@ -346,17 +425,14 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
                         got: frame.version,
                         supported: PROTOCOL_VERSION,
                     });
-                    let _ = send(&stream, &resp);
+                    let _ = send(stream, &resp);
                     return;
                 }
                 let start = Instant::now();
                 // Open the thread-local trace so the store can deposit
                 // facts (shard, cache outcome, WAL-ack wait) into the
                 // span this request is building.
-                let tracing = ctx.config.trace_capacity > 0;
-                if tracing {
-                    trace::begin();
-                }
+                trace::begin();
                 let payload_bytes = frame.payload.len() as u64;
                 let mut malformed = false;
                 let unknown_caps = frame.flags & !caps::SUPPORTED;
@@ -388,6 +464,7 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
                                     }),
                                 )
                             } else {
+                                let _permit = ctx.executing.acquire();
                                 (op, ctx.backend.execute(&req))
                             }
                         }
@@ -399,26 +476,28 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
                     }
                 };
                 let is_error = matches!(resp, Response::Error(_));
-                let sent = send(&stream, &resp);
+                let sent = send(stream, &resp);
                 let elapsed = start.elapsed();
                 metrics.record_request(op, elapsed, is_error);
-                if tracing {
-                    record_span(ctx, op, payload_bytes, is_error, elapsed);
-                }
-                if sent.is_err() || matches!(resp, Response::ShuttingDown) {
+                record_span(ctx, op, payload_bytes, is_error, elapsed);
+                if matches!(resp, Response::ShuttingDown) {
+                    // Unblock every accept loop so it sees the flag.
+                    for addr in &ctx.wake {
+                        let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+                    }
                     return;
                 }
                 // Request-level errors keep the connection; stream-level
                 // ones (undecodable payload) already poisoned the byte
                 // stream, so close.
-                if malformed || draining {
+                if sent.is_err() || malformed || draining {
                     return;
                 }
             }
             Err(RecvError::Frame(FrameError::Oversized { len, max })) => {
                 metrics.rejected_oversized();
                 let resp = Response::Error(WireError::Oversized { len, max });
-                let _ = send(&stream, &resp);
+                let _ = send(stream, &resp);
                 return;
             }
             Err(RecvError::Frame(e)) => {
@@ -426,7 +505,7 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
                 let resp = Response::Error(WireError::Malformed {
                     detail: e.to_string(),
                 });
-                let _ = send(&stream, &resp);
+                let _ = send(stream, &resp);
                 return;
             }
             Err(e) if e.is_timeout() => {
@@ -440,21 +519,11 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) {
     }
 }
 
-/// Close the request's trace, push its span into the ring, and — when
-/// it crossed the slow-op threshold — log a line and retain the span
-/// where fast requests cannot evict it.
-fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Duration) {
+/// Close the request's trace and, when it crossed the slow-op
+/// threshold, log a line and retain its span for the exposition.
+fn record_span(ctx: &ConnCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Duration) {
     let notes = trace::take();
-    let total_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-    let seq = ctx.backend.trace.push(SpanBody {
-        op: op.name(),
-        bytes,
-        shard: notes.shard,
-        cache_hit: notes.cache_hit,
-        wal_ack_us: notes.wal_ack_us,
-        total_us,
-        error,
-    });
+    let seq = ctx.backend.next_seq.fetch_add(1, Ordering::Relaxed);
     if elapsed >= ctx.config.slow_op_threshold {
         let span = Span {
             seq,
@@ -463,7 +532,7 @@ fn record_span(ctx: &WorkerCtx, op: OpSlot, bytes: u64, error: bool, elapsed: Du
             shard: notes.shard,
             cache_hit: notes.cache_hit,
             wal_ack_us: notes.wal_ack_us,
-            total_us,
+            total_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
             error,
         };
         eprintln!("hpcd-sim: slow-op {span}");
@@ -702,5 +771,60 @@ fn wire_error(e: StoreError) -> WireError {
         StoreError::EmptyStore => WireError::EmptyStore,
         StoreError::UnknownVariable(name) => WireError::UnknownVariable { name },
         StoreError::Persist { message } => WireError::NotDurable { detail: message },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_gate_blocks_at_its_cap_and_every_dropped_permit_frees_a_slot() {
+        let gate = Gate::new(2);
+        let first = gate.acquire();
+        let second = gate.acquire();
+
+        // A third acquire blocks until a permit goes.
+        let (tx, rx) = mpsc::channel();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let permit = gate.acquire();
+                tx.send(()).unwrap();
+                permit
+            })
+        };
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        drop(first);
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("a dropped permit frees its slot");
+        let third = waiter.join().unwrap();
+
+        // A permit dropped by a panicking thread's unwind frees its slot.
+        let panicked = std::thread::spawn(move || {
+            let _held = second;
+            panic!("handler failed");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let fourth = gate.acquire();
+
+        // wait_idle returns only once the count is back to zero.
+        let (tx, rx) = mpsc::channel();
+        let idler = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.wait_idle();
+                tx.send(()).unwrap();
+            })
+        };
+        drop(third);
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        drop(fourth);
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("wait_idle returns at zero");
+        idler.join().unwrap();
+        gate.wait_idle();
     }
 }

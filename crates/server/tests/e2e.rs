@@ -20,7 +20,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small deterministic profile; `rounds` varies the content hash.
 fn profile(rounds: usize) -> NumaProfile {
@@ -183,14 +183,57 @@ fn shutdown_answers_the_in_flight_request_then_drains() {
 
     // The shutdown request itself is "in flight" when the flag flips:
     // it must still be answered (that is the drain contract).
+    // Client a is idle when the flag flips: the drain must not wait out
+    // its read timeout.
+    let stopping = Instant::now();
     b.shutdown().expect("shutdown answered");
     let last = server.join().expect("server thread").expect("run ok");
+    let drained = stopping.elapsed();
+    assert!(drained < Duration::from_secs(1), "drain took {drained:?}");
     let last = parse_exposition(&last).expect("final exposition parses");
     assert_eq!(last["numa_store_profiles"], 1);
 
     // After drain the daemon is gone: new exchanges fail.
     let err = a.ping();
     assert!(err.is_err(), "daemon must be down, got {err:?}");
+}
+
+#[test]
+fn idle_and_trickling_peers_cannot_starve_a_fresh_client() {
+    let (addr, server) = spawn_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+
+    // 63 peers that send nothing and 2 that stop half-way through a
+    // frame. With the fresh client below they fill the connection cap
+    // (workers + 64) exactly; each sits in a read for the default 10 s
+    // timeout, holding its own thread but no execution permit.
+    let idle: Vec<TcpStream> = (0..63)
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
+        .collect();
+    let ping = encode_frame(PROTOCOL_VERSION, &encode_request(&Request::Ping)).expect("encode");
+    let trickling: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).expect("trickling connect");
+            s.write_all(&ping[..ping.len() / 2]).expect("half a frame");
+            s
+        })
+        .collect();
+
+    let asked = Instant::now();
+    let mut c = Client::connect_with_timeout(addr, Duration::from_secs(2)).expect("connect");
+    c.ping().expect("ping answered past the idle peers");
+    let waited = asked.elapsed();
+    assert!(waited < Duration::from_secs(1), "ping took {waited:?}");
+
+    // Shutdown does not wait out the quiet peers' read timeouts either.
+    let stopping = Instant::now();
+    c.shutdown().expect("shutdown");
+    server.join().expect("join").expect("run ok");
+    let drained = stopping.elapsed();
+    assert!(drained < Duration::from_secs(1), "drain took {drained:?}");
+    drop((idle, trickling));
 }
 
 #[test]

@@ -290,34 +290,11 @@ impl Program {
         }
     }
 
-    /// Per-thread instruction counts (ground truth for `lpi_NUMA`'s
-    /// denominator via hardware counters, Eq. 3).
-    pub fn per_thread_instructions(&self) -> Vec<u64> {
-        self.threads.iter().map(|t| t.instructions).collect()
-    }
-
-    /// The function-name registry (needed to render call paths postmortem).
-    pub fn func_registry(&self) -> &FuncRegistry {
-        &self.env.funcs
-    }
-
     /// Tear the program down, keeping only the function-name registry.
     /// Dropping the program here also drops its clone of the monitor `Rc`,
     /// so a profiler held behind `Rc` becomes uniquely owned again.
     pub fn into_func_registry(self) -> FuncRegistry {
         self.env.funcs
-    }
-
-    /// Approximate resident bytes of simulator structures (cache tag arrays,
-    /// page map) — distinct from the *profiler's* footprint, which the paper
-    /// bounds at 40 MB.
-    pub fn simulator_footprint_bytes(&self) -> usize {
-        self.threads
-            .iter()
-            .map(|t| t.l1.footprint_bytes() + t.l2.footprint_bytes())
-            .sum::<usize>()
-            + self.env.l3.footprint_bytes()
-            + self.env.machine.page_map().footprint_bytes()
     }
 }
 

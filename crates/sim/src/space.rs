@@ -45,11 +45,6 @@ impl AddressSpace {
         self.next = base + bytes;
         base
     }
-
-    /// Total address space consumed so far.
-    pub fn used_bytes(&self) -> u64 {
-        self.next - SPACE_BASE
-    }
 }
 
 #[cfg(test)]

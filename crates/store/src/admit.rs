@@ -245,7 +245,7 @@ impl ProfileStore {
 
     /// Ingest a batch of `(label, codec bytes)` inputs. Decoding and
     /// content hashing — the expensive part — run in parallel under rayon
-    /// (the active thread pool; see `ThreadPool::install`); insertion is
+    /// (one chunk per CPU); insertion is
     /// a short sequential tail of per-shard lock grabs. On durable stores
     /// the whole batch is enqueued to the persister at once and waits
     /// for a single group commit. Bad inputs are reported, not fatal.

@@ -642,7 +642,9 @@ proptest! {
         ops in prop::collection::vec(0u8..7, 6..14),
     ) {
         static POOL: OnceLock<Vec<NumaProfile>> = OnceLock::new();
-        let pool = POOL.get_or_init(|| (0..14).map(|k| profile(1 + k % 3)).collect());
+        // Distinct content per entry: a profiled run is a pure function
+        // of its inputs, so equal round counts would dedup.
+        let pool = POOL.get_or_init(|| (1..=14).map(profile).collect());
         let dir = scratch("fold-prop");
         // About two records: folds trigger inside the sequence.
         let opts = || PersistOptions {

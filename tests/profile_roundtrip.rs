@@ -20,6 +20,18 @@ fn profile(mechanism: MechanismKind) -> NumaProfile {
 }
 
 #[test]
+fn a_profiled_run_is_a_pure_function_of_its_inputs() {
+    // Every sampling counter is seeded by its thread and slot, not by how
+    // many counters the process built before it: a second run in the
+    // same process writes the same bytes as the first.
+    for mechanism in MechanismKind::ALL {
+        let first = encode_profile(&profile(mechanism));
+        let second = encode_profile(&profile(mechanism));
+        assert!(first == second, "{mechanism:?}: the rerun differs");
+    }
+}
+
+#[test]
 fn round_trip_is_byte_identical() {
     for mechanism in [
         MechanismKind::Ibs,
