@@ -273,6 +273,13 @@ impl PageMap {
             .sum()
     }
 
+    /// The epoch (see the module doc): equal readings bracket a span in
+    /// which no cached answer went stale.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch.get()
+    }
+
     fn bump_epoch(&self) {
         self.epoch.set(self.epoch.get() + 1);
     }

@@ -426,6 +426,20 @@ fn request_level_errors_keep_the_connection_usable() {
     server.join().expect("join").expect("run ok");
 }
 
+/// Wait for the daemon to drop `peer`: read until its EOF. The 5 s read
+/// timeout turns a daemon that never drops the peer into a failure, not a
+/// hang; anything but a clean EOF fails too.
+fn await_drop(mut peer: TcpStream) {
+    peer.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    let mut buf = [0u8; 64];
+    match std::io::Read::read(&mut peer, &mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("the daemon sent {n} bytes instead of dropping the peer"),
+        Err(e) => panic!("the daemon did not drop the peer within 5 s: {e}"),
+    }
+}
+
 #[test]
 fn idle_connections_time_out_without_killing_the_daemon() {
     let (addr, server) = spawn_server(ServerConfig {
@@ -436,13 +450,12 @@ fn idle_connections_time_out_without_killing_the_daemon() {
     // Open a connection and send nothing; the daemon drops it after
     // the read timeout and counts it.
     let idle = TcpStream::connect(addr).expect("connect idle");
-    std::thread::sleep(Duration::from_millis(400));
+    await_drop(idle);
 
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after idle drop");
     let stats = scrape(&mut c);
     assert!(stats["numa_server_timeouts_total"] >= 1, "{stats:?}");
-    drop(idle);
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");

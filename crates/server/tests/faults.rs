@@ -92,6 +92,20 @@ fn mid_frame_disconnects_leave_the_daemon_serving() {
     server.join().expect("join").expect("run ok");
 }
 
+/// Wait for the daemon to drop `peer`: read until its EOF. The 5 s read
+/// timeout turns a daemon that never drops the peer into a failure, not a
+/// hang; anything but a clean EOF fails too.
+fn await_drop(mut peer: TcpStream) {
+    peer.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    let mut buf = [0u8; 64];
+    match std::io::Read::read(&mut peer, &mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("the daemon sent {n} bytes instead of dropping the peer"),
+        Err(e) => panic!("the daemon did not drop the peer within 5 s: {e}"),
+    }
+}
+
 #[test]
 fn stalled_mid_frame_reads_time_out_and_are_counted() {
     let (addr, server) = spawn_server(ServerConfig {
@@ -107,13 +121,12 @@ fn stalled_mid_frame_reads_time_out_and_are_counted() {
     stalled
         .write_all(&frame[..frame.len() / 2])
         .expect("send half frame");
-    std::thread::sleep(Duration::from_millis(400));
+    await_drop(stalled);
 
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after stalled peer");
     let stats = parse_exposition(&c.metrics().expect("metrics")).expect("exposition");
     assert!(stats["numa_server_timeouts_total"] >= 1, "{stats:?}");
-    drop(stalled);
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");

@@ -12,7 +12,23 @@ pub const LINE_SIZE: u64 = 64;
 /// log2 of [`LINE_SIZE`].
 pub const LINE_SHIFT: u32 = 6;
 
-const INVALID: u64 = u64::MAX;
+/// The tag of an empty way. No line reaches it: [`line_of`] keeps line
+/// numbers below it.
+pub(crate) const INVALID: u32 = u32::MAX;
+
+/// Line number of `addr` (`addr >> LINE_SHIFT`) as the caches store it.
+/// The address space hands out only addresses whose lines fit
+/// (`AddressSpace::allocate` asserts it), so this holds for every address
+/// a simulated program can reach.
+#[inline]
+pub(crate) fn line_of(addr: u64) -> u32 {
+    let line = addr >> LINE_SHIFT;
+    assert!(
+        line < INVALID as u64,
+        "address {addr:#x} is beyond the cache model's 32-bit line numbers"
+    );
+    line as u32
+}
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -55,98 +71,145 @@ impl CacheConfig {
     }
 }
 
-/// A tags-only set-associative cache with true-LRU replacement.
-pub struct Cache {
-    sets: usize,
-    assoc: usize,
-    /// `sets × assoc` line numbers (`addr >> LINE_SHIFT`), row per set.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+/// Host cache line: rows of 2, 4, 8 or 16 ways never straddle two.
+const HOST_LINE: usize = 64;
+
+/// `len` copies of `fill` starting at index `first` of the returned
+/// vector, which is the first element on a host cache line boundary; the
+/// elements before it are padding.
+pub(crate) fn host_aligned<T: Clone>(fill: T, len: usize) -> (Vec<T>, usize) {
+    let size = std::mem::size_of::<T>();
+    let v = vec![fill; HOST_LINE / size + len];
+    let first = (HOST_LINE - v.as_ptr() as usize % HOST_LINE) % HOST_LINE / size;
+    (v, first)
 }
 
-impl Cache {
+/// Ways per set a recency word can order: one nibble each in a `u64`.
+const MAX_WAYS: usize = 16;
+
+/// `1` in every nibble.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The low `n` nibbles (`1 <= n <= 16`).
+#[inline]
+fn low_nibbles(n: usize) -> u64 {
+    u64::MAX >> (64 - 4 * n)
+}
+
+/// What [`Cache::lookup`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Lookup {
+    Hit,
+    /// The line was filled into the way that held `evicted` ([`INVALID`]
+    /// if the way was empty).
+    Miss {
+        evicted: u32,
+    },
+}
+
+/// A tags-only `WAYS`-way set-associative cache with true-LRU replacement.
+///
+/// Each set is a row of `u32` line numbers, one per way, plus a *recency
+/// word*: the way numbers from most to least recently used, a nibble each
+/// (nibble 0 is the most recently used way). A hit moves its way to nibble
+/// 0 and writes nothing else; a miss fills the way in the last nibble and
+/// moves it to nibble 0. A fresh word lists the ways in descending order,
+/// and an empty way is never hit, so empty ways fill in way order before
+/// anything is evicted, and after that the least recently used way goes —
+/// the way a per-way timestamp model picks (`tests/cache_model.rs` checks
+/// the two against each other).
+pub struct Cache<const WAYS: usize> {
+    set_mask: usize,
+    /// Row of set `s` is `tags[first + s * WAYS..][..WAYS]`; the entries
+    /// before `first` only align the rows to host cache lines.
+    tags: Vec<u32>,
+    first: usize,
+    /// One recency word per set.
+    order: Vec<u64>,
+}
+
+impl<const WAYS: usize> Cache<WAYS> {
     pub fn new(config: CacheConfig) -> Self {
+        assert_eq!(config.associativity, WAYS, "associativity of the config");
+        assert!(
+            WAYS <= MAX_WAYS,
+            "a recency word orders at most {MAX_WAYS} ways"
+        );
         let sets = config.sets();
-        let assoc = config.associativity;
+        let (tags, first) = host_aligned(INVALID, sets * WAYS);
+        let fresh = (0..WAYS).fold(0, |word, pos| word | ((WAYS - 1 - pos) as u64) << (4 * pos));
         Cache {
-            sets,
-            assoc,
-            tags: vec![INVALID; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            set_mask: sets - 1,
+            tags,
+            first,
+            order: vec![fresh; sets],
         }
     }
 
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line as usize) & (self.sets - 1)
+    pub(crate) fn set_of(&self, line: u32) -> usize {
+        line as usize & self.set_mask
+    }
+
+    /// The lines of one set, in way order.
+    #[inline]
+    pub(crate) fn row(&self, set: usize) -> &[u32; WAYS] {
+        let start = self.first + set * WAYS;
+        self.tags[start..start + WAYS]
+            .try_into()
+            .expect("a row is WAYS long")
+    }
+
+    /// Look `line` up, updating the LRU order and filling it on a miss.
+    #[inline]
+    pub(crate) fn lookup(&mut self, line: u32) -> Lookup {
+        let set = self.set_of(line);
+        let start = self.first + set * WAYS;
+        let row: &mut [u32; WAYS] = (&mut self.tags[start..start + WAYS])
+            .try_into()
+            .expect("a row is WAYS long");
+        let order = &mut self.order[set];
+        // Compare every way without an early exit: a loop whose trip
+        // count depends on where the line sits defeats branch prediction.
+        let matches = row
+            .iter()
+            .enumerate()
+            .fold(0u32, |mask, (w, &t)| mask | ((t == line) as u32) << w);
+        if matches != 0 {
+            // The way's nibble is the lowest zero nibble of the word XOR
+            // the way in every nibble (each way is listed once, so the
+            // lowest is exact); shift the nibbles below it up by one and
+            // put the way in nibble 0.
+            let way = matches.trailing_zeros() as u64;
+            let x = *order ^ (way * NIBBLE_ONES);
+            let zeros = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+            let below = low_nibbles(zeros.trailing_zeros() as usize / 4 + 1);
+            *order = (*order & !below) | (*order << 4 & below) | way;
+            Lookup::Hit
+        } else {
+            let victim = (*order >> (4 * (WAYS - 1))) as usize & 0xF;
+            let evicted = std::mem::replace(&mut row[victim], line);
+            *order = (*order << 4 & low_nibbles(WAYS)) | victim as u64;
+            Lookup::Miss { evicted }
+        }
     }
 
     /// Look up the line holding `addr`, updating LRU state and inserting it
     /// on a miss. Returns true on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> LINE_SHIFT;
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        self.tick += 1;
-        let ways = &mut self.tags[base..base + self.assoc];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        // Evict the LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            let idx = base + w;
-            if self.tags[idx] == INVALID {
-                victim = w;
-                break;
-            }
-            if self.stamps[idx] < oldest {
-                oldest = self.stamps[idx];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
+        self.lookup(line_of(addr)) == Lookup::Hit
+    }
+
+    /// Is `line` resident? No LRU update, no fill.
+    #[inline]
+    pub(crate) fn holds(&self, line: u32) -> bool {
+        self.row(self.set_of(line)).contains(&line)
     }
 
     /// Non-destructive presence check (no LRU update, no fill).
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> LINE_SHIFT;
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        self.tags[base..base + self.assoc].contains(&line)
-    }
-
-    /// Drop all lines (e.g. between experiment phases).
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Approximate resident size of the simulator structure itself.
-    pub fn footprint_bytes(&self) -> usize {
-        self.tags.len() * 16
+        self.holds(line_of(addr))
     }
 }
 
@@ -154,7 +217,7 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn tiny() -> Cache {
+    fn tiny() -> Cache<2> {
         // 8 lines, 2-way → 4 sets.
         Cache::new(CacheConfig::new(8 * LINE_SIZE, 2))
     }
@@ -167,9 +230,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "associativity")]
+    fn config_must_match_the_way_count() {
+        Cache::<8>::new(CacheConfig::new(32 * LINE_SIZE, 4));
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         CacheConfig::new(3 * LINE_SIZE, 1);
+    }
+
+    #[test]
+    fn rows_do_not_straddle_host_lines() {
+        let c = Cache::<16>::new(CacheConfig::l3());
+        assert_eq!(c.row(0).as_ptr() as usize % HOST_LINE, 0);
+        let c = Cache::<8>::new(CacheConfig::l1d());
+        assert_eq!(c.row(1).as_ptr() as usize % HOST_LINE, 32);
     }
 
     #[test]
@@ -178,8 +255,25 @@ mod tests {
         assert!(!c.access(0x1000));
         assert!(c.access(0x1000));
         assert!(c.access(0x1010)); // same line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "recency word")]
+    fn more_ways_than_a_recency_word_orders_rejected() {
+        Cache::<32>::new(CacheConfig::new(32 * LINE_SIZE, 32));
+    }
+
+    #[test]
+    fn empty_ways_fill_in_way_order_then_lru() {
+        let mut c = Cache::<4>::new(CacheConfig::new(4 * LINE_SIZE, 4)); // one set
+        for line in 0..3 {
+            assert_eq!(c.lookup(line), Lookup::Miss { evicted: INVALID });
+        }
+        assert_eq!(c.row(0), &[0, 1, 2, INVALID]);
+        assert_eq!(c.lookup(0), Lookup::Hit); // 1 is now the least recent
+        assert_eq!(c.lookup(3), Lookup::Miss { evicted: INVALID });
+        assert_eq!(c.lookup(4), Lookup::Miss { evicted: 1 });
+        assert_eq!(c.row(0), &[0, 4, 2, 3]);
     }
 
     #[test]
@@ -205,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_empties_cache() {
-        let mut c = tiny();
-        c.access(0x80);
-        c.flush();
-        assert!(!c.probe(0x80));
-    }
-
-    #[test]
     fn distinct_sets_do_not_conflict() {
         let mut c = tiny();
         // 4 sets × 2 ways: 8 distinct lines in distinct (set,way) slots all fit.
@@ -227,15 +313,12 @@ mod tests {
     #[test]
     fn working_set_larger_than_cache_thrashes() {
         let mut c = tiny();
-        for round in 0..3 {
+        // 64 lines cycling through an 8-line cache with LRU: every access
+        // misses.
+        for _ in 0..3 {
             for line in 0..64u64 {
-                let hit = c.access(line * LINE_SIZE);
-                if round == 0 {
-                    assert!(!hit);
-                }
+                assert!(!c.access(line * LINE_SIZE), "line {line} hit");
             }
         }
-        // 64 lines cycling through 8-line cache with LRU: every access misses.
-        assert_eq!(c.hits(), 0);
     }
 }

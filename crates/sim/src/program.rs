@@ -216,10 +216,8 @@ impl Program {
         let mut active_threads = 0u64;
         for t in &self.threads {
             // Only threads that made at least one DRAM access this region
-            // count as active (concurrent) demand: `region_dram_stalls` is
-            // sized at a thread's first DRAM access and cleared at every
-            // join.
-            if t.region_dram_stalls.is_empty() {
+            // count as active (concurrent) demand.
+            if !t.region_dram {
                 continue;
             }
             active_threads += 1;
@@ -250,7 +248,8 @@ impl Program {
             }
         }
         for t in &mut self.threads {
-            t.region_dram_stalls.clear();
+            t.region_dram_stalls.fill(0);
+            t.region_dram = false;
         }
     }
 

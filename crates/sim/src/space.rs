@@ -5,6 +5,7 @@
 //! (real HPCToolkit must version reused ranges; simulation lets us sidestep
 //! that without changing what the profiler computes).
 
+use crate::cache::LINE_SHIFT;
 use numa_machine::PAGE_SIZE;
 
 /// Base of the simulated address space (arbitrary, nonzero so that 0 stays
@@ -43,6 +44,11 @@ impl AddressSpace {
         };
         let base = self.next.next_multiple_of(align);
         self.next = base + bytes;
+        // The cache model stores 32-bit line numbers, all ones meaning "empty".
+        assert!(
+            (self.next - 1) >> LINE_SHIFT < u32::MAX as u64,
+            "address space exhausted: {bytes} bytes at {base:#x} end beyond 32-bit line numbers"
+        );
         base
     }
 }
@@ -67,6 +73,13 @@ mod tests {
         assert_eq!(a % MIN_ALIGN, 0);
         assert_eq!(b % MIN_ALIGN, 0);
         assert!(b >= a + 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "address space exhausted")]
+    fn addresses_beyond_32_bit_lines_are_refused() {
+        let mut s = AddressSpace::new();
+        s.allocate((u32::MAX as u64) << LINE_SHIFT);
     }
 
     #[test]

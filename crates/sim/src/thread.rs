@@ -8,7 +8,7 @@
 //! virtual thread is pinned to one hardware thread, as the paper's
 //! experiments pin software threads to cores.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, LINE_SHIFT, LINE_SIZE};
 use crate::event::{AllocInfo, MemoryEvent, PageFaultEvent, VarKind};
 use crate::func::{Frame, FrameKind, FuncId};
 use crate::monitor::SampleGate;
@@ -34,8 +34,8 @@ pub struct ThreadState {
     pub(crate) monitor_cycles: u64,
     pub(crate) instructions: u64,
     pub(crate) mem_accesses: u64,
-    pub(crate) l1: Cache,
-    pub(crate) l2: Cache,
+    pub(crate) l1: Cache<8>,
+    pub(crate) l2: Cache<8>,
     pub(crate) stack: Vec<Frame>,
     /// `exit_frame` calls that found an empty stack (a malformed
     /// replayed program); each is a counted no-op, never a panic.
@@ -45,10 +45,19 @@ pub struct ThreadState {
     /// domain — the basis for the fork-join contention charge applied at
     /// the region join (see `Program::join_region`).
     pub(crate) region_dram_stalls: Vec<u64>,
+    /// The thread made a DRAM access in the current region.
+    pub(crate) region_dram: bool,
     /// DRAM requests per home domain over the whole run, summed into
     /// [`ProgramStats::dram_requests`](crate::ProgramStats::dram_requests).
     pub(crate) dram_requests: Vec<u64>,
     tlb: PageTlb,
+    /// The line of this thread's previous access, the page-map epoch read
+    /// as it began and its page's home domain (see [`ThreadCtx::access`]).
+    last_line: u64,
+    last_epoch: u64,
+    last_home: DomainId,
+    /// Domains of the machine: the stride of `latencies`.
+    domains: usize,
     /// `(latency, stall)` of an access served at a level by a domain, see
     /// [`latency_table`].
     latencies: Vec<(u32, u64)>,
@@ -70,6 +79,7 @@ impl ThreadState {
         machine: &Machine,
         gate: SampleGate,
     ) -> Self {
+        let domains = machine.topology().domains();
         ThreadState {
             tid,
             cpu,
@@ -83,9 +93,14 @@ impl ThreadState {
             stack: Vec::with_capacity(32),
             stack_underflows: 0,
             line: 0,
-            region_dram_stalls: Vec::new(),
-            dram_requests: vec![0; machine.topology().domains()],
+            region_dram_stalls: vec![0; domains],
+            region_dram: false,
+            dram_requests: vec![0; domains],
             tlb: PageTlb::default(),
+            last_line: u64::MAX,
+            last_epoch: 0,
+            last_home: domain,
+            domains,
             latencies: latency_table(machine, domain),
             gate,
             unseen_instructions: 0,
@@ -313,65 +328,53 @@ impl<'a> ThreadCtx<'a> {
         self.access(addr, size, true);
     }
 
+    /// One access. If it touches the line of this thread's previous access
+    /// and the page map's epoch has not moved since that one began, its
+    /// outcome is known without the page TLB or the hierarchy walk: the
+    /// page is bound and unprotected (the previous access saw to that and
+    /// nothing has re-protected it), and the line is the most recently used
+    /// way of its L1 set (nothing but this thread touches its L1), so it
+    /// hits there and the LRU order stays as it is.
+    #[inline]
     fn access(&mut self, addr: u64, size: u32, is_store: bool) {
         let st = &mut *self.state;
         st.instructions += 1;
         st.mem_accesses += 1;
         st.clock += 1; // issue slot
 
-        let machine = &self.env.machine;
-        let q = st.tlb.touch(machine.page_map(), addr, st.domain);
-
-        // First-touch trap (simulated SIGSEGV): delivered before the access
-        // completes, exactly once per protected page (§6).
-        if q.fault.is_some() {
-            let fault = PageFaultEvent {
-                tid: st.tid,
-                cpu: st.cpu,
-                thread_domain: st.domain,
-                addr,
-                is_store,
-                line: st.line,
+        let line = addr >> LINE_SHIFT;
+        let map = self.env.machine.page_map();
+        let epoch = map.epoch();
+        let (level, serving, home, first_touch_page) =
+            if line == st.last_line && epoch == st.last_epoch {
+                (AccessLevel::L1, st.domain, st.last_home, false)
+            } else {
+                let q = st.tlb.touch(map, addr, st.domain);
+                // The epoch read before the page lookup, not after a trap:
+                // a trap handler that re-protects must send the next access
+                // down this path.
+                st.last_line = line;
+                st.last_epoch = epoch;
+                st.last_home = q.domain;
+                if q.fault.is_some() {
+                    self.deliver_trap(addr, is_store);
+                }
+                let st = &mut *self.state;
+                let (level, serving) = if st.l1.access(addr) {
+                    (AccessLevel::L1, st.domain)
+                } else {
+                    self.miss(addr, q.domain)
+                };
+                (level, serving, q.domain, q.bound_now)
             };
-            st.clock += FAULT_DELIVERY_COST;
-            st.monitor_cycles += FAULT_DELIVERY_COST;
-            let oh = self.env.monitor.on_page_fault(&fault, &st.stack);
-            st.clock += oh;
-            st.monitor_cycles += oh;
-        }
-
-        let home = q.domain;
-        // Walk the hierarchy. `access` fills on miss, so after the walk the
-        // line is resident in L1/L2 (and local L3 if it got that far) —
-        // allocate-on-miss at every level.
-        let (level, serving) = if st.l1.access(addr) {
-            (AccessLevel::L1, st.domain)
-        } else if st.l2.access(addr) {
-            (AccessLevel::L2, st.domain)
-        } else if self.env.l3.domain_mut(st.domain).access(addr) {
-            (AccessLevel::L3Local, st.domain)
-        } else if let Some(d) = remote_l3_holder(self.env, addr, st.domain, home) {
-            // Another domain's L3 holds the line (directory/probe-filter
-            // coherence): a cache-to-cache transfer beats DRAM.
-            (AccessLevel::L3Remote, d)
-        } else {
-            st.dram_requests[home.index()] += 1;
-            (numa_machine::latency::dram_level(st.domain, home), home)
-        };
 
         // Sampled (PMU-visible) latency is the *uncontended* latency;
         // queueing delay under contention is charged to the clock at the
         // region join, where the whole region's per-domain load is known
         // exactly.
-        let domains = machine.topology().domains();
-        let (latency, stall) = st.latencies[level as usize * domains + serving.index()];
+        let st = &mut *self.state;
+        let (latency, stall) = st.latencies[level as usize * st.domains + serving.index()];
         st.clock += stall;
-        if level.is_memory() {
-            if st.region_dram_stalls.len() <= home.index() {
-                st.region_dram_stalls.resize(domains, 0);
-            }
-            st.region_dram_stalls[home.index()] += stall;
-        }
 
         // Between samples the simulated PMU only counts.
         let ticks = st.gate.ticks(is_store, level, latency);
@@ -397,7 +400,7 @@ impl<'a> ThreadCtx<'a> {
             home_domain: home,
             latency,
             line: st.line,
-            first_touch_page: q.bound_now,
+            first_touch_page,
             clock: st.clock,
         };
         self.report_unseen();
@@ -405,41 +408,108 @@ impl<'a> ThreadCtx<'a> {
         self.delivered(oh);
     }
 
+    /// First-touch trap (simulated SIGSEGV): delivered before the access
+    /// completes, exactly once per protected page (§6).
+    #[cold]
+    fn deliver_trap(&mut self, addr: u64, is_store: bool) {
+        let st = &mut *self.state;
+        let fault = PageFaultEvent {
+            tid: st.tid,
+            cpu: st.cpu,
+            thread_domain: st.domain,
+            addr,
+            is_store,
+            line: st.line,
+        };
+        st.clock += FAULT_DELIVERY_COST;
+        st.monitor_cycles += FAULT_DELIVERY_COST;
+        let oh = self.env.monitor.on_page_fault(&fault, &st.stack);
+        st.clock += oh;
+        st.monitor_cycles += oh;
+    }
+
+    /// The rest of the hierarchy walk for an access that missed L1: where
+    /// it was served and by which domain. `access` fills on miss, so after
+    /// the walk the line is resident in L1/L2 (and local L3 if it got that
+    /// far) — allocate-on-miss at every level.
+    #[inline(never)]
+    fn miss(&mut self, addr: u64, home: DomainId) -> (AccessLevel, DomainId) {
+        let st = &mut *self.state;
+        if st.l2.access(addr) {
+            (AccessLevel::L2, st.domain)
+        } else if self.env.l3.access(st.domain, addr) {
+            (AccessLevel::L3Local, st.domain)
+        } else if let Some(d) = self.env.l3.remote_holder(addr, st.domain, home) {
+            // Another domain's L3 holds the line (directory/probe-filter
+            // coherence): a cache-to-cache transfer beats DRAM.
+            (AccessLevel::L3Remote, d)
+        } else {
+            let level = numa_machine::latency::dram_level(st.domain, home);
+            let (_, stall) = st.latencies[level as usize * st.domains + home.index()];
+            st.dram_requests[home.index()] += 1;
+            st.region_dram_stalls[home.index()] += stall;
+            st.region_dram = true;
+            (level, home)
+        }
+    }
+
     /// Convenience: load `count` consecutive elements of `elem_size` bytes
     /// starting at `base` (a unit-stride read sweep, one access per
     /// element).
     pub fn load_range(&mut self, base: u64, count: u64, elem_size: u32) {
-        for i in 0..count {
-            self.load(base + i * elem_size as u64, elem_size);
-        }
+        self.sweep(base, count, elem_size, false);
     }
 
     /// Convenience: store sweep, mirroring [`Self::load_range`].
     pub fn store_range(&mut self, base: u64, count: u64, elem_size: u32) {
-        for i in 0..count {
-            self.store(base + i * elem_size as u64, elem_size);
+        self.sweep(base, count, elem_size, true);
+    }
+
+    /// A sweep is one access per element, except that the elements after
+    /// the first of each line go in one step when the gate lets them all
+    /// pass unseen.
+    fn sweep(&mut self, base: u64, count: u64, elem_size: u32, is_store: bool) {
+        let elem = elem_size as u64;
+        let mut i = 0;
+        while i < count {
+            let addr = base + i * elem;
+            self.access(addr, elem_size, is_store);
+            i += 1;
+            let same_line = match elem {
+                0 => count - i,
+                _ => ((addr | (LINE_SIZE - 1)) - addr) / elem,
+            };
+            i += self.quiet_repeats(addr >> LINE_SHIFT, same_line.min(count - i), is_store);
         }
+    }
+
+    /// Retire up to `n` further accesses to `line` — the line this thread
+    /// just accessed — as [`Self::access`] would one by one, as long as
+    /// each is one that would take its same-line path and the gate would
+    /// retire unseen. Returns how many were retired.
+    fn quiet_repeats(&mut self, line: u64, n: u64, is_store: bool) -> u64 {
+        let st = &mut *self.state;
+        if n == 0 || line != st.last_line || self.env.machine.page_map().epoch() != st.last_epoch {
+            return 0;
+        }
+        let (latency, stall) =
+            st.latencies[AccessLevel::L1 as usize * st.domains + st.domain.index()];
+        let ticks = st.gate.ticks(is_store, AccessLevel::L1, latency);
+        let m = if ticks { n.min(st.gate.quiet) } else { n };
+        st.instructions += m;
+        st.mem_accesses += m;
+        st.clock += m * (1 + stall + st.gate.stub_cost);
+        st.monitor_cycles += m * st.gate.stub_cost;
+        st.unseen_instructions += m;
+        if ticks {
+            st.gate.quiet -= m;
+            st.unseen_ticks += m;
+        }
+        m
     }
 
     fn charge_overhead(&mut self, cycles: u64) {
         self.state.clock += cycles;
         self.state.monitor_cycles += cycles;
     }
-}
-
-/// Which remote domain's L3 (if any) holds `addr` — the home domain is
-/// probed first (its directory is the natural owner), then the rest.
-fn remote_l3_holder(
-    env: &SharedEnv,
-    addr: u64,
-    local: DomainId,
-    home: DomainId,
-) -> Option<DomainId> {
-    if home != local && env.l3.domain(home).probe(addr) {
-        return Some(home);
-    }
-    let domains = env.machine.topology().domains();
-    (0..domains)
-        .map(|d| DomainId(d as u8))
-        .find(|&d| d != local && d != home && env.l3.domain(d).probe(addr))
 }

@@ -129,14 +129,16 @@ fn the_profiler_is_called_only_when_a_sample_can_fire() {
     }
 }
 
-/// Thread 0 allocates and sweeps an 8-page array twice, the pages are
-/// protected again behind the profiler's back, then `second` sweeps it
-/// twice more. Returns the first touches recorded.
-fn reprotected_sweeps(granularity: FirstTouchGranularity, second: usize) -> usize {
+/// Thread 0 allocates and sweeps an 8-page array of `elem`-byte elements
+/// twice, the pages are protected again behind the profiler's back, then
+/// `second` stores to the last element — the line thread 0 touched last —
+/// and sweeps the array twice more. Returns the offsets into the array of
+/// the first touches recorded, in order.
+fn reprotected_sweeps(granularity: FirstTouchGranularity, second: usize, elem: u64) -> Vec<u64> {
     const BYTES: u64 = 8 * 4096;
     let sweeps = |ctx: &mut hpctoolkit_numa::sim::ThreadCtx<'_>, base: u64| {
         for _ in 0..2 {
-            ctx.store_range(base, BYTES / 64, 64);
+            ctx.store_range(base, BYTES / elem, elem as u32);
         }
     };
     let m = machine();
@@ -152,10 +154,12 @@ fn reprotected_sweeps(granularity: FirstTouchGranularity, second: usize) -> usiz
     assert_eq!(m.page_map().protect_extent(base, BYTES), 8);
     p.parallel("again", |tid, ctx| {
         if tid == second {
+            ctx.store(base + BYTES - elem, elem as u32);
             sweeps(ctx, base);
         }
     });
-    finish_profile(p, profiler).first_touches.len()
+    let touches = finish_profile(p, profiler).first_touches;
+    touches.iter().map(|t| t.addr - base).collect()
 }
 
 #[test]
@@ -164,8 +168,35 @@ fn reprotected_pages_trap_again_through_a_warm_tlb_exactly_as_through_a_cold_one
     // Thread 0's TLB holds all eight pages when they are re-protected;
     // thread 1's holds none.
     for (granularity, expected) in [(Page, 8 + 8), (Variable, 1 + 1)] {
-        assert_eq!(reprotected_sweeps(granularity, 0), expected, "warm");
-        assert_eq!(reprotected_sweeps(granularity, 1), expected, "cold");
+        assert_eq!(
+            reprotected_sweeps(granularity, 0, 64).len(),
+            expected,
+            "warm"
+        );
+        assert_eq!(
+            reprotected_sweeps(granularity, 1, 64).len(),
+            expected,
+            "cold"
+        );
+    }
+}
+
+/// With 8-byte elements consecutive accesses share a line, and the
+/// re-protection falls between two of them: thread 0's last store before
+/// it and its first after it hit the same line. The same-line path must
+/// not carry that access past the trap.
+#[test]
+fn reprotection_between_two_accesses_to_one_line_still_traps() {
+    use FirstTouchGranularity::{Page, Variable};
+    let last = 8 * 4096 - 8;
+    for (granularity, expected) in [(Page, 8 + 8), (Variable, 1 + 1)] {
+        for (second, tlb) in [(0, "warm"), (1, "cold")] {
+            let touches = reprotected_sweeps(granularity, second, 8);
+            assert_eq!(touches.len(), expected, "{tlb}");
+            // The first access after the re-protection is the one that
+            // traps, not a later one that reaches the page another way.
+            assert_eq!(touches[expected / 2], last, "{tlb}: {touches:?}");
+        }
     }
 }
 
