@@ -34,13 +34,12 @@ use numa_profiler::{
 };
 use numa_sampling::MechanismKind;
 use numa_sim::{FuncId, VarKind};
-use serde::Serialize;
 use std::sync::Arc;
 
 pub use numa_engine::ThreadRange;
 
 /// Whole-program derived metrics (§4).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ProgramAnalysis {
     pub mechanism: MechanismKind,
     /// Program-wide NUMA latency per instruction. Eq. 2 for mechanisms
@@ -80,7 +79,7 @@ impl ProgramAnalysis {
 }
 
 /// Merged (all-thread) view of one variable.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VarAnalysis {
     pub var: VarId,
     pub name: String,

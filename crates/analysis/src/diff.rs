@@ -8,12 +8,11 @@
 
 use crate::analyzer::{Analyzer, ProgramAnalysis};
 use numa_sim::VarKind;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Before/after pair for one metric.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Delta {
     pub before: f64,
     pub after: f64,
@@ -39,7 +38,7 @@ impl Delta {
 }
 
 /// Per-variable comparison (matched by name).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VarDelta {
     pub name: String,
     pub kind: VarKind,
@@ -52,7 +51,7 @@ pub struct VarDelta {
 }
 
 /// The full comparison.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DiffReport {
     pub program_before: ProgramAnalysis,
     pub program_after: ProgramAnalysis,
@@ -168,7 +167,7 @@ impl DiffReport {
     }
 
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("diff serializes")
+        serde_json::to_string_pretty(&crate::json::diff_report(self)).expect("diff prints")
     }
 }
 

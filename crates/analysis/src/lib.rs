@@ -16,6 +16,7 @@
 pub mod analyzer;
 pub mod diff;
 pub mod html;
+mod json;
 pub mod pattern;
 pub mod report;
 pub mod view;

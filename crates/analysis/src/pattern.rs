@@ -8,10 +8,9 @@
 //! maps each class to the paper's corresponding optimization.
 
 use crate::analyzer::ThreadRange;
-use serde::Serialize;
 
 /// Shape of a variable's per-thread access ranges.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessPattern {
     /// Disjoint ascending blocks, one per thread (LULESH `z`, Figure 3):
     /// thread `i` touches roughly the `i`-th slice.
@@ -31,7 +30,7 @@ pub enum AccessPattern {
 }
 
 /// The optimization the tool recommends (§2's strategies).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Recommendation {
     /// Distribute pages block-wise across domains at the first-touch site
     /// (co-location: maximizes local accesses, reduces contention).
@@ -53,7 +52,7 @@ pub enum Recommendation {
 }
 
 /// Classification thresholds (exposed for the ablation benches).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClassifierConfig {
     /// Median normalized coverage above which the pattern is `FullRange`.
     pub full_range_coverage: f64,

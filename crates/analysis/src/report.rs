@@ -6,10 +6,9 @@ use crate::analyzer::{Analyzer, ProgramAnalysis, VarAnalysis};
 use crate::pattern::{classify, recommend, AccessPattern, Recommendation};
 use crate::view;
 use numa_profiler::{RangeScope, VarId, LPI_THRESHOLD};
-use serde::Serialize;
 
 /// Guidance for one variable.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VarAdvice {
     pub var: VarId,
     pub name: String,
@@ -26,7 +25,7 @@ pub struct VarAdvice {
     pub first_touch_sites: Vec<(usize, String, String)>,
 }
 
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RegionAdvice {
     pub region: String,
     /// Share of the variable's cost incurred in this region.
@@ -35,7 +34,7 @@ pub struct RegionAdvice {
 }
 
 /// Complete report for one profile.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AnalysisReport {
     pub machine: String,
     pub mechanism: String,
@@ -216,7 +215,7 @@ impl AnalysisReport {
     }
 
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
+        serde_json::to_string_pretty(&crate::json::report(self)).expect("report prints")
     }
 }
 

@@ -4,7 +4,6 @@
 
 use crate::analyzer::{Analyzer, ThreadRange};
 use numa_profiler::{Cct, MetricSet, NodeId, NodeKey, RangeScope, VarId, ROOT};
-use serde::Serialize;
 
 /// Height (rows) of the ASCII address-range plot.
 const PLOT_ROWS: usize = 16;
@@ -215,16 +214,7 @@ pub fn render_trace_timelines(analyzer: &Analyzer, width: usize) -> String {
     numa_profiler::render_timeline(&traces, width)
 }
 
-/// JSON-exportable series for external plotting of the address-centric
-/// view.
-#[derive(Serialize)]
-pub struct AddressViewExport<'a> {
-    pub variable: &'a str,
-    pub scope: String,
-    pub threads: Vec<ThreadRange>,
-}
-
-/// Export one variable's view as JSON.
+/// Export one variable's view as JSON, for external plotting.
 pub fn export_address_view(analyzer: &Analyzer, var: VarId, scope: RangeScope) -> String {
     let variable = analyzer
         .profile()
@@ -232,15 +222,12 @@ pub fn export_address_view(analyzer: &Analyzer, var: VarId, scope: RangeScope) -
         .map(|rec| rec.name.as_str())
         .unwrap_or("<unknown>");
     let scope_name = match scope {
-        RangeScope::Program => "program".to_string(),
-        RangeScope::Region(f) => analyzer.profile().func_name(f).to_string(),
+        RangeScope::Program => "program",
+        RangeScope::Region(f) => analyzer.profile().func_name(f),
     };
-    let export = AddressViewExport {
-        variable,
-        scope: scope_name,
-        threads: analyzer.thread_ranges(var, scope),
-    };
-    serde_json::to_string_pretty(&export).expect("export serializes")
+    let threads = analyzer.thread_ranges(var, scope);
+    let export = crate::json::address_view(variable, scope_name, &threads);
+    serde_json::to_string_pretty(&export).expect("export prints")
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ usage: hpcd-client (--addr HOST:PORT | --dir PROFILES_DIR | --data-dir DIR)
                    [--out FILE]";
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&[
         "addr",
         "dir",

@@ -45,7 +45,7 @@ usage: hpcd-sim [--listen ADDR]          (default 127.0.0.1:7701; port 0 = ephem
                                           see numa-faults::FaultSpec::parse)";
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&[
         "listen",
         "dir",

@@ -18,7 +18,7 @@ fn load(path: &str) -> Analyzer {
 }
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&["before", "after", "format"])
         .unwrap_or_else(|e| die(USAGE, &e));
     let before = load(

@@ -13,7 +13,7 @@ const USAGE: &str = "\
 usage: hpcprof-sim --in PROFILE.hpcrun [--format text|json|html] [--out FILE]";
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&["in", "format", "out"])
         .unwrap_or_else(|e| die(USAGE, &e));
     let path = args

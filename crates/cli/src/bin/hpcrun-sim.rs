@@ -43,7 +43,7 @@ usage: hpcrun-sim [--workload lulesh|amg2006|blackscholes|umt2013]
                                               unless given explicitly)";
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&[
         "workload",
         "variant",

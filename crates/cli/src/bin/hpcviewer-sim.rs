@@ -24,7 +24,7 @@ usage: hpcviewer-sim --in PROFILE.hpcrun --var NAME [--region PARALLEL_REGION]
        hpcviewer-sim --in PROFILE.hpcrun --pane timeline  (trace view)";
 
 fn main() {
-    let args = Args::parse().unwrap_or_else(|e| die(USAGE, &e));
+    let args = Args::parse(USAGE);
     args.check_known(&["in", "var", "region", "format", "list", "pane"])
         .unwrap_or_else(|e| die(USAGE, &e));
     let path = args

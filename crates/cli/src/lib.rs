@@ -39,20 +39,35 @@ use std::sync::Arc;
 pub struct Args {
     program: String,
     map: BTreeMap<String, String>,
+    /// `--help` or `-h` stood where a flag was expected.
+    help: bool,
 }
 
 impl Args {
     /// Parse `std::env::args()`. Flags must come in `--key value` pairs.
-    pub fn parse() -> Result<Args, String> {
-        Self::from_args(std::env::args())
+    /// `--help` (or `-h`) prints `usage` to stdout and exits 0; a malformed
+    /// command line is a usage error ([`die`]).
+    pub fn parse(usage: &str) -> Args {
+        let args = Self::from_args(std::env::args()).unwrap_or_else(|e| die(usage, &e));
+        if args.help {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        args
     }
 
     /// Parse an explicit argument sequence (first item = program name).
+    /// Parsing stops at `--help` or `-h`.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut it = args.into_iter();
         let program = it.next().unwrap_or_default();
         let mut map = BTreeMap::new();
+        let mut help = false;
         while let Some(key) = it.next() {
+            if key == "--help" || key == "-h" {
+                help = true;
+                break;
+            }
             let key = key
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {key:?}"))?
@@ -62,7 +77,7 @@ impl Args {
                 return Err(format!("--{key} given twice"));
             }
         }
-        Ok(Args { program, map })
+        Ok(Args { program, map, help })
     }
 
     pub fn program(&self) -> &str {
@@ -307,6 +322,9 @@ mod tests {
         assert!(args_of("workload lulesh").is_err(), "missing --");
         assert!(args_of("--workload").is_err(), "missing value");
         assert!(args_of("--a 1 --a 2").is_err(), "duplicate flag");
+        assert!(args_of("--workload lulesh --help").unwrap().help);
+        assert!(args_of("-h").unwrap().help);
+        assert!(!args_of("--label -h").unwrap().help, "-h as a value");
         let a = args_of("--threads banana").unwrap();
         assert!(a.get_parsed("threads", 0usize).is_err());
     }

@@ -30,6 +30,33 @@ fn out_of_range_flag_values_are_usage_errors() {
     }
 }
 
+/// `--help` and `-h` print the tool's usage to stdout and exit 0 on all
+/// six tools, with nothing on stderr.
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for exe in [
+        env!("CARGO_BIN_EXE_hpcrun-sim"),
+        env!("CARGO_BIN_EXE_hpcprof-sim"),
+        env!("CARGO_BIN_EXE_hpcviewer-sim"),
+        env!("CARGO_BIN_EXE_hpcdiff-sim"),
+        env!("CARGO_BIN_EXE_hpcd-sim"),
+        env!("CARGO_BIN_EXE_hpcd-client"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(exe)
+                .arg(flag)
+                .current_dir(std::env::temp_dir())
+                .output()
+                .expect("spawn tool");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{exe} {flag}: {stderr}");
+            assert!(stdout.starts_with("usage: "), "{exe} {flag}: {stdout}");
+            assert!(stderr.is_empty(), "{exe} {flag}: {stderr}");
+        }
+    }
+}
+
 /// The simulator has one execution mode, so `--mode` is an unknown flag:
 /// a usage error before the run.
 #[test]

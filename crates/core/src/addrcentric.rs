@@ -11,18 +11,17 @@
 use crate::datacentric::VarId;
 use numa_sampling::Sample;
 use numa_sim::FuncId;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Scope of a range record: whole program or one parallel region.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RangeScope {
     Program,
     Region(FuncId),
 }
 
 /// Key of one address-range accumulator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RangeKey {
     pub var: VarId,
     pub bin: u16,
@@ -30,7 +29,7 @@ pub struct RangeKey {
 }
 
 /// Accumulated \[min,max\] bounds plus weights.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeStat {
     pub min_addr: u64,
     pub max_addr: u64,
@@ -75,7 +74,7 @@ impl RangeStat {
 }
 
 /// One thread's address-centric profile.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AddressRanges {
     ranges: HashMap<RangeKey, RangeStat>,
 }

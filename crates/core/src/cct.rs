@@ -8,7 +8,6 @@
 
 use crate::metrics::MetricSet;
 use numa_sim::Frame;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Identifier of a CCT node within one tree.
@@ -18,7 +17,7 @@ pub type NodeId = u32;
 pub const ROOT: NodeId = 0;
 
 /// What distinguishes a node from its siblings.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NodeKey {
     Root,
     /// A call-stack frame (function, loop, or parallel region).
@@ -30,7 +29,7 @@ pub enum NodeKey {
 
 /// One node: key, parent link, and exclusive metrics (samples attributed
 /// exactly here; inclusive values are computed by the analyzer).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CctNode {
     pub key: NodeKey,
     pub parent: NodeId,
@@ -38,11 +37,11 @@ pub struct CctNode {
 }
 
 /// An append-only calling context tree.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Cct {
     nodes: Vec<CctNode>,
     domains: usize,
-    #[serde(skip)]
+    /// (parent, key) → child: derived from `nodes`, never serialized.
     index: HashMap<(NodeId, NodeKey), NodeId>,
 }
 

@@ -2,7 +2,6 @@
 
 use crate::firsttouch::FirstTouchGranularity;
 use numa_sampling::MechanismConfig;
-use serde::Serialize;
 
 /// Environment variable overriding the address-centric bin count, as the
 /// paper's tool allows ("one can change this number via an environment
@@ -10,7 +9,7 @@ use serde::Serialize;
 pub const BINS_ENV_VAR: &str = "HPCTOOLKIT_NUMA_BINS";
 
 /// Configuration of the online profiler.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ProfilerConfig {
     /// Which sampling mechanism to drive, with its period/overhead model.
     pub mechanism: MechanismConfig,

@@ -8,16 +8,15 @@
 
 use numa_machine::{PAGE_SHIFT, PAGE_SIZE};
 use numa_sim::{Frame, VarKind};
-use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Identifier of a monitored variable.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub u32);
 
 /// Everything known about one variable.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VarRecord {
     pub id: VarId,
     pub name: String,

@@ -12,11 +12,10 @@
 use crate::datacentric::VarId;
 use numa_machine::{CpuId, DomainId};
 use numa_sim::Frame;
-use serde::Serialize;
 use std::cell::RefCell;
 
 /// How much of a variable to unprotect when its first fault arrives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FirstTouchGranularity {
     /// The paper's behaviour: the handler restores permissions for the
     /// variable's monitored pages, so each variable faults O(#concurrent
@@ -29,7 +28,7 @@ pub enum FirstTouchGranularity {
 }
 
 /// One recorded first touch.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FirstTouchRecord {
     pub var: VarId,
     pub tid: usize,

@@ -29,6 +29,7 @@ pub mod cct;
 pub mod config;
 pub mod datacentric;
 pub mod firsttouch;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod profiler;

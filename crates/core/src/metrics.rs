@@ -17,7 +17,6 @@
 
 use numa_machine::{AccessLevel, DomainId};
 use numa_sampling::Sample;
-use serde::Serialize;
 
 /// Number of [`AccessLevel`] variants (histogram width).
 pub const LEVELS: usize = 6;
@@ -34,7 +33,7 @@ fn level_index(l: AccessLevel) -> usize {
 }
 
 /// Accumulated NUMA metrics for one scope.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricSet {
     /// Sampled memory accesses touching the local NUMA domain (`M_l`).
     pub m_local: u64,

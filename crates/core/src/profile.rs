@@ -10,10 +10,9 @@ use crate::metrics::MetricSet;
 use crate::trace::Trace;
 use numa_machine::{CpuId, DomainId};
 use numa_sampling::{Capabilities, MechanismKind};
-use serde::Serialize;
 
 /// One thread's measurement data.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ThreadProfile {
     pub tid: usize,
     pub cpu: CpuId,
@@ -42,7 +41,7 @@ pub struct ThreadProfile {
 }
 
 /// Full profile of one run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct NumaProfile {
     pub mechanism: MechanismKind,
     pub capabilities: Capabilities,
@@ -97,8 +96,11 @@ impl NumaProfile {
     }
 
     /// Render as JSON — an output only: profile files are codec
-    /// containers (`numa-codec`), and nothing reads this form back.
+    /// containers (`numa-codec`), and nothing reads this form back. Its
+    /// only callers are the benchmark harness (its corpus check and the
+    /// `core.to_json_us` probe) and the test that pins its bytes; it goes
+    /// when the harness retires that probe.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("profile serializes")
+        serde_json::to_string(&crate::json::profile(self)).expect("profile prints")
     }
 }

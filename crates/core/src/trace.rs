@@ -9,10 +9,8 @@
 //! behaviour (e.g. the serial initialization's local-store burst followed
 //! by the solve phase's remote-read plateau).
 
-use serde::Serialize;
-
 /// One snapshot of a thread's cumulative NUMA counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TracePoint {
     /// Thread virtual clock at the snapshot.
     pub clock: u64,
@@ -25,7 +23,7 @@ pub struct TracePoint {
 }
 
 /// Per-thread trace recorder.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     interval: u64,
     points: Vec<TracePoint>,
@@ -40,8 +38,8 @@ impl Trace {
         }
     }
 
-    /// Rebuild a trace from its serialized parts. Used by decoders that
-    /// bypass serde (the binary profile codec); unlike [`Trace::new`] a
+    /// Rebuild a trace from its serialized parts. Used by the binary
+    /// profile codec; unlike [`Trace::new`] a
     /// zero interval is accepted, because it is exactly what a default
     /// (never-enabled) trace round-trips through.
     pub fn from_parts(interval: u64, points: Vec<TracePoint>) -> Self {

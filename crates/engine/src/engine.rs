@@ -10,13 +10,12 @@ use numa_profiler::{
 };
 use numa_sim::FuncId;
 use rayon::prelude::*;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Per-thread normalized \[min,max\] accessed range of one variable under
 /// one scope — a column of the paper's address-centric view (Figure 3's
 /// upper-right pane).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThreadRange {
     pub tid: usize,
     /// Normalized to the variable extent: 0.0 = first byte, 1.0 = last.

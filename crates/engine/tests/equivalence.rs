@@ -288,12 +288,9 @@ proptest! {
             }
         }
 
-        // The merged CCT: `Cct` has no `PartialEq`, so compare the
-        // serialized trees — node order is part of the contract (stable
-        // ids for downstream renderers).
-        let expect_cct = serde_json::to_string(&oracle::merged_cct(&profile)).unwrap();
-        let got_cct = serde_json::to_string(engine.merged_cct()).unwrap();
-        prop_assert_eq!(got_cct, expect_cct);
+        // The merged CCT, node for node — node order is part of the
+        // contract (stable ids for downstream renderers).
+        prop_assert!(engine.merged_cct() == &oracle::merged_cct(&profile));
 
         // Interned name lookups vs. the linear scans, for present and
         // absent names of both tables.

@@ -1,7 +1,5 @@
 //! Small typed identifiers shared across the machine model.
 
-use serde::Serialize;
-
 /// Size of a simulated virtual-memory page in bytes (4 KiB, as on Linux).
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -10,7 +8,7 @@ pub const PAGE_SHIFT: u32 = 12;
 
 /// Identifier of a NUMA domain (a set of cores with uniform access latency to
 /// a set of memory banks, per the paper's §1 definition).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DomainId(pub u8);
 
 impl DomainId {
@@ -26,7 +24,7 @@ impl std::fmt::Display for DomainId {
 }
 
 /// Identifier of a hardware thread (what the OS calls a CPU).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CpuId(pub u16);
 
 impl CpuId {
@@ -42,7 +40,7 @@ impl std::fmt::Display for CpuId {
 }
 
 /// A virtual page number (`addr >> PAGE_SHIFT`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PageNum(pub u64);
 
 impl PageNum {

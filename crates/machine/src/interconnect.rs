@@ -8,10 +8,9 @@
 
 use crate::ids::DomainId;
 use crate::topology::Topology;
-use serde::Serialize;
 
 /// Symmetric hop-distance matrix between NUMA domains.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Interconnect {
     domains: usize,
     /// Row-major `domains × domains` hop counts.

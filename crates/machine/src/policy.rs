@@ -7,10 +7,9 @@
 //! distribution for co-location, explicit binding).
 
 use crate::ids::{DomainId, PAGE_SHIFT};
-use serde::Serialize;
 
 /// How pages of an allocation region are bound to NUMA domains.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PlacementPolicy {
     /// Linux default: a page is bound to the domain of the thread that first
     /// reads or writes it.

@@ -1,14 +1,13 @@
 //! NUMA topology: domains, sockets, cores, and SMT hardware threads.
 
 use crate::ids::{CpuId, DomainId};
-use serde::Serialize;
 
 /// Static description of a machine's NUMA organization.
 ///
 /// CPUs are numbered densely: CPU `i` belongs to domain
 /// `i / (cores_per_domain * smt)`. This matches the common Linux enumeration
 /// where hardware threads of one socket are contiguous.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     name: String,
     domains: usize,

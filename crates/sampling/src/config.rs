@@ -3,7 +3,6 @@
 
 use crate::mechanism::{MechanismKind, Qualifier, MECHANISMS};
 use numa_machine::MachinePreset;
-use serde::Serialize;
 
 /// Full configuration of one sampling mechanism.
 ///
@@ -11,7 +10,7 @@ use serde::Serialize;
 /// the `*_cost` fields define the overhead model (cycles charged to the
 /// monitored thread), calibrated so the Table 2 regeneration lands near the
 /// paper's percentages.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MechanismConfig {
     pub kind: MechanismKind,
     /// Sampling period, counted in the mechanism's native unit:
@@ -107,7 +106,7 @@ impl MechanismConfig {
 
 /// One row of Table 1: a mechanism paired with the machine the paper
 /// evaluated it on.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     pub mechanism: MechanismKind,
     pub preset: MachinePreset,

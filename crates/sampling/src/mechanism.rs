@@ -9,10 +9,9 @@
 
 use crate::sample::Sample;
 use numa_machine::MachinePreset;
-use serde::Serialize;
 
 /// The six mechanisms of §3.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MechanismKind {
     /// Instruction-based sampling — AMD Opteron family.
     Ibs,
@@ -56,7 +55,7 @@ impl MechanismKind {
 
 /// What a mechanism's hardware can capture (§3's three capabilities plus
 /// the §10 comparison).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capabilities {
     /// IBS/PEBS sample the whole instruction stream (useful: the
     /// memory-instruction fraction and `I^s` come for free); event-based

@@ -2,7 +2,6 @@
 
 use numa_machine::{AccessLevel, CpuId, DomainId};
 use numa_sim::MemoryEvent;
-use serde::Serialize;
 
 /// One address sample, with optional fields gated by the capturing
 /// mechanism's [`Capabilities`](crate::mechanism::Capabilities). Fields that
@@ -10,7 +9,7 @@ use serde::Serialize;
 /// derived metrics degrade exactly as the paper describes (e.g. without
 /// latency, `lpi_NUMA` is unavailable and the tool falls back to
 /// `M_l`/`M_r` analysis as in the MRK case studies).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
     pub tid: usize,
     /// CPU that took the sample. PMU-based mechanisms report it directly;

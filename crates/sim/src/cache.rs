@@ -5,8 +5,6 @@
 //! was this access satisfied", which a tags-only model answers. Lines are
 //! 64 bytes.
 
-use serde::Serialize;
-
 /// Line size in bytes (fixed — every modern x86/POWER level uses 64 B).
 pub const LINE_SIZE: u64 = 64;
 /// log2 of [`LINE_SIZE`].
@@ -31,7 +29,7 @@ pub(crate) fn line_of(addr: u64) -> u32 {
 }
 
 /// Geometry of one cache level.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     pub size_bytes: u64,
     pub associativity: usize,

@@ -6,18 +6,17 @@
 //! attribution unwinds the call stack per sample; here the stack is already
 //! explicit).
 
-use serde::Serialize;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Interned function (or region) name.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FuncId(pub u32);
 
 /// What a stack frame represents. Parallel regions are flagged so the
 /// analyzer can scope address-centric views to a single OpenMP-style region
 /// (as Figures 5 and 7 do).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FrameKind {
     /// An ordinary function call.
     Function,
@@ -28,7 +27,7 @@ pub enum FrameKind {
 }
 
 /// One entry of a thread's call stack.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Frame {
     pub func: FuncId,
     pub kind: FrameKind,

@@ -102,7 +102,8 @@ impl Program {
         assert_eq!(
             machine.page_map().region_count(),
             0,
-            "a Machine instance hosts one Program: its page map already              holds regions from a previous run — build a fresh Machine"
+            "a Machine instance hosts one Program: its page map already \
+             holds regions from a previous run — build a fresh Machine"
         );
         let l3 = L3Complex::new(
             machine.topology().domains(),

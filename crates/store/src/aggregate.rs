@@ -22,12 +22,11 @@ use crate::StoredProfile;
 use numa_engine::{par_fold, Symbol, SymbolTable};
 use numa_profiler::{MetricSet, RangeScope, RangeStat};
 use numa_sim::VarKind;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One variable's metrics pooled across every run that sampled it.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VarAggregate {
     pub name: String,
     pub kind: VarKind,
@@ -45,7 +44,7 @@ pub struct VarAggregate {
 }
 
 /// The cross-run aggregate artifact.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CrossRunAggregate {
     pub runs: usize,
     pub domains: usize,

@@ -15,7 +15,6 @@
 //! more when replay re-derives that id to vouch for the bytes it read.
 
 use numa_profiler::NumaProfile;
-use serde::Serialize;
 use std::fmt;
 use std::str::FromStr;
 
@@ -59,7 +58,7 @@ pub fn mix(h: u64, x: u64) -> u64 {
 }
 
 /// Content address of one stored profile.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProfileId(pub u64);
 
 impl ProfileId {

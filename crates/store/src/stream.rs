@@ -211,14 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn split_then_assemble_is_identity_on_canonical_json() {
+    fn split_then_assemble_is_identity_on_canonical_bytes() {
         let original = profile();
-        let canonical = original.to_json();
         let bytes = numa_codec::encode_profile(&original);
         for per in [1, 2, 3, 64] {
             let chunks = split_profile(&original, per);
             let rebuilt = assemble(chunks).unwrap();
-            assert_eq!(rebuilt.to_json(), canonical, "threads_per_chunk={per}");
             assert_eq!(numa_codec::encode_profile(&rebuilt), bytes, "per={per}");
         }
     }
@@ -240,14 +238,12 @@ mod tests {
     #[test]
     fn binary_chunks_round_trip_and_assemble_identically() {
         let original = profile();
-        let canonical = original.to_json();
         let chunks = split_profile(&original, 2);
         let rebuilt: Vec<ChunkPayload> = chunks
             .iter()
             .map(|c| ChunkPayload::from_binary(&c.to_binary()).unwrap())
             .collect();
         let assembled = assemble(rebuilt).unwrap();
-        assert_eq!(assembled.to_json(), canonical);
         assert_eq!(
             numa_codec::encode_profile(&assembled),
             numa_codec::encode_profile(&original)

@@ -113,10 +113,7 @@ fn index_is_stable_across_codec_roundtrip() {
         let b = Engine::new(Arc::new(back));
         assert_eq!(a.totals(), b.totals());
         assert_eq!(a.index().var_columns(), b.index().var_columns());
-        assert_eq!(
-            serde_json::to_string(a.merged_cct()).unwrap(),
-            serde_json::to_string(b.merged_cct()).unwrap()
-        );
+        assert!(a.merged_cct() == b.merged_cct());
     }
 }
 

@@ -24,10 +24,9 @@ use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use crate::lulesh::block;
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::Serialize;
 
 /// Data-placement variants of the AMG2006 case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AmgVariant {
     /// Master init: everything first-touched into domain 0.
     Baseline,

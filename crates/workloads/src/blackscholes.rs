@@ -24,10 +24,9 @@ use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use crate::lulesh::block;
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::Serialize;
 
 /// Variants of the Blackscholes case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BlackscholesVariant {
     /// Section-of-arrays `buffer`, master-thread initialization.
     Baseline,

@@ -22,10 +22,9 @@
 use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use numa_machine::PlacementPolicy;
 use numa_sim::{Program, ThreadCtx, VarKind};
-use serde::Serialize;
 
 /// Data-placement variants of the LULESH case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LuleshVariant {
     /// Master-thread initialization; first touch maps everything to
     /// domain 0.

@@ -9,10 +9,9 @@ use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use crate::lulesh::block;
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::Serialize;
 
 /// Which canonical shape the kernel produces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyntheticPattern {
     /// Disjoint ascending per-thread blocks.
     Blocked,

@@ -15,10 +15,9 @@
 use crate::harness::{timed_phase, Workload, WorkloadOutput};
 use numa_machine::PlacementPolicy;
 use numa_sim::Program;
-use serde::Serialize;
 
 /// Variants of the UMT2013 case study.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UmtVariant {
     /// Master-thread initialization of `STime`.
     Baseline,

@@ -18,7 +18,9 @@ fn wild_access_panics_loudly() {
 }
 
 #[test]
-#[should_panic(expected = "hosts one Program")]
+#[should_panic(
+    expected = "hosts one Program: its page map already holds regions from a previous run"
+)]
 fn reusing_a_machine_for_two_programs_is_rejected() {
     let m = machine();
     {

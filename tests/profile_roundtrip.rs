@@ -45,7 +45,6 @@ fn round_trip_is_byte_identical() {
             encode_profile(&q) == bytes,
             "canonical encoding must be stable under a round-trip ({mechanism:?})"
         );
-        assert_eq!(q.to_json(), p.to_json(), "{mechanism:?}");
     }
 }
 
