@@ -167,7 +167,7 @@ impl DiffReport {
     }
 
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&crate::json::diff_report(self)).expect("diff prints")
+        crate::json::pretty(|w| crate::json::diff_report(w, self))
     }
 }
 

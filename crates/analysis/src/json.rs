@@ -1,128 +1,150 @@
-//! JSON trees of the analysis outputs: the report, the diff and the
-//! address-view export. Built by hand on the profile crate's helpers
-//! (`numa_profiler::json`), one field list per type in declaration
-//! order, with the same conventions.
+//! JSON text of the analysis outputs: the report, the diff and the
+//! address-view export. Written field by field through `serde_json`'s
+//! [`Writer`], one field list per type in declaration order, with the
+//! profile crate's conventions and its `metric_set`
+//! (`numa_profiler::json`).
 
 use crate::analyzer::{ProgramAnalysis, VarAnalysis};
 use crate::diff::{Delta, DiffReport, VarDelta};
 use crate::report::{AnalysisReport, RegionAdvice, VarAdvice};
 use numa_engine::ThreadRange;
-use numa_profiler::json::{metric_set, object, variant};
-use serde_json::Value;
+use numa_profiler::json::metric_set;
+use serde_json::Writer;
 
-pub(crate) fn report(r: &AnalysisReport) -> Value {
-    object([
-        ("machine", r.machine.as_str().into()),
-        ("mechanism", r.mechanism.as_str().into()),
-        ("program", program(&r.program)),
-        ("advice", r.advice.iter().map(var_advice).collect()),
-    ])
+/// Pretty-printed text of whatever `write` writes.
+pub(crate) fn pretty(write: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::pretty();
+    write(&mut w);
+    w.finish()
 }
 
-fn program(p: &ProgramAnalysis) -> Value {
-    object([
-        ("mechanism", variant(p.mechanism)),
-        ("lpi_numa", p.lpi_numa.into()),
-        ("remote_fraction", p.remote_fraction.into()),
-        ("per_domain", p.per_domain.iter().copied().collect()),
-        ("domain_imbalance", p.domain_imbalance.into()),
-        ("total_samples", p.total_samples.into()),
-        ("total_latency", p.total_latency.into()),
-        ("remote_latency", p.remote_latency.into()),
-        ("remote_latency_fraction", p.remote_latency_fraction.into()),
-        ("heap_share", p.heap_share.into()),
-        ("static_share", p.static_share.into()),
-        ("stack_share", p.stack_share.into()),
-    ])
+pub(crate) fn report(w: &mut Writer, r: &AnalysisReport) {
+    w.object(|w| {
+        w.field("machine", &r.machine);
+        w.field("mechanism", &r.mechanism);
+        w.key("program");
+        program(w, &r.program);
+        w.key("advice").array(&r.advice, var_advice);
+    });
 }
 
-fn var_advice(a: &VarAdvice) -> Value {
-    let site = |(tid, domain, path): &(usize, String, String)| -> Value {
-        Value::Array(vec![
-            (*tid).into(),
-            domain.as_str().into(),
-            path.as_str().into(),
-        ])
-    };
-    object([
-        ("var", a.var.0.into()),
-        ("name", a.name.as_str().into()),
-        ("summary", var_analysis(&a.summary)),
-        ("pattern", variant(a.pattern)),
-        (
-            "dominant_region",
-            a.dominant_region.as_ref().map(region_advice).into(),
-        ),
-        ("recommendation", variant(a.recommendation)),
-        (
-            "first_touch_sites",
-            a.first_touch_sites.iter().map(site).collect(),
-        ),
-    ])
+fn program(w: &mut Writer, p: &ProgramAnalysis) {
+    w.object(|w| {
+        w.key("mechanism").debug(&p.mechanism);
+        w.field("lpi_numa", &p.lpi_numa);
+        w.field("remote_fraction", &p.remote_fraction);
+        w.field("per_domain", &p.per_domain);
+        w.field("domain_imbalance", &p.domain_imbalance);
+        w.field("total_samples", &p.total_samples);
+        w.field("total_latency", &p.total_latency);
+        w.field("remote_latency", &p.remote_latency);
+        w.field("remote_latency_fraction", &p.remote_latency_fraction);
+        w.field("heap_share", &p.heap_share);
+        w.field("static_share", &p.static_share);
+        w.field("stack_share", &p.stack_share);
+    });
 }
 
-fn var_analysis(v: &VarAnalysis) -> Value {
-    object([
-        ("var", v.var.0.into()),
-        ("name", v.name.as_str().into()),
-        ("kind", variant(v.kind)),
-        ("bytes", v.bytes.into()),
-        ("metrics", metric_set(&v.metrics)),
-        ("remote_share", v.remote_share.into()),
-        ("lpi", v.lpi.into()),
-        ("alloc_path", v.alloc_path.as_str().into()),
-        ("alloc_tid", v.alloc_tid.into()),
-    ])
+fn var_advice(w: &mut Writer, a: &VarAdvice) {
+    w.object(|w| {
+        w.field("var", &a.var.0);
+        w.field("name", &a.name);
+        w.key("summary");
+        var_analysis(w, &a.summary);
+        w.key("pattern").debug(&a.pattern);
+        w.key("dominant_region");
+        match &a.dominant_region {
+            Some(r) => region_advice(w, r),
+            None => w.null(),
+        }
+        w.key("recommendation").debug(&a.recommendation);
+        w.key("first_touch_sites")
+            .array(&a.first_touch_sites, |w, (tid, domain, path)| {
+                w.tuple(|w| {
+                    w.u64(*tid as u64);
+                    w.str(domain);
+                    w.str(path);
+                })
+            });
+    });
 }
 
-fn region_advice(r: &RegionAdvice) -> Value {
-    object([
-        ("region", r.region.as_str().into()),
-        ("share", r.share.into()),
-        ("pattern", variant(r.pattern)),
-    ])
+fn var_analysis(w: &mut Writer, v: &VarAnalysis) {
+    w.object(|w| {
+        w.field("var", &v.var.0);
+        w.field("name", &v.name);
+        w.key("kind").debug(&v.kind);
+        w.field("bytes", &v.bytes);
+        w.key("metrics");
+        metric_set(w, &v.metrics);
+        w.field("remote_share", &v.remote_share);
+        w.field("lpi", &v.lpi);
+        w.field("alloc_path", &v.alloc_path);
+        w.field("alloc_tid", &v.alloc_tid);
+    });
 }
 
-pub(crate) fn diff_report(d: &DiffReport) -> Value {
-    object([
-        ("program_before", program(&d.program_before)),
-        ("program_after", program(&d.program_after)),
-        ("remote_fraction", delta(&d.remote_fraction)),
-        ("remote_latency", delta(&d.remote_latency)),
-        ("lpi", d.lpi.as_ref().map(delta).into()),
-        ("vars", d.vars.iter().map(var_delta).collect()),
-    ])
+fn region_advice(w: &mut Writer, r: &RegionAdvice) {
+    w.object(|w| {
+        w.field("region", &r.region);
+        w.field("share", &r.share);
+        w.key("pattern").debug(&r.pattern);
+    });
 }
 
-fn delta(d: &Delta) -> Value {
-    object([("before", d.before.into()), ("after", d.after.into())])
+pub(crate) fn diff_report(w: &mut Writer, d: &DiffReport) {
+    w.object(|w| {
+        w.key("program_before");
+        program(w, &d.program_before);
+        w.key("program_after");
+        program(w, &d.program_after);
+        w.key("remote_fraction");
+        delta(w, &d.remote_fraction);
+        w.key("remote_latency");
+        delta(w, &d.remote_latency);
+        w.key("lpi");
+        match &d.lpi {
+            Some(lpi) => delta(w, lpi),
+            None => w.null(),
+        }
+        w.key("vars").array(&d.vars, var_delta);
+    });
 }
 
-fn var_delta(v: &VarDelta) -> Value {
-    object([
-        ("name", v.name.as_str().into()),
-        ("kind", variant(v.kind)),
-        ("m_remote", delta(&v.m_remote)),
-        ("latency_remote", delta(&v.latency_remote)),
-        ("only_in", v.only_in.into()),
-    ])
+fn delta(w: &mut Writer, d: &Delta) {
+    w.object(|w| {
+        w.field("before", &d.before);
+        w.field("after", &d.after);
+    });
+}
+
+fn var_delta(w: &mut Writer, v: &VarDelta) {
+    w.object(|w| {
+        w.field("name", &v.name);
+        w.key("kind").debug(&v.kind);
+        w.key("m_remote");
+        delta(w, &v.m_remote);
+        w.key("latency_remote");
+        delta(w, &v.latency_remote);
+        w.field("only_in", &v.only_in);
+    });
 }
 
 /// One variable's address-centric view under one scope, for external
 /// plotting.
-pub(crate) fn address_view(variable: &str, scope: &str, threads: &[ThreadRange]) -> Value {
-    let thread = |t: &ThreadRange| {
-        object([
-            ("tid", t.tid.into()),
-            ("min", t.min.into()),
-            ("max", t.max.into()),
-            ("samples", t.samples.into()),
-            ("latency", t.latency.into()),
-        ])
+pub(crate) fn address_view(w: &mut Writer, variable: &str, scope: &str, threads: &[ThreadRange]) {
+    let thread = |w: &mut Writer, t: &ThreadRange| {
+        w.object(|w| {
+            w.field("tid", &t.tid);
+            w.field("min", &t.min);
+            w.field("max", &t.max);
+            w.field("samples", &t.samples);
+            w.field("latency", &t.latency);
+        })
     };
-    object([
-        ("variable", variable.into()),
-        ("scope", scope.into()),
-        ("threads", threads.iter().map(thread).collect()),
-    ])
+    w.object(|w| {
+        w.field("variable", variable);
+        w.field("scope", scope);
+        w.key("threads").array(threads, thread);
+    });
 }

@@ -214,8 +214,35 @@ impl AnalysisReport {
         out
     }
 
+    /// [`AnalysisReport::render`] followed by the address-centric views
+    /// of the top three variables, drawn from `analyzer` — the analyzer
+    /// this report was built from. What [`full_text_report`] prints.
+    pub fn render_full(&self, analyzer: &Analyzer) -> String {
+        let mut out = self.render();
+        for a in self.advice.iter().take(3) {
+            out.push_str(&view::render_address_view(
+                analyzer,
+                a.var,
+                RangeScope::Program,
+                &format!("{} (whole program)", a.name),
+            ));
+            if let Some(r) = &a.dominant_region {
+                if let Some(region_id) = analyzer.region_named(&r.region) {
+                    out.push_str(&view::render_address_view(
+                        analyzer,
+                        a.var,
+                        RangeScope::Region(region_id),
+                        &format!("{} (region {})", a.name, r.region),
+                    ));
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&crate::json::report(self)).expect("report prints")
+        crate::json::pretty(|w| crate::json::report(w, self))
     }
 }
 
@@ -234,28 +261,7 @@ fn ratio(a: u64, b: u64) -> String {
 /// Convenience: full textual output for a profile — program verdict, hot
 /// variables, and the address-centric views of the top variables.
 pub fn full_text_report(analyzer: &Analyzer) -> String {
-    let report = analyze(analyzer);
-    let mut out = report.render();
-    for a in report.advice.iter().take(3) {
-        out.push_str(&view::render_address_view(
-            analyzer,
-            a.var,
-            RangeScope::Program,
-            &format!("{} (whole program)", a.name),
-        ));
-        if let Some(r) = &a.dominant_region {
-            if let Some(region_id) = analyzer.region_named(&r.region) {
-                out.push_str(&view::render_address_view(
-                    analyzer,
-                    a.var,
-                    RangeScope::Region(region_id),
-                    &format!("{} (region {})", a.name, r.region),
-                ));
-            }
-        }
-        out.push('\n');
-    }
-    out
+    analyze(analyzer).render_full(analyzer)
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 
 use crate::analyzer::{Analyzer, ThreadRange};
 use numa_profiler::{Cct, MetricSet, NodeId, NodeKey, RangeScope, VarId, ROOT};
+use std::cmp::Reverse;
+use std::fmt::Write as _;
 
 /// Height (rows) of the ASCII address-range plot.
 const PLOT_ROWS: usize = 16;
@@ -125,23 +127,51 @@ fn truncate(s: &str, n: usize) -> String {
 /// are elided.
 pub fn render_cct(analyzer: &Analyzer, min_share: f64) -> String {
     let cct: &Cct = analyzer.merged_cct();
-    let profile = analyzer.profile();
-    // Inclusive metrics per node, folded once.
-    let n = cct.len();
-    let mut inclusive: Vec<MetricSet> = cct.nodes().iter().map(|nd| nd.metrics.clone()).collect();
-    for i in (1..n).rev() {
-        let parent = cct.nodes()[i].parent as usize;
-        let child = inclusive[i].clone();
-        inclusive[parent].merge(&child);
+    let nodes = cct.nodes();
+    let by_latency = analyzer.profile().capabilities.latency;
+    // Inclusive cost per node, folded once from the leaves up: a child
+    // always has a larger id than its parent.
+    let mut inclusive: Vec<Inclusive> = nodes
+        .iter()
+        .map(|nd| Inclusive {
+            latency_remote: nd.metrics.latency_remote,
+            m_remote: nd.metrics.m_remote,
+            m_local: nd.metrics.m_local,
+        })
+        .collect();
+    for i in (1..nodes.len()).rev() {
+        let child = inclusive[i];
+        let parent = &mut inclusive[nodes[i].parent as usize];
+        parent.latency_remote += child.latency_remote;
+        parent.m_remote += child.m_remote;
+        parent.m_local += child.m_local;
     }
-    let weight = |m: &MetricSet| {
-        if profile.capabilities.latency {
-            m.latency_remote
-        } else {
-            m.m_remote
-        }
+    // Every node's children, heaviest first and ties in id order, in one
+    // sorted list: node `p`'s are `kids[first[p]..first[p + 1]]`.
+    let mut kids: Vec<(NodeId, Reverse<u64>, NodeId)> = (1..nodes.len())
+        .map(|c| {
+            let weight = inclusive[c].weight(by_latency);
+            (nodes[c].parent, Reverse(weight), c as NodeId)
+        })
+        .collect();
+    kids.sort_unstable();
+    let mut first = vec![0; nodes.len() + 1];
+    for &(parent, ..) in &kids {
+        first[parent as usize + 1] += 1;
+    }
+    for i in 1..first.len() {
+        first[i] += first[i - 1];
+    }
+    let pane = CctPane {
+        cct,
+        profile: analyzer.profile(),
+        inclusive: &inclusive,
+        by_latency,
+        kids: &kids,
+        first: &first,
+        total: inclusive[ROOT as usize].weight(by_latency).max(1),
+        min_share,
     };
-    let total = weight(&inclusive[ROOT as usize]).max(1);
     let mut out = String::new();
     out.push_str(&format!(
         "{:<56} {:>9} {:>12} {:>12}\n",
@@ -149,56 +179,74 @@ pub fn render_cct(analyzer: &Analyzer, min_share: f64) -> String {
     ));
     out.push_str(&"-".repeat(92));
     out.push('\n');
-    render_cct_node(
-        cct, &inclusive, profile, ROOT, 0, total, min_share, weight, &mut out,
-    );
+    pane.render(ROOT, 0, &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_cct_node(
-    cct: &Cct,
-    inclusive: &[MetricSet],
-    profile: &numa_profiler::NumaProfile,
-    id: NodeId,
-    depth: usize,
+/// A CCT node's inclusive cost: the columns the code-centric pane
+/// prints or sorts by, and nothing else.
+#[derive(Clone, Copy)]
+struct Inclusive {
+    latency_remote: u64,
+    m_remote: u64,
+    m_local: u64,
+}
+
+impl Inclusive {
+    /// The cost the pane ranks by: remote latency, or `M_r` without
+    /// latency capability.
+    fn weight(&self, by_latency: bool) -> u64 {
+        if by_latency {
+            self.latency_remote
+        } else {
+            self.m_remote
+        }
+    }
+}
+
+/// What [`render_cct`] derives once and reads at every node.
+struct CctPane<'a> {
+    cct: &'a Cct,
+    profile: &'a numa_profiler::NumaProfile,
+    inclusive: &'a [Inclusive],
+    by_latency: bool,
+    kids: &'a [(NodeId, Reverse<u64>, NodeId)],
+    first: &'a [usize],
     total: u64,
     min_share: f64,
-    weight: impl Fn(&MetricSet) -> u64 + Copy,
-    out: &mut String,
-) {
-    let m = &inclusive[id as usize];
-    let share = weight(m) as f64 / total as f64;
-    if share < min_share && id != ROOT {
-        return;
-    }
-    let label = match cct.node(id).key {
-        NodeKey::Root => "<program>".to_string(),
-        NodeKey::Frame(f) => profile.func_name(f.func).to_string(),
-        NodeKey::Line(l) => format!("line {l}"),
-    };
-    out.push_str(&format!(
-        "{:<56} {:>8.1}% {:>12} {:>12}\n",
-        format!("{}{}", "  ".repeat(depth), label),
-        share * 100.0,
-        m.m_local,
-        m.m_remote
-    ));
-    // Children ordered by descending inclusive weight.
-    let mut kids = cct.children(id);
-    kids.sort_by_key(|&k| std::cmp::Reverse(weight(&inclusive[k as usize])));
-    for k in kids {
-        render_cct_node(
-            cct,
-            inclusive,
-            profile,
-            k,
-            depth + 1,
-            total,
-            min_share,
-            weight,
+}
+
+impl CctPane<'_> {
+    fn render(&self, id: NodeId, depth: usize, out: &mut String) {
+        let m = &self.inclusive[id as usize];
+        let share = m.weight(self.by_latency) as f64 / self.total as f64;
+        if share < self.min_share && id != ROOT {
+            return;
+        }
+        // The indented label, left-aligned in 56 columns.
+        let start = out.len();
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+        match self.cct.node(id).key {
+            NodeKey::Root => out.push_str("<program>"),
+            NodeKey::Frame(f) => out.push_str(self.profile.func_name(f.func)),
+            NodeKey::Line(l) => {
+                let _ = write!(out, "line {l}");
+            }
+        }
+        let width = out[start..].chars().count();
+        out.extend(std::iter::repeat_n(' ', 56usize.saturating_sub(width)));
+        let _ = writeln!(
             out,
+            " {:>8.1}% {:>12} {:>12}",
+            share * 100.0,
+            m.m_local,
+            m.m_remote
         );
+        for &(_, _, kid) in &self.kids[self.first[id as usize]..self.first[id as usize + 1]] {
+            self.render(kid, depth + 1, out);
+        }
     }
 }
 
@@ -226,8 +274,7 @@ pub fn export_address_view(analyzer: &Analyzer, var: VarId, scope: RangeScope) -
         RangeScope::Region(f) => analyzer.profile().func_name(f),
     };
     let threads = analyzer.thread_ranges(var, scope);
-    let export = crate::json::address_view(variable, scope_name, &threads);
-    serde_json::to_string_pretty(&export).expect("export prints")
+    crate::json::pretty(|w| crate::json::address_view(w, variable, scope_name, &threads))
 }
 
 #[cfg(test)]

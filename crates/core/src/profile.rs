@@ -101,6 +101,8 @@ impl NumaProfile {
     /// `core.to_json_us` probe) and the test that pins its bytes; it goes
     /// when the harness retires that probe.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&crate::json::profile(self)).expect("profile prints")
+        let mut w = serde_json::Writer::compact();
+        crate::json::profile(&mut w, self);
+        w.finish()
     }
 }

@@ -75,7 +75,7 @@ proptest! {
     /// as the profile codec decodes it — preserves structure and
     /// resolution behaviour.
     #[test]
-    fn serde_roundtrip_preserves_resolution(
+    fn from_parts_roundtrip_preserves_resolution(
         stacks in prop::collection::vec(arb_stack(), 1..30)
     ) {
         let mut cct = Cct::new(2);

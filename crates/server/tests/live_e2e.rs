@@ -275,7 +275,7 @@ fn capability_bits_gate_streaming_and_keep_connections_alive() {
 }
 
 #[test]
-fn binary_codec_ingest_and_stream_match_json_over_tcp() {
+fn ingest_and_stream_over_tcp_match_the_in_process_store() {
     let (addr, server) = spawn_server(ServerConfig::default());
     let mut c = Client::connect(addr).expect("connect");
 

@@ -60,7 +60,7 @@ pub use hash::{fnv1a, mix, ProfileId};
 /// without a dependency edge of their own.
 pub use numa_codec as codec;
 
-use numa_analysis::{analyze, diff, full_text_report, render_cct, Analyzer};
+use numa_analysis::{analyze, diff, render_cct, AnalysisReport, Analyzer};
 use numa_engine::Engine;
 use numa_obs::{Counter, Registry};
 use numa_profiler::{NumaProfile, RangeScope};
@@ -151,6 +151,10 @@ pub struct StoredProfile {
     /// Attribution engine (interned symbols + columnar index), built on
     /// first query and shared by every analyzer handed out afterwards.
     engine: OnceLock<Arc<Engine>>,
+    /// The analysis report, built on the first report query: a pure
+    /// function of the immutable profile, so every later rendering —
+    /// text or JSON, after any cache eviction — starts from it.
+    report: OnceLock<Arc<AnalysisReport>>,
 }
 
 impl StoredProfile {
@@ -161,6 +165,7 @@ impl StoredProfile {
             profile: Arc::new(profile),
             codec_bytes,
             engine: OnceLock::new(),
+            report: OnceLock::new(),
         }
     }
 
@@ -170,6 +175,20 @@ impl StoredProfile {
         Arc::clone(
             self.engine
                 .get_or_init(|| Arc::new(Engine::new(Arc::clone(&self.profile)))),
+        )
+    }
+
+    /// An analyzer over the shared [`Engine`].
+    pub fn analyzer(&self) -> Analyzer {
+        Analyzer::from_engine(self.engine())
+    }
+
+    /// The shared analysis report of this profile: `analyze` runs at
+    /// most once, on the first call; callers get an `Arc` clone.
+    pub fn report(&self) -> Arc<AnalysisReport> {
+        Arc::clone(
+            self.report
+                .get_or_init(|| Arc::new(analyze(&self.analyzer()))),
         )
     }
 }
@@ -952,77 +971,61 @@ impl ProfileStore {
     /// the hash of *that snapshot*, so the cached artifact always
     /// matches its scope key even when ingests race the query.
     pub fn query(&self, q: Query) -> Result<Arc<Artifact>, StoreError> {
-        match q.fixed_scope() {
-            Some(scope) => self
+        if let Some(scope) = q.fixed_scope() {
+            return self
                 .cache
-                .get_or_try_insert((scope, q.clone()), || self.build(&q)),
-            None => {
-                if let Some(hit) = self.cache.get(&(self.set_hash(), q.clone())) {
-                    return Ok(hit);
-                }
-                let profiles = self.snapshot()?;
-                let scope = pooled_scope(&profiles);
-                self.cache.get_or_try_insert((scope, q.clone()), || {
-                    Ok(match &q {
-                        Query::TopVariables(n) => {
-                            Artifact::Text(aggregate(&profiles).top_variables(*n))
-                        }
-                        _ => Artifact::Aggregate(aggregate(&profiles)),
-                    })
-                })
-            }
+                .get_or_try_insert((scope, q.clone()), || self.build(&q));
         }
+        if let Some(hit) = self.cache.get(&(self.set_hash(), q.clone())) {
+            return Ok(hit);
+        }
+        let profiles = self.snapshot()?;
+        let scope = pooled_scope(&profiles);
+        self.cache.get_or_try_insert((scope, q.clone()), || {
+            Ok(match &q {
+                Query::TopVariables(n) => Artifact::Text(aggregate(&profiles).top_variables(*n)),
+                _ => Artifact::Aggregate(aggregate(&profiles)),
+            })
+        })
     }
 
-    /// Uncached artifact construction for fixed-scope queries.
+    /// Uncached artifact construction for fixed-scope queries; pooled
+    /// ones are answered by [`ProfileStore::query`] over its snapshot.
     /// Per-profile analyses borrow the stored profile through its shared
-    /// [`Engine`] — no profile is ever cloned; the memo cache amortizes
-    /// the analysis itself.
+    /// [`Engine`], and both report renderings start from its shared
+    /// [`StoredProfile::report`] — no profile is ever cloned and no
+    /// profile is analyzed twice; the memo cache amortizes the rendering.
     fn build(&self, q: &Query) -> Result<Artifact, StoreError> {
-        match q {
-            Query::ReportJson(id) => {
-                let a = self.analyzer(*id)?;
-                Ok(Artifact::Text(analyze(&a).to_json()))
-            }
+        let text = match q {
+            Query::ReportJson(id) => self.stored(*id)?.report().to_json(),
             Query::TextReport(id) => {
-                let a = self.analyzer(*id)?;
-                Ok(Artifact::Text(full_text_report(&a)))
+                let sp = self.stored(*id)?;
+                sp.report().render_full(&sp.analyzer())
             }
             Query::CodeView {
                 profile,
                 min_share_permille,
-            } => {
-                let a = self.analyzer(*profile)?;
-                Ok(Artifact::Text(render_cct(
-                    &a,
-                    *min_share_permille as f64 / 1000.0,
-                )))
-            }
+            } => render_cct(
+                &self.stored(*profile)?.analyzer(),
+                *min_share_permille as f64 / 1000.0,
+            ),
             Query::AddressView { profile, var } => {
-                let a = self.analyzer(*profile)?;
+                let a = self.stored(*profile)?.analyzer();
                 let id = a
                     .var_named(var)
                     .ok_or_else(|| StoreError::UnknownVariable(var.clone()))?;
-                Ok(Artifact::Text(numa_analysis::export_address_view(
-                    &a,
-                    id,
-                    RangeScope::Program,
-                )))
+                numa_analysis::export_address_view(&a, id, RangeScope::Program)
             }
             Query::Diff { before, after } => {
-                let b = self.analyzer(*before)?;
-                let a = self.analyzer(*after)?;
-                Ok(Artifact::Text(diff(&b, &a).render()))
+                let b = self.stored(*before)?.analyzer();
+                let a = self.stored(*after)?.analyzer();
+                diff(&b, &a).render()
             }
-            Query::Aggregate => {
-                let profiles = self.snapshot()?;
-                Ok(Artifact::Aggregate(aggregate(&profiles)))
+            Query::Aggregate | Query::TopVariables(_) => {
+                unreachable!("pooled queries have no fixed scope")
             }
-            Query::TopVariables(n) => {
-                let profiles = self.snapshot()?;
-                Ok(Artifact::Text(aggregate(&profiles).top_variables(*n)))
-            }
-        }
+        };
+        Ok(Artifact::Text(text))
     }
 
     /// Cross-run aggregate over the current set (memoized).
@@ -1030,9 +1033,8 @@ impl ProfileStore {
         self.query(Query::Aggregate)
     }
 
-    fn analyzer(&self, id: ProfileId) -> Result<Analyzer, StoreError> {
-        let sp = self.get(id).ok_or(StoreError::UnknownProfile(id))?;
-        Ok(Analyzer::from_engine(sp.engine()))
+    fn stored(&self, id: ProfileId) -> Result<Arc<StoredProfile>, StoreError> {
+        self.get(id).ok_or(StoreError::UnknownProfile(id))
     }
 
     /// The current corpus, sorted by id (a deterministic order across

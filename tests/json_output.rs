@@ -8,7 +8,8 @@
 //! The profiles are the ones `hpcrun-sim --size small` writes: the AMD
 //! preset, every hardware thread, the mechanism's paper period divided
 //! by `--scale` (64 unless stated). A mismatch prints the whole table of
-//! what was produced, in the form of `PINNED`.
+//! what was produced, in the form of `PINNED`. Each output must also
+//! parse and print again to its own bytes.
 
 use numa_analysis::{analyze, diff, export_address_view, Analyzer};
 use numa_machine::{Machine, MachinePreset};
@@ -87,8 +88,32 @@ const PINNED: &[(&str, u64, usize)] = &[
     ("traced.report", 0xd0260ad658fa770f, 8427),
 ];
 
+/// Parsed and printed again, an output reproduces its own bytes — in
+/// its own mode (the report, diff and view are pretty, the profile
+/// compact), and after a trip through the other mode too.
+fn assert_reprints(name: &str, json: &str) {
+    let pretty = json.contains('\n');
+    let print = |v: &serde_json::Value, pretty: bool| {
+        if pretty {
+            serde_json::to_string_pretty(v).unwrap()
+        } else {
+            serde_json::to_string(v).unwrap()
+        }
+    };
+    let v = serde_json::from_str(json).unwrap();
+    assert!(print(&v, pretty) == json, "{name} does not reprint");
+    let other = serde_json::from_str(&print(&v, !pretty)).unwrap();
+    assert!(
+        print(&other, pretty) == json,
+        "{name} does not survive the other mode"
+    );
+}
+
 /// Compare each produced output with its pin; report every mismatch.
 fn check(got: &[(String, String)]) {
+    for (name, json) in got {
+        assert_reprints(name, json);
+    }
     let rows: Vec<(&str, u64, usize)> = got
         .iter()
         .map(|(name, json)| (name.as_str(), fnv1a(json.as_bytes()), json.len()))

@@ -1,13 +1,19 @@
 //! End-to-end contract of the multi-profile store: batched ingestion
-//! dedups by content, pooled queries see every run, and the memo
-//! cache's hit/miss/eviction counters track exactly what was computed.
+//! dedups by content, pooled queries see every run, the memo cache's
+//! hit/miss/eviction counters track exactly what was computed, and the
+//! report each stored profile keeps answers as a fresh analysis does.
 
+use numa_analysis::{analyze, full_text_report, Analyzer};
 use numa_machine::{Machine, MachinePreset};
 use numa_profiler::{NumaProfile, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::ExecMode;
-use numa_store::{ProfileStore, Query};
-use numa_workloads::{run_profiled, Blackscholes, BlackscholesVariant};
+use numa_store::{ProfileId, ProfileStore, Query};
+use numa_workloads::{
+    run_profiled, Amg2006, AmgVariant, Blackscholes, BlackscholesVariant, Lulesh, LuleshVariant,
+    Umt2013, UmtVariant, Workload,
+};
+use std::sync::Arc;
 
 /// One small profiled run; the option count varies content across runs.
 fn run(options: u64) -> NumaProfile {
@@ -99,4 +105,99 @@ fn tiny_cache_evicts_under_pressure() {
     // Nothing was cleared, so what is resident is what was inserted
     // and not evicted.
     assert!(s.insertions - s.evictions <= 8, "cache kept growing: {s:?}");
+}
+
+/// The four mini-apps as `hpcrun-sim --workload W --size small` runs
+/// them: the AMD preset, every hardware thread, IBS at scale 64.
+fn mini_apps() -> Vec<(&'static str, NumaProfile)> {
+    let apps: [(&str, Box<dyn Workload>); 4] = [
+        (
+            "lulesh",
+            Box::new(Lulesh::new(20, 3, LuleshVariant::Baseline)),
+        ),
+        (
+            "amg2006",
+            Box::new(Amg2006::new(32 * 1024, 2, AmgVariant::Baseline)),
+        ),
+        (
+            "blackscholes",
+            Box::new(Blackscholes::new(256, 20, BlackscholesVariant::Baseline)),
+        ),
+        (
+            "umt2013",
+            Box::new(Umt2013::new(16, 64, 64, 2, UmtVariant::Baseline)),
+        ),
+    ];
+    apps.into_iter()
+        .map(|(name, w)| {
+            let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
+            let threads = machine.topology().total_cpus();
+            let config = ProfilerConfig::new(MechanismConfig::scaled(MechanismKind::Ibs, 64));
+            let (_, _, profile) =
+                run_profiled(w.as_ref(), machine, threads, ExecMode::Sequential, config);
+            (name, profile)
+        })
+        .collect()
+}
+
+/// The text and JSON reports of a fresh analysis of `p`.
+fn recomputed(p: &NumaProfile) -> (String, String) {
+    let a = Analyzer::new(p.clone());
+    (full_text_report(&a), analyze(&a).to_json())
+}
+
+/// The store's answers to the two report queries about `id`.
+fn served(store: &ProfileStore, id: ProfileId) -> (String, String) {
+    let text = store.query(Query::TextReport(id)).unwrap().text();
+    let json = store.query(Query::ReportJson(id)).unwrap().text();
+    (text, json)
+}
+
+/// Ingest the mini-apps; their ids beside what a fresh analysis prints.
+fn stored_mini_apps(store: &ProfileStore) -> Vec<(&'static str, ProfileId, (String, String))> {
+    mini_apps()
+        .into_iter()
+        .map(|(name, p)| {
+            let want = recomputed(&p);
+            let (id, added) = store.ingest_profile(name, p).unwrap();
+            assert!(added);
+            (name, id, want)
+        })
+        .collect()
+}
+
+#[test]
+fn report_memo_answers_as_a_fresh_analysis() {
+    let store = ProfileStore::new();
+    let apps = stored_mini_apps(&store);
+    for pass in ["first query", "after clear_cache"] {
+        for (name, id, want) in &apps {
+            assert!(served(&store, *id) == *want, "{name}: {pass}");
+        }
+        store.clear_cache();
+    }
+    // One report per stored profile, shared by every rendering.
+    for (name, id, _) in &apps {
+        let sp = store.get(*id).unwrap();
+        assert!(Arc::ptr_eq(&sp.report(), &sp.report()), "{name}");
+    }
+}
+
+#[test]
+fn racing_first_report_queries_answer_as_a_fresh_analysis() {
+    let store = ProfileStore::new();
+    let apps = stored_mini_apps(&store);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (store, apps) = (&store, &apps);
+            s.spawn(move || {
+                // Each thread starts at a different profile, so first
+                // queries of both kinds race on every one of them.
+                for k in 0..apps.len() {
+                    let (name, id, want) = &apps[(t + k) % apps.len()];
+                    assert!(served(store, *id) == *want, "{name}: thread {t}");
+                }
+            });
+        }
+    });
 }

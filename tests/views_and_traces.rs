@@ -122,7 +122,7 @@ fn tracing_disabled_by_default() {
 }
 
 #[test]
-fn traces_roundtrip_through_json() {
+fn traces_roundtrip_through_the_codec() {
     let a = run(default_config().with_trace(10_000));
     let file = numa_store::codec::encode_profile(a.profile());
     let back = numa_store::codec::decode_profile(&file).unwrap();
