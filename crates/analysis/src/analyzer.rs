@@ -182,24 +182,21 @@ impl Analyzer {
         }
     }
 
-    /// (heap, static, stack) shares of remote cost — a parallel fold
-    /// over the per-variable metric columns.
+    /// (heap, static, stack) shares of remote cost, summed over the
+    /// per-variable metric columns.
     fn kind_shares(&self) -> (f64, f64, f64) {
-        let (heap, stat, stack) = self.engine.fold_vars(
-            || (0u64, 0u64, 0u64),
-            |v, m| {
-                let w = self.remote_weight(m);
-                match self.profile().var(v).map(|rec| rec.kind) {
-                    Some(VarKind::Heap) => (w, 0, 0),
-                    Some(VarKind::Static) => (0, w, 0),
-                    Some(VarKind::Stack) => (0, 0, w),
-                    // Samples attributed to a variable the profile has no
-                    // record for (malformed input): leave them unclassified.
-                    None => (0, 0, 0),
-                }
-            },
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-        );
+        let (mut heap, mut stat, mut stack) = (0u64, 0u64, 0u64);
+        for (v, m) in self.engine.var_columns() {
+            let w = self.remote_weight(m);
+            match self.profile().var(*v).map(|rec| rec.kind) {
+                Some(VarKind::Heap) => heap += w,
+                Some(VarKind::Static) => stat += w,
+                Some(VarKind::Stack) => stack += w,
+                // Samples attributed to a variable the profile has no
+                // record for (malformed input): leave them unclassified.
+                None => {}
+            }
+        }
         let total = self.remote_weight(self.engine.totals());
         if total == 0 {
             (0.0, 0.0, 0.0)

@@ -102,8 +102,10 @@ mod tests {
     #[test]
     fn env_override_changes_bins() {
         // Serialize access to the env var across test threads.
-        static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-        let _g = LOCK.lock();
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _g = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         std::env::set_var(BINS_ENV_VAR, "12");
         let c = base().with_env_bins();
         assert_eq!(c.bins, 12);

@@ -5,11 +5,9 @@
 use crate::index::ProfileIndex;
 use numa_machine::DomainId;
 use numa_profiler::{
-    Cct, FirstTouchRecord, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, ThreadProfile,
-    Trace, VarId,
+    Cct, FirstTouchRecord, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, Trace, VarId,
 };
 use numa_sim::FuncId;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Per-thread normalized \[min,max\] accessed range of one variable under
@@ -25,26 +23,10 @@ pub struct ThreadRange {
     pub latency: u64,
 }
 
-/// The one parallel merge shape of the workspace: fold `items` to
-/// per-chunk partials under the active rayon pool, then reduce pairwise.
-/// `reduce` must be associative and agree with `identity` as its unit;
-/// every merge in this workspace is a commutative counter sum, so the
-/// chunking cannot change results.
-pub fn par_fold<I, T, ID, M, R>(items: &[I], identity: ID, map: M, reduce: R) -> T
-where
-    I: Sync,
-    T: Send,
-    ID: Fn() -> T + Sync,
-    M: Fn(&I) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    items.par_iter().map(&map).reduce(&identity, &reduce)
-}
-
 /// The shared query engine over one profile.
 ///
-/// Construction builds the [`ProfileIndex`] once (cost: one parallel
-/// fold over threads plus a sort); afterwards the engine is immutable
+/// Construction builds the [`ProfileIndex`] once (cost: one pass over
+/// the threads plus a sort); afterwards the engine is immutable
 /// and freely shareable across threads behind an `Arc` — the store
 /// caches one per profile and the daemon serves every analysis request
 /// from it with zero profile copies.
@@ -256,51 +238,5 @@ impl Engine {
                 (ft.tid, ft.domain, path)
             })
             .collect()
-    }
-
-    /// Parallel fold over the profile's threads — the merge shape both
-    /// the analyzer's totals and the store's cross-run aggregation use.
-    pub fn fold_threads<T, ID, M, R>(&self, identity: ID, map: M, reduce: R) -> T
-    where
-        T: Send,
-        ID: Fn() -> T + Sync,
-        M: Fn(&ThreadProfile) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-    {
-        par_fold(&self.profile.threads, identity, map, reduce)
-    }
-
-    /// Parallel fold over the per-variable merged metric columns.
-    pub fn fold_vars<T, ID, M, R>(&self, identity: ID, map: M, reduce: R) -> T
-    where
-        T: Send,
-        ID: Fn() -> T + Sync,
-        M: Fn(VarId, &MetricSet) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-    {
-        par_fold(
-            self.index.var_columns(),
-            identity,
-            |(v, m)| map(*v, m),
-            reduce,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn par_fold_sums_like_sequential() {
-        let items: Vec<u64> = (0..1000).collect();
-        let sum = par_fold(&items, || 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(sum, items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn par_fold_empty_is_identity() {
-        let items: Vec<u64> = Vec::new();
-        assert_eq!(par_fold(&items, || 7u64, |&x| x, |a, b| a + b), 7);
     }
 }

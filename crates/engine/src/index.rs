@@ -1,13 +1,12 @@
 //! The per-profile columnar index: every attribution artifact the
 //! analysis layers query repeatedly, built once.
 //!
-//! Build cost is one rayon-parallel fold over threads (the §7.2 merge
-//! with its `[min,max]` range reduction) plus one sort of the flattened
+//! Build cost is one pass over threads (the §7.2 merge with its
+//! `[min,max]` range reduction) plus one sort of the flattened
 //! per-thread range rows; afterwards every query is a hash probe, a
 //! binary search, or a contiguous slice walk over exactly the rows it
 //! needs.
 
-use crate::engine::par_fold;
 use crate::intern::{Symbol, SymbolTable};
 use numa_profiler::{Cct, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, VarId, ROOT};
 use numa_sim::FuncId;
@@ -73,58 +72,35 @@ pub struct ProfileIndex {
 }
 
 impl ProfileIndex {
-    /// Build the full index. The thread merge runs under the active
-    /// rayon pool; everything else is one pass over the merged data.
+    /// Build the full index: one pass over the threads, then one pass
+    /// over the merged data.
     pub fn build(profile: &NumaProfile) -> ProfileIndex {
         let domains = profile.domains;
 
-        // The §7.2 merge: fold per-thread partials, reduce pairwise.
-        // Metric/range merges are commutative sums, so the reduction
-        // order cannot change the result.
-        type Partial = (
-            MetricSet,
-            u64,
-            u64,
-            HashMap<VarId, MetricSet>,
-            HashMap<RangeKey, RangeStat>,
-        );
-        let (totals, instructions, numa_events, var_map, merged): Partial = par_fold(
-            &profile.threads,
-            || {
-                (
-                    MetricSet::new(domains),
-                    0,
-                    0,
-                    HashMap::new(),
-                    HashMap::new(),
-                )
-            },
-            |t| {
-                let mut vt: HashMap<VarId, MetricSet> = HashMap::new();
-                for (v, m) in &t.var_metrics {
-                    vt.entry(*v)
-                        .or_insert_with(|| MetricSet::new(domains))
-                        .merge(m);
-                }
-                let mut mr: HashMap<RangeKey, RangeStat> = HashMap::new();
-                for (k, s) in &t.ranges {
-                    mr.entry(*k).and_modify(|acc| acc.merge(s)).or_insert(*s);
-                }
-                (t.totals.clone(), t.instructions, t.numa_events, vt, mr)
-            },
-            |(mut t1, i1, e1, mut v1, mut r1), (t2, i2, e2, v2, r2)| {
-                t1.merge(&t2);
-                for (k, m) in v2 {
-                    v1.entry(k)
-                        .or_insert_with(|| MetricSet::new(domains))
-                        .merge(&m);
-                }
-                for (k, s) in r2 {
-                    r1.entry(k).and_modify(|acc| acc.merge(&s)).or_insert(s);
-                }
-                (t1, i1 + i2, e1 + e2, v1, r1)
-            },
-        );
+        // The §7.2 merge: one pass over the threads into one set of
+        // accumulators. Metric merges are counter sums and range merges
+        // a [min,max] reduction, so thread order cannot change a result.
+        let mut totals = MetricSet::new(domains);
+        let (mut instructions, mut numa_events) = (0u64, 0u64);
+        let mut var_map: HashMap<VarId, MetricSet> = HashMap::new();
+        let mut merged: HashMap<RangeKey, RangeStat> = HashMap::new();
+        for t in &profile.threads {
+            totals.merge(&t.totals);
+            instructions += t.instructions;
+            numa_events += t.numa_events;
+            for (v, m) in &t.var_metrics {
+                var_map
+                    .entry(*v)
+                    .or_insert_with(|| MetricSet::new(domains))
+                    .merge(m);
+            }
+            for (k, s) in &t.ranges {
+                merged
+                    .entry(*k)
+                    .and_modify(|acc| acc.merge(s))
+                    .or_insert(*s);
+            }
+        }
 
         // Data-centric column: sorted (VarId, MetricSet) pairs.
         let mut vars: Vec<(VarId, MetricSet)> = var_map.into_iter().collect();

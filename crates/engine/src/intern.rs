@@ -6,9 +6,8 @@
 //! fast path is a read-locked hash probe, the slow path upgrades to a
 //! write lock and re-checks.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A dense interned-string id. Valid only against the [`SymbolTable`]
 /// that produced it.
@@ -32,12 +31,22 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// A poisoned lock is taken as it is, like every lock in the
+    /// workspace (DESIGN.md, "Concurrency model").
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Intern `name`, returning its stable symbol. Idempotent.
     pub fn intern(&self, name: &str) -> Symbol {
-        if let Some(&id) = self.inner.read().map.get(name) {
+        if let Some(&id) = self.read().map.get(name) {
             return Symbol(id);
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(&id) = inner.map.get(name) {
             return Symbol(id);
         }
@@ -50,16 +59,16 @@ impl SymbolTable {
 
     /// Look up an already-interned name without inserting.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.inner.read().map.get(name).copied().map(Symbol)
+        self.read().map.get(name).copied().map(Symbol)
     }
 
     /// The string behind a symbol (`None` for a foreign symbol).
     pub fn resolve(&self, sym: Symbol) -> Option<Arc<str>> {
-        self.inner.read().names.get(sym.0 as usize).cloned()
+        self.read().names.get(sym.0 as usize).cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.read().names.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -17,9 +17,6 @@
 //! * [`Engine`] — shares the profile by `Arc` (zero-copy: the store and
 //!   the daemon hand out analyzers without cloning profiles) and answers
 //!   every attribution query as an O(lookup) probe into the index.
-//! * [`par_fold`] / [`Engine::fold_threads`] / [`Engine::fold_vars`] —
-//!   the one rayon-parallel merge shape that the per-run analyzer and
-//!   the store's cross-run aggregation are both built on.
 //!
 //! The pre-engine scan paths survive only as the reference
 //! implementation the equivalence tests compare against
@@ -29,7 +26,7 @@ pub mod engine;
 pub mod index;
 pub mod intern;
 
-pub use engine::{par_fold, Engine, ThreadRange};
+pub use engine::{Engine, ThreadRange};
 pub use index::ProfileIndex;
 pub use intern::{Symbol, SymbolTable};
 

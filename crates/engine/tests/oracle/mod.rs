@@ -11,11 +11,10 @@ use numa_engine::ThreadRange;
 use numa_machine::DomainId;
 use numa_profiler::{Cct, MetricSet, NumaProfile, RangeKey, RangeScope, RangeStat, VarId, ROOT};
 use numa_sim::FuncId;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// The old `Analyzer::new` merge: totals, per-var totals, and merged
-/// ranges in one parallel fold over threads.
+/// ranges in one fold over threads.
 pub type MergedTables = (
     MetricSet,
     HashMap<VarId, MetricSet>,
@@ -27,7 +26,7 @@ pub fn merge_threads(profile: &NumaProfile) -> MergedTables {
     let domains = profile.domains;
     profile
         .threads
-        .par_iter()
+        .iter()
         .map(|t| {
             let mut vt: HashMap<VarId, MetricSet> = HashMap::new();
             for (v, m) in &t.var_metrics {
@@ -41,8 +40,8 @@ pub fn merge_threads(profile: &NumaProfile) -> MergedTables {
             }
             (t.totals.clone(), vt, mr)
         })
-        .reduce(
-            || (MetricSet::new(domains), HashMap::new(), HashMap::new()),
+        .fold(
+            (MetricSet::new(domains), HashMap::new(), HashMap::new()),
             |(mut t1, mut v1, mut r1), (t2, v2, r2)| {
                 t1.merge(&t2);
                 for (k, m) in v2 {

@@ -24,12 +24,11 @@
 //! operation sequence injects the same faults, which is what lets a
 //! proptest matrix replay a failing seed exactly.
 
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One open file handle: the operations the WAL and snapshot writer
 /// performs on a file.
@@ -249,6 +248,12 @@ struct FaultCounts {
 }
 
 impl FaultCtl {
+    /// The schedule's counters. A poisoned lock is taken as it is
+    /// (DESIGN.md, "Concurrency model").
+    fn counts(&self) -> MutexGuard<'_, FaultCounts> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn check_alive(&self) -> io::Result<()> {
         if self.killed.load(Ordering::SeqCst) {
             Err(io::Error::other("injected crash: storage is dead"))
@@ -295,7 +300,7 @@ impl FaultyStorage {
 
     /// How many faults the schedule has injected so far (kill excluded).
     pub fn injected(&self) -> u64 {
-        self.ctl.counts.lock().injected
+        self.ctl.counts().injected
     }
 }
 
@@ -307,7 +312,7 @@ struct FaultyFile {
 impl FaultyFile {
     /// Count one write of `len` bytes and decide its fate.
     fn plan_write(&self, len: usize) -> WriteAction {
-        let mut c = self.ctl.counts.lock();
+        let mut c = self.ctl.counts();
         c.writes += 1;
         if let Some(budget) = self.ctl.spec.enospc_after {
             if c.bytes_written + len as u64 > budget {
@@ -373,7 +378,7 @@ impl StorageFile for FaultyFile {
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.ctl.check_alive()?;
         {
-            let mut c = self.ctl.counts.lock();
+            let mut c = self.ctl.counts();
             c.set_lens += 1;
             if self.ctl.spec.fail_set_len == Some(c.set_lens) {
                 c.injected += 1;
@@ -395,7 +400,7 @@ impl StorageFile for FaultyFile {
 }
 
 fn fail_nth_sync(ctl: &FaultCtl) -> io::Result<()> {
-    let mut c = ctl.counts.lock();
+    let mut c = ctl.counts();
     c.syncs += 1;
     if ctl.spec.fail_sync == Some(c.syncs) {
         c.injected += 1;
@@ -452,12 +457,19 @@ impl RecordingStorage {
 
     /// The operations recorded so far, in issue order.
     pub fn ops(&self) -> Vec<String> {
-        self.ops.lock().clone()
+        let ops = self.ops.lock().unwrap_or_else(PoisonError::into_inner);
+        ops.clone()
     }
 
     fn log(&self, op: String) {
-        self.ops.lock().push(op);
+        record(&self.ops, op);
     }
+}
+
+/// Append one operation to a shared log. A poisoned lock is taken as it
+/// is (DESIGN.md, "Concurrency model").
+fn record(ops: &Mutex<Vec<String>>, op: String) {
+    ops.lock().unwrap_or_else(PoisonError::into_inner).push(op);
 }
 
 fn name_of(path: &Path) -> String {
@@ -474,7 +486,7 @@ struct RecordingFile {
 
 impl RecordingFile {
     fn log(&self, op: String) {
-        self.ops.lock().push(op);
+        record(&self.ops, op);
     }
 }
 

@@ -34,12 +34,11 @@
 use numa_obs::{Counter, Gauge, Registry};
 use numa_store::stream::{assemble, ChunkPayload};
 use numa_store::{ProfileId, ProfileStore};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -310,7 +309,7 @@ impl SessionManager {
             .name("numa-live-janitor".to_string())
             .spawn(move || janitor_loop(weak, stop_rx, period))
             .expect("spawn janitor thread");
-        *mgr.janitor.lock() = Some(handle);
+        *lock(&mgr.janitor) = Some(handle);
         mgr
     }
 
@@ -320,7 +319,7 @@ impl SessionManager {
         let session = self.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = Instant::now() + self.config.lease;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             if inner.sessions.len() >= self.config.max_sessions {
                 let open = inner.sessions.len();
                 drop(inner);
@@ -368,7 +367,7 @@ impl SessionManager {
         // budgets, so appends racing through the parse below cannot
         // overshoot them together.
         let precheck = {
-            let mut guard = self.inner.lock();
+            let mut guard = lock(&self.inner);
             let inner = &mut *guard;
             match inner.sessions.get_mut(&session) {
                 None => Err(SessionError::UnknownSession { session }),
@@ -411,7 +410,7 @@ impl SessionManager {
         }
         // Parse outside the lock: a chunk can be megabytes.
         let parsed = ChunkPayload::from_binary(bytes);
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
         // Re-validate: the session can be sealed, aborted or reaped (or a
         // duplicate append can win the race) while this thread was
@@ -482,7 +481,7 @@ impl SessionManager {
 
     /// Take a session out of the registry, giving its bytes back.
     fn remove(&self, session: u64) -> Result<LiveSession, SessionError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let s = inner
             .sessions
             .remove(&session)
@@ -505,7 +504,7 @@ impl SessionManager {
     pub fn reap_expired(&self) -> usize {
         let now = Instant::now();
         let dead = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             let ids: Vec<u64> = inner
                 .sessions
                 .iter()
@@ -528,7 +527,7 @@ impl SessionManager {
     /// Counter snapshot for observability.
     pub fn stats(&self) -> LiveStats {
         let (open_sessions, open_bytes) = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             (inner.sessions.len(), inner.open_bytes)
         };
         LiveStats {
@@ -606,16 +605,23 @@ impl SessionManager {
     /// Stop and join the janitor thread. Idempotent. Open sessions are
     /// left as they are — on a daemon shutdown they end with the process.
     pub fn stop(&self) {
-        drop(self.stop_tx.lock().take());
-        if let Some(handle) = self.janitor.lock().take() {
+        drop(lock(&self.stop_tx).take());
+        if let Some(handle) = lock(&self.janitor).take() {
             let _ = handle.join();
         }
     }
 }
 
-/// The vendored `parking_lot` has no `Condvar`, so the janitor's
-/// periodic wake-up plus stop signal ride on an `mpsc` receiver:
-/// timeout = tick, message or disconnect = stop.
+/// Lock one of the manager's mutexes. A poisoned lock is taken as it
+/// is (DESIGN.md, "Concurrency model"): a panicking request must not
+/// wedge every later session operation.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The janitor's periodic wake-up and its stop signal are one `mpsc`
+/// receiver: timeout = tick, message or disconnect = stop. Dropping the
+/// sender is the stop, so no flag or condition variable is needed.
 fn janitor_loop(mgr: Weak<SessionManager>, stop: mpsc::Receiver<()>, period: Duration) {
     loop {
         match stop.recv_timeout(period) {

@@ -25,9 +25,9 @@
 //! that comment, so callers never parse the text format themselves.
 
 use crate::metrics::{bucket_upper_bound, Counter, Gauge, Histogram, BUCKETS};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 
 enum Source {
     Counter(Counter),
@@ -120,7 +120,7 @@ impl Registry {
             "invalid label key in {labels:?}"
         );
         let labels = render_labels(labels);
-        let mut families = self.families.lock();
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         match families.iter_mut().find(|f| f.name == name) {
             Some(f) => {
                 debug_assert_eq!(f.kind, kind, "family {name:?} re-registered as {kind}");
@@ -138,7 +138,8 @@ impl Registry {
     /// Render every family in registration order as Prometheus text.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(4096);
-        for family in self.families.lock().iter() {
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
+        for family in families.iter() {
             let _ = writeln!(out, "# HELP {} {}", family.name, family.help);
             let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
             for series in &family.series {

@@ -13,10 +13,10 @@
 //! when called outside a traced request (recovery, tests, in-process
 //! embedding).
 
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// One finished request span. `seq` numbers the daemon's requests in
 /// the order they finished.
@@ -111,7 +111,7 @@ impl SpanRing {
 
     /// Keep `span`, evicting the oldest when full.
     pub fn retain(&self, span: Span) {
-        let mut spans = self.spans.lock();
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         if spans.len() == self.capacity {
             spans.pop_front();
         }
@@ -120,7 +120,7 @@ impl SpanRing {
 
     /// The most recent `n` spans, oldest first.
     pub fn recent(&self, n: usize) -> Vec<Span> {
-        let spans = self.spans.lock();
+        let spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         let skip = spans.len().saturating_sub(n);
         spans.iter().skip(skip).cloned().collect()
     }

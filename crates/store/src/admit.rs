@@ -18,7 +18,6 @@ use crate::persist::{AppendResult, Persister};
 use crate::{wal, BatchReport, PersistStats, ProfileId, ProfileStore, StoreError, StoredProfile};
 use numa_obs::trace;
 use numa_profiler::NumaProfile;
-use rayon::prelude::*;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Files per [`ProfileStore::ingest_dir`] read-and-decode chunk: bounds
-/// buffered bytes while still letting rayon decode a chunk in parallel.
+/// the bytes buffered at once, and each chunk is one group commit.
 const INGEST_DIR_CHUNK: usize = 32;
 
 /// One profile prepared for admission: the stored form (which carries
@@ -70,19 +69,17 @@ impl Admission {
     }
 }
 
-/// Recovered records as rows, in file order, decoded in parallel (the
+/// Recovered records as rows, in file order (decoding is the
 /// expensive part of replay). A record whose payload no longer decodes
 /// is counted and skipped.
 fn recorded_rows(records: Vec<wal::BinProfileRecord>, stats: &mut PersistStats) -> Vec<Admission> {
     let scanned = records.len();
-    let decoded = records
-        .par_iter()
-        .map(|r| numa_codec::decode_profile(&r.bytes).ok())
-        .collect_vec();
     let rows: Vec<Admission> = records
         .into_iter()
-        .zip(decoded)
-        .filter_map(|(record, profile)| Some(Admission::recorded(record, profile?)))
+        .filter_map(|record| {
+            let profile = numa_codec::decode_profile(&record.bytes).ok()?;
+            Some(Admission::recorded(record, profile))
+        })
         .collect();
     stats.replay_parse_failures += (scanned - rows.len()) as u64;
     rows
@@ -243,21 +240,17 @@ impl ProfileStore {
         self.admit(self.prepare_binary(label, bytes)?)
     }
 
-    /// Ingest a batch of `(label, codec bytes)` inputs. Decoding and
-    /// content hashing — the expensive part — run in parallel under rayon
-    /// (one chunk per CPU); insertion is
-    /// a short sequential tail of per-shard lock grabs. On durable stores
-    /// the whole batch is enqueued to the persister at once and waits
-    /// for a single group commit. Bad inputs are reported, not fatal.
+    /// Ingest a batch of `(label, codec bytes)` inputs. Each input is
+    /// decoded and hashed in turn — the expensive part — outside every
+    /// lock; insertion is a short tail of per-shard lock grabs. On
+    /// durable stores the whole batch is enqueued to the persister at
+    /// once and waits for a single group commit. Bad inputs are
+    /// reported, not fatal.
     pub fn ingest_batch(&self, inputs: &[(String, Vec<u8>)]) -> BatchReport {
-        let prepared = inputs
-            .par_iter()
-            .map(|(label, bytes)| self.prepare_binary(label, bytes))
-            .collect_vec();
         let mut report = BatchReport::default();
         let mut rows = Vec::new();
-        for (item, (label, _)) in prepared.into_iter().zip(inputs) {
-            match item {
+        for (label, bytes) in inputs {
+            match self.prepare_binary(label, bytes) {
                 Ok(row) => rows.push(row),
                 Err(e) => report.rejected.push((label.clone(), e)),
             }

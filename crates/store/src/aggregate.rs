@@ -4,9 +4,7 @@
 //! Merging *across runs* differs from the per-run thread merge in
 //! `numa_analysis::Analyzer` in two ways. First, `VarId`s are not stable
 //! across runs (allocation order assigns them), so variables are keyed
-//! by source name — interned once in a shared
-//! [`SymbolTable`](numa_engine::SymbolTable) so partial merges compare
-//! `u32` symbols, not strings. Second, heap addresses are not comparable
+//! by source name. Second, heap addresses are not comparable
 //! across runs, so accessed ranges are normalized to each run's variable
 //! extent *before* the [min,max] reduction (§7.2) is applied across
 //! runs.
@@ -15,14 +13,12 @@
 //! [`Engine`](numa_engine::Engine) index — program totals, per-variable
 //! columns, and merged Program-scope ranges are precomputed there, so
 //! summarizing a run never re-walks its threads. The cross-run merge
-//! itself is [`numa_engine::par_fold`]: one partial per profile, reduced
-//! pairwise.
+//! is one pass over the runs into one pool.
 
 use crate::StoredProfile;
-use numa_engine::{par_fold, Symbol, SymbolTable};
 use numa_profiler::{MetricSet, RangeScope, RangeStat};
 use numa_sim::VarKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One variable's metrics pooled across every run that sampled it.
@@ -58,124 +54,93 @@ pub struct CrossRunAggregate {
     pub vars: Vec<VarAggregate>,
 }
 
-/// Per-profile partial: what one run contributes to the pool. Variables
-/// are keyed by interned symbol so the pairwise merge hashes `u32`s.
-struct Partial {
-    totals: MetricSet,
-    domains: usize,
-    vars: HashMap<Symbol, VarAggregate>,
-}
-
-impl Partial {
-    fn empty() -> Self {
-        Partial {
-            totals: MetricSet::new(0),
-            domains: 0,
-            vars: HashMap::new(),
-        }
-    }
-
-    fn absorb(mut self, other: Partial) -> Self {
-        self.totals.merge(&other.totals);
-        self.domains = self.domains.max(other.domains);
-        for (sym, v) in other.vars {
-            match self.vars.get_mut(&sym) {
+/// Merge every profile in the set — the store's batch analysis step:
+/// one pass over the runs into one pool. Each run's contribution is
+/// read off its engine index — totals, per-variable columns, and
+/// Program-scope coverage are all precomputed, so no thread is walked.
+/// Variables whose record is missing from the profile's table
+/// (malformed input) are skipped, mirroring the analyzer's
+/// graceful-degradation contract.
+pub fn aggregate(profiles: &[Arc<StoredProfile>]) -> CrossRunAggregate {
+    let mut totals = MetricSet::new(0);
+    let mut domains = 0;
+    let mut pool: HashMap<String, VarAggregate> = HashMap::new();
+    for stored in profiles {
+        let engine = stored.engine();
+        let p = engine.profile();
+        totals.merge(engine.totals());
+        domains = domains.max(p.domains);
+        // Names this run has contributed: a name the run carries twice
+        // counts as one run, keeps its first record's kind and extent,
+        // and pools both records' metrics.
+        let mut in_run: HashSet<&str> = HashSet::new();
+        for (v, m) in engine.var_columns() {
+            let Some(rec) = p.var(*v) else { continue };
+            let first = in_run.insert(&rec.name);
+            match pool.get_mut(&rec.name) {
                 Some(acc) => {
-                    acc.runs_seen += v.runs_seen;
-                    acc.bytes_max = acc.bytes_max.max(v.bytes_max);
-                    acc.metrics.merge(&v.metrics);
-                    acc.coverage = match (acc.coverage, v.coverage) {
-                        (Some((lo, hi)), Some((l2, h2))) => Some((lo.min(l2), hi.max(h2))),
-                        (a, b) => a.or(b),
-                    };
+                    acc.metrics.merge(m);
+                    if first {
+                        acc.runs_seen += 1;
+                        acc.bytes_max = acc.bytes_max.max(rec.bytes);
+                    }
                 }
                 None => {
-                    self.vars.insert(sym, v);
+                    pool.insert(
+                        rec.name.clone(),
+                        VarAggregate {
+                            name: rec.name.clone(),
+                            kind: rec.kind,
+                            runs_seen: 1,
+                            bytes_max: rec.bytes,
+                            metrics: m.clone(),
+                            coverage: None,
+                        },
+                    );
                 }
             }
         }
-        self
-    }
-}
-
-/// Summarize one run from its engine index: totals, per-variable
-/// columns, and Program-scope coverage are all precomputed — no thread
-/// walk. Variables whose record is missing from the profile's table
-/// (malformed input) are skipped, mirroring the analyzer's
-/// graceful-degradation contract.
-fn summarize(stored: &StoredProfile, names: &SymbolTable) -> Partial {
-    let engine = stored.engine();
-    let idx = engine.index();
-    let p = engine.profile();
-    let mut vars: HashMap<Symbol, VarAggregate> = HashMap::new();
-    for (v, m) in idx.var_columns() {
-        let Some(rec) = p.var(*v) else { continue };
-        let sym = names.intern(&rec.name);
-        vars.entry(sym)
-            .and_modify(|acc| acc.metrics.merge(m))
-            .or_insert_with(|| VarAggregate {
-                name: rec.name.clone(),
-                kind: rec.kind,
-                runs_seen: 1,
-                bytes_max: rec.bytes,
-                metrics: m.clone(),
-                coverage: None,
-            });
-    }
-    // Program-scope accessed range per variable, [min,max]-reduced over
-    // threads and bins by the index (addresses are comparable within one
-    // run), then normalized to the run's extent.
-    for rec in &p.vars {
-        let merged = engine
-            .ranges_of(rec.id)
-            .iter()
-            .filter(|(k, _)| k.scope == RangeScope::Program)
-            .fold(None::<RangeStat>, |acc, (_, s)| match acc {
-                Some(mut a) => {
-                    a.merge(s);
-                    Some(a)
-                }
-                None => Some(*s),
-            });
-        let Some(s) = merged else { continue };
-        let extent = rec.bytes.max(1) as f64;
-        let lo = s.min_addr.saturating_sub(rec.addr) as f64 / extent;
-        let hi = s.max_addr.saturating_sub(rec.addr) as f64 / extent;
-        if let Some(acc) = vars.get_mut(&names.intern(&rec.name)) {
-            acc.coverage = Some(match acc.coverage {
-                Some((l, h)) => (l.min(lo), h.max(hi)),
-                None => (lo, hi),
-            });
+        // Program-scope accessed range per variable, [min,max]-reduced
+        // over threads and bins by the index (addresses are comparable
+        // within one run), then normalized to the run's extent.
+        for rec in &p.vars {
+            if !in_run.contains(rec.name.as_str()) {
+                continue;
+            }
+            let merged = engine
+                .ranges_of(rec.id)
+                .iter()
+                .filter(|(k, _)| k.scope == RangeScope::Program)
+                .fold(None::<RangeStat>, |acc, (_, s)| match acc {
+                    Some(mut a) => {
+                        a.merge(s);
+                        Some(a)
+                    }
+                    None => Some(*s),
+                });
+            let Some(s) = merged else { continue };
+            let extent = rec.bytes.max(1) as f64;
+            let lo = s.min_addr.saturating_sub(rec.addr) as f64 / extent;
+            let hi = s.max_addr.saturating_sub(rec.addr) as f64 / extent;
+            if let Some(acc) = pool.get_mut(&rec.name) {
+                acc.coverage = Some(match acc.coverage {
+                    Some((l, h)) => (l.min(lo), h.max(hi)),
+                    None => (lo, hi),
+                });
+            }
         }
     }
-    Partial {
-        totals: idx.totals().clone(),
-        domains: p.domains,
-        vars,
-    }
-}
-
-/// Merge every profile in the set — the store's batch analysis step,
-/// expressed as one [`par_fold`] over the engines.
-pub fn aggregate(profiles: &[Arc<StoredProfile>]) -> CrossRunAggregate {
-    let names = SymbolTable::new();
-    let merged = par_fold(
-        profiles,
-        Partial::empty,
-        |sp| summarize(sp, &names),
-        Partial::absorb,
-    );
-    let mut vars: Vec<VarAggregate> = merged.vars.into_values().collect();
+    let mut vars: Vec<VarAggregate> = pool.into_values().collect();
     vars.sort_by(|a, b| {
         (b.metrics.latency_remote, b.metrics.m_remote)
             .cmp(&(a.metrics.latency_remote, a.metrics.m_remote))
             .then_with(|| a.name.cmp(&b.name))
     });
-    let lpi_numa = merged.totals.lpi_numa();
+    let lpi_numa = totals.lpi_numa();
     CrossRunAggregate {
         runs: profiles.len(),
-        domains: merged.domains,
-        totals: merged.totals,
+        domains,
+        totals,
         lpi_numa,
         vars,
     }

@@ -9,10 +9,9 @@
 //! readers do not contend on the shard locks just to account.
 
 use numa_obs::{trace, Counter, Registry};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independently locked shards. A power of two so the shard
 /// index is a mask of the key hash.
@@ -44,6 +43,12 @@ impl<K, V> Default for Shard<K, V> {
             clock: 0,
         }
     }
+}
+
+/// Lock one shard. A poisoned lock is taken as it is (DESIGN.md,
+/// "Concurrency model").
+fn lock<K, V>(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The cache proper, generic over key and artifact type.
@@ -99,10 +104,11 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
         );
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    /// Lock the shard `key` hashes to.
+    fn shard_of(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+        lock(&self.shards[(h.finish() as usize) & (SHARDS - 1)])
     }
 
     /// Fetch `key` if it is resident: a hit is counted and freshens the
@@ -110,7 +116,7 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
     /// [`MemoCache::get_or_try_insert`] still records one outcome per
     /// lookup.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let mut s = self.shard_of(key).lock();
+        let mut s = self.shard_of(key);
         s.clock += 1;
         let clock = s.clock;
         let e = s.map.get_mut(key)?;
@@ -135,7 +141,7 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
         self.misses.inc();
         trace::note_cache(false);
         let value = Arc::new(build()?);
-        let mut s = self.shard_of(&key).lock();
+        let mut s = self.shard_of(&key);
         s.clock += 1;
         let stamp = s.clock;
         if s.map.len() >= self.per_shard_capacity && !s.map.contains_key(&key) {
@@ -160,7 +166,7 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
 
     /// Number of currently resident artifacts.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -170,7 +176,7 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
     /// Drop every resident artifact (counters are preserved).
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().map.clear();
+            lock(s).map.clear();
         }
     }
 

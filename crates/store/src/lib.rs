@@ -11,13 +11,13 @@
 //!   ([`ProfileStore::ingest_batch`], [`ProfileStore::ingest_dir`],
 //!   [`ProfileStore::ingest_binary`], [`ProfileStore::ingest_profile`],
 //!   ...): every entry point decodes and hashes its input outside every
-//!   lock — a batch in parallel with rayon — and hands the prepared
-//!   rows to the single insert → commit → rollback tail in the `admit`
-//!   module. Every input is a codec container (a profile file, a wire
-//!   payload, an assembled stream); a profile is stored under the
-//!   FNV-1a hash of its canonical re-encoding ([`ProfileId::of`]), so
-//!   duplicate runs dedup to one copy however they arrived, and those
-//!   same bytes are the only form the store hashes or logs. The store
+//!   lock and hands the prepared rows to the single insert → commit →
+//!   rollback tail in the `admit` module. Every input is a codec
+//!   container (a profile file, a wire payload, an assembled stream); a
+//!   profile is stored under the FNV-1a hash of its canonical
+//!   re-encoding ([`ProfileId::of`]), so duplicate runs dedup to one copy
+//!   however they arrived, and those same bytes are the only form the
+//!   store hashes or logs. The store
 //!   never reads JSON; it only renders it (`Query::ReportJson`).
 //! * **Hash-sharded shelves**: profiles live in N shard shelves keyed
 //!   by `content_hash & (N-1)`, each behind its own `RwLock`, so
@@ -35,7 +35,7 @@
 //! * **Group-commit durability** ([`ProfileStore::open_durable`]): WAL
 //!   appends are queued to a dedicated persister thread that batches
 //!   pending records and flushes once per batch (see the `persist`
-//!   module docs); startup replay decodes records in parallel and
+//!   module docs); startup replay decodes records in file order and
 //!   re-admits them through the same tail.
 //!
 //! The CLI front end is `hpcd-client` in the `numa-tools` crate, over
@@ -64,13 +64,14 @@ use numa_analysis::{analyze, diff, render_cct, AnalysisReport, Analyzer};
 use numa_engine::Engine;
 use numa_obs::{Counter, Registry};
 use numa_profiler::{NumaProfile, RangeScope};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
+use std::sync::{
+    Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// Store-level failures. Parse failures during batch ingestion do not
 /// abort the batch — they are collected per input in [`BatchReport`].
@@ -369,24 +370,27 @@ struct Shard {
 
 impl Shard {
     /// Read-lock the shelf, counting the acquisition as contended when
-    /// it could not be granted immediately.
-    fn read(&self) -> parking_lot::RwLockReadGuard<'_, Shelf> {
+    /// it could not be granted immediately. A poisoned lock is taken as
+    /// it is (DESIGN.md, "Concurrency model").
+    fn read(&self) -> RwLockReadGuard<'_, Shelf> {
         match self.shelf.try_read() {
-            Some(g) => g,
-            None => {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 self.read_contended.inc();
-                self.shelf.read()
+                self.shelf.read().unwrap_or_else(PoisonError::into_inner)
             }
         }
     }
 
     /// Write-lock the shelf, counting contended acquisitions.
-    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, Shelf> {
+    fn write(&self) -> RwLockWriteGuard<'_, Shelf> {
         match self.shelf.try_write() {
-            Some(g) => g,
-            None => {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 self.write_contended.inc();
-                self.shelf.write()
+                self.shelf.write().unwrap_or_else(PoisonError::into_inner)
             }
         }
     }
@@ -591,8 +595,8 @@ impl ProfileStore {
     pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
     /// Default shard count. Eight shards keep the per-shard lock nearly
-    /// uncontended for typical daemon worker pools while costing a few
-    /// hundred bytes of fixed overhead.
+    /// uncontended for the daemon's default `--workers` while costing a
+    /// few hundred bytes of fixed overhead.
     pub const DEFAULT_SHARDS: usize = 8;
 
     pub fn new() -> Self {
@@ -653,8 +657,8 @@ impl ProfileStore {
     }
 
     /// [`ProfileStore::open_durable`] with explicit store sizing.
-    /// Replay parses snapshot + WAL records in parallel and admits them
-    /// in file order through the same tail live ingests use.
+    /// Replay decodes snapshot + WAL records and admits them in file
+    /// order through the same tail live ingests use.
     pub fn open_durable_config(
         dir: &Path,
         config: StoreConfig,

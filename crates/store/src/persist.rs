@@ -58,12 +58,11 @@ use crate::snapshot::snapshot_path;
 use crate::wal::{WalWriter, SNAPSHOT_MAGIC};
 use crate::{PersistOptions, PersistStats};
 use numa_faults::Storage;
-use parking_lot::Mutex;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Why a record could not be made durable: its commit group failed and
@@ -186,7 +185,7 @@ impl Persister {
         }
         let mut waits = Vec::with_capacity(n);
         {
-            let guard = self.tx.lock();
+            let guard = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(tx) = guard.as_ref() {
                 for record in records {
                     let (ack, wait) = sync_channel(1);
@@ -208,7 +207,7 @@ impl Persister {
     /// Commit pending appends and fold the WAL into the snapshot now.
     pub(crate) fn flush(&self) -> io::Result<()> {
         let wait = {
-            let guard = self.tx.lock();
+            let guard = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
             let Some(tx) = guard.as_ref() else {
                 return Ok(());
             };
@@ -238,11 +237,17 @@ impl Persister {
     /// enqueued is committed first; later appends fail their acks
     /// (never a hang, never a false durability claim).
     pub(crate) fn stop(&self) {
-        drop(self.tx.lock().take());
-        if let Some(worker) = self.worker.lock().take() {
+        drop(take(&self.tx));
+        if let Some(worker) = take(&self.worker) {
             let _ = worker.join();
         }
     }
+}
+
+/// Empty one of the handle's slots. A poisoned lock is taken as it is
+/// (DESIGN.md, "Concurrency model").
+fn take<T>(slot: &Mutex<Option<T>>) -> Option<T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
 /// State owned by the persister thread.

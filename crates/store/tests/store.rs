@@ -110,6 +110,47 @@ fn aggregate_pools_metrics_across_runs() {
 }
 
 #[test]
+fn a_name_repeated_in_one_run_counts_as_one_run() {
+    // One run allocates `z` twice, as a re-allocation would.
+    let machine = Machine::from_preset(MachinePreset::AmdMagnyCours);
+    let config = ProfilerConfig::new(MechanismConfig::for_tests(MechanismKind::Ibs, 8));
+    let profiler = Rc::new(NumaProfiler::new(machine.clone(), config, 4));
+    let mut p = Program::new(machine, 4, profiler.clone());
+    p.serial("main", |ctx| {
+        for size in [1u64 << 18, 1 << 19] {
+            let base = ctx.alloc("z", size, PlacementPolicy::FirstTouch);
+            ctx.store_range(base, size / 64, 64);
+        }
+    });
+    let twice = finish_profile(p, profiler);
+    // (sampled `z` records, their samples)
+    let zs = |p: &NumaProfile| -> (usize, u64) {
+        let columns: BTreeMap<_, u64> = p
+            .threads
+            .iter()
+            .flat_map(|t| &t.var_metrics)
+            .filter(|(v, _)| p.var(*v).is_some_and(|rec| rec.name == "z"))
+            .fold(BTreeMap::new(), |mut acc, (v, m)| {
+                *acc.entry(*v).or_default() += m.samples_mem;
+                acc
+            });
+        (columns.len(), columns.values().sum())
+    };
+    let once = profile(1);
+    assert_eq!(zs(&twice).0, 2, "both allocations are sampled");
+    let expected = zs(&twice).1 + zs(&once).1;
+
+    let store = ProfileStore::new();
+    store.ingest_profile("twice", twice).unwrap();
+    store.ingest_profile("once", once).unwrap();
+    let artifact = store.aggregate().unwrap();
+    let agg = artifact.as_aggregate().unwrap();
+    let z = agg.vars.iter().find(|v| v.name == "z").unwrap();
+    assert_eq!(z.runs_seen, 2, "two runs, however often each names z");
+    assert_eq!(z.metrics.samples_mem, expected, "every record pools");
+}
+
+#[test]
 fn aggregate_render_lists_variables() {
     let store = ProfileStore::new();
     store.ingest_profile("r1", profile(2)).unwrap();
